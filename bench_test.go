@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"heterohpc/internal/bench"
-	"heterohpc/internal/core"
+	"heterohpc/internal/perf"
 	"heterohpc/internal/provision"
 	"heterohpc/internal/spot"
 )
@@ -180,25 +180,15 @@ func BenchmarkSpotAcquisition(b *testing.B) {
 }
 
 // BenchmarkRDIteration measures one full platform-modelled RD run (the unit
-// of every figure) at quickstart size.
+// of every figure) at quickstart size: the tracked rd-iteration case of
+// internal/perf, whose allocation ceilings CI enforces.
 func BenchmarkRDIteration(b *testing.B) {
 	b.ReportAllocs()
-	tg, err := core.NewTarget("ec2", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var virt float64
-	for i := 0; i < b.N; i++ {
-		app, err := core.WeakRD(8, 6, 2)
-		if err != nil {
-			b.Fatal(err)
+	for _, c := range perf.Cases() {
+		if c.Name == "rd-iteration" {
+			c.Bench(b)
+			return
 		}
-		rep, err := tg.Run(core.JobSpec{Ranks: 8, App: app, SkipSteps: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt = rep.Iter.MaxTotal
 	}
-	b.ReportMetric(virt, "virtual-s/iter")
+	b.Fatal("rd-iteration case missing from the tracked set")
 }

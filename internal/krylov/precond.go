@@ -136,6 +136,8 @@ func NewILU0(a *sparse.CSR, n int, ch sparse.Charger) *ILU0 {
 }
 
 // Setup implements Preconditioner: IKJ-ordered ILU(0) on the block pattern.
+// Columns are sorted within a row, so the update of row i against pivot row
+// k is a two-pointer merge of row i's tail with row k's upper part.
 func (p *ILU0) Setup() error {
 	a := p.a
 	copy(p.lu, a.Val)
@@ -148,26 +150,29 @@ func (p *ILU0) Setup() error {
 	}
 	var flops float64
 	for i := 0; i < p.n; i++ {
-		for sl := a.RowPtr[i]; sl < a.RowPtr[i+1]; sl++ {
+		rowEnd := a.RowPtr[i+1]
+		for sl := a.RowPtr[i]; sl < p.diag[i]; sl++ {
 			k := a.Col[sl]
-			if k >= i || k >= p.n {
-				continue
-			}
 			piv := p.lu[p.diag[k]]
 			if piv == 0 {
 				return fmt.Errorf("krylov: zero pivot at row %d", k)
 			}
 			lik := p.lu[sl] / piv
 			p.lu[sl] = lik
-			// Update the remainder of row i against row k's upper part.
-			for t := sl + 1; t < a.RowPtr[i+1]; t++ {
-				j := a.Col[t]
-				if j >= p.n {
-					continue
-				}
-				if u := a.Slot(k, j); u >= 0 {
+			// Update the remainder of row i against row k's upper part;
+			// ghost columns (>= n) sort last and end the merge.
+			u, kEnd := p.diag[k]+1, a.RowPtr[k+1]
+			for t := sl + 1; t < rowEnd && u < kEnd && a.Col[t] < p.n; {
+				switch j, ju := a.Col[t], a.Col[u]; {
+				case ju < j:
+					u++
+				case ju > j:
+					t++
+				default:
 					p.lu[t] -= lik * p.lu[u]
 					flops += 2
+					t++
+					u++
 				}
 			}
 		}

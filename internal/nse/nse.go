@@ -145,28 +145,27 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	bdf := 3 / (2 * cfg.Dt)
 
 	// Constant operators: mass, pressure Laplacian, gradient blocks.
-	var massCOO sparse.COO
-	s.AssembleMatrix(&massCOO, func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) })
-	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &massCOO, s.Owner, 2100)
+	// All six operators assemble through one COO: a compacted matrix keeps
+	// nothing of it, so the next operator reuses its storage.
+	var coo sparse.COO
+	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) })
+	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 2100)
 	if err != nil {
 		return nil, err
 	}
 	massDM.Compact() // values never change; drop refill plans
-	massCOO = sparse.COO{}
 
 	// The pressure, gradient and velocity operators couple the same element
 	// stencil as the mass matrix, so their ghost-column sets coincide and
 	// they can share its importer instead of each re-running the importer
 	// handshake (NewDistMatrixLike falls back to a private importer if the
 	// structures ever diverge).
-	var presCOO sparse.COO
-	s.AssembleMatrix(&presCOO, func(e int, out *[8][8]float64) { s.El.Stiffness(1, out, r) })
-	presDM, err := sparse.NewDistMatrixLike(massDM, &presCOO, s.Owner, 2200)
+	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Stiffness(1, out, r) })
+	presDM, err := sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2200)
 	if err != nil {
 		return nil, err
 	}
 	presDM.Compact()
-	presCOO = sparse.COO{}
 	presBC := presDM.NewDirichlet(s.IsBoundary)
 	presPC, err := newPrecond(cfg.Precond, presDM, r)
 	if err != nil {
@@ -178,10 +177,9 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	grad := make([]*sparse.DistMatrix, 3)
 	for d := 0; d < 3; d++ {
-		var gcoo sparse.COO
 		dd := d
-		s.AssembleMatrix(&gcoo, func(e int, out *[8][8]float64) { s.El.Gradient(dd, out, r) })
-		grad[d], err = sparse.NewDistMatrixLike(massDM, &gcoo, s.Owner, 2300+100*d)
+		s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Gradient(dd, out, r) })
+		grad[d], err = sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2300+100*d)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +202,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	// The element callback reads the convecting field from patchW, which is
 	// refreshed in place each step, so one hoisted closure serves every
 	// reassembly without per-step allocation.
-	var velCOO sparse.COO
 	velElem := func(e int, out *[8][8]float64) {
 		vs := s.M.ElemVerts(e)
 		var w [3]float64
@@ -232,15 +229,15 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	s.AssembleMatrix(&velCOO, velElem)
-	velDM, err := sparse.NewDistMatrixLike(massDM, &velCOO, s.Owner, 2600)
+	s.AssembleMatrix(&coo, velElem)
+	velDM, err := sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2600)
 	if err != nil {
 		return nil, err
 	}
 	// Fixed structure: per-step reassembly recomputes values only.
-	velCOO.Rows, velCOO.Cols = nil, nil
+	coo.Rows, coo.Cols = nil, nil
 	assembleVelocity := func() {
-		s.AssembleMatrixValues(&velCOO, velElem)
+		s.AssembleMatrixValues(&coo, velElem)
 	}
 	velPC, err := newPrecond(cfg.Precond, velDM, r)
 	if err != nil {
@@ -351,7 +348,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 			s.PatchImporter().Exchange(patchW[d])
 		}
 		assembleVelocity()
-		velDM.SetValues(&velCOO)
+		velDM.SetValues(&coo)
 		if velBC == nil {
 			velBC = velDM.NewDirichlet(s.IsBoundary)
 		} else {

@@ -13,6 +13,14 @@ import (
 // `heterobench perf -memprofile`, do not raise the ceiling.
 const rdIterationAllocCeiling = 3108
 
+// rdIterationBytesCeiling bounds what the rd-iteration case moves through
+// the heap. The sort-based symbolic set-up held it at 25.3 MB/op (~96 B per
+// assembly triplet across two operators on 8 ranks); the linear builder and
+// the shared scratch COO brought it to 15.0 MB/op, and the ceiling is that
+// plus 10%. allocs/op cannot see this: the set-up makes few, large
+// allocations.
+const rdIterationBytesCeiling = 16_500_000
+
 // nsIterationAllocCeiling is the ns-iteration ceiling. The six
 // Navier–Stokes operators used to build six private ghost importers
 // (6,559 allocs/op against RD's 2,832); sharing one importer across the
@@ -46,7 +54,7 @@ func measureCase(t *testing.T, name string) Result {
 }
 
 // TestRDIterationAllocCeiling is the CI perf-smoke step: it measures the
-// tracked rd-iteration case (equivalent to BenchmarkRDIteration) and fails
+// tracked rd-iteration case (the body of BenchmarkRDIteration) and fails
 // when allocs/op exceeds the checked-in ceiling. ns/op is hardware-dependent
 // and only reported; allocs/op is deterministic enough to gate on.
 func TestRDIterationAllocCeiling(t *testing.T) {
@@ -54,6 +62,16 @@ func TestRDIterationAllocCeiling(t *testing.T) {
 	if res.AllocsPerOp > rdIterationAllocCeiling {
 		t.Errorf("rd-iteration allocates %d allocs/op, ceiling is %d",
 			res.AllocsPerOp, rdIterationAllocCeiling)
+	}
+}
+
+// TestRDIterationBytesCeiling gates the same case on bytes/op, which is as
+// repeatable as allocs/op and is where symbolic set-up cost shows.
+func TestRDIterationBytesCeiling(t *testing.T) {
+	res := measureCase(t, "rd-iteration")
+	if res.BytesPerOp > rdIterationBytesCeiling {
+		t.Errorf("rd-iteration allocates %d B/op, ceiling is %d",
+			res.BytesPerOp, rdIterationBytesCeiling)
 	}
 }
 
@@ -117,7 +135,8 @@ func TestReportRoundTrip(t *testing.T) {
 // TestCasesRegistered pins the tracked case set: BENCH.json diffs pair
 // results by name, so removals or renames must be deliberate.
 func TestCasesRegistered(t *testing.T) {
-	want := []string{"rd-iteration", "ns-iteration", "cg-steady-serial", "gmres-arnoldi"}
+	want := []string{"rd-iteration", "ns-iteration", "cg-steady-serial", "gmres-arnoldi",
+		"distmatrix-build", "ilu0-setup"}
 	cs := Cases()
 	if len(cs) != len(want) {
 		t.Fatalf("%d tracked cases, want %d", len(cs), len(want))

@@ -179,23 +179,23 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	// Mass matrix (constant in time, assembled once for the BDF2 history
 	// term M·(4u¹−u²)/(2Δt)).
-	var massCOO sparse.COO
-	s.AssembleMatrix(&massCOO, func(e int, out *[8][8]float64) {
+	// Both operators assemble through one COO: the compacted mass matrix
+	// keeps nothing of it, so the system matrix reuses its storage.
+	var coo sparse.COO
+	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) {
 		s.El.Mass(1, out, r)
 	})
-	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &massCOO, s.Owner, 1100)
+	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100)
 	if err != nil {
 		return nil, err
 	}
 	massDM.Compact() // values never change; drop refill plans
-	massCOO = sparse.COO{}
 
 	// System matrix structure (same sparsity as mass; values refilled each
 	// step because the diffusion and reaction coefficients depend on t).
 	// The element callback is hoisted out of the time loop: it captures the
 	// mutable coefficients instead of closing over t per step, so steady-
 	// state reassembly allocates no closures.
-	var sysCOO sparse.COO
 	var sysAlpha, sysKappa float64
 	sysElem := func(e int, out *[8][8]float64) {
 		var ke [8][8]float64
@@ -212,16 +212,16 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		sysKappa = 1 / (t * t)        // diffusion coefficient
 	}
 	setSysTime(cfg.T0 + 2*cfg.Dt)
-	s.AssembleMatrix(&sysCOO, sysElem)
-	sysDM, err := sparse.NewDistMatrix(r, s.RowMap, &sysCOO, s.Owner, 1200)
+	s.AssembleMatrix(&coo, sysElem)
+	sysDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1200)
 	if err != nil {
 		return nil, err
 	}
 	// The structure is fixed; per-step reassembly only recomputes values.
-	sysCOO.Rows, sysCOO.Cols = nil, nil
+	coo.Rows, coo.Cols = nil, nil
 	assembleSystem := func(t float64) {
 		setSysTime(t)
-		s.AssembleMatrixValues(&sysCOO, sysElem)
+		s.AssembleMatrixValues(&coo, sysElem)
 	}
 	// The boundary eliminator and boundary-value closure are likewise
 	// persistent. The eliminator is built inside the first step (its scan
@@ -293,7 +293,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		// Phase (ii): assembly of the system matrix and right-hand side.
 		clk.SetPhase(vclock.PhaseAssembly)
 		assembleSystem(t)
-		sysDM.SetValues(&sysCOO)
+		sysDM.SetValues(&coo)
 		// hist = (4u^{n-1} − u^{n-2}) / (2Δt)
 		for i := 0; i < n; i++ {
 			hist[i] = (4*uPrev1[i] - uPrev2[i]) / (2 * cfg.Dt)

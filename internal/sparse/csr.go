@@ -12,7 +12,8 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Charger receives operation counts from compute kernels. *mp.Rank
@@ -80,13 +81,15 @@ type CSR struct {
 	Val          []float64
 }
 
-// NewCSRFromCOO builds a CSR from triplets, summing duplicates. Column
-// indices within each row come out sorted. Symbolic construction runs once
-// per space setup, so vcharge's constructor exemption applies; per-step
-// numeric refills go through charged paths (fem.AssembleMatrix, MulVec).
+// NewCSRFromCOO builds a CSR from triplets, summing duplicates in input
+// order. Column indices within each row come out sorted. Symbolic
+// construction runs once per space setup, so vcharge's constructor exemption
+// applies; per-step numeric refills go through charged paths
+// (fem.AssembleMatrix, MulVec).
 func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
-	if nrows > 1<<31 || ncols > 1<<31 {
-		return nil, fmt.Errorf("sparse: %dx%d exceeds the 2^31 packed-key index range", nrows, ncols)
+	if len(c.Cols) != len(c.Rows) || len(c.Vals) != len(c.Rows) {
+		return nil, fmt.Errorf("sparse: COO has %d rows, %d cols, %d vals",
+			len(c.Rows), len(c.Cols), len(c.Vals))
 	}
 	for i := range c.Rows {
 		if c.Rows[i] < 0 || c.Rows[i] >= nrows {
@@ -96,44 +99,82 @@ func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
 			return nil, fmt.Errorf("sparse: col %d out of %d", c.Cols[i], ncols)
 		}
 	}
-	// Sort triplet indices by (row, col). The comparator reads one packed
-	// uint64 key per triplet instead of chasing two slices — the packing
-	// preserves (row, col) lexicographic order bit-exactly, so the sort
-	// reaches the identical permutation (and therefore the identical
-	// duplicate-summation order below) as the two-field comparison, just
-	// with a far cheaper inner loop.
-	keys := make([]uint64, c.Len())
-	for i := range keys {
-		keys[i] = uint64(c.Rows[i])<<32 | uint64(c.Cols[i])
+	rowPtr, col, slot, err := buildPattern(nrows, ncols, c.Rows, c.Cols)
+	if err != nil {
+		return nil, err
 	}
-	idx := make([]int, c.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	m := &CSR{NRows: nrows, NCols: ncols, RowPtr: make([]int, nrows+1)}
-	m.Col = make([]int, 0, c.Len())
-	m.Val = make([]float64, 0, c.Len())
-	prevKey := ^uint64(0)
-	for _, i := range idx {
-		r, cl, v := c.Rows[i], c.Cols[i], c.Vals[i]
-		if k := keys[i]; k == prevKey {
-			m.Val[len(m.Val)-1] += v
-			continue
-		} else {
-			prevKey = k
-		}
-		m.Col = append(m.Col, cl)
-		m.Val = append(m.Val, v)
-		m.RowPtr[r+1] = len(m.Col)
-	}
-	// Fill empty-row gaps.
-	for r := 1; r <= nrows; r++ {
-		if m.RowPtr[r] < m.RowPtr[r-1] {
-			m.RowPtr[r] = m.RowPtr[r-1]
-		}
+	m := &CSR{NRows: nrows, NCols: ncols, RowPtr: rowPtr, Col: col, Val: make([]float64, len(col))}
+	for t, s := range slot {
+		m.Val[s] += c.Vals[t]
 	}
 	return m, nil
+}
+
+// buildPattern turns in-range triplet coordinates into a CSR pattern in
+// linear time and returns, beside it, the value slot every triplet
+// accumulates into. A stable counting sort groups the triplets by row;
+// within a row a per-column stamp collapses duplicates, so only the row's
+// distinct columns (27 for a trilinear stencil) are sorted. The int32 work
+// arrays bound the row, column and triplet counts.
+func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col, slot []int, err error) {
+	if nrows > math.MaxInt32 || ncols > math.MaxInt32 || len(rows) > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("sparse: %dx%d with %d triplets exceeds the int32 index range",
+			nrows, ncols, len(rows))
+	}
+	// perm lists the triplets row by row, input order kept within a row;
+	// the fill leaves end[r] at the end of row r's stretch.
+	end := make([]int32, nrows+1)
+	for _, r := range rows {
+		end[r+1]++
+	}
+	for r := 0; r < nrows; r++ {
+		end[r+1] += end[r]
+	}
+	perm := make([]int32, len(rows))
+	for t, r := range rows {
+		perm[end[r]] = int32(t)
+		end[r]++
+	}
+
+	rowPtr = make([]int, nrows+1)
+	slot = make([]int, len(rows))
+	// seen[c] is 1 + the slot of column c's latest entry: a value above the
+	// current row's first slot means c already occurs in this row.
+	seen := make([]int32, ncols)
+	var uniq []int32
+	lo := int32(0)
+	for r := 0; r < nrows; r++ {
+		trips := perm[lo:end[r]]
+		lo = end[r]
+		base := int32(rowPtr[r])
+		uniq = uniq[:0]
+		for _, t := range trips {
+			if c := cols[t]; seen[c] <= base {
+				seen[c] = base + 1
+				uniq = append(uniq, int32(c))
+			}
+		}
+		slices.Sort(uniq)
+		for j, c := range uniq {
+			seen[c] = base + int32(j) + 1
+		}
+		for _, t := range trips {
+			slot[t] = int(seen[cols[t]]) - 1
+		}
+		// The row's triplet list is spent: park its sorted columns there
+		// until the total is known and col can be sized exactly.
+		copy(trips, uniq)
+		rowPtr[r+1] = rowPtr[r] + len(uniq)
+	}
+	col = make([]int, rowPtr[nrows])
+	lo = 0
+	for r := 0; r < nrows; r++ {
+		for j, c := range perm[lo:][:rowPtr[r+1]-rowPtr[r]] {
+			col[rowPtr[r]+j] = int(c)
+		}
+		lo = end[r]
+	}
+	return rowPtr, col, slot, nil
 }
 
 // NNZ returns the stored entry count.

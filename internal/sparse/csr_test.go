@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +63,141 @@ func TestCSRFromCOOValidation(t *testing.T) {
 	c.Add(0, 5, 1)
 	if _, err := NewCSRFromCOO(2, 2, &c); err == nil {
 		t.Error("out-of-range col accepted")
+	}
+}
+
+// TestCSRFromCOORejectsRaggedAndOversized covers the up-front guards: a COO
+// whose three slices disagree, and sizes beyond the builder's int32 arrays.
+func TestCSRFromCOORejectsRaggedAndOversized(t *testing.T) {
+	for name, c := range map[string]*COO{
+		"short cols": {Rows: []int{0, 1}, Cols: []int{0}, Vals: []float64{1, 2}},
+		"short vals": {Rows: []int{0, 1}, Cols: []int{0, 1}, Vals: []float64{1}},
+		"short rows": {Rows: []int{0}, Cols: []int{0, 1}, Vals: []float64{1, 2}},
+	} {
+		if _, err := NewCSRFromCOO(2, 2, c); err == nil || !strings.Contains(err.Error(), "COO has") {
+			t.Errorf("%s: err = %v, want a length-mismatch error", name, err)
+		}
+	}
+	for _, dim := range [][2]int{{math.MaxInt32 + 1, 1}, {1, math.MaxInt32 + 1}} {
+		if _, err := NewCSRFromCOO(dim[0], dim[1], &COO{}); err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("%dx%d: err = %v, want an int32-range error", dim[0], dim[1], err)
+		}
+	}
+}
+
+// refCSRFromCOO is the comparison-sort construction NewCSRFromCOO used
+// before buildPattern, kept as the oracle for it: triplets stably sorted by
+// (row, col), duplicates summed from zero in input order.
+func refCSRFromCOO(nrows, ncols int, c *COO) *CSR {
+	idx := make([]int, c.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ia, ib := idx[a], idx[b]
+		if c.Rows[ia] != c.Rows[ib] {
+			return c.Rows[ia] < c.Rows[ib]
+		}
+		return c.Cols[ia] < c.Cols[ib]
+	})
+	m := &CSR{NRows: nrows, NCols: ncols, RowPtr: make([]int, nrows+1)}
+	for k, i := range idx {
+		if k == 0 || c.Rows[i] != c.Rows[idx[k-1]] || c.Cols[i] != c.Cols[idx[k-1]] {
+			m.Col = append(m.Col, c.Cols[i])
+			m.Val = append(m.Val, 0)
+			m.RowPtr[c.Rows[i]+1] = len(m.Col)
+		}
+		m.Val[len(m.Val)-1] += c.Vals[i]
+	}
+	for r := 1; r <= nrows; r++ {
+		if m.RowPtr[r] < m.RowPtr[r-1] {
+			m.RowPtr[r] = m.RowPtr[r-1]
+		}
+	}
+	return m
+}
+
+// requireSameCSR fails unless got and want agree in shape, pattern and, bit
+// for bit, values.
+func requireSameCSR(t *testing.T, got, want *CSR) {
+	t.Helper()
+	if got.NRows != want.NRows || got.NCols != want.NCols {
+		t.Fatalf("shape %dx%d, want %dx%d", got.NRows, got.NCols, want.NRows, want.NCols)
+	}
+	if !intsEqual(got.RowPtr, want.RowPtr) {
+		t.Fatalf("RowPtr %v, want %v", got.RowPtr, want.RowPtr)
+	}
+	if !intsEqual(got.Col, want.Col) {
+		t.Fatalf("Col %v, want %v", got.Col, want.Col)
+	}
+	if len(got.Val) != len(want.Val) {
+		t.Fatalf("%d values, want %d", len(got.Val), len(want.Val))
+	}
+	for i := range want.Val {
+		if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
+			t.Fatalf("Val[%d] = %v, want %v", i, got.Val[i], want.Val[i])
+		}
+	}
+}
+
+// TestBuildPatternMatchesSortReference is the oracle test of the linear
+// builder: on seeded random COOs of every awkward shape it must reproduce
+// the sort-based pattern exactly, send every triplet to the slot holding
+// its own column inside its own row, and (through NewCSRFromCOO) sum
+// duplicates in input order.
+func TestBuildPatternMatchesSortReference(t *testing.T) {
+	shapes := []struct {
+		name                string
+		nrows, ncols, ntrip int
+		colLo               int // columns are drawn from [colLo, ncols)
+	}{
+		{"heavy duplicates", 6, 7, 400, 0},
+		{"mostly empty rows", 60, 60, 25, 0},
+		{"one row", 1, 40, 120, 0},
+		{"one column", 30, 1, 50, 0},
+		{"zero triplets", 5, 5, 0, 0},
+		{"zero rows", 0, 3, 0, 0},
+		{"ghost-only columns", 10, 25, 150, 10},
+		{"stencil-sized rows", 40, 90, 40 * 64, 0},
+	}
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 20; seed++ {
+			rng := stats.NewRNG(seed*7919 + uint64(sh.ntrip))
+			var c COO
+			for k := 0; k < sh.ntrip; k++ {
+				c.Add(rng.Intn(sh.nrows), sh.colLo+rng.Intn(sh.ncols-sh.colLo), rng.Range(-1, 1))
+			}
+			want := refCSRFromCOO(sh.nrows, sh.ncols, &c)
+			got, err := NewCSRFromCOO(sh.nrows, sh.ncols, &c)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
+			}
+			requireSameCSR(t, got, want)
+
+			rowPtr, col, slot, err := buildPattern(sh.nrows, sh.ncols, c.Rows, c.Cols)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
+			}
+			if !intsEqual(rowPtr, want.RowPtr) || !intsEqual(col, want.Col) {
+				t.Fatalf("%s seed %d: pattern differs from the reference", sh.name, seed)
+			}
+			for k, s := range slot {
+				if r := c.Rows[k]; s < rowPtr[r] || s >= rowPtr[r+1] || col[s] != c.Cols[k] {
+					t.Fatalf("%s seed %d: triplet %d (%d,%d) sent to slot %d",
+						sh.name, seed, k, r, c.Cols[k], s)
+				}
+			}
+
+			// The int32 instantiation (DistMatrix's) is the same builder.
+			rows32, cols32 := make([]int32, c.Len()), make([]int32, c.Len())
+			for k := range rows32 {
+				rows32[k], cols32[k] = int32(c.Rows[k]), int32(c.Cols[k])
+			}
+			rowPtr32, col32, slot32, err := buildPattern(sh.nrows, sh.ncols, rows32, cols32)
+			if err != nil || !intsEqual(rowPtr32, rowPtr) || !intsEqual(col32, col) || !intsEqual(slot32, slot) {
+				t.Fatalf("%s seed %d: int32 builder disagrees with int builder (err %v)", sh.name, seed, err)
+			}
+		}
 	}
 }
 

@@ -421,3 +421,56 @@ func TestCompactKeepsApplyWorking(t *testing.T) {
 		return nil
 	})
 }
+
+// TestSetValuesRejectsWrongLengthUpFront: a COO with the wrong number of
+// values must panic before the matrix is zeroed or any peer is sent to, so
+// the matrix stays usable and no rank is left waiting on a half-done refill.
+func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
+	m := mesh.NewUnitCube(2)
+	const nranks = 2
+	part, _ := partition.RCB(m, nranks)
+	owner := func(g int) int { return mesh.VertexOwnerOnParts(m, part, g) }
+	runWorld(t, nranks, func(r *mp.Rank) error {
+		l, err := mesh.NewLocalFromParts(m, part, r.ID())
+		if err != nil {
+			return err
+		}
+		var coo COO
+		for _, e := range l.Elems {
+			vs := m.ElemVerts(e)
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					coo.Add(vs[a], vs[b], elemValue(e, a, b))
+				}
+			}
+		}
+		dm, err := NewDistMatrix(r, NewRowMap(l.VertGlobal[:l.NumOwned]), &coo, owner, 700)
+		if err != nil {
+			return err
+		}
+		before := append([]float64(nil), dm.Local().Val...)
+		short := COO{Vals: coo.Vals[:coo.Len()-1]}
+		want := fmt.Sprintf("sparse: SetValues with %d values, structure has %d", coo.Len()-1, coo.Len())
+		got := func() (msg interface{}) {
+			defer func() { msg = recover() }()
+			dm.SetValues(&short)
+			return nil
+		}()
+		if got != want {
+			return fmt.Errorf("short SetValues: panic %v, want %q", got, want)
+		}
+		for i, v := range dm.Local().Val {
+			if v != before[i] {
+				return fmt.Errorf("rejected SetValues still changed Val[%d]", i)
+			}
+		}
+		// Nothing was sent: a correct refill still pairs up across ranks.
+		dm.SetValues(&coo)
+		for i, v := range dm.Local().Val {
+			if v != before[i] {
+				return fmt.Errorf("refill after rejection: Val[%d] = %v, want %v", i, v, before[i])
+			}
+		}
+		return nil
+	})
+}

@@ -21,13 +21,15 @@ type DistMatrix struct {
 	A *CSR
 	// ghostCols lists ghost column global ids; local column nOwned+i.
 	ghostCols []int
-	colG2L    map[int]int
 	imp       *Importer
 
 	// Numeric-refill plans. localSlots[i] is the CSR value slot for the i-th
 	// kept triplet of the structure COO; exportIdx groups the structure-COO
 	// indices of off-rank triplets by destination peer; importSlots are the
 	// CSR slots for the value streams arriving from each source peer.
+	// localSlots and importSlots are stretches of the one slot list the
+	// pattern builder returned. nTrip is the structure COO's triplet count.
+	nTrip       int
 	localTrip   []int // structure-COO indices of locally-owned triplets
 	localSlots  []int
 	exportPeers []int
@@ -62,24 +64,27 @@ func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int)
 }
 
 func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
-	dm := &DistMatrix{r: r, rowMap: rowMap, tag: tag, colG2L: map[int]int{}}
+	dm := &DistMatrix{r: r, rowMap: rowMap, tag: tag, nTrip: coo.Len()}
 
-	// Split triplets into locally-owned rows and export groups: a counting
-	// pass sizes everything, then a fill pass writes into exactly-sized
-	// flat storage (assembly COOs run to millions of triplets, so append
-	// growth here dominated construction allocations).
+	// Classify every triplet once: its local row, or ^owner when the row
+	// lives on another rank. The counts size the refill plans exactly
+	// (assembly COOs run to millions of triplets, so append growth here
+	// dominated construction allocations).
+	cls := make([]int32, coo.Len())
 	nLocal := 0
 	exportCounts := map[int]int{} // peer -> triplet count
-	for _, g := range coo.Rows {
-		if _, ok := rowMap.LocalOf(g); ok {
+	for t, g := range coo.Rows {
+		if lr, ok := rowMap.LocalOf(g); ok {
+			cls[t] = int32(lr)
 			nLocal++
-		} else {
-			o := owner(g)
-			if o == r.ID() || o < 0 || o >= r.Size() {
-				return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
-			}
-			exportCounts[o]++
+			continue
 		}
+		o := owner(g)
+		if o == r.ID() || o < 0 || o >= r.Size() {
+			return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
+		}
+		cls[t] = ^int32(o)
+		exportCounts[o]++
 	}
 	dm.localTrip = make([]int, 0, nLocal)
 	dm.exportPeers = sortedIntKeys(exportCounts)
@@ -92,12 +97,12 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		dm.exportIdx[i] = flatExport[off : off : off+exportCounts[p]]
 		off += exportCounts[p]
 	}
-	for i, g := range coo.Rows {
-		if _, ok := rowMap.LocalOf(g); ok {
-			dm.localTrip = append(dm.localTrip, i)
+	for t, c := range cls {
+		if c >= 0 {
+			dm.localTrip = append(dm.localTrip, t)
 		} else {
-			pi := exportPeerIdx[owner(g)]
-			dm.exportIdx[pi] = append(dm.exportIdx[pi], i)
+			pi := exportPeerIdx[int(^c)]
+			dm.exportIdx[pi] = append(dm.exportIdx[pi], t)
 		}
 	}
 
@@ -116,9 +121,11 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		pairs []int
 	}
 	ins := make([]incoming, 0, numSenders)
+	nPat := nLocal
 	for i := 0; i < numSenders; i++ {
 		src, pairs := r.RecvAnyInts(tag)
 		ins = append(ins, incoming{src, pairs})
+		nPat += len(pairs) / 2
 	}
 	for i := 1; i < len(ins); i++ {
 		for j := i; j > 0 && ins[j].src < ins[j-1].src; j-- {
@@ -126,49 +133,32 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		}
 	}
 
-	// Column map: owned columns first (aligned with the row map so the same
-	// vector serves as both domain and range), then sorted ghost columns.
+	// Local coordinates of the pattern's triplets: the locally-owned ones
+	// in structure order, then each source peer's stream. The column map is
+	// owned columns first (aligned with the row map so the same vector
+	// serves as both domain and range), then ghost columns in ascending
+	// global id; until that order is known a ghost column is parked as
+	// ^(its discovery index).
 	nOwned := rowMap.N()
-	ghostSet := map[int]bool{}
-	noteCol := func(g int) {
-		if _, ok := rowMap.LocalOf(g); !ok {
-			ghostSet[g] = true
+	rows := make([]int32, nPat)
+	cols := make([]int32, nPat)
+	found := map[int]int32{} // ghost global id -> discovery index
+	localCol := func(g int) int32 {
+		if lc, ok := rowMap.LocalOf(g); ok {
+			return int32(lc)
 		}
-	}
-	for _, t := range dm.localTrip {
-		noteCol(coo.Cols[t])
-	}
-	for _, in := range ins {
-		for j := 1; j < len(in.pairs); j += 2 {
-			noteCol(in.pairs[j])
+		k, ok := found[g]
+		if !ok {
+			k = int32(len(dm.ghostCols))
+			found[g] = k
+			dm.ghostCols = append(dm.ghostCols, g)
 		}
+		return ^k
 	}
-	dm.ghostCols = make([]int, 0, len(ghostSet))
-	for g := range ghostSet {
-		dm.ghostCols = append(dm.ghostCols, g)
+	for i, t := range dm.localTrip {
+		rows[i], cols[i] = cls[t], localCol(coo.Cols[t])
 	}
-	sort.Ints(dm.ghostCols)
-	for i, g := range dm.ghostCols {
-		dm.colG2L[g] = nOwned + i
-	}
-	colOf := func(g int) int {
-		if l, ok := rowMap.LocalOf(g); ok {
-			return l
-		}
-		return dm.colG2L[g]
-	}
-
-	// Build the CSR pattern from local + imported triplets.
-	var pat COO
-	nImported := 0
-	for _, in := range ins {
-		nImported += len(in.pairs) / 2
-	}
-	pat.Grow(len(dm.localTrip) + nImported)
-	for _, t := range dm.localTrip {
-		lr, _ := rowMap.LocalOf(coo.Rows[t])
-		pat.Add(lr, colOf(coo.Cols[t]), 0)
-	}
+	at := nLocal
 	for _, in := range ins {
 		for j := 0; j < len(in.pairs); j += 2 {
 			lr, ok := rowMap.LocalOf(in.pairs[j])
@@ -176,31 +166,38 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 				return nil, fmt.Errorf("sparse: received row %d not owned by rank %d",
 					in.pairs[j], r.ID())
 			}
-			pat.Add(lr, colOf(in.pairs[j+1]), 0)
+			rows[at], cols[at] = int32(lr), localCol(in.pairs[j+1])
+			at++
 		}
 	}
-	var err error
-	dm.A, err = NewCSRFromCOO(nOwned, nOwned+len(dm.ghostCols), &pat)
+	sort.Ints(dm.ghostCols)
+	place := make([]int32, len(dm.ghostCols)) // discovery index -> local column
+	for i, g := range dm.ghostCols {
+		place[found[g]] = int32(nOwned + i)
+	}
+	for i, c := range cols {
+		if c < 0 {
+			cols[i] = place[^c]
+		}
+	}
+
+	// The pattern builder hands back every triplet's value slot, which is
+	// the numeric-refill plan: local triplets first, then one stretch per
+	// source peer.
+	nCols := nOwned + len(dm.ghostCols)
+	rowPtr, col, slots, err := buildPattern(nOwned, nCols, rows, cols)
 	if err != nil {
 		return nil, err
 	}
-
-	// Slot plans for numeric refill.
-	dm.localSlots = make([]int, len(dm.localTrip))
-	for i, t := range dm.localTrip {
-		lr, _ := rowMap.LocalOf(coo.Rows[t])
-		dm.localSlots[i] = dm.A.Slot(lr, colOf(coo.Cols[t]))
-	}
-	dm.importPeers = make([]int, 0, len(ins))
-	dm.importSlots = make([][]int, 0, len(ins))
-	for _, in := range ins {
-		slots := make([]int, 0, len(in.pairs)/2)
-		for j := 0; j < len(in.pairs); j += 2 {
-			lr, _ := rowMap.LocalOf(in.pairs[j])
-			slots = append(slots, dm.A.Slot(lr, colOf(in.pairs[j+1])))
-		}
-		dm.importPeers = append(dm.importPeers, in.src)
-		dm.importSlots = append(dm.importSlots, slots)
+	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: rowPtr, Col: col, Val: make([]float64, len(col))}
+	dm.localSlots = slots[:nLocal:nLocal]
+	dm.importPeers = make([]int, len(ins))
+	dm.importSlots = make([][]int, len(ins))
+	off = nLocal
+	for k, in := range ins {
+		n := len(in.pairs) / 2
+		dm.importPeers[k], dm.importSlots[k] = in.src, slots[off:off+n:off+n]
+		off += n
 	}
 
 	// Ghost-value importer for matrix-vector products, shared with a
@@ -224,7 +221,7 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 			return nil, err
 		}
 	}
-	dm.xbuf = make([]float64, nOwned+len(dm.ghostCols))
+	dm.xbuf = make([]float64, nCols)
 	dm.SetValues(coo)
 	return dm, nil
 }
@@ -251,6 +248,9 @@ func (dm *DistMatrix) Compact() {
 func (dm *DistMatrix) SetValues(coo *COO) {
 	if dm.compacted {
 		panic("sparse: SetValues on compacted matrix")
+	}
+	if len(coo.Vals) != dm.nTrip {
+		panic(fmt.Sprintf("sparse: SetValues with %d values, structure has %d", len(coo.Vals), dm.nTrip))
 	}
 	dm.A.ZeroVals()
 	for i, t := range dm.localTrip {

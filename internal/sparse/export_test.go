@@ -1,0 +1,9 @@
+package sparse
+
+// Test-only exports for the external sparse_test package, which may import
+// fem (package sparse's own tests cannot: fem imports sparse).
+var (
+	RefCSRFromCOO  = refCSRFromCOO
+	RequireSameCSR = requireSameCSR
+	RunWorld       = runWorld
+)
