@@ -1,9 +1,10 @@
 // Package poolretain enforces the mp payload pool's ownership protocol
 // (documented on f64Pool in internal/mp/pool.go): every in-flight f64
-// payload is pool-owned; a buffer obtained from get is either handed to a
-// mailbox inside a message value (ownership transfer), returned to the
-// caller by a documented transfer point (RecvF64), or given back with put —
-// after which it must never be touched again. Retaining a pooled buffer in
+// payload is pool-owned; a buffer obtained from get — on the shared f64Pool
+// or on a rank's private rankPool front — is either handed to a mailbox
+// inside a message value (ownership transfer), returned to the caller by a
+// documented transfer point (RecvF64), or given back with put — after which
+// it must never be touched again. Retaining a pooled buffer in
 // a struct field, a package-level variable, or a goroutine closure aliases
 // memory the pool will hand to the next sender, corrupting payloads in
 // ways that only surface as golden mismatches much later.
@@ -23,10 +24,11 @@ var Analyzer = &analysis.Analyzer{
 	AllowKeyword: "poolretain",
 	Doc: `enforce the mp payload pool's buffer-ownership protocol
 
-Buffers from (*f64Pool).get and message.f64 payloads may be handed to a
-mailbox inside a message value, returned to the application at a documented
-transfer point, or recycled with put. Storing one in a field, a global, or
-a goroutine closure — or touching it after put — aliases pool memory.
+Buffers from (*f64Pool).get or (*rankPool).get and message payloads may be
+handed to a mailbox inside a message value, returned to the application at a
+documented transfer point, or recycled with put. Storing one in a field, a
+global, or a goroutine closure — or touching it after put — aliases pool
+memory. The pool's own free stacks are the one place a buffer may rest.
 Suppress a deliberate exception with //heterolint:allow poolretain <why>.`,
 	Run: run,
 }
@@ -56,8 +58,8 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	checkUseAfterPut(pass, body)
 }
 
-// pooledVars collects the objects of variables assigned directly from
-// (*f64Pool).get.
+// pooledVars collects the objects of variables assigned directly from a
+// pool's get.
 func pooledVars(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	owned := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -102,6 +104,11 @@ func checkRetention(pass *analysis.Pass, body *ast.BlockStmt, owned map[types.Ob
 				}
 				switch lhs := s.Lhs[i].(type) {
 				case *ast.SelectorExpr:
+					if isPoolType(pass, pass.TypesInfo.TypeOf(lhs.X)) {
+						// A pool level parking a buffer it drew from the
+						// level below in its own free stack.
+						continue
+					}
 					pass.Reportf(s.Pos(),
 						"pooled buffer %s stored into field %s outlives its pool lifetime; copy it or hand it off inside a message",
 						obj.Name(), lhs.Sel.Name)
@@ -217,19 +224,25 @@ func firstMention(pass *analysis.Pass, stmt ast.Stmt, putArg ast.Expr) (pos toke
 	return pos, found
 }
 
-// isPoolCall reports whether expr is a call to the named method on the
-// package's f64Pool type.
+// isPoolCall reports whether expr is a call to the named method on one of
+// the package's pool types.
 func isPoolCall(pass *analysis.Pass, expr ast.Expr, method string) bool {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok || len(call.Args) < 1 {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
+	return ok && sel.Sel.Name == method && isPoolType(pass, pass.TypesInfo.TypeOf(sel.X))
+}
+
+// isPoolType reports whether t is (a pointer to) one of the two levels of
+// the payload pool: the world's shared f64Pool or a rank's private rankPool.
+func isPoolType(pass *analysis.Pass, t types.Type) bool {
+	named, ok := derefNamed(t)
+	if !ok || named.Obj().Pkg() != pass.Pkg {
 		return false
 	}
-	named, ok := derefNamed(pass.TypesInfo.TypeOf(sel.X))
-	return ok && named.Obj().Name() == "f64Pool" && named.Obj().Pkg() == pass.Pkg
+	return named.Obj().Name() == "f64Pool" || named.Obj().Name() == "rankPool"
 }
 
 func derefNamed(t types.Type) (*types.Named, bool) {

@@ -1,12 +1,39 @@
 // Package mp is the poolretain fixture: a miniature of the real transport
-// with the same type names the analyzer keys on (f64Pool, message) and a
-// mailbox whose put method must NOT be confused with the pool's.
+// with the same type names the analyzer keys on (f64Pool, rankPool, message)
+// and a mailbox whose put method must NOT be confused with the pool's.
 package mp
 
 type f64Pool struct{ free [][]float64 }
 
 func (p *f64Pool) get(n int) []float64 { return make([]float64, n) }
 func (p *f64Pool) put(buf []float64)   {}
+
+// rankPool is the rank-private front to the shared pool.
+type rankPool struct {
+	shared *f64Pool
+	free   [][]float64
+	spare  []float64
+}
+
+func (p *rankPool) get(n int) []float64 {
+	if k := len(p.free); k > 0 {
+		buf := p.free[k-1]
+		p.free = p.free[:k-1]
+		return buf[:n]
+	}
+	return p.shared.get(n)
+}
+
+// put parks the buffer in the front's own stack: the pool holding a free
+// buffer is what the pool is for.
+func (p *rankPool) put(buf []float64) { p.free = append(p.free, buf[:0]) }
+
+// prefetch draws from the shared level into the front's own field — still a
+// pool level holding a free buffer, so the field store is sanctioned.
+func (p *rankPool) prefetch(n int) {
+	buf := p.shared.get(n)
+	p.spare = buf
+}
 
 type message struct {
 	src, tag int
@@ -27,6 +54,7 @@ type World struct {
 type Rank struct {
 	world *World
 	id    int
+	pool  rankPool
 	stash []float64
 }
 
@@ -52,6 +80,37 @@ func (r *Rank) RecvIntoOK(dst []float64) int {
 	n := copy(dst, m.f64)
 	r.world.pool.put(m.f64)
 	return n
+}
+
+// FrontSendOK draws from the rank-local front and hands off inside a message.
+func (r *Rank) FrontSendOK(dst int, data []float64) {
+	cp := r.pool.get(len(data))
+	copy(cp, data)
+	r.world.boxes[dst].put(message{src: r.id, tag: 1, f64: cp})
+}
+
+// FrontRecvIntoOK recycles through the front after the last payload touch.
+func (r *Rank) FrontRecvIntoOK(dst []float64) int {
+	m := r.world.boxes[r.id].take()
+	buf := m.f64
+	n := copy(dst, buf)
+	r.pool.put(buf)
+	return n
+}
+
+// FrontStashField retains a buffer drawn from the front in a field that is
+// not the pool's own.
+func (r *Rank) FrontStashField(n int) {
+	cp := r.pool.get(n)
+	r.stash = cp // want `pooled buffer cp stored into field stash`
+}
+
+// FrontUseAfterPut touches the buffer after the front took it back.
+func (r *Rank) FrontUseAfterPut(n int) float64 {
+	buf := r.pool.get(n)
+	buf[0] = 1
+	r.pool.put(buf)
+	return buf[0] // want `use of pooled buffer after put`
 }
 
 // StashField retains a pooled buffer in a struct field.

@@ -75,7 +75,7 @@ func (r *Rank) Barrier() {
 	for k := 1; k < p; k <<= 1 {
 		dst := (r.id + k) % p
 		src := (r.id - k + p) % p
-		r.sendF64(dst, tag, nil)
+		r.SendF64(dst, tag, nil)
 		r.RecvF64(src, tag)
 	}
 }
@@ -111,7 +111,7 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 	for mask > 0 {
 		if rel+mask < p {
 			dst := (rel + mask + root) % p
-			r.sendF64(dst, tag, buf)
+			r.SendF64(dst, tag, buf)
 		}
 		mask >>= 1
 	}
@@ -146,7 +146,7 @@ func (r *Rank) Reduce(root int, op ReduceOp, data []float64) []float64 {
 			}
 		} else {
 			dst := (rel - mask + root) % p
-			r.sendF64(dst, tag, acc)
+			r.SendF64(dst, tag, acc)
 			acc = nil
 			break
 		}
@@ -186,11 +186,10 @@ func (op ReduceOp) applyScalar(acc, v float64) float64 {
 // sendScalar and recvScalar move one float64 through pooled one-element
 // payloads — the transport under the allocation-free scalar collectives.
 func (r *Rank) sendScalar(dst, tag int, v float64) {
-	r.checkFault()
-	cp := r.world.pool.get(1)
+	r.checkDst(dst)
+	cp := r.pool.get(1)
 	cp[0] = v
-	at := r.chargeSend(dst, 8)
-	r.world.boxes[dst].put(message{src: r.id, tag: tag, f64: cp, arriveAt: at})
+	r.post(dst, tag, 8, f64Msg(cp))
 }
 
 func (r *Rank) recvScalar(src, tag int) float64 {
@@ -198,8 +197,9 @@ func (r *Rank) recvScalar(src, tag int) float64 {
 	m := r.world.boxes[r.id].take(src, tag)
 	r.clk.AdvanceTo(m.arriveAt)
 	r.checkFault()
-	v := m.f64[0]
-	r.world.pool.put(m.f64)
+	buf := m.f64()
+	v := buf[0]
+	r.pool.put(buf)
 	return v
 }
 
@@ -257,7 +257,7 @@ func (r *Rank) Gather(root int, data []float64) [][]float64 {
 	}
 	tag := r.collTag(kindGather)
 	if r.id != root {
-		r.sendF64(root, tag, data)
+		r.SendF64(root, tag, data)
 		return nil
 	}
 	out := make([][]float64, p)
@@ -286,7 +286,7 @@ func (r *Rank) Allgather(data []float64) [][]float64 {
 	left := (r.id - 1 + p) % p
 	cur := own
 	for step := 1; step < p; step++ {
-		r.sendF64(right, tag, cur)
+		r.SendF64(right, tag, cur)
 		cur = r.RecvF64(left, tag)
 		out[(r.id-step+p)%p] = cur
 	}
@@ -309,7 +309,7 @@ func (r *Rank) Scatter(root int, send [][]float64) []float64 {
 			if dst == root {
 				continue
 			}
-			r.sendF64(dst, tag, send[dst])
+			r.SendF64(dst, tag, send[dst])
 		}
 		own := make([]float64, len(send[root]))
 		copy(own, send[root])
@@ -333,7 +333,7 @@ func (r *Rank) Scan(op ReduceOp, data []float64) []float64 {
 		acc = prev
 	}
 	if r.id < p-1 {
-		r.sendF64(r.id+1, tag, acc)
+		r.SendF64(r.id+1, tag, acc)
 	}
 	return acc
 }
@@ -385,7 +385,7 @@ func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	for step := 1; step < p; step++ {
 		dst := (r.id + step) % p
 		src := (r.id - step + p) % p
-		r.sendF64(dst, tag, send[dst])
+		r.SendF64(dst, tag, send[dst])
 		out[src] = r.RecvF64(src, tag)
 	}
 	return out

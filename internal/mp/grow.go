@@ -6,7 +6,7 @@
 // supervisor uses the spot-market notice window to evacuate a doomed node's
 // state, acquire a replacement, and continue at full width instead of
 // degrading. Surviving ranks keep their rank numbers, their mailboxes (with
-// the warm per-(src,tag) resident queues) and the shared payload pool, and
+// the warm per-source slots and queues) and the shared payload pool, and
 // their clocks carry their absolute virtual times via vclock.NewAt — the
 // same continuation contract Shrink established. New ranks start with fresh
 // mailboxes and clocks seeded at startAt, the virtual time at which their
@@ -131,44 +131,19 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 	}
 
 	// Transplant the surviving ranks' mailboxes: repoint them at the grown
-	// world, widen the per-source collective FIFOs for the new ranks, and
-	// purge any stale payloads (keeping the resident (src,tag) queue
-	// structures warm — the same pairs recur after the growth because rank
-	// numbers are stable under Grow).
+	// world and purge any stale payloads, keeping the per-source slots and
+	// their queues warm — the same sources and tags recur after the growth
+	// because rank numbers are stable under Grow, and a joiner simply enters
+	// the table with its first message. Any-source registrations do not
+	// survive the transplant: the grown body re-registers tags on its first
+	// takeAny, exactly as a fresh world would, so directed/any-source tag
+	// discipline restarts clean.
 	for i := 0; i < p; i++ {
 		mb := w.boxes[i]
 		mb.mu.Lock()
 		mb.w = nw
-		if mb.coll != nil {
-			mb.coll = append(mb.coll, make([]msgQueue, added)...)
-			for src := range mb.coll {
-				q := &mb.coll[src]
-				if !q.empty() {
-					gr.Revoked += q.len()
-					for j := range q.buf {
-						q.buf[j] = message{}
-					}
-					q.buf, q.head = q.buf[:0], 0
-				}
-			}
-		}
-		for _, q := range mb.pending {
-			for !q.empty() {
-				q.pop()
-				gr.Revoked++
-			}
-		}
-		// Any-source registrations do not survive the transplant: the grown
-		// body re-registers tags on its first takeAny, exactly as a fresh
-		// world would, so directed/any-source tag discipline restarts clean.
-		for tag, q := range mb.anyQ {
-			gr.Revoked += q.len()
-			for !q.empty() {
-				q.pop()
-			}
-			delete(mb.anyQ, tag)
-			mb.putQueue(q)
-		}
+		gr.Revoked += mb.revoke(func(int) bool { return true })
+		mb.any = nil
 		mb.mu.Unlock()
 		nw.boxes[i] = mb
 		nw.clocks[i] = vclock.NewAt(w.rater, w.clocks[i].Now())

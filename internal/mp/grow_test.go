@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -83,8 +84,7 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 	if gr.World.pool != w.pool {
 		t.Fatal("grown world did not inherit the payload pool")
 	}
-	// Transplanted mailboxes point at the grown world and their collective
-	// FIFOs cover the joiner ranks.
+	// Transplanted mailboxes point at the grown world.
 	for r := 0; r < 6; r++ {
 		mb := gr.World.boxes[r]
 		if mb != w.boxes[r] {
@@ -93,12 +93,11 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 		if mb.w != gr.World {
 			t.Fatalf("rank %d mailbox still points at the old world", r)
 		}
-		if mb.coll != nil && len(mb.coll) != 8 {
-			t.Fatalf("rank %d collective FIFOs cover %d ranks, want 8", r, len(mb.coll))
-		}
 	}
 	// The consumed world cannot run again; the grown world runs a
-	// collective spanning old and new ranks.
+	// collective spanning old and new ranks (joiner 6 reduces into the
+	// transplanted mailbox of rank 4) and the joiners' directed messages
+	// reach transplanted mailboxes too.
 	if err := w.Run(func(r *Rank) error { return nil }); err == nil {
 		t.Fatal("consumed world accepted Run")
 	}
@@ -112,6 +111,14 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 		mu.Lock()
 		sums[r.ID()] = s
 		mu.Unlock()
+		switch id := r.ID(); {
+		case id >= 6:
+			r.SendF64(id-6, 5, []float64{float64(id)})
+		case id < 2:
+			if got := r.RecvF64(id+6, 5); len(got) != 1 || got[0] != float64(id+6) {
+				return fmt.Errorf("rank %d got %v from joiner %d", id, got, id+6)
+			}
+		}
 		return nil
 	})
 	if err != nil {

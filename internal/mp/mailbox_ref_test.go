@@ -1,0 +1,440 @@
+package mp
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// refMailbox is the map-based mailbox the per-source table replaced, kept as
+// the reference model: directed traffic in a map keyed by (src, tag),
+// collective traffic in a world-sized array of per-source FIFOs, any-source
+// registrations in a map keyed by tag. The scripts below drive it and the
+// real mailbox with the same operations and demand the same deliveries,
+// panics and revocation counts.
+type refMailbox struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending map[refKey]*msgQueue
+	coll    []msgQueue
+	anyQ    map[int]*msgQueue
+	w       *World
+}
+
+type refKey struct{ src, tag int }
+
+func newRefMailbox(w *World) *refMailbox {
+	mb := &refMailbox{pending: map[refKey]*msgQueue{}, anyQ: map[int]*msgQueue{}, w: w}
+	mb.cond = sync.NewCond(&mb.mu)
+	return mb
+}
+
+func (mb *refMailbox) put(m message) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if m.tag < 0 {
+		if mb.coll == nil {
+			mb.coll = make([]msgQueue, len(mb.w.boxes))
+		}
+		mb.coll[m.src].push(m)
+		return
+	}
+	if q, ok := mb.anyQ[m.tag]; ok {
+		q.push(m)
+		return
+	}
+	k := refKey{int(m.src), m.tag}
+	q := mb.pending[k]
+	if q == nil {
+		q = new(msgQueue)
+		mb.pending[k] = q
+	}
+	q.push(m)
+}
+
+func (mb *refMailbox) registerAny(tag int) *msgQueue {
+	q := new(msgQueue)
+	mb.anyQ[tag] = q
+	var keys []refKey
+	for k := range mb.pending {
+		if k.tag == tag {
+			keys = append(keys, k)
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j].src < keys[j-1].src; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	for _, k := range keys {
+		pq := mb.pending[k]
+		for !pq.empty() {
+			q.push(pq.pop())
+		}
+		delete(mb.pending, k)
+	}
+	return q
+}
+
+func (mb *refMailbox) takeAny(tag int) message {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	q := mb.anyQ[tag]
+	if q == nil {
+		q = mb.registerAny(tag)
+	}
+	for {
+		if mb.w.down.Load() {
+			panic(killedPanic{})
+		}
+		if !q.empty() {
+			return q.pop()
+		}
+		mb.cond.Wait()
+	}
+}
+
+func (mb *refMailbox) take(src, tag int) message {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if tag < 0 {
+		for {
+			if mb.coll != nil {
+				if m, ok := mb.coll[src].popTag(tag); ok {
+					return m
+				}
+			}
+			if mb.w.rankDead[src].Load() {
+				panic(killedPanic{})
+			}
+			mb.cond.Wait()
+		}
+	}
+	k := refKey{src, tag}
+	for {
+		if q := mb.pending[k]; q != nil && !q.empty() {
+			return q.pop()
+		}
+		if mb.w.rankDead[src].Load() {
+			panic(killedPanic{})
+		}
+		if _, bad := mb.anyQ[tag]; bad {
+			panic(fmt.Sprintf("mp: directed receive on any-source tag %d", tag))
+		}
+		mb.cond.Wait()
+	}
+}
+
+// shrinkRevoke is the revocation sweep Shrink ran over one map-based
+// mailbox.
+func (mb *refMailbox) shrinkRevoke(ownerDead bool, dead []bool) (revoked int) {
+	for k, q := range mb.pending {
+		if ownerDead || dead[k.src] {
+			revoked += q.len()
+			delete(mb.pending, k)
+		}
+	}
+	for src := range mb.coll {
+		if q := &mb.coll[src]; ownerDead || dead[src] {
+			revoked += q.len()
+			*q = msgQueue{}
+		}
+	}
+	for tag, q := range mb.anyQ {
+		if ownerDead {
+			revoked += q.len()
+			delete(mb.anyQ, tag)
+			continue
+		}
+		kept := q.buf[:0]
+		for _, m := range q.buf[q.head:] {
+			if dead[m.src] {
+				revoked++
+			} else {
+				kept = append(kept, m)
+			}
+		}
+		q.buf, q.head = kept, 0
+	}
+	return revoked
+}
+
+// growTransplant is what Grow did to one map-based mailbox: widen the
+// collective FIFOs, purge every stale payload, forget the any-source
+// registrations.
+func (mb *refMailbox) growTransplant(nw *World, added int) (revoked int) {
+	mb.w = nw
+	if mb.coll != nil {
+		mb.coll = append(mb.coll, make([]msgQueue, added)...)
+		for src := range mb.coll {
+			revoked += mb.coll[src].len()
+			mb.coll[src] = msgQueue{}
+		}
+	}
+	for _, q := range mb.pending {
+		for !q.empty() {
+			q.pop()
+			revoked++
+		}
+	}
+	for tag, q := range mb.anyQ {
+		revoked += q.len()
+		delete(mb.anyQ, tag)
+	}
+	return revoked
+}
+
+// anyMailbox is what a script drives: both implementations behind one face.
+type anyMailbox interface {
+	put(m message)
+	take(src, tag int) message
+	takeAny(tag int) message
+}
+
+// delivery is the observable outcome of one receive: the message's envelope
+// and serial number, or the panic it raised.
+type delivery struct {
+	src, tag, serial int
+	panicked         string
+}
+
+func receive(op func() message) (d delivery) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			d = delivery{panicked: fmt.Sprintf("%T %v", rec, rec)}
+		}
+	}()
+	m := op()
+	return delivery{src: int(m.src), tag: m.tag, serial: m.ints()[0]}
+}
+
+// mailboxScript generates one seeded sequence of operations and replays it
+// on any mailbox. Because nothing else runs, it may only issue a receive
+// that cannot block: one whose message is known to be queued, one from a
+// source already marked dead (which unwinds with killedPanic), or a directed
+// receive on a registered any-source tag (which panics by contract). The
+// script therefore keeps its own count of what is queued where.
+type mailboxScript struct {
+	rng     *rand.Rand
+	sources []int // candidate senders; the first half are marked dead
+	dirTags []int // directed application tags
+	anyTags []int // tags that become any-source at their first takeAny
+	serial  int
+
+	dir        map[refKey]int // queued directed messages per (src, tag)
+	coll       map[refKey]int // queued collective messages per (src, tag)
+	anyN       map[int]int    // queued messages per registered any-source tag
+	registered map[int]bool
+	collSeq    int
+}
+
+func newMailboxScript(seed int64, sources []int) *mailboxScript {
+	return &mailboxScript{
+		rng:        rand.New(rand.NewSource(seed)),
+		sources:    sources,
+		dirTags:    []int{3, 1001, 1101, 1103, 104, 76},
+		anyTags:    []int{1000, 1100, 1064},
+		dir:        map[refKey]int{},
+		coll:       map[refKey]int{},
+		anyN:       map[int]int{},
+		registered: map[int]bool{},
+	}
+}
+
+func (s *mailboxScript) pick(xs []int) int { return xs[s.rng.Intn(len(xs))] }
+
+// pickQueued returns a key of m with a positive count, chosen by the rng
+// from the sorted candidates so that the choice does not depend on map
+// order.
+func (s *mailboxScript) pickQueued(m map[refKey]int) (refKey, bool) {
+	var keys []refKey
+	for k, c := range m {
+		if c > 0 {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return refKey{}, false
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].src != keys[j].src {
+			return keys[i].src < keys[j].src
+		}
+		return keys[i].tag < keys[j].tag
+	})
+	return keys[s.rng.Intn(len(keys))], true
+}
+
+// send puts one message, carrying the next serial number, into both
+// mailboxes.
+func (s *mailboxScript) send(a, b anyMailbox, src, tag int) {
+	for _, mb := range []anyMailbox{a, b} {
+		m := intsMsg([]int{s.serial})
+		m.src, m.tag = int32(src), tag
+		mb.put(m)
+	}
+	s.serial++
+}
+
+// step issues one random operation on both mailboxes and returns what each
+// observed (zero deliveries for a put).
+func (s *mailboxScript) step(a, b anyMailbox, w *World) (da, db delivery) {
+	both := func(op func(mb anyMailbox) message) (delivery, delivery) {
+		return receive(func() message { return op(a) }), receive(func() message { return op(b) })
+	}
+	switch k := s.rng.Intn(20); {
+	case k < 6: // directed put
+		src, tag := s.pick(s.sources), s.pick(append(s.dirTags, s.anyTags...))
+		s.send(a, b, src, tag)
+		if s.registered[tag] {
+			s.anyN[tag]++
+		} else {
+			s.dir[refKey{src, tag}]++
+		}
+	case k < 10: // collective put: a few tags in flight per source at once
+		src, tag := s.pick(s.sources), -(1 + (s.collSeq+s.rng.Intn(3))*collKinds + kindReduce)
+		s.collSeq += s.rng.Intn(2)
+		s.send(a, b, src, tag)
+		s.coll[refKey{src, tag}]++
+	case k < 14: // directed take of something queued
+		// Directed messages under a not-yet-registered any tag are
+		// receivable by a directed take too, as in the real transport.
+		if key, ok := s.pickQueued(s.dir); ok {
+			s.dir[key]--
+			return both(func(mb anyMailbox) message { return mb.take(key.src, key.tag) })
+		}
+	case k < 17: // collective take of something queued
+		if key, ok := s.pickQueued(s.coll); ok {
+			s.coll[key]--
+			return both(func(mb anyMailbox) message { return mb.take(key.src, key.tag) })
+		}
+	case k < 19: // takeAny, registering the tag (with its backlog) the first time
+		tag := s.pick(s.anyTags)
+		if !s.registered[tag] {
+			backlog := 0
+			for key, c := range s.dir {
+				if key.tag == tag {
+					backlog += c
+					delete(s.dir, key)
+				}
+			}
+			if backlog == 0 {
+				return // an empty first takeAny would block
+			}
+			s.registered[tag] = true
+			s.anyN[tag] = backlog
+		}
+		if s.anyN[tag] > 0 {
+			s.anyN[tag]--
+			return both(func(mb anyMailbox) message { return mb.takeAny(tag) })
+		}
+	default: // receives that must panic
+		src := s.pick(s.sources)
+		if w.rankDead[src].Load() {
+			// Nothing queued from a dead source under a fresh tag.
+			tag := 5000 + s.rng.Intn(3)
+			if s.rng.Intn(2) == 0 {
+				tag = -(1 + (s.collSeq+100)*collKinds)
+			}
+			return both(func(mb anyMailbox) message { return mb.take(src, tag) })
+		}
+		for _, tag := range s.anyTags {
+			if s.registered[tag] {
+				return both(func(mb anyMailbox) message { return mb.take(src, tag) })
+			}
+		}
+	}
+	return delivery{}, delivery{}
+}
+
+// TestMailboxMatchesMapReference drives the per-source table and the
+// map-based reference with seeded random scripts: puts and takes over more
+// than a hundred sources (three table doublings), collective tags
+// interleaved per source, any-source registration with a backlog, receives
+// that must panic, then a simulated shrink or grow and more traffic on the
+// transplanted mailbox. Every delivery, every panic and both Revoked counts
+// must agree.
+func TestMailboxMatchesMapReference(t *testing.T) {
+	const p, added = 160, 8
+	for seed := int64(1); seed <= 12; seed++ {
+		w := testWorld(t, p, 8)
+		// Sources spread over the world, joiners included for the grow leg;
+		// the first half are dead, so empty receives from them unwind.
+		var sources []int
+		for i := 0; i < 110; i++ {
+			sources = append(sources, (i*37+int(seed))%p)
+		}
+		dead := make([]bool, p)
+		for _, src := range sources[:len(sources)/2] {
+			dead[src] = true
+			w.rankDead[src].Store(true)
+		}
+		got, want := newMailbox(w), newRefMailbox(w)
+		s := newMailboxScript(seed, sources)
+		cur := w // the world the mailboxes point at
+		run := func(steps int, phase string) {
+			t.Helper()
+			for i := 0; i < steps; i++ {
+				dg, dw := s.step(got, want, cur)
+				if dg != dw {
+					t.Fatalf("seed %d %s step %d: table delivered %+v, reference %+v", seed, phase, i, dg, dw)
+				}
+			}
+		}
+		run(4000, "before")
+		if got.used < 49 || len(got.slots) < 128 {
+			t.Fatalf("seed %d: %d sources in %d slots; the script should force three doublings", seed, got.used, len(got.slots))
+		}
+
+		if seed%2 == 0 {
+			// Shrink: sweep as a surviving owner, then as a dead one.
+			rg := got.revoke(func(src int) bool { return dead[src] })
+			if rw := want.shrinkRevoke(false, dead); rg != rw {
+				t.Fatalf("seed %d: shrink revoked %d, reference %d", seed, rg, rw)
+			}
+			for k := range s.dir {
+				if dead[k.src] {
+					delete(s.dir, k)
+				}
+			}
+			for k := range s.coll {
+				if dead[k.src] {
+					delete(s.coll, k)
+				}
+			}
+			// The any-source queues lost an unknown share; stop drawing on
+			// them and compare what is left through the final sweep.
+			for tag := range s.anyN {
+				s.anyN[tag] = 0
+			}
+			run(1500, "after shrink sweep")
+			rg = got.revoke(func(int) bool { return true })
+			if rw := want.shrinkRevoke(true, dead); rg != rw {
+				t.Fatalf("seed %d: dead-owner shrink revoked %d, reference %d", seed, rg, rw)
+			}
+			continue
+		}
+
+		// Grow: transplant into a wider world, then traffic from old ranks
+		// and joiners alike; registrations start over.
+		nw := testWorld(t, p+added, 8)
+		for src := range dead {
+			nw.rankDead[src].Store(dead[src])
+		}
+		cur = nw
+		got.w = nw
+		rg := got.revoke(func(int) bool { return true })
+		got.any = nil
+		if rw := want.growTransplant(nw, added); rg != rw {
+			t.Fatalf("seed %d: grow revoked %d, reference %d", seed, rg, rw)
+		}
+		s.dir, s.coll = map[refKey]int{}, map[refKey]int{}
+		s.anyN, s.registered = map[int]int{}, map[int]bool{}
+		for j := 0; j < added; j++ {
+			s.sources = append(s.sources, p+j)
+		}
+		run(3000, "after grow")
+	}
+}

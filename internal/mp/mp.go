@@ -18,8 +18,11 @@ package mp
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/obs"
@@ -99,35 +102,74 @@ func (t Topology) SameGroup(a, b int) bool {
 // NICShare returns the number of job ranks sharing rank r's NIC.
 func (t Topology) NICShare(r int) int { return t.ranksOnNode[t.NodeOf[r]] }
 
-// message is one in-flight payload. Payloads are private to the message —
-// either defensive copies or freshly packed pool buffers — so a sender may
-// reuse its buffer immediately (MPI buffered-send semantics).
+// message is one in-flight payload, sized to fit one cache line. Payloads
+// are private to the message — either defensive copies or freshly packed
+// pool buffers — so a sender may reuse its buffer immediately (MPI
+// buffered-send semantics).
+//
+// A message carries exactly one of three payload kinds, so it holds one
+// slice header, not three: data, n and c are the first element, length and
+// capacity of the slice it was built from and kind is that slice's element
+// type. The typed accessors rebuild the slice, or answer nil for another
+// kind.
 type message struct {
-	src, tag int
-	f64      []float64
-	ints     []int
-	bytes    []byte
+	data unsafe.Pointer
+	n, c int
+	tag  int
 	// arriveAt is the sender's virtual time at which the payload is fully
 	// delivered; the receiver's clock advances to at least this time.
 	arriveAt float64
+	src      int32
+	kind     uint8
 }
 
-// msgKey identifies a matched-receive queue.
-type msgKey struct{ src, tag int }
+const (
+	payF64 uint8 = iota
+	payInts
+	payBytes
+)
+
+func pack[T any](kind uint8, p []T) message {
+	return message{data: unsafe.Pointer(unsafe.SliceData(p)), n: len(p), c: cap(p), kind: kind}
+}
+
+func unpack[T any](m message, kind uint8) []T {
+	if m.kind != kind {
+		return nil
+	}
+	return unsafe.Slice((*T)(m.data), m.c)[:m.n]
+}
+
+func f64Msg(p []float64) message { return pack(payF64, p) }
+func intsMsg(p []int) message    { return pack(payInts, p) }
+func bytesMsg(p []byte) message  { return pack(payBytes, p) }
+
+func (m message) f64() []float64 { return unpack[float64](m, payF64) }
+func (m message) ints() []int    { return unpack[int](m, payInts) }
+func (m message) bytes() []byte  { return unpack[byte](m, payBytes) }
 
 // msgQueue is a FIFO of messages that recycles its backing array: popping
-// the last element rewinds the queue in place, so a queue that drains every
-// iteration (the steady-state pattern) never reallocates.
+// the last element rewinds the queue in place and a push that finds the
+// array's end slides the live window back to its start, so a queue
+// reallocates only when more messages are waiting than it has ever held.
 type msgQueue struct {
 	buf  []message
 	head int
 }
 
 func (q *msgQueue) push(m message) {
-	if cap(q.buf) == 0 {
-		// Most queues hold a handful of messages; skip the 1→2→4 append
-		// growth so a queue's backing array is a single allocation.
-		q.buf = make([]message, 0, 4)
+	if len(q.buf) == cap(q.buf) {
+		if q.head > 0 {
+			// A sender that stays one message ahead of its receiver never
+			// lets the queue drain and rewind.
+			n := copy(q.buf, q.buf[q.head:])
+			clear(q.buf[n:])
+			q.buf, q.head = q.buf[:n], 0
+		} else if cap(q.buf) == 0 {
+			// Most queues hold a handful of messages; skip the 1→2→4 append
+			// growth so a queue's backing array is a single allocation.
+			q.buf = make([]message, 0, 4)
+		}
 	}
 	q.buf = append(q.buf, m)
 }
@@ -168,102 +210,178 @@ func (q *msgQueue) popTag(tag int) (message, bool) {
 	return message{}, false
 }
 
-// mailbox is an unbounded matched-receive queue with O(1) matching for both
-// directed receives (per-(src,tag) queues) and any-source receives (per-tag
-// arrival FIFOs).
+// drop discards the queued messages for which stale(src) holds, keeping the
+// order of the rest and the backing array, and returns how many went.
+func (q *msgQueue) drop(stale func(src int) bool) int {
+	kept := q.buf[:0]
+	for _, m := range q.buf[q.head:] {
+		if !stale(int(m.src)) {
+			kept = append(kept, m)
+		}
+	}
+	n := q.len() - len(kept)
+	clear(q.buf[len(kept):])
+	q.buf, q.head = kept, 0
+	return n
+}
+
+// tagQueue is the FIFO of one application tag.
+type tagQueue struct {
+	tag int
+	q   msgQueue
+}
+
+// findTag returns the queue of tag among qs, nil when there is none. The
+// lists are a handful long: one entry per importer or operator.
+func findTag(qs []tagQueue, tag int) *msgQueue {
+	for i := range qs {
+		if qs[i].tag == tag {
+			return &qs[i].q
+		}
+	}
+	return nil
+}
+
+// noTag marks a srcSlot whose hot queue is not in use; application tags are
+// non-negative.
+const noTag = -1
+
+// srcSlot is one source rank's entry in a mailbox table: everything that
+// rank has sent and the owner has not yet received. Directed application
+// traffic (tag >= 0) has one queue per tag, and the queues stay resident
+// when drained — the same tags recur every iteration.
+type srcSlot struct {
+	// key is the source rank plus one; zero marks a free slot.
+	key int
+	// hot is the directed queue used last, kept in the slot itself: one tag
+	// (the solver's halo exchange) carries nearly all of a neighbour's
+	// traffic, and finding its queue then costs no cache line beyond the
+	// slot's own.
+	hot tagQueue
+	// coll holds collective traffic (tag < 0). Collective tags are unique
+	// per collective, so they are matched by a scan of this (nearly always
+	// length-≤1) FIFO instead of getting a queue each.
+	coll msgQueue
+	// rest holds the other directed queues.
+	rest []tagQueue
+}
+
+// queue returns the directed queue of tag, which becomes the hot one; nil
+// when src has sent nothing under tag.
+func (s *srcSlot) queue(tag int) *msgQueue {
+	if s.hot.tag == tag {
+		return &s.hot.q
+	}
+	for i := range s.rest {
+		if s.rest[i].tag == tag {
+			s.hot, s.rest[i] = s.rest[i], s.hot
+			return &s.hot.q
+		}
+	}
+	return nil
+}
+
+// mailbox is an unbounded matched-receive queue: an open-addressed table
+// keyed by source rank (multiply-shift hash, linear probing, doubling at 3/4
+// load) for directed and collective receives, plus per-tag arrival FIFOs for
+// any-source receives. A source enters the table with its first message and
+// stays, so a mailbox's memory follows the number of ranks that actually
+// send to its owner — halo neighbours and tree partners — not the world
+// size.
 //
 // Only the owning rank's goroutine ever blocks on cond (sends and the
 // revoke/markDead paths never wait), so put can wake it with a single
 // Signal instead of a Broadcast.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// pending holds directed application traffic (tag >= 0). Queues stay
-	// resident when drained — the same (src,tag) pairs recur every
-	// iteration.
-	pending map[msgKey]*msgQueue
-	// coll holds collective traffic (tag < 0), one FIFO per source rank,
-	// allocated on first use. Collective tags are unique per collective;
-	// keying them into the pending map would churn its buckets with
-	// insert/delete on every operation, so they are matched by a scan of
-	// the (nearly always length-≤1) per-source FIFO instead.
-	coll []msgQueue
-	// anyQ holds any-source traffic for tags registered by takeAny, in
-	// arrival order. A tag is registered on its first takeAny and stays
-	// registered; any-source tags must never be used with directed take
-	// on the same rank (enforced in take).
-	anyQ  map[int]*msgQueue
-	freeQ []*msgQueue
-	// qArena block-allocates queue structs: setup traffic touches one
-	// queue per (src,tag) pair, and carving them 32 at a time keeps that
-	// from dominating the allocation count.
-	qArena []msgQueue
+	mu    sync.Mutex
+	slots []srcSlot // length zero or a power of two
+	shift uint8     // 32 - log2(len(slots))
+	used  int       // occupied slots
+	// any holds the arrival FIFOs of tags registered by takeAny. A tag is
+	// registered on its first takeAny and stays registered; any-source tags
+	// must never be used with directed take on the same rank (enforced in
+	// take).
+	any []tagQueue
 	// w is the owning world; a blocked take consults its per-rank dead
 	// flags so a wait on a message that can never arrive (its sender has
 	// terminally exited without sending it) unwinds instead of deadlocking
 	// (see fault.go).
-	w *World
+	w    *World
+	cond sync.Cond
 }
 
 func newMailbox(w *World) *mailbox {
-	mb := &mailbox{
-		pending: make(map[msgKey]*msgQueue),
-		anyQ:    make(map[int]*msgQueue),
-		w:       w,
-	}
-	mb.cond = sync.NewCond(&mb.mu)
+	mb := &mailbox{w: w}
+	mb.cond.L = &mb.mu
 	return mb
 }
 
-// getQueue and putQueue recycle queue structs (and their backing arrays)
-// drained by collective receives. Both run under mb.mu.
-func (mb *mailbox) getQueue() *msgQueue {
-	if k := len(mb.freeQ); k > 0 {
-		q := mb.freeQ[k-1]
-		mb.freeQ[k-1] = nil
-		mb.freeQ = mb.freeQ[:k-1]
-		return q
+// probe returns the slot holding key or, when the table has none, the free
+// slot where key belongs. The table must not be empty or full.
+func (mb *mailbox) probe(key int) *srcSlot {
+	mask := uint32(len(mb.slots) - 1)
+	for i := uint32(key) * 0x9E3779B1 >> mb.shift; ; i = (i + 1) & mask {
+		if s := &mb.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
 	}
-	if len(mb.qArena) == 0 {
-		mb.qArena = make([]msgQueue, 32)
-	}
-	q := &mb.qArena[0]
-	mb.qArena = mb.qArena[1:]
-	return q
 }
 
-func (mb *mailbox) putQueue(q *msgQueue) {
-	if len(mb.freeQ) < 64 {
-		mb.freeQ = append(mb.freeQ, q)
+// lookup returns src's slot. A source that has never sent to this mailbox
+// has none: lookup then answers nil or, with create, enters it into the table.
+func (mb *mailbox) lookup(src int, create bool) *srcSlot {
+	key := src + 1
+	if len(mb.slots) > 0 {
+		if s := mb.probe(key); s.key == key {
+			return s
+		}
 	}
+	if !create {
+		return nil
+	}
+	if 4*(mb.used+1) > 3*len(mb.slots) {
+		old := mb.slots
+		mb.slots = make([]srcSlot, max(16, 2*len(old)))
+		mb.shift = uint8(32 - bits.TrailingZeros(uint(len(mb.slots))))
+		for i := range old {
+			if old[i].key != 0 {
+				*mb.probe(old[i].key) = old[i]
+			}
+		}
+	}
+	mb.used++
+	s := mb.probe(key)
+	s.key, s.hot.tag = key, noTag
+	return s
 }
 
 func (mb *mailbox) put(m message) {
 	mb.mu.Lock()
-	if m.tag < 0 {
-		if mb.coll == nil {
-			mb.coll = make([]msgQueue, len(mb.w.boxes))
-		}
-		mb.coll[m.src].push(m)
-		mb.mu.Unlock()
-		mb.cond.Signal()
-		return
-	}
-	if q, ok := mb.anyQ[m.tag]; ok {
-		q.push(m)
-		mb.mu.Unlock()
-		mb.cond.Signal()
-		return
-	}
-	k := msgKey{m.src, m.tag}
-	q := mb.pending[k]
-	if q == nil {
-		q = mb.getQueue()
-		mb.pending[k] = q
-	}
-	q.push(m)
+	mb.queueFor(int(m.src), m.tag).push(m)
 	mb.mu.Unlock()
 	mb.cond.Signal()
+}
+
+// queueFor routes a message to its FIFO, creating the queue on first use.
+// A tag has directed queues or an any-source registration, never both, so
+// the any-source list is consulted only when src has no queue for the tag.
+// Runs under mb.mu.
+func (mb *mailbox) queueFor(src, tag int) *msgQueue {
+	s := mb.lookup(src, true)
+	if tag < 0 {
+		return &s.coll
+	}
+	if q := s.queue(tag); q != nil {
+		return q
+	}
+	if q := findTag(mb.any, tag); q != nil {
+		return q
+	}
+	if s.hot.tag != noTag {
+		s.rest = append(s.rest, s.hot)
+	}
+	s.hot = tagQueue{tag: tag}
+	return &s.hot.q
 }
 
 // registerAny routes tag to a dedicated arrival FIFO, migrating messages
@@ -272,31 +390,50 @@ func (mb *mailbox) put(m message) {
 // arrivals the directed queues cannot order between sources. Runs under
 // mb.mu.
 func (mb *mailbox) registerAny(tag int) *msgQueue {
-	q := mb.getQueue()
-	mb.anyQ[tag] = q
-	var keys []msgKey
-	for k := range mb.pending {
-		if k.tag == tag {
-			keys = append(keys, k)
+	mb.any = append(mb.any, tagQueue{tag: tag})
+	q := &mb.any[len(mb.any)-1].q
+	var backlog []*srcSlot
+	for i := range mb.slots {
+		if s := &mb.slots[i]; s.key != 0 && s.queue(tag) != nil {
+			backlog = append(backlog, s)
 		}
 	}
-	// Insertion sort by source: the backlog spans at most a rank's
-	// neighbour set, and sort.Slice's reflection closures would charge
-	// two allocations per registration.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].src < keys[j-1].src; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	slices.SortFunc(backlog, func(a, b *srcSlot) int { return a.key - b.key })
+	for _, s := range backlog {
+		// The lookup above made the tag's queue the hot one. It goes away
+		// with its backlog: put routes the tag to q from now on.
+		for !s.hot.q.empty() {
+			q.push(s.hot.q.pop())
 		}
-	}
-	for _, k := range keys {
-		pq := mb.pending[k]
-		for !pq.empty() {
-			q.push(pq.pop())
+		s.hot = tagQueue{tag: noTag}
+		if last := len(s.rest) - 1; last >= 0 {
+			s.hot, s.rest[last] = s.rest[last], tagQueue{}
+			s.rest = s.rest[:last]
 		}
-		delete(mb.pending, k)
-		mb.putQueue(pq)
 	}
 	return q
+}
+
+// revoke purges the queued messages whose source satisfies stale and returns
+// their number. Source slots and their queues stay warm. Runs under mb.mu.
+func (mb *mailbox) revoke(stale func(src int) bool) int {
+	n := 0
+	for i := range mb.slots {
+		s := &mb.slots[i]
+		if s.key == 0 || !stale(s.key-1) {
+			continue
+		}
+		n += s.coll.drop(stale) + s.hot.q.drop(stale)
+		for j := range s.rest {
+			n += s.rest[j].q.drop(stale)
+		}
+	}
+	// Any-source FIFOs interleave sources, so they are filtered in place,
+	// preserving the arrival order of what stays.
+	for i := range mb.any {
+		n += mb.any[i].q.drop(stale)
+	}
+	return n
 }
 
 // takeAny blocks until a message with the given tag is available from any
@@ -309,7 +446,7 @@ func (mb *mailbox) registerAny(tag int) *msgQueue {
 func (mb *mailbox) takeAny(tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	q := mb.anyQ[tag]
+	q := findTag(mb.any, tag)
 	if q == nil {
 		q = mb.registerAny(tag)
 	}
@@ -337,30 +474,23 @@ func (mb *mailbox) takeAny(tag int) message {
 func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if tag < 0 {
-		for {
-			if mb.coll != nil {
-				if m, ok := mb.coll[src].popTag(tag); ok {
+	for {
+		// Looked up afresh after every wait: a put may have grown the table.
+		if s := mb.lookup(src, false); s != nil {
+			if tag < 0 {
+				if m, ok := s.coll.popTag(tag); ok {
 					return m
 				}
+			} else if q := s.queue(tag); q != nil && !q.empty() {
+				return q.pop()
 			}
-			if mb.w.rankDead[src].Load() {
-				panic(killedPanic{})
-			}
-			mb.cond.Wait()
-		}
-	}
-	k := msgKey{src, tag}
-	for {
-		if q := mb.pending[k]; q != nil && !q.empty() {
-			return q.pop()
 		}
 		if mb.w.rankDead[src].Load() {
 			panic(killedPanic{})
 		}
 		// About to block: a tag registered for any-source receives will
 		// never surface here — fail loudly instead of deadlocking.
-		if _, bad := mb.anyQ[tag]; bad {
+		if tag >= 0 && findTag(mb.any, tag) != nil {
 			panic(fmt.Sprintf("mp: directed receive on any-source tag %d", tag))
 		}
 		mb.cond.Wait()
@@ -498,12 +628,13 @@ func (w *World) Run(body func(r *Rank) error) error {
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for i := 0; i < p; i++ {
-		rank := &Rank{world: w, id: i, clk: w.clocks[i]}
+		rank := &Rank{world: w, id: i, clk: w.clocks[i], pool: rankPool{shared: w.pool}}
 		if w.recs != nil {
 			rank.rec = w.recs[i]
 		}
 		go func(rk *Rank) {
 			defer wg.Done()
+			defer rk.pool.drain()
 			// Runs after the recover below: whatever way the rank exits,
 			// it can never send again, so waiters on its messages must be
 			// woken to observe the death instead of sleeping forever.
@@ -540,6 +671,9 @@ type Rank struct {
 	world *World
 	id    int
 	clk   *vclock.Clock
+	// pool is the rank's private front to the world's payload pool (see
+	// pool.go).
+	pool rankPool
 	// rec is the rank's event recorder (nil unless the world is observed;
 	// all its methods are nil-safe no-ops).
 	rec *obs.Recorder
@@ -601,24 +735,47 @@ func (r *Rank) chargeSend(dst, payloadBytes int) float64 {
 	return start + t
 }
 
-// SendF64 sends a copy of data to rank dst with the given tag (tag >= 0 is
-// reserved for applications; collectives use negative tags internally).
-func (r *Rank) SendF64(dst, tag int, data []float64) {
-	r.sendF64(dst, tag, data)
-}
-
-func (r *Rank) sendF64(dst, tag int, data []float64) {
+// checkDst is the first step of every send: the destination must be a rank
+// of this world, and this rank's node must still be alive.
+func (r *Rank) checkDst(dst int) {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("mp: send to invalid rank %d", dst))
 	}
 	r.checkFault()
-	var cp []float64
-	if len(data) > 0 {
-		cp = r.world.pool.get(len(data))
-		copy(cp, data)
-	}
-	at := r.chargeSend(dst, 8*len(data))
-	r.world.boxes[dst].put(message{src: r.id, tag: tag, f64: cp, arriveAt: at})
+}
+
+// post is the last step of every send: it charges payloadBytes on the wire
+// and hands m, stamped with its envelope, to dst's mailbox.
+func (r *Rank) post(dst, tag, payloadBytes int, m message) {
+	m.src, m.tag = int32(r.id), tag
+	m.arriveAt = r.chargeSend(dst, payloadBytes)
+	r.world.boxes[dst].put(m)
+}
+
+// recv is the directed receive under every Recv variant: it blocks for the
+// message and advances this rank's clock to its arrival time.
+func (r *Rank) recv(src, tag int) message {
+	r.checkFault()
+	m := r.world.boxes[r.id].take(src, tag)
+	r.noteRecv(&m)
+	r.checkFault()
+	return m
+}
+
+// reject returns a received payload the caller cannot accept to the pool
+// and panics with msg, so a mismatched receive does not leak the buffer.
+func (r *Rank) reject(buf []float64, msg string) {
+	r.pool.put(buf)
+	panic(msg)
+}
+
+// SendF64 sends a copy of data to rank dst with the given tag (tag >= 0 is
+// reserved for applications; collectives use negative tags internally).
+func (r *Rank) SendF64(dst, tag int, data []float64) {
+	r.checkDst(dst)
+	cp := r.pool.get(len(data))
+	copy(cp, data)
+	r.post(dst, tag, 8*len(data), f64Msg(cp))
 }
 
 // SendF64Gather packs x[idx[0]], x[idx[1]], … into a pooled buffer and
@@ -626,19 +783,12 @@ func (r *Rank) sendF64(dst, tag int, data []float64) {
 // per-call staging allocation. The wire size and virtual charges are
 // identical to packing into a scratch slice and calling SendF64.
 func (r *Rank) SendF64Gather(dst, tag int, x []float64, idx []int) {
-	if dst < 0 || dst >= r.Size() {
-		panic(fmt.Sprintf("mp: send to invalid rank %d", dst))
+	r.checkDst(dst)
+	cp := r.pool.get(len(idx))
+	for j, l := range idx {
+		cp[j] = x[l]
 	}
-	r.checkFault()
-	var cp []float64
-	if len(idx) > 0 {
-		cp = r.world.pool.get(len(idx))
-		for j, l := range idx {
-			cp[j] = x[l]
-		}
-	}
-	at := r.chargeSend(dst, 8*len(idx))
-	r.world.boxes[dst].put(message{src: r.id, tag: tag, f64: cp, arriveAt: at})
+	r.post(dst, tag, 8*len(idx), f64Msg(cp))
 }
 
 // RecvF64 blocks until a float64 message with the given source and tag
@@ -647,26 +797,19 @@ func (r *Rank) SendF64Gather(dst, tag int, x []float64, idx []int) {
 // RecvF64Into or the scatter variants on hot paths so the buffer returns
 // to the world's pool instead.
 func (r *Rank) RecvF64(src, tag int) []float64 {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m.f64
+	return r.recv(src, tag).f64()
 }
 
 // RecvF64Into receives like RecvF64 but copies the payload into dst and
 // recycles the transport buffer, keeping the steady state allocation-free.
 // dst must have room for the payload; the payload length is returned.
 func (r *Rank) RecvF64Into(src, tag int, dst []float64) int {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	if len(dst) < len(m.f64) {
-		panic(fmt.Sprintf("mp: RecvF64Into buffer len %d < payload %d", len(dst), len(m.f64)))
+	buf := r.recv(src, tag).f64()
+	if len(dst) < len(buf) {
+		r.reject(buf, fmt.Sprintf("mp: RecvF64Into buffer len %d < payload %d", len(dst), len(buf)))
 	}
-	n := copy(dst, m.f64)
-	r.world.pool.put(m.f64)
+	n := copy(dst, buf)
+	r.pool.put(buf)
 	return n
 }
 
@@ -675,54 +818,40 @@ func (r *Rank) RecvF64Into(src, tag int, dst []float64) int {
 // receive-and-unpack step without surfacing the wire buffer. The payload
 // must have exactly len(pos) elements.
 func (r *Rank) RecvF64Scatter(src, tag int, x []float64, pos []int) {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	if len(m.f64) != len(pos) {
-		panic(fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(m.f64), len(pos)))
+	buf := r.recv(src, tag).f64()
+	if len(buf) != len(pos) {
+		r.reject(buf, fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos)))
 	}
 	for j, l := range pos {
-		x[l] = m.f64[j]
+		x[l] = buf[j]
 	}
-	r.world.pool.put(m.f64)
+	r.pool.put(buf)
 }
 
 // RecvF64AddScatter is RecvF64Scatter with accumulation: x[pos[j]] +=
 // payload[j], the exporter's sum-into-owner step.
 func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	if len(m.f64) != len(pos) {
-		panic(fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(m.f64), len(pos)))
+	buf := r.recv(src, tag).f64()
+	if len(buf) != len(pos) {
+		r.reject(buf, fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos)))
 	}
 	for j, l := range pos {
-		x[l] += m.f64[j]
+		x[l] += buf[j]
 	}
-	r.world.pool.put(m.f64)
+	r.pool.put(buf)
 }
 
 // SendInts sends a copy of an int slice to rank dst.
 func (r *Rank) SendInts(dst, tag int, data []int) {
-	if dst < 0 || dst >= r.Size() {
-		panic(fmt.Sprintf("mp: send to invalid rank %d", dst))
-	}
-	r.checkFault()
+	r.checkDst(dst)
 	cp := make([]int, len(data))
 	copy(cp, data)
-	at := r.chargeSend(dst, 8*len(data))
-	r.world.boxes[dst].put(message{src: r.id, tag: tag, ints: cp, arriveAt: at})
+	r.post(dst, tag, 8*len(data), intsMsg(cp))
 }
 
 // RecvInts blocks for an int message with the given source and tag.
 func (r *Rank) RecvInts(src, tag int) []int {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m.ints
+	return r.recv(src, tag).ints()
 }
 
 // SendBytes sends a copy of an opaque byte payload to rank dst — the
@@ -730,23 +859,15 @@ func (r *Rank) RecvInts(src, tag int) []int {
 // transfer is charged through the fabric like any other message, so
 // diskless checkpoint protection shows up in virtual time.
 func (r *Rank) SendBytes(dst, tag int, data []byte) {
-	if dst < 0 || dst >= r.Size() {
-		panic(fmt.Sprintf("mp: send to invalid rank %d", dst))
-	}
-	r.checkFault()
+	r.checkDst(dst)
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	at := r.chargeSend(dst, len(data))
-	r.world.boxes[dst].put(message{src: r.id, tag: tag, bytes: cp, arriveAt: at})
+	r.post(dst, tag, len(data), bytesMsg(cp))
 }
 
 // RecvBytes blocks for a byte message with the given source and tag.
 func (r *Rank) RecvBytes(src, tag int) []byte {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m.bytes
+	return r.recv(src, tag).bytes()
 }
 
 // SendRecvF64 exchanges float64 slices with a peer (both sides must call
@@ -756,22 +877,25 @@ func (r *Rank) SendRecvF64(peer, tag int, send []float64) []float64 {
 	return r.RecvF64(peer, tag)
 }
 
-// RecvAnyInts blocks for an int message with the given tag from any source
-// and returns the source rank and payload.
-func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
+// recvAny is recv for any-source tags.
+func (r *Rank) recvAny(tag int) message {
 	r.checkFault()
 	m := r.world.boxes[r.id].takeAny(tag)
 	r.noteRecv(&m)
 	r.checkFault()
-	return m.src, m.ints
+	return m
+}
+
+// RecvAnyInts blocks for an int message with the given tag from any source
+// and returns the source rank and payload.
+func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
+	m := r.recvAny(tag)
+	return int(m.src), m.ints()
 }
 
 // RecvAnyF64 blocks for a float64 message with the given tag from any source
 // and returns the source rank and payload.
 func (r *Rank) RecvAnyF64(tag int) (src int, data []float64) {
-	r.checkFault()
-	m := r.world.boxes[r.id].takeAny(tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m.src, m.f64
+	m := r.recvAny(tag)
+	return int(m.src), m.f64()
 }

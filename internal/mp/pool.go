@@ -6,37 +6,49 @@ import (
 	"sync/atomic"
 )
 
-// f64Pool recycles float64 message payloads within one World. Buffers are
-// binned by power-of-two capacity; each class is a mutex-guarded LIFO stack.
+// f64Pool is the shared level of a World's two-level payload pool: float64
+// message buffers binned by power-of-two capacity, each class a
+// mutex-guarded LIFO stack. Every rank goroutine fronts it with a private
+// rankPool, so the shared mutexes are reached only when a rank's own stacks
+// run dry or overflow.
 //
 // An explicit free list (rather than sync.Pool) keeps the steady state
 // allocation-free: sync.Pool is emptied on every GC cycle, which would
 // reintroduce allocation spikes into the hot iteration path the benchmarks
-// pin at 0 allocs/op. Boundedness comes from capping the per-class stack
-// depth and the largest recyclable buffer instead.
+// pin at 0 allocs/op. Boundedness comes from capping the stack depths and
+// the largest recyclable buffer instead.
 //
-// Ownership protocol: every in-flight f64 payload is pool-owned. A send
-// variant obtains a buffer with get, fills it completely and hands it to the
-// destination mailbox; the matching receive either transfers ownership to
-// the application (RecvF64, collectives) — in which case the buffer simply
+// Ownership protocol: every in-flight f64 payload is pool-owned and has one
+// holder at a time — the sending rank between get and the mailbox handoff,
+// the destination mailbox while the message is queued, the receiving rank
+// between take and put, or a free stack (a rank's, or the shared one). A
+// send variant obtains a buffer with get, fills it completely and hands it
+// to the destination mailbox; the matching receive either transfers
+// ownership to the application (RecvF64, collectives) — the buffer then
 // leaves the pool for good — or copies/scatters the payload out and returns
 // the buffer with put (RecvF64Into, RecvF64Scatter, RecvF64AddScatter,
 // scalar collectives). A buffer must never be put twice or retained after
-// put.
+// put. Buffers migrate: what a receiver puts came from its sender's stacks.
+// A rank's stacks drain into the shared level when its goroutine exits
+// (World.Run), so between runs every free buffer is in the shared level and
+// Grow hands the warm pool to the grown world's ranks.
 type f64Pool struct {
 	classes [poolClasses]poolClass
 
-	// counting enables the gets/puts traffic counters for observed worlds.
-	// It is set before Run spawns the rank goroutines and never written
-	// afterwards, so the unsynchronised read in get/put is race-free and the
-	// unobserved hot path pays only a predicted-false branch.
+	// counting makes exiting ranks fold their get/put counts into gets and
+	// puts (observed worlds only). It is set before Run spawns the rank
+	// goroutines and never written afterwards.
 	counting   bool
 	gets, puts atomic.Int64
 }
 
+// poolClass is one shared stack. Its storage is part of the pool, so a put
+// never allocates — the puts of a rank draining on its way out land inside
+// whatever a still-running rank is measuring.
 type poolClass struct {
 	mu   sync.Mutex
-	free [][]float64
+	n    int
+	free [poolClassDepth][]float64
 }
 
 const (
@@ -44,9 +56,16 @@ const (
 	// elements (4 Mi float64 = 32 MiB); larger buffers are allocated
 	// directly and dropped on put.
 	poolClasses = 23
-	// poolClassDepth caps each class's stack so a burst cannot pin
+	// poolClassDepth caps each shared class's stack so a burst cannot pin
 	// unbounded memory in the free list.
 	poolClassDepth = 256
+	// localClasses is the number of size classes a rank caches privately:
+	// payloads of up to 1<<(localClasses-1) = 256 elements. Larger ones are
+	// dominated by their copy, not by the shared lock.
+	localClasses = 9
+	// localClassDepth caps each private stack: a 26-neighbour halo exchange
+	// posts all its sends, up to 26 buffers of one class, before it receives.
+	localClassDepth = 32
 )
 
 // class returns the size-class index for n elements: the smallest c with
@@ -59,25 +78,18 @@ func poolClassOf(n int) int {
 }
 
 // get returns a buffer of length n (capacity 1<<class). The contents are
-// unspecified; the caller must overwrite all n elements. n == 0 returns nil
-// without touching the pool.
+// unspecified; the caller must overwrite all n elements.
 func (p *f64Pool) get(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	if p.counting {
-		p.gets.Add(1)
-	}
 	c := poolClassOf(n)
 	if c >= poolClasses {
 		return make([]float64, n)
 	}
 	cl := &p.classes[c]
 	cl.mu.Lock()
-	if k := len(cl.free); k > 0 {
-		buf := cl.free[k-1]
-		cl.free[k-1] = nil
-		cl.free = cl.free[:k-1]
+	if cl.n > 0 {
+		cl.n--
+		buf := cl.free[cl.n]
+		cl.free[cl.n] = nil
 		cl.mu.Unlock()
 		return buf[:n]
 	}
@@ -85,25 +97,82 @@ func (p *f64Pool) get(n int) []float64 {
 	return make([]float64, n, 1<<c)
 }
 
-// put returns a buffer obtained from get. Buffers whose capacity is not an
-// exact class size (or that exceed the largest class) are dropped for the
-// GC; a full class drops the buffer too.
+// put returns a buffer whose capacity is an exact class size. Buffers beyond
+// the largest class are dropped for the GC; a full class drops the buffer
+// too.
 func (p *f64Pool) put(buf []float64) {
-	if p.counting {
-		p.puts.Add(1)
-	}
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	ci := poolClassOf(c)
+	ci := poolClassOf(cap(buf))
 	if ci >= poolClasses {
 		return
 	}
 	cl := &p.classes[ci]
 	cl.mu.Lock()
-	if len(cl.free) < poolClassDepth {
-		cl.free = append(cl.free, buf[:0])
+	if cl.n < poolClassDepth {
+		cl.free[cl.n] = buf[:0]
+		cl.n++
 	}
 	cl.mu.Unlock()
+}
+
+// rankPool is one rank's private front to the world's f64Pool: unlocked
+// per-class stacks touched only by the owning goroutine. Halo exchanges and
+// the binomial trees return as many buffers of a class as they draw, so in
+// the steady state get and put stay within these stacks.
+type rankPool struct {
+	shared *f64Pool
+	free   [localClasses][][]float64
+	// gets and puts count this rank's pool traffic (see f64Pool.counting).
+	gets, puts int64
+}
+
+// get returns a buffer of length n from the rank's own stack, falling back
+// to the shared pool. n == 0 returns nil without touching the pool.
+func (p *rankPool) get(n int) []float64 {
+	if n == 0 {
+		return nil
+	}
+	p.gets++
+	if c := poolClassOf(n); c < localClasses {
+		if k := len(p.free[c]); k > 0 {
+			buf := p.free[c][k-1]
+			p.free[c][k-1] = nil
+			p.free[c] = p.free[c][:k-1]
+			return buf[:n]
+		}
+	}
+	return p.shared.get(n)
+}
+
+// put returns a buffer obtained from get (on any rank). Buffers whose
+// capacity is not an exact class size are dropped for the GC; a full private
+// stack overflows into the shared pool.
+func (p *rankPool) put(buf []float64) {
+	p.puts++
+	c := cap(buf)
+	if c == 0 || c&(c-1) != 0 {
+		return
+	}
+	if ci := bits.TrailingZeros(uint(c)); ci < localClasses && len(p.free[ci]) < localClassDepth {
+		if p.free[ci] == nil {
+			p.free[ci] = make([][]float64, 0, localClassDepth)
+		}
+		p.free[ci] = append(p.free[ci], buf[:0])
+		return
+	}
+	p.shared.put(buf)
+}
+
+// drain hands the rank's cached buffers and traffic counts to the shared
+// pool; World.Run calls it as the rank's goroutine exits.
+func (p *rankPool) drain() {
+	for c, st := range p.free {
+		for _, buf := range st {
+			p.shared.put(buf)
+		}
+		p.free[c] = nil
+	}
+	if p.shared.counting {
+		p.shared.gets.Add(p.gets)
+		p.shared.puts.Add(p.puts)
+	}
 }

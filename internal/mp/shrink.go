@@ -115,45 +115,9 @@ func (w *World) ShrinkNodes(alsoDoomed []int) (*Shrink, error) {
 		dead[r] = true
 	}
 	for owner, mb := range w.boxes {
+		ownerDead := dead[owner]
 		mb.mu.Lock()
-		for k, q := range mb.pending {
-			if dead[owner] || dead[k.src] {
-				sr.Revoked += q.len()
-				delete(mb.pending, k)
-			}
-		}
-		for src := range mb.coll {
-			q := &mb.coll[src]
-			if dead[owner] || dead[src] {
-				sr.Revoked += q.len()
-				for i := range q.buf {
-					q.buf[i] = message{}
-				}
-				q.buf, q.head = q.buf[:0], 0
-			}
-		}
-		// Any-source FIFOs interleave sources, so they are filtered
-		// in place (preserving survivor arrival order) rather than
-		// dropped whole.
-		for tag, q := range mb.anyQ {
-			if dead[owner] {
-				sr.Revoked += q.len()
-				delete(mb.anyQ, tag)
-				continue
-			}
-			kept := q.buf[:0]
-			for _, m := range q.buf[q.head:] {
-				if dead[m.src] {
-					sr.Revoked++
-				} else {
-					kept = append(kept, m)
-				}
-			}
-			for i := len(kept); i < len(q.buf); i++ {
-				q.buf[i] = message{}
-			}
-			q.buf, q.head = kept, 0
-		}
+		sr.Revoked += mb.revoke(func(src int) bool { return ownerDead || dead[src] })
 		mb.mu.Unlock()
 	}
 

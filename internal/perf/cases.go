@@ -10,6 +10,7 @@ import (
 	"heterohpc/internal/mesh"
 	"heterohpc/internal/mp"
 	"heterohpc/internal/netmodel"
+	"heterohpc/internal/platform"
 	"heterohpc/internal/sparse"
 	"heterohpc/internal/vclock"
 )
@@ -30,6 +31,8 @@ func Cases() []Case {
 		{Name: "gmres-arnoldi", Bench: benchGMRESArnoldi},
 		{Name: "distmatrix-build", Bench: benchDistMatrixBuild},
 		{Name: "ilu0-setup", Bench: benchILU0Setup},
+		{Name: "halo-exchange-p1000", Bench: benchHaloExchangeP1000},
+		{Name: "allreduce-scalar-p512", Bench: benchAllreduceScalarP512},
 	}
 }
 
@@ -192,6 +195,96 @@ func benchILU0Setup(b *testing.B) {
 		if err := pc.Setup(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchHaloExchangeP1000 is the ghost exchange at the paper's top point:
+// 1000 ranks of 2³ elements on the ec2 fabric, each trading a few values
+// with its 26 neighbours — all message hand-off, no data. One op is one
+// Importer.Exchange on every rank; allocs/op must be 0.
+func benchHaloExchangeP1000(b *testing.B) {
+	const p, n = 10, 2
+	m := mesh.NewUnitCube(p * n)
+	benchInWorld(b, p*p*p, func(r *mp.Rank) (func(), error) {
+		s, err := fem.NewSpaceBlock(r, m, p, p, p, 1000)
+		if err != nil {
+			return nil, err
+		}
+		var coo sparse.COO
+		s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) })
+		dm, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100)
+		if err != nil {
+			return nil, err
+		}
+		x := make([]float64, dm.NCols())
+		return func() { dm.Importer().Exchange(x) }, nil
+	})
+}
+
+// benchAllreduceScalarP512 is the reduction under every distributed dot
+// product, two per Krylov iteration on every rank: a binomial-tree reduce
+// and broadcast of one pooled float64 across 512 ranks. allocs/op must be 0.
+func benchAllreduceScalarP512(b *testing.B) {
+	benchInWorld(b, 512, func(r *mp.Rank) (func(), error) {
+		return func() { r.AllreduceScalar(mp.OpSum, 1) }, nil
+	})
+}
+
+// benchInWorld times b.N collective calls of the op that setup returns on
+// every rank of a p-rank ec2 world (dense packing, the platform's fabric and
+// compute rater, as core.Target builds it). A few untimed calls warm the
+// payload pool and the mailboxes first; rank 0's virtual clock gives
+// virtual-s/op.
+func benchInWorld(b *testing.B, p int, setup func(r *mp.Rank) (func(), error)) {
+	plat, err := platform.Get("ec2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := mp.BlockTopology(p, plat.CoresPerNode())
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := plat.CommScale
+	if scale == 0 {
+		scale = 1
+	}
+	fab, err := netmodel.NewFabricScaled(plat.Net, topo.NNodes(), scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := mp.NewWorld(topo, fab, plat.Rater)
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = w.Run(func(r *mp.Rank) error {
+		op, err := setup(r)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			op()
+		}
+		// The first barrier allocates its partners' queues, on some ranks
+		// after rank 0 has left it; the second finds everything in place.
+		r.Barrier()
+		// The benchmark goroutine is parked in w.Run, so rank 0 owns b
+		// between the next two barriers.
+		r.Barrier()
+		if r.ID() == 0 {
+			b.ResetTimer()
+		}
+		r.Barrier()
+		t0 := r.Wtime()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+		if r.ID() == 0 {
+			b.ReportMetric((r.Wtime()-t0)/float64(b.N), "virtual-s/op")
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -25,6 +25,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// VirtualSPerOp is the modelled platform's time per op, for the cases
+	// that report a "virtual-s/op" metric. It must not move under a change
+	// that only makes the simulator faster.
+	VirtualSPerOp float64 `json:"virtual_s_per_op,omitempty"`
 }
 
 // Report is the BENCH.json schema.
@@ -81,6 +85,8 @@ func Measure(c Case) Result {
 		NsPerOp:     ns,
 		AllocsPerOp: br.AllocsPerOp(),
 		BytesPerOp:  br.AllocedBytesPerOp(),
+
+		VirtualSPerOp: br.Extra["virtual-s/op"],
 	}
 }
 
