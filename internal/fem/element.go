@@ -11,7 +11,10 @@
 // needs (see DESIGN.md §2).
 package fem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // QuadPoint is one quadrature point on the reference cube [-1,1]³.
 type QuadPoint struct {
@@ -71,9 +74,13 @@ type nopCharger struct{}
 func (nopCharger) ChargeCompute(float64, float64) {}
 
 // Element holds the quadrature data of a uniform hexahedral element of size
-// hx×hy×hz. Shape values at quadrature points are precomputed once; the
-// per-element integration loops still run for every element (the paper's
-// assembly phase is exactly this work).
+// hx×hy×hz. Shape values at quadrature points are precomputed once. Every
+// element of a uniform mesh has the same Mass, Stiffness and Gradient
+// matrix, so each of these operators keeps the last matrix it integrated
+// and copies it out while its argument repeats; the virtual charge is still
+// issued per call (the paper's assembly phase is exactly this per-element
+// work), only the host arithmetic is memoised. An Element is one rank's
+// state: it is not safe for concurrent use.
 type Element struct {
 	Hx, Hy, Hz float64
 	// Fixed-size arrays (the rule is always 2×2×2): the whole Element is
@@ -83,6 +90,30 @@ type Element struct {
 	n     [8][8]float64    // shape values per qp
 	dphys [8][8][3]float64 // physical gradients per qp
 	jac   float64          // |J| = hx·hy·hz/8
+
+	mass, stiff elemMemo // keyed on the coefficient's bits
+	// One per direction, key unused; allocated by the first Gradient call,
+	// so that a world of ranks that never take a gradient (RD at P = 1000)
+	// does not carry 1.5 KB per rank for it.
+	grad *[3]elemMemo
+}
+
+// elemMemo is the one-entry cache of an element operator: the matrix it
+// last integrated and the bits of the coefficient it was integrated for.
+type elemMemo struct {
+	ok  bool
+	key uint64
+	mat [8][8]float64
+}
+
+// stale reports whether the memo holds no matrix for key, and if so
+// re-keys and zeroes it for the caller to integrate into.
+func (m *elemMemo) stale(key uint64) bool {
+	if m.ok && m.key == key {
+		return false
+	}
+	*m = elemMemo{ok: true, key: key}
+	return true
 }
 
 // NewElement precomputes quadrature data for an hx×hy×hz element. The
@@ -122,17 +153,20 @@ func (el *Element) Mass(c float64, out *[8][8]float64, ch Charger) {
 	if ch == nil {
 		ch = nopCharger{}
 	}
-	*out = [8][8]float64{}
-	for q := range el.qp {
-		w := el.qp[q].W * el.jac * c
-		n := &el.n[q]
-		for a := 0; a < 8; a++ {
-			wa := w * n[a]
-			for b := 0; b < 8; b++ {
-				out[a][b] += wa * n[b]
+	m := &el.mass
+	if m.stale(math.Float64bits(c)) {
+		for q := range el.qp {
+			w := el.qp[q].W * el.jac * c
+			n := &el.n[q]
+			for a := 0; a < 8; a++ {
+				wa := w * n[a]
+				for b := 0; b < 8; b++ {
+					m.mat[a][b] += wa * n[b]
+				}
 			}
 		}
 	}
+	*out = m.mat
 	ch.ChargeCompute(float64(len(el.qp))*(8*8*2+8), 8*8*8)
 }
 
@@ -141,16 +175,19 @@ func (el *Element) Stiffness(c float64, out *[8][8]float64, ch Charger) {
 	if ch == nil {
 		ch = nopCharger{}
 	}
-	*out = [8][8]float64{}
-	for q := range el.qp {
-		w := el.qp[q].W * el.jac * c
-		dp := &el.dphys[q]
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				out[a][b] += w * (dp[a][0]*dp[b][0] + dp[a][1]*dp[b][1] + dp[a][2]*dp[b][2])
+	m := &el.stiff
+	if m.stale(math.Float64bits(c)) {
+		for q := range el.qp {
+			w := el.qp[q].W * el.jac * c
+			dp := &el.dphys[q]
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					m.mat[a][b] += w * (dp[a][0]*dp[b][0] + dp[a][1]*dp[b][1] + dp[a][2]*dp[b][2])
+				}
 			}
 		}
 	}
+	*out = m.mat
 	ch.ChargeCompute(float64(len(el.qp))*8*8*6, 8*8*8)
 }
 
@@ -186,18 +223,24 @@ func (el *Element) Gradient(d int, out *[8][8]float64, ch Charger) {
 	if d < 0 || d > 2 {
 		panic(fmt.Sprintf("fem: gradient direction %d", d))
 	}
-	*out = [8][8]float64{}
-	for q := range el.qp {
-		wq := el.qp[q].W * el.jac
-		n := &el.n[q]
-		dp := &el.dphys[q]
-		for a := 0; a < 8; a++ {
-			wa := wq * n[a]
-			for b := 0; b < 8; b++ {
-				out[a][b] += wa * dp[b][d]
+	if el.grad == nil {
+		el.grad = new([3]elemMemo)
+	}
+	m := &el.grad[d]
+	if m.stale(0) {
+		for q := range el.qp {
+			wq := el.qp[q].W * el.jac
+			n := &el.n[q]
+			dp := &el.dphys[q]
+			for a := 0; a < 8; a++ {
+				wa := wq * n[a]
+				for b := 0; b < 8; b++ {
+					m.mat[a][b] += wa * dp[b][d]
+				}
 			}
 		}
 	}
+	*out = m.mat
 	ch.ChargeCompute(float64(len(el.qp))*8*8*2, 8*8*8)
 }
 

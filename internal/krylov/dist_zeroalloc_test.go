@@ -12,19 +12,10 @@ import (
 	"heterohpc/internal/vclock"
 )
 
-// TestDistributedCGSteadyStateZeroAlloc asserts the full distributed solve
-// path — CG over a sparse.DistMatrix, ghost exchange through the Importer,
-// scalar allreduces through the mailbox and payload pool — allocates nothing
-// once warm. It measures process-wide mallocs across all rank goroutines
-// between two barriers, so a single allocation on any rank in any layer
-// fails it.
-func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
-	const (
-		nranks  = 4
-		perRank = 48
-		n       = nranks * perRank
-		solves  = 10
-	)
+// newTestWorld builds an nranks-rank world, two ranks per node, on a
+// loopback fabric.
+func newTestWorld(t *testing.T, nranks int) *mp.World {
+	t.Helper()
 	topo, err := mp.BlockTopology(nranks, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +28,30 @@ func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
 
-	var avg float64 // written by rank 0 between the last barrier and Run's return
-	err = w.Run(func(r *mp.Rank) error {
+// TestDistributedCGSteadyStateZeroAlloc asserts the full distributed solve
+// path — CG over a sparse.DistMatrix, ghost exchange through the Importer,
+// scalar allreduces through the mailbox and payload pool — allocates nothing
+// once warm. The only counter that sees every rank goroutine is the
+// process-wide malloc count, which also sees the runtime and whatever else
+// the test binary is doing; so it is read over several windows of solves,
+// each between two barriers, and the assertion is on the quietest window: a
+// steady-state allocation on any rank in any layer is in every window, a
+// stray one is not.
+func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
+	const (
+		nranks  = 4
+		perRank = 48
+		n       = nranks * perRank
+		solves  = 10
+		windows = 5
+	)
+	w := newTestWorld(t, nranks)
+
+	var avg float64 // written by rank 0 before Run returns
+	err := w.Run(func(r *mp.Rank) error {
 		// 1-D Laplacian on n rows, contiguous block ownership: each rank
 		// couples to its neighbours through one ghost row per side.
 		base := r.ID() * perRank
@@ -88,20 +100,28 @@ func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
 			r.Barrier()
 		}
 		var before, after runtime.MemStats
+		quietest := uint64(math.MaxUint64)
 		if r.ID() == 0 {
 			runtime.GC()
-			runtime.ReadMemStats(&before)
 		}
-		r.Barrier()
-		for k := 0; k < solves; k++ {
-			if err := solve(); err != nil {
-				return err
+		for win := 0; win < windows; win++ {
+			if r.ID() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			r.Barrier()
+			for k := 0; k < solves; k++ {
+				if err := solve(); err != nil {
+					return err
+				}
+			}
+			r.Barrier()
+			if r.ID() == 0 {
+				runtime.ReadMemStats(&after)
+				quietest = min(quietest, after.Mallocs-before.Mallocs)
 			}
 		}
-		r.Barrier()
 		if r.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			avg = float64(after.Mallocs-before.Mallocs) / solves
+			avg = float64(quietest) / solves
 		}
 		return nil
 	})
@@ -111,7 +131,7 @@ func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
 	// Same rounding convention as testing.AllocsPerRun: a sub-one average
 	// is background noise, one-or-more is a real per-solve allocation.
 	if avg >= 1 {
-		t.Fatalf("distributed CG steady state: %.2f allocs/solve across the world, want 0", avg)
+		t.Fatalf("distributed CG steady state: %.2f allocs/solve across the world in the quietest of %d windows, want 0", avg, windows)
 	}
 	if avg > 0 {
 		t.Logf("note: %.3f background allocs/solve (below the per-op threshold)", avg)
@@ -126,19 +146,8 @@ func TestDistributedCGSolvesLaplacian(t *testing.T) {
 		perRank = 12
 		n       = nranks * perRank
 	)
-	topo, err := mp.BlockTopology(nranks, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := mp.NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9, BytesPerSec: 1e10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(r *mp.Rank) error {
+	w := newTestWorld(t, nranks)
+	err := w.Run(func(r *mp.Rank) error {
 		base := r.ID() * perRank
 		owner := func(g int) int { return g / perRank }
 		var coo sparse.COO

@@ -26,11 +26,7 @@ func refILU0Setup(a *sparse.CSR, n int) (lu []float64, flops float64, err error)
 			if k >= i || k >= n {
 				continue
 			}
-			piv := lu[diag[k]]
-			if piv == 0 {
-				return nil, 0, fmt.Errorf("krylov: zero pivot at row %d", k)
-			}
-			lik := lu[sl] / piv
+			lik := lu[sl] / lu[diag[k]] // row k < i: pivot checked below
 			lu[sl] = lik
 			for t := sl + 1; t < a.RowPtr[i+1]; t++ {
 				j := a.Col[t]
@@ -42,6 +38,11 @@ func refILU0Setup(a *sparse.CSR, n int) (lu []float64, flops float64, err error)
 					flops += 2
 				}
 			}
+		}
+		// Apply divides by every row's pivot, referenced by a later row
+		// or not.
+		if lu[diag[i]] == 0 {
+			return nil, 0, fmt.Errorf("krylov: zero pivot at row %d", i)
 		}
 	}
 	return lu, flops + float64(a.NNZ()), nil
@@ -77,10 +78,6 @@ func lap3dRows(nx, nrows int) *sparse.CSR {
 	return m
 }
 
-type flopRecorder struct{ flops float64 }
-
-func (f *flopRecorder) ChargeCompute(flops, bytes float64) { f.flops += flops }
-
 // TestILU0SetupMatchesSlotReference: the merge must apply the same updates
 // in the same order as the per-update binary search, so the factor and the
 // charged flop count are equal bit for bit.
@@ -100,17 +97,17 @@ func TestILU0SetupMatchesSlotReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		var rec flopRecorder
+		var rec chargeLog
 		p := NewILU0(tc.a, tc.n, &rec)
 		// Twice: Setup re-runs on every refill and must not depend on the
 		// factor it left behind.
 		for pass := 0; pass < 2; pass++ {
-			rec.flops = 0
+			rec = nil
 			if err := p.Setup(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if rec.flops != wantFlops {
-				t.Errorf("%s: charged %v flops, reference %v", tc.name, rec.flops, wantFlops)
+			if len(rec) != 1 || rec[0][0] != wantFlops {
+				t.Errorf("%s: charged %v, reference one charge of %v flops", tc.name, rec, wantFlops)
 			}
 			for s := range wantLU {
 				if math.Float64bits(p.lu[s]) != math.Float64bits(wantLU[s]) {
@@ -122,7 +119,9 @@ func TestILU0SetupMatchesSlotReference(t *testing.T) {
 }
 
 // TestILU0SetupErrorsSurface pins the two failure modes and their order: a
-// missing diagonal anywhere is reported before any pivot is examined.
+// missing diagonal anywhere is reported before any pivot is examined, and
+// every row's pivot is examined — also the last row's and that of a row no
+// later row eliminates against, which Apply divides by all the same.
 func TestILU0SetupErrorsSurface(t *testing.T) {
 	build := func(n int, entries [][3]float64) *sparse.CSR {
 		var c sparse.COO
@@ -148,12 +147,19 @@ func TestILU0SetupErrorsSurface(t *testing.T) {
 			build(2, [][3]float64{{0, 0, 1}, {1, 0, 1}}), "missing diagonal at row 1"},
 		{"zero pivot",
 			build(2, [][3]float64{{0, 0, 0}, {1, 0, 1}, {1, 1, 1}}), "zero pivot at row 0"},
+		{"zero pivot in the last row (all-ones 2x2: U[1,1] = 1 - 1·1)",
+			build(2, [][3]float64{{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1}}), "zero pivot at row 1"},
+		{"zero pivot in a row nobody references",
+			build(3, [][3]float64{{0, 0, 1}, {1, 1, 0}, {2, 0, 1}, {2, 2, 1}}), "zero pivot at row 1"},
+		{"zero pivot in a 1x1",
+			build(1, [][3]float64{{0, 0, 0}}), "zero pivot at row 0"},
 		{"missing diagonal reported before an earlier zero pivot",
 			build(3, [][3]float64{{0, 0, 0}, {1, 0, 1}, {1, 1, 1}, {2, 0, 1}}), "missing diagonal at row 2"},
 	} {
 		err := NewILU0(tc.a, tc.a.NRows, nil).Setup()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+			continue
 		}
 		if _, _, refErr := refILU0Setup(tc.a, tc.a.NRows); refErr == nil || refErr.Error() != err.Error() {
 			t.Errorf("%s: reference says %v, Setup says %v", tc.name, refErr, err)

@@ -432,13 +432,6 @@ func TestCGRandomSPDProperty(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkCGILU0Laplacian(b *testing.B) {
 	a := lap1d(2000)
 	rhs := make([]float64, 2000)

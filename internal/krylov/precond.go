@@ -2,6 +2,8 @@ package krylov
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"heterohpc/internal/sparse"
 )
@@ -15,12 +17,52 @@ func (Identity) Setup() error { return nil }
 // Apply implements Preconditioner.
 func (Identity) Apply(r, z []float64) { copy(z, r) }
 
+// blockSplit locates, for each of the first n rows of a, the slot of the
+// diagonal entry (-1 when the pattern has none) and the slot that ends the
+// row's block columns (< n). Columns are sorted within a row and ghost
+// columns (>= n) sort last, so row i's strictly lower part is the slots
+// [RowPtr[i], diag[i]), its strictly upper block part (diag[i], end[i]), and
+// a sweep needs no per-entry test. The pattern is immutable: preconditioners
+// call this once, at construction.
+func blockSplit(a *sparse.CSR, n int) (diag, end []int32) {
+	if a.NNZ() > math.MaxInt32 {
+		panic(fmt.Sprintf("krylov: %d stored entries exceed the int32 slot range", a.NNZ()))
+	}
+	both := make([]int32, 2*n)
+	diag, end = both[:n:n], both[n:]
+	for i := 0; i < n; i++ {
+		lo := a.RowPtr[i]
+		cols := a.Col[lo:a.RowPtr[i+1]]
+		d, ok := slices.BinarySearch(cols, i)
+		diag[i] = int32(lo + d)
+		if !ok {
+			diag[i] = -1
+		}
+		e, _ := slices.BinarySearch(cols, n)
+		end[i] = int32(lo + e)
+	}
+	return diag, end
+}
+
+// invertDiagonal fills dinv with the reciprocals of a's diagonal, the
+// set-up Jacobi and SGS share.
+func invertDiagonal(a *sparse.CSR, diag []int32, dinv []float64) error {
+	for i, d := range diag {
+		if d < 0 || a.Val[d] == 0 {
+			return fmt.Errorf("krylov: zero diagonal at row %d", i)
+		}
+		dinv[i] = 1 / a.Val[d]
+	}
+	return nil
+}
+
 // Jacobi is diagonal scaling: z = D⁻¹·r over the local owned block. Across
 // ranks it is exactly global Jacobi, since the diagonal is always owned.
 type Jacobi struct {
 	a    *sparse.CSR
 	n    int
 	ch   sparse.Charger
+	diag []int32
 	dinv []float64
 }
 
@@ -30,17 +72,14 @@ func NewJacobi(a *sparse.CSR, n int, ch sparse.Charger) *Jacobi {
 	if ch == nil {
 		ch = sparse.NopCharger{}
 	}
-	return &Jacobi{a: a, n: n, ch: ch, dinv: make([]float64, n)}
+	diag, _ := blockSplit(a, n)
+	return &Jacobi{a: a, n: n, ch: ch, diag: diag, dinv: make([]float64, n)}
 }
 
 // Setup implements Preconditioner.
 func (j *Jacobi) Setup() error {
-	for i := 0; i < j.n; i++ {
-		s := j.a.Slot(i, i)
-		if s < 0 || j.a.Val[s] == 0 {
-			return fmt.Errorf("krylov: zero diagonal at row %d", i)
-		}
-		j.dinv[i] = 1 / j.a.Val[s]
+	if err := invertDiagonal(j.a, j.diag, j.dinv); err != nil {
+		return err
 	}
 	j.ch.ChargeCompute(float64(j.n), 16*float64(j.n))
 	return nil
@@ -57,10 +96,11 @@ func (j *Jacobi) Apply(r, z []float64) {
 // SGS is a symmetric Gauss–Seidel sweep over the local owned block — the
 // zero-overlap additive-Schwarz variant of SSOR across ranks.
 type SGS struct {
-	a    *sparse.CSR
-	n    int
-	ch   sparse.Charger
-	dinv []float64
+	a         *sparse.CSR
+	n         int
+	ch        sparse.Charger
+	diag, end []int32 // blockSplit of a
+	dinv      []float64
 }
 
 // NewSGS builds a symmetric Gauss–Seidel preconditioner over the first n
@@ -69,17 +109,14 @@ func NewSGS(a *sparse.CSR, n int, ch sparse.Charger) *SGS {
 	if ch == nil {
 		ch = sparse.NopCharger{}
 	}
-	return &SGS{a: a, n: n, ch: ch, dinv: make([]float64, n)}
+	diag, end := blockSplit(a, n)
+	return &SGS{a: a, n: n, ch: ch, diag: diag, end: end, dinv: make([]float64, n)}
 }
 
 // Setup implements Preconditioner.
 func (s *SGS) Setup() error {
-	for i := 0; i < s.n; i++ {
-		sl := s.a.Slot(i, i)
-		if sl < 0 || s.a.Val[sl] == 0 {
-			return fmt.Errorf("krylov: zero diagonal at row %d", i)
-		}
-		s.dinv[i] = 1 / s.a.Val[sl]
+	if err := invertDiagonal(s.a, s.diag, s.dinv); err != nil {
+		return err
 	}
 	s.ch.ChargeCompute(float64(s.n), 16*float64(s.n))
 	return nil
@@ -91,21 +128,21 @@ func (s *SGS) Apply(r, z []float64) {
 	a := s.a
 	// Forward sweep: (D+L)·y = r.
 	for i := 0; i < s.n; i++ {
+		lo, d := a.RowPtr[i], int(s.diag[i])
+		col, val := a.Col[lo:d], a.Val[lo:d]
 		sum := r[i]
-		for sl := a.RowPtr[i]; sl < a.RowPtr[i+1]; sl++ {
-			if c := a.Col[sl]; c < i {
-				sum -= a.Val[sl] * z[c]
-			}
+		for k, c := range col {
+			sum -= val[k] * z[c]
 		}
 		z[i] = sum * s.dinv[i]
 	}
 	// Backward sweep: (D+U)·z = D·y.
 	for i := s.n - 1; i >= 0; i-- {
+		d, e := int(s.diag[i])+1, int(s.end[i])
+		col, val := a.Col[d:e], a.Val[d:e]
 		var sum float64
-		for sl := a.RowPtr[i]; sl < a.RowPtr[i+1]; sl++ {
-			if c := a.Col[sl]; c > i && c < s.n {
-				sum += a.Val[sl] * z[c]
-			}
+		for k, c := range col {
+			sum += val[k] * z[c]
 		}
 		z[i] -= sum * s.dinv[i]
 	}
@@ -121,9 +158,9 @@ type ILU0 struct {
 	n  int
 	ch sparse.Charger
 	// lu holds the factor values aligned with a's pattern (block columns
-	// only); diag[i] is the slot of U[i,i] in lu.
-	lu   []float64
-	diag []int
+	// only); diag, end are a's blockSplit, so diag[i] is the slot of U[i,i].
+	lu        []float64
+	diag, end []int32
 }
 
 // NewILU0 builds an ILU(0) preconditioner over the first n rows/columns
@@ -132,37 +169,32 @@ func NewILU0(a *sparse.CSR, n int, ch sparse.Charger) *ILU0 {
 	if ch == nil {
 		ch = sparse.NopCharger{}
 	}
-	return &ILU0{a: a, n: n, ch: ch, lu: make([]float64, a.NNZ()), diag: make([]int, n)}
+	diag, end := blockSplit(a, n)
+	return &ILU0{a: a, n: n, ch: ch, lu: make([]float64, a.NNZ()), diag: diag, end: end}
 }
 
 // Setup implements Preconditioner: IKJ-ordered ILU(0) on the block pattern.
 // Columns are sorted within a row, so the update of row i against pivot row
-// k is a two-pointer merge of row i's tail with row k's upper part.
+// k is a two-pointer merge of the block parts of row i's tail and row k's
+// upper part.
 func (p *ILU0) Setup() error {
 	a := p.a
 	copy(p.lu, a.Val)
-	for i := 0; i < p.n; i++ {
-		d := a.Slot(i, i)
+	for i, d := range p.diag {
 		if d < 0 {
 			return fmt.Errorf("krylov: missing diagonal at row %d", i)
 		}
-		p.diag[i] = d
 	}
 	var flops float64
 	for i := 0; i < p.n; i++ {
-		rowEnd := a.RowPtr[i+1]
-		for sl := a.RowPtr[i]; sl < p.diag[i]; sl++ {
+		di, rowEnd := int(p.diag[i]), int(p.end[i])
+		for sl := a.RowPtr[i]; sl < di; sl++ {
+			// Row k < i is finished, so its pivot has been checked.
 			k := a.Col[sl]
-			piv := p.lu[p.diag[k]]
-			if piv == 0 {
-				return fmt.Errorf("krylov: zero pivot at row %d", k)
-			}
-			lik := p.lu[sl] / piv
+			lik := p.lu[sl] / p.lu[p.diag[k]]
 			p.lu[sl] = lik
-			// Update the remainder of row i against row k's upper part;
-			// ghost columns (>= n) sort last and end the merge.
-			u, kEnd := p.diag[k]+1, a.RowPtr[k+1]
-			for t := sl + 1; t < rowEnd && u < kEnd && a.Col[t] < p.n; {
+			u, kEnd := int(p.diag[k])+1, int(p.end[k])
+			for t := sl + 1; t < rowEnd && u < kEnd; {
 				switch j, ju := a.Col[t], a.Col[u]; {
 				case ju < j:
 					u++
@@ -176,6 +208,11 @@ func (p *ILU0) Setup() error {
 				}
 			}
 		}
+		// Apply divides by every row's pivot, also by one that no later
+		// row eliminates against.
+		if p.lu[di] == 0 {
+			return fmt.Errorf("krylov: zero pivot at row %d", i)
+		}
 	}
 	p.ch.ChargeCompute(flops+float64(a.NNZ()), 24*float64(a.NNZ()))
 	return nil
@@ -184,25 +221,25 @@ func (p *ILU0) Setup() error {
 // Apply implements Preconditioner: z = U⁻¹·L⁻¹·r on the owned block.
 func (p *ILU0) Apply(r, z []float64) {
 	a := p.a
-	// Forward: L (unit diagonal).
+	// Forward: L (unit diagonal), the entries before the diagonal.
 	for i := 0; i < p.n; i++ {
+		lo, d := a.RowPtr[i], int(p.diag[i])
+		col, val := a.Col[lo:d], p.lu[lo:d]
 		sum := r[i]
-		for sl := a.RowPtr[i]; sl < a.RowPtr[i+1]; sl++ {
-			if c := a.Col[sl]; c < i && c < p.n {
-				sum -= p.lu[sl] * z[c]
-			}
+		for k, c := range col {
+			sum -= val[k] * z[c]
 		}
 		z[i] = sum
 	}
-	// Backward: U.
+	// Backward: U, the diagonal and the block columns after it.
 	for i := p.n - 1; i >= 0; i-- {
+		d, e := int(p.diag[i]), int(p.end[i])
+		col, val := a.Col[d+1:e], p.lu[d+1:e]
 		sum := z[i]
-		for sl := p.diag[i] + 1; sl < a.RowPtr[i+1]; sl++ {
-			if c := a.Col[sl]; c < p.n {
-				sum -= p.lu[sl] * z[c]
-			}
+		for k, c := range col {
+			sum -= val[k] * z[c]
 		}
-		z[i] = sum / p.lu[p.diag[i]]
+		z[i] = sum / p.lu[d]
 	}
 	nnz := float64(a.NNZ())
 	p.ch.ChargeCompute(2*nnz, 2*20*nnz)

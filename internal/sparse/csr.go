@@ -222,16 +222,40 @@ func (m *CSR) MulVec(x, y []float64, ch Charger) {
 		panic(fmt.Sprintf("sparse: MulVec dims %d,%d for %dx%d matrix",
 			len(x), len(y), m.NRows, m.NCols))
 	}
-	for r := 0; r < m.NRows; r++ {
-		var sum float64
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			sum += m.Val[i] * x[m.Col[i]]
+	// Two adjacent rows per pass: each row still sums its own entries first
+	// to last into its own accumulator, so y is what a row-at-a-time loop
+	// gives bit for bit, while the two dependent add chains overlap. The
+	// per-row re-slices leave the x gather as the only bounds check.
+	r := 0
+	for ; r+1 < m.NRows; r += 2 {
+		p0, p1, p2 := m.RowPtr[r], m.RowPtr[r+1], m.RowPtr[r+2]
+		c0, v0 := m.Col[p0:p1], m.Val[p0:p1]
+		c1, v1 := m.Col[p1:p2], m.Val[p1:p2]
+		var s0, s1 float64
+		k := 0
+		for ; k < len(c0) && k < len(c1); k++ {
+			s0 += v0[k] * x[c0[k]]
+			s1 += v1[k] * x[c1[k]]
 		}
-		y[r] = sum
+		y[r] = dotFrom(s0, c0[k:], v0[k:], x)
+		y[r+1] = dotFrom(s1, c1[k:], v1[k:], x)
+	}
+	if r < m.NRows {
+		p0, p1 := m.RowPtr[r], m.RowPtr[r+1]
+		y[r] = dotFrom(0, m.Col[p0:p1], m.Val[p0:p1], x)
 	}
 	nnz := float64(m.NNZ())
 	// 12 bytes/nnz (8B value + 4B index) + x gathers + y stores.
 	ch.ChargeCompute(2*nnz, 20*nnz+8*float64(m.NRows))
+}
+
+// dotFrom returns sum + Σ val[k]·x[col[k]], accumulated first to last.
+func dotFrom(sum float64, col []int, val, x []float64) float64 {
+	val = val[:len(col)]
+	for k, c := range col {
+		sum += val[k] * x[c]
+	}
+	return sum
 }
 
 // Diagonal extracts the matrix diagonal into d (len NRows); missing

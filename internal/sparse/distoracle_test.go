@@ -1,6 +1,7 @@
 package sparse_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -149,4 +150,58 @@ func TestDistMatrixMatchesSortReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMulVecMatchesRowReferenceOnAppOperators holds the row-paired MulVec to
+// its row-at-a-time reference on what the applications multiply by: every
+// rank's owned block, ghost columns at the row tails, of the RD system
+// operator and of the NS mass, pressure, gradient and velocity (convection:
+// non-symmetric) operators on a P = 8 block decomposition.
+func TestMulVecMatchesRowReferenceOnAppOperators(t *testing.T) {
+	m := mesh.NewUnitCube(8)
+	sparse.RunWorld(t, 8, func(r *mp.Rank) error {
+		s, err := fem.NewSpaceBlock(r, m, 2, 2, 2, 1000)
+		if err != nil {
+			return err
+		}
+		el := s.El
+		sum := func(ops ...func(out *[8][8]float64)) func(int, *[8][8]float64) {
+			return func(e int, out *[8][8]float64) {
+				*out = [8][8]float64{}
+				for _, op := range ops {
+					var ke [8][8]float64
+					op(&ke)
+					for a := 0; a < 8; a++ {
+						for b := 0; b < 8; b++ {
+							out[a][b] += ke[a][b]
+						}
+					}
+				}
+			}
+		}
+		mass := func(c float64) func(*[8][8]float64) { return func(ke *[8][8]float64) { el.Mass(c, ke, r) } }
+		stiff := func(c float64) func(*[8][8]float64) { return func(ke *[8][8]float64) { el.Stiffness(c, ke, r) } }
+		var coo sparse.COO
+		for i, op := range []struct {
+			name string
+			elem func(int, *[8][8]float64)
+		}{
+			{"rd system", sum(mass(28.18), stiff(0.83))},
+			{"ns mass", sum(mass(1))},
+			{"ns pressure", sum(stiff(1))},
+			{"ns gradient y", sum(func(ke *[8][8]float64) { el.Gradient(1, ke, r) })},
+			{"ns velocity", sum(mass(30), stiff(0.01), func(ke *[8][8]float64) {
+				el.Convection([3]float64{1, -0.5, 0.25}, ke, r)
+			})},
+		} {
+			s.AssembleMatrix(&coo, op.elem)
+			dm, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1200+100*i)
+			if err != nil {
+				return err
+			}
+			sparse.RequireMulVecMatchesReference(t, fmt.Sprintf("%s, rank %d", op.name, r.ID()),
+				dm.Local(), uint64(10*i+r.ID()))
+		}
+		return nil
+	})
 }

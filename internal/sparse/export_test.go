@@ -6,4 +6,6 @@ var (
 	RefCSRFromCOO  = refCSRFromCOO
 	RequireSameCSR = requireSameCSR
 	RunWorld       = runWorld
+
+	RequireMulVecMatchesReference = requireMulVecMatchesReference
 )
