@@ -145,15 +145,17 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	bdf := 3 / (2 * cfg.Dt)
 
 	// Constant operators: mass, pressure Laplacian, gradient blocks.
-	// All six operators assemble through one COO: a compacted matrix keeps
-	// nothing of it, so the next operator reuses its storage.
+	// All six operators assemble through one COO: a built matrix keeps
+	// nothing of it, so the next operator reuses its storage — and, the
+	// (row, col) sequence being the same, the first one's pattern and refill
+	// plan.
 	var coo sparse.COO
 	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) })
 	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 2100)
 	if err != nil {
 		return nil, err
 	}
-	massDM.Compact() // values never change; drop refill plans
+	massDM.Compact() // values never change: a refill would be a bug
 
 	// The pressure, gradient and velocity operators couple the same element
 	// stencil as the mass matrix, so their ghost-column sets coincide and

@@ -179,8 +179,9 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	// Mass matrix (constant in time, assembled once for the BDF2 history
 	// term M·(4u¹−u²)/(2Δt)).
-	// Both operators assemble through one COO: the compacted mass matrix
-	// keeps nothing of it, so the system matrix reuses its storage.
+	// Both operators assemble through one COO: a built matrix keeps nothing
+	// of it, so the system matrix reuses its storage — and, the (row, col)
+	// sequence being the same, the mass matrix's pattern and refill plan.
 	var coo sparse.COO
 	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) {
 		s.El.Mass(1, out, r)
@@ -189,7 +190,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	massDM.Compact() // values never change; drop refill plans
+	massDM.Compact() // values never change: a refill would be a bug
 
 	// System matrix structure (same sparsity as mass; values refilled each
 	// step because the diffusion and reaction coefficients depend on t).

@@ -115,8 +115,8 @@ func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
 // accumulates into. A stable counting sort groups the triplets by row;
 // within a row a per-column stamp collapses duplicates, so only the row's
 // distinct columns (27 for a trilinear stencil) are sorted. The int32 work
-// arrays bound the row, column and triplet counts.
-func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col, slot []int, err error) {
+// arrays and slots bound the row, column and triplet counts.
+func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col []int, slot []int32, err error) {
 	if nrows > math.MaxInt32 || ncols > math.MaxInt32 || len(rows) > math.MaxInt32 {
 		return nil, nil, nil, fmt.Errorf("sparse: %dx%d with %d triplets exceeds the int32 index range",
 			nrows, ncols, len(rows))
@@ -137,7 +137,7 @@ func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col,
 	}
 
 	rowPtr = make([]int, nrows+1)
-	slot = make([]int, len(rows))
+	slot = make([]int32, len(rows))
 	// seen[c] is 1 + the slot of column c's latest entry: a value above the
 	// current row's first slot means c already occurs in this row.
 	seen := make([]int32, ncols)
@@ -159,7 +159,7 @@ func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col,
 			seen[c] = base + int32(j) + 1
 		}
 		for _, t := range trips {
-			slot[t] = int(seen[cols[t]]) - 1
+			slot[t] = seen[cols[t]] - 1
 		}
 		// The row's triplet list is spent: park its sorted columns there
 		// until the total is known and col can be sized exactly.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -181,7 +182,8 @@ func TestBuildPatternMatchesSortReference(t *testing.T) {
 			if !intsEqual(rowPtr, want.RowPtr) || !intsEqual(col, want.Col) {
 				t.Fatalf("%s seed %d: pattern differs from the reference", sh.name, seed)
 			}
-			for k, s := range slot {
+			for k, s32 := range slot {
+				s := int(s32)
 				if r := c.Rows[k]; s < rowPtr[r] || s >= rowPtr[r+1] || col[s] != c.Cols[k] {
 					t.Fatalf("%s seed %d: triplet %d (%d,%d) sent to slot %d",
 						sh.name, seed, k, r, c.Cols[k], s)
@@ -194,7 +196,7 @@ func TestBuildPatternMatchesSortReference(t *testing.T) {
 				rows32[k], cols32[k] = int32(c.Rows[k]), int32(c.Cols[k])
 			}
 			rowPtr32, col32, slot32, err := buildPattern(sh.nrows, sh.ncols, rows32, cols32)
-			if err != nil || !intsEqual(rowPtr32, rowPtr) || !intsEqual(col32, col) || !intsEqual(slot32, slot) {
+			if err != nil || !intsEqual(rowPtr32, rowPtr) || !intsEqual(col32, col) || !slices.Equal(slot32, slot) {
 				t.Fatalf("%s seed %d: int32 builder disagrees with int builder (err %v)", sh.name, seed, err)
 			}
 		}

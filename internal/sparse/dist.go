@@ -9,6 +9,11 @@ import (
 
 // RowMap records which global rows (mesh vertices) this rank owns. Owned
 // ids are sorted; local row i is Owned[i].
+//
+// A RowMap also remembers the symbolic structures of the matrices built
+// over it, so the operators of one finite-element space share a single
+// pattern and refill plan (see NewDistMatrix). That makes it rank-local
+// state: like the rank itself it belongs to one goroutine.
 type RowMap struct {
 	Owned []int
 	g2l   map[int]int
@@ -18,6 +23,10 @@ type RowMap struct {
 	// severalfold. Nil for large id spaces, where the map keeps memory
 	// proportional to the owned count.
 	dense []int32
+	// structs holds one structure per distinct (row, col) sequence a
+	// DistMatrix was built from over this map, in build order: one per
+	// operator stencil, so one or two in the applications.
+	structs []*structure
 }
 
 // denseRowMapLimit bounds the global id space for which NewRowMap builds

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"heterohpc/internal/vclock"
 )
 
-func runWorld(t *testing.T, nranks int, body func(r *mp.Rank) error) *mp.World {
+func newWorld(t *testing.T, nranks int) *mp.World {
 	t.Helper()
 	topo, err := mp.BlockTopology(nranks, 2)
 	if err != nil {
@@ -27,6 +28,12 @@ func runWorld(t *testing.T, nranks int, body func(r *mp.Rank) error) *mp.World {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+func runWorld(t *testing.T, nranks int, body func(r *mp.Rank) error) *mp.World {
+	t.Helper()
+	w := newWorld(t, nranks)
 	if err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +418,34 @@ func TestCompactKeepsApplyWorking(t *testing.T) {
 				return fmt.Errorf("Apply changed after Compact at row %d", i)
 			}
 		}
-		// SetValues must now refuse.
+		// The refill plan is the structure's, not the compacted matrix's: a
+		// sibling built afterwards over the same RowMap adopts the pattern
+		// and still refills.
+		sib, err := NewDistMatrixLike(dm, &coo, owner, 700)
+		if err != nil {
+			return err
+		}
+		if &sib.A.RowPtr[0] != &dm.A.RowPtr[0] || &sib.A.Col[0] != &dm.A.Col[0] {
+			return fmt.Errorf("sibling of a compacted matrix built its own pattern")
+		}
+		for i := range coo.Vals {
+			coo.Vals[i] *= 2
+		}
+		sib.SetValues(&coo)
+		sib.Apply(x, after)
+		for i := range before {
+			if after[i] != 2*before[i] {
+				return fmt.Errorf("refilled sibling: row %d gives %v, want %v", i, after[i], 2*before[i])
+			}
+		}
+		dm.Apply(x, after)
+		for i := range before {
+			if before[i] != after[i] {
+				return fmt.Errorf("refilling the sibling changed the compacted matrix at row %d", i)
+			}
+		}
+		// SetValues on the compacted matrix must refuse, before it sends
+		// anything.
 		defer func() {
 			if recover() == nil {
 				panic("SetValues after Compact did not panic")
@@ -473,4 +507,28 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRememberedStructureRechecksPeersInAnotherWorld: a RowMap carried into
+// a smaller world still holds the structure a larger one built, whose export
+// peer no longer exists. The same COO and owner function must give the
+// bad-owner error a fresh RowMap gives, not adopt the structure and send to
+// a rank that is not there.
+func TestRememberedStructureRechecksPeersInAnotherWorld(t *testing.T) {
+	owner := func(g int) int { return g } // rank g owns row g
+	rowMaps := []*RowMap{NewRowMap([]int{0}), NewRowMap([]int{1}), NewRowMap([]int{2})}
+	build := func(r *mp.Rank) error {
+		var coo COO
+		coo.Add(r.ID(), r.ID(), 1)
+		if r.ID() == 0 {
+			coo.Add(2, 0, 1) // exported to rank 2
+		}
+		_, err := NewDistMatrix(r, rowMaps[r.ID()], &coo, owner, 100)
+		return err
+	}
+	runWorld(t, 3, build)
+	err := newWorld(t, 2).Run(build)
+	if want := "sparse: row 2 has bad owner 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("two-rank world over the three-rank world's RowMaps: error %v, want %q", err, want)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"heterohpc/internal/fem"
 	"heterohpc/internal/mesh"
 	"heterohpc/internal/mp"
-	"heterohpc/internal/partition"
 	"heterohpc/internal/sparse"
 )
 
@@ -77,25 +76,7 @@ func refLocal(rank int, all []rankSystem, owner func(int) int) (*sparse.CSR, []i
 // map and value bits — what the sort-based reference builds from the same
 // triplets, and a second SetValues must leave the values as they were.
 func TestDistMatrixMatchesSortReference(t *testing.T) {
-	blockMesh := mesh.NewUnitCube(8)
-	partsMesh := mesh.NewUnitCube(5)
-	parts, err := partition.Greedy(partition.DualGraph{M: partsMesh}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		nranks int
-		space  func(r *mp.Rank) (*fem.Space, error)
-	}{
-		{"block 2x2x2", 8, func(r *mp.Rank) (*fem.Space, error) {
-			return fem.NewSpaceBlock(r, blockMesh, 2, 2, 2, 1000)
-		}},
-		{"greedy 5 parts", 5, func(r *mp.Rank) (*fem.Space, error) {
-			return fem.NewSpaceParts(r, partsMesh, parts, 1000)
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range oracleWorlds(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			all := make([]rankSystem, tc.nranks)
 			var owner func(int) int
@@ -165,20 +146,6 @@ func TestMulVecMatchesRowReferenceOnAppOperators(t *testing.T) {
 			return err
 		}
 		el := s.El
-		sum := func(ops ...func(out *[8][8]float64)) func(int, *[8][8]float64) {
-			return func(e int, out *[8][8]float64) {
-				*out = [8][8]float64{}
-				for _, op := range ops {
-					var ke [8][8]float64
-					op(&ke)
-					for a := 0; a < 8; a++ {
-						for b := 0; b < 8; b++ {
-							out[a][b] += ke[a][b]
-						}
-					}
-				}
-			}
-		}
 		mass := func(c float64) func(*[8][8]float64) { return func(ke *[8][8]float64) { el.Mass(c, ke, r) } }
 		stiff := func(c float64) func(*[8][8]float64) { return func(ke *[8][8]float64) { el.Stiffness(c, ke, r) } }
 		var coo sparse.COO
@@ -186,11 +153,11 @@ func TestMulVecMatchesRowReferenceOnAppOperators(t *testing.T) {
 			name string
 			elem func(int, *[8][8]float64)
 		}{
-			{"rd system", sum(mass(28.18), stiff(0.83))},
-			{"ns mass", sum(mass(1))},
-			{"ns pressure", sum(stiff(1))},
-			{"ns gradient y", sum(func(ke *[8][8]float64) { el.Gradient(1, ke, r) })},
-			{"ns velocity", sum(mass(30), stiff(0.01), func(ke *[8][8]float64) {
+			{"rd system", sumOf(mass(28.18), stiff(0.83))},
+			{"ns mass", sumOf(mass(1))},
+			{"ns pressure", sumOf(stiff(1))},
+			{"ns gradient y", sumOf(func(ke *[8][8]float64) { el.Gradient(1, ke, r) })},
+			{"ns velocity", sumOf(mass(30), stiff(0.01), func(ke *[8][8]float64) {
 				el.Convection([3]float64{1, -0.5, 0.25}, ke, r)
 			})},
 		} {

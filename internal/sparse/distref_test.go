@@ -1,0 +1,206 @@
+package sparse
+
+import (
+	"fmt"
+	"sort"
+
+	"heterohpc/internal/mp"
+)
+
+// refDistMatrix is DistMatrix as it was before structures were shared:
+// every matrix classifies, exchanges and builds for itself and keeps its
+// own pattern and its own two-array refill plan (localTrip + localSlots).
+// It is the oracle for the verified-reuse construction: same matrix, same
+// messages, same charges, whichever path the new constructor takes.
+type refDistMatrix struct {
+	r      *mp.Rank
+	rowMap *RowMap
+	A      *CSR
+	// ghostCols lists ghost column global ids; local column nOwned+i.
+	ghostCols []int
+	imp       *Importer
+
+	nTrip       int
+	localTrip   []int // structure-COO indices of locally-owned triplets
+	localSlots  []int
+	exportPeers []int
+	exportIdx   [][]int
+	importPeers []int
+	importSlots [][]int
+
+	tag       int
+	compacted bool
+}
+
+// refNewDistMatrix is the former newDistMatrix, share == nil for
+// NewDistMatrix and prev's importer for NewDistMatrixLike.
+func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int, share *Importer) (*refDistMatrix, error) {
+	dm := &refDistMatrix{r: r, rowMap: rowMap, tag: tag, nTrip: coo.Len()}
+
+	cls := make([]int32, coo.Len())
+	nLocal := 0
+	exportCounts := map[int]int{} // peer -> triplet count
+	for t, g := range coo.Rows {
+		if lr, ok := rowMap.LocalOf(g); ok {
+			cls[t] = int32(lr)
+			nLocal++
+			continue
+		}
+		o := owner(g)
+		if o == r.ID() || o < 0 || o >= r.Size() {
+			return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
+		}
+		cls[t] = ^int32(o)
+		exportCounts[o]++
+	}
+	dm.localTrip = make([]int, 0, nLocal)
+	dm.exportPeers = sortedIntKeys(exportCounts)
+	dm.exportIdx = make([][]int, len(dm.exportPeers))
+	exportPeerIdx := make(map[int]int, len(dm.exportPeers))
+	for i, p := range dm.exportPeers {
+		exportPeerIdx[p] = i
+	}
+	for t, c := range cls {
+		if c >= 0 {
+			dm.localTrip = append(dm.localTrip, t)
+		} else {
+			pi := exportPeerIdx[int(^c)]
+			dm.exportIdx[pi] = append(dm.exportIdx[pi], t)
+		}
+	}
+
+	numSenders := census(r, dm.exportPeers)
+	for i, p := range dm.exportPeers {
+		var pairs []int
+		for _, t := range dm.exportIdx[i] {
+			pairs = append(pairs, coo.Rows[t], coo.Cols[t])
+		}
+		r.SendInts(p, tag, pairs)
+	}
+	ins := make([]incoming, 0, numSenders)
+	nPat := nLocal
+	for i := 0; i < numSenders; i++ {
+		src, pairs := r.RecvAnyInts(tag)
+		ins = append(ins, incoming{src, pairs})
+		nPat += len(pairs) / 2
+	}
+	sort.Slice(ins, func(a, b int) bool { return ins[a].src < ins[b].src })
+
+	nOwned := rowMap.N()
+	rows := make([]int32, nPat)
+	cols := make([]int32, nPat)
+	found := map[int]int32{} // ghost global id -> discovery index
+	localCol := func(g int) int32 {
+		if lc, ok := rowMap.LocalOf(g); ok {
+			return int32(lc)
+		}
+		k, ok := found[g]
+		if !ok {
+			k = int32(len(dm.ghostCols))
+			found[g] = k
+			dm.ghostCols = append(dm.ghostCols, g)
+		}
+		return ^k
+	}
+	for i, t := range dm.localTrip {
+		rows[i], cols[i] = cls[t], localCol(coo.Cols[t])
+	}
+	at := nLocal
+	for _, in := range ins {
+		for j := 0; j < len(in.pairs); j += 2 {
+			lr, ok := rowMap.LocalOf(in.pairs[j])
+			if !ok {
+				return nil, fmt.Errorf("sparse: received row %d not owned by rank %d",
+					in.pairs[j], r.ID())
+			}
+			rows[at], cols[at] = int32(lr), localCol(in.pairs[j+1])
+			at++
+		}
+	}
+	sort.Ints(dm.ghostCols)
+	place := make([]int32, len(dm.ghostCols)) // discovery index -> local column
+	for i, g := range dm.ghostCols {
+		place[found[g]] = int32(nOwned + i)
+	}
+	for i, c := range cols {
+		if c < 0 {
+			cols[i] = place[^c]
+		}
+	}
+
+	nCols := nOwned + len(dm.ghostCols)
+	rowPtr, col, slots32, err := buildPattern(nOwned, nCols, rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]int, len(slots32))
+	for i, s := range slots32 {
+		slots[i] = int(s)
+	}
+	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: rowPtr, Col: col, Val: make([]float64, len(col))}
+	dm.localSlots = slots[:nLocal:nLocal]
+	dm.importPeers = make([]int, len(ins))
+	dm.importSlots = make([][]int, len(ins))
+	off := nLocal
+	for k, in := range ins {
+		n := len(in.pairs) / 2
+		dm.importPeers[k], dm.importSlots[k] = in.src, slots[off:off+n:off+n]
+		off += n
+	}
+
+	if share != nil {
+		eq := 0.0
+		if intsEqual(dm.ghostCols, share.ghostGlobal) {
+			eq = 1
+		}
+		if int(r.AllreduceScalar(mp.OpSum, eq)+0.5) == r.Size() {
+			dm.imp = share
+		}
+	}
+	if dm.imp == nil {
+		dm.imp, err = NewImporter(r, rowMap, dm.ghostCols, owner, tag+2)
+		if err != nil {
+			return nil, err
+		}
+	}
+	dm.SetValues(coo)
+	return dm, nil
+}
+
+func (dm *refDistMatrix) Compact() {
+	dm.localTrip, dm.localSlots = nil, nil
+	dm.exportPeers, dm.exportIdx = nil, nil
+	dm.importPeers, dm.importSlots = nil, nil
+	dm.compacted = true
+}
+
+func (dm *refDistMatrix) SetValues(coo *COO) {
+	if dm.compacted {
+		panic("sparse: SetValues on compacted matrix")
+	}
+	if len(coo.Vals) != dm.nTrip {
+		panic(fmt.Sprintf("sparse: SetValues with %d values, structure has %d", len(coo.Vals), dm.nTrip))
+	}
+	dm.A.ZeroVals()
+	for i, t := range dm.localTrip {
+		dm.A.Val[dm.localSlots[i]] += coo.Vals[t]
+	}
+	for i, p := range dm.exportPeers {
+		dm.r.SendF64Gather(p, dm.tag+1, coo.Vals, dm.exportIdx[i])
+	}
+	for i, p := range dm.importPeers {
+		dm.r.RecvF64AddScatter(p, dm.tag+1, dm.A.Val, dm.importSlots[i])
+	}
+	dm.r.ChargeCompute(float64(len(dm.localTrip)), 16*float64(len(dm.localTrip)))
+}
+
+func (dm *refDistMatrix) Local() *CSR         { return dm.A }
+func (dm *refDistMatrix) Importer() *Importer { return dm.imp }
+func (dm *refDistMatrix) NCols() int          { return dm.rowMap.N() + len(dm.ghostCols) }
+
+func (dm *refDistMatrix) ColGlobal(lc int) int {
+	if lc < dm.rowMap.N() {
+		return dm.rowMap.Owned[lc]
+	}
+	return dm.ghostCols[lc-dm.rowMap.N()]
+}

@@ -8,4 +8,8 @@ var (
 	RunWorld       = runWorld
 
 	RequireMulVecMatchesReference = requireMulVecMatchesReference
+
+	// RefNewDistMatrix is the per-matrix construction kept as the oracle
+	// for structure reuse.
+	RefNewDistMatrix = refNewDistMatrix
 )

@@ -1,0 +1,584 @@
+package sparse_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"heterohpc/internal/fem"
+	"heterohpc/internal/mesh"
+	"heterohpc/internal/mp"
+	"heterohpc/internal/partition"
+	"heterohpc/internal/sparse"
+)
+
+// distMatrix is what a build script sees of a matrix, from the structure-
+// sharing constructors or from the per-matrix reference.
+type distMatrix interface {
+	Local() *sparse.CSR
+	NCols() int
+	ColGlobal(lc int) int
+	Importer() *sparse.Importer
+	SetValues(coo *sparse.COO)
+	Compact()
+}
+
+// constructor builds one matrix; like != nil asks for like's importer
+// (NewDistMatrixLike).
+type constructor func(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner func(int) int, tag int, like distMatrix) (distMatrix, error)
+
+func sharedConstructor(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner func(int) int, tag int, like distMatrix) (distMatrix, error) {
+	var dm *sparse.DistMatrix
+	var err error
+	if like != nil {
+		dm, err = sparse.NewDistMatrixLike(like.(*sparse.DistMatrix), coo, owner, tag)
+	} else {
+		dm, err = sparse.NewDistMatrix(r, rm, coo, owner, tag)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dm, nil
+}
+
+func refConstructor(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner func(int) int, tag int, like distMatrix) (distMatrix, error) {
+	var share *sparse.Importer
+	if like != nil {
+		share = like.Importer()
+	}
+	dm, err := sparse.RefNewDistMatrix(r, rm, coo, owner, tag, share)
+	if err != nil {
+		return nil, err
+	}
+	return dm, nil
+}
+
+// buildRecord is everything one rank can observe of one build: the matrix,
+// the importer decision, and what the build did to the rank's clock and
+// traffic counters.
+type buildRecord struct {
+	err       string
+	local     *sparse.CSR
+	colGlobal []int
+	sharesImp bool // uses the importer of the matrix it was built like
+	// aliases is the rank's earliest build whose pattern arrays this one
+	// uses: its own index when it built a pattern for itself.
+	aliases      int
+	now          float64
+	flops, bytes float64
+	msgs, msgB   int64
+}
+
+// builder is handed to a script: each call is one collective build over
+// rm. s is the finite-element space rm belongs to, nil in hand-made worlds.
+type builder struct {
+	t     *testing.T
+	r     *mp.Rank
+	rm    *sparse.RowMap
+	s     *fem.Space
+	ctor  constructor
+	recs  []buildRecord
+	built []distMatrix
+}
+
+// build constructs a matrix from coo, checks that a second SetValues leaves
+// the values as the build set them, and records the outcome. A build that
+// fails is recorded too and returns nil.
+func (b *builder) build(coo *sparse.COO, owner func(int) int, tag int, like distMatrix) distMatrix {
+	dm, err := b.ctor(b.r, b.rm, coo, owner, tag, like)
+	rec := buildRecord{aliases: len(b.recs)}
+	if err != nil {
+		rec.err = err.Error()
+	} else {
+		rec.local = dm.Local().Clone()
+		dm.SetValues(coo)
+		for i, v := range dm.Local().Val {
+			if math.Float64bits(v) != math.Float64bits(rec.local.Val[i]) {
+				b.t.Errorf("rank %d build %d: second SetValues moved Val[%d] from %v to %v",
+					b.r.ID(), len(b.recs), i, rec.local.Val[i], v)
+				break
+			}
+		}
+		for lc := 0; lc < dm.NCols(); lc++ {
+			rec.colGlobal = append(rec.colGlobal, dm.ColGlobal(lc))
+		}
+		rec.sharesImp = like != nil && dm.Importer() == like.Importer()
+		for i, prev := range b.built {
+			if prev != nil && samePattern(prev.Local(), dm.Local()) {
+				rec.aliases = i
+				break
+			}
+		}
+	}
+	clk := b.r.Clock()
+	rec.now = clk.Now()
+	rec.flops, rec.bytes, rec.msgs, rec.msgB = clk.Counters()
+	b.recs = append(b.recs, rec)
+	b.built = append(b.built, dm)
+	return dm
+}
+
+// samePattern reports whether a and b use the same RowPtr and Col arrays.
+func samePattern(a, b *sparse.CSR) bool {
+	return &a.RowPtr[0] == &b.RowPtr[0] && len(a.Col) > 0 && len(b.Col) > 0 && &a.Col[0] == &b.Col[0]
+}
+
+// script is one rank's sequence of assemblies and builds.
+type script func(b *builder) error
+
+// oracleWorld is a decomposition the scripts run on.
+type oracleWorld struct {
+	name   string
+	nranks int
+	mesh   *mesh.Mesh
+	// victim is the rank whose COO the miss scenarios perturb: one that
+	// owns rows and exports others to at least two peers.
+	victim int
+	space  func(r *mp.Rank) (*fem.Space, error)
+}
+
+// start returns rank r's builder over a fresh space of the decomposition.
+func (ow oracleWorld) start(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error) {
+	s, err := ow.space(r)
+	if err != nil {
+		return nil, err
+	}
+	return &builder{t: t, r: r, rm: s.RowMap, s: s, ctor: ctor}, nil
+}
+
+// startFunc makes rank r's builder in a fresh world.
+type startFunc func(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error)
+
+// oracleWorlds returns the two decompositions of the distributed oracle
+// tests: P = 8 blocks and an irregular graph-grown 5-part partition.
+func oracleWorlds(t *testing.T) []oracleWorld {
+	blockMesh := mesh.NewUnitCube(8)
+	partsMesh := mesh.NewUnitCube(5)
+	parts, err := partition.Greedy(partition.DualGraph{M: partsMesh}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []oracleWorld{
+		{"block 2x2x2", 8, blockMesh, 1, func(r *mp.Rank) (*fem.Space, error) {
+			return fem.NewSpaceBlock(r, blockMesh, 2, 2, 2, 1000)
+		}},
+		{"greedy 5 parts", 5, partsMesh, 3, func(r *mp.Rank) (*fem.Space, error) {
+			return fem.NewSpaceParts(r, partsMesh, parts, 1000)
+		}},
+	}
+}
+
+// runScript runs sc on every rank of a fresh world with the given
+// constructor and returns each rank's build records.
+func runScript(t *testing.T, nranks int, start startFunc, ctor constructor, sc script) [][]buildRecord {
+	recs := make([][]buildRecord, nranks)
+	sparse.RunWorld(t, nranks, func(r *mp.Rank) error {
+		b, err := start(t, r, ctor)
+		if err != nil {
+			return err
+		}
+		err = sc(b)
+		recs[r.ID()] = b.recs // each rank writes its own element only
+		return err
+	})
+	return recs
+}
+
+// requireSameAsReference runs sc through the reference and through the
+// structure-sharing constructors, in two identical worlds, and requires
+// every build on every rank to agree in everything a rank can observe:
+// error, pattern, value bits, column map, importer decision, virtual clock,
+// compute charges, message count and bytes. It returns the shared run's
+// records for the aliasing assertions.
+func requireSameAsReference(t *testing.T, nranks int, start startFunc, sc script) [][]buildRecord {
+	t.Helper()
+	want := runScript(t, nranks, start, refConstructor, sc)
+	got := runScript(t, nranks, start, sharedConstructor, sc)
+	for rank := range want {
+		if len(got[rank]) != len(want[rank]) {
+			t.Fatalf("rank %d: %d builds, reference made %d", rank, len(got[rank]), len(want[rank]))
+		}
+		for i, w := range want[rank] {
+			g := got[rank][i]
+			at := fmt.Sprintf("rank %d build %d", rank, i)
+			if g.err != w.err {
+				t.Fatalf("%s: error %q, reference %q", at, g.err, w.err)
+			}
+			if g.now != w.now || g.flops != w.flops || g.bytes != w.bytes {
+				t.Errorf("%s: clock %v after %v flops, %v bytes; reference %v after %v, %v",
+					at, g.now, g.flops, g.bytes, w.now, w.flops, w.bytes)
+			}
+			if g.msgs != w.msgs || g.msgB != w.msgB {
+				t.Errorf("%s: %d messages, %d bytes so far; reference %d, %d",
+					at, g.msgs, g.msgB, w.msgs, w.msgB)
+			}
+			if w.err != "" {
+				continue
+			}
+			if !slices.Equal(g.colGlobal, w.colGlobal) {
+				t.Fatalf("%s: column map differs from the reference", at)
+			}
+			if g.sharesImp != w.sharesImp {
+				t.Errorf("%s: shares importer = %v, reference %v", at, g.sharesImp, w.sharesImp)
+			}
+			if w.aliases != i {
+				t.Fatalf("%s: the reference shares a pattern with build %d", at, w.aliases)
+			}
+			t.Logf("comparing %s", at)
+			sparse.RequireSameCSR(t, g.local, w.local)
+		}
+	}
+	return got
+}
+
+// requireAliases checks which earlier build's pattern arrays each build of
+// the shared run adopted; want(rank) lists, per build, the index expected.
+func requireAliases(t *testing.T, recs [][]buildRecord, want func(rank int) []int) {
+	t.Helper()
+	for rank, rs := range recs {
+		w := want(rank)
+		for i, rec := range rs {
+			if rec.err == "" && rec.aliases != w[i] {
+				t.Errorf("rank %d build %d uses the pattern of build %d, want %d", rank, i, rec.aliases, w[i])
+			}
+		}
+	}
+}
+
+// sumOf returns the element callback adding up ops' 8×8 matrices.
+func sumOf(ops ...func(ke *[8][8]float64)) func(int, *[8][8]float64) {
+	return func(e int, out *[8][8]float64) {
+		*out = [8][8]float64{}
+		for _, op := range ops {
+			var ke [8][8]float64
+			op(&ke)
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					out[a][b] += ke[a][b]
+				}
+			}
+		}
+	}
+}
+
+// rdScript is rd.Run's build sequence: the mass matrix, compacted, then the
+// system matrix through the same scratch COO.
+func rdScript(b *builder) error {
+	el, r := b.s.El, b.r
+	var coo sparse.COO
+	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Mass(1, ke, r) }))
+	mass := b.build(&coo, b.s.Owner, 1100, nil)
+	mass.Compact()
+	b.s.AssembleMatrix(&coo, sumOf(
+		func(ke *[8][8]float64) { el.Mass(28.18, ke, r) },
+		func(ke *[8][8]float64) { el.Stiffness(0.83, ke, r) }))
+	b.build(&coo, b.s.Owner, 1200, nil)
+	return nil
+}
+
+// nsScript is nse.Run's: mass, then pressure, three gradients and velocity
+// built like the mass matrix, all but the last compacted before the next
+// assembly reuses the COO.
+func nsScript(b *builder) error {
+	el, r := b.s.El, b.r
+	var coo sparse.COO
+	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Mass(1, ke, r) }))
+	mass := b.build(&coo, b.s.Owner, 2100, nil)
+	mass.Compact()
+	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Stiffness(1, ke, r) }))
+	b.build(&coo, b.s.Owner, 2200, mass).Compact()
+	for d := 0; d < 3; d++ {
+		b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Gradient(d, ke, r) }))
+		b.build(&coo, b.s.Owner, 2300+100*d, mass).Compact()
+	}
+	b.s.AssembleMatrix(&coo, sumOf(
+		func(ke *[8][8]float64) { el.Mass(30, ke, r) },
+		func(ke *[8][8]float64) { el.Stiffness(0.01, ke, r) },
+		func(ke *[8][8]float64) { el.Convection([3]float64{1, -0.5, 0.25}, ke, r) }))
+	b.build(&coo, b.s.Owner, 2600, mass)
+	return nil
+}
+
+// TestStructureReuseMatchesPerMatrixBuild is the house-method oracle of
+// structure sharing: the applications' build sequences must give, build by
+// build and rank by rank, the matrices, importer decisions, clocks and
+// traffic of the per-matrix reference — and every build after the first
+// must adopt the first's pattern arrays rather than make its own.
+func TestStructureReuseMatchesPerMatrixBuild(t *testing.T) {
+	for _, ow := range oracleWorlds(t) {
+		for _, sc := range []struct {
+			name   string
+			run    script
+			builds int
+		}{{"rd", rdScript, 2}, {"ns", nsScript, 6}} {
+			t.Run(ow.name+"/"+sc.name, func(t *testing.T) {
+				recs := requireSameAsReference(t, ow.nranks, ow.start, sc.run)
+				for rank, rs := range recs {
+					if len(rs) != sc.builds {
+						t.Fatalf("rank %d recorded %d builds, want %d", rank, len(rs), sc.builds)
+					}
+					for i, rec := range rs {
+						if i > 0 && !rec.sharesImp && sc.name == "ns" {
+							t.Errorf("rank %d build %d did not share the mass importer", rank, i)
+						}
+					}
+				}
+				requireAliases(t, recs, func(int) []int { return make([]int, sc.builds) })
+			})
+		}
+	}
+}
+
+// cloneCOO returns a deep copy of c.
+func cloneCOO(c *sparse.COO) *sparse.COO {
+	return &sparse.COO{Rows: slices.Clone(c.Rows), Cols: slices.Clone(c.Cols), Vals: slices.Clone(c.Vals)}
+}
+
+// systemCOO assembles the RD system operator: the base COO the miss
+// scenarios perturb.
+func systemCOO(b *builder) *sparse.COO {
+	el, r := b.s.El, b.r
+	var coo sparse.COO
+	b.s.AssembleMatrix(&coo, sumOf(
+		func(ke *[8][8]float64) { el.Mass(28.18, ke, r) },
+		func(ke *[8][8]float64) { el.Stiffness(0.83, ke, r) }))
+	return &coo
+}
+
+// firstTriplet returns the first triplet of coo that pred accepts.
+func firstTriplet(coo *sparse.COO, pred func(t int) bool) (int, error) {
+	for t := range coo.Rows {
+		if pred(t) {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("no triplet fits the scenario")
+}
+
+// otherOwned returns a row this rank owns other than g.
+func otherOwned(b *builder, g int) int {
+	o := b.s.RowMap.Owned
+	if o[len(o)-1] != g {
+		return o[len(o)-1]
+	}
+	return o[0]
+}
+
+// TestStructureReuseFallsBackExactly tests the misses of the verifier. Each
+// scenario builds the base operator (the structure every rank remembers),
+// then one the victim perturbed, then the base again, and must match the
+// per-matrix reference in everything observable. The aliasing assertion
+// says exactly which ranks had to build for themselves in the middle step
+// — the victim, the peer that receives its changed stream, or both — so a
+// wrong adoption and a needless rebuild both fail.
+func TestStructureReuseFallsBackExactly(t *testing.T) {
+	owned := func(b *builder, g int) bool { _, ok := b.s.RowMap.LocalOf(g); return ok }
+	scenarios := []struct {
+		name string
+		// victimBuilds says whether the victim's own triplets miss.
+		victimBuilds bool
+		// perturb edits the victim's copy of the base COO, keeping its
+		// length, and returns the peers whose incoming stream changes.
+		perturb func(b *builder, coo *sparse.COO) (peers []int, err error)
+	}{
+		{"one local column changed", true, func(b *builder, coo *sparse.COO) ([]int, error) {
+			t, err := firstTriplet(coo, func(t int) bool {
+				return owned(b, coo.Rows[t]) && owned(b, coo.Cols[t])
+			})
+			if err != nil {
+				return nil, err
+			}
+			coo.Cols[t] = otherOwned(b, coo.Cols[t])
+			return nil, nil
+		}},
+		{"one local row changed, column kept", true, func(b *builder, coo *sparse.COO) ([]int, error) {
+			t, err := firstTriplet(coo, func(t int) bool { return owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			coo.Rows[t] = otherOwned(b, coo.Rows[t])
+			return nil, nil
+		}},
+		{"one local row moved to an export", true, func(b *builder, coo *sparse.COO) ([]int, error) {
+			t, err := firstTriplet(coo, func(t int) bool { return owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			e, err := firstTriplet(coo, func(t int) bool { return !owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			coo.Rows[t], coo.Cols[t] = coo.Rows[e], coo.Cols[e]
+			return []int{b.s.Owner(coo.Rows[e])}, nil
+		}},
+		{"one export re-homed to another peer", true, func(b *builder, coo *sparse.COO) ([]int, error) {
+			e, err := firstTriplet(coo, func(t int) bool { return !owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			from := b.s.Owner(coo.Rows[e])
+			e2, err := firstTriplet(coo, func(t int) bool {
+				return !owned(b, coo.Rows[t]) && b.s.Owner(coo.Rows[t]) != from
+			})
+			if err != nil {
+				return nil, err
+			}
+			coo.Rows[e], coo.Cols[e] = coo.Rows[e2], coo.Cols[e2]
+			return []int{from, b.s.Owner(coo.Rows[e2])}, nil
+		}},
+		{"two triplets of an element swapped", true, func(b *builder, coo *sparse.COO) ([]int, error) {
+			// Neighbours in one owned row: both local, different columns.
+			t, err := firstTriplet(coo, func(t int) bool { return t%8 != 7 && owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			coo.Cols[t], coo.Cols[t+1] = coo.Cols[t+1], coo.Cols[t]
+			coo.Vals[t], coo.Vals[t+1] = coo.Vals[t+1], coo.Vals[t]
+			return nil, nil
+		}},
+		{"a peer ships different pairs", false, func(b *builder, coo *sparse.COO) ([]int, error) {
+			// The column of an exported triplet: the victim's own plan does
+			// not depend on it, so the victim adopts; the receiving peer's
+			// local triplets are unchanged, and it must still notice.
+			e, err := firstTriplet(coo, func(t int) bool {
+				return !owned(b, coo.Rows[t]) && coo.Cols[t] != coo.Rows[t]
+			})
+			if err != nil {
+				return nil, err
+			}
+			coo.Cols[e] = coo.Rows[e]
+			return []int{b.s.Owner(coo.Rows[e])}, nil
+		}},
+	}
+	for _, ow := range oracleWorlds(t) {
+		for _, sn := range scenarios {
+			t.Run(ow.name+"/"+sn.name, func(t *testing.T) {
+				var peers []int // written by the victim, read after the world has run
+				recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
+					base := systemCOO(b)
+					b.build(base, b.s.Owner, 1200, nil)
+					mid := base
+					if b.r.ID() == ow.victim {
+						mid = cloneCOO(base)
+						var err error
+						if peers, err = sn.perturb(b, mid); err != nil {
+							return err
+						}
+					}
+					b.build(mid, b.s.Owner, 1300, nil)
+					b.build(base, b.s.Owner, 1400, nil)
+					return nil
+				})
+				requireAliases(t, recs, func(rank int) []int {
+					if (rank == ow.victim && sn.victimBuilds) || slices.Contains(peers, rank) {
+						return []int{0, 1, 0}
+					}
+					return []int{0, 0, 0}
+				})
+			})
+		}
+	}
+}
+
+// TestStructureReuseKeepsStencilsApart builds two genuinely different
+// stencils of equal triplet count over one RowMap — the element coupling
+// and a diagonal-only operator — alternately: both structures must be
+// remembered, and each later build must adopt the right one.
+func TestStructureReuseKeepsStencilsApart(t *testing.T) {
+	for _, ow := range oracleWorlds(t) {
+		t.Run(ow.name, func(t *testing.T) {
+			recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
+				full := systemCOO(b)
+				diag := cloneCOO(full)
+				copy(diag.Cols, diag.Rows)
+				for i, coo := range []*sparse.COO{full, diag, full, diag, diag, full} {
+					b.build(coo, b.s.Owner, 1200+100*i, nil)
+				}
+				return nil
+			})
+			requireAliases(t, recs, func(int) []int { return []int{0, 1, 0, 1, 1, 0} })
+		})
+	}
+}
+
+// TestStructureReuseKeepsBadOwnerError: a triplet whose row nobody owns
+// must fail on every rank with the per-matrix build's error, before any
+// message is sent, also when a structure of the same length is remembered
+// — and the remembered structure must still serve the next build.
+func TestStructureReuseKeepsBadOwnerError(t *testing.T) {
+	for _, ow := range oracleWorlds(t) {
+		t.Run(ow.name, func(t *testing.T) {
+			stray := ow.mesh.NumVerts() + 7
+			recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
+				base := systemCOO(b)
+				b.build(base, b.s.Owner, 1200, nil)
+				bad := cloneCOO(base)
+				bad.Rows[len(bad.Rows)/2] = stray
+				b.build(bad, func(g int) int {
+					if g == stray {
+						return b.r.ID()
+					}
+					return b.s.Owner(g)
+				}, 1300, nil)
+				b.build(base, b.s.Owner, 1400, nil)
+				return nil
+			})
+			for rank, rs := range recs {
+				want := fmt.Sprintf("sparse: row %d has bad owner %d", stray, rank)
+				if rs[1].err != want {
+					t.Errorf("rank %d: error %q, want %q", rank, rs[1].err, want)
+				}
+			}
+			requireAliases(t, recs, func(int) []int { return []int{0, 1, 0} })
+		})
+	}
+}
+
+// TestStructureReuseChecksStreams holds the incoming half of the
+// certificate on three ranks, rank g owning row g. Rank 0's own triplets
+// never change; what changes from build to build is which peers ship it
+// which pairs, in ways its local match cannot see.
+func TestStructureReuseChecksStreams(t *testing.T) {
+	type pair = [2]int
+	var (
+		keep1 = []pair{{1, 1}, {1, 1}} // rank 1 ships nothing
+		ship1 = []pair{{1, 1}, {0, 1}} // rank 1 ships (0,1) to rank 0
+		twice = []pair{{1, 1}, {0, 1}, {0, 1}}
+		keep2 = []pair{{2, 2}, {2, 2}}
+		ship2 = []pair{{2, 2}, {0, 1}} // rank 2 ships the same pair
+	)
+	builds := []struct {
+		name    string
+		r1, r2  []pair
+		aliases [3]int // per rank: the build whose pattern this one must use
+	}{
+		{"rank 1 ships", ship1, keep2, [3]int{0, 0, 0}},
+		{"same pairs from another source", keep1, ship2, [3]int{1, 1, 1}},
+		{"one more source", ship1, ship2, [3]int{2, 0, 1}},
+		{"same source, the stream one pair longer", twice, keep2, [3]int{3, 3, 0}},
+		{"first again", ship1, keep2, [3]int{0, 0, 0}},
+		{"second again", keep1, ship2, [3]int{1, 1, 1}},
+	}
+	start := func(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error) {
+		return &builder{t: t, r: r, rm: sparse.NewRowMap([]int{r.ID()}), ctor: ctor}, nil
+	}
+	recs := requireSameAsReference(t, 3, start, func(b *builder) error {
+		for i, bd := range builds {
+			pairs := [][]pair{{{0, 0}}, bd.r1, bd.r2}[b.r.ID()]
+			var coo sparse.COO
+			for k, p := range pairs {
+				coo.Add(p[0], p[1], float64(1+k+10*b.r.ID()+100*i))
+			}
+			b.build(&coo, func(g int) int { return g }, 100*i, nil)
+		}
+		return nil
+	})
+	requireAliases(t, recs, func(rank int) []int {
+		want := make([]int, len(builds))
+		for i, bd := range builds {
+			want[i] = bd.aliases[rank]
+		}
+		return want
+	})
+}
