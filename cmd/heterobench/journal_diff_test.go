@@ -92,29 +92,34 @@ func TestJournalDiffReplay(t *testing.T) {
 	dir := t.TempDir()
 	a := writeFaultsJournal(t, dir, "s11", "11")
 	b := writeFaultsJournal(t, dir, "s12", "12")
-	code, out := diff(t, a, b, "-replay", "-app", "rd", "-platform", "ec2",
-		"-ranks", "8", "-n", "2", "-steps", "3", "-crashes", "1",
-		"-preempts", "1", "-seed", "12")
-	if code != 1 {
-		t.Fatalf("replay diff exited %d, want 1:\n%s", code, out)
-	}
-	for _, want := range []string{
-		"first divergence at line",
-		"checkpoint-anchored replay",
-		"rank  steps",
-		"state-l2",
-		"residual",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("replay output missing %q:\n%s", want, out)
+	// Every policy writes through the one tapped store, so the replay takes
+	// any of them (shrink and migrate need the 2-per-node placement).
+	for _, extra := range [][]string{nil, {"-policy", "migrate", "-rpn", "2"}} {
+		args := append([]string{a, b, "-replay", "-app", "rd", "-platform", "ec2",
+			"-ranks", "8", "-n", "2", "-steps", "3", "-crashes", "1",
+			"-preempts", "1", "-seed", "12"}, extra...)
+		code, out := diff(t, args...)
+		if code != 1 {
+			t.Fatalf("replay diff %v exited %d, want 1:\n%s", extra, code, out)
 		}
-	}
-	// The anchoring note is one of the two legal forms: resumed from a
-	// common checkpoint, or replayed from scratch when none precedes the
-	// divergence.
-	if !strings.Contains(out, "resumed from the checkpoint") &&
-		!strings.Contains(out, "replayed from scratch") {
-		t.Errorf("replay output missing anchoring note:\n%s", out)
+		for _, want := range []string{
+			"first divergence at line",
+			"checkpoint-anchored replay",
+			"rank  steps",
+			"state-l2",
+			"residual",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("replay output %v missing %q:\n%s", extra, want, out)
+			}
+		}
+		// The anchoring note is one of the two legal forms: resumed from a
+		// common checkpoint, or replayed from scratch when none precedes the
+		// divergence.
+		if !strings.Contains(out, "resumed from the checkpoint") &&
+			!strings.Contains(out, "replayed from scratch") {
+			t.Errorf("replay output %v missing anchoring note:\n%s", extra, out)
+		}
 	}
 }
 

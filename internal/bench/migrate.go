@@ -29,14 +29,12 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"heterohpc/internal/core"
 	"heterohpc/internal/fault"
 	"heterohpc/internal/mp"
-	"heterohpc/internal/partition"
 	"heterohpc/internal/provision"
 	"heterohpc/internal/spot"
-	"heterohpc/internal/trace"
 )
 
 // MigrateStats itemises what the proactive migrate policy did with each
@@ -143,659 +141,230 @@ func regrowSetupS(platform string) float64 {
 	return plan.TotalHours * 3600
 }
 
-// runMigrate is the proactive migration recovery loop with the correlated
-// recovery arbiter and the elastic autoscaler on top.
-func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
-	o := s.o
-	tg, p := s.tg, s.tg.Platform
-	if s.nodes < 2 {
-		return nil, nil, fmt.Errorf("bench: migrate needs at least 2 nodes for buddy evacuation (placement has %d); lower RanksPerNode or raise Ranks",
-			s.nodes)
-	}
-	plan := s.plan
-	fatals := plan.Failures()
-	degrades := plan.Degradations()
-	maxAttempts := o.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = len(fatals) + 3
-	}
-	provRetries := o.ProvisionRetries
-	if provRetries < 0 {
-		provRetries = 0
-	}
-
-	mg := &MigrateStats{}
-	rep := &RecoveryReport{
-		Platform: o.Platform, App: o.App, Policy: PolicyMigrate,
-		Ranks: o.Ranks, FinalRanks: o.Ranks,
-		Plan: plan, Clean: s.clean, CleanVirtualS: s.cleanS,
-		Shrink:  &ShrinkStats{},
-		Migrate: mg,
-	}
-	var rec trace.Recorder
-	rec.Observe(o.Obs)
-	gobs := o.Obs.Global()
-
-	market := s.newReplacementMarket()
-	spares := o.SpareNodes
-	var replacementPremiumPerHour float64
-	// The provisioning backoff stream is distinct from restart's retry
-	// backoff (seed+1) and the market (seed+2); it only advances when an
-	// acquisition actually exhausts the market.
-	pbo := fault.NewBackoff(o.BackoffBaseS, o.BackoffCapS, o.Seed+3)
-
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
-	if err != nil {
-		return nil, nil, err
-	}
-	topo, err := mp.BlockTopology(o.Ranks, s.cpn)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms := newMirrorStore(topo)
-	app := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
-	app.mirror = ms
-	app.meter = newBuddyMeter(o.Ranks)
-
-	// nodeMap translates the plan's original node numbering into the
-	// current world's; shrinks compose into it. Plan slots follow ROLES,
-	// not instances: when a migration replaces a slot's node, the slot is
-	// re-pointed at the replacement, so a later (cascade) event aimed at
-	// that slot hits the new instance instead of silently dropping.
-	nodeMap := make([]int, s.nodes)
-	for i := range nodeMap {
-		nodeMap[i] = i
-	}
-	var world *mp.World // nil: launch via Attempt; else resume the re-formed world
-	curRanks := o.Ranks
-	state := &shrinkRunState{grid: grid, ranks: curRanks, app: app}
-
-	foldGen := func() {
-		if app.meter != nil {
-			over, nbytes := app.meter.fold()
-			rep.Shrink.BuddyOverheadS += over
-			rep.Shrink.BuddyBytes += nbytes
-		}
-		rep.Shrink.AgreeS += maxOf(app.agreeS)
-		rep.Shrink.RedistributeS += maxOf(app.redistS)
-	}
-
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rep.Attempts = attempt
-
-		// Drop scheduled fatals aimed at nodes that no longer exist.
-		for len(fatals) > 0 {
-			if ev := fault.Remap(fatals[:1], nodeMap); len(ev) == 0 {
-				rec.Record(fatals[0].At, "drop", "scheduled %s targets node %d, already lost; dropping it",
-					fatals[0].Kind, fatals[0].Node)
-				fatals = fatals[1:]
-				continue
-			}
+// coalesce is the recovery ARBITER: it folds correlated notices into one
+// recovery point. Every further preemption whose notice lands before this
+// group's earliest reclaim belongs to the same storm: its node joins the
+// doomed set (one shared drain/evacuate/shrink/grow), and a repeat notice for
+// an already-doomed slot is a cascade — the replacement being provisioned for
+// it is reclaimed mid-flight, so one extra acquisition is burned. Folding
+// stops at the first non-notice event, preserving plan order. Crashes never
+// coalesce: they are unannounced, and pretending to know them at the drain
+// would break causality.
+func (e *engine) coalesce(pt *recoveryPoint) {
+	for len(e.fatals) > 0 {
+		ev := e.fatals[0]
+		if ev.Kind != fault.KindPreempt || ev.NoticeAt >= ev.At || ev.NoticeAt > pt.reclaimAt {
 			break
 		}
-		events := fault.Remap(degrades, nodeMap)
-		var reclaimAt float64
-		proactive := false
-		if len(fatals) > 0 {
-			armed := fault.Remap(fatals[:1], nodeMap)[0]
-			reclaimAt = armed.At
-			if armed.Kind == fault.KindPreempt {
-				rec.Record(armed.NoticeAt, "notice",
-					"spot interruption notice for node %d (reclaim at t=%.1fs)", fatals[0].Node, armed.At)
-				if armed.NoticeAt < armed.At {
-					// Proactive drain: stop the world at the notice rather
-					// than the reclaim, leaving the window for the
-					// evacuate/provision/grow sequence.
-					proactive = true
-					armed.At = armed.NoticeAt
-				}
-			}
-			events = append(events, armed)
+		cur := -1
+		if ev.Node >= 0 && ev.Node < len(e.nodeMap) {
+			cur = e.nodeMap[ev.Node]
 		}
-
-		var result *core.Report
-		var af *core.AttemptFailure
-		if world == nil {
-			result, af, err = tg.Attempt(core.JobSpec{
-				Ranks: curRanks, RanksPerNode: o.RanksPerNode, App: app,
-				SkipSteps: o.SkipSteps, MemPerRankGB: mem, Faults: events, Obs: o.Obs,
-			})
-		} else {
-			result, af, err = tg.ResumeAttempt(world, app, o.SkipSteps, events)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		foldGen()
-		if app.suspect != nil && app.agreedDead != nil {
-			deadList := []int{}
-			for r, d := range app.agreedDead {
-				if d {
-					deadList = append(deadList, r)
-				}
-			}
-			rec.Record(0, "agree", "survivors agreed on dead ranks %v in %.4fs (max over ranks)",
-				deadList, maxOf(app.agreeS))
-		}
-		if af == nil {
-			rep.Final = result
-			rep.FinalRanks = curRanks
-			rep.FinalVirtualS = virtualDuration(result)
-			if world != nil {
-				rep.MakespanS = world.MaxVirtualTime()
-			} else {
-				rep.MakespanS = rep.FinalVirtualS
-			}
-			rep.RecoveryCostUSD += replacementPremiumPerHour * rep.FinalVirtualS / 3600
-			rep.Shrink.Survivors = curRanks
-			rep.Shrink.Grid = app.grid
-			rec.Record(rep.MakespanS, "complete", "attempt %d finished on %d ranks (grid %dx%dx%d)",
-				attempt, curRanks, app.grid[0], app.grid[1], app.grid[2])
-			rep.Decisions = rec.Decisions()
-			return rep, state, nil
-		}
-
-		if fault.Classify(af) != fault.ClassNodeLoss {
-			rep.Decisions = rec.Decisions()
-			return nil, nil, fmt.Errorf("bench: unrecoverable %v failure: %w", fault.Classify(af), af)
-		}
-		stopAt := af.At
-		curTopo := af.World.Topology()
-		origNode := -1
-		for on, cn := range nodeMap {
-			if cn == af.Node {
-				origNode = on
-			}
-		}
-		kind := "crash"
-		if len(fatals) > 0 && fatals[0].Kind == fault.KindPreempt {
-			kind = "preemption"
-		}
-		if proactive {
-			rec.Record(stopAt, "failure", "%s drained node %d at the notice t=%.1fs (attempt %d, reclaim at t=%.1fs)",
-				kind, origNode, stopAt, attempt, reclaimAt)
-		} else {
-			rec.Record(stopAt, "failure", "%s killed node %d at t=%.1fs (attempt %d): %v",
-				kind, origNode, stopAt, attempt, fault.Classify(af))
-		}
-		if len(fatals) > 0 {
-			fatals = fatals[1:]
-		}
-
-		// ---- Arbiter: coalesce correlated notices into one recovery point.
-		//
-		// Every further preemption whose notice lands before this group's
-		// earliest reclaim belongs to the same storm: its node is folded
-		// into the doomed set (one shared drain/evacuate/shrink/grow), and
-		// a repeat notice for an already-doomed slot is a cascade — the
-		// replacement being provisioned for it is reclaimed mid-flight, so
-		// one extra acquisition is burned. Folding stops at the first
-		// non-notice event, preserving plan order. Crashes never coalesce:
-		// they are unannounced, and pretending to know them at the drain
-		// would break causality.
-		doomed := []int{af.Node}     // current-world numbering, fold order
-		origSlots := []int{origNode} // plan numbering, same order
-		replans := 0
-		if proactive {
-			for len(fatals) > 0 {
-				e := fatals[0]
-				if e.Kind != fault.KindPreempt || e.NoticeAt >= e.At || e.NoticeAt > reclaimAt {
-					break
-				}
-				cur := -1
-				if e.Node >= 0 && e.Node < len(nodeMap) {
-					cur = nodeMap[e.Node]
-				}
-				fatals = fatals[1:]
-				if cur < 0 {
-					rec.Record(e.NoticeAt, "drop", "storm notice targets node %d, already lost; dropping it", e.Node)
-					continue
-				}
-				already := false
-				for _, d := range doomed {
-					if d == cur {
-						already = true
-						break
-					}
-				}
-				if already {
-					replans++
-					mg.Replans++
-					rec.Record(e.NoticeAt, "replan", "second notice for node %d inside the same window: its replacement is reclaimed mid-provisioning; acquiring another",
-						e.Node)
-					continue
-				}
-				doomed = append(doomed, cur)
-				origSlots = append(origSlots, e.Node)
-				mg.Coalesced++
-				rec.Record(e.NoticeAt, "coalesce", "notice for node %d lands inside node %d's window; folding into one recovery point",
-					e.Node, origSlots[0])
-			}
-		}
-
-		// Price the evacuation the window would have to absorb: the doomed
-		// ranks' restore-line shards re-mirrored off the doomed set,
-		// serialised through each doomed node's NIC. The restore line is
-		// taken while the nodes are still alive — that is the whole point
-		// of acting at the notice. A shard whose buddy is itself doomed is
-		// re-homed on the first surviving rank instead (a refugee copy).
-		nodeDoomed := make([]bool, curTopo.NNodes())
-		for _, d := range doomed {
-			nodeDoomed[d] = true
-		}
-		refugee := -1
-		for r := 0; r < curTopo.NRanks(); r++ {
-			if !nodeDoomed[curTopo.NodeOf[r]] {
-				refugee = r
-				break
-			}
-		}
-		evacDst := func(dr int) int {
-			if b := ms.buddy[dr]; b >= 0 && !nodeDoomed[curTopo.NodeOf[b]] {
-				return b
-			}
-			return refugee
-		}
-		var window, copyCost float64
-		line, lineAtS := -1, 0.0
-		if proactive {
-			window = reclaimAt - stopAt
-			mg.WindowS += window
-			line, lineAtS = ms.line(o.Steps - 1)
-			if line >= 1 {
-				for _, d := range doomed {
-					for _, dr := range doomedRanks(curTopo, d) {
-						if sn, ok := ms.snapAt(dr, line); ok {
-							if dst := evacDst(dr); dst >= 0 {
-								copyCost += af.World.PriceBytes(dr, dst, len(sn.blob))
-							}
-						}
-					}
-				}
-			}
-		}
-		canShrink := curTopo.NNodes() >= len(doomed)+1
-		needCore := len(doomed) + replans
-		canProvision := market != nil || spares >= needCore
-		dec := decideRecovery(window, copyCost, canShrink, canProvision)
-		gobs.MigrateDecision(stopAt, dec.Verb, window, copyCost)
-		if len(doomed) > 1 || replans > 0 {
-			gobs.ArbiterCoalesce(stopAt, dec.Verb, len(doomed), len(doomed)-1, replans)
-		}
-		detail := dec.Reason
-		if market != nil {
-			detail = fmt.Sprintf("%s; spot last ticked at $%.3f/h", detail, market.Price())
-		}
-		rec.Record(stopAt, "migrate-decision", "%s for node %d: %s", dec.Verb, origNode, detail)
-
-		// execShrink is the reactive fallback shared by the "shrink" verb
-		// and a migrate whose provisioning ultimately failed: drop the
-		// whole doomed set in one multi-node shrink and continue degraded,
-		// exactly as PolicyShrink would.
-		execShrink := func() error {
-			for _, d := range doomed {
-				ms.loseNode(d)
-			}
-			line, lineAtS := ms.line(o.Steps - 1)
-			sr, err := af.World.ShrinkNodes(doomed[1:])
-			if err != nil {
-				return err
-			}
-			rep.Shrink.Shrinks++
-			rep.Shrink.RevokedMsgs += sr.Revoked
-			rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origSlots...)
-			survivors := sr.World.Size()
-			rec.Record(stopAt, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
-				curRanks, survivors, sr.Revoked)
-
-			wasted := stopAt
-			if line >= 1 {
-				wasted = stopAt - lineAtS
-			}
-			rep.WastedVirtualS += wasted
-			rep.RecoveryCostUSD += tg.Billing.JobCost(wasted, curRanks)
-
-			newGrid, err := partition.BalancedGrid(survivors, m.Nx, m.Ny, m.Nz)
-			if err != nil {
-				return fmt.Errorf("bench: cannot repartition after shrink: %w", err)
-			}
-			nextApp := newShrinkApp(o.App, m, newGrid, o.Steps, survivors)
-			state.grid = newGrid
-			state.ranks = survivors
-			state.app = nextApp
-			if line >= 1 {
-				rec.Record(stopAt, "restore", "survivors resume from the mirrored checkpoint after step %d (rollback %.3fs)",
-					line, wasted)
-				rep.Shrink.RestoreStep = line
-				heldRD, heldNS, err := heldFromMirror(o.App, ms, sr.NewToOld, doomed, line)
-				if err != nil {
-					return err
-				}
-				nextApp.heldRD, nextApp.heldNS = heldRD, heldNS
-				state.lastHeldRD, state.lastHeldNS = heldRD, heldNS
-			} else {
-				rec.Record(stopAt, "restore", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)")
-				rep.Shrink.RestoreStep = 0
-			}
-			suspect := make([]bool, curRanks)
-			for _, d := range sr.DeadRanks {
-				suspect[d] = true
-			}
-			nextApp.suspect = suspect
-			newTopo := sr.World.Topology()
-			ms = newMirrorStore(newTopo)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(survivors)
-			if newTopo.NNodes() < 2 {
-				rec.Record(stopAt, "unprotected", "single node left; diskless mirroring has no off-node partner")
-			}
-			for on := range nodeMap {
-				if nodeMap[on] >= 0 {
-					nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
-				}
-			}
-			sr.World.Observe(o.Obs)
-			world = sr.World
-			app = nextApp
-			curRanks = survivors
-			rep.Degraded = true
-			return nil
-		}
-
-		switch dec.Verb {
-		case "migrate":
-			// Evacuate inside the window: re-mirror the doomed ranks' line
-			// shards off the doomed set as priced traffic, so the copies
-			// are off-node before the first reclaim.
-			evacAt := stopAt
-			evacN := 0
-			if line >= 1 {
-				for _, d := range doomed {
-					for _, dr := range doomedRanks(curTopo, d) {
-						sn, ok := ms.snapAt(dr, line)
-						if !ok {
-							continue
-						}
-						dst := evacDst(dr)
-						if dst < 0 {
-							continue
-						}
-						evacAt += af.World.PriceBytes(dr, dst, len(sn.blob))
-						if dst == ms.buddy[dr] {
-							ms.putBuddy(dr, line, evacAt, sn.blob)
-						} else {
-							ms.putRefugee(dr, dst, line, evacAt, sn.blob)
-						}
-						evacN++
-						mg.CopyBytes += int64(len(sn.blob))
-					}
-				}
-			}
-			mg.EvacuatedBlobs += evacN
-			mg.CopyS += copyCost
-			rec.Record(stopAt, "drain", "notice window %.1fs: drained in-flight collectives, evacuated %d shard(s) in %.4fs",
-				window, evacN, copyCost)
-
-			// Provision inside the same window: one replacement per doomed
-			// node, one extra per cascade re-plan, plus — when the
-			// autoscaler may regrow — the deficit a previous degradation
-			// left. Market exhaustion backs off and retries: the market
-			// keeps ticking, so a later round can clear.
-			deadGroup := curTopo.GroupOfNode[af.Node]
-			deficitRanks := 0
-			if o.Regrow && curRanks < o.Ranks {
-				deficitRanks = o.Ranks - curRanks
-			}
-			deficitNodes := (deficitRanks + s.cpn - 1) / s.cpn
-			need := needCore + deficitNodes
-
-			acquired := 0
-			provReadyAt := evacAt
-			switch {
-			case market != nil:
-				bid := o.SpotBidFraction * p.CostPerNodeHour
-				provAttempt := 0
-				for acquired < need {
-					repl, aerr := market.AcquireMix(need-acquired, bid, 1, 3)
-					provAttempt++
-					if aerr != nil && !errors.Is(aerr, spot.ErrExhausted) {
-						return nil, nil, aerr
-					}
-					for _, nd := range repl.Nodes {
-						if nd.Spot {
-							rec.Record(stopAt, "provision", "replacement spot instance at $%.3f/h (bid $%.3f)",
-								nd.PricePerHour, bid)
-						} else {
-							rec.Record(stopAt, "provision", "spot market could not fill the bid; on-demand replacement at $%.2f/h — the paper's forced mix",
-								nd.PricePerHour)
-						}
-						if nd.PricePerHour > p.SpotPerNodeHour {
-							replacementPremiumPerHour += nd.PricePerHour - p.SpotPerNodeHour
-						}
-					}
-					acquired += len(repl.Nodes)
-					if acquired >= need {
-						break
-					}
-					if provAttempt > provRetries {
-						rec.Record(provReadyAt, "provision", "market exhausted after %d acquisition attempt(s): %d of %d instance(s)",
-							provAttempt, acquired, need)
-						break
-					}
-					d := pbo.Next()
-					provReadyAt += d
-					rep.WastedVirtualS += d
-					rep.BackoffS += d
-					mg.ProvisionRetries++
-					gobs.ProvisionRetry(provReadyAt, provAttempt, acquired, need, d)
-					rec.Record(provReadyAt, "backoff", "provisioning retry %d after %.1fs: %d of %d instance(s) acquired",
-						provAttempt, d, acquired, need)
-				}
-			default:
-				take := need
-				if take > spares {
-					take = spares
-				}
-				for i := 0; i < take; i++ {
-					spares--
-					if i < len(origSlots) {
-						rec.Record(stopAt, "provision", "cold spare replaces node %d (%d spare(s) left)",
-							origSlots[i], spares)
-					} else {
-						rec.Record(stopAt, "provision", "cold spare grows the degraded world (%d spare(s) left)",
-							spares)
-					}
-				}
-				acquired = take
-			}
-
-			// Cascade-burned acquisitions come off the top; the remainder
-			// replaces doomed slots in fold order, then regrows deficit
-			// width. Nothing usable left means the migrate failed —
-			// downgrade monotonically to shrink, never retry upward.
-			usable := acquired - replans
-			if usable < 0 {
-				usable = 0
-			}
-			replaceN := len(doomed)
-			if usable < replaceN {
-				replaceN = usable
-			}
-			regrowN := usable - replaceN
-			if regrowN > deficitNodes {
-				regrowN = deficitNodes
-			}
-			if replaceN == 0 {
-				mg.FallbackShrinks++
-				gobs.MigrateDecision(provReadyAt, "shrink", window, copyCost)
-				rec.Record(provReadyAt, "migrate-decision", "shrink for node %d: replacement provisioning failed; falling back",
-					origNode)
-				if err := execShrink(); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-
-			// The reclaims take the doomed nodes' memory; then re-form the
-			// world ONCE around the survivors plus every acquired node —
-			// one shrink, one grow per recovery point, so overlapping
-			// events cannot double-restore.
-			for _, d := range doomed {
-				ms.loseNode(d)
-			}
-			sr, err := af.World.ShrinkNodes(doomed[1:])
-			if err != nil {
-				return nil, nil, err
-			}
-			survivors := sr.World.Size()
-			rep.Shrink.Shrinks++
-			rep.Shrink.RevokedMsgs += sr.Revoked
-			rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origSlots...)
-
-			ranksPer := make([]int, 0, replaceN+regrowN)
-			groupsOf := make([]int, 0, replaceN+regrowN)
-			for i := 0; i < replaceN; i++ {
-				ranksPer = append(ranksPer, len(doomedRanks(curTopo, doomed[i])))
-				groupsOf = append(groupsOf, curTopo.GroupOfNode[doomed[i]])
-			}
-			remaining := deficitRanks
-			for i := 0; i < regrowN; i++ {
-				take := s.cpn
-				if take > remaining {
-					take = remaining
-				}
-				ranksPer = append(ranksPer, take)
-				groupsOf = append(groupsOf, deadGroup)
-				remaining -= take
-			}
-			startAt := provReadyAt
-			if regrowN > 0 {
-				setupS := regrowSetupS(o.Platform)
-				startAt += setupS
-				mg.RegrownNodes += regrowN
-				rec.Record(startAt, "provision", "%d deficit node(s) instantiate the preconditioned image in %.0fs and join the re-grow",
-					regrowN, setupS)
-			}
-			gw, err := sr.World.Grow(ranksPer, groupsOf, startAt)
-			if err != nil {
-				return nil, nil, err
-			}
-			mg.Migrations++
-			mg.ReplacedNodes = append(mg.ReplacedNodes, origSlots[:replaceN]...)
-			gobs.WorldGrow(startAt, survivors, gw.World.Size(), gw.NewNodes[0])
-			rec.Record(startAt, "world-grow", "world grew %d -> %d ranks: replacement joins as node %d at t=%.1fs",
-				survivors, gw.World.Size(), gw.NewNodes[0], startAt)
-
-			// Only the span after the restore line is recomputed; acting at
-			// the notice (instead of the reclaim) is what keeps it short.
-			wasted := stopAt
-			if line >= 1 {
-				wasted = stopAt - lineAtS
-			}
-			rep.WastedVirtualS += wasted
-			rep.RecoveryCostUSD += tg.Billing.JobCost(wasted, curRanks)
-
-			newRanks := gw.World.Size()
-			newGrid, err := partition.BalancedGrid(newRanks, m.Nx, m.Ny, m.Nz)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: cannot repartition after grow: %w", err)
-			}
-			nextApp := newShrinkApp(o.App, m, newGrid, o.Steps, newRanks)
-			state.grid = newGrid
-			state.ranks = newRanks
-			state.app = nextApp
-			if line >= 1 {
-				rec.Record(startAt, "restore", "continuation resumes from the evacuated checkpoint after step %d (rollback %.3fs)",
-					line, wasted)
-				rep.Shrink.RestoreStep = line
-				mg.RestoreStep = line
-				// Grown-world rank -> pre-drain rank: survivors map through
-				// the shrink, the joiners hold nothing.
-				toOld := make([]int, gw.World.Size())
-				for nr := range toOld {
-					if nr < len(sr.NewToOld) {
-						toOld[nr] = sr.NewToOld[nr]
-					} else {
-						toOld[nr] = -1
-					}
-				}
-				heldRD, heldNS, err := heldFromMirror(o.App, ms, toOld, doomed, line)
-				if err != nil {
-					return nil, nil, err
-				}
-				nextApp.heldRD, nextApp.heldNS = heldRD, heldNS
-				state.lastHeldRD, state.lastHeldNS = heldRD, heldNS
-			} else {
-				rec.Record(startAt, "restore", "no checkpoint preceded the notice; the full-width world restarts the stepping from scratch (cold migration)")
-				rep.Shrink.RestoreStep = 0
-				mg.RestoreStep = 0
-			}
-
-			// The continuation opens with the agreement collective over the
-			// pre-drain rank space.
-			suspect := make([]bool, curRanks)
-			for _, d := range sr.DeadRanks {
-				suspect[d] = true
-			}
-			nextApp.suspect = suspect
-
-			newTopo := gw.World.Topology()
-			ms = newMirrorStore(newTopo)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(newRanks)
-
-			for on := range nodeMap {
-				if nodeMap[on] >= 0 {
-					nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
-				}
-			}
-			// Replacements inherit the plan slots they replaced (roles,
-			// not instances) so storm cascades can target them.
-			for i := 0; i < replaceN && i < len(gw.NewNodes); i++ {
-				nodeMap[origSlots[i]] = gw.NewNodes[i]
-			}
-			gw.World.Observe(o.Obs)
-			world = gw.World
-			app = nextApp
-			curRanks = newRanks
-			rep.Degraded = curRanks < o.Ranks
-
-		case "shrink":
-			// Reactive fallback: the shrink-and-continue sequence, exactly
-			// as PolicyShrink runs it (one multi-node shrink for a
-			// coalesced group).
-			mg.FallbackShrinks++
-			if err := execShrink(); err != nil {
-				return nil, nil, err
-			}
-
-		default: // restart
-			// Last rung of the ladder: nothing survived to continue on, so
-			// relaunch the current shape from scratch. Every nodeMap entry
-			// pointed at the lost world, so remaining scheduled fatals are
-			// dropped on the next pass rather than aimed at fresh instances.
-			mg.FallbackRestarts++
-			rep.WastedVirtualS += stopAt
-			rep.RecoveryCostUSD += tg.Billing.JobCost(stopAt, curRanks)
-			rec.Record(stopAt, "restart", "cold restart at %d ranks (grid %dx%dx%d)",
-				curRanks, state.grid[0], state.grid[1], state.grid[2])
-			for on := range nodeMap {
-				nodeMap[on] = -1
-			}
-			freshTopo, err := mp.BlockTopology(curRanks, s.cpn)
-			if err != nil {
-				return nil, nil, err
-			}
-			ms = newMirrorStore(freshTopo)
-			nextApp := newShrinkApp(o.App, m, state.grid, o.Steps, curRanks)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(curRanks)
-			state.app = nextApp
-			world = nil
-			app = nextApp
+		e.fatals = e.fatals[1:]
+		switch {
+		case cur < 0:
+			e.rec.Record(ev.NoticeAt, "drop", "storm notice targets node %d, already lost; dropping it", ev.Node)
+		case slices.Contains(pt.doomed, cur):
+			pt.replans++
+			e.mg.Replans++
+			e.rec.Record(ev.NoticeAt, "replan", "second notice for node %d inside the same window: its replacement is reclaimed mid-provisioning; acquiring another",
+				ev.Node)
+		default:
+			pt.doomed = append(pt.doomed, cur)
+			pt.origSlots = append(pt.origSlots, ev.Node)
+			e.mg.Coalesced++
+			e.rec.Record(ev.NoticeAt, "coalesce", "notice for node %d lands inside node %d's window; folding into one recovery point",
+				ev.Node, pt.origSlots[0])
 		}
 	}
-	rep.Decisions = rec.Decisions()
-	return nil, nil, fmt.Errorf("bench: gave up after %d attempts (%d fault(s) outstanding)",
-		maxAttempts, len(fatals))
+}
+
+// evacuation walks the notice-window evacuation of a recovery point: for
+// every doomed rank that has a copy at the restore line it yields the rank,
+// the copy, and where it goes — the rank's buddy, or, when the buddy is
+// itself doomed, the first surviving rank (a refugee copy).
+func (e *engine) evacuation(pt *recoveryPoint, visit func(dr, dst int, sn snap)) {
+	if pt.line < 1 {
+		return
+	}
+	store, topo := e.gen.store, pt.af.World.Topology()
+	doomed := func(r int) bool { return slices.Contains(pt.doomed, topo.NodeOf[r]) }
+	refugee := slices.IndexFunc(topo.NodeOf, func(n int) bool { return !slices.Contains(pt.doomed, n) })
+	for _, d := range pt.doomed {
+		for _, dr := range doomedRanks(topo, d) {
+			sn, ok := store.copyAt(dr, pt.line)
+			dst := store.buddy[dr]
+			if dst < 0 || doomed(dst) {
+				dst = refugee
+			}
+			if ok && dst >= 0 {
+				visit(dr, dst, sn)
+			}
+		}
+	}
+}
+
+// ladder is the migrate policy's decide function: it prices what the notice
+// window would have to absorb — the doomed ranks' restore-line shards
+// re-mirrored off the doomed set, serialised through each doomed node's NIC,
+// with the line taken while the nodes are still alive (the whole point of
+// acting at the notice) — runs the elasticity driver and logs its verdict.
+func (e *engine) ladder(pt *recoveryPoint) string {
+	topo := pt.af.World.Topology()
+	if pt.proactive {
+		pt.window = pt.reclaimAt - pt.stopAt
+		e.mg.WindowS += pt.window
+		pt.line, pt.lineAtS = e.gen.store.line(e.s.o.Steps - 1)
+		e.evacuation(pt, func(dr, dst int, sn snap) {
+			pt.copyCost += pt.af.World.PriceBytes(dr, dst, len(sn.blob))
+		})
+	}
+	canShrink := topo.NNodes() >= len(pt.doomed)+1
+	canProvision := e.market != nil || e.spares >= len(pt.doomed)+pt.replans
+	dec := decideRecovery(pt.window, pt.copyCost, canShrink, canProvision)
+	e.gobs.MigrateDecision(pt.stopAt, dec.Verb, pt.window, pt.copyCost)
+	if len(pt.doomed) > 1 || pt.replans > 0 {
+		e.gobs.ArbiterCoalesce(pt.stopAt, dec.Verb, len(pt.doomed), len(pt.doomed)-1, pt.replans)
+	}
+	detail := dec.Reason
+	if e.market != nil {
+		detail = fmt.Sprintf("%s; spot last ticked at $%.3f/h", detail, e.market.Price())
+	}
+	e.rec.Record(pt.stopAt, "migrate-decision", "%s for node %d: %s", dec.Verb, pt.origSlots[0], detail)
+	switch dec.Verb {
+	case "shrink":
+		e.mg.FallbackShrinks++
+	case "restart":
+		e.mg.FallbackRestarts++
+	}
+	return dec.Verb
+}
+
+// migrate is the migrate verb: evacuate inside the window, provision inside
+// the same window, then re-form the world ONCE around the survivors plus
+// every acquired node — one shrink, one grow per recovery point, so
+// overlapping events cannot double-restore. A migration whose provisioning
+// ultimately fails downgrades monotonically to the shrink verb, never back
+// up.
+func (e *engine) migrate(pt *recoveryPoint) error {
+	o, mg := e.s.o, &e.mg
+	topo := pt.af.World.Topology()
+	store := e.gen.store
+
+	// Re-mirror the doomed ranks' line shards off the doomed set as priced
+	// traffic, so the copies are off-node before the first reclaim.
+	evacAt, evacN := pt.stopAt, 0
+	e.evacuation(pt, func(dr, dst int, sn snap) {
+		evacAt += pt.af.World.PriceBytes(dr, dst, len(sn.blob))
+		if dst == store.buddy[dr] {
+			store.putBuddy(dr, pt.line, evacAt, sn.blob)
+		} else {
+			store.putRefugee(dr, dst, pt.line, evacAt, sn.blob)
+		}
+		evacN++
+		mg.CopyBytes += int64(len(sn.blob))
+	})
+	mg.EvacuatedBlobs += evacN
+	mg.CopyS += pt.copyCost
+	e.rec.Record(pt.stopAt, "drain", "notice window %.1fs: drained in-flight collectives, evacuated %d shard(s) in %.4fs",
+		pt.window, evacN, pt.copyCost)
+
+	// One replacement per doomed node, one extra per cascade re-plan, plus —
+	// when the autoscaler may regrow — the deficit a previous degradation
+	// left. Market exhaustion backs off and retries: the market keeps
+	// ticking, so a later round can clear.
+	deficitRanks := 0
+	if o.Regrow && e.gen.ranks < o.Ranks {
+		deficitRanks = o.Ranks - e.gen.ranks
+	}
+	deficitNodes := (deficitRanks + e.s.cpn - 1) / e.s.cpn
+	need := len(pt.doomed) + pt.replans + deficitNodes
+	acquired, readyAt, err := e.provision(pt, need, evacAt)
+	if err != nil {
+		return err
+	}
+
+	// Cascade-burned acquisitions come off the top; the remainder replaces
+	// doomed slots in fold order, then regrows deficit width.
+	usable := max(acquired-pt.replans, 0)
+	gr := &growth{replaceN: min(usable, len(pt.doomed)), startAt: readyAt}
+	regrowN := min(usable-gr.replaceN, deficitNodes)
+	if gr.replaceN == 0 {
+		mg.FallbackShrinks++
+		e.gobs.MigrateDecision(readyAt, "shrink", pt.window, pt.copyCost)
+		e.rec.Record(readyAt, "migrate-decision", "shrink for node %d: replacement provisioning failed; falling back",
+			pt.origSlots[0])
+		return e.reform(pt, nil)
+	}
+	for _, d := range pt.doomed[:gr.replaceN] {
+		gr.ranksPer = append(gr.ranksPer, len(doomedRanks(topo, d)))
+		gr.groupsOf = append(gr.groupsOf, topo.GroupOfNode[d])
+	}
+	for i := 0; i < regrowN; i++ {
+		take := min(e.s.cpn, deficitRanks)
+		gr.ranksPer = append(gr.ranksPer, take)
+		gr.groupsOf = append(gr.groupsOf, topo.GroupOfNode[pt.af.Node])
+		deficitRanks -= take
+	}
+	if regrowN > 0 {
+		setupS := regrowSetupS(o.Platform)
+		gr.startAt += setupS
+		mg.RegrownNodes += regrowN
+		e.rec.Record(gr.startAt, "provision", "%d deficit node(s) instantiate the preconditioned image in %.0fs and join the re-grow",
+			regrowN, setupS)
+	}
+	if err := e.reform(pt, gr); err != nil {
+		return err
+	}
+	mg.Migrations++
+	mg.ReplacedNodes = append(mg.ReplacedNodes, pt.origSlots[:gr.replaceN]...)
+	mg.RestoreStep = e.sh.RestoreStep
+	return nil
+}
+
+// provision acquires need replacement instances for a migration, starting at
+// virtual time at, and returns how many it got and when the last one was
+// ready. On a market an exhausted acquisition is retried with seeded
+// exponential backoff up to ProvisionRetries times; marketless platforms
+// draw on the cold-spare pool.
+func (e *engine) provision(pt *recoveryPoint, need int, at float64) (acquired int, readyAt float64, err error) {
+	o, readyAt := e.s.o, at
+	if e.market == nil {
+		take := min(need, e.spares)
+		for i := 0; i < take; i++ {
+			e.spares--
+			if i < len(pt.origSlots) {
+				e.rec.Record(pt.stopAt, "provision", "cold spare replaces node %d (%d spare(s) left)", pt.origSlots[i], e.spares)
+			} else {
+				e.rec.Record(pt.stopAt, "provision", "cold spare grows the degraded world (%d spare(s) left)", e.spares)
+			}
+		}
+		return take, readyAt, nil
+	}
+	bid := o.SpotBidFraction * e.s.tg.Platform.CostPerNodeHour
+	for attempt := 1; ; attempt++ {
+		repl, aerr := e.market.AcquireMix(need-acquired, bid, 1, 3)
+		if aerr != nil && !errors.Is(aerr, spot.ErrExhausted) {
+			return 0, 0, aerr
+		}
+		for _, nd := range repl.Nodes {
+			e.recordReplacement(pt.stopAt, nd, bid)
+		}
+		if acquired += len(repl.Nodes); acquired >= need {
+			return acquired, readyAt, nil
+		}
+		if attempt > max(o.ProvisionRetries, 0) {
+			e.rec.Record(readyAt, "provision", "market exhausted after %d acquisition attempt(s): %d of %d instance(s)",
+				attempt, acquired, need)
+			return acquired, readyAt, nil
+		}
+		d := e.pbo.Next()
+		readyAt += d
+		e.rep.WastedVirtualS += d
+		e.rep.BackoffS += d
+		e.mg.ProvisionRetries++
+		e.gobs.ProvisionRetry(readyAt, attempt, acquired, need, d)
+		e.rec.Record(readyAt, "backoff", "provisioning retry %d after %.1fs: %d of %d instance(s) acquired",
+			attempt, d, acquired, need)
+	}
 }

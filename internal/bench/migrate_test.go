@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 	o.Obs = obs.NewRun()
 	s := warmPreemptSetup(t, o, 0.6, 0.9)
 	noticeAt := s.plan.Events[0].NoticeAt
-	rep, st, err := runMigrate(s)
+	rep, st, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,10 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 
 	// Fault-free comparator at the same width, from scratch, on a fresh
 	// target, with its own journal.
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 	// so rank r owns the same block in both runs and every dof must agree
 	// bit for bit.
 	for rank := 0; rank < o.Ranks; rank++ {
-		a, b := st.app.finalVals[rank], comp.finalVals[rank]
+		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
 		if len(a) == 0 || len(a) != len(b) {
 			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
 		}
@@ -194,8 +194,8 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
 			}
 		}
-		for i := range st.app.finalIDs[rank] {
-			if st.app.finalIDs[rank][i] != comp.finalIDs[rank][i] {
+		for i := range st.finalIDs[rank] {
+			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
 				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
 			}
 		}
@@ -243,7 +243,7 @@ func TestMigrateWarmWastesLessThanShrink(t *testing.T) {
 	o.Policy = PolicyMigrate
 	sm := warmPreemptSetup(t, o, 0.88, 0.9)
 	plan := *sm.plan
-	repM, _, err := runMigrate(sm)
+	repM, _, err := supervise(sm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMigrateWarmWastesLessThanShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss.plan = &plan
-	repS, _, err := runShrinkContinue(ss)
+	repS, _, err := supervise(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestMigrateFallsBackWhenWindowTooShort(t *testing.T) {
 	s.plan = &fault.Plan{Seed: o.Seed, Events: []fault.Event{{
 		Kind: fault.KindPreempt, Node: 1, At: at, NoticeAt: at - 1e-9,
 	}}}
-	rep, _, err := runMigrate(s)
+	rep, _, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestMigrateFallsBackReactiveOnCrash(t *testing.T) {
 	o := shrinkOpts("rd")
 	o.Policy = PolicyMigrate
 	s := midRunSetup(t, o, 0.6)
-	rep, _, err := runMigrate(s)
+	rep, _, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // ReplayOptions configures a checkpoint-anchored replay of one scenario
 // (see ReplayFromCheckpoint). The scenario fields mirror the knobs that
 // produced the journal being triaged: a plain weak-scaling point when the
-// fault counts are zero, a supervised PolicyRestart run otherwise.
+// fault counts are zero, a supervised run under Policy otherwise.
 type ReplayOptions struct {
 	// App is "rd" or "ns"; Platform names the target.
 	App, Platform string
@@ -35,9 +35,10 @@ type ReplayOptions struct {
 	// Crashes, Preemptions and Degradations size the fault plan; all zero
 	// means an unsupervised run.
 	Crashes, Preemptions, Degradations int
-	// Policy must be empty or PolicyRestart: the shrink and migrate
-	// policies persist state through the buddy mirrorStore machinery,
-	// which the replay anchor does not capture.
+	// Policy is the recovery policy of a faulted scenario (default
+	// PolicyRestart). Every policy writes its checkpoints through the one
+	// tapped store, so all three replay; only generations at the submitted
+	// width anchor.
 	Policy string
 	// DivStep is the step the divergence happened in (the diverging rank's
 	// last completed step + 1, clamped to [1, Steps]): the replay runs up
@@ -83,11 +84,10 @@ type ReplayDump struct {
 	PerRank          []ReplayRankState
 }
 
-// anchorStore collects every checkpoint written at the submitted width
-// with step ≤ anchor — phase 1 of the replay taps the scenario's
-// checkpoint stream through it. It also implements snapStore directly
-// (saves tap, restores find nothing) so an unsupervised phase-1 run can
-// hand it straight to supervisedApp.
+// anchorStore is the replay tap's collector: every checkpoint written at the
+// submitted width with step ≤ anchor, whichever generation of whichever
+// policy wrote it (a degraded or re-formed world at another width does not
+// anchor, exactly as a restart after degradation never did).
 type anchorStore struct {
 	mu     sync.Mutex
 	width  int
@@ -111,9 +111,6 @@ func (s *anchorStore) tap(rank, step, width int, blob []byte) {
 	s.snaps[rank][step] = blob
 	s.mu.Unlock()
 }
-
-func (s *anchorStore) put(rank, step int, b []byte) { s.tap(rank, step, s.width, b) }
-func (s *anchorStore) get(rank int) []byte          { return nil }
 
 // commonLine returns the largest step ≤ anchor every rank has a snapshot
 // for, or 0 when none exists. Mixed per-rank resume steps would pair
@@ -152,33 +149,6 @@ func (s *anchorStore) blobsAt(step int) [][]byte {
 	return out
 }
 
-// replayStore hands each rank its anchor snapshot and retains the newest
-// snapshot each rank saves during the replay — the state at the
-// divergence step.
-type replayStore struct {
-	mu     sync.Mutex
-	resume [][]byte
-	latest []ckptSnap
-}
-
-func newReplayStore(resume [][]byte) *replayStore {
-	s := &replayStore{resume: resume, latest: make([]ckptSnap, len(resume))}
-	for i := range s.latest {
-		s.latest[i].step = -1
-	}
-	return s
-}
-
-func (s *replayStore) get(rank int) []byte { return s.resume[rank] }
-
-func (s *replayStore) put(rank, step int, b []byte) {
-	s.mu.Lock()
-	if step >= s.latest[rank].step {
-		s.latest[rank] = ckptSnap{step: step, blob: b}
-	}
-	s.mu.Unlock()
-}
-
 func (o ReplayOptions) withDefaults() ReplayOptions {
 	if o.App == "" {
 		o.App = "rd"
@@ -211,9 +181,6 @@ func (o ReplayOptions) withDefaults() ReplayOptions {
 // journal reader, so the replay exercises the same encoding it triages.
 func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 	o = o.withDefaults()
-	if o.Policy != "" && o.Policy != PolicyRestart {
-		return nil, fmt.Errorf("bench: replay supports only the %q recovery policy: %q persists state through buddy mirroring, which the replay anchor does not capture", PolicyRestart, o.Policy)
-	}
 	divStep := o.DivStep
 	if divStep < 1 {
 		divStep = 1
@@ -227,7 +194,7 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 	if o.Crashes+o.Preemptions+o.Degradations > 0 {
 		fo := FaultOptions{
 			App: o.App, Platform: o.Platform, Ranks: o.Ranks,
-			RanksPerNode: o.RanksPerNode, Policy: PolicyRestart,
+			RanksPerNode: o.RanksPerNode, Policy: o.Policy,
 			PerRankN: o.PerRankN, Steps: o.Steps, SkipSteps: o.SkipSteps,
 			Seed: o.Seed, Crashes: o.Crashes, Preemptions: o.Preemptions,
 			Degradations: o.Degradations, ckptTap: anchors.tap,
@@ -240,7 +207,7 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 		if err != nil {
 			return nil, err
 		}
-		app, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, o.Steps, anchors)
+		app, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, newSnapshotStore(o.Ranks, nil, anchors.tap))
 		if err != nil {
 			return nil, err
 		}
@@ -261,8 +228,13 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 	if err != nil {
 		return nil, err
 	}
-	rstore := newReplayStore(anchors.blobsAt(line))
-	app, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, divStep, rstore)
+	rstore := newSnapshotStore(o.Ranks, nil, nil)
+	for rank, blob := range anchors.blobsAt(line) {
+		if blob != nil {
+			rstore.put(rank, line, 0, blob)
+		}
+	}
+	app, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, divStep, rstore)
 	if err != nil {
 		return nil, err
 	}
@@ -313,28 +285,21 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 				rs.ClockS += pt.Total()
 			}
 		}
-		sn := rstore.latest[rank]
-		if sn.blob == nil {
+		blob := rstore.latest(rank)
+		if blob == nil {
 			continue
 		}
-		switch o.App {
-		case "rd":
-			st, _, _, _, rerr := checkpoint.ReadRD(bytes.NewReader(sn.blob))
-			if rerr != nil {
-				return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
-			}
-			rs.StepsDone = st.StepsDone
-			rs.StateTime = st.Time
-			rs.StateL2, rs.StateMax = stateNorms(st.U1)
-		default: // "ns"
-			st, _, _, _, rerr := checkpoint.ReadNSE(bytes.NewReader(sn.blob))
-			if rerr != nil {
-				return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
-			}
-			rs.StepsDone = st.StepsDone
-			rs.StateTime = st.Time
-			rs.StateL2, rs.StateMax = stateNorms(append(append(append([]float64(nil), st.U1[0]...), st.U1[1]...), st.U1[2]...))
+		st, rerr := checkpoint.Read(bytes.NewReader(blob), o.App)
+		if rerr != nil {
+			return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
 		}
+		rs.StepsDone = st.StepsDone
+		rs.StateTime = st.Time
+		var cur []float64
+		for _, f := range app.sol.current {
+			cur = append(cur, st.Fields[f]...)
+		}
+		rs.StateL2, rs.StateMax = stateNorms(cur)
 	}
 	return dump, nil
 }

@@ -101,12 +101,45 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestReplayRejectsShrinkAndMigrate(t *testing.T) {
-	for _, policy := range []string{PolicyShrink, PolicyMigrate} {
-		_, err := ReplayFromCheckpoint(ReplayOptions{Policy: policy, DivStep: 1})
-		if err == nil || !strings.Contains(err.Error(), "buddy mirroring") {
-			t.Fatalf("policy %s: got %v, want rejection", policy, err)
+// With the tap on the one store every policy's checkpoint stream anchors a
+// replay. For a divergence before the first failure the anchored phase 2 is
+// fault-free and policy-independent, so the shrink and migrate replays must
+// return the restart replay's dump.
+func TestReplayEveryPolicyAnchorsBeforeFirstFailure(t *testing.T) {
+	opt := ReplayOptions{
+		App: "rd", Platform: "ec2", Ranks: 8, RanksPerNode: 2, PerRankN: 2,
+		Steps: 4, Seed: 4, Crashes: 1, Preemptions: 1, DivStep: 2,
+	}
+	dumps := map[string]string{}
+	for _, policy := range allPolicies {
+		opt.Policy = policy
+		d, err := ReplayFromCheckpoint(opt)
+		if err != nil {
+			t.Fatalf("policy %s: %v", policy, err)
 		}
+		if d.AnchorStep != 1 || d.ColdStart {
+			t.Fatalf("policy %s: anchor = %d (cold %v), want the checkpoint after step 1", policy, d.AnchorStep, d.ColdStart)
+		}
+		dumps[policy] = FormatReplayDump(d)
+	}
+	for _, policy := range []string{PolicyShrink, PolicyMigrate} {
+		if dumps[policy] != dumps[PolicyRestart] {
+			t.Errorf("%s replay differs from the restart replay:\n%s\nvs\n%s", policy, dumps[policy], dumps[PolicyRestart])
+		}
+	}
+
+	// Only submitted-width generations anchor. Seed 7 loses a node before
+	// every rank saved step 1: restart relaunches at full width and writes
+	// the anchor then, shrink never gets back to that width, so its replay
+	// starts cold — and still reaches the divergence step.
+	opt.Seed, opt.Policy = 7, PolicyShrink
+	d, err := ReplayFromCheckpoint(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.ColdStart || d.PerRank[0].StepsDone != opt.DivStep {
+		t.Errorf("shrink replay without a full-width anchor: cold %v, rank 0 at step %d, want a cold replay to step %d",
+			d.ColdStart, d.PerRank[0].StepsDone, opt.DivStep)
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func midRunSetup(t *testing.T, o FaultOptions, frac float64) *superSetup {
 
 func TestShrinkContinueRecoversMidRun(t *testing.T) {
 	s := midRunSetup(t, shrinkOpts("rd"), 0.6)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestShrinkContinueRecoversMidRun(t *testing.T) {
 		t.Fatalf("makespan %.3f should exceed the continuation's own %.3f (clocks carry)",
 			rep.MakespanS, rep.FinalVirtualS)
 	}
-	if st.ranks != 6 || st.lastHeldRD == nil {
+	if st.ranks != 6 || st.held == nil {
 		t.Fatalf("run state %+v lacks held fragments", st)
 	}
 }
@@ -74,7 +75,7 @@ func TestShrinkContinueRecoversMidRun(t *testing.T) {
 func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 	o := shrinkOpts("rd")
 	s := midRunSetup(t, o, 0.6)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +84,21 @@ func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 	// same redistributed snapshot — no agreement round, no mirroring, a
 	// fresh target. Redistribution is a pure permutation, so the recovered
 	// run must match it bit for bit.
-	m, _, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := newShrinkApp(o.App, m, st.grid, o.Steps, st.ranks)
-	comp.heldRD = st.lastHeldRD
+	comp := st.next(st.grid, st.ranks, nil)
+	comp.held = st.held
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	result, af, err := tg.Attempt(core.JobSpec{
-		Ranks: st.ranks, RanksPerNode: o.RanksPerNode, App: comp, MemPerRankGB: mem,
+		Ranks: st.ranks, RanksPerNode: o.RanksPerNode, App: comp, MemPerRankGB: s.mem,
 	})
 	if err != nil || af != nil {
 		t.Fatalf("comparator run failed: %v / %v", err, af)
 	}
 
 	for rank := 0; rank < st.ranks; rank++ {
-		a, b := st.app.finalVals[rank], comp.finalVals[rank]
+		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
 		if len(a) == 0 || len(a) != len(b) {
 			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
 		}
@@ -111,8 +108,8 @@ func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
 			}
 		}
-		for i := range st.app.finalIDs[rank] {
-			if st.app.finalIDs[rank][i] != comp.finalIDs[rank][i] {
+		for i := range st.finalIDs[rank] {
+			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
 				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
 			}
 		}
@@ -176,7 +173,7 @@ func TestShrinkContinueNavierStokes(t *testing.T) {
 	o.PerRankN = 2
 	o.Steps = 3
 	s := midRunSetup(t, o, 0.5)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func TestShrinkContinueNavierStokes(t *testing.T) {
 	if v := rep.Final.Metrics["vel_max_err"]; math.IsNaN(v) || v <= 0 {
 		t.Fatalf("ns continuation produced vel_max_err %v", v)
 	}
-	if st.lastHeldNS == nil && rep.Shrink.RestoreStep >= 1 {
+	if st.held == nil && rep.Shrink.RestoreStep >= 1 {
 		t.Fatal("warm ns restore without held fragments")
 	}
 }
@@ -199,7 +196,7 @@ func TestShrinkPolicyNeedsTwoNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runShrinkContinue(s); err == nil {
+	if _, _, err := supervise(s); err == nil {
 		t.Fatal("single-node placement accepted for shrink-and-continue")
 	}
 }

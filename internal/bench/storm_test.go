@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, st, err := runMigrate(s)
+	rep, st, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,10 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	}
 
 	// Fault-free comparator at the same width, from scratch.
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	}
 
 	for rank := 0; rank < o.Ranks; rank++ {
-		a, b := st.app.finalVals[rank], comp.finalVals[rank]
+		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
 		if len(a) == 0 || len(a) != len(b) {
 			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
 		}
@@ -99,8 +99,8 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
 			}
 		}
-		for i := range st.app.finalIDs[rank] {
-			if st.app.finalIDs[rank][i] != comp.finalIDs[rank][i] {
+		for i := range st.finalIDs[rank] {
+			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
 				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
 			}
 		}
@@ -207,7 +207,7 @@ func TestRegrowRestoresSubmittedWidth(t *testing.T) {
 		// Warm notice later: migrate, and re-grow the earlier deficit.
 		{Kind: fault.KindPreempt, Node: 2, At: 0.9 * s.cleanS, NoticeAt: 0.7 * s.cleanS},
 	}}
-	rep, _, err := runMigrate(s)
+	rep, _, err := supervise(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,14 @@
 package bench
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
-	"heterohpc/internal/checkpoint"
 	"heterohpc/internal/core"
 	"heterohpc/internal/fault"
-	"heterohpc/internal/mesh"
-	"heterohpc/internal/mp"
-	"heterohpc/internal/nse"
 	"heterohpc/internal/obs"
-	"heterohpc/internal/rd"
 	"heterohpc/internal/spot"
 	"heterohpc/internal/trace"
-	"heterohpc/internal/vclock"
 )
 
 // Recovery policies for RunSupervised.
@@ -114,8 +105,8 @@ type FaultOptions struct {
 	Obs *obs.Run
 
 	// ckptTap, when non-nil, mirrors every checkpoint the faulted job's
-	// ranks write — (rank, step, world width, serialised blob) — to the
-	// replay anchor collector. The clean baseline inside newSuperSetup is
+	// ranks write under any policy — (rank, step, world width, serialised
+	// blob) — to the replay anchor collector. The clean baseline inside newSuperSetup is
 	// never tapped, matching the journal's coverage. Unexported: only
 	// ReplayFromCheckpoint sets it (see replay.go).
 	ckptTap func(rank, step, width int, blob []byte)
@@ -235,215 +226,6 @@ type ShrinkStats struct {
 	PartitionImbalance float64
 }
 
-// ckptSnap is one serialised checkpoint container tagged with the step it
-// captured (recorded at save time, so restore never has to parse blobs).
-// step is -1 for the empty snapshot.
-type ckptSnap struct {
-	step int
-	blob []byte
-}
-
-// ckptStore keeps the last TWO serialised checkpoint containers per rank.
-// Saves happen concurrently from rank goroutines; ranks killed mid-step
-// may be one step apart (a rank racing past a step's final collective
-// saves step N while a peer still holds N−1), so a single retained
-// snapshot per rank cannot guarantee a common restore line. sync()
-// establishes one before each retry.
-type ckptStore struct {
-	mu     sync.Mutex
-	latest []ckptSnap
-	prev   []ckptSnap
-}
-
-func newCkptStore(nranks int) *ckptStore {
-	s := &ckptStore{latest: make([]ckptSnap, nranks), prev: make([]ckptSnap, nranks)}
-	for i := range s.latest {
-		s.latest[i].step = -1
-		s.prev[i].step = -1
-	}
-	return s
-}
-
-func (s *ckptStore) put(rank, step int, b []byte) {
-	s.mu.Lock()
-	s.prev[rank] = s.latest[rank]
-	s.latest[rank] = ckptSnap{step: step, blob: b}
-	s.mu.Unlock()
-}
-
-func (s *ckptStore) get(rank int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest[rank].blob
-}
-
-// sync establishes a restore line every rank agrees on: the minimum
-// checkpointed step across ranks. Ranks that raced one step ahead of a
-// killed peer fall back to their previous snapshot, so all ranks resume
-// from the same step and the per-rank collective sequence numbers stay
-// aligned (a mixed-step resume would pair collectives across different
-// time steps and hang). Returns the common step and the maximum step any
-// rank had saved (for the decision log); when no common line exists —
-// some rank never checkpointed, or skew exceeded the retained window —
-// the store is cleared so every rank restarts from scratch, and sync
-// returns min = -1.
-func (s *ckptStore) sync() (min, max int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	min, max = s.latest[0].step, s.latest[0].step
-	for _, sn := range s.latest[1:] {
-		if sn.step < min {
-			min = sn.step
-		}
-		if sn.step > max {
-			max = sn.step
-		}
-	}
-	clear := func() {
-		for i := range s.latest {
-			s.latest[i] = ckptSnap{step: -1}
-			s.prev[i] = ckptSnap{step: -1}
-		}
-	}
-	if min < 0 {
-		clear()
-		return -1, max
-	}
-	for i := range s.latest {
-		if s.latest[i].step != min {
-			if s.prev[i].step != min {
-				clear()
-				return -1, max
-			}
-			s.latest[i] = s.prev[i]
-		}
-		s.prev[i] = ckptSnap{step: -1}
-	}
-	return min, max
-}
-
-// snapStore is the checkpoint persistence surface supervisedApp writes
-// through: ckptStore in the recovery loops, anchorStore/replayStore in the
-// journal-diff replay (replay.go), tapStore to layer the two.
-type snapStore interface {
-	put(rank, step int, b []byte)
-	get(rank int) []byte
-}
-
-// tapStore forwards saves to an inner store and mirrors every write to a
-// replay tap along with the world width it was taken at.
-type tapStore struct {
-	inner snapStore
-	width int
-	tap   func(rank, step, width int, blob []byte)
-}
-
-func (t *tapStore) put(rank, step int, b []byte) {
-	t.inner.put(rank, step, b)
-	t.tap(rank, step, t.width, b)
-}
-
-func (t *tapStore) get(rank int) []byte { return t.inner.get(rank) }
-
-// tapped wraps store with the replay tap when one is set.
-func tapped(store snapStore, width int, tap func(rank, step, width int, blob []byte)) snapStore {
-	if tap == nil {
-		return store
-	}
-	return &tapStore{inner: store, width: width, tap: tap}
-}
-
-// supervisedApp wires per-rank checkpoint save/restore closures into the
-// weak-scaling applications. Checkpoints flow through the
-// internal/checkpoint containers, exactly as a production restart would.
-type supervisedApp struct {
-	name  string
-	rdCfg rd.Config
-	nsCfg nse.Config
-	owned [][]int
-	store snapStore
-}
-
-func newSupervisedApp(app string, ranks, perRankN, steps int, store snapStore) (*supervisedApp, float64, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, 0, fmt.Errorf("bench: weak scaling needs cubic rank counts: %w", err)
-	}
-	a := &supervisedApp{name: app, store: store}
-	var m *mesh.Mesh
-	var mem float64
-	switch app {
-	case "rd":
-		m = mesh.NewUnitCube(perRankN * p)
-		a.rdCfg = rd.Config{Mesh: m, Grid: [3]int{p, p, p}, Steps: steps}
-		mem = core.MemPerRankGB(perRankN, 1)
-	case "ns":
-		n := perRankN * p
-		m, err = mesh.NewBox(mesh.SymmetricBox, n, n, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.nsCfg = nse.Config{Mesh: m, Grid: [3]int{p, p, p}, Steps: steps}
-		mem = core.MemPerRankGB(perRankN, 4)
-	default:
-		return nil, 0, fmt.Errorf("bench: unknown application %q (want rd or ns)", app)
-	}
-	a.owned = make([][]int, ranks)
-	for rank := 0; rank < ranks; rank++ {
-		l, err := mesh.NewLocalFromBlock(m, p, p, p, rank)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.owned[rank] = l.VertGlobal[:l.NumOwned]
-	}
-	return a, mem, nil
-}
-
-// Name implements core.App.
-func (a *supervisedApp) Name() string { return a.name }
-
-// Run implements core.App: restore this rank's state from the store when a
-// compatible checkpoint exists, and save one after every completed step.
-func (a *supervisedApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
-	rank, size := r.ID(), r.Size()
-	if a.name == "rd" {
-		cfg := a.rdCfg
-		if b := a.store.get(rank); b != nil {
-			if st, ckRank, ckN, _, err := checkpoint.ReadRD(bytes.NewReader(b)); err == nil &&
-				ckRank == rank && ckN == size && st.StepsDone < cfg.Steps {
-				cfg.Resume = &st
-				r.Obs().Checkpoint("ckpt-restore", st.StepsDone, int64(len(b)))
-			}
-		}
-		cfg.Checkpoint = func(st rd.State) error {
-			var buf bytes.Buffer
-			if err := checkpoint.WriteRD(&buf, st, rank, size, a.owned[rank]); err != nil {
-				return err
-			}
-			a.store.put(rank, st.StepsDone, buf.Bytes())
-			return nil
-		}
-		return core.RDApp{Cfg: cfg}.Run(r)
-	}
-	cfg := a.nsCfg
-	if b := a.store.get(rank); b != nil {
-		if st, ckRank, ckN, _, err := checkpoint.ReadNSE(bytes.NewReader(b)); err == nil &&
-			ckRank == rank && ckN == size && st.StepsDone < cfg.Steps {
-			cfg.Resume = &st
-			r.Obs().Checkpoint("ckpt-restore", st.StepsDone, int64(len(b)))
-		}
-	}
-	cfg.Checkpoint = func(st nse.State) error {
-		var buf bytes.Buffer
-		if err := checkpoint.WriteNSE(&buf, st, rank, size, a.owned[rank]); err != nil {
-			return err
-		}
-		a.store.put(rank, st.StepsDone, buf.Bytes())
-		return nil
-	}
-	return core.NSApp{Cfg: cfg}.Run(r)
-}
-
 // virtualDuration is the job's virtual makespan: the largest per-rank sum
 // of step times.
 func virtualDuration(rep *core.Report) float64 {
@@ -481,7 +263,7 @@ func degradedShape(cur, want int) int {
 	return to
 }
 
-// superSetup is the shared preamble of both recovery policies: the clean
+// superSetup is the preamble every policy shares: the clean
 // baseline, the supervised target, the effective placement, and the fault
 // plan drawn over the baseline's virtual horizon.
 type superSetup struct {
@@ -502,8 +284,7 @@ func newSuperSetup(o FaultOptions) (*superSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanStore := newCkptStore(o.Ranks)
-	cleanApp, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, o.Steps, cleanStore)
+	cleanApp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, newSnapshotStore(o.Ranks, nil, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -550,8 +331,8 @@ func newSuperSetup(o FaultOptions) (*superSetup, error) {
 	}, nil
 }
 
-// newReplacementMarket builds the replacement spot market both recovery
-// loops buy capacity from: nil on marketless platforms, seeded at Seed+2,
+// newReplacementMarket builds the replacement spot market the restart and
+// migrate verbs buy capacity from: nil on marketless platforms, seeded at Seed+2,
 // with the on-demand pool capped when OnDemandSupply asks for it (the
 // capped pool is what makes acquisition exhaustion — and therefore the
 // autoscaler's backoff path — reachable).
@@ -573,222 +354,82 @@ func (s *superSetup) newReplacementMarket() *spot.Market {
 }
 
 // RunSupervised executes a weak-scaling job under a fault plan with the
-// paper-grade recovery loop: classify the failure, back off with jitter,
-// re-provision replacement capacity (spot first, on-demand fallback — the
-// paper's "mix"), restore the last checkpoint, and degrade to fewer ranks
-// when no replacement is available. Everything is deterministic for equal
-// seeds.
+// recovery engine (engine.go): classify the failure, let the policy decide,
+// and restart from stable storage, shrink onto the survivors, or migrate
+// inside the notice window — degrading to fewer ranks when no replacement is
+// available. Everything is deterministic for equal seeds.
 func RunSupervised(o FaultOptions) (*RecoveryReport, error) {
 	o = o.withDefaults()
 	s, err := newSuperSetup(o)
 	if err != nil {
 		return nil, err
 	}
-	switch o.Policy {
-	case PolicyRestart:
-		return runRestart(s)
-	case PolicyShrink:
-		rep, _, err := runShrinkContinue(s)
-		return rep, err
-	case PolicyMigrate:
-		rep, _, err := runMigrate(s)
-		return rep, err
-	default:
-		return nil, fmt.Errorf("bench: unknown recovery policy %q (want %q, %q or %q)",
-			o.Policy, PolicyRestart, PolicyShrink, PolicyMigrate)
-	}
+	rep, _, err := supervise(s)
+	return rep, err
 }
 
-// runRestart is the checkpoint-restart recovery loop.
-func runRestart(s *superSetup) (*RecoveryReport, error) {
-	o := s.o
-	tg, p := s.tg, s.tg.Platform
-	cpn := s.cpn
-	clean, cleanS, plan := s.clean, s.cleanS, s.plan
-
-	fatals := plan.Failures()
-	degrades := plan.Degradations()
-	maxAttempts := o.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = len(fatals) + 3
+// supervise selects the policy — a decide function, whether to drain at the
+// notice, and where checkpoints live — and runs the engine. It also returns
+// the final generation, whose held fragments and final field the package
+// tests compare bit for bit.
+func supervise(s *superSetup) (*RecoveryReport, *generation, error) {
+	e := newEngine(s)
+	switch s.o.Policy {
+	case PolicyRestart:
+		e.stable = true
+		e.decide = func(*recoveryPoint) string { return "restart" }
+	case PolicyShrink:
+		e.decide = func(*recoveryPoint) string { return "shrink" }
+		e.rep.Shrink = &e.sh
+	case PolicyMigrate:
+		e.drain = true
+		e.decide = e.ladder
+		e.rep.Shrink, e.rep.Migrate = &e.sh, &e.mg
+	default:
+		return nil, nil, fmt.Errorf("bench: unknown recovery policy %q (want %q, %q or %q)",
+			s.o.Policy, PolicyRestart, PolicyShrink, PolicyMigrate)
 	}
-
-	rep := &RecoveryReport{
-		Platform: o.Platform, App: o.App, Policy: PolicyRestart,
-		Ranks: o.Ranks, FinalRanks: o.Ranks,
-		Plan: plan, Clean: clean, CleanVirtualS: cleanS,
+	if !e.stable && s.nodes < 2 {
+		return nil, nil, fmt.Errorf("bench: policy %s keeps checkpoints in node memory and needs at least 2 nodes for buddy copies (placement has %d); lower RanksPerNode or raise Ranks",
+			s.o.Policy, s.nodes)
 	}
-	var rec trace.Recorder
-	rec.Observe(o.Obs)
-	bo := fault.NewBackoff(o.BackoffBaseS, o.BackoffCapS, o.Seed+1)
-	market := s.newReplacementMarket()
-	spares := o.SpareNodes
+	return e.run()
+}
 
-	ranks := o.Ranks
-	store := newCkptStore(ranks)
-	app, appMem, err := newSupervisedApp(o.App, ranks, o.PerRankN, o.Steps, tapped(store, ranks, o.ckptTap))
+// RecoveryComparison pits the three policies against the identical fault
+// plan.
+type RecoveryComparison struct {
+	Restart, Shrink, Migrate *RecoveryReport
+}
+
+// CompareRecovery runs the same seeded fault plan under checkpoint-restart,
+// shrink-and-continue and proactive migration, so the reports differ only
+// by policy. The restart run draws the plan; the other two replay it
+// verbatim.
+func CompareRecovery(o FaultOptions) (*RecoveryComparison, error) {
+	o = o.withDefaults()
+	run := func(label, policy string, plan *fault.Plan) (*RecoveryReport, error) {
+		po := o
+		po.Policy, po.Plan = policy, plan
+		rep, err := RunSupervised(po)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s policy: %w", label, err)
+		}
+		return rep, nil
+	}
+	restart, err := run("restart", PolicyRestart, o.Plan)
 	if err != nil {
 		return nil, err
 	}
-
-	// replacementPremiumPerHour accumulates the per-hour premium of every
-	// replacement node over the typical spot rate; it is priced over the
-	// successful attempt's duration once known.
-	var replacementPremiumPerHour float64
-
-	degrade := func(atS float64, toRanks int, why string) error {
-		to := degradedShape(ranks, toRanks)
-		if to < 1 {
-			return fmt.Errorf("bench: cannot degrade below 1 rank (%s)", why)
-		}
-		rec.Record(atS, "degrade", "re-partitioning onto %d of %d ranks (%s); checkpoints at the old size are discarded",
-			to, ranks, why)
-		ranks = to
-		rep.Degraded = true
-		store = newCkptStore(ranks)
-		app, appMem, err = newSupervisedApp(o.App, ranks, o.PerRankN, o.Steps, tapped(store, ranks, o.ckptTap))
-		return err
+	shrink, err := run("shrink", PolicyShrink, restart.Plan)
+	if err != nil {
+		return nil, err
 	}
-
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rep.Attempts = attempt
-		if attempt > 1 {
-			// Establish the cross-rank restore line: ranks killed one step
-			// apart all fall back to the latest step every rank saved.
-			if lo, hi := store.sync(); lo >= 0 {
-				if hi > lo {
-					rec.Record(0, "restore", "attempt %d resumes all %d ranks from the checkpoint after step %d (step-%d blobs from ranks that raced ahead are discarded)",
-						attempt, ranks, lo, hi)
-				} else {
-					rec.Record(0, "restore", "attempt %d resumes all %d ranks from the checkpoint after step %d",
-						attempt, ranks, lo)
-				}
-			}
-		}
-		events := append([]fault.Event(nil), degrades...)
-		var armed *fault.Event
-		if len(fatals) > 0 {
-			// Arm only the earliest remaining fatal event: which of several
-			// armed crashes trips first would otherwise race in real time.
-			armed = &fatals[0]
-			events = append(events, *armed)
-			if armed.Kind == fault.KindPreempt {
-				rec.Record(armed.NoticeAt, "notice",
-					"spot interruption notice for node %d (reclaim at t=%.1fs)", armed.Node, armed.At)
-			}
-		}
-
-		result, af, err := tg.Attempt(core.JobSpec{
-			Ranks: ranks, RanksPerNode: o.RanksPerNode, App: app,
-			SkipSteps: o.SkipSteps, MemPerRankGB: appMem, Faults: events, Obs: o.Obs,
-		})
-		if err != nil {
-			switch fault.Classify(err) {
-			case fault.ClassCapacity, fault.ClassResource:
-				// Retrying the same shape is futile — shrink instead.
-				if derr := degrade(0, ranks-1, err.Error()); derr != nil {
-					return nil, derr
-				}
-				continue
-			default:
-				return nil, err
-			}
-		}
-		if af == nil {
-			rep.Final = result
-			rep.FinalRanks = ranks
-			rep.FinalVirtualS = virtualDuration(result)
-			rep.MakespanS = rep.WastedVirtualS + rep.FinalVirtualS
-			rep.RecoveryCostUSD += replacementPremiumPerHour * rep.FinalVirtualS / 3600
-			rec.Record(rep.FinalVirtualS, "complete", "attempt %d finished on %d ranks", attempt, ranks)
-			rep.Decisions = rec.Decisions()
-			return rep, nil
-		}
-
-		switch fault.Classify(af) {
-		case fault.ClassNodeLoss:
-			preempted := armed != nil && armed.Kind == fault.KindPreempt
-			kind := "crash"
-			// A preemption was announced: the supervisor reacts at the
-			// notice, not at the kill, so replacement provisioning is
-			// staged inside the two-minute window.
-			provAt := af.At
-			if preempted {
-				kind = "preemption"
-				provAt = armed.NoticeAt
-			}
-			rec.Record(af.At, "failure", "%s killed node %d at t=%.1fs (attempt %d): %v",
-				kind, af.Node, af.At, attempt, fault.Classify(af))
-			if len(fatals) > 0 {
-				fatals = fatals[1:]
-			}
-			// The whole attempt up to the failure is paid for; the part
-			// after the last checkpoint is recomputed.
-			rep.WastedVirtualS += af.At
-			rep.RecoveryCostUSD += tg.Billing.JobCost(af.At, ranks)
-
-			// Re-provision replacement capacity for the lost node.
-			switch {
-			case market != nil:
-				bid := o.SpotBidFraction * p.CostPerNodeHour
-				repl, err := market.AcquireMix(1, bid, 1, 3)
-				if err != nil {
-					if !errors.Is(err, spot.ErrExhausted) {
-						return nil, err
-					}
-					// A capped market can sell out entirely; restart has no
-					// backoff-and-regrow machinery, so it degrades exactly
-					// like a marketless platform out of spares.
-					rec.Record(provAt, "provision", "spot and on-demand supply exhausted; no replacement for node %d", af.Node)
-					curNodes := (ranks + cpn - 1) / cpn
-					if derr := degrade(af.At, (curNodes-1)*cpn, "market exhausted"); derr != nil {
-						return nil, derr
-					}
-					break
-				}
-				nd := repl.Nodes[0]
-				if nd.Spot {
-					rec.Record(provAt, "provision", "replacement spot instance at $%.3f/h (bid $%.3f)",
-						nd.PricePerHour, bid)
-				} else {
-					rec.Record(provAt, "provision", "spot market could not fill the bid; on-demand replacement at $%.2f/h — the paper's forced mix",
-						nd.PricePerHour)
-				}
-				if nd.PricePerHour > p.SpotPerNodeHour {
-					replacementPremiumPerHour += nd.PricePerHour - p.SpotPerNodeHour
-				}
-			case spares > 0:
-				spares--
-				rec.Record(provAt, "provision", "cold spare replaces node %d (%d spare(s) left)",
-					af.Node, spares)
-			default:
-				curNodes := (ranks + cpn - 1) / cpn
-				if derr := degrade(af.At, (curNodes-1)*cpn, "no replacement capacity"); derr != nil {
-					return nil, derr
-				}
-			}
-
-			if preempted {
-				// The notice lead absorbed the reaction: the replacement
-				// was requested when the notice arrived, so the job
-				// restarts as soon as the instance is reclaimed, with no
-				// backoff delay charged — the measurable benefit of a
-				// preemption over an unannounced crash.
-				rec.Record(af.At, "drain", "notice window staged the replacement; restarting without backoff (attempt %d)", attempt)
-			} else {
-				d := bo.Next()
-				rep.WastedVirtualS += d
-				rep.BackoffS += d
-				rec.Record(af.At+d, "backoff", "retrying after %.1fs (attempt %d)", d, attempt)
-			}
-		default:
-			rep.Decisions = rec.Decisions()
-			return nil, fmt.Errorf("bench: unrecoverable %v failure: %w", fault.Classify(af), af)
-		}
+	migrate, err := run("migrate", PolicyMigrate, restart.Plan)
+	if err != nil {
+		return nil, err
 	}
-	rep.Decisions = rec.Decisions()
-	return nil, fmt.Errorf("bench: gave up after %d attempts (%d fault(s) outstanding)",
-		maxAttempts, len(fatals))
+	return &RecoveryComparison{Restart: restart, Shrink: shrink, Migrate: migrate}, nil
 }
 
 // FormatRecovery renders a supervised run: the decision log, then the
@@ -805,10 +446,7 @@ func FormatRecovery(rep *RecoveryReport) string {
 	b.WriteString(rec.Format())
 	b.WriteString("\n\n")
 
-	errKey := "max_err"
-	if rep.App == "ns" {
-		errKey = "vel_max_err"
-	}
+	errKey := errKeyOf(rep.App)
 	fmt.Fprintf(&b, "%-24s %14s %14s\n", "", "clean", "recovered")
 	fmt.Fprintf(&b, "%-24s %14d %14d\n", "ranks", rep.Clean.Ranks, rep.Final.Ranks)
 	fmt.Fprintf(&b, "%-24s %14d %14d\n", "attempts", 1, rep.Attempts)
@@ -865,10 +503,7 @@ func FormatRecoveryComparison(c *RecoveryComparison) string {
 	fmt.Fprintf(&b, "Recovery-policy comparison: %s on %s (%d ranks)\n",
 		strings.ToUpper(r.App), r.Platform, r.Ranks)
 	fmt.Fprintf(&b, "%s\n\n", r.Plan)
-	errKey := "max_err"
-	if r.App == "ns" {
-		errKey = "vel_max_err"
-	}
+	errKey := errKeyOf(r.App)
 	row := func(label, fmtStr string, vs ...any) {
 		fmt.Fprintf(&b, "%-26s", label)
 		for _, v := range vs {

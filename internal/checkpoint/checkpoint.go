@@ -1,14 +1,16 @@
 // Package checkpoint persists and restores solver state through h5lite
 // containers — the "automatic checkpointing" service the paper lists among
 // the further conditioning an EC2 cluster image would need (§VI-D). Each
-// rank writes its own container holding the BDF2 history vectors, its owned
-// vertex ids, and enough metadata to reject mismatched restarts.
+// rank writes its own container holding the solver's history vectors, its
+// owned vertex ids, and enough metadata to reject mismatched restarts. The
+// state travels as an app-neutral Snapshot; a per-application layout table
+// names the datasets, so one Write/Read pair and one Redistribute serve
+// both solvers.
 package checkpoint
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"heterohpc/internal/h5lite"
@@ -20,23 +22,6 @@ import (
 // layout.
 const FormatVersion = "1"
 
-// setMetaAttrs applies checkpoint metadata in sorted key order, so a
-// failing SetAttr always surfaces the same error first regardless of map
-// iteration (heterolint:maporder).
-func setMetaAttrs(f *h5lite.File, path string, meta map[string]string) error {
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := f.SetAttr(path, k, meta[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // App tags identify which solver wrote a container, so a restart cannot
 // feed Navier–Stokes state to the RD solver or vice versa. The tag is an
 // attribute, not a version bump: containers written before the tag existed
@@ -46,95 +31,170 @@ const (
 	AppNS = "ns"
 )
 
+// Snapshot is one rank's restartable solver state with the application
+// taken out: N equally long field vectors over the rank's owned vertices.
+// What the fields mean is the layout's business (RD: u^{n-1}, u^{n-2}; NS:
+// the two velocity history levels per component, then pressure).
+//
+// Fields alias whatever vectors they were built from — the solver's
+// checkpoint buffers on the way out, the container's datasets on the way
+// in — and are never copied by this package, so wrapping a solver state in
+// a Snapshot costs a slice header per field. A Snapshot built from a
+// solver's Checkpoint callback therefore inherits that callback's retention
+// contract: serialise it before returning, do not keep it.
+type Snapshot struct {
+	// StepsDone counts completed time steps; Time is the PDE time reached.
+	StepsDone int
+	Time      float64
+	// Fields are the state vectors in layout order, one value per owned
+	// vertex each.
+	Fields [][]float64
+	// Owned are the global vertex ids the values belong to.
+	Owned []int
+	// Rank and Width are the writing rank and its world size.
+	Rank, Width int
+}
+
+// layout is one application's row of the dataset-name table.
+type layout struct {
+	// fields names the dataset of each Snapshot field, in container order;
+	// the first one carries the metadata attributes.
+	fields []string
+	owned  string
+	// tagOptional accepts containers without an app attribute (RD
+	// containers predate the tag and are RD by construction).
+	tagOptional bool
+	// redistBytes is the memory traffic per vertex Redistribute charges
+	// for bucketing a held fragment.
+	redistBytes float64
+}
+
+var layouts = map[string]*layout{
+	AppRD: {fields: []string{"rd/u1", "rd/u2"}, owned: "rd/owned", tagOptional: true, redistBytes: 40},
+	AppNS: {fields: []string{"ns/u1_0", "ns/u2_0", "ns/u1_1", "ns/u2_1", "ns/u1_2", "ns/u2_2", "ns/p"},
+		owned: "ns/owned", redistBytes: 56},
+}
+
+func layoutOf(app string) (*layout, error) {
+	l, ok := layouts[app]
+	if !ok {
+		return nil, fmt.Errorf("checkpoint: unknown application %q (want %s or %s)", app, AppRD, AppNS)
+	}
+	return l, nil
+}
+
+// Write serialises one rank's snapshot into app's container layout.
+func Write(w io.Writer, app string, s Snapshot) error {
+	l, err := layoutOf(app)
+	if err != nil {
+		return err
+	}
+	if len(s.Fields) != len(l.fields) {
+		return fmt.Errorf("checkpoint: %d state vectors for the %d-field %s layout", len(s.Fields), len(l.fields), app)
+	}
+	n := len(s.Owned)
+	f := h5lite.New()
+	for i, name := range l.fields {
+		if len(s.Fields[i]) != n {
+			return fmt.Errorf("checkpoint: inconsistent state vectors: %s has %d values for %d owned ids", name, len(s.Fields[i]), n)
+		}
+		if err := f.CreateF64(name, []int{n}, s.Fields[i]); err != nil {
+			return err
+		}
+	}
+	ids := make([]int64, n)
+	for i, g := range s.Owned {
+		ids[i] = int64(g)
+	}
+	if err := f.CreateI64(l.owned, []int{n}, ids); err != nil {
+		return err
+	}
+	for _, kv := range [][2]string{
+		{"version", FormatVersion},
+		{"app", app},
+		{"steps", strconv.Itoa(s.StepsDone)},
+		{"time", strconv.FormatFloat(s.Time, 'x', -1, 64)}, // hex: exact
+		{"rank", strconv.Itoa(s.Rank)},
+		{"nranks", strconv.Itoa(s.Width)},
+	} {
+		if err := f.SetAttr(l.fields[0], kv[0], kv[1]); err != nil {
+			return err
+		}
+	}
+	_, err = f.WriteTo(w)
+	return err
+}
+
+// Read restores one rank's snapshot from a container in app's layout,
+// rejecting containers of the other application, of another format version,
+// or with missing or mismatched datasets.
+func Read(r io.Reader, app string) (Snapshot, error) {
+	var s Snapshot
+	l, err := layoutOf(app)
+	if err != nil {
+		return s, err
+	}
+	f, err := h5lite.ReadFrom(r)
+	if err != nil {
+		return s, err
+	}
+	head, ok := f.Get(l.fields[0])
+	if !ok {
+		return s, fmt.Errorf("checkpoint: not an %s checkpoint (%s missing)", app, l.fields[0])
+	}
+	if v := head.Attrs["version"]; v != FormatVersion {
+		return s, fmt.Errorf("checkpoint: format version %q, want %q", v, FormatVersion)
+	}
+	if tag, ok := head.Attrs["app"]; (ok && tag != app) || (!ok && !l.tagOptional) {
+		return s, fmt.Errorf("checkpoint: app tag %q, want %q", tag, app)
+	}
+	n := len(head.F64)
+	s.Fields = make([][]float64, 0, len(l.fields))
+	for _, name := range l.fields {
+		d, ok := f.Get(name)
+		if !ok || len(d.F64) != n {
+			return s, fmt.Errorf("checkpoint: %s missing or mismatched", name)
+		}
+		s.Fields = append(s.Fields, d.F64)
+	}
+	idsDS, ok := f.Get(l.owned)
+	if !ok || len(idsDS.I64) != n {
+		return s, fmt.Errorf("checkpoint: %s missing or mismatched", l.owned)
+	}
+	for _, a := range []struct {
+		key string
+		dst *int
+	}{{"steps", &s.StepsDone}, {"rank", &s.Rank}, {"nranks", &s.Width}} {
+		if *a.dst, err = strconv.Atoi(head.Attrs[a.key]); err != nil {
+			return s, fmt.Errorf("checkpoint: bad %s attribute: %w", a.key, err)
+		}
+	}
+	if s.Time, err = strconv.ParseFloat(head.Attrs["time"], 64); err != nil {
+		return s, fmt.Errorf("checkpoint: bad time attribute: %w", err)
+	}
+	s.Owned = make([]int, n)
+	for i, g := range idsDS.I64 {
+		s.Owned[i] = int(g)
+	}
+	return s, nil
+}
+
 // WriteRD serialises one rank's RD solver state. ownedIDs are the rank's
 // owned global vertex ids (for integrity checking on restore).
 func WriteRD(w io.Writer, st rd.State, rank, nranks int, ownedIDs []int) error {
-	if len(st.U1) != len(st.U2) {
-		return fmt.Errorf("checkpoint: inconsistent state vectors %d/%d", len(st.U1), len(st.U2))
-	}
-	if len(ownedIDs) != len(st.U1) {
-		return fmt.Errorf("checkpoint: %d owned ids for %d dofs", len(ownedIDs), len(st.U1))
-	}
-	f := h5lite.New()
-	n := len(st.U1)
-	if err := f.CreateF64("rd/u1", []int{n}, st.U1); err != nil {
-		return err
-	}
-	if err := f.CreateF64("rd/u2", []int{n}, st.U2); err != nil {
-		return err
-	}
-	ids := make([]int64, n)
-	for i, g := range ownedIDs {
-		ids[i] = int64(g)
-	}
-	if err := f.CreateI64("rd/owned", []int{n}, ids); err != nil {
-		return err
-	}
-	meta := map[string]string{
-		"version": FormatVersion,
-		"app":     AppRD,
-		"steps":   strconv.Itoa(st.StepsDone),
-		"time":    strconv.FormatFloat(st.Time, 'x', -1, 64), // hex: exact
-		"rank":    strconv.Itoa(rank),
-		"nranks":  strconv.Itoa(nranks),
-	}
-	if err := setMetaAttrs(f, "rd/u1", meta); err != nil {
-		return err
-	}
-	_, err := f.WriteTo(w)
-	return err
+	return Write(w, AppRD, Snapshot{StepsDone: st.StepsDone, Time: st.Time,
+		Fields: [][]float64{st.U1, st.U2}, Owned: ownedIDs, Rank: rank, Width: nranks})
 }
 
 // ReadRD restores one rank's RD solver state, returning the state, the rank
 // and world size it was written from, and the owned vertex ids.
 func ReadRD(r io.Reader) (st rd.State, rank, nranks int, ownedIDs []int, err error) {
-	f, err := h5lite.ReadFrom(r)
+	s, err := Read(r, AppRD)
 	if err != nil {
 		return st, 0, 0, nil, err
 	}
-	u1, ok := f.Get("rd/u1")
-	if !ok {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: not an RD checkpoint (rd/u1 missing)")
-	}
-	if v := u1.Attrs["version"]; v != FormatVersion {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: format version %q, want %q", v, FormatVersion)
-	}
-	// Tag-less containers predate the app attribute and are RD by
-	// construction; only a present-but-foreign tag is rejected.
-	if app, ok := u1.Attrs["app"]; ok && app != AppRD {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: app tag %q, want %q", app, AppRD)
-	}
-	u2, ok := f.Get("rd/u2")
-	if !ok || len(u2.F64) != len(u1.F64) {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: rd/u2 missing or mismatched")
-	}
-	idsDS, ok := f.Get("rd/owned")
-	if !ok || len(idsDS.I64) != len(u1.F64) {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: rd/owned missing or mismatched")
-	}
-	st.StepsDone, err = strconv.Atoi(u1.Attrs["steps"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad steps attribute: %w", err)
-	}
-	st.Time, err = strconv.ParseFloat(u1.Attrs["time"], 64)
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad time attribute: %w", err)
-	}
-	rank, err = strconv.Atoi(u1.Attrs["rank"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad rank attribute: %w", err)
-	}
-	nranks, err = strconv.Atoi(u1.Attrs["nranks"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad nranks attribute: %w", err)
-	}
-	st.U1 = u1.F64
-	st.U2 = u2.F64
-	ownedIDs = make([]int, len(idsDS.I64))
-	for i, g := range idsDS.I64 {
-		ownedIDs[i] = int(g)
-	}
-	return st, rank, nranks, ownedIDs, nil
+	st = rd.State{StepsDone: s.StepsDone, Time: s.Time, U1: s.Fields[0], U2: s.Fields[1]}
+	return st, s.Rank, s.Width, s.Owned, nil
 }
 
 // WriteNSE serialises one rank's Navier–Stokes solver state: the two BDF2
@@ -142,106 +202,22 @@ func ReadRD(r io.Reader) (st rd.State, rank, nranks int, ownedIDs []int, err err
 // ids. The container layout mirrors WriteRD under the "ns" prefix and keeps
 // FormatVersion; the app tag tells the two apart.
 func WriteNSE(w io.Writer, st nse.State, rank, nranks int, ownedIDs []int) error {
-	n := len(st.P)
-	for d := 0; d < 3; d++ {
-		if len(st.U1[d]) != n || len(st.U2[d]) != n {
-			return fmt.Errorf("checkpoint: inconsistent state vectors in component %d: %d/%d dofs, pressure %d",
-				d, len(st.U1[d]), len(st.U2[d]), n)
-		}
-	}
-	if len(ownedIDs) != n {
-		return fmt.Errorf("checkpoint: %d owned ids for %d dofs", len(ownedIDs), n)
-	}
-	f := h5lite.New()
-	for d := 0; d < 3; d++ {
-		if err := f.CreateF64(fmt.Sprintf("ns/u1_%d", d), []int{n}, st.U1[d]); err != nil {
-			return err
-		}
-		if err := f.CreateF64(fmt.Sprintf("ns/u2_%d", d), []int{n}, st.U2[d]); err != nil {
-			return err
-		}
-	}
-	if err := f.CreateF64("ns/p", []int{n}, st.P); err != nil {
-		return err
-	}
-	ids := make([]int64, n)
-	for i, g := range ownedIDs {
-		ids[i] = int64(g)
-	}
-	if err := f.CreateI64("ns/owned", []int{n}, ids); err != nil {
-		return err
-	}
-	meta := map[string]string{
-		"version": FormatVersion,
-		"app":     AppNS,
-		"steps":   strconv.Itoa(st.StepsDone),
-		"time":    strconv.FormatFloat(st.Time, 'x', -1, 64), // hex: exact
-		"rank":    strconv.Itoa(rank),
-		"nranks":  strconv.Itoa(nranks),
-	}
-	if err := setMetaAttrs(f, "ns/u1_0", meta); err != nil {
-		return err
-	}
-	_, err := f.WriteTo(w)
-	return err
+	return Write(w, AppNS, Snapshot{StepsDone: st.StepsDone, Time: st.Time,
+		Fields: [][]float64{st.U1[0], st.U2[0], st.U1[1], st.U2[1], st.U1[2], st.U2[2], st.P},
+		Owned:  ownedIDs, Rank: rank, Width: nranks})
 }
 
 // ReadNSE restores one rank's Navier–Stokes solver state, returning the
 // state, the rank and world size it was written from, and the owned vertex
 // ids.
 func ReadNSE(r io.Reader) (st nse.State, rank, nranks int, ownedIDs []int, err error) {
-	f, err := h5lite.ReadFrom(r)
+	s, err := Read(r, AppNS)
 	if err != nil {
 		return st, 0, 0, nil, err
 	}
-	u10, ok := f.Get("ns/u1_0")
-	if !ok {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: not an NS checkpoint (ns/u1_0 missing)")
-	}
-	if v := u10.Attrs["version"]; v != FormatVersion {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: format version %q, want %q", v, FormatVersion)
-	}
-	if app := u10.Attrs["app"]; app != AppNS {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: app tag %q, want %q", app, AppNS)
-	}
-	n := len(u10.F64)
+	st = nse.State{StepsDone: s.StepsDone, Time: s.Time, P: s.Fields[6]}
 	for d := 0; d < 3; d++ {
-		u1, ok1 := f.Get(fmt.Sprintf("ns/u1_%d", d))
-		u2, ok2 := f.Get(fmt.Sprintf("ns/u2_%d", d))
-		if !ok1 || !ok2 || len(u1.F64) != n || len(u2.F64) != n {
-			return st, 0, 0, nil, fmt.Errorf("checkpoint: velocity component %d missing or mismatched", d)
-		}
-		st.U1[d] = u1.F64
-		st.U2[d] = u2.F64
+		st.U1[d], st.U2[d] = s.Fields[2*d], s.Fields[2*d+1]
 	}
-	pDS, ok := f.Get("ns/p")
-	if !ok || len(pDS.F64) != n {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: ns/p missing or mismatched")
-	}
-	idsDS, ok := f.Get("ns/owned")
-	if !ok || len(idsDS.I64) != n {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: ns/owned missing or mismatched")
-	}
-	st.StepsDone, err = strconv.Atoi(u10.Attrs["steps"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad steps attribute: %w", err)
-	}
-	st.Time, err = strconv.ParseFloat(u10.Attrs["time"], 64)
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad time attribute: %w", err)
-	}
-	rank, err = strconv.Atoi(u10.Attrs["rank"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad rank attribute: %w", err)
-	}
-	nranks, err = strconv.Atoi(u10.Attrs["nranks"])
-	if err != nil {
-		return st, 0, 0, nil, fmt.Errorf("checkpoint: bad nranks attribute: %w", err)
-	}
-	st.P = pDS.F64
-	ownedIDs = make([]int, len(idsDS.I64))
-	for i, g := range idsDS.I64 {
-		ownedIDs[i] = int(g)
-	}
-	return st, rank, nranks, ownedIDs, nil
+	return st, s.Rank, s.Width, s.Owned, nil
 }

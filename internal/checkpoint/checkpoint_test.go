@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"heterohpc/internal/h5lite"
@@ -417,4 +420,127 @@ func TestNSEResumeMatchesStraightRun(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// refContainer writes a checkpoint container the way WriteRD and WriteNSE did
+// before they shared Write: datasets created by hand in the given order, the
+// owned ids after them, the six metadata attributes on the first dataset.
+func refContainer(t *testing.T, app string, names []string, fields [][]float64, owned string, ids []int64,
+	steps int, tm float64, rank, nranks int) []byte {
+	t.Helper()
+	f := h5lite.New()
+	for i, name := range names {
+		if err := f.CreateF64(name, []int{len(ids)}, fields[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.CreateI64(owned, []int{len(ids)}, ids); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{
+		"version": FormatVersion, "app": app,
+		"steps": strconv.Itoa(steps), "time": strconv.FormatFloat(tm, 'x', -1, 64),
+		"rank": strconv.Itoa(rank), "nranks": strconv.Itoa(nranks),
+	} {
+		if err := f.SetAttr(names[0], k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The neutral Write, driven by the layout table, produces the container bytes
+// the two hand-written writers produced, and WriteRD/WriteNSE are that Write.
+func TestWriteMatchesHandWrittenContainers(t *testing.T) {
+	rdSt := rd.State{StepsDone: 3, Time: 1.15, U1: []float64{1.5, -2.5, 3.25}, U2: []float64{0.5, 0.25, -0.125}}
+	nsSt := nse.State{StepsDone: 2, Time: 0.008,
+		U1: [3][]float64{{1.5, -2.5}, {0.5, 0.25}, {3, 4}},
+		U2: [3][]float64{{-1, 1}, {2, -2}, {0.125, 8}},
+		P:  []float64{9.5, -0.75}}
+	cases := []struct {
+		app    string
+		snap   Snapshot
+		want   []byte
+		legacy func(w *bytes.Buffer) error
+	}{
+		{AppRD,
+			Snapshot{StepsDone: 3, Time: 1.15, Fields: [][]float64{rdSt.U1, rdSt.U2}, Owned: []int{10, 11, 12}, Rank: 2, Width: 8},
+			refContainer(t, AppRD, []string{"rd/u1", "rd/u2"}, [][]float64{rdSt.U1, rdSt.U2},
+				"rd/owned", []int64{10, 11, 12}, 3, 1.15, 2, 8),
+			func(w *bytes.Buffer) error { return WriteRD(w, rdSt, 2, 8, []int{10, 11, 12}) }},
+		{AppNS,
+			Snapshot{StepsDone: 2, Time: 0.008, Owned: []int{20, 21}, Rank: 3, Width: 8,
+				Fields: [][]float64{nsSt.U1[0], nsSt.U2[0], nsSt.U1[1], nsSt.U2[1], nsSt.U1[2], nsSt.U2[2], nsSt.P}},
+			refContainer(t, AppNS, []string{"ns/u1_0", "ns/u2_0", "ns/u1_1", "ns/u2_1", "ns/u1_2", "ns/u2_2", "ns/p"},
+				[][]float64{nsSt.U1[0], nsSt.U2[0], nsSt.U1[1], nsSt.U2[1], nsSt.U1[2], nsSt.U2[2], nsSt.P},
+				"ns/owned", []int64{20, 21}, 2, 0.008, 3, 8),
+			func(w *bytes.Buffer) error { return WriteNSE(w, nsSt, 3, 8, []int{20, 21}) }},
+	}
+	for _, c := range cases {
+		var neutral, legacy bytes.Buffer
+		if err := Write(&neutral, c.app, c.snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.legacy(&legacy); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(neutral.Bytes(), c.want) {
+			t.Errorf("%s: Write produced %d bytes that differ from the hand-written container's %d", c.app, neutral.Len(), len(c.want))
+		}
+		if !bytes.Equal(legacy.Bytes(), c.want) {
+			t.Errorf("%s: the solver-typed writer differs from the hand-written container", c.app)
+		}
+		got, err := Read(bytes.NewReader(c.want), c.app)
+		if err != nil {
+			t.Fatalf("%s: %v", c.app, err)
+		}
+		if got.StepsDone != c.snap.StepsDone || got.Time != c.snap.Time || got.Rank != c.snap.Rank ||
+			got.Width != c.snap.Width || !slices.Equal(got.Owned, c.snap.Owned) || len(got.Fields) != len(c.snap.Fields) {
+			t.Fatalf("%s: read back %+v", c.app, got)
+		}
+		for f := range got.Fields {
+			if !slices.Equal(got.Fields[f], c.snap.Fields[f]) {
+				t.Errorf("%s: field %d read back %v, want %v", c.app, f, got.Fields[f], c.snap.Fields[f])
+			}
+		}
+	}
+	if err := Write(&bytes.Buffer{}, "heat", cases[0].snap); err == nil {
+		t.Error("unknown application accepted")
+	}
+	if err := Write(&bytes.Buffer{}, AppNS, cases[0].snap); err == nil {
+		t.Error("two fields accepted for the seven-field NS layout")
+	}
+}
+
+// The tag is optional only where containers predate it: a tag-less NS
+// container never existed, so it is rejected (the RD half of the rule is in
+// TestAppTagSeparatesSolvers).
+func TestTagLessNSContainerRejected(t *testing.T) {
+	f := h5lite.New()
+	for _, name := range layouts[AppNS].fields {
+		_ = f.CreateF64(name, []int{1}, []float64{1})
+	}
+	_ = f.CreateI64("ns/owned", []int{1}, []int64{0})
+	for k, v := range map[string]string{"version": FormatVersion, "steps": "1", "time": "0x1p+00", "rank": "0", "nranks": "1"} {
+		_ = f.SetAttr("ns/u1_0", k, v)
+	}
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(b.Bytes()), AppNS); err == nil || !strings.Contains(err.Error(), "app tag") {
+		t.Errorf("tag-less NS container: got %v, want an app-tag rejection", err)
+	}
+	_ = f.SetAttr("ns/u1_0", "app", AppNS)
+	b.Reset()
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := ReadNSE(&b); err != nil {
+		t.Errorf("the same container with its tag: %v", err)
+	}
 }

@@ -244,54 +244,7 @@ func (t *Target) Attempt(spec JobSpec) (*Report, *AttemptFailure, error) {
 		return nil, nil, err
 	}
 	world.Observe(spec.Obs)
-
-	perRank := make([][]vclock.PhaseTimes, spec.Ranks)
-	var metrics map[string]float64
-	runErr := world.Run(func(r *mp.Rank) error {
-		steps, m, err := spec.App.Run(r)
-		if err != nil {
-			return err
-		}
-		perRank[r.ID()] = steps
-		if r.ID() == 0 {
-			metrics = m
-		}
-		return nil
-	})
-	world.FlushObs()
-	if runErr != nil {
-		af := &AttemptFailure{
-			Err: fmt.Errorf("core: %s on %s with %d ranks: %w",
-				spec.App.Name(), p.Name, spec.Ranks, runErr),
-			Node:     -1,
-			ElapsedS: world.MaxVirtualTime(),
-			World:    world,
-		}
-		if f, down := world.Failure(); down {
-			af.Node, af.At = f.Node, f.At
-		}
-		return nil, af, nil
-	}
-
-	iter, err := aggregate(perRank, spec.SkipSteps)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		Platform:     p.Name,
-		App:          spec.App.Name(),
-		Ranks:        spec.Ranks,
-		Nodes:        nodes,
-		QueueWaitS:   queueWait,
-		Iter:         iter,
-		CostPerIter:  t.Billing.PerIteration(iter.MaxTotal, spec.Ranks),
-		Metrics:      metrics,
-		PerRankSteps: perRank,
-	}
-	if sb, err := cost.SpotForPlatform(p); err == nil {
-		rep.SpotCostPerIter = sb.PerIteration(iter.MaxTotal, spec.Ranks)
-	}
-	return rep, nil, nil
+	return t.execute(world, spec.App, "on", spec.SkipSteps, queueWait)
 }
 
 // ResumeAttempt runs app on an already-formed world — the survivor world a
@@ -312,7 +265,15 @@ func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults [
 	if err := fault.Arm(world, faults); err != nil {
 		return nil, nil, err
 	}
-	ranks := world.Size()
+	return t.execute(world, app, "resumed on", skipSteps, 0)
+}
+
+// execute is the tail Attempt and ResumeAttempt share: run app on every
+// rank of an armed world, then either describe the death (how words the
+// error: "on" for a launch, "resumed on" for a continuation) or aggregate
+// the per-rank profiles into the report.
+func (t *Target) execute(world *mp.World, app App, how string, skipSteps int, queueWait float64) (*Report, *AttemptFailure, error) {
+	p, ranks := t.Platform, world.Size()
 	perRank := make([][]vclock.PhaseTimes, ranks)
 	var metrics map[string]float64
 	runErr := world.Run(func(r *mp.Rank) error {
@@ -329,8 +290,8 @@ func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults [
 	world.FlushObs()
 	if runErr != nil {
 		af := &AttemptFailure{
-			Err: fmt.Errorf("core: %s resumed on %s with %d ranks: %w",
-				app.Name(), t.Platform.Name, ranks, runErr),
+			Err: fmt.Errorf("core: %s %s %s with %d ranks: %w",
+				app.Name(), how, p.Name, ranks, runErr),
 			Node:     -1,
 			ElapsedS: world.MaxVirtualTime(),
 			World:    world,
@@ -340,21 +301,23 @@ func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults [
 		}
 		return nil, af, nil
 	}
+
 	iter, err := aggregate(perRank, skipSteps)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &Report{
-		Platform:     t.Platform.Name,
+		Platform:     p.Name,
 		App:          app.Name(),
 		Ranks:        ranks,
 		Nodes:        world.Topology().NNodes(),
+		QueueWaitS:   queueWait,
 		Iter:         iter,
 		CostPerIter:  t.Billing.PerIteration(iter.MaxTotal, ranks),
 		Metrics:      metrics,
 		PerRankSteps: perRank,
 	}
-	if sb, err := cost.SpotForPlatform(t.Platform); err == nil {
+	if sb, err := cost.SpotForPlatform(p); err == nil {
 		rep.SpotCostPerIter = sb.PerIteration(iter.MaxTotal, ranks)
 	}
 	return rep, nil, nil

@@ -86,11 +86,11 @@ func (mb *refMailbox) takeAny(tag int) message {
 		q = mb.registerAny(tag)
 	}
 	for {
-		if mb.w.down.Load() {
-			panic(killedPanic{})
-		}
 		if !q.empty() {
 			return q.pop()
+		}
+		if mb.w.down.Load() {
+			panic(killedPanic{})
 		}
 		mb.cond.Wait()
 	}
@@ -436,5 +436,37 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 			s.sources = append(s.sources, p+j)
 		}
 		run(3000, "after grow")
+	}
+}
+
+// A message queued on an any-source tag is delivered even after the world is
+// poisoned; only the empty queue unwinds. Both implementations.
+func TestTakeAnyPendingBeatsPoison(t *testing.T) {
+	const tag = 1000
+	for name, mk := range map[string]func(w *World) anyMailbox{
+		"table":     func(w *World) anyMailbox { return newMailbox(w) },
+		"reference": func(w *World) anyMailbox { return newRefMailbox(w) },
+	} {
+		w := testWorld(t, 4, 2)
+		mb := mk(w)
+		put := func(src, serial int) {
+			m := intsMsg([]int{serial})
+			m.src, m.tag = int32(src), tag
+			mb.put(m)
+		}
+		// Register the tag (a queued message makes the call non-blocking),
+		// then queue the message the poison must not swallow.
+		put(2, 1)
+		if d := receive(func() message { return mb.takeAny(tag) }); d != (delivery{src: 2, tag: tag, serial: 1}) {
+			t.Fatalf("%s: first takeAny delivered %+v", name, d)
+		}
+		put(3, 2)
+		w.down.Store(true)
+		if d := receive(func() message { return mb.takeAny(tag) }); d != (delivery{src: 3, tag: tag, serial: 2}) {
+			t.Errorf("%s: poisoned world swallowed a queued message: %+v", name, d)
+		}
+		if d := receive(func() message { return mb.takeAny(tag) }); d.panicked != "mp.killedPanic {}" {
+			t.Errorf("%s: empty takeAny in a poisoned world gave %+v, want killedPanic", name, d)
+		}
 	}
 }

@@ -439,10 +439,15 @@ func (mb *mailbox) revoke(stale func(src int) bool) int {
 // takeAny blocks until a message with the given tag is available from any
 // source and removes the oldest arrival. Used only for sparse
 // communication-plan setup, where receivers know how many peers will
-// contact them but not which. Because the sender set is unknown, starvation
-// cannot be pinned on one rank; a takeAny therefore unwinds as soon as the
-// world is poisoned. This is coarser than take's per-sender rule, but setup
-// runs at virtual t≈0, before any plausible fault time.
+// contact them but not which. Pending messages win over death, exactly as
+// in take: a payload already queued is delivered even in a poisoned world,
+// so what a rank received before it unwinds depends on what its peers sent,
+// not on when the poison flag was raised. Fault plans are drawn over the
+// whole clean horizon and do land inside set-up, so this matters. Because
+// the sender set is unknown, starvation cannot be pinned on one rank: with
+// the queue empty, takeAny unwinds as soon as the world is poisoned — coarser
+// than take's per-sender rule, and still a wall-clock race against a live
+// sender that has yet to put.
 func (mb *mailbox) takeAny(tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -451,11 +456,11 @@ func (mb *mailbox) takeAny(tag int) message {
 		q = mb.registerAny(tag)
 	}
 	for {
-		if mb.w.down.Load() {
-			panic(killedPanic{})
-		}
 		if !q.empty() {
 			return q.pop()
+		}
+		if mb.w.down.Load() {
+			panic(killedPanic{})
 		}
 		mb.cond.Wait()
 	}
