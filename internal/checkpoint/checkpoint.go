@@ -121,6 +121,11 @@ func Write(w io.Writer, app string, s Snapshot) error {
 			return err
 		}
 	}
+	// A memory writer (the snapshot stores and mirrors write to a
+	// bytes.Buffer) is sized once, exactly, instead of regrowing as it fills.
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		g.Grow(f.EncodedLen())
+	}
 	_, err = f.WriteTo(w)
 	return err
 }

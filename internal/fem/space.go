@@ -98,21 +98,25 @@ func (s *Space) ElemCorner(e int) [3]float64 {
 
 // AssembleMatrix fills coo (reset first) with element contributions in a
 // deterministic order: for each local element, elemMat produces the 8×8
-// block, which is scattered by global vertex ids. The resulting COO is
-// suitable both for sparse.NewDistMatrix and for later SetValues refills
-// (the triplet order is stable across calls).
+// matrix, which enters coo as one block over the element's global vertex ids
+// (sparse.COO.AddBlock) — the 64 (row, col) pairs it stands for are never
+// written out on the host. The virtual platform assembles triplets all the
+// same: the charge is that of scattering 64 of them per element. The
+// resulting COO is suitable both for sparse.NewDistMatrix and for later
+// SetValues refills (the contribution order is stable across calls: element
+// by element, row-major).
 func (s *Space) AssembleMatrix(coo *sparse.COO, elemMat func(e int, out *[8][8]float64)) {
 	coo.Reset()
 	coo.Grow(64 * len(s.L.Elems))
 	var ke [8][8]float64
+	var flat [64]float64
 	for _, e := range s.L.Elems {
 		elemMat(e, &ke)
-		vs := s.M.ElemVerts(e)
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				coo.Add(vs[a], vs[b], ke[a][b])
-			}
+		for a := range ke {
+			copy(flat[8*a:], ke[a][:])
 		}
+		vs := s.M.ElemVerts(e)
+		coo.AddBlock(vs[:], flat[:])
 	}
 	nt := float64(64 * len(s.L.Elems))
 	s.R.ChargeCompute(nt, 24*nt)
@@ -120,9 +124,8 @@ func (s *Space) AssembleMatrix(coo *sparse.COO, elemMat func(e int, out *[8][8]f
 
 // AssembleMatrixValues recomputes only the values of a COO previously
 // built by AssembleMatrix, appending them to coo.Vals[:0] in the identical
-// deterministic order. Re-assembling through this path lets callers free
-// the COO's Rows/Cols after the distributed structure exists (they are
-// never read again), which matters at the paper's 1000-rank scale.
+// deterministic order: the per-step reassembly of an operator whose
+// structure exists, ready for SetValues.
 func (s *Space) AssembleMatrixValues(coo *sparse.COO, elemMat func(e int, out *[8][8]float64)) {
 	coo.Vals = coo.Vals[:0]
 	var ke [8][8]float64

@@ -152,34 +152,93 @@ func (f *File) List(prefix string) []string {
 	return out
 }
 
-// WriteTo serialises the container. Datasets are written in creation order.
-func (f *File) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if _, err := cw.Write([]byte(Magic)); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(f.order))); err != nil {
-		return cw.n, err
-	}
+// EncodedLen returns the exact number of bytes WriteTo produces, so a
+// caller writing into memory can size its buffer once.
+func (f *File) EncodedLen() int {
+	n := len(Magic) + 4
 	for _, name := range f.order {
 		d := f.ds[name]
-		if err := writeString(cw, name); err != nil {
-			return cw.n, err
+		n += 4 + len(name) + 1 + 4 + 8*len(d.Dims) + 4 + 8*(len(d.F64)+len(d.I64))
+		for k, v := range d.Attrs {
+			n += 4 + len(k) + 4 + len(v)
 		}
+	}
+	return n
+}
+
+// chunkBytes is how much WriteTo gathers before each Write and how much
+// ReadFrom asks for at once inside a dataset's data.
+const chunkBytes = 4096
+
+// encoder gathers little-endian fields in a fixed chunk and hands it to w
+// whenever it is full: no reflection and no Write per element. The first
+// writer error sticks; n counts the bytes w accepted.
+type encoder struct {
+	w    io.Writer
+	n    int64
+	err  error
+	fill int
+	buf  [chunkBytes]byte
+}
+
+func (e *encoder) flush() {
+	if e.err == nil && e.fill > 0 {
+		var m int
+		m, e.err = e.w.Write(e.buf[:e.fill])
+		e.n += int64(m)
+	}
+	e.fill = 0
+}
+
+// next returns the chunk's next k bytes, k <= 8, flushing first if needed.
+func (e *encoder) next(k int) []byte {
+	if e.fill+k > len(e.buf) {
+		e.flush()
+	}
+	e.fill += k
+	return e.buf[e.fill-k : e.fill]
+}
+
+func (e *encoder) u8(v byte)    { e.next(1)[0] = v }
+func (e *encoder) u32(v uint32) { binary.LittleEndian.PutUint32(e.next(4), v) }
+func (e *encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.next(8), v) }
+
+// str writes s behind its length; raw writes the bytes alone.
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.raw(s)
+}
+
+func (e *encoder) raw(s string) {
+	for len(s) > 0 {
+		if e.fill == len(e.buf) {
+			e.flush()
+		}
+		m := copy(e.buf[e.fill:], s)
+		e.fill += m
+		s = s[m:]
+	}
+}
+
+// WriteTo serialises the container. Datasets are written in creation order.
+func (f *File) WriteTo(w io.Writer) (int64, error) {
+	e := &encoder{w: w}
+	e.raw(Magic)
+	e.u32(uint32(len(f.order)))
+	for _, name := range f.order {
+		if e.err != nil {
+			break
+		}
+		d := f.ds[name]
+		e.str(name)
 		var dtype byte = dtypeF64
 		if d.I64 != nil {
 			dtype = dtypeI64
 		}
-		if err := binary.Write(cw, binary.LittleEndian, dtype); err != nil {
-			return cw.n, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(d.Dims))); err != nil {
-			return cw.n, err
-		}
+		e.u8(dtype)
+		e.u32(uint32(len(d.Dims)))
 		for _, dim := range d.Dims {
-			if err := binary.Write(cw, binary.LittleEndian, uint64(dim)); err != nil {
-				return cw.n, err
-			}
+			e.u64(uint64(dim))
 		}
 		// Attributes, sorted for deterministic output.
 		keys := make([]string, 0, len(d.Attrs))
@@ -187,46 +246,105 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(keys))); err != nil {
-			return cw.n, err
-		}
+		e.u32(uint32(len(keys)))
 		for _, k := range keys {
-			if err := writeString(cw, k); err != nil {
-				return cw.n, err
-			}
-			if err := writeString(cw, d.Attrs[k]); err != nil {
-				return cw.n, err
-			}
+			e.str(k)
+			e.str(d.Attrs[k])
 		}
 		switch dtype {
 		case dtypeF64:
 			for _, v := range d.F64 {
-				if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return cw.n, err
-				}
+				e.u64(math.Float64bits(v))
 			}
 		case dtypeI64:
 			for _, v := range d.I64 {
-				if err := binary.Write(cw, binary.LittleEndian, uint64(v)); err != nil {
-					return cw.n, err
-				}
+				e.u64(uint64(v))
 			}
 		}
 	}
-	return cw.n, nil
+	e.flush()
+	return e.n, e.err
+}
+
+// decoder reads exactly the fields asked for — never past the container's
+// end — through one scratch chunk.
+type decoder struct {
+	r   io.Reader
+	buf [chunkBytes]byte
+}
+
+// fixed reads the next k bytes, k <= len(buf), with io.ReadFull's errors.
+func (d *decoder) fixed(k int) ([]byte, error) {
+	_, err := io.ReadFull(d.r, d.buf[:k])
+	return d.buf[:k], err
+}
+
+func (d *decoder) u8() (byte, error) {
+	b, err := d.fixed(1)
+	return b[0], err
+}
+
+func (d *decoder) u32() (uint32, error) {
+	b, err := d.fixed(4)
+	return binary.LittleEndian.Uint32(b), err
+}
+
+func (d *decoder) u64() (uint64, error) {
+	b, err := d.fixed(8)
+	return binary.LittleEndian.Uint64(b), err
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.u32()
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<20 {
+		return "", fmt.Errorf("%w: implausible string length %d", ErrCorrupt, n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(d.r, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// words reads n 8-byte elements a chunk at a time and passes each to put.
+// The caller's buffer thus grows with the bytes actually read, so a header
+// claiming a huge shape over a tiny stream fails with an io error instead
+// of allocating n elements up front. A stream that ends inside the data
+// reports what reading element by element would: io.EOF when it ends
+// between two elements, io.ErrUnexpectedEOF inside one.
+func (d *decoder) words(n int, put func(uint64)) error {
+	for n > 0 {
+		k := min(n, len(d.buf)/8)
+		got, err := io.ReadFull(d.r, d.buf[:8*k])
+		if err == io.ErrUnexpectedEOF && got%8 == 0 {
+			err = io.EOF
+		}
+		if err != nil {
+			return err
+		}
+		for i := 0; i < k; i++ {
+			put(binary.LittleEndian.Uint64(d.buf[8*i:]))
+		}
+		n -= k
+	}
+	return nil
 }
 
 // ReadFrom parses a serialised container.
 func ReadFrom(r io.Reader) (*File, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	d := &decoder{r: r}
+	magic, err := d.fixed(len(Magic))
+	if err != nil {
 		return nil, fmt.Errorf("h5lite: reading magic: %w", err)
 	}
-	if string(magic[:]) != Magic {
+	if string(magic) != Magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
 	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+	count, err := d.u32()
+	if err != nil {
 		return nil, fmt.Errorf("h5lite: reading count: %w", err)
 	}
 	const maxDatasets = 1 << 20
@@ -235,16 +353,16 @@ func ReadFrom(r io.Reader) (*File, error) {
 	}
 	f := New()
 	for i := uint32(0); i < count; i++ {
-		name, err := readString(r)
+		name, err := d.str()
 		if err != nil {
 			return nil, fmt.Errorf("h5lite: dataset %d name: %w", i, err)
 		}
-		var dtype byte
-		if err := binary.Read(r, binary.LittleEndian, &dtype); err != nil {
+		dtype, err := d.u8()
+		if err != nil {
 			return nil, err
 		}
-		var ndims uint32
-		if err := binary.Read(r, binary.LittleEndian, &ndims); err != nil {
+		ndims, err := d.u32()
+		if err != nil {
 			return nil, err
 		}
 		if ndims > 16 {
@@ -257,26 +375,26 @@ func ReadFrom(r io.Reader) (*File, error) {
 		dims := make([]int, ndims)
 		elems := uint64(1)
 		for j := range dims {
-			var d uint64
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
+			dim, err := d.u64()
+			if err != nil {
 				return nil, err
 			}
-			if d > maxElems {
-				return nil, fmt.Errorf("%w: %q dimension %d is %d", ErrCorrupt, name, j, d)
+			if dim > maxElems {
+				return nil, fmt.Errorf("%w: %q dimension %d is %d", ErrCorrupt, name, j, dim)
 			}
-			dims[j] = int(d)
-			if d != 0 {
-				if elems > maxElems/d {
+			dims[j] = int(dim)
+			if dim != 0 {
+				if elems > maxElems/dim {
 					return nil, fmt.Errorf("%w: %q shape %v overflows the element limit", ErrCorrupt, name, dims[:j+1])
 				}
-				elems *= d
+				elems *= dim
 			} else {
 				elems = 0
 			}
 		}
 		n := int(elems)
-		var nattrs uint32
-		if err := binary.Read(r, binary.LittleEndian, &nattrs); err != nil {
+		nattrs, err := d.u32()
+		if err != nil {
 			return nil, err
 		}
 		if nattrs > 1<<16 {
@@ -288,46 +406,34 @@ func ReadFrom(r io.Reader) (*File, error) {
 		type kv struct{ k, v string }
 		attrs := make([]kv, 0, min(int(nattrs), 64))
 		for j := uint32(0); j < nattrs; j++ {
-			k, err := readString(r)
+			k, err := d.str()
 			if err != nil {
 				return nil, err
 			}
-			v, err := readString(r)
+			v, err := d.str()
 			if err != nil {
 				return nil, err
 			}
 			attrs = append(attrs, kv{k, v})
 		}
-		// The data buffer grows with the bytes actually read (bounded
-		// initial capacity), so a header claiming a huge shape over a tiny
-		// stream fails with an io error instead of allocating n elements
-		// up front.
+		// Bounded initial capacity: see decoder.words.
 		const chunkElems = 1 << 16
-		initCap := n
-		if initCap > chunkElems {
-			initCap = chunkElems
-		}
+		initCap := min(n, chunkElems)
 		switch dtype {
 		case dtypeF64:
 			data := make([]float64, 0, initCap)
-			for j := 0; j < n; j++ {
-				var bits uint64
-				if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-					return nil, fmt.Errorf("h5lite: %q data: %w", name, err)
-				}
-				data = append(data, math.Float64frombits(bits))
+			err := d.words(n, func(bits uint64) { data = append(data, math.Float64frombits(bits)) })
+			if err != nil {
+				return nil, fmt.Errorf("h5lite: %q data: %w", name, err)
 			}
 			if err := f.CreateF64(name, dims, data); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 		case dtypeI64:
 			data := make([]int64, 0, initCap)
-			for j := 0; j < n; j++ {
-				var bits uint64
-				if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-					return nil, fmt.Errorf("h5lite: %q data: %w", name, err)
-				}
-				data = append(data, int64(bits))
+			err := d.words(n, func(bits uint64) { data = append(data, int64(bits)) })
+			if err != nil {
+				return nil, fmt.Errorf("h5lite: %q data: %w", name, err)
 			}
 			if err := f.CreateI64(name, dims, data); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -342,38 +448,4 @@ func ReadFrom(r io.Reader) (*File, error) {
 		}
 	}
 	return f, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("%w: implausible string length %d", ErrCorrupt, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

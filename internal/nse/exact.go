@@ -43,17 +43,26 @@ func ExactPressure(x, y, z, t float64) float64 {
 			2*math.Sin(aES*z+dES*x)*math.Cos(aES*y+dES*z)*math.Exp(aES*(x+y)))
 }
 
-// Component returns the d-th exact velocity component (d in 0..2).
+// Component returns the d-th exact velocity component (d in 0..2) — its
+// expression as ExactVelocity writes it, so the values agree bit for bit
+// while a caller that wants one component (boundary data, per component
+// and boundary vertex and step) does not pay for three.
 func Component(d int) func(x, y, z, t float64) float64 {
-	return func(x, y, z, t float64) float64 {
-		u, v, w := ExactVelocity(x, y, z, t)
-		switch d {
-		case 0:
-			return u
-		case 1:
-			return v
-		default:
-			return w
+	switch d {
+	case 0:
+		return func(x, y, z, t float64) float64 {
+			e := math.Exp(-nu * dES * dES * t)
+			return -aES * (math.Exp(aES*x)*math.Sin(aES*y+dES*z) + math.Exp(aES*z)*math.Cos(aES*x+dES*y)) * e
+		}
+	case 1:
+		return func(x, y, z, t float64) float64 {
+			e := math.Exp(-nu * dES * dES * t)
+			return -aES * (math.Exp(aES*y)*math.Sin(aES*z+dES*x) + math.Exp(aES*x)*math.Cos(aES*y+dES*z)) * e
+		}
+	default:
+		return func(x, y, z, t float64) float64 {
+			e := math.Exp(-nu * dES * dES * t)
+			return -aES * (math.Exp(aES*z)*math.Sin(aES*x+dES*y) + math.Exp(aES*y)*math.Cos(aES*z+dES*x)) * e
 		}
 	}
 }

@@ -237,7 +237,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Fixed structure: per-step reassembly recomputes values only.
-	coo.Rows, coo.Cols = nil, nil
 	assembleVelocity := func() {
 		s.AssembleMatrixValues(&coo, velElem)
 	}

@@ -154,7 +154,7 @@ func benchDistMatrixBuild(b *testing.B) {
 
 // benchDistMatrixRebuild is what every later operator of the space pays:
 // the same assembly and build over a RowMap that already holds the
-// structure, so the build verifies the triplets against the remembered
+// structure, so the build verifies its contributions against the remembered
 // plan, replays the structure exchange and allocates only the values.
 func benchDistMatrixRebuild(b *testing.B) {
 	benchDistMatrix(b, func(s *fem.Space) *sparse.RowMap { return s.RowMap })

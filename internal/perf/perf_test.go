@@ -7,11 +7,12 @@ import (
 
 // rdIterationAllocCeiling is the CI perf-smoke ceiling for the rd-iteration
 // case. The pre-pooling tree measured 15,540 allocs/op; the zero-allocation
-// steady-state work brought it to ~2,830, and the ceiling holds the ≥80%
-// reduction (15,540 → 3,108) with ~9% headroom for toolchain drift. If this
-// trips, an allocation crept back into the hot path — find it with
-// `heterobench perf -memprofile`, do not raise the ceiling.
-const rdIterationAllocCeiling = 3108
+// steady-state work brought it to ~2,830, sharing one symbolic structure
+// between the two operators to 2,485 and block-form assembly to 2,433; the
+// ceiling is that plus 10%. If this trips, an allocation crept back into
+// the hot path — find it with `heterobench perf -memprofile`, do not raise
+// the ceiling.
+const rdIterationAllocCeiling = 2676
 
 // rdIterationBytesCeiling bounds what the rd-iteration case moves through
 // the heap. The sort-based symbolic set-up held it at 25.3 MB/op (~96 B per
@@ -19,18 +20,21 @@ const rdIterationAllocCeiling = 3108
 // the shared scratch COO brought it to 15.2 MB/op; building the space's
 // symbolic structure once, for the mass matrix, and letting the system
 // matrix adopt it (with a 4-byte refill plan entry per triplet in place of
-// two ints) brought it to 9.7 MB/op, and the ceiling is that plus 10%.
-// allocs/op cannot see this: the set-up makes few, large allocations.
-const rdIterationBytesCeiling = 10_650_000
+// two ints) brought it to 9.7 MB/op; assembling elements as blocks of 8 ids
+// rather than 64 index pairs, and building the pattern from those, brought
+// it to 6.11 MB/op, and the ceiling is that plus 10%. allocs/op cannot see
+// this: the set-up makes few, large allocations.
+const rdIterationBytesCeiling = 6_725_000
 
 // nsIterationAllocCeiling is the ns-iteration ceiling. The six
 // Navier–Stokes operators used to build six private ghost importers
 // (6,559 allocs/op against RD's 2,832); sharing one importer across the
 // coupled operators — they discretise the same element stencil, so their
-// ghost sets are identical — brought it to ~4,600. The ceiling holds that
-// with ~10% headroom. The residue over RD is genuine setup work: six
-// DistMatrix assemblies per job instead of one.
-const nsIterationAllocCeiling = 5060
+// ghost sets are identical — brought it to ~4,600, sharing one symbolic
+// structure to 3,183 and block-form assembly to 3,102; the ceiling is that
+// plus 10%. The residue over RD is genuine setup work: six DistMatrix
+// assemblies per job instead of two.
+const nsIterationAllocCeiling = 3412
 
 // measureCase measures one tracked case by name, failing the test when the
 // name is not registered or the environment cannot give representative

@@ -219,7 +219,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// The structure is fixed; per-step reassembly only recomputes values.
-	coo.Rows, coo.Cols = nil, nil
 	assembleSystem := func(t float64) {
 		setSysTime(t)
 		s.AssembleMatrixValues(&coo, sysElem)

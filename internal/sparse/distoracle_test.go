@@ -42,7 +42,7 @@ func refLocal(rank int, all []rankSystem, owner func(int) int) (*sparse.CSR, []i
 	var vals []float64
 	ghostSet := map[int]bool{}
 	for _, q := range order {
-		c := &all[q].coo
+		c := sparse.Expand(&all[q].coo) // assembled in block form
 		for t, g := range c.Rows {
 			if owner(g) != rank {
 				continue

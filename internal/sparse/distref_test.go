@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"heterohpc/internal/mp"
@@ -35,6 +37,7 @@ type refDistMatrix struct {
 // refNewDistMatrix is the former newDistMatrix, share == nil for
 // NewDistMatrix and prev's importer for NewDistMatrixLike.
 func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int, share *Importer) (*refDistMatrix, error) {
+	coo = expand(coo) // the reference knows triplets only
 	dm := &refDistMatrix{r: r, rowMap: rowMap, tag: tag, nTrip: coo.Len()}
 
 	cls := make([]int32, coo.Len())
@@ -129,7 +132,7 @@ func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int,
 	}
 
 	nCols := nOwned + len(dm.ghostCols)
-	rowPtr, col, slots32, err := buildPattern(nOwned, nCols, rows, cols)
+	rowPtr, col, slots32, err := refBuildPattern(nOwned, nCols, rows, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -203,4 +206,85 @@ func (dm *refDistMatrix) ColGlobal(lc int) int {
 		return dm.rowMap.Owned[lc]
 	}
 	return dm.ghostCols[lc-dm.rowMap.N()]
+}
+
+// expand returns c in triplet form: a copy of a triplet COO, and for a block
+// COO the K² triplets each block stands for, blocks in order and row-major
+// within a block — contribution t of c is triplet t of the result. It is how
+// the triplet-only references, and tests that need to read or edit single
+// (row, col) pairs, see a COO assembled in block form.
+func expand(c *COO) *COO {
+	out := &COO{Vals: slices.Clone(c.Vals)}
+	k, rows, cols := c.segments()
+	for s, r := range rows {
+		for _, col := range cols[s-s%k:][:k] {
+			out.Rows = append(out.Rows, r)
+			out.Cols = append(out.Cols, col)
+		}
+	}
+	return out
+}
+
+// refBuildPattern is the pattern builder as it was while every contribution
+// was a triplet with its own coordinates: perm and slot are sized by the
+// triplet count. It is the oracle for the segment builder (buildPattern).
+func refBuildPattern[I int | int32](nrows, ncols int, rows, cols []I) (rowPtr, col []int, slot []int32, err error) {
+	if nrows > math.MaxInt32 || ncols > math.MaxInt32 || len(rows) > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("sparse: %dx%d with %d triplets exceeds the int32 index range",
+			nrows, ncols, len(rows))
+	}
+	// perm lists the triplets row by row, input order kept within a row;
+	// the fill leaves end[r] at the end of row r's stretch.
+	end := make([]int32, nrows+1)
+	for _, r := range rows {
+		end[r+1]++
+	}
+	for r := 0; r < nrows; r++ {
+		end[r+1] += end[r]
+	}
+	perm := make([]int32, len(rows))
+	for t, r := range rows {
+		perm[end[r]] = int32(t)
+		end[r]++
+	}
+
+	rowPtr = make([]int, nrows+1)
+	slot = make([]int32, len(rows))
+	// seen[c] is 1 + the slot of column c's latest entry: a value above the
+	// current row's first slot means c already occurs in this row.
+	seen := make([]int32, ncols)
+	var uniq []int32
+	lo := int32(0)
+	for r := 0; r < nrows; r++ {
+		trips := perm[lo:end[r]]
+		lo = end[r]
+		base := int32(rowPtr[r])
+		uniq = uniq[:0]
+		for _, t := range trips {
+			if c := cols[t]; seen[c] <= base {
+				seen[c] = base + 1
+				uniq = append(uniq, int32(c))
+			}
+		}
+		slices.Sort(uniq)
+		for j, c := range uniq {
+			seen[c] = base + int32(j) + 1
+		}
+		for _, t := range trips {
+			slot[t] = seen[cols[t]] - 1
+		}
+		// The row's triplet list is spent: park its sorted columns there
+		// until the total is known and col can be sized exactly.
+		copy(trips, uniq)
+		rowPtr[r+1] = rowPtr[r] + len(uniq)
+	}
+	col = make([]int, rowPtr[nrows])
+	lo = 0
+	for r := 0; r < nrows; r++ {
+		for j, c := range perm[lo:][:rowPtr[r+1]-rowPtr[r]] {
+			col[rowPtr[r]+j] = int(c)
+		}
+		lo = end[r]
+	}
+	return rowPtr, col, slot, nil
 }

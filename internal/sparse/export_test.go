@@ -12,4 +12,29 @@ var (
 	// RefNewDistMatrix is the per-matrix construction kept as the oracle
 	// for structure reuse.
 	RefNewDistMatrix = refNewDistMatrix
+
+	// RefNewDirichlet is the per-coupling boundary elimination kept as the
+	// oracle for the per-column one.
+	RefNewDirichlet = refNewDirichlet
+
+	// Expand spells a COO of either form out as a fresh triplet COO.
+	Expand = expand
 )
+
+// StructureView is what a test may compare of a matrix's symbolic
+// structure beyond the pattern: the refill plan, the ghost column list and
+// the export and import schedules.
+type StructureView struct {
+	Plan                     []int32
+	GhostCols                []int
+	ExportPeers, ImportPeers []int
+	ExportIdx, ImportSlots   [][]int
+}
+
+// StructureView returns dm's structure; the slices alias it.
+func (dm *DistMatrix) StructureView() StructureView {
+	st := dm.st
+	return StructureView{Plan: st.plan, GhostCols: st.ghostCols,
+		ExportPeers: st.exportPeers, ImportPeers: st.importPeers,
+		ExportIdx: st.exportIdx, ImportSlots: st.importSlots}
+}

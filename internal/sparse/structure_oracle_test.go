@@ -3,6 +3,7 @@ package sparse_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -42,6 +43,11 @@ func sharedConstructor(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner fun
 	return dm, nil
 }
 
+// expandedConstructor is sharedConstructor fed the triplets coo stands for.
+func expandedConstructor(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner func(int) int, tag int, like distMatrix) (distMatrix, error) {
+	return sharedConstructor(r, rm, sparse.Expand(coo), owner, tag, like)
+}
+
 func refConstructor(r *mp.Rank, rm *sparse.RowMap, coo *sparse.COO, owner func(int) int, tag int, like distMatrix) (distMatrix, error) {
 	var share *sparse.Importer
 	if like != nil {
@@ -64,7 +70,10 @@ type buildRecord struct {
 	sharesImp bool // uses the importer of the matrix it was built like
 	// aliases is the rank's earliest build whose pattern arrays this one
 	// uses: its own index when it built a pattern for itself.
-	aliases      int
+	aliases int
+	// st is the symbolic structure beyond the pattern (zero for the
+	// per-matrix reference, which has none to share).
+	st           sparse.StructureView
 	now          float64
 	flops, bytes float64
 	msgs, msgB   int64
@@ -104,6 +113,9 @@ func (b *builder) build(coo *sparse.COO, owner func(int) int, tag int, like dist
 			rec.colGlobal = append(rec.colGlobal, dm.ColGlobal(lc))
 		}
 		rec.sharesImp = like != nil && dm.Importer() == like.Importer()
+		if sm, ok := dm.(*sparse.DistMatrix); ok {
+			rec.st = sm.StructureView()
+		}
 		for i, prev := range b.built {
 			if prev != nil && samePattern(prev.Local(), dm.Local()) {
 				rec.aliases = i
@@ -187,14 +199,30 @@ func runScript(t *testing.T, nranks int, start startFunc, ctor constructor, sc s
 
 // requireSameAsReference runs sc through the reference and through the
 // structure-sharing constructors, in two identical worlds, and requires
-// every build on every rank to agree in everything a rank can observe:
-// error, pattern, value bits, column map, importer decision, virtual clock,
-// compute charges, message count and bytes. It returns the shared run's
-// records for the aliasing assertions.
+// every build on every rank to agree in everything a rank can observe
+// (requireSameBuilds). It returns the shared run's records for the aliasing
+// assertions.
 func requireSameAsReference(t *testing.T, nranks int, start startFunc, sc script) [][]buildRecord {
 	t.Helper()
 	want := runScript(t, nranks, start, refConstructor, sc)
 	got := runScript(t, nranks, start, sharedConstructor, sc)
+	for rank, rs := range want {
+		for i, w := range rs {
+			if w.err == "" && w.aliases != i {
+				t.Fatalf("rank %d build %d: the reference shares a pattern with build %d", rank, i, w.aliases)
+			}
+		}
+	}
+	requireSameBuilds(t, got, want)
+	return got
+}
+
+// requireSameBuilds requires two runs of one script to agree, build by build
+// and rank by rank, in everything a rank can observe: error, pattern, value
+// bits, column map, importer decision, virtual clock, compute charges,
+// message count and bytes.
+func requireSameBuilds(t *testing.T, got, want [][]buildRecord) {
+	t.Helper()
 	for rank := range want {
 		if len(got[rank]) != len(want[rank]) {
 			t.Fatalf("rank %d: %d builds, reference made %d", rank, len(got[rank]), len(want[rank]))
@@ -222,14 +250,10 @@ func requireSameAsReference(t *testing.T, nranks int, start startFunc, sc script
 			if g.sharesImp != w.sharesImp {
 				t.Errorf("%s: shares importer = %v, reference %v", at, g.sharesImp, w.sharesImp)
 			}
-			if w.aliases != i {
-				t.Fatalf("%s: the reference shares a pattern with build %d", at, w.aliases)
-			}
 			t.Logf("comparing %s", at)
 			sparse.RequireSameCSR(t, g.local, w.local)
 		}
 	}
-	return got
 }
 
 // requireAliases checks which earlier build's pattern arrays each build of
@@ -330,13 +354,41 @@ func TestStructureReuseMatchesPerMatrixBuild(t *testing.T) {
 	}
 }
 
-// cloneCOO returns a deep copy of c.
-func cloneCOO(c *sparse.COO) *sparse.COO {
-	return &sparse.COO{Rows: slices.Clone(c.Rows), Cols: slices.Clone(c.Cols), Vals: slices.Clone(c.Vals)}
+// TestBlockFormMatchesExpandedTriplets holds "form is storage, not meaning"
+// on the applications' build sequences: fed the block-form COOs the assembly
+// produces or the triplets they stand for, in two identical worlds, every
+// build on every rank must agree in everything observable and, beyond that,
+// in the structure itself — refill plan, ghost columns, export and import
+// lists — and in which earlier build's arrays it adopted.
+func TestBlockFormMatchesExpandedTriplets(t *testing.T) {
+	for _, ow := range oracleWorlds(t) {
+		for _, sc := range []struct {
+			name string
+			run  script
+		}{{"rd", rdScript}, {"ns", nsScript}} {
+			t.Run(ow.name+"/"+sc.name, func(t *testing.T) {
+				want := runScript(t, ow.nranks, ow.start, expandedConstructor, sc.run)
+				got := runScript(t, ow.nranks, ow.start, sharedConstructor, sc.run)
+				requireSameBuilds(t, got, want)
+				for rank, rs := range got {
+					for i, g := range rs {
+						w := want[rank][i]
+						if g.aliases != w.aliases || (i > 0 && g.aliases != 0) {
+							t.Errorf("rank %d build %d adopted build %d's arrays, from triplets build %d's, want the first's",
+								rank, i, g.aliases, w.aliases)
+						}
+						if !reflect.DeepEqual(g.st, w.st) {
+							t.Errorf("rank %d build %d: structure differs from the one triplets build:\n%+v\n%+v", rank, i, g.st, w.st)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
-// systemCOO assembles the RD system operator: the base COO the miss
-// scenarios perturb.
+// systemCOO assembles the RD system operator, in block form as every
+// assembly is: the base COO the miss scenarios perturb, after expanding it.
 func systemCOO(b *builder) *sparse.COO {
 	el, r := b.s.El, b.r
 	var coo sparse.COO
@@ -451,30 +503,111 @@ func TestStructureReuseFallsBackExactly(t *testing.T) {
 			return []int{b.s.Owner(coo.Rows[e])}, nil
 		}},
 	}
+	// The verifier must not care which form the remembered structure was
+	// built from, nor which form follows it: in the one arrangement the base
+	// builds are in block form and the unperturbed ranks present the middle
+	// build as triplets, in the other the reverse. (The victim's perturbed
+	// COO is in triplet form either way: its edits move single pairs.)
+	asAssembled := func(c *sparse.COO) *sparse.COO { return c }
+	forms := []struct {
+		name             string
+		remembered, next func(*sparse.COO) *sparse.COO
+	}{
+		{"blocks remembered, triplets follow", asAssembled, sparse.Expand},
+		{"triplets remembered, blocks follow", sparse.Expand, asAssembled},
+	}
 	for _, ow := range oracleWorlds(t) {
 		for _, sn := range scenarios {
 			t.Run(ow.name+"/"+sn.name, func(t *testing.T) {
+				for _, fm := range forms {
+					t.Run(fm.name, func(t *testing.T) {
+						var peers []int // written by the victim, read after the world has run
+						recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
+							assembled := systemCOO(b)
+							base := fm.remembered(assembled)
+							b.build(base, b.s.Owner, 1200, nil)
+							mid := fm.next(assembled)
+							if b.r.ID() == ow.victim {
+								mid = sparse.Expand(assembled)
+								var err error
+								if peers, err = sn.perturb(b, mid); err != nil {
+									return err
+								}
+							}
+							b.build(mid, b.s.Owner, 1300, nil)
+							b.build(base, b.s.Owner, 1400, nil)
+							return nil
+						})
+						requireAliases(t, recs, func(rank int) []int {
+							if (rank == ow.victim && sn.victimBuilds) || slices.Contains(peers, rank) {
+								return []int{0, 1, 0}
+							}
+							return []int{0, 0, 0}
+						})
+					})
+				}
+			})
+		}
+	}
+}
+
+// TestStructureReuseChecksInsideBlocks: the verifier looks a row up once per
+// segment but must still check every contribution. The victim's first build
+// is the operator's sequence with one pair changed in the middle of a block
+// row (as triplets, which alone can say that) — a local column, or an
+// exported pair turned into a local one; the block-form COO that follows
+// agrees with the remembered plan at the first contribution of every segment
+// and must not adopt it.
+func TestStructureReuseChecksInsideBlocks(t *testing.T) {
+	owned := func(b *builder, g int) bool { _, ok := b.s.RowMap.LocalOf(g); return ok }
+	for _, sn := range []struct {
+		name string
+		// perturb edits the victim's triplets at a contribution that is not
+		// its segment's first and returns the peers whose streams change.
+		perturb func(b *builder, coo *sparse.COO) (peers []int, err error)
+	}{
+		{"a local column", func(b *builder, coo *sparse.COO) ([]int, error) {
+			at, err := firstTriplet(coo, func(t int) bool {
+				return t%8 == 5 && owned(b, coo.Rows[t]) && owned(b, coo.Cols[t])
+			})
+			if err != nil {
+				return nil, err
+			}
+			coo.Cols[at] = otherOwned(b, coo.Cols[at])
+			return nil, nil
+		}},
+		{"an exported pair made local", func(b *builder, coo *sparse.COO) ([]int, error) {
+			at, err := firstTriplet(coo, func(t int) bool { return t%8 == 5 && !owned(b, coo.Rows[t]) })
+			if err != nil {
+				return nil, err
+			}
+			peer := b.s.Owner(coo.Rows[at])
+			coo.Rows[at], coo.Cols[at] = b.s.RowMap.Owned[0], b.s.RowMap.Owned[0]
+			return []int{peer}, nil
+		}},
+	} {
+		for _, ow := range oracleWorlds(t) {
+			t.Run(sn.name+"/"+ow.name, func(t *testing.T) {
 				var peers []int // written by the victim, read after the world has run
 				recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
-					base := systemCOO(b)
-					b.build(base, b.s.Owner, 1200, nil)
-					mid := base
+					assembled := systemCOO(b)
+					first := assembled
 					if b.r.ID() == ow.victim {
-						mid = cloneCOO(base)
+						first = sparse.Expand(assembled)
 						var err error
-						if peers, err = sn.perturb(b, mid); err != nil {
+						if peers, err = sn.perturb(b, first); err != nil {
 							return err
 						}
 					}
-					b.build(mid, b.s.Owner, 1300, nil)
-					b.build(base, b.s.Owner, 1400, nil)
+					b.build(first, b.s.Owner, 1200, nil)
+					b.build(assembled, b.s.Owner, 1300, nil)
 					return nil
 				})
 				requireAliases(t, recs, func(rank int) []int {
-					if (rank == ow.victim && sn.victimBuilds) || slices.Contains(peers, rank) {
-						return []int{0, 1, 0}
+					if rank == ow.victim || slices.Contains(peers, rank) {
+						return []int{0, 1}
 					}
-					return []int{0, 0, 0}
+					return []int{0, 0}
 				})
 			})
 		}
@@ -490,7 +623,7 @@ func TestStructureReuseKeepsStencilsApart(t *testing.T) {
 		t.Run(ow.name, func(t *testing.T) {
 			recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
 				full := systemCOO(b)
-				diag := cloneCOO(full)
+				diag := sparse.Expand(full)
 				copy(diag.Cols, diag.Rows)
 				for i, coo := range []*sparse.COO{full, diag, full, diag, diag, full} {
 					b.build(coo, b.s.Owner, 1200+100*i, nil)
@@ -513,7 +646,7 @@ func TestStructureReuseKeepsBadOwnerError(t *testing.T) {
 			recs := requireSameAsReference(t, ow.nranks, ow.start, func(b *builder) error {
 				base := systemCOO(b)
 				b.build(base, b.s.Owner, 1200, nil)
-				bad := cloneCOO(base)
+				bad := sparse.Expand(base)
 				bad.Rows[len(bad.Rows)/2] = stray
 				b.build(bad, func(g int) int {
 					if g == stray {
