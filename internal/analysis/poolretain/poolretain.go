@@ -24,7 +24,8 @@ var Analyzer = &analysis.Analyzer{
 	AllowKeyword: "poolretain",
 	Doc: `enforce the mp payload pool's buffer-ownership protocol
 
-Buffers from (*f64Pool).get or (*rankPool).get and message payloads may be
+Buffers from (*f64Pool).get or (*rankPool).get (or scratch, its uncounted
+twin) and message payloads may be
 handed to a mailbox inside a message value, returned to the application at a
 documented transfer point, or recycled with put. Storing one in a field, a
 global, or a goroutine closure — or touching it after put — aliases pool
@@ -224,15 +225,22 @@ func firstMention(pass *analysis.Pass, stmt ast.Stmt, putArg ast.Expr) (pos toke
 	return pos, found
 }
 
-// isPoolCall reports whether expr is a call to the named method on one of
-// the package's pool types.
+// uncounted names rankPool's get and put outside the traffic counts, which
+// the vector collectives use: the same ownership rules apply.
+var uncounted = map[string]string{"scratch": "get", "release": "put"}
+
+// isPoolCall reports whether expr is a call to the named method, or to its
+// uncounted twin, on one of the package's pool types.
 func isPoolCall(pass *analysis.Pass, expr ast.Expr, method string) bool {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok || len(call.Args) < 1 {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == method && isPoolType(pass, pass.TypesInfo.TypeOf(sel.X))
+	if !ok || !isPoolType(pass, pass.TypesInfo.TypeOf(sel.X)) {
+		return false
+	}
+	return sel.Sel.Name == method || uncounted[sel.Sel.Name] == method
 }
 
 // isPoolType reports whether t is (a pointer to) one of the two levels of

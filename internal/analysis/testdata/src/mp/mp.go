@@ -28,6 +28,10 @@ func (p *rankPool) get(n int) []float64 {
 // buffer is what the pool is for.
 func (p *rankPool) put(buf []float64) { p.free = append(p.free, buf[:0]) }
 
+// scratch and release are get and put outside the traffic counts.
+func (p *rankPool) scratch(n int) []float64 { return p.get(n) }
+func (p *rankPool) release(buf []float64)   { p.put(buf) }
+
 // prefetch draws from the shared level into the front's own field — still a
 // pool level holding a free buffer, so the field store is sanctioned.
 func (p *rankPool) prefetch(n int) {
@@ -111,6 +115,20 @@ func (r *Rank) FrontUseAfterPut(n int) float64 {
 	buf[0] = 1
 	r.pool.put(buf)
 	return buf[0] // want `use of pooled buffer after put`
+}
+
+// ScratchStashField and ScratchUseAfterRelease: the uncounted twins carry the
+// same ownership rules.
+func (r *Rank) ScratchStashField(n int) {
+	acc := r.pool.scratch(n)
+	r.stash = acc // want `pooled buffer acc stored into field stash`
+}
+
+func (r *Rank) ScratchUseAfterRelease(n int) float64 {
+	acc := r.pool.scratch(n)
+	acc[0] = 1
+	r.pool.release(acc)
+	return acc[0] // want `use of pooled buffer after put`
 }
 
 // StashField retains a pooled buffer in a struct field.

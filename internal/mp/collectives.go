@@ -84,18 +84,22 @@ func (r *Rank) Barrier() {
 // returns each rank's copy. Non-root ranks pass their (possibly nil) buffer;
 // the returned slice holds the broadcast data.
 func (r *Rank) Bcast(root int, data []float64) []float64 {
+	out := r.bcast(root, data)
+	if r.id == root {
+		out = make([]float64, len(data))
+		copy(out, data)
+	}
+	return out
+}
+
+// bcast is Bcast without the root's copy: the root gets buf itself back.
+func (r *Rank) bcast(root int, buf []float64) []float64 {
 	p := r.Size()
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("mp: bcast root %d out of range", root))
 	}
 	tag := r.collTag(kindBcast)
-	if p == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
-	}
 	rel := (r.id - root + p) % p
-	buf := data
 	// Receive once from the parent (unless root).
 	mask := 1
 	for mask < p {
@@ -115,51 +119,69 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 		}
 		mask >>= 1
 	}
-	if rel == 0 {
-		out := make([]float64, len(buf))
-		copy(out, buf)
-		return out
-	}
 	return buf
 }
 
 // Reduce combines data from all ranks with op along a binomial tree and
-// returns the result on root (nil elsewhere). data is not modified.
+// returns the result on root (nil elsewhere). data is not modified. The
+// accumulator is a pool buffer: every rank but the root sends its own on as
+// the payload, the root's passes to the caller, and the children's payloads
+// go back to the pool once folded in.
 func (r *Rank) Reduce(root int, op ReduceOp, data []float64) []float64 {
 	p := r.Size()
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("mp: reduce root %d out of range", root))
 	}
 	tag := r.collTag(kindReduce)
-	acc := make([]float64, len(data))
+	acc := r.pool.scratch(len(data))
 	copy(acc, data)
-	if p == 1 {
-		return acc
-	}
 	rel := (r.id - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask == 0 {
-			if rel+mask < p {
-				src := (rel + mask + root) % p
-				op.apply(acc, r.RecvF64(src, tag))
-			}
-		} else {
-			dst := (rel - mask + root) % p
-			r.SendF64(dst, tag, acc)
-			acc = nil
-			break
+	for mask := 1; mask < p; mask <<= 1 {
+		if rel&mask != 0 {
+			r.sendOwned((rel-mask+root)%p, tag, acc)
+			return nil
 		}
-		mask <<= 1
+		if rel+mask < p {
+			buf := r.RecvF64((rel+mask+root)%p, tag)
+			op.apply(acc, buf)
+			r.pool.release(buf)
+		}
 	}
 	return acc
+}
+
+// sendOwned is SendF64 for a buffer the caller drew with scratch and is done
+// with: it travels itself instead of a copy. The draw is counted here, where
+// SendF64 would have made it.
+func (r *Rank) sendOwned(dst, tag int, buf []float64) {
+	r.checkDst(dst)
+	if len(buf) > 0 {
+		r.pool.gets++
+	}
+	r.post(dst, tag, 8*len(buf), f64Msg(buf))
 }
 
 // Allreduce combines data from all ranks with op and returns the result on
 // every rank (Reduce to rank 0 followed by Bcast, 2·ceil(log2 P) stages).
 func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
-	acc := r.Reduce(0, op, data)
-	return r.Bcast(0, acc)
+	return r.bcast(0, r.Reduce(0, op, data))
+}
+
+// Census makes every rank learn how many peers will message it: each rank
+// contributes an indicator vector with 1 at each peer it will contact, and
+// the summed vector's own entry is the answer. Cost: one P-length Allreduce,
+// whose vectors return to the pool.
+func (r *Rank) Census(peers []int) int {
+	ind := r.pool.scratch(r.Size())
+	clear(ind)
+	for _, p := range peers {
+		ind[p] = 1
+	}
+	sum := r.Allreduce(OpSum, ind)
+	n := int(sum[r.id] + 0.5)
+	r.pool.release(ind)
+	r.pool.release(sum)
+	return n
 }
 
 // applyScalar is the one-element form of apply, with the identical

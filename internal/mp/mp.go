@@ -513,6 +513,9 @@ type World struct {
 	// pointer so Grow can transfer ownership of the warm free lists to the
 	// grown world along with the mailboxes.
 	pool *f64Pool
+	// interns shares immutable host-side values between ranks (see
+	// intern.go).
+	interns internTable
 
 	// obsRun/recs are the attached observability sink and its per-rank
 	// recorders (nil when the world is unobserved; see Observe).

@@ -24,11 +24,17 @@ import (
 // between take and put, or a free stack (a rank's, or the shared one). A
 // send variant obtains a buffer with get, fills it completely and hands it
 // to the destination mailbox; the matching receive either transfers
-// ownership to the application (RecvF64, collectives) — the buffer then
-// leaves the pool for good — or copies/scatters the payload out and returns
-// the buffer with put (RecvF64Into, RecvF64Scatter, RecvF64AddScatter,
-// scalar collectives). A buffer must never be put twice or retained after
-// put. Buffers migrate: what a receiver puts came from its sender's stacks.
+// ownership to the application (RecvF64, and through it the results of Bcast,
+// Allreduce, Gather and the like) — the buffer then leaves the pool for good
+// — or copies/scatters the payload out and returns the buffer with put
+// (RecvF64Into, RecvF64Scatter, RecvF64AddScatter, scalar collectives). The
+// vector collectives own buffers in between: Reduce draws its accumulator
+// (scratch), folds each child's payload in and returns it (release), and
+// either sends the accumulator itself up the tree (sendOwned) or, on the
+// root, hands it to the caller; Census returns both its indicator and the
+// Allreduce result it read one entry of. A buffer must never be put twice or
+// retained after put. Buffers migrate: what a receiver puts came from its
+// sender's stacks.
 // A rank's stacks drain into the shared level when its goroutine exits
 // (World.Run), so between runs every free buffer is in the shared level and
 // Grow hands the warm pool to the grown world's ranks.
@@ -128,10 +134,28 @@ type rankPool struct {
 // get returns a buffer of length n from the rank's own stack, falling back
 // to the shared pool. n == 0 returns nil without touching the pool.
 func (p *rankPool) get(n int) []float64 {
+	if n > 0 {
+		p.gets++
+	}
+	return p.scratch(n)
+}
+
+// put returns a buffer obtained from get (on any rank). Buffers whose
+// capacity is not an exact class size are dropped for the GC; a full private
+// stack overflows into the shared pool.
+func (p *rankPool) put(buf []float64) {
+	p.puts++
+	p.release(buf)
+}
+
+// scratch and release are get and put outside the traffic counts, for the
+// vector collectives' accumulators and indicators and the payloads they
+// consume. gets and puts reach the journal (obs "pool" event), which recycling
+// added to a collective must leave byte for byte as it was.
+func (p *rankPool) scratch(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	p.gets++
 	if c := poolClassOf(n); c < localClasses {
 		if k := len(p.free[c]); k > 0 {
 			buf := p.free[c][k-1]
@@ -143,11 +167,7 @@ func (p *rankPool) get(n int) []float64 {
 	return p.shared.get(n)
 }
 
-// put returns a buffer obtained from get (on any rank). Buffers whose
-// capacity is not an exact class size are dropped for the GC; a full private
-// stack overflows into the shared pool.
-func (p *rankPool) put(buf []float64) {
-	p.puts++
+func (p *rankPool) release(buf []float64) {
 	c := cap(buf)
 	if c == 0 || c&(c-1) != 0 {
 		return

@@ -142,28 +142,25 @@ func benchGMRESArnoldi(b *testing.B) {
 
 // benchDistMatrixBuild is the symbolic set-up a job pays for the first
 // operator of a space: 8 ranks of 10³ elements each assemble the mass matrix
-// into a reused COO and build its DistMatrix cold (classification,
-// structure exchange, CSR pattern and refill plan). Every iteration builds
-// over a fresh RowMap — a RowMap remembers the structures built over it, so
-// a second build over the same one would take the reuse path that
-// benchDistMatrixRebuild times. Space construction is outside the timed
-// loop; the RowMap copy is inside and is under 2 % of the bytes.
-func benchDistMatrixBuild(b *testing.B) {
-	benchDistMatrix(b, func(s *fem.Space) *sparse.RowMap { return sparse.NewRowMap(s.RowMap.Owned) })
-}
+// into a COO and build its DistMatrix cold (classification, structure
+// exchange, CSR pattern and refill plan). Every iteration builds in a fresh
+// world — a world interns the shapes of the matrices built in it, so a second
+// build of the same operator takes the adopt path that
+// benchDistMatrixRebuild times. World and space construction are outside the
+// timed region.
+func benchDistMatrixBuild(b *testing.B) { benchDistMatrix(b, true) }
 
-// benchDistMatrixRebuild is what every later operator of the space pays:
-// the same assembly and build over a RowMap that already holds the
-// structure, so the build verifies its contributions against the remembered
-// plan, replays the structure exchange and allocates only the values.
-func benchDistMatrixRebuild(b *testing.B) {
-	benchDistMatrix(b, func(s *fem.Space) *sparse.RowMap { return s.RowMap })
-}
+// benchDistMatrixRebuild is what every later operator of the space pays, and
+// what a rank pays whose position class another rank has built for: the same
+// assembly and build in a world that already holds the shape, so the build
+// replays the structure exchange, verifies its contributions against the
+// interned plan and allocates only the values and its per-rank lists.
+func benchDistMatrixRebuild(b *testing.B) { benchDistMatrix(b, false) }
 
 // benchDistMatrix times b.N assemble-and-build rounds of the mass matrix on
-// 8 ranks, each over the RowMap rowMap returns. One untimed build over the
-// space's own RowMap comes first, so that map holds the structure.
-func benchDistMatrix(b *testing.B, rowMap func(s *fem.Space) *sparse.RowMap) {
+// 8 ranks: cold, one round in each of b.N worlds; otherwise all in one world
+// after an untimed first build.
+func benchDistMatrix(b *testing.B, cold bool) {
 	const p, n = 2, 10
 	m := mesh.NewUnitCube(p * n)
 	topo, err := mp.BlockTopology(p*p*p, 8)
@@ -174,38 +171,57 @@ func benchDistMatrix(b *testing.B, rowMap func(s *fem.Space) *sparse.RowMap) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := mp.NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9, BytesPerSec: 1e10})
-	if err != nil {
-		b.Fatal(err)
+	worlds, rounds := 1, b.N
+	if cold {
+		worlds, rounds = b.N, 1
 	}
-	err = w.Run(func(r *mp.Rank) error {
-		s, err := fem.NewSpaceBlock(r, m, p, p, p, 1000)
+	b.StopTimer()
+	for ; worlds > 0; worlds-- {
+		w, err := mp.NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9, BytesPerSec: 1e10})
 		if err != nil {
-			return err
+			b.Fatal(err)
 		}
-		elem := func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) }
-		var coo sparse.COO
-		s.AssembleMatrix(&coo, elem)
-		if _, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100); err != nil {
-			return err
-		}
-		// The benchmark goroutine is parked in w.Run, so rank 0 owns b
-		// between the two barriers.
-		r.Barrier()
-		if r.ID() == 0 {
-			b.ResetTimer()
-		}
-		r.Barrier()
-		for i := 0; i < b.N; i++ {
-			s.AssembleMatrix(&coo, elem)
-			if _, err := sparse.NewDistMatrix(r, rowMap(s), &coo, s.Owner, 1100); err != nil {
+		err = w.Run(func(r *mp.Rank) error {
+			s, err := fem.NewSpaceBlock(r, m, p, p, p, 1000)
+			if err != nil {
 				return err
 			}
+			elem := func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) }
+			var coo sparse.COO
+			build := func() error {
+				s.AssembleMatrix(&coo, elem)
+				_, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100)
+				return err
+			}
+			// Untimed: the COO's own arrays and, warm, the first build.
+			s.AssembleMatrix(&coo, elem)
+			if !cold {
+				if err := build(); err != nil {
+					return err
+				}
+			}
+			// The benchmark goroutine is parked in w.Run, so rank 0 owns b
+			// between each pair of barriers.
+			r.Barrier()
+			if r.ID() == 0 {
+				b.StartTimer()
+			}
+			r.Barrier()
+			for i := 0; i < rounds; i++ {
+				if err := build(); err != nil {
+					return err
+				}
+			}
+			r.Barrier()
+			if r.ID() == 0 {
+				b.StopTimer()
+			}
+			r.Barrier()
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 }
 

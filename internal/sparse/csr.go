@@ -45,6 +45,10 @@ type COO struct {
 	// Vals[b*k*k:][:k*k].
 	k   int
 	ids []int
+	// segRows and exported are NewDistMatrix's per-segment scratch (see
+	// classify): like the rest of a COO it is reused from one assembly to the
+	// next.
+	segRows, exported []int32
 }
 
 // Add appends one triplet. It panics on a COO holding blocks.

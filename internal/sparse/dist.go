@@ -9,12 +9,9 @@ import (
 
 // RowMap records which global rows (mesh vertices) this rank owns. Owned
 // ids are sorted; local row i is Owned[i]. LocalOf, the inverse, is O(1) in
-// memory proportional to the span or the count of the owned ids.
-//
-// A RowMap also remembers the symbolic structures of the matrices built
-// over it, so the operators of one finite-element space share a single
-// pattern and refill plan (see NewDistMatrix). That makes it rank-local
-// state: like the rank itself it belongs to one goroutine.
+// memory proportional to the span or the count of the owned ids. It is
+// immutable once built and holds nothing of the matrices built over it: what
+// they share is interned in their world (see NewDistMatrix).
 type RowMap struct {
 	Owned []int
 	g2l   map[int]int
@@ -28,10 +25,6 @@ type RowMap struct {
 	// proportional to the owned count.
 	dense []int32
 	lo    int
-	// structs holds one structure per distinct (row, col) sequence a
-	// DistMatrix was built from over this map, in build order: one per
-	// operator stencil, so one or two in the applications.
-	structs []*structure
 }
 
 // denseRowMapLimit bounds the owned-id span for which NewRowMap builds the
@@ -148,7 +141,7 @@ func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) 
 	}
 
 	// Census: each owner learns how many requesters will contact it.
-	numRequesters := census(r, im.recvPeers)
+	numRequesters := r.Census(im.recvPeers)
 
 	// Send requests; serve them.
 	for i, p := range im.recvPeers {
@@ -193,18 +186,6 @@ func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) 
 	return im, nil
 }
 
-// census makes every rank learn how many peers will message it: each rank
-// contributes an indicator vector with 1 at each peer it will contact, and
-// the summed vector's own entry is the answer. Cost: one P-length Allreduce.
-func census(r *mp.Rank, peers []int) int {
-	ind := make([]float64, r.Size())
-	for _, p := range peers {
-		ind[p] = 1
-	}
-	sum := r.Allreduce(mp.OpSum, ind)
-	return int(sum[r.ID()] + 0.5)
-}
-
 // NOwned returns the owned prefix length of vectors this importer serves.
 func (im *Importer) NOwned() int { return im.nOwned }
 
@@ -246,15 +227,6 @@ func (im *Importer) ExportAdd(x []float64) {
 	for i, p := range im.sendPeers {
 		im.r.RecvF64AddScatter(p, im.tag+1, x, im.sends[i])
 	}
-}
-
-func sortedKeys(m map[int][]int) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }
 
 func intsEqual(a, b []int) bool {

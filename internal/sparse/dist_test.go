@@ -3,8 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -569,26 +569,128 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 	})
 }
 
-// TestRememberedStructureRechecksPeersInAnotherWorld: a RowMap carried into
-// a smaller world still holds the structure a larger one built, whose export
-// peer no longer exists. The same COO and owner function must give the
-// bad-owner error a fresh RowMap gives, not adopt the structure and send to
-// a rank that is not there.
-func TestRememberedStructureRechecksPeersInAnotherWorld(t *testing.T) {
-	owner := func(g int) int { return g } // rank g owns row g
-	rowMaps := []*RowMap{NewRowMap([]int{0}), NewRowMap([]int{1}), NewRowMap([]int{2})}
-	build := func(r *mp.Rank) error {
+// TestFailedBuildReleasesItsClassMates: ranks 1 and 2 present one
+// fingerprint (one owned row, one local contribution, one shipped pair), but
+// the pair rank 0 ships rank 1 names a row rank 1 does not own. Whichever of
+// the two reaches the world's table first, rank 1 must fail with the
+// per-rank build's error and rank 2 must come away with its structure: a
+// failed build resolves its entry, and a shape is never adopted unchecked.
+func TestFailedBuildReleasesItsClassMates(t *testing.T) {
+	owner := func(g int) int { return map[int]int{0: 0, 1: 1, 2: 2, 5: 1}[g] }
+	var errs [3]error
+	var sts [3]structure
+	err := newWorld(t, 3).Run(func(r *mp.Rank) error {
 		var coo COO
 		coo.Add(r.ID(), r.ID(), 1)
 		if r.ID() == 0 {
-			coo.Add(2, 0, 1) // exported to rank 2
+			coo.Add(5, 0, 1) // to rank 1, which owns row 1 only
+			coo.Add(2, 0, 1)
 		}
-		_, err := NewDistMatrix(r, rowMaps[r.ID()], &coo, owner, 100)
-		return err
+		sts[r.ID()], errs[r.ID()] = structureFor(r, NewRowMap([]int{r.ID()}), &coo, owner, 100)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runWorld(t, 3, build)
-	err := newWorld(t, 2).Run(build)
-	if want := "sparse: row 2 has bad owner 2"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("two-rank world over the three-rank world's RowMaps: error %v, want %q", err, want)
+	if want := "sparse: received row 5 not owned by rank 1"; errs[1] == nil || errs[1].Error() != want {
+		t.Errorf("rank 1: error %v, want %q", errs[1], want)
 	}
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("ranks 0 and 2: errors %v, %v", errs[0], errs[2])
+	}
+	if st := sts[2]; !slices.Equal(st.ghostCols, []int{0}) || !slices.Equal(st.importPeers, []int{0}) ||
+		!slices.Equal(st.plan, []int32{0}) || !slices.Equal(st.importSlots[0], []int{1}) {
+		t.Errorf("rank 2 holds %+v over %+v", st, *st.shape)
+	}
+}
+
+// TestBindAcceptsExactlyWhatABuildWouldGive holds the exact check behind the
+// world's table with the fingerprint out of the way: rank 1 of three (rank r
+// owns ids 2r and 2r+1) builds one structure, then every single edit of a
+// row, a column, a shipped pair or a stream is offered to that shape's bind.
+// It must accept exactly when a private build of the edited input gives the
+// same shape, and then return the per-rank lists that build gives.
+func TestBindAcceptsExactlyWhatABuildWouldGive(t *testing.T) {
+	owner := func(g int) int { return g / 2 }
+	rows := []int{2, 2, 2, 1, 1, 2, 3, 3, 3, 4, 4, 3}
+	cols := []int{2, 0, 1, 2, 1, 3, 2, 3, 4, 3, 4, 5} // ghost 1 is met once, ghost 0 again below
+	streams := []incoming{{0, []int{2, 2, 3, 0}}, {2, []int{3, 3, 3, 4, 2, 5}}}
+	runWorld(t, 3, func(r *mp.Rank) error {
+		if r.ID() != 1 {
+			return nil
+		}
+		m := NewRowMap([]int{2, 3})
+		construct := func(m *RowMap, rows, cols []int, ins []incoming) (structure, *COO, *classified, error) {
+			coo := &COO{Rows: rows, Cols: cols, Vals: make([]float64, len(rows))}
+			cl, err := classify(r, m, coo, owner)
+			if err != nil {
+				return structure{}, nil, nil, err
+			}
+			st, err := build(r, m, coo, cl, ins)
+			return st, coo, cl, err
+		}
+		base, _, _, err := construct(m, rows, cols, streams)
+		if err != nil {
+			return err
+		}
+		accepted, rejected := 0, 0
+		offerOver := func(m *RowMap, what string, rows, cols []int, ins []incoming) {
+			want, coo, cl, err := construct(m, rows, cols, ins)
+			if cl == nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			fits := err == nil && reflect.DeepEqual(*want.shape, *base.shape)
+			got, ok := base.shape.bind(m, coo, cl, ins)
+			switch {
+			case ok != fits:
+				t.Errorf("%s: bind accepts = %v, a build gives the same shape = %v", what, ok, fits)
+			case ok:
+				accepted++
+				if !slices.Equal(got.ghostCols, want.ghostCols) || !slices.Equal(got.exportPeers, want.exportPeers) ||
+					!slices.Equal(got.importPeers, want.importPeers) {
+					t.Errorf("%s: bound lists %v %v %v, built %v %v %v", what, got.ghostCols, got.exportPeers,
+						got.importPeers, want.ghostCols, want.exportPeers, want.importPeers)
+				}
+			default:
+				rejected++
+			}
+		}
+		offer := func(what string, rows, cols []int, ins []incoming) { offerOver(m, what, rows, cols, ins) }
+		offer("unedited", rows, cols, streams)
+		offerOver(NewRowMap([]int{2, 3, 7, 8}), "two more owned rows", append([]int{8}, rows[1:]...), append([]int{8}, cols[1:]...), streams)
+		for id := 0; id < 6; id++ {
+			for i := range rows {
+				r2, c2 := slices.Clone(rows), slices.Clone(cols)
+				r2[i], c2[i] = id, id
+				offer(fmt.Sprintf("row %d := %d", i, id), r2, cols, streams)
+				offer(fmt.Sprintf("col %d := %d", i, id), rows, c2, streams)
+			}
+			for si, in := range streams {
+				for j := range in.pairs {
+					ins := slices.Clone(streams)
+					ins[si].pairs = slices.Clone(in.pairs)
+					ins[si].pairs[j] = id
+					offer(fmt.Sprintf("stream %d pair entry %d := %d", si, j, id), rows, cols, ins)
+				}
+			}
+		}
+		for i := range rows {
+			offer(fmt.Sprintf("contribution %d dropped", i), slices.Delete(slices.Clone(rows), i, i+1),
+				slices.Delete(slices.Clone(cols), i, i+1), streams)
+			if i > 0 {
+				r2, c2 := slices.Clone(rows), slices.Clone(cols)
+				r2[i], r2[i-1], c2[i], c2[i-1] = r2[i-1], r2[i], c2[i-1], c2[i]
+				offer(fmt.Sprintf("contributions %d and %d swapped", i-1, i), r2, c2, streams)
+			}
+		}
+		offer("another source", rows, cols, []incoming{{0, streams[0].pairs}, {1, streams[1].pairs}})
+		offer("a stream one pair shorter", rows, cols, []incoming{streams[0], {2, streams[1].pairs[:4]}})
+		offer("a stream one pair longer", rows, cols, []incoming{{0, append(slices.Clone(streams[0].pairs), 3, 0)}, streams[1]})
+		offer("one stream only", rows, cols, streams[:1])
+		offer("the streams' pairs exchanged", rows, cols, []incoming{{0, streams[1].pairs}, {2, streams[0].pairs}})
+		if accepted < 3 || rejected < 100 {
+			t.Errorf("%d edits accepted, %d rejected: the scan lost its subject", accepted, rejected)
+		}
+		return nil
+	})
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -17,15 +18,17 @@ import (
 // the GlobalAssemble step of the paper's stack. The assembly COO may be in
 // triplet or block form; "contribution t" below is its Vals[t] in both.
 //
-// A matrix is a symbolic structure plus its own values. The structure —
-// CSR pattern, ghost column list, refill plan — depends only on the (row,
-// col) sequences the ranks assemble, so the operators of one finite-element
-// space share a single copy through their RowMap: A.RowPtr and A.Col of
-// such siblings alias the same arrays and must be treated as read-only.
+// A matrix is a symbolic structure plus its own values. The structure's
+// bulk — CSR pattern and refill plan, its shape — depends only on the (row,
+// col) sequences the ranks assemble, in local numbering, so it is interned
+// in the world (mp.Rank.Intern): the operators of one finite-element space
+// share one copy, and so do the ranks of one position class of a block
+// decomposition. A.RowPtr and A.Col of such matrices alias the same arrays,
+// on this rank and on others, and must be treated as read-only.
 type DistMatrix struct {
 	r      *mp.Rank
 	rowMap *RowMap
-	st     *structure
+	st     structure
 	// A holds the owned rows over local column indices: the structure's
 	// pattern, this matrix's values.
 	A   *CSR
@@ -36,28 +39,38 @@ type DistMatrix struct {
 	compacted bool
 }
 
-// structure is the symbolic half of a DistMatrix: everything fixed by the
-// (row, col) sequence of this rank's assembly COO — whichever form spells it
-// — and of the streams its peers ship. It is immutable once complete and is
-// remembered on the RowMap it was built over.
-type structure struct {
-	// rowPtr/col are the CSR pattern of the owned rows over local columns.
+// shape is the rank-independent part of a symbolic structure: everything
+// fixed by the (row, col) sequence of a rank's assembly COO — whichever form
+// spells it — and of the streams its peers ship, once rows, columns and
+// peers are numbered locally. It is immutable from the moment it is interned
+// and shared by every rank and operator whose sequences give the same one.
+type shape struct {
+	// rowPtr/col are the CSR pattern of the owned rows over local columns,
+	// the last nGhost of which are ghost columns.
 	rowPtr, col []int
-	// ghostCols lists ghost column global ids; local column nOwned+i.
-	ghostCols []int
+	nGhost      int
 
 	// plan is the numeric-refill plan, one entry per contribution of the
 	// structure COO: the CSR value slot a locally-owned one accumulates
-	// into, or ^i for an off-rank one shipped to exportPeers[i]. nLocal
-	// counts the former. exportIdx groups the structure-COO indices of the
-	// off-rank contributions by destination peer; importSlots are the CSR
-	// slots for the value streams arriving from each source peer.
+	// into, or ^i for an off-rank one shipped to the rank's i-th export
+	// peer. nLocal counts the former. exportIdx groups the structure-COO
+	// indices of the off-rank contributions by destination peer;
+	// importSlots are the CSR slots for the value streams arriving from
+	// each source peer.
 	plan        []int32
 	nLocal      int
-	exportPeers []int
 	exportIdx   [][]int
-	importPeers []int
 	importSlots [][]int
+}
+
+// structure is a shape as one rank holds it: the global ids and rank numbers
+// its local numbering stands for there, each list ascending.
+type structure struct {
+	*shape
+	// ghostCols lists ghost column global ids; local column nOwned+i.
+	ghostCols   []int
+	exportPeers []int
+	importPeers []int
 }
 
 // incoming is the (row, col) pair stream one source peer shipped.
@@ -72,12 +85,12 @@ type incoming struct {
 // tags [tag, tag+4) for this matrix. The coo is not retained; SetValues
 // refills take one with the same contribution order.
 //
-// When rowMap already holds a structure that coo and the peers' streams
-// follow contribution for contribution — in whichever form the COO that
-// built it was — the matrix adopts it and allocates only its values;
-// otherwise it builds one and leaves it on rowMap for the next operator.
-// Either way the ranks exchange the same messages and charge the same
-// virtual cost.
+// When the world already holds a shape that coo and the peers' streams
+// follow contribution for contribution — built by this rank for an earlier
+// operator or by another rank, from a COO of whichever form — the matrix
+// adopts it and allocates only its values and its per-rank lists; otherwise
+// it builds one and files it for the builds that follow. Either way the ranks
+// exchange the same messages and charge the same virtual cost.
 func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
 	return newDistMatrix(r, rowMap, coo, owner, tag, nil)
 }
@@ -90,7 +103,7 @@ func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 // Allreduce and request handshake — at 8 ranks that is the dominant setup
 // allocation — and is collective: all ranks must agree on prev. When the
 // ghost sets differ the matrix silently builds its own importer, so the
-// call is always safe. The symbolic structure is shared through the RowMap
+// call is always safe. The symbolic structure is shared through the world
 // by either constructor; what Like adds is the importer, whose handshake is
 // real traffic and so can only be skipped by agreement.
 func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
@@ -132,44 +145,38 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 	return dm, nil
 }
 
-// structureFor exchanges the off-rank (row, col) pairs and returns the
-// structure of the matrix that coo and the received streams describe: a
-// structure remembered on rowMap when they follow one exactly, otherwise a
-// new one, which rowMap then remembers. The exchange is the same either way
-// — a rank cannot know whether its peers are adopting or building, and
-// set-up traffic moves every rank's virtual clock.
-func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*structure, error) {
-	// A remembered structure this rank's contributions follow stands in for
-	// the classification; whether the peers' streams follow it too is known
-	// only once they are in. Without one, fresh is the structure this build
-	// makes.
-	at, st := rowMap.nextLocalMatch(0, r, coo, owner)
-	exports := st // whose export lists the exchange follows
-	var fresh *structure
-	var segRows []int32
-	var err error
-	if st == nil {
-		if fresh, segRows, err = newStructure(r, rowMap, coo, owner); err != nil {
-			return nil, err
-		}
-		exports = fresh
+// structureFor classifies this rank's contributions, exchanges the off-rank
+// (row, col) pairs and only then looks in the world for the shape of the
+// matrix that coo and the received streams describe: one already interned
+// that they follow exactly (bind), otherwise a new one, which is interned
+// for the builds that follow. The exchange is the same either way — a rank
+// cannot know whether its peers are adopting or building, and set-up traffic
+// moves every rank's virtual clock — and it is complete before the lookup,
+// so a rank waiting there for a class-mate's build waits for host work only.
+func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (structure, error) {
+	cl, err := classify(r, rowMap, coo, owner)
+	if err != nil {
+		return structure{}, err
 	}
 
 	// Ship off-rank structure (row,col pairs) to owners; receive ours. The
 	// pairs are spelled out of the COO's segments only here, one peer's
 	// stream at a time in one scratch: SendInts copies its payload.
-	numSenders := census(r, exports.exportPeers)
+	numSenders := r.Census(cl.exportPeers)
 	k, rowIDs, colIDs := coo.segments()
 	longest := 0
-	for _, idx := range exports.exportIdx {
-		longest = max(longest, len(idx))
+	for _, n := range cl.exportCounts {
+		longest = max(longest, n)
 	}
 	pairs := make([]int, 0, 2*longest)
-	for i, p := range exports.exportPeers {
+	for i, p := range cl.exportPeers {
 		pairs = pairs[:0]
-		for _, t := range exports.exportIdx[i] {
-			s := t / k
-			pairs = append(pairs, rowIDs[s], colIDs[s-s%k+t%k])
+		for _, s := range cl.exported {
+			if cl.segRows[s] == ^int32(i) {
+				for _, c := range colIDs[int(s)-int(s)%k:][:k] {
+					pairs = append(pairs, rowIDs[s], c)
+				}
+			}
 		}
 		r.SendInts(p, tag, pairs)
 	}
@@ -184,86 +191,123 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag
 		}
 	}
 
-	// A peer that assembled something else rules a local match out, but a
-	// later structure may share its local half (same contributions here,
-	// another operator there).
-	for st != nil && !st.matchIncoming(rowMap, ins) {
-		at, st = rowMap.nextLocalMatch(at+1, r, coo, owner)
+	key := cl.hash
+	for _, in := range ins {
+		key = mix(key, len(in.pairs))
 	}
-	if st != nil {
-		return st, nil
-	}
-	// Build, from the streams already received.
-	if fresh == nil {
-		if fresh, segRows, err = newStructure(r, rowMap, coo, owner); err != nil {
-			return nil, err
-		}
-	}
-	if err = fresh.complete(r, rowMap, coo, segRows, ins); err != nil {
-		return nil, err
-	}
-	rowMap.structs = append(rowMap.structs, fresh)
-	return fresh, nil
+	var st structure
+	_, err = r.Intern(key,
+		func(v any) (ok bool) {
+			st, ok = v.(*shape).bind(rowMap, coo, cl, ins)
+			return ok
+		},
+		func() (any, error) {
+			var err error
+			st, err = build(r, rowMap, coo, cl, ins)
+			return st.shape, err
+		})
+	return st, err
 }
 
-// newStructure starts a structure from this rank's contributions. Each row
-// segment of coo (COO.segments: a triplet, or one row of a block) is
-// classified once, as locally owned or as an export to its row's owner, and
-// the export side is complete on return. segRows holds every segment's local
-// row, negative for an export, for complete to build the pattern from.
-func newStructure(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (st *structure, segRows []int32, err error) {
-	// segRows[s] is ^owner while the export peers are being collected. The
-	// counts size the export lists exactly (assembly COOs run to millions of
-	// contributions, so append growth here dominated construction
-	// allocations).
+// classified is what a rank knows of a build from its own COO alone.
+type classified struct {
+	// segRows holds every row segment's local row (COO.segments: a triplet,
+	// or one row of a block), or ^i for a segment exported to exportPeers[i],
+	// the ascending list of the owners of such rows; exported lists those
+	// segments, ascending. exportCounts[i] is the number of contributions
+	// that peer is sent.
+	segRows, exported []int32
+	exportPeers       []int
+	exportCounts      []int
+	// hash fingerprints the above in local terms — owned row and contribution
+	// counts, then the contributions' entries of segRows, a run of equal ones
+	// taken once — so class-mates agree on it, and so do the two forms of
+	// one COO.
+	hash uint64
+}
+
+// mix folds v into the fingerprint h (FNV-1a over whole words).
+func mix(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
+
+// classify classifies each row segment of coo once, as locally owned or as
+// an export to its row's owner. segRows and exported are scratch kept with the
+// COO, so the operators a rank assembles through one COO classify into the
+// same arrays.
+func classify(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*classified, error) {
+	// segRows[s] is ^owner while the export peers are being collected, a
+	// neighbour set kept sorted as it grows.
 	k, rowIDs, _ := coo.segments()
-	st = &structure{plan: make([]int32, coo.Len())}
-	segRows = make([]int32, len(rowIDs))
-	exportCounts := map[int]int{} // peer -> contribution count
+	coo.segRows = slices.Grow(coo.segRows[:0], len(rowIDs))[:len(rowIDs)]
+	coo.exported = coo.exported[:0]
+	cl := &classified{segRows: coo.segRows}
 	for s, g := range rowIDs {
 		if lr, ok := rowMap.LocalOf(g); ok {
-			segRows[s] = int32(lr)
-			st.nLocal += k
+			cl.segRows[s] = int32(lr)
 			continue
 		}
 		o := owner(g)
 		if o == r.ID() || o < 0 || o >= r.Size() {
-			return nil, nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
+			return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
 		}
-		segRows[s] = ^int32(o)
-		exportCounts[o] += k
+		cl.segRows[s] = ^int32(o)
+		coo.exported = append(coo.exported, int32(s))
+		i, known := slices.BinarySearch(cl.exportPeers, o)
+		if !known {
+			cl.exportPeers = slices.Insert(cl.exportPeers, i, o)
+			cl.exportCounts = slices.Insert(cl.exportCounts, i, 0)
+		}
+		cl.exportCounts[i] += k
 	}
-	st.exportPeers = sortedIntKeys(exportCounts)
-	st.exportIdx = make([][]int, len(st.exportPeers))
-	exportPeerIdx := make(map[int]int, len(st.exportPeers))
-	flatExport := make([]int, coo.Len()-st.nLocal)
-	off := 0
-	for i, p := range st.exportPeers {
-		exportPeerIdx[p] = i
-		st.exportIdx[i] = flatExport[off : off : off+exportCounts[p]]
-		off += exportCounts[p]
+	cl.hash = mix(mix(14695981039346656037, rowMap.N()), coo.Len())
+	cl.exported = coo.exported
+	for _, s := range cl.exported {
+		i, _ := slices.BinarySearch(cl.exportPeers, int(^cl.segRows[s]))
+		cl.segRows[s] = ^int32(i)
 	}
-	for s, lr := range segRows {
-		if lr < 0 {
-			pi := exportPeerIdx[int(^lr)]
-			for t := s * k; t < (s+1)*k; t++ {
-				st.exportIdx[pi] = append(st.exportIdx[pi], t)
-				st.plan[t] = ^int32(pi)
-			}
+	prev := int32(math.MinInt32)
+	for _, lr := range cl.segRows {
+		if lr != prev {
+			cl.hash, prev = mix(cl.hash, int(lr)), lr
 		}
 	}
-	return st, segRows, nil
+	return cl, nil
 }
 
-// complete builds the pattern from this rank's local segments (segRows, from
-// newStructure) and the peers' streams (sorted by source); the builder puts
-// the value slots straight into the plan and the import lists.
-func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []int32, ins []incoming) error {
+// build makes the structure a rank's classified contributions and the peers'
+// streams (sorted by source) describe; the pattern builder puts the value
+// slots straight into the plan and the import lists. It waits for no other
+// rank (see mp.Rank.Intern).
+func build(r *mp.Rank, rowMap *RowMap, coo *COO, cl *classified, ins []incoming) (structure, error) {
+	// The counts size the export lists exactly (assembly COOs run to millions
+	// of contributions, so append growth here dominated construction
+	// allocations).
+	k, _, colIDs := coo.segments()
+	segRows := cl.segRows
+	sh := &shape{plan: make([]int32, coo.Len()), exportIdx: make([][]int, len(cl.exportPeers))}
+	st := structure{shape: sh, exportPeers: cl.exportPeers}
+	nExport := 0
+	for _, n := range cl.exportCounts {
+		nExport += n
+	}
+	sh.nLocal = coo.Len() - nExport
+	flatExport := make([]int, nExport)
+	off := 0
+	for i, n := range cl.exportCounts {
+		sh.exportIdx[i] = flatExport[off : off : off+n]
+		off += n
+	}
+	for _, s := range cl.exported {
+		lr := segRows[s]
+		for t := int(s) * k; t < (int(s)+1)*k; t++ {
+			sh.exportIdx[^lr] = append(sh.exportIdx[^lr], t)
+			sh.plan[t] = lr
+		}
+	}
+
 	nPairs := 0
 	for _, in := range ins {
 		nPairs += len(in.pairs) / 2
 	}
-
 	// Local columns of the pattern's segments. The column map is owned
 	// columns first (aligned with the row map so the same vector serves as
 	// both domain and range), then ghost columns in ascending global id;
@@ -283,8 +327,7 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []in
 		}
 		return ^k
 	}
-	k, _, colIDs := coo.segments()
-	seg := rowSegments{k: k, rows: segRows, cols: make([]int32, len(colIDs)), slots: st.plan,
+	seg := rowSegments{k: k, rows: segRows, cols: make([]int32, len(colIDs)), slots: sh.plan,
 		pairRows: make([]int32, nPairs), pairCols: make([]int32, nPairs), pairSlots: make([]int, nPairs)}
 	// The k segments that share a stretch of columns map it once, and only
 	// if one of them is local: what a rank merely exports leaves no ghost
@@ -302,7 +345,7 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []in
 		for j := 0; j < len(in.pairs); j += 2 {
 			lr, ok := rowMap.LocalOf(in.pairs[j])
 			if !ok {
-				return fmt.Errorf("sparse: received row %d not owned by rank %d",
+				return structure{}, fmt.Errorf("sparse: received row %d not owned by rank %d",
 					in.pairs[j], r.ID())
 			}
 			seg.pairRows[at], seg.pairCols[at] = int32(lr), localCol(in.pairs[j+1])
@@ -310,7 +353,8 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []in
 		}
 	}
 	sort.Ints(st.ghostCols)
-	place := make([]int32, len(st.ghostCols)) // discovery index -> local column
+	sh.nGhost = len(st.ghostCols)
+	place := make([]int32, sh.nGhost) // discovery index -> local column
 	for i, g := range st.ghostCols {
 		place[found[g]] = int32(nOwned + i)
 	}
@@ -323,99 +367,108 @@ func (st *structure) complete(r *mp.Rank, rowMap *RowMap, coo *COO, segRows []in
 	}
 
 	var err error
-	st.rowPtr, st.col, err = buildPattern(nOwned, nOwned+len(st.ghostCols), &seg)
+	sh.rowPtr, sh.col, err = buildPattern(nOwned, nOwned+sh.nGhost, &seg)
 	if err != nil {
-		return err
+		return structure{}, err
 	}
 	st.importPeers = make([]int, len(ins))
-	st.importSlots = make([][]int, len(ins))
+	sh.importSlots = make([][]int, len(ins))
 	at = 0
 	for i, in := range ins {
 		n := len(in.pairs) / 2
-		st.importPeers[i], st.importSlots[i] = in.src, seg.pairSlots[at:at+n:at+n]
+		st.importPeers[i], sh.importSlots[i] = in.src, seg.pairSlots[at:at+n:at+n]
 		at += n
 	}
-	return nil
+	return st, nil
 }
 
-// nextLocalMatch returns the first structure remembered on m, from index
-// from on, whose plan coo's contributions follow exactly (matchLocal), with
-// its index; nil when there is none.
-func (m *RowMap) nextLocalMatch(from int, r *mp.Rank, coo *COO, owner func(int) int) (int, *structure) {
-	for i := from; i < len(m.structs); i++ {
-		if st := m.structs[i]; st.matchLocal(m, r, coo, owner) {
-			return i, st
-		}
-	}
-	return len(m.structs), nil
-}
+// unbound marks a ghost column bind has not met yet.
+const unbound = math.MinInt
 
-// matchLocal reports whether building from coo would classify and place
-// this rank's contributions exactly as st's plan does. The plan is its own
-// certificate, so no copy or hash of the contributions it was built from is
-// kept: a slot lies in one row and stores one column, hence a contribution
-// whose row contains its planned slot and whose column is the one stored
-// there is the contribution the plan was made for; an off-rank one only has
-// to go to the planned peer, which checks what it receives (matchIncoming).
+// bind reports whether building from the rank's classified contributions and
+// the peers' streams (sorted by source) would give exactly sh, and if so
+// returns sh as this rank holds it. The plan is its own certificate, so no
+// copy or hash of the contributions it was built from is kept: a slot lies
+// in one row and stores one column, hence a contribution whose row contains
+// its planned slot and whose column is the one stored there is the
+// contribution the plan was made for; an off-rank one only has to go to the
+// planned peer, which checks what it receives. What a local column stands
+// for is fixed for an owned one and is bound here for a ghost: to the global
+// id of the first contribution that lands in it, which every later one must
+// repeat, which must not be owned, and which must leave the ghost columns in
+// ascending order of id — as a build would have numbered them. Every slot
+// takes at least one contribution, so a full match binds every ghost column.
 // A row is looked up once per segment of coo; every contribution is checked.
-func (st *structure) matchLocal(m *RowMap, r *mp.Rank, coo *COO, owner func(int) int) bool {
-	if coo.Len() != len(st.plan) {
-		return false
+func (sh *shape) bind(m *RowMap, coo *COO, cl *classified, ins []incoming) (structure, bool) {
+	if len(sh.rowPtr) != m.N()+1 || coo.Len() != len(sh.plan) || len(ins) != len(sh.importSlots) {
+		return structure{}, false
 	}
-	// The RowMap may have met st in another world; a build there vouched
-	// for peers of that world only.
-	for _, p := range st.exportPeers {
-		if p == r.ID() || p >= r.Size() {
+	ghosts := make([]int, sh.nGhost)
+	for i := range ghosts {
+		ghosts[i] = unbound
+	}
+	// holds reports whether value slot s lies in [lo, hi), its row's stretch
+	// of the pattern, and stores the column with global id g, binding a ghost
+	// column seen for the first time. (A negative s, an export marker where a
+	// slot is due, lies in no row. The id that serves as the marker is never
+	// bound: a build that has it stays private.)
+	nOwned, owned, col := m.N(), m.Owned, sh.col
+	holds := func(lo, hi, s, g int) bool {
+		if s < lo || s >= hi {
 			return false
 		}
+		lc := col[s] - nOwned
+		if lc < 0 {
+			return owned[lc+nOwned] == g
+		}
+		if ghosts[lc] == unbound {
+			if _, mine := m.LocalOf(g); !mine {
+				ghosts[lc] = g
+			}
+		}
+		return ghosts[lc] == g && g != unbound
 	}
-	k, rowIDs, colIDs := coo.segments()
-	for s, g := range rowIDs {
-		plan, cols := st.plan[s*k:][:k], colIDs[s-s%k:][:k]
-		lr, ok := m.LocalOf(g)
-		if !ok {
-			o := owner(g)
-			for _, p := range plan {
-				if p >= 0 || st.exportPeers[^p] != o {
-					return false
+	k, _, colIDs := coo.segments()
+	for b := 0; b < len(colIDs); b += k { // the k segments that share their columns
+		cols := colIDs[b:][:k]
+		for s, lr := range cl.segRows[b:][:k] {
+			plan := sh.plan[(b+s)*k:][:k]
+			if lr < 0 {
+				for _, p := range plan {
+					if p != lr {
+						return structure{}, false
+					}
+				}
+				continue
+			}
+			lo, hi := sh.rowPtr[lr], sh.rowPtr[lr+1]
+			for j, p := range plan {
+				if !holds(lo, hi, int(p), cols[j]) {
+					return structure{}, false
 				}
 			}
-			continue
-		}
-		for j, p := range plan {
-			if p < 0 || !st.holds(m, lr, int(p), cols[j]) {
-				return false
-			}
 		}
 	}
-	return true
-}
-
-// matchIncoming reports whether the peers' streams (sorted by source) are
-// the ones st's import slots were made for, pair for pair.
-func (st *structure) matchIncoming(m *RowMap, ins []incoming) bool {
-	if len(ins) != len(st.importPeers) {
-		return false
-	}
-	for k, in := range ins {
-		slots := st.importSlots[k]
-		if in.src != st.importPeers[k] || len(in.pairs) != 2*len(slots) {
-			return false
+	importPeers := make([]int, len(ins))
+	for i, in := range ins {
+		slots := sh.importSlots[i]
+		if len(in.pairs) != 2*len(slots) {
+			return structure{}, false
 		}
+		importPeers[i] = in.src
 		for j, s := range slots {
 			lr, ok := m.LocalOf(in.pairs[2*j])
-			if !ok || !st.holds(m, lr, s, in.pairs[2*j+1]) {
-				return false
+			if !ok || !holds(sh.rowPtr[lr], sh.rowPtr[lr+1], s, in.pairs[2*j+1]) {
+				return structure{}, false
 			}
 		}
 	}
-	return true
-}
-
-// holds reports whether value slot s lies in local row lr and stores the
-// column with global id g.
-func (st *structure) holds(m *RowMap, lr, s, g int) bool {
-	return st.rowPtr[lr] <= s && s < st.rowPtr[lr+1] && st.colGlobal(m, st.col[s]) == g
+	for i := 1; i < len(ghosts); i++ {
+		if ghosts[i-1] >= ghosts[i] {
+			return structure{}, false
+		}
+	}
+	return structure{shape: sh, ghostCols: ghosts, exportPeers: cl.exportPeers, importPeers: importPeers}, true
 }
 
 // colGlobal returns the global id of local column lc.
@@ -429,8 +482,8 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 // Compact declares the matrix's values final: SetValues panics afterwards.
 // Call it on operators that are assembled once (mass, pressure, gradients)
 // so a stray refill cannot silently change them. It frees nothing — the
-// refill plan belongs to the structure the matrix shares with its siblings
-// and lives as long as the RowMap.
+// refill plan belongs to the shape the matrix shares with its siblings and
+// its rank's class-mates, and lives as long as the world.
 func (dm *DistMatrix) Compact() {
 	dm.compacted = true
 }

@@ -72,7 +72,7 @@ func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int,
 		}
 	}
 
-	numSenders := census(r, dm.exportPeers)
+	numSenders := refCensus(r, dm.exportPeers)
 	for i, p := range dm.exportPeers {
 		var pairs []int
 		for _, t := range dm.exportIdx[i] {
@@ -168,6 +168,33 @@ func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int,
 	}
 	dm.SetValues(coo)
 	return dm, nil
+}
+
+// refCensus is the census as sparse made it before mp.Rank.Census recycled
+// its vectors: a fresh indicator, an Allreduce result left to the GC.
+func refCensus(r *mp.Rank, peers []int) int {
+	ind := make([]float64, r.Size())
+	for _, p := range peers {
+		ind[p] = 1
+	}
+	return int(r.Allreduce(mp.OpSum, ind)[r.ID()] + 0.5)
+}
+
+// StructureView spells the reference's own lists as a DistMatrix's
+// structure: the plan is its two local arrays and its export lists merged.
+func (dm *refDistMatrix) StructureView() StructureView {
+	plan := make([]int32, dm.nTrip)
+	for i, t := range dm.localTrip {
+		plan[t] = int32(dm.localSlots[i])
+	}
+	for i, idx := range dm.exportIdx {
+		for _, t := range idx {
+			plan[t] = ^int32(i)
+		}
+	}
+	return StructureView{Plan: plan, GhostCols: dm.ghostCols,
+		ExportPeers: dm.exportPeers, ImportPeers: dm.importPeers,
+		ExportIdx: dm.exportIdx, ImportSlots: dm.importSlots}
 }
 
 func (dm *refDistMatrix) Compact() {

@@ -3,7 +3,6 @@ package sparse_test
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -23,6 +22,7 @@ type distMatrix interface {
 	Importer() *sparse.Importer
 	SetValues(coo *sparse.COO)
 	Compact()
+	StructureView() sparse.StructureView
 }
 
 // constructor builds one matrix; like != nil asks for like's importer
@@ -71,8 +71,7 @@ type buildRecord struct {
 	// aliases is the rank's earliest build whose pattern arrays this one
 	// uses: its own index when it built a pattern for itself.
 	aliases int
-	// st is the symbolic structure beyond the pattern (zero for the
-	// per-matrix reference, which has none to share).
+	// st is the symbolic structure beyond the pattern.
 	st           sparse.StructureView
 	now          float64
 	flops, bytes float64
@@ -113,9 +112,7 @@ func (b *builder) build(coo *sparse.COO, owner func(int) int, tag int, like dist
 			rec.colGlobal = append(rec.colGlobal, dm.ColGlobal(lc))
 		}
 		rec.sharesImp = like != nil && dm.Importer() == like.Importer()
-		if sm, ok := dm.(*sparse.DistMatrix); ok {
-			rec.st = sm.StructureView()
-		}
+		rec.st = dm.StructureView()
 		for i, prev := range b.built {
 			if prev != nil && samePattern(prev.Local(), dm.Local()) {
 				rec.aliases = i
@@ -162,19 +159,25 @@ func (ow oracleWorld) start(t *testing.T, r *mp.Rank, ctor constructor) (*builde
 // startFunc makes rank r's builder in a fresh world.
 type startFunc func(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error)
 
+// blockWorld is the q×q×q block decomposition of a cube of n³ elements per
+// rank.
+func blockWorld(q, n, victim int) oracleWorld {
+	m := mesh.NewUnitCube(q * n)
+	return oracleWorld{fmt.Sprintf("block %dx%dx%d", q, q, q), q * q * q, m, victim, func(r *mp.Rank) (*fem.Space, error) {
+		return fem.NewSpaceBlock(r, m, q, q, q, 1000)
+	}}
+}
+
 // oracleWorlds returns the two decompositions of the distributed oracle
 // tests: P = 8 blocks and an irregular graph-grown 5-part partition.
 func oracleWorlds(t *testing.T) []oracleWorld {
-	blockMesh := mesh.NewUnitCube(8)
 	partsMesh := mesh.NewUnitCube(5)
 	parts, err := partition.Greedy(partition.DualGraph{M: partsMesh}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []oracleWorld{
-		{"block 2x2x2", 8, blockMesh, 1, func(r *mp.Rank) (*fem.Space, error) {
-			return fem.NewSpaceBlock(r, blockMesh, 2, 2, 2, 1000)
-		}},
+		blockWorld(2, 4, 1),
 		{"greedy 5 parts", 5, partsMesh, 3, func(r *mp.Rank) (*fem.Space, error) {
 			return fem.NewSpaceParts(r, partsMesh, parts, 1000)
 		}},
@@ -219,8 +222,8 @@ func requireSameAsReference(t *testing.T, nranks int, start startFunc, sc script
 
 // requireSameBuilds requires two runs of one script to agree, build by build
 // and rank by rank, in everything a rank can observe: error, pattern, value
-// bits, column map, importer decision, virtual clock, compute charges,
-// message count and bytes.
+// bits, column map, refill plan and per-rank lists, importer decision,
+// virtual clock, compute charges, message count and bytes.
 func requireSameBuilds(t *testing.T, got, want [][]buildRecord) {
 	t.Helper()
 	for rank := range want {
@@ -250,10 +253,29 @@ func requireSameBuilds(t *testing.T, got, want [][]buildRecord) {
 			if g.sharesImp != w.sharesImp {
 				t.Errorf("%s: shares importer = %v, reference %v", at, g.sharesImp, w.sharesImp)
 			}
-			t.Logf("comparing %s", at)
+			if d := viewDiff(g.st, w.st); d != "" {
+				t.Errorf("%s: %s differ from the reference's", at, d)
+			}
 			sparse.RequireSameCSR(t, g.local, w.local)
 		}
 	}
+}
+
+// viewDiff names the first list in which two structures differ, "" when
+// there is none (a nil list equals an empty one).
+func viewDiff(a, b sparse.StructureView) string {
+	lists := func(x, y [][]int) bool { return slices.EqualFunc(x, y, slices.Equal[[]int]) }
+	switch {
+	case !slices.Equal(a.Plan, b.Plan):
+		return "plan"
+	case !slices.Equal(a.GhostCols, b.GhostCols):
+		return "ghost columns"
+	case !slices.Equal(a.ExportPeers, b.ExportPeers) || !lists(a.ExportIdx, b.ExportIdx):
+		return "export lists"
+	case !slices.Equal(a.ImportPeers, b.ImportPeers) || !lists(a.ImportSlots, b.ImportSlots):
+		return "import lists"
+	}
+	return ""
 }
 
 // requireAliases checks which earlier build's pattern arrays each build of
@@ -324,21 +346,28 @@ func nsScript(b *builder) error {
 	return nil
 }
 
-// TestStructureReuseMatchesPerMatrixBuild is the house-method oracle of
-// structure sharing: the applications' build sequences must give, build by
-// build and rank by rank, the matrices, importer decisions, clocks and
-// traffic of the per-matrix reference — and every build after the first
-// must adopt the first's pattern arrays rather than make its own.
-func TestStructureReuseMatchesPerMatrixBuild(t *testing.T) {
-	for _, ow := range oracleWorlds(t) {
+// TestInternedStructureMatchesPerRankBuild is the house-method oracle of
+// structure interning: the applications' build sequences must give, build by
+// build and rank by rank, the matrices, structures, importer decisions,
+// clocks and traffic of the per-matrix, per-rank reference — while a rank's
+// every build after the first adopts the first's arrays, and the ranks whose
+// reference structures are equal in local numbering (the position classes of
+// a block decomposition: 8, 27 and 27 of them; none in an irregular
+// partition) share one copy between them.
+func TestInternedStructureMatchesPerRankBuild(t *testing.T) {
+	worlds := append(oracleWorlds(t), blockWorld(3, 2, 1), blockWorld(4, 2, 1))
+	for wi, shapes := range []int{8, 5, 27, 27} {
+		ow := worlds[wi]
 		for _, sc := range []struct {
 			name   string
 			run    script
 			builds int
 		}{{"rd", rdScript, 2}, {"ns", nsScript, 6}} {
 			t.Run(ow.name+"/"+sc.name, func(t *testing.T) {
-				recs := requireSameAsReference(t, ow.nranks, ow.start, sc.run)
-				for rank, rs := range recs {
+				want := runScript(t, ow.nranks, ow.start, refConstructor, sc.run)
+				got := runScript(t, ow.nranks, ow.start, sharedConstructor, sc.run)
+				requireSameBuilds(t, got, want)
+				for rank, rs := range got {
 					if len(rs) != sc.builds {
 						t.Fatalf("rank %d recorded %d builds, want %d", rank, len(rs), sc.builds)
 					}
@@ -348,7 +377,21 @@ func TestStructureReuseMatchesPerMatrixBuild(t *testing.T) {
 						}
 					}
 				}
-				requireAliases(t, recs, func(int) []int { return make([]int, sc.builds) })
+				requireAliases(t, got, func(int) []int { return make([]int, sc.builds) })
+				// One plan array per distinct reference shape.
+				holder := map[string]*int32{}
+				for rank, rs := range want {
+					v := rs[0].st
+					key := fmt.Sprint(rs[0].local.RowPtr, rs[0].local.Col, v.Plan, v.ExportIdx, v.ImportSlots)
+					plan := &got[rank][0].st.Plan[0]
+					if first, ok := holder[key]; ok && first != plan {
+						t.Errorf("rank %d holds its own copy of a shape an earlier rank holds", rank)
+					}
+					holder[key] = plan
+				}
+				if len(holder) != shapes {
+					t.Errorf("%d distinct shapes over %d ranks, want %d", len(holder), ow.nranks, shapes)
+				}
 			})
 		}
 	}
@@ -376,9 +419,6 @@ func TestBlockFormMatchesExpandedTriplets(t *testing.T) {
 						if g.aliases != w.aliases || (i > 0 && g.aliases != 0) {
 							t.Errorf("rank %d build %d adopted build %d's arrays, from triplets build %d's, want the first's",
 								rank, i, g.aliases, w.aliases)
-						}
-						if !reflect.DeepEqual(g.st, w.st) {
-							t.Errorf("rank %d build %d: structure differs from the one triplets build:\n%+v\n%+v", rank, i, g.st, w.st)
 						}
 					}
 				}
@@ -418,9 +458,11 @@ func otherOwned(b *builder, g int) int {
 }
 
 // TestStructureReuseFallsBackExactly tests the misses of the verifier. Each
-// scenario builds the base operator (the structure every rank remembers),
+// scenario builds the base operator (whose shapes the world then holds),
 // then one the victim perturbed, then the base again, and must match the
-// per-matrix reference in everything observable. The aliasing assertion
+// per-matrix reference in everything observable. An edit that moves a row
+// changes the fingerprint and misses the table outright; one that keeps the
+// rows reaches the exact check, which must turn it down. The aliasing assertion
 // says exactly which ranks had to build for themselves in the middle step
 // — the victim, the peer that receives its changed stream, or both — so a
 // wrong adoption and a needless rebuild both fail.
@@ -616,8 +658,9 @@ func TestStructureReuseChecksInsideBlocks(t *testing.T) {
 
 // TestStructureReuseKeepsStencilsApart builds two genuinely different
 // stencils of equal triplet count over one RowMap — the element coupling
-// and a diagonal-only operator — alternately: both structures must be
-// remembered, and each later build must adopt the right one.
+// and a diagonal-only operator — alternately. Rows and stream lengths agree,
+// so the two shapes share a fingerprint and sit in one chain of the world's
+// table: both must be kept, and each later build must adopt the right one.
 func TestStructureReuseKeepsStencilsApart(t *testing.T) {
 	for _, ow := range oracleWorlds(t) {
 		t.Run(ow.name, func(t *testing.T) {
@@ -671,7 +714,10 @@ func TestStructureReuseKeepsBadOwnerError(t *testing.T) {
 // TestStructureReuseChecksStreams holds the incoming half of the
 // certificate on three ranks, rank g owning row g. Rank 0's own triplets
 // never change; what changes from build to build is which peers ship it
-// which pairs, in ways its local match cannot see.
+// which pairs, in ways its own contributions cannot show. Who ships is no
+// part of a shape — the source is bound into the rank's import list — so the
+// same pairs from another source follow the first build's shape, and must
+// still come out with the reference's import peers (requireSameBuilds).
 func TestStructureReuseChecksStreams(t *testing.T) {
 	type pair = [2]int
 	var (
@@ -687,11 +733,11 @@ func TestStructureReuseChecksStreams(t *testing.T) {
 		aliases [3]int // per rank: the build whose pattern this one must use
 	}{
 		{"rank 1 ships", ship1, keep2, [3]int{0, 0, 0}},
-		{"same pairs from another source", keep1, ship2, [3]int{1, 1, 1}},
+		{"same pairs from another source", keep1, ship2, [3]int{0, 1, 1}},
 		{"one more source", ship1, ship2, [3]int{2, 0, 1}},
 		{"same source, the stream one pair longer", twice, keep2, [3]int{3, 3, 0}},
 		{"first again", ship1, keep2, [3]int{0, 0, 0}},
-		{"second again", keep1, ship2, [3]int{1, 1, 1}},
+		{"second again", keep1, ship2, [3]int{0, 1, 1}},
 	}
 	start := func(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error) {
 		return &builder{t: t, r: r, rm: sparse.NewRowMap([]int{r.ID()}), ctor: ctor}, nil
@@ -714,4 +760,32 @@ func TestStructureReuseChecksStreams(t *testing.T) {
 		}
 		return want
 	})
+}
+
+// TestStructureReuseBindsGhostsInOrder: four ranks, rank g owning row g, each
+// of ranks 1–3 with three contributions to its one row — one fingerprint.
+// Ranks 1 and 3 meet their two ghost columns in ascending order of id and
+// must share one shape; rank 2 meets the larger id first, so the same slots
+// would bind its ghost columns in descending order, and it must hold a shape
+// of its own — with the reference's plan and column map, whoever built first.
+func TestStructureReuseBindsGhostsInOrder(t *testing.T) {
+	cols := [][]int{{0}, {1, 0, 2}, {2, 3, 1}, {3, 0, 2}}
+	start := func(t *testing.T, r *mp.Rank, ctor constructor) (*builder, error) {
+		return &builder{t: t, r: r, rm: sparse.NewRowMap([]int{r.ID()}), ctor: ctor}, nil
+	}
+	recs := requireSameAsReference(t, 4, start, func(b *builder) error {
+		var coo sparse.COO
+		for i, c := range cols[b.r.ID()] {
+			coo.Add(b.r.ID(), c, float64(1+i+10*b.r.ID()))
+		}
+		b.build(&coo, func(g int) int { return g }, 100, nil)
+		return nil
+	})
+	plan := func(rank int) *int32 { return &recs[rank][0].st.Plan[0] }
+	if plan(1) != plan(3) {
+		t.Errorf("ranks 1 and 3 hold a copy each of one shape")
+	}
+	if plan(2) == plan(1) {
+		t.Errorf("rank 2 adopted a shape that numbers its ghost columns out of order")
+	}
 }
