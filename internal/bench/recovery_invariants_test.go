@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"slices"
@@ -77,23 +78,39 @@ func TestMigrateFallbackIsShrinkStep(t *testing.T) {
 // verbRank orders the ladder: a recovery point may only move down it.
 var verbRank = map[string]int{"migrate": 2, "shrink": 1, "restart": 0}
 
-// TestRecoveryInvariantsOverSeededPlans sweeps seeded fault plans — 0–2
-// crashes and 0–2 preemptions drawn from the seed — over all three policies
-// on a small four-node job and asserts what the acceptance tests state one
-// case at a time. Every assertion is on a schedule-independent quantity.
+// TestRecoveryInvariantsOverSeededPlans sweeps seeded fault plans over all
+// three policies — 0–2 crashes and 0–2 preemptions drawn from the seed on a
+// small four-node job, then waves of three reclaimed nodes on a 64-rank,
+// eight-node one, where deaths land inside the survivors' set-up — and
+// asserts what the acceptance tests state one case at a time. Every
+// assertion is on a schedule-independent quantity, and the whole journal is
+// one: each plan runs twice and must write the same bytes.
 func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
+	var plans []FaultOptions
 	for seed := uint64(1); seed <= 24; seed++ {
+		o := small("rd", "ec2", seed)
+		o.Crashes, o.Preemptions = int(seed%3), int(seed/3%3)
+		plans = append(plans, o)
+	}
+	for _, seed := range []uint64{3, 7} {
+		plans = append(plans, FaultOptions{App: "rd", Platform: "ec2", Ranks: 64, RanksPerNode: 8,
+			PerRankN: 3, Steps: 4, Seed: seed, StormWave: 3})
+	}
+	for _, o := range plans {
+		seed := o.Seed
 		for _, policy := range allPolicies {
-			o := small("rd", "ec2", seed)
-			o.Policy, o.Crashes, o.Preemptions = policy, int(seed%3), int(seed/3%3)
-			rep, err := RunSupervised(o)
+			o.Policy = policy
+			rep, journal, err := runJournaled(o)
 			if err != nil {
-				t.Errorf("seed %d %s: %v", seed, policy, err)
+				t.Errorf("seed %d %s on %d ranks: %v", seed, policy, o.Ranks, err)
 				continue
 			}
 			fail := func(format string, args ...any) {
 				t.Helper()
-				t.Errorf("seed %d %s (%s): "+format, append([]any{seed, policy, rep.Plan}, args...)...)
+				t.Errorf("seed %d %s on %d ranks (%s): "+format, append([]any{seed, policy, o.Ranks, rep.Plan}, args...)...)
+			}
+			if _, again, err := runJournaled(o); err != nil || !bytes.Equal(journal, again) {
+				fail("a second run wrote journal %s (error %v), the first %s", sha(again), err, sha(journal))
 			}
 
 			// Terminates within the attempt budget, one attempt per fatal

@@ -50,4 +50,15 @@ var recoveryMatrixGolden = map[string][2]string{
 	"rd-two-nodes-then-none/migrate":           {"efce84e8fcef4b858165bd74c072eea637221e18bd9c2e649e48107e3305f154", "a8e81d270dcbccefb2f5561e4954b5d603df544eb5a2d478e44e3a1983b82f01"},
 	"rd-27-crash-preempt-straggler/migrate":    {"d7a00dd49b1fc111fd2e289e594d83696b640ccc6b208d2bf29066e60a20cdce", "55f67e3c5c8805ec37fd1758d8e41137f74b3496dddc3892cd9bbd8dfab84c29"},
 	"rd-two-crashes-spares/migrate":            {"ac285e0d597ae01f0b10396c1f3183e381ac40e19245dadd3e350f0b0a0df6ed", "95cf487fee0286913031cbe092c6335d72ff8e2bf90046c556a8bb8f37242f5d"},
+
+	// The 64-rank storm (storm64). Restart and migrate captured on the parent
+	// of the directed-receive change (PR 21, b229a65), where three runs agreed
+	// and agree with `heterobench faults` at the same options. The shrink row
+	// had no value there — three journals and three reports in three runs —
+	// and is pinned on the tree that removed mp's any-source receive, after
+	// -count=40 plain, -race -count=10 and 12 CLI runs over GOMAXPROCS 1, 2, 4
+	// gave one value.
+	"rd-64-storm-wave3/restart":         {"c7a2cdc8ac275dd7c1e0f106d5da4a5491e1394c0b31e56808d6eae0f137e004", "9771b8afa2da9692edb068747494f90220d8dddc484baf69d240a31e0df0a010"},
+	"rd-64-storm-wave3/migrate":         {"a7ec01c94065159b31315e6773fc09d09beac289577dca7211a3029e308a3690", "fb69be86cb4043bfc7f7984693f01b7e8367c3891346a5dfa7a76f4b2e18e2ff"},
+	"rd-64-storm-wave3/shrink-continue": {"6a10f52fde9968692f20a6ce86291458a9a30fd6010e44b0c72cc87fca65cf72", "352219be8e5a6494b227416fa2569082d34cdfad6f4ce1bdc1f3e74f0f091eb8"},
 }

@@ -46,7 +46,7 @@ func (op ReduceOp) apply(dst, src []float64) {
 // mismatched program (rank 0 in a Bcast while rank 1 is in a Reduce) fails
 // loudly by deadlocking in tests rather than silently exchanging data.
 const (
-	collKinds    = 8
+	collKinds    = 9
 	kindBarrier  = 0
 	kindBcast    = 1
 	kindReduce   = 2
@@ -55,6 +55,7 @@ const (
 	kindAlltoall = 5
 	kindScatter  = 6
 	kindScan     = 7
+	kindExchange = 8
 )
 
 func (r *Rank) collTag(kind int) int {
@@ -167,21 +168,57 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 	return r.bcast(0, r.Reduce(0, op, data))
 }
 
-// Census makes every rank learn how many peers will message it: each rank
-// contributes an indicator vector with 1 at each peer it will contact, and
-// the summed vector's own entry is the answer. Cost: one P-length Allreduce,
-// whose vectors return to the pool.
-func (r *Rank) Census(peers []int) int {
+// ExchangeInts sends payload(i) to peers[i] and returns what the ranks that
+// named this one sent it, sources ascending: the set-up step of a sparse
+// communication plan, where a rank knows whom it will message but not who will
+// message it. A peer listed twice is one peer, messaged once (payload is asked
+// for its first index); naming oneself or a rank outside the world is a bug
+// and panics. Each payload is copied before the next is asked for, so one
+// scratch can spell every stream.
+//
+// How many will send is learnt at virtual cost, as a distributor's census
+// learns it: one P-length indicator Allreduce, 1 at each peer, whose own entry
+// is the count. Who is learnt on the host: each rank first files its id with
+// its peers' mailboxes. Every rank files before it contributes to the
+// Allreduce and reads its own list after the result has reached it, so the
+// Allreduce's message chain orders every filing before any reader, and a list
+// that disagrees with the count is a broken invariant. The receives are then
+// directed, so a sender that dies is observed by take's per-sender rule like
+// any other; the streams travel under a collective tag, in each source's
+// collective FIFO, and leave no per-tag queue behind.
+func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int, recv [][]int) {
+	tag := r.collTag(kindExchange)
+	// ind[p] is 1 from p's filing until p's stream is sent.
 	ind := r.pool.scratch(r.Size())
 	clear(ind)
 	for _, p := range peers {
-		ind[p] = 1
+		if p < 0 || p >= r.Size() || p == r.id {
+			panic(fmt.Sprintf("mp: rank %d of %d names peer %d in an exchange", r.id, r.Size(), p))
+		}
+		if ind[p] == 0 {
+			ind[p] = 1
+			r.world.boxes[p].file(tag, r.id)
+		}
 	}
 	sum := r.Allreduce(OpSum, ind)
 	n := int(sum[r.id] + 0.5)
-	r.pool.release(ind)
 	r.pool.release(sum)
-	return n
+	srcs = r.world.boxes[r.id].senders(tag, n)
+	if len(srcs) != n {
+		panic(fmt.Sprintf("mp: exchange census counted %d senders to rank %d, %d filed", n, r.id, len(srcs)))
+	}
+	for i, p := range peers {
+		if ind[p] == 1 {
+			ind[p] = 0
+			r.SendInts(p, tag, payload(i))
+		}
+	}
+	r.pool.release(ind)
+	recv = make([][]int, n)
+	for i, src := range srcs {
+		recv[i] = r.RecvInts(src, tag)
+	}
+	return srcs, recv
 }
 
 // applyScalar is the one-element form of apply, with the identical

@@ -1,7 +1,9 @@
 package mp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -9,8 +11,8 @@ import (
 // a fresh accumulator per rank, sent on as a second copy, the children's
 // payloads left to the GC, the root's broadcast result a third copy, and a
 // census that made its indicator and dropped the sum. They are the oracle
-// for Reduce, Allreduce and Census: same trees, tags, sizes and combination
-// order, hence the same bits, virtual times and traffic counts.
+// for Reduce, Allreduce and ExchangeInts: same trees, tags, sizes and
+// combination order, hence the same bits, virtual times and traffic counts.
 
 func refBcast(r *Rank, root int, data []float64) []float64 {
 	p := r.Size()
@@ -64,8 +66,44 @@ func refCensus(r *Rank, peers []int) int {
 	return int(refBcast(r, 0, refReduce(r, 0, OpSum, ind))[r.id] + 0.5)
 }
 
+// exchangeTag is the application tag refExchange sends its streams under.
+const exchangeTag = 1000
+
+// refExchange is the exchange as a distributor makes it that is told its
+// senders: the census says how many, the streams travel under an application
+// tag and are received directed, in ascending source order. senders is the
+// test's own inversion of the peer lists.
+func refExchange(senders func(id int) []int) func(r *Rank, peers []int, payload func(i int) []int) ([]int, [][]int) {
+	return func(r *Rank, peers []int, payload func(i int) []int) ([]int, [][]int) {
+		srcs := senders(r.id)
+		if n := refCensus(r, peers); n != len(srcs) {
+			panic(fmt.Sprintf("reference census counted %d senders to rank %d, the test expects %v", n, r.id, srcs))
+		}
+		for i, p := range peers {
+			r.SendInts(p, exchangeTag, payload(i))
+		}
+		recv := make([][]int, len(srcs))
+		for i, src := range srcs {
+			recv[i] = r.RecvInts(src, exchangeTag)
+		}
+		return srcs, recv
+	}
+}
+
+// exchangePeers is the oracle's peer pattern: up to three distinct peers per
+// rank, irregular enough that ranks are named by none, one and several.
+func exchangePeers(id, p int) []int {
+	var peers []int
+	for _, q := range []int{(id + 1) % p, (id*id + 2) % p, 3 * id % p} {
+		if q != id && !slices.Contains(peers, q) {
+			peers = append(peers, q)
+		}
+	}
+	return peers
+}
+
 // TestVectorCollectivesMatchUnpooledReference runs one script of reductions,
-// all-reductions and censuses through the reference and through the pooled
+// all-reductions and exchanges through the reference and through the pooled
 // collectives, in two identical observed worlds, and requires on every rank
 // the same result bits, clock, message and byte counts — and in the world the
 // same counted pool traffic, which the journal's "pool" event reports.
@@ -73,18 +111,24 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 	type impl struct {
 		reduce    func(r *Rank, root int, op ReduceOp, data []float64) []float64
 		allreduce func(r *Rank, op ReduceOp, data []float64) []float64
-		census    func(r *Rank, peers []int) int
+		exchange  func(r *Rank, peers []int, payload func(i int) []int) ([]int, [][]int)
 	}
-	ref := impl{refReduce,
-		func(r *Rank, op ReduceOp, data []float64) []float64 { return refBcast(r, 0, refReduce(r, 0, op, data)) },
-		refCensus}
-	pooled := impl{(*Rank).Reduce, (*Rank).Allreduce, (*Rank).Census}
 	type outcome struct {
 		vals       []float64
 		now        float64
 		msgs, msgB int64
 	}
 	for _, p := range append(collectiveSizes(), 300) {
+		senders := make([][]int, p)
+		for id := 0; id < p; id++ {
+			for _, q := range exchangePeers(id, p) {
+				senders[q] = append(senders[q], id)
+			}
+		}
+		ref := impl{refReduce,
+			func(r *Rank, op ReduceOp, data []float64) []float64 { return refBcast(r, 0, refReduce(r, 0, op, data)) },
+			refExchange(func(id int) []int { return senders[id] })}
+		pooled := impl{(*Rank).Reduce, (*Rank).Allreduce, (*Rank).ExchangeInts}
 		run := func(im impl) ([]outcome, int64, int64, int) {
 			w := testWorld(t, p, 4)
 			w.pool.counting = true
@@ -92,6 +136,7 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 			err := w.Run(func(r *Rank) error {
 				o := &out[r.ID()]
 				data := make([]float64, 1+p%5)
+				peers := exchangePeers(r.ID(), p)
 				for round := 0; round < 3; round++ {
 					for i := range data {
 						data[i] = math.Sqrt(float64(1 + i + 7*r.ID() + 31*round))
@@ -100,8 +145,22 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 						o.vals = append(o.vals, im.reduce(r, (round+int(op))%p, op, data)...)
 						o.vals = append(o.vals, im.allreduce(r, op, data)...)
 					}
-					// Each rank contacts its two right-hand neighbours.
-					o.vals = append(o.vals, float64(im.census(r, []int{(r.ID() + 1) % p, (r.ID() + 2) % p})))
+					// Streams of different lengths, an empty one among them,
+					// spelled into one scratch.
+					var scratch []int
+					srcs, recv := im.exchange(r, peers, func(i int) []int {
+						scratch = scratch[:0]
+						for j := 0; j < (r.ID()+peers[i]+round)%4; j++ {
+							scratch = append(scratch, 1000*r.ID()+10*peers[i]+j)
+						}
+						return scratch
+					})
+					for i, src := range srcs {
+						o.vals = append(o.vals, float64(src), float64(len(recv[i])))
+						for _, v := range recv[i] {
+							o.vals = append(o.vals, float64(v))
+						}
+					}
 					o.vals = append(o.vals, im.reduce(r, 0, OpSum, nil)...)
 				}
 				_, _, o.msgs, o.msgB = r.Clock().Counters()

@@ -98,7 +98,7 @@ func (w *World) ScheduleDegrade(node int, from, until, factor float64) error {
 func (w *World) Failure() (Failure, bool) {
 	w.failMu.Lock()
 	defer w.failMu.Unlock()
-	return w.failure, w.down.Load()
+	return w.failure, w.down
 }
 
 // MaxVirtualTime returns the largest per-rank virtual time — after an
@@ -119,9 +119,8 @@ func (w *World) MaxVirtualTime() float64 {
 // the rank truly can never send again.
 func (w *World) trip(node int, at float64) {
 	w.failMu.Lock()
-	if !w.down.Load() {
-		w.failure = Failure{Node: node, At: at}
-		w.down.Store(true)
+	if !w.down {
+		w.failure, w.down = Failure{Node: node, At: at}, true
 	}
 	w.failMu.Unlock()
 	panic(killedPanic{})
@@ -144,8 +143,10 @@ func (w *World) markDead(id int) {
 // checkFault is called on every send and receive path: it fires this
 // rank's own node crash when the rank's virtual clock has reached it.
 // Deaths of other ranks are observed only through unsatisfiable receives
-// (mailbox.take), never through a global flag, so each rank's progress at
-// death is deterministic rather than a wall-clock race.
+// (mailbox.take, the one blocking path, which every receive goes through
+// because every receive names its sender), never through a global flag, so
+// each rank's progress at death is deterministic rather than a wall-clock
+// race.
 func (r *Rank) checkFault() {
 	w := r.world
 	if w.killAt != nil {

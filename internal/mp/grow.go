@@ -134,16 +134,15 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 	// world and purge any stale payloads, keeping the per-source slots and
 	// their queues warm — the same sources and tags recur after the growth
 	// because rank numbers are stable under Grow, and a joiner simply enters
-	// the table with its first message. Any-source registrations do not
-	// survive the transplant: the grown body re-registers tags on its first
-	// takeAny, exactly as a fresh world would, so directed/any-source tag
-	// discipline restarts clean.
+	// the table with its first message. Filed senders go with the payloads:
+	// an old world whose body ended early can leave some behind, and the
+	// grown world's collective tags start over.
 	for i := 0; i < p; i++ {
 		mb := w.boxes[i]
 		mb.mu.Lock()
 		mb.w = nw
 		gr.Revoked += mb.revoke(func(int) bool { return true })
-		mb.any = nil
+		mb.filed = nil
 		mb.mu.Unlock()
 		nw.boxes[i] = mb
 		nw.clocks[i] = vclock.NewAt(w.rater, w.clocks[i].Now())

@@ -10,23 +10,21 @@ import (
 
 // refMailbox is the map-based mailbox the per-source table replaced, kept as
 // the reference model: directed traffic in a map keyed by (src, tag),
-// collective traffic in a world-sized array of per-source FIFOs, any-source
-// registrations in a map keyed by tag. The scripts below drive it and the
-// real mailbox with the same operations and demand the same deliveries,
-// panics and revocation counts.
+// collective traffic in a world-sized array of per-source FIFOs. The scripts
+// below drive it and the real mailbox with the same operations and demand the
+// same deliveries, panics and revocation counts.
 type refMailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending map[refKey]*msgQueue
 	coll    []msgQueue
-	anyQ    map[int]*msgQueue
 	w       *World
 }
 
 type refKey struct{ src, tag int }
 
 func newRefMailbox(w *World) *refMailbox {
-	mb := &refMailbox{pending: map[refKey]*msgQueue{}, anyQ: map[int]*msgQueue{}, w: w}
+	mb := &refMailbox{pending: map[refKey]*msgQueue{}, w: w}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -41,10 +39,6 @@ func (mb *refMailbox) put(m message) {
 		mb.coll[m.src].push(m)
 		return
 	}
-	if q, ok := mb.anyQ[m.tag]; ok {
-		q.push(m)
-		return
-	}
 	k := refKey{int(m.src), m.tag}
 	q := mb.pending[k]
 	if q == nil {
@@ -52,48 +46,6 @@ func (mb *refMailbox) put(m message) {
 		mb.pending[k] = q
 	}
 	q.push(m)
-}
-
-func (mb *refMailbox) registerAny(tag int) *msgQueue {
-	q := new(msgQueue)
-	mb.anyQ[tag] = q
-	var keys []refKey
-	for k := range mb.pending {
-		if k.tag == tag {
-			keys = append(keys, k)
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].src < keys[j-1].src; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, k := range keys {
-		pq := mb.pending[k]
-		for !pq.empty() {
-			q.push(pq.pop())
-		}
-		delete(mb.pending, k)
-	}
-	return q
-}
-
-func (mb *refMailbox) takeAny(tag int) message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	q := mb.anyQ[tag]
-	if q == nil {
-		q = mb.registerAny(tag)
-	}
-	for {
-		if !q.empty() {
-			return q.pop()
-		}
-		if mb.w.down.Load() {
-			panic(killedPanic{})
-		}
-		mb.cond.Wait()
-	}
 }
 
 func (mb *refMailbox) take(src, tag int) message {
@@ -120,9 +72,6 @@ func (mb *refMailbox) take(src, tag int) message {
 		if mb.w.rankDead[src].Load() {
 			panic(killedPanic{})
 		}
-		if _, bad := mb.anyQ[tag]; bad {
-			panic(fmt.Sprintf("mp: directed receive on any-source tag %d", tag))
-		}
 		mb.cond.Wait()
 	}
 }
@@ -142,28 +91,11 @@ func (mb *refMailbox) shrinkRevoke(ownerDead bool, dead []bool) (revoked int) {
 			*q = msgQueue{}
 		}
 	}
-	for tag, q := range mb.anyQ {
-		if ownerDead {
-			revoked += q.len()
-			delete(mb.anyQ, tag)
-			continue
-		}
-		kept := q.buf[:0]
-		for _, m := range q.buf[q.head:] {
-			if dead[m.src] {
-				revoked++
-			} else {
-				kept = append(kept, m)
-			}
-		}
-		q.buf, q.head = kept, 0
-	}
 	return revoked
 }
 
 // growTransplant is what Grow did to one map-based mailbox: widen the
-// collective FIFOs, purge every stale payload, forget the any-source
-// registrations.
+// collective FIFOs, purge every stale payload.
 func (mb *refMailbox) growTransplant(nw *World, added int) (revoked int) {
 	mb.w = nw
 	if mb.coll != nil {
@@ -179,18 +111,14 @@ func (mb *refMailbox) growTransplant(nw *World, added int) (revoked int) {
 			revoked++
 		}
 	}
-	for tag, q := range mb.anyQ {
-		revoked += q.len()
-		delete(mb.anyQ, tag)
-	}
 	return revoked
 }
 
-// anyMailbox is what a script drives: both implementations behind one face.
-type anyMailbox interface {
+// eitherMailbox is what a script drives: both implementations behind one
+// face.
+type eitherMailbox interface {
 	put(m message)
 	take(src, tag int) message
-	takeAny(tag int) message
 }
 
 // delivery is the observable outcome of one receive: the message's envelope
@@ -212,34 +140,27 @@ func receive(op func() message) (d delivery) {
 
 // mailboxScript generates one seeded sequence of operations and replays it
 // on any mailbox. Because nothing else runs, it may only issue a receive
-// that cannot block: one whose message is known to be queued, one from a
-// source already marked dead (which unwinds with killedPanic), or a directed
-// receive on a registered any-source tag (which panics by contract). The
-// script therefore keeps its own count of what is queued where.
+// that cannot block: one whose message is known to be queued, or one from a
+// source already marked dead (which unwinds with killedPanic). The script
+// therefore keeps its own count of what is queued where.
 type mailboxScript struct {
 	rng     *rand.Rand
 	sources []int // candidate senders; the first half are marked dead
 	dirTags []int // directed application tags
-	anyTags []int // tags that become any-source at their first takeAny
 	serial  int
 
-	dir        map[refKey]int // queued directed messages per (src, tag)
-	coll       map[refKey]int // queued collective messages per (src, tag)
-	anyN       map[int]int    // queued messages per registered any-source tag
-	registered map[int]bool
-	collSeq    int
+	dir     map[refKey]int // queued directed messages per (src, tag)
+	coll    map[refKey]int // queued collective messages per (src, tag)
+	collSeq int
 }
 
 func newMailboxScript(seed int64, sources []int) *mailboxScript {
 	return &mailboxScript{
-		rng:        rand.New(rand.NewSource(seed)),
-		sources:    sources,
-		dirTags:    []int{3, 1001, 1101, 1103, 104, 76},
-		anyTags:    []int{1000, 1100, 1064},
-		dir:        map[refKey]int{},
-		coll:       map[refKey]int{},
-		anyN:       map[int]int{},
-		registered: map[int]bool{},
+		rng:     rand.New(rand.NewSource(seed)),
+		sources: sources,
+		dirTags: []int{3, 1001, 1101, 1103, 104, 76, 1000, 1100, 1064},
+		dir:     map[refKey]int{},
+		coll:    map[refKey]int{},
 	}
 }
 
@@ -269,8 +190,8 @@ func (s *mailboxScript) pickQueued(m map[refKey]int) (refKey, bool) {
 
 // send puts one message, carrying the next serial number, into both
 // mailboxes.
-func (s *mailboxScript) send(a, b anyMailbox, src, tag int) {
-	for _, mb := range []anyMailbox{a, b} {
+func (s *mailboxScript) send(a, b eitherMailbox, src, tag int) {
+	for _, mb := range []eitherMailbox{a, b} {
 		m := intsMsg([]int{s.serial})
 		m.src, m.tag = int32(src), tag
 		mb.put(m)
@@ -280,70 +201,38 @@ func (s *mailboxScript) send(a, b anyMailbox, src, tag int) {
 
 // step issues one random operation on both mailboxes and returns what each
 // observed (zero deliveries for a put).
-func (s *mailboxScript) step(a, b anyMailbox, w *World) (da, db delivery) {
-	both := func(op func(mb anyMailbox) message) (delivery, delivery) {
+func (s *mailboxScript) step(a, b eitherMailbox, w *World) (da, db delivery) {
+	both := func(op func(mb eitherMailbox) message) (delivery, delivery) {
 		return receive(func() message { return op(a) }), receive(func() message { return op(b) })
 	}
-	switch k := s.rng.Intn(20); {
+	switch k := s.rng.Intn(18); {
 	case k < 6: // directed put
-		src, tag := s.pick(s.sources), s.pick(append(s.dirTags, s.anyTags...))
+		src, tag := s.pick(s.sources), s.pick(s.dirTags)
 		s.send(a, b, src, tag)
-		if s.registered[tag] {
-			s.anyN[tag]++
-		} else {
-			s.dir[refKey{src, tag}]++
-		}
+		s.dir[refKey{src, tag}]++
 	case k < 10: // collective put: a few tags in flight per source at once
 		src, tag := s.pick(s.sources), -(1 + (s.collSeq+s.rng.Intn(3))*collKinds + kindReduce)
 		s.collSeq += s.rng.Intn(2)
 		s.send(a, b, src, tag)
 		s.coll[refKey{src, tag}]++
 	case k < 14: // directed take of something queued
-		// Directed messages under a not-yet-registered any tag are
-		// receivable by a directed take too, as in the real transport.
 		if key, ok := s.pickQueued(s.dir); ok {
 			s.dir[key]--
-			return both(func(mb anyMailbox) message { return mb.take(key.src, key.tag) })
+			return both(func(mb eitherMailbox) message { return mb.take(key.src, key.tag) })
 		}
 	case k < 17: // collective take of something queued
 		if key, ok := s.pickQueued(s.coll); ok {
 			s.coll[key]--
-			return both(func(mb anyMailbox) message { return mb.take(key.src, key.tag) })
+			return both(func(mb eitherMailbox) message { return mb.take(key.src, key.tag) })
 		}
-	case k < 19: // takeAny, registering the tag (with its backlog) the first time
-		tag := s.pick(s.anyTags)
-		if !s.registered[tag] {
-			backlog := 0
-			for key, c := range s.dir {
-				if key.tag == tag {
-					backlog += c
-					delete(s.dir, key)
-				}
-			}
-			if backlog == 0 {
-				return // an empty first takeAny would block
-			}
-			s.registered[tag] = true
-			s.anyN[tag] = backlog
-		}
-		if s.anyN[tag] > 0 {
-			s.anyN[tag]--
-			return both(func(mb anyMailbox) message { return mb.takeAny(tag) })
-		}
-	default: // receives that must panic
-		src := s.pick(s.sources)
-		if w.rankDead[src].Load() {
+	default: // a receive that must unwind
+		if src := s.pick(s.sources); w.rankDead[src].Load() {
 			// Nothing queued from a dead source under a fresh tag.
 			tag := 5000 + s.rng.Intn(3)
 			if s.rng.Intn(2) == 0 {
 				tag = -(1 + (s.collSeq+100)*collKinds)
 			}
-			return both(func(mb anyMailbox) message { return mb.take(src, tag) })
-		}
-		for _, tag := range s.anyTags {
-			if s.registered[tag] {
-				return both(func(mb anyMailbox) message { return mb.take(src, tag) })
-			}
+			return both(func(mb eitherMailbox) message { return mb.take(src, tag) })
 		}
 	}
 	return delivery{}, delivery{}
@@ -352,10 +241,9 @@ func (s *mailboxScript) step(a, b anyMailbox, w *World) (da, db delivery) {
 // TestMailboxMatchesMapReference drives the per-source table and the
 // map-based reference with seeded random scripts: puts and takes over more
 // than a hundred sources (three table doublings), collective tags
-// interleaved per source, any-source registration with a backlog, receives
-// that must panic, then a simulated shrink or grow and more traffic on the
-// transplanted mailbox. Every delivery, every panic and both Revoked counts
-// must agree.
+// interleaved per source, receives from dead sources that must unwind, then
+// a simulated shrink or grow and more traffic on the transplanted mailbox.
+// Every delivery, every panic and both Revoked counts must agree.
 func TestMailboxMatchesMapReference(t *testing.T) {
 	const p, added = 160, 8
 	for seed := int64(1); seed <= 12; seed++ {
@@ -404,11 +292,6 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 					delete(s.coll, k)
 				}
 			}
-			// The any-source queues lost an unknown share; stop drawing on
-			// them and compare what is left through the final sweep.
-			for tag := range s.anyN {
-				s.anyN[tag] = 0
-			}
 			run(1500, "after shrink sweep")
 			rg = got.revoke(func(int) bool { return true })
 			if rw := want.shrinkRevoke(true, dead); rg != rw {
@@ -418,7 +301,7 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 		}
 
 		// Grow: transplant into a wider world, then traffic from old ranks
-		// and joiners alike; registrations start over.
+		// and joiners alike.
 		nw := testWorld(t, p+added, 8)
 		for src := range dead {
 			nw.rankDead[src].Store(dead[src])
@@ -426,12 +309,10 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 		cur = nw
 		got.w = nw
 		rg := got.revoke(func(int) bool { return true })
-		got.any = nil
 		if rw := want.growTransplant(nw, added); rg != rw {
 			t.Fatalf("seed %d: grow revoked %d, reference %d", seed, rg, rw)
 		}
 		s.dir, s.coll = map[refKey]int{}, map[refKey]int{}
-		s.anyN, s.registered = map[int]int{}, map[int]bool{}
 		for j := 0; j < added; j++ {
 			s.sources = append(s.sources, p+j)
 		}
@@ -439,34 +320,42 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 	}
 }
 
-// A message queued on an any-source tag is delivered even after the world is
-// poisoned; only the empty queue unwinds. Both implementations.
-func TestTakeAnyPendingBeatsPoison(t *testing.T) {
-	const tag = 1000
-	for name, mk := range map[string]func(w *World) anyMailbox{
-		"table":     func(w *World) anyMailbox { return newMailbox(w) },
-		"reference": func(w *World) anyMailbox { return newRefMailbox(w) },
+// The two schedules of a sender that dies, for an application tag and for a
+// collective one (the streams of ExchangeInts travel under the latter), on
+// both implementations. A sender that dies having sent nothing: the receive
+// unwinds with killedPanic — and with nothing else, so the receiver's clock
+// stays where it was. A sender that puts and then dies: the payload is
+// delivered first, and only the receive after it unwinds.
+func TestTakeFromDeadSender(t *testing.T) {
+	for name, mk := range map[string]func(w *World) eitherMailbox{
+		"table":     func(w *World) eitherMailbox { return newMailbox(w) },
+		"reference": func(w *World) eitherMailbox { return newRefMailbox(w) },
 	} {
-		w := testWorld(t, 4, 2)
-		mb := mk(w)
-		put := func(src, serial int) {
-			m := intsMsg([]int{serial})
-			m.src, m.tag = int32(src), tag
-			mb.put(m)
-		}
-		// Register the tag (a queued message makes the call non-blocking),
-		// then queue the message the poison must not swallow.
-		put(2, 1)
-		if d := receive(func() message { return mb.takeAny(tag) }); d != (delivery{src: 2, tag: tag, serial: 1}) {
-			t.Fatalf("%s: first takeAny delivered %+v", name, d)
-		}
-		put(3, 2)
-		w.down.Store(true)
-		if d := receive(func() message { return mb.takeAny(tag) }); d != (delivery{src: 3, tag: tag, serial: 2}) {
-			t.Errorf("%s: poisoned world swallowed a queued message: %+v", name, d)
-		}
-		if d := receive(func() message { return mb.takeAny(tag) }); d.panicked != "mp.killedPanic {}" {
-			t.Errorf("%s: empty takeAny in a poisoned world gave %+v, want killedPanic", name, d)
+		for _, tag := range []int{1000, -(1 + 5*collKinds + kindExchange)} {
+			w := testWorld(t, 4, 2)
+			mb := mk(w)
+			// Rank 3 puts before it dies, rank 2 dies silent; rank 1 lives on
+			// and its traffic is untouched by either death.
+			for src := 1; src <= 3; src += 2 {
+				m := intsMsg([]int{src})
+				m.src, m.tag = int32(src), tag
+				mb.put(m)
+			}
+			w.rankDead[2].Store(true)
+			w.rankDead[3].Store(true)
+			take := func(src int) delivery { return receive(func() message { return mb.take(src, tag) }) }
+			if d := take(2); d.panicked != "mp.killedPanic {}" {
+				t.Errorf("%s tag %d: receive from a sender that died silent gave %+v, want killedPanic", name, tag, d)
+			}
+			if d := take(3); d != (delivery{src: 3, tag: tag, serial: 3}) {
+				t.Errorf("%s tag %d: the payload of a sender that put and died was not delivered: %+v", name, tag, d)
+			}
+			if d := take(3); d.panicked != "mp.killedPanic {}" {
+				t.Errorf("%s tag %d: second receive from the dead sender gave %+v, want killedPanic", name, tag, d)
+			}
+			if d := take(1); d != (delivery{src: 1, tag: tag, serial: 1}) {
+				t.Errorf("%s tag %d: live sender's message came out as %+v", name, tag, d)
+			}
 		}
 	}
 }

@@ -6,88 +6,6 @@ import (
 	"testing"
 )
 
-// TestTakeAnyInterleavedTags exercises the per-tag arrival FIFOs: two
-// any-source tags interleaved from one sender must each preserve send order
-// and must not see each other's messages, regardless of the order the
-// receiver drains them.
-func TestTakeAnyInterleavedTags(t *testing.T) {
-	w := testWorld(t, 2, 2)
-	err := w.Run(func(r *Rank) error {
-		const tagA, tagB, per = 7, 8, 20
-		if r.ID() == 0 {
-			// Interleave the two tags message by message.
-			for i := 0; i < per; i++ {
-				r.SendInts(1, tagA, []int{i})
-				r.SendInts(1, tagB, []int{100 + i})
-			}
-			return nil
-		}
-		// Drain tag B completely first: every tag-A message sits queued in
-		// its own FIFO while tag B is matched past it.
-		for i := 0; i < per; i++ {
-			src, got := r.RecvAnyInts(tagB)
-			if src != 0 || got[0] != 100+i {
-				return fmt.Errorf("tag B message %d: got src %d value %v", i, src, got)
-			}
-		}
-		for i := 0; i < per; i++ {
-			src, got := r.RecvAnyInts(tagA)
-			if src != 0 || got[0] != i {
-				return fmt.Errorf("tag A message %d: got src %d value %v", i, src, got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTakeAnyInterleavedSources checks that one tag's arrival FIFO merges
-// several senders while a second tag from the same senders stays queued:
-// the receiver sees every (src, i) pair exactly once per tag, and messages
-// from any fixed source arrive in that source's send order.
-func TestTakeAnyInterleavedSources(t *testing.T) {
-	const nranks, per = 4, 10
-	w := testWorld(t, nranks, nranks)
-	err := w.Run(func(r *Rank) error {
-		const tagA, tagB = 11, 12
-		if r.ID() != 0 {
-			for i := 0; i < per; i++ {
-				r.SendInts(0, tagA, []int{r.ID()*1000 + i})
-				r.SendInts(0, tagB, []int{r.ID()*1000 + 500 + i})
-			}
-			return nil
-		}
-		check := func(tag, offset int) error {
-			next := make([]int, nranks) // per-source expected sequence number
-			for k := 0; k < (nranks-1)*per; k++ {
-				src, got := r.RecvAnyInts(tag)
-				want := src*1000 + offset + next[src]
-				if got[0] != want {
-					return fmt.Errorf("tag %d from %d: got %v want %d", tag, src, got, want)
-				}
-				next[src]++
-			}
-			for src := 1; src < nranks; src++ {
-				if next[src] != per {
-					return fmt.Errorf("tag %d: %d messages from %d, want %d", tag, next[src], src, per)
-				}
-			}
-			return nil
-		}
-		// Drain B before A so A's backlog spans all senders when matching
-		// starts.
-		if err := check(tagB, 500); err != nil {
-			return err
-		}
-		return check(tagA, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMsgQueuePopTag unit-tests the collective FIFO's tag matching: removal
 // is by oldest-of-tag, order among the remaining messages is preserved, and
 // draining rewinds the queue for reuse.

@@ -231,17 +231,6 @@ type tagQueue struct {
 	q   msgQueue
 }
 
-// findTag returns the queue of tag among qs, nil when there is none. The
-// lists are a handful long: one entry per importer or operator.
-func findTag(qs []tagQueue, tag int) *msgQueue {
-	for i := range qs {
-		if qs[i].tag == tag {
-			return &qs[i].q
-		}
-	}
-	return nil
-}
-
 // noTag marks a srcSlot whose hot queue is not in use; application tags are
 // non-negative.
 const noTag = -1
@@ -283,11 +272,11 @@ func (s *srcSlot) queue(tag int) *msgQueue {
 
 // mailbox is an unbounded matched-receive queue: an open-addressed table
 // keyed by source rank (multiply-shift hash, linear probing, doubling at 3/4
-// load) for directed and collective receives, plus per-tag arrival FIFOs for
-// any-source receives. A source enters the table with its first message and
-// stays, so a mailbox's memory follows the number of ranks that actually
-// send to its owner — halo neighbours and tree partners — not the world
-// size.
+// load). Every receive names its sender, so take is the only way a message
+// leaves and its per-sender rule the only way a wait unwinds. A source
+// enters the table with its first message and stays, so a mailbox's memory
+// follows the number of ranks that actually send to its owner — halo
+// neighbours and tree partners — not the world size.
 //
 // Only the owning rank's goroutine ever blocks on cond (sends and the
 // revoke/markDead paths never wait), so put can wake it with a single
@@ -297,11 +286,11 @@ type mailbox struct {
 	slots []srcSlot // length zero or a power of two
 	shift uint8     // 32 - log2(len(slots))
 	used  int       // occupied slots
-	// any holds the arrival FIFOs of tags registered by takeAny. A tag is
-	// registered on its first takeAny and stays registered; any-source tags
-	// must never be used with directed take on the same rank (enforced in
-	// take).
-	any []tagQueue
+	// filed lists the ranks that have announced a stream to the owner and
+	// that the owner has not yet asked for (see ExchangeInts). Like the
+	// intern table it belongs to the simulator, not to the simulated job: no
+	// clock, message or journal event is involved.
+	filed []filing
 	// w is the owning world; a blocked take consults its per-rank dead
 	// flags so a wait on a message that can never arrive (its sender has
 	// terminally exited without sending it) unwinds instead of deadlocking
@@ -363,8 +352,6 @@ func (mb *mailbox) put(m message) {
 }
 
 // queueFor routes a message to its FIFO, creating the queue on first use.
-// A tag has directed queues or an any-source registration, never both, so
-// the any-source list is consulted only when src has no queue for the tag.
 // Runs under mb.mu.
 func (mb *mailbox) queueFor(src, tag int) *msgQueue {
 	s := mb.lookup(src, true)
@@ -374,44 +361,11 @@ func (mb *mailbox) queueFor(src, tag int) *msgQueue {
 	if q := s.queue(tag); q != nil {
 		return q
 	}
-	if q := findTag(mb.any, tag); q != nil {
-		return q
-	}
 	if s.hot.tag != noTag {
 		s.rest = append(s.rest, s.hot)
 	}
 	s.hot = tagQueue{tag: tag}
 	return &s.hot.q
-}
-
-// registerAny routes tag to a dedicated arrival FIFO, migrating messages
-// that arrived before the first takeAny. The pre-registration backlog is
-// drained in ascending source order — a deterministic serialisation of
-// arrivals the directed queues cannot order between sources. Runs under
-// mb.mu.
-func (mb *mailbox) registerAny(tag int) *msgQueue {
-	mb.any = append(mb.any, tagQueue{tag: tag})
-	q := &mb.any[len(mb.any)-1].q
-	var backlog []*srcSlot
-	for i := range mb.slots {
-		if s := &mb.slots[i]; s.key != 0 && s.queue(tag) != nil {
-			backlog = append(backlog, s)
-		}
-	}
-	slices.SortFunc(backlog, func(a, b *srcSlot) int { return a.key - b.key })
-	for _, s := range backlog {
-		// The lookup above made the tag's queue the hot one. It goes away
-		// with its backlog: put routes the tag to q from now on.
-		for !s.hot.q.empty() {
-			q.push(s.hot.q.pop())
-		}
-		s.hot = tagQueue{tag: noTag}
-		if last := len(s.rest) - 1; last >= 0 {
-			s.hot, s.rest[last] = s.rest[last], tagQueue{}
-			s.rest = s.rest[:last]
-		}
-	}
-	return q
 }
 
 // revoke purges the queued messages whose source satisfies stale and returns
@@ -428,42 +382,37 @@ func (mb *mailbox) revoke(stale func(src int) bool) int {
 			n += s.rest[j].q.drop(stale)
 		}
 	}
-	// Any-source FIFOs interleave sources, so they are filtered in place,
-	// preserving the arrival order of what stays.
-	for i := range mb.any {
-		n += mb.any[i].q.drop(stale)
-	}
 	return n
 }
 
-// takeAny blocks until a message with the given tag is available from any
-// source and removes the oldest arrival. Used only for sparse
-// communication-plan setup, where receivers know how many peers will
-// contact them but not which. Pending messages win over death, exactly as
-// in take: a payload already queued is delivered even in a poisoned world,
-// so what a rank received before it unwinds depends on what its peers sent,
-// not on when the poison flag was raised. Fault plans are drawn over the
-// whole clean horizon and do land inside set-up, so this matters. Because
-// the sender set is unknown, starvation cannot be pinned on one rank: with
-// the queue empty, takeAny unwinds as soon as the world is poisoned — coarser
-// than take's per-sender rule, and still a wall-clock race against a live
-// sender that has yet to put.
-func (mb *mailbox) takeAny(tag int) message {
+// filing records that rank src will send the owner a stream in the exchange
+// that runs under collective tag tag.
+type filing struct{ tag, src int }
+
+// file announces src's stream under tag to the owner.
+func (mb *mailbox) file(tag, src int) {
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	q := findTag(mb.any, tag)
-	if q == nil {
-		q = mb.registerAny(tag)
-	}
-	for {
-		if !q.empty() {
-			return q.pop()
+	mb.filed = append(mb.filed, filing{tag, src})
+	mb.mu.Unlock()
+}
+
+// senders removes the filings under tag and returns their ranks in ascending
+// order; want, the number the caller expects, sizes the result.
+func (mb *mailbox) senders(tag, want int) []int {
+	srcs := make([]int, 0, want)
+	mb.mu.Lock()
+	kept := mb.filed[:0]
+	for _, f := range mb.filed {
+		if f.tag == tag {
+			srcs = append(srcs, f.src)
+		} else {
+			kept = append(kept, f)
 		}
-		if mb.w.down.Load() {
-			panic(killedPanic{})
-		}
-		mb.cond.Wait()
 	}
+	mb.filed = kept
+	mb.mu.Unlock()
+	slices.Sort(srcs)
+	return srcs
 }
 
 // take blocks until a message with the given src and tag is available and
@@ -475,7 +424,8 @@ func (mb *mailbox) takeAny(tag int) message {
 // deterministically sent, never on wall-clock racing against the poison
 // flag. Only when no message is queued AND the sender has terminally
 // exited — it can never send again — does the wait unwind with
-// killedPanic.
+// killedPanic. This is the only blocking path of the transport, and it never
+// reads the world's poison flag.
 func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -492,11 +442,6 @@ func (mb *mailbox) take(src, tag int) message {
 		}
 		if mb.w.rankDead[src].Load() {
 			panic(killedPanic{})
-		}
-		// About to block: a tag registered for any-source receives will
-		// never surface here — fail loudly instead of deadlocking.
-		if tag >= 0 && findTag(mb.any, tag) != nil {
-			panic(fmt.Sprintf("mp: directed receive on any-source tag %d", tag))
 		}
 		mb.cond.Wait()
 	}
@@ -527,14 +472,16 @@ type World struct {
 	shrunk bool
 
 	// Fault-injection state (see fault.go). killAt and degrades are fixed
-	// before Run; down/failure are the per-World kill switch tripped when a
-	// scheduled crash is reached. rankDead[i] is set once rank i's
-	// goroutine has terminally exited (fault, error or completion) and can
-	// never send again; blocked receives from it unwind instead of waiting.
+	// before Run; down/failure, under failMu, record the first scheduled
+	// crash reached. They are a report for Failure's callers — Run's error
+	// text, Shrink, Grow — and no rank's progress depends on them: rankDead[i]
+	// is set once rank i's goroutine has terminally exited (fault, error or
+	// completion) and can never send again, and it is what a blocked receive
+	// from rank i consults to unwind instead of waiting.
 	killAt   []float64
 	degrades []degradeWindow
-	down     atomic.Bool
 	failMu   sync.Mutex
+	down     bool
 	failure  Failure
 	rankDead []atomic.Bool
 }
@@ -883,27 +830,4 @@ func (r *Rank) RecvBytes(src, tag int) []byte {
 func (r *Rank) SendRecvF64(peer, tag int, send []float64) []float64 {
 	r.SendF64(peer, tag, send)
 	return r.RecvF64(peer, tag)
-}
-
-// recvAny is recv for any-source tags.
-func (r *Rank) recvAny(tag int) message {
-	r.checkFault()
-	m := r.world.boxes[r.id].takeAny(tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m
-}
-
-// RecvAnyInts blocks for an int message with the given tag from any source
-// and returns the source rank and payload.
-func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
-	m := r.recvAny(tag)
-	return int(m.src), m.ints()
-}
-
-// RecvAnyF64 blocks for a float64 message with the given tag from any source
-// and returns the source rank and payload.
-func (r *Rank) RecvAnyF64(tag int) (src int, data []float64) {
-	m := r.recvAny(tag)
-	return int(m.src), m.f64()
 }

@@ -31,8 +31,8 @@ import (
 // vector collectives own buffers in between: Reduce draws its accumulator
 // (scratch), folds each child's payload in and returns it (release), and
 // either sends the accumulator itself up the tree (sendOwned) or, on the
-// root, hands it to the caller; Census returns both its indicator and the
-// Allreduce result it read one entry of. A buffer must never be put twice or
+// root, hands it to the caller; ExchangeInts returns both its indicator and
+// the Allreduce result it read one entry of. A buffer must never be put twice or
 // retained after put. Buffers migrate: what a receiver puts came from its
 // sender's stacks.
 // A rank's stacks drain into the shared level when its goroutine exits

@@ -103,7 +103,8 @@ type Importer struct {
 // NewImporter builds an importer for a vector laid out as [owned | ghosts].
 // ghostGlobal lists the ghost global ids in their local order (position
 // nOwned+i); owner maps any global id to its owning rank; tag reserves two
-// message tags (tag, tag+1) for this importer.
+// message tags (tag, tag+1) for this importer; the halo exchange runs under
+// tag+1 (the handshake that sets it up is a collective and uses neither).
 func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) int, tag int) (*Importer, error) {
 	im := &Importer{r: r, nOwned: rowMap.N(), nGhost: len(ghostGlobal), tag: tag}
 
@@ -140,44 +141,19 @@ func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) 
 		reqIDs[pi] = append(reqIDs[pi], g)
 	}
 
-	// Census: each owner learns how many requesters will contact it.
-	numRequesters := r.Census(im.recvPeers)
-
-	// Send requests; serve them.
-	for i, p := range im.recvPeers {
-		r.SendInts(p, tag, reqIDs[i])
-	}
-	type srcReq struct {
-		src  int
-		locs []int
-	}
-	im.sendPeers = make([]int, 0, numRequesters)
-	im.sends = make([][]int, 0, numRequesters)
-	reqs := make([]srcReq, 0, numRequesters)
-	for i := 0; i < numRequesters; i++ {
-		src, ids := r.RecvAnyInts(tag)
-		locs := make([]int, len(ids))
+	// Request the ghosts of their owners and learn who requests ours; a
+	// request's ids become the local indices to pack for it, in place.
+	im.sendPeers, im.sends = r.ExchangeInts(im.recvPeers, func(i int) []int { return reqIDs[i] })
+	for i, ids := range im.sends {
 		for j, g := range ids {
 			l, ok := rowMap.LocalOf(g)
 			if !ok {
 				return nil, fmt.Errorf("sparse: rank %d asked rank %d for unowned row %d",
-					src, r.ID(), g)
+					im.sendPeers[i], r.ID(), g)
 			}
-			locs[j] = l
+			ids[j] = l
 		}
-		reqs = append(reqs, srcReq{src, locs})
-	}
-	// Insertion sort by source rank (at most a neighbour set; avoids
-	// sort.Slice's reflection allocations).
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j].src < reqs[j-1].src; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
-	for _, q := range reqs {
-		im.sendPeers = append(im.sendPeers, q.src)
-		im.sends = append(im.sends, q.locs)
-		im.sendB += 8 * len(q.locs)
+		im.sendB += 8 * len(ids)
 	}
 	for _, pos := range im.recvs {
 		im.recvB += 8 * len(pos)

@@ -586,7 +586,7 @@ func TestFailedBuildReleasesItsClassMates(t *testing.T) {
 			coo.Add(5, 0, 1) // to rank 1, which owns row 1 only
 			coo.Add(2, 0, 1)
 		}
-		sts[r.ID()], errs[r.ID()] = structureFor(r, NewRowMap([]int{r.ID()}), &coo, owner, 100)
+		sts[r.ID()], errs[r.ID()] = structureFor(r, NewRowMap([]int{r.ID()}), &coo, owner)
 		return nil
 	})
 	if err != nil {

@@ -111,7 +111,7 @@ func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int)
 }
 
 func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
-	st, err := structureFor(r, rowMap, coo, owner, tag)
+	st, err := structureFor(r, rowMap, coo, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 // cannot know whether its peers are adopting or building, and set-up traffic
 // moves every rank's virtual clock — and it is complete before the lookup,
 // so a rank waiting there for a class-mate's build waits for host work only.
-func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (structure, error) {
+func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (structure, error) {
 	cl, err := classify(r, rowMap, coo, owner)
 	if err != nil {
 		return structure{}, err
@@ -161,15 +161,14 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag
 
 	// Ship off-rank structure (row,col pairs) to owners; receive ours. The
 	// pairs are spelled out of the COO's segments only here, one peer's
-	// stream at a time in one scratch: SendInts copies its payload.
-	numSenders := r.Census(cl.exportPeers)
+	// stream at a time in one scratch: the exchange copies its payloads.
 	k, rowIDs, colIDs := coo.segments()
 	longest := 0
 	for _, n := range cl.exportCounts {
 		longest = max(longest, n)
 	}
 	pairs := make([]int, 0, 2*longest)
-	for i, p := range cl.exportPeers {
+	srcs, streams := r.ExchangeInts(cl.exportPeers, func(i int) []int {
 		pairs = pairs[:0]
 		for _, s := range cl.exported {
 			if cl.segRows[s] == ^int32(i) {
@@ -178,17 +177,11 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag
 				}
 			}
 		}
-		r.SendInts(p, tag, pairs)
-	}
-	ins := make([]incoming, 0, numSenders)
-	for i := 0; i < numSenders; i++ {
-		src, pairs := r.RecvAnyInts(tag)
-		ins = append(ins, incoming{src, pairs})
-	}
-	for i := 1; i < len(ins); i++ {
-		for j := i; j > 0 && ins[j].src < ins[j-1].src; j-- {
-			ins[j], ins[j-1] = ins[j-1], ins[j]
-		}
+		return pairs
+	})
+	ins := make([]incoming, len(srcs))
+	for i, src := range srcs {
+		ins[i] = incoming{src, streams[i]}
 	}
 
 	key := cl.hash

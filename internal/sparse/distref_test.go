@@ -72,22 +72,22 @@ func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int,
 		}
 	}
 
-	numSenders := refCensus(r, dm.exportPeers)
-	for i, p := range dm.exportPeers {
+	// Who sends is the transport's to say (mp.Rank.ExchangeInts, held to its
+	// own reference there); what is sent, and what is made of it, is the
+	// reference's.
+	srcs, streams := r.ExchangeInts(dm.exportPeers, func(i int) []int {
 		var pairs []int
 		for _, t := range dm.exportIdx[i] {
 			pairs = append(pairs, coo.Rows[t], coo.Cols[t])
 		}
-		r.SendInts(p, tag, pairs)
-	}
-	ins := make([]incoming, 0, numSenders)
+		return pairs
+	})
+	ins := make([]incoming, len(srcs))
 	nPat := nLocal
-	for i := 0; i < numSenders; i++ {
-		src, pairs := r.RecvAnyInts(tag)
-		ins = append(ins, incoming{src, pairs})
-		nPat += len(pairs) / 2
+	for i, src := range srcs {
+		ins[i] = incoming{src, streams[i]}
+		nPat += len(streams[i]) / 2
 	}
-	sort.Slice(ins, func(a, b int) bool { return ins[a].src < ins[b].src })
 
 	nOwned := rowMap.N()
 	rows := make([]int32, nPat)
@@ -168,16 +168,6 @@ func refNewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int,
 	}
 	dm.SetValues(coo)
 	return dm, nil
-}
-
-// refCensus is the census as sparse made it before mp.Rank.Census recycled
-// its vectors: a fresh indicator, an Allreduce result left to the GC.
-func refCensus(r *mp.Rank, peers []int) int {
-	ind := make([]float64, r.Size())
-	for _, p := range peers {
-		ind[p] = 1
-	}
-	return int(r.Allreduce(mp.OpSum, ind)[r.ID()] + 0.5)
 }
 
 // StructureView spells the reference's own lists as a DistMatrix's
