@@ -119,7 +119,7 @@ func (m *elemMemo) stale(key uint64) bool {
 // NewElement precomputes quadrature data for an hx×hy×hz element. The
 // one-time setup per world construction is covered by vcharge's
 // constructor exemption; the per-step assembly loops it feeds are charged
-// by AssembleMatrix.
+// by the space's assembly (NewMatrix, Refill).
 func NewElement(hx, hy, hz float64) (*Element, error) {
 	if hx <= 0 || hy <= 0 || hz <= 0 {
 		return nil, fmt.Errorf("fem: non-positive element size %v×%v×%v", hx, hy, hz)

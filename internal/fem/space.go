@@ -26,7 +26,19 @@ type Space struct {
 	// vecBuf is the persistent patch-length staging buffer of
 	// AssembleVector (zeroed at each use).
 	vecBuf []float64
+
+	// blocks lists every local element's 8 vertex ids, in element order: the
+	// structure all the space's matrices are built from, made by the first
+	// NewMatrix. refill is the cursor their values stream through, and ke the
+	// element matrix it is fed from.
+	blocks sparse.Blocks
+	refill sparse.Refill
+	ke     [8][8]float64
 }
+
+// ElemMatrix evaluates the 8×8 matrix of global element e into out and
+// charges the work to ch.
+type ElemMatrix func(e int, out *[8][8]float64, ch sparse.Charger)
 
 // NewSpaceBlock builds the space for the px×py×pz block decomposition with
 // this rank's block. tag reserves message tags [tag, tag+2).
@@ -96,6 +108,71 @@ func (s *Space) ElemCorner(e int) [3]float64 {
 	}
 }
 
+// NewMatrix assembles the distributed matrix of the operator whose element
+// matrices elem evaluates; tag reserves message tags [tag, tag+4), and like,
+// if not nil, is a matrix of this space whose ghost importer the new one may
+// share (sparse.NewDistMatrixLike). No value is held between an element and
+// the matrix: each element matrix goes straight into it through the space's
+// refill cursor.
+//
+// The elements are evaluated twice. The platform assembles before it
+// exchanges the matrix structure, and the structure exchange must find the
+// assembly charged; but the values have nowhere to go until the structure
+// exists. So a first pass charges elem's work to the rank and the assembly
+// charge follows, as AssembleMatrix makes them, and drops the values; the
+// structure is built from the space's element ids; then a second pass, its
+// charges discarded, streams the values in, and the off-rank ones are
+// shipped as NewDistMatrix ships them. Clock, messages and values are those
+// of AssembleMatrix followed by NewDistMatrix.
+func (s *Space) NewMatrix(elem ElemMatrix, tag int, like *sparse.DistMatrix) (*sparse.DistMatrix, error) {
+	for _, e := range s.L.Elems {
+		elem(e, &s.ke, s.R)
+	}
+	nt := float64(64 * len(s.L.Elems))
+	s.R.ChargeCompute(nt, 24*nt)
+	if s.blocks.IDs == nil {
+		ids := make([]int, 0, 8*len(s.L.Elems))
+		for _, e := range s.L.Elems {
+			vs := s.M.ElemVerts(e)
+			ids = append(ids, vs[:]...)
+		}
+		s.blocks = sparse.Blocks{K: 8, IDs: ids}
+	}
+	dm, err := sparse.NewDistMatrixBlocks(s.R, s.RowMap, &s.blocks, s.Owner, tag, like)
+	if err != nil {
+		return nil, err
+	}
+	s.stream(dm, elem, sparse.NopCharger{})
+	s.refill.Finish()
+	return dm, nil
+}
+
+// Refill re-evaluates every element matrix of an operator built by
+// NewMatrix and streams them into dm: the per-step reassembly of a matrix
+// whose structure exists. Clock, messages and values are those of
+// AssembleMatrixValues followed by SetValues. A dm whose structure counts
+// other than this space's 64 contributions per element panics before it is
+// touched.
+func (s *Space) Refill(dm *sparse.DistMatrix, elem ElemMatrix) {
+	s.stream(dm, elem, s.R)
+	nt := float64(64 * len(s.L.Elems))
+	s.R.ChargeCompute(nt, 8*nt)
+	s.refill.Finish()
+}
+
+// stream begins a refill of dm and feeds it every element matrix, in
+// element order, row-major: the contribution order of AssembleMatrix.
+func (s *Space) stream(dm *sparse.DistMatrix, elem ElemMatrix, ch sparse.Charger) {
+	rf := &s.refill
+	rf.Begin(dm, 64*len(s.L.Elems))
+	for _, e := range s.L.Elems {
+		elem(e, &s.ke, ch)
+		for a := range s.ke {
+			rf.Add(s.ke[a][:])
+		}
+	}
+}
+
 // AssembleMatrix fills coo (reset first) with element contributions in a
 // deterministic order: for each local element, elemMat produces the 8×8
 // matrix, which enters coo as one block over the element's global vertex ids
@@ -104,7 +181,8 @@ func (s *Space) ElemCorner(e int) [3]float64 {
 // same: the charge is that of scattering 64 of them per element. The
 // resulting COO is suitable both for sparse.NewDistMatrix and for later
 // SetValues refills (the contribution order is stable across calls: element
-// by element, row-major).
+// by element, row-major). It is the assembly for callers that want the
+// element values as a COO; NewMatrix and Refill keep none.
 func (s *Space) AssembleMatrix(coo *sparse.COO, elemMat func(e int, out *[8][8]float64)) {
 	coo.Reset()
 	coo.Grow(64 * len(s.L.Elems))

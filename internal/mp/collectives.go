@@ -173,8 +173,9 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 // communication plan, where a rank knows whom it will message but not who will
 // message it. A peer listed twice is one peer, messaged once (payload is asked
 // for its first index); naming oneself or a rank outside the world is a bug
-// and panics. Each payload is copied before the next is asked for, so one
-// scratch can spell every stream.
+// and panics. A payload is handed over, not copied: from its send on it
+// belongs to the receiver (NewImporter's receivers rewrite theirs in place),
+// so the sender must neither reuse one nor return one slice for two peers.
 //
 // How many will send is learnt at virtual cost, as a distributor's census
 // learns it: one P-length indicator Allreduce, 1 at each peer, whose own entry
@@ -210,7 +211,9 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 	for i, p := range peers {
 		if ind[p] == 1 {
 			ind[p] = 0
-			r.SendInts(p, tag, payload(i))
+			stream := payload(i)
+			r.checkDst(p)
+			r.post(p, tag, 8*len(stream), intsMsg(stream))
 		}
 	}
 	r.pool.release(ind)

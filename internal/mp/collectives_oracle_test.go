@@ -146,14 +146,13 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 						o.vals = append(o.vals, im.allreduce(r, op, data)...)
 					}
 					// Streams of different lengths, an empty one among them,
-					// spelled into one scratch.
-					var scratch []int
+					// each a slice of its own: the exchange hands it over.
 					srcs, recv := im.exchange(r, peers, func(i int) []int {
-						scratch = scratch[:0]
+						var stream []int
 						for j := 0; j < (r.ID()+peers[i]+round)%4; j++ {
-							scratch = append(scratch, 1000*r.ID()+10*peers[i]+j)
+							stream = append(stream, 1000*r.ID()+10*peers[i]+j)
 						}
-						return scratch
+						return stream
 					})
 					for i, src := range srcs {
 						o.vals = append(o.vals, float64(src), float64(len(recv[i])))

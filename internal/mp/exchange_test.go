@@ -78,6 +78,26 @@ func TestExchangePeerListContract(t *testing.T) {
 	}
 }
 
+// TestExchangeHandsStreamsOver: a stream is the receiver's from its send on,
+// the very slice the payload returned, not a copy of it.
+func TestExchangeHandsStreamsOver(t *testing.T) {
+	var sent [2][]int
+	w := testWorld(t, 2, 1)
+	err := w.Run(func(r *Rank) error {
+		stream := []int{r.ID(), 7}
+		sent[r.ID()] = stream
+		_, recv := r.ExchangeInts([]int{1 - r.ID()}, func(int) []int { return stream })
+		r.Barrier()
+		if other := sent[1-r.ID()]; len(recv) != 1 || &recv[0][0] != &other[0] {
+			return fmt.Errorf("received %v, not the slice rank %d sent", recv, 1-r.ID())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A rank that is already an exchange ahead files under the next tag while the
 // owner has yet to read its list: senders takes its own tag's filings only.
 func TestSendersTakesOnlyItsTag(t *testing.T) {
@@ -178,7 +198,7 @@ func TestExchangeWithDyingSender(t *testing.T) {
 		}
 		finished := make([]bool, p)
 		err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
-			r.ExchangeInts(peersOf(r.ID()), func(int) []int { return stream })
+			r.ExchangeInts(peersOf(r.ID()), func(int) []int { return slices.Clone(stream) })
 			finished[r.ID()] = true
 			return nil
 		})
@@ -206,7 +226,7 @@ func TestExchangeWithDyingSender(t *testing.T) {
 		var got []int
 		var at float64
 		err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
-			_, recv := r.ExchangeInts(peersOf(r.ID()), func(int) []int { return stream })
+			_, recv := r.ExchangeInts(peersOf(r.ID()), func(int) []int { return slices.Clone(stream) })
 			if r.ID() == 0 {
 				got, at = recv[0], r.Wtime()
 			}

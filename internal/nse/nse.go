@@ -144,30 +144,23 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	n := s.NOwned()
 	bdf := 3 / (2 * cfg.Dt)
 
-	// Constant operators: mass, pressure Laplacian, gradient blocks.
-	// All six operators assemble through one COO: a built matrix keeps
-	// nothing of it, so the next operator reuses its storage — and, the
-	// (row, col) sequence being the same, the first one's pattern and refill
-	// plan.
-	var coo sparse.COO
-	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) })
-	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 2100)
+	// Constant operators: mass, pressure Laplacian, gradient blocks. All six
+	// operators are built from the space's element ids, so the later ones
+	// adopt the first one's pattern and refill plan.
+	massDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Mass(1, out, ch) }, 2100, nil)
 	if err != nil {
 		return nil, err
 	}
-	massDM.Compact() // values never change: a refill would be a bug
 
 	// The pressure, gradient and velocity operators couple the same element
 	// stencil as the mass matrix, so their ghost-column sets coincide and
 	// they can share its importer instead of each re-running the importer
 	// handshake (NewDistMatrixLike falls back to a private importer if the
 	// structures ever diverge).
-	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Stiffness(1, out, r) })
-	presDM, err := sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2200)
+	presDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Stiffness(1, out, ch) }, 2200, massDM)
 	if err != nil {
 		return nil, err
 	}
-	presDM.Compact()
 	presBC := presDM.NewDirichlet(s.IsBoundary)
 	presPC, err := newPrecond(cfg.Precond, presDM, r)
 	if err != nil {
@@ -179,13 +172,10 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	grad := make([]*sparse.DistMatrix, 3)
 	for d := 0; d < 3; d++ {
-		dd := d
-		s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) { s.El.Gradient(dd, out, r) })
-		grad[d], err = sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2300+100*d)
+		grad[d], err = s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Gradient(d, out, ch) }, 2300+100*d, massDM)
 		if err != nil {
 			return nil, err
 		}
-		grad[d].Compact()
 	}
 
 	// Lumped mass (row sums of M = ∫N_a) for the velocity correction.
@@ -204,7 +194,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	// The element callback reads the convecting field from patchW, which is
 	// refreshed in place each step, so one hoisted closure serves every
 	// reassembly without per-step allocation.
-	velElem := func(e int, out *[8][8]float64) {
+	velElem := func(e int, out *[8][8]float64, ch sparse.Charger) {
 		vs := s.M.ElemVerts(e)
 		var w [3]float64
 		for _, gv := range vs {
@@ -217,28 +207,23 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 			w[d] /= 8
 		}
 		var tmp [8][8]float64
-		s.El.Mass(bdf, out, r)
-		s.El.Stiffness(nu, &tmp, r)
+		s.El.Mass(bdf, out, ch)
+		s.El.Stiffness(nu, &tmp, ch)
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
 				out[a][b] += tmp[a][b]
 			}
 		}
-		s.El.Convection(w, &tmp, r)
+		s.El.Convection(w, &tmp, ch)
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
 				out[a][b] += tmp[a][b]
 			}
 		}
 	}
-	s.AssembleMatrix(&coo, velElem)
-	velDM, err := sparse.NewDistMatrixLike(massDM, &coo, s.Owner, 2600)
+	velDM, err := s.NewMatrix(velElem, 2600, massDM)
 	if err != nil {
 		return nil, err
-	}
-	// Fixed structure: per-step reassembly recomputes values only.
-	assembleVelocity := func() {
-		s.AssembleMatrixValues(&coo, velElem)
 	}
 	velPC, err := newPrecond(cfg.Precond, velDM, r)
 	if err != nil {
@@ -348,8 +333,8 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 			r.ChargeCompute(2*float64(n), 24*float64(n))
 			s.PatchImporter().Exchange(patchW[d])
 		}
-		assembleVelocity()
-		velDM.SetValues(&coo)
+		// Fixed structure: reassembly recomputes the values only.
+		s.Refill(velDM, velElem)
 		if velBC == nil {
 			velBC = velDM.NewDirichlet(s.IsBoundary)
 		} else {

@@ -34,6 +34,7 @@ func Cases() []Case {
 		{Name: "ilu0-setup", Bench: benchILU0Setup},
 		{Name: "halo-exchange-p1000", Bench: benchHaloExchangeP1000},
 		{Name: "allreduce-scalar-p512", Bench: benchAllreduceScalarP512},
+		{Name: "space-refill-p27", Bench: benchSpaceRefillP27},
 	}
 }
 
@@ -267,6 +268,50 @@ func benchHaloExchangeP1000(b *testing.B) {
 func benchAllreduceScalarP512(b *testing.B) {
 	benchInWorld(b, 512, func(r *mp.Rank) (func(), error) {
 		return func() { r.AllreduceScalar(mp.OpSum, 1) }, nil
+	})
+}
+
+// benchSpaceRefillP27 is the per-step matrix reassembly of the applications:
+// 27 ranks of 4³ elements re-evaluate the RD system operator's element
+// matrices and stream them into its DistMatrix, off-rank values shipped to
+// their owners (fem.Space.Refill). allocs/op must be 0. The traffic of a
+// refill is one-way — a rank that owns none of its neighbours' rows waits
+// for nobody — so each op ends in a barrier, as a time step ends in the
+// solver's reductions: without one such a rank runs thousands of refills
+// ahead and their payloads pile up in the mailboxes.
+func benchSpaceRefillP27(b *testing.B) {
+	const p, n = 3, 4
+	m := mesh.NewUnitCube(p * n)
+	benchInWorld(b, p*p*p, func(r *mp.Rank) (func(), error) {
+		s, err := fem.NewSpaceBlock(r, m, p, p, p, 1000)
+		if err != nil {
+			return nil, err
+		}
+		elem := func(e int, out *[8][8]float64, ch sparse.Charger) {
+			var ke [8][8]float64
+			s.El.Mass(28.18, out, ch)
+			s.El.Stiffness(0.83, &ke, ch)
+			for a := range ke {
+				for c := range ke[a] {
+					out[a][c] += ke[a][c]
+				}
+			}
+		}
+		dm, err := s.NewMatrix(elem, 1100, nil)
+		if err != nil {
+			return nil, err
+		}
+		refill := func() {
+			s.Refill(dm, elem)
+			r.Barrier()
+		}
+		// A payload class a rank only receives fills its private stack (32
+		// deep) before it overflows to the shared level its senders draw
+		// from: until then each such send is a fresh buffer.
+		for i := 0; i < 40; i++ {
+			refill()
+		}
+		return refill, nil
 	})
 }
 

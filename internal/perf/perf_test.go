@@ -8,11 +8,12 @@ import (
 // rdIterationAllocCeiling is the CI perf-smoke ceiling for the rd-iteration
 // case. The pre-pooling tree measured 15,540 allocs/op; the zero-allocation
 // steady-state work brought it to ~2,830, sharing one symbolic structure
-// between the two operators to 2,485 and block-form assembly to 2,433; the
-// ceiling is that plus 10%. If this trips, an allocation crept back into
-// the hot path — find it with `heterobench perf -memprofile`, do not raise
-// the ceiling.
-const rdIterationAllocCeiling = 2676
+// between the two operators to 2,485, block-form assembly to 2,433, and
+// streaming each element straight into the matrix (no assembly COO, pair
+// streams handed over rather than copied) from 2,131 to 1,957; the ceiling is
+// that plus 10%. If this trips, an allocation crept back into the hot path —
+// find it with `heterobench perf -memprofile`, do not raise the ceiling.
+const rdIterationAllocCeiling = 2153
 
 // rdIterationBytesCeiling bounds what the rd-iteration case moves through
 // the heap. The sort-based symbolic set-up held it at 25.3 MB/op (~96 B per
@@ -22,19 +23,22 @@ const rdIterationAllocCeiling = 2676
 // matrix adopt it (with a 4-byte refill plan entry per triplet in place of
 // two ints) brought it to 9.7 MB/op; assembling elements as blocks of 8 ids
 // rather than 64 index pairs, and building the pattern from those, brought
-// it to 6.11 MB/op, and the ceiling is that plus 10%. allocs/op cannot see
-// this: the set-up makes few, large allocations.
-const rdIterationBytesCeiling = 6_725_000
+// it to 6.11 MB/op; evaluating each element straight into the matrix, so
+// no assembly COO holds 64 values per element, brought it to 4.89 MB/op, and
+// the ceiling is that plus 10%. allocs/op cannot see this: the set-up makes
+// few, large allocations.
+const rdIterationBytesCeiling = 5_383_000
 
 // nsIterationAllocCeiling is the ns-iteration ceiling. The six
 // Navier–Stokes operators used to build six private ghost importers
 // (6,559 allocs/op against RD's 2,832); sharing one importer across the
 // coupled operators — they discretise the same element stencil, so their
 // ghost sets are identical — brought it to ~4,600, sharing one symbolic
-// structure to 3,183 and block-form assembly to 3,102; the ceiling is that
-// plus 10%. The residue over RD is genuine setup work: six DistMatrix
-// assemblies per job instead of two.
-const nsIterationAllocCeiling = 3412
+// structure to 3,183, block-form assembly to 3,102 and streaming elements
+// straight into the matrices from 2,942 to 2,762; the ceiling is that plus
+// 10%. The residue over RD is genuine setup work: six DistMatrix assemblies
+// per job instead of two.
+const nsIterationAllocCeiling = 3038
 
 // measureCase measures one tracked case by name, failing the test when the
 // name is not registered or the environment cannot give representative
@@ -97,10 +101,12 @@ func TestNSIterationAllocCeiling(t *testing.T) {
 // the instrumented CG/GMRES wrappers, so any allocation the wrappers
 // introduced would show up here; the two message-layer cases count
 // process-wide mallocs over 1000 and 512 rank goroutines, so one payload
-// that misses the pool or one queue that regrows on any rank shows too.
+// that misses the pool or one queue that regrows on any rank shows too. The
+// element-to-matrix refill of the applications' time loops is measured the
+// same way, over 27 ranks.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, name := range []string{"cg-steady-serial", "gmres-arnoldi",
-		"halo-exchange-p1000", "allreduce-scalar-p512"} {
+		"halo-exchange-p1000", "allreduce-scalar-p512", "space-refill-p27"} {
 		if res := measureCase(t, name); res.AllocsPerOp != 0 {
 			t.Errorf("%s allocates %d allocs/op with obs disabled, want 0",
 				name, res.AllocsPerOp)
@@ -145,7 +151,8 @@ func TestReportRoundTrip(t *testing.T) {
 // results by name, so removals or renames must be deliberate.
 func TestCasesRegistered(t *testing.T) {
 	want := []string{"rd-iteration", "ns-iteration", "cg-steady-serial", "gmres-arnoldi",
-		"distmatrix-build", "distmatrix-rebuild", "ilu0-setup", "halo-exchange-p1000", "allreduce-scalar-p512"}
+		"distmatrix-build", "distmatrix-rebuild", "ilu0-setup", "halo-exchange-p1000", "allreduce-scalar-p512",
+		"space-refill-p27"}
 	cs := Cases()
 	if len(cs) != len(want) {
 		t.Fatalf("%d tracked cases, want %d", len(cs), len(want))

@@ -178,19 +178,15 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	n := s.NOwned()
 
 	// Mass matrix (constant in time, assembled once for the BDF2 history
-	// term M·(4u¹−u²)/(2Δt)).
-	// Both operators assemble through one COO: a built matrix keeps nothing
-	// of it, so the system matrix reuses its storage — and, the (row, col)
-	// sequence being the same, the mass matrix's pattern and refill plan.
-	var coo sparse.COO
-	s.AssembleMatrix(&coo, func(e int, out *[8][8]float64) {
-		s.El.Mass(1, out, r)
-	})
-	massDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100)
+	// term M·(4u¹−u²)/(2Δt)). Both operators are built from the space's
+	// element ids, so the system matrix adopts the mass matrix's pattern and
+	// refill plan.
+	massDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) {
+		s.El.Mass(1, out, ch)
+	}, 1100, nil)
 	if err != nil {
 		return nil, err
 	}
-	massDM.Compact() // values never change: a refill would be a bug
 
 	// System matrix structure (same sparsity as mass; values refilled each
 	// step because the diffusion and reaction coefficients depend on t).
@@ -198,10 +194,10 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	// mutable coefficients instead of closing over t per step, so steady-
 	// state reassembly allocates no closures.
 	var sysAlpha, sysKappa float64
-	sysElem := func(e int, out *[8][8]float64) {
+	sysElem := func(e int, out *[8][8]float64, ch sparse.Charger) {
 		var ke [8][8]float64
-		s.El.Mass(sysAlpha, out, r)
-		s.El.Stiffness(sysKappa, &ke, r)
+		s.El.Mass(sysAlpha, out, ch)
+		s.El.Stiffness(sysKappa, &ke, ch)
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
 				out[a][b] += ke[a][b]
@@ -213,21 +209,15 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		sysKappa = 1 / (t * t)        // diffusion coefficient
 	}
 	setSysTime(cfg.T0 + 2*cfg.Dt)
-	s.AssembleMatrix(&coo, sysElem)
-	sysDM, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1200)
+	sysDM, err := s.NewMatrix(sysElem, 1200, nil)
 	if err != nil {
 		return nil, err
-	}
-	// The structure is fixed; per-step reassembly only recomputes values.
-	assembleSystem := func(t float64) {
-		setSysTime(t)
-		s.AssembleMatrixValues(&coo, sysElem)
 	}
 	// The boundary eliminator and boundary-value closure are likewise
 	// persistent. The eliminator is built inside the first step (its scan
 	// charges virtual compute, which must land in that step's assembly
 	// phase exactly as the old per-step construction did); Recompute then
-	// refreshes the eliminated couplings after each SetValues refill, and
+	// refreshes the eliminated couplings after each refill, and
 	// bcTime retargets the closure per step.
 	var dirichlet *sparse.Dirichlet
 	var bcTime float64
@@ -291,9 +281,10 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		snap := clk.Snapshot()
 
 		// Phase (ii): assembly of the system matrix and right-hand side.
+		// The structure is fixed; reassembly only recomputes the values.
 		clk.SetPhase(vclock.PhaseAssembly)
-		assembleSystem(t)
-		sysDM.SetValues(&coo)
+		setSysTime(t)
+		s.Refill(sysDM, sysElem)
 		// hist = (4u^{n-1} − u^{n-2}) / (2Δt)
 		for i := 0; i < n; i++ {
 			hist[i] = (4*uPrev1[i] - uPrev2[i]) / (2 * cfg.Dt)

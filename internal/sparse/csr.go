@@ -45,11 +45,50 @@ type COO struct {
 	// Vals[b*k*k:][:k*k].
 	k   int
 	ids []int
-	// segRows and exported are NewDistMatrix's per-segment scratch (see
-	// classify): like the rest of a COO it is reused from one assembly to the
-	// next.
+	// Like the rest of a COO, the build scratch is reused from one assembly
+	// to the next.
+	segScratch
+}
+
+// Blocks is an assembly's structure without its values: square blocks of
+// size K, block b coupling IDs[b*K:][:K] — the ids of a block-form COO
+// alone. It is what a finite-element space knows of its operators before
+// any is evaluated: NewDistMatrixBlocks builds their matrices from it, and a
+// Refill streams each one's values in, K² per block, in the same order.
+type Blocks struct {
+	K   int
+	IDs []int
+	// The build scratch is kept with the blocks, so every matrix built from
+	// them classifies into the same arrays.
+	segScratch
+}
+
+// segScratch is a build's per-segment classification (see classify): the
+// local row or export marker of every row segment, and the exported
+// segments.
+type segScratch struct {
 	segRows, exported []int32
 }
+
+func (s *segScratch) scratch() *segScratch { return s }
+
+// assembly is what a build reads of an assembly's structure: the row
+// segments of a COO of either form or of Blocks, and the scratch kept with
+// them.
+type assembly interface {
+	segments() (k int, rows, cols []int)
+	scratch() *segScratch
+}
+
+// contributions returns the contribution count of a: K² per block, one per
+// triplet.
+func contributions(a assembly) int {
+	k, rows, _ := a.segments()
+	return k * len(rows)
+}
+
+// segments presents the blocks as row segments (see COO.segments).
+func (b *Blocks) segments() (k int, rows, cols []int) { return b.K, b.IDs, b.IDs }
 
 // Add appends one triplet. It panics on a COO holding blocks.
 func (c *COO) Add(row, col int, v float64) {

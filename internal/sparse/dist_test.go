@@ -440,85 +440,12 @@ func TestRowMapDenseSpanMatchesMap(t *testing.T) {
 	}
 }
 
-func TestCompactKeepsApplyWorking(t *testing.T) {
-	m := mesh.NewUnitCube(3)
-	const nranks = 2
-	part, _ := partition.RCB(m, nranks)
-	owner := func(g int) int { return mesh.VertexOwnerOnParts(m, part, g) }
-	runWorld(t, nranks, func(r *mp.Rank) error {
-		l, err := mesh.NewLocalFromParts(m, part, r.ID())
-		if err != nil {
-			return err
-		}
-		var coo COO
-		for _, e := range l.Elems {
-			vs := m.ElemVerts(e)
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					coo.Add(vs[a], vs[b], elemValue(e, a, b))
-				}
-			}
-		}
-		rm := NewRowMap(l.VertGlobal[:l.NumOwned])
-		dm, err := NewDistMatrix(r, rm, &coo, owner, 600)
-		if err != nil {
-			return err
-		}
-		x := make([]float64, dm.NOwned())
-		for i := range x {
-			x[i] = float64(i + 1)
-		}
-		before := make([]float64, dm.NOwned())
-		dm.Apply(x, before)
-		dm.Compact()
-		after := make([]float64, dm.NOwned())
-		dm.Apply(x, after)
-		for i := range before {
-			if before[i] != after[i] {
-				return fmt.Errorf("Apply changed after Compact at row %d", i)
-			}
-		}
-		// The refill plan is the structure's, not the compacted matrix's: a
-		// sibling built afterwards over the same RowMap adopts the pattern
-		// and still refills.
-		sib, err := NewDistMatrixLike(dm, &coo, owner, 700)
-		if err != nil {
-			return err
-		}
-		if &sib.A.RowPtr[0] != &dm.A.RowPtr[0] || &sib.A.Col[0] != &dm.A.Col[0] {
-			return fmt.Errorf("sibling of a compacted matrix built its own pattern")
-		}
-		for i := range coo.Vals {
-			coo.Vals[i] *= 2
-		}
-		sib.SetValues(&coo)
-		sib.Apply(x, after)
-		for i := range before {
-			if after[i] != 2*before[i] {
-				return fmt.Errorf("refilled sibling: row %d gives %v, want %v", i, after[i], 2*before[i])
-			}
-		}
-		dm.Apply(x, after)
-		for i := range before {
-			if before[i] != after[i] {
-				return fmt.Errorf("refilling the sibling changed the compacted matrix at row %d", i)
-			}
-		}
-		// SetValues on the compacted matrix must refuse, before it sends
-		// anything.
-		defer func() {
-			if recover() == nil {
-				panic("SetValues after Compact did not panic")
-			}
-		}()
-		dm.SetValues(&coo)
-		return nil
-	})
-}
-
 // TestSetValuesRejectsWrongLengthUpFront: a COO with the wrong number of
 // values must panic before the matrix is zeroed or any peer is sent to, so
 // the matrix stays usable and no rank is left waiting on a half-done refill.
+// So must a Refill begun with the wrong length; one fed past its length
+// panics at that Add and one that falls short at Finish, in both cases
+// before anything is sent.
 func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 	m := mesh.NewUnitCube(2)
 	const nranks = 2
@@ -543,19 +470,40 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 			return err
 		}
 		before := append([]float64(nil), dm.Local().Val...)
-		short := COO{Vals: coo.Vals[:coo.Len()-1]}
-		want := fmt.Sprintf("sparse: SetValues with %d values, structure has %d", coo.Len()-1, coo.Len())
-		got := func() (msg interface{}) {
-			defer func() { msg = recover() }()
-			dm.SetValues(&short)
-			return nil
-		}()
-		if got != want {
-			return fmt.Errorf("short SetValues: panic %v, want %q", got, want)
-		}
-		for i, v := range dm.Local().Val {
-			if v != before[i] {
-				return fmt.Errorf("rejected SetValues still changed Val[%d]", i)
+		_, _, msgs, _ := r.Clock().Counters()
+		n := coo.Len()
+		short := COO{Vals: coo.Vals[:n-1]}
+		var rf Refill
+		for _, tc := range []struct {
+			name, want string
+			refill     func()
+		}{
+			{"short SetValues", fmt.Sprintf("sparse: SetValues with %d values, structure has %d", n-1, n),
+				func() { dm.SetValues(&short) }},
+			{"long Refill", fmt.Sprintf("sparse: Refill with %d values, structure has %d", n+1, n),
+				func() { rf.Begin(dm, n+1) }},
+			{"Refill fed past its length", fmt.Sprintf("sparse: Refill fed %d values, structure has %d", n+1, n),
+				func() { rf.Begin(dm, n); rf.Add(coo.Vals[:n-1]); rf.Add(coo.Vals[:2]) }},
+			{"Refill finished short", fmt.Sprintf("sparse: Refill fed %d values, structure has %d", n-1, n),
+				func() { rf.Begin(dm, n); rf.Add(coo.Vals[:n-1]); rf.Finish() }},
+		} {
+			got := func() (msg interface{}) {
+				defer func() { msg = recover() }()
+				tc.refill()
+				return nil
+			}()
+			if got != tc.want {
+				return fmt.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+			}
+			if _, _, m, _ := r.Clock().Counters(); m != msgs {
+				return fmt.Errorf("%s: sent %d messages before it panicked", tc.name, m-msgs)
+			}
+			if tc.name == "short SetValues" || tc.name == "long Refill" {
+				for i, v := range dm.Local().Val {
+					if v != before[i] {
+						return fmt.Errorf("%s: rejected refill still changed Val[%d]", tc.name, i)
+					}
+				}
 			}
 		}
 		// Nothing was sent: a correct refill still pairs up across ranks.

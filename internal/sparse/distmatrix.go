@@ -13,10 +13,11 @@ import (
 // role). Each rank stores the rows of its owned vertices; the column space
 // is [owned | ghost-columns], where ghost columns are the off-rank vertices
 // its rows couple to. Finite-element assembly may produce contributions to
-// rows owned by other ranks; those triplets are exported to their owners
-// during construction (symbolically) and on every SetValues (numerically) —
-// the GlobalAssemble step of the paper's stack. The assembly COO may be in
-// triplet or block form; "contribution t" below is its Vals[t] in both.
+// rows owned by other ranks; those are exported to their owners during
+// construction (symbolically) and on every refill (numerically) — the
+// GlobalAssemble step of the paper's stack. The assembly is a COO in
+// triplet or block form, or bare Blocks whose values a Refill streams in;
+// "contribution t" below is the t-th value of that stream, Vals[t] of a COO.
 //
 // A matrix is a symbolic structure plus its own values. The structure's
 // bulk — CSR pattern and refill plan, its shape — depends only on the (row,
@@ -34,9 +35,10 @@ type DistMatrix struct {
 	A   *CSR
 	imp *Importer
 
-	tag       int
-	xbuf      []float64
-	compacted bool
+	tag  int
+	xbuf []float64
+	// rf is SetValues' cursor.
+	rf Refill
 }
 
 // shape is the rank-independent part of a symbolic structure: everything
@@ -50,16 +52,14 @@ type shape struct {
 	rowPtr, col []int
 	nGhost      int
 
-	// plan is the numeric-refill plan, one entry per contribution of the
-	// structure COO: the CSR value slot a locally-owned one accumulates
-	// into, or ^i for an off-rank one shipped to the rank's i-th export
-	// peer. nLocal counts the former. exportIdx groups the structure-COO
-	// indices of the off-rank contributions by destination peer;
-	// importSlots are the CSR slots for the value streams arriving from
-	// each source peer.
+	// plan is the numeric-refill plan, one entry per contribution: the CSR
+	// value slot a locally-owned one accumulates into, or ^i for an off-rank
+	// one shipped to the rank's i-th export peer. nLocal counts the former,
+	// exportLen[i] the latter per peer; importSlots are the CSR slots for
+	// the value streams arriving from each source peer.
 	plan        []int32
 	nLocal      int
-	exportIdx   [][]int
+	exportLen   []int
 	importSlots [][]int
 }
 
@@ -87,12 +87,17 @@ type incoming struct {
 //
 // When the world already holds a shape that coo and the peers' streams
 // follow contribution for contribution — built by this rank for an earlier
-// operator or by another rank, from a COO of whichever form — the matrix
-// adopts it and allocates only its values and its per-rank lists; otherwise
-// it builds one and files it for the builds that follow. Either way the ranks
-// exchange the same messages and charge the same virtual cost.
+// operator or by another rank, from an assembly of whichever form — the
+// matrix adopts it and allocates only its values and its per-rank lists;
+// otherwise it builds one and files it for the builds that follow. Either way
+// the ranks exchange the same messages and charge the same virtual cost.
 func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
-	return newDistMatrix(r, rowMap, coo, owner, tag, nil)
+	dm, err := newDistMatrix(r, rowMap, coo, owner, tag, nil)
+	if err != nil {
+		return nil, err
+	}
+	dm.SetValues(coo)
+	return dm, nil
 }
 
 // NewDistMatrixLike builds a matrix like NewDistMatrix over prev's rank and
@@ -107,11 +112,35 @@ func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 // by either constructor; what Like adds is the importer, whose handshake is
 // real traffic and so can only be skipped by agreement.
 func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
-	return newDistMatrix(prev.r, prev.rowMap, coo, owner, tag, prev.imp)
+	dm, err := newDistMatrix(prev.r, prev.rowMap, coo, owner, tag, prev.imp)
+	if err != nil {
+		return nil, err
+	}
+	dm.SetValues(coo)
+	return dm, nil
 }
 
-func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
-	st, err := structureFor(r, rowMap, coo, owner)
+// NewDistMatrixBlocks builds the matrix whose contributions blk lists, as
+// NewDistMatrix (like == nil) or NewDistMatrixLike (like's importer) would
+// from a COO of those blocks — the same structure, exchanges and charges —
+// but leaves every value zero: its ranks then stream the values in with a
+// Refill, which exchanges and charges what the refill that ends
+// NewDistMatrix does. Nothing of the values is ever held whole.
+func NewDistMatrixBlocks(r *mp.Rank, rowMap *RowMap, blk *Blocks, owner func(int) int, tag int, like *DistMatrix) (*DistMatrix, error) {
+	if blk.K <= 0 || len(blk.IDs)%blk.K != 0 {
+		return nil, fmt.Errorf("sparse: %d ids do not make blocks of %d", len(blk.IDs), blk.K)
+	}
+	var share *Importer
+	if like != nil {
+		share = like.imp
+	}
+	return newDistMatrix(r, rowMap, blk, owner, tag, share)
+}
+
+// newDistMatrix builds the structure and the importer of a matrix, its
+// values zero.
+func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
+	st, err := structureFor(r, rowMap, a, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -141,35 +170,29 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		}
 	}
 	dm.xbuf = make([]float64, nCols)
-	dm.SetValues(coo)
 	return dm, nil
 }
 
 // structureFor classifies this rank's contributions, exchanges the off-rank
 // (row, col) pairs and only then looks in the world for the shape of the
-// matrix that coo and the received streams describe: one already interned
+// matrix that a and the received streams describe: one already interned
 // that they follow exactly (bind), otherwise a new one, which is interned
 // for the builds that follow. The exchange is the same either way — a rank
 // cannot know whether its peers are adopting or building, and set-up traffic
 // moves every rank's virtual clock — and it is complete before the lookup,
 // so a rank waiting there for a class-mate's build waits for host work only.
-func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (structure, error) {
-	cl, err := classify(r, rowMap, coo, owner)
+func structureFor(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int) (structure, error) {
+	cl, err := classify(r, rowMap, a, owner)
 	if err != nil {
 		return structure{}, err
 	}
 
 	// Ship off-rank structure (row,col pairs) to owners; receive ours. The
-	// pairs are spelled out of the COO's segments only here, one peer's
-	// stream at a time in one scratch: the exchange copies its payloads.
-	k, rowIDs, colIDs := coo.segments()
-	longest := 0
-	for _, n := range cl.exportCounts {
-		longest = max(longest, n)
-	}
-	pairs := make([]int, 0, 2*longest)
+	// pairs are spelled out of the segments only here, each peer's stream at
+	// its exact size and handed over to the exchange.
+	k, rowIDs, colIDs := a.segments()
 	srcs, streams := r.ExchangeInts(cl.exportPeers, func(i int) []int {
-		pairs = pairs[:0]
+		pairs := make([]int, 0, 2*cl.exportCounts[i])
 		for _, s := range cl.exported {
 			if cl.segRows[s] == ^int32(i) {
 				for _, c := range colIDs[int(s)-int(s)%k:][:k] {
@@ -191,18 +214,18 @@ func structureFor(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (st
 	var st structure
 	_, err = r.Intern(key,
 		func(v any) (ok bool) {
-			st, ok = v.(*shape).bind(rowMap, coo, cl, ins)
+			st, ok = v.(*shape).bind(rowMap, a, cl, ins)
 			return ok
 		},
 		func() (any, error) {
 			var err error
-			st, err = build(r, rowMap, coo, cl, ins)
+			st, err = build(r, rowMap, a, cl, ins)
 			return st.shape, err
 		})
 	return st, err
 }
 
-// classified is what a rank knows of a build from its own COO alone.
+// classified is what a rank knows of a build from its own assembly alone.
 type classified struct {
 	// segRows holds every row segment's local row (COO.segments: a triplet,
 	// or one row of a block), or ^i for a segment exported to exportPeers[i],
@@ -214,25 +237,25 @@ type classified struct {
 	exportCounts      []int
 	// hash fingerprints the above in local terms — owned row and contribution
 	// counts, then the contributions' entries of segRows, a run of equal ones
-	// taken once — so class-mates agree on it, and so do the two forms of
-	// one COO.
+	// taken once — so class-mates agree on it, and so do the forms of one
+	// assembly.
 	hash uint64
 }
 
 // mix folds v into the fingerprint h (FNV-1a over whole words).
 func mix(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
 
-// classify classifies each row segment of coo once, as locally owned or as
-// an export to its row's owner. segRows and exported are scratch kept with the
-// COO, so the operators a rank assembles through one COO classify into the
-// same arrays.
-func classify(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*classified, error) {
+// classify classifies each row segment of a once, as locally owned or as an
+// export to its row's owner, into the scratch kept with a, so the operators a
+// rank builds from one assembly classify into the same arrays.
+func classify(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int) (*classified, error) {
 	// segRows[s] is ^owner while the export peers are being collected, a
 	// neighbour set kept sorted as it grows.
-	k, rowIDs, _ := coo.segments()
-	coo.segRows = slices.Grow(coo.segRows[:0], len(rowIDs))[:len(rowIDs)]
-	coo.exported = coo.exported[:0]
-	cl := &classified{segRows: coo.segRows}
+	k, rowIDs, _ := a.segments()
+	sc := a.scratch()
+	sc.segRows = slices.Grow(sc.segRows[:0], len(rowIDs))[:len(rowIDs)]
+	sc.exported = sc.exported[:0]
+	cl := &classified{segRows: sc.segRows}
 	for s, g := range rowIDs {
 		if lr, ok := rowMap.LocalOf(g); ok {
 			cl.segRows[s] = int32(lr)
@@ -243,7 +266,7 @@ func classify(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*class
 			return nil, fmt.Errorf("sparse: row %d has bad owner %d", g, o)
 		}
 		cl.segRows[s] = ^int32(o)
-		coo.exported = append(coo.exported, int32(s))
+		sc.exported = append(sc.exported, int32(s))
 		i, known := slices.BinarySearch(cl.exportPeers, o)
 		if !known {
 			cl.exportPeers = slices.Insert(cl.exportPeers, i, o)
@@ -251,8 +274,8 @@ func classify(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*class
 		}
 		cl.exportCounts[i] += k
 	}
-	cl.hash = mix(mix(14695981039346656037, rowMap.N()), coo.Len())
-	cl.exported = coo.exported
+	cl.hash = mix(mix(14695981039346656037, rowMap.N()), k*len(rowIDs))
+	cl.exported = sc.exported
 	for _, s := range cl.exported {
 		i, _ := slices.BinarySearch(cl.exportPeers, int(^cl.segRows[s]))
 		cl.segRows[s] = ^int32(i)
@@ -270,30 +293,19 @@ func classify(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int) (*class
 // streams (sorted by source) describe; the pattern builder puts the value
 // slots straight into the plan and the import lists. It waits for no other
 // rank (see mp.Rank.Intern).
-func build(r *mp.Rank, rowMap *RowMap, coo *COO, cl *classified, ins []incoming) (structure, error) {
-	// The counts size the export lists exactly (assembly COOs run to millions
-	// of contributions, so append growth here dominated construction
-	// allocations).
-	k, _, colIDs := coo.segments()
+func build(r *mp.Rank, rowMap *RowMap, a assembly, cl *classified, ins []incoming) (structure, error) {
+	k, _, colIDs := a.segments()
 	segRows := cl.segRows
-	sh := &shape{plan: make([]int32, coo.Len()), exportIdx: make([][]int, len(cl.exportPeers))}
+	n := contributions(a)
+	sh := &shape{plan: make([]int32, n), nLocal: n, exportLen: cl.exportCounts}
 	st := structure{shape: sh, exportPeers: cl.exportPeers}
-	nExport := 0
-	for _, n := range cl.exportCounts {
-		nExport += n
-	}
-	sh.nLocal = coo.Len() - nExport
-	flatExport := make([]int, nExport)
-	off := 0
-	for i, n := range cl.exportCounts {
-		sh.exportIdx[i] = flatExport[off : off : off+n]
-		off += n
+	for _, l := range cl.exportCounts {
+		sh.nLocal -= l
 	}
 	for _, s := range cl.exported {
-		lr := segRows[s]
-		for t := int(s) * k; t < (int(s)+1)*k; t++ {
-			sh.exportIdx[^lr] = append(sh.exportIdx[^lr], t)
-			sh.plan[t] = lr
+		exp := sh.plan[int(s)*k:][:k]
+		for t := range exp {
+			exp[t] = segRows[s]
 		}
 	}
 
@@ -391,9 +403,9 @@ const unbound = math.MinInt
 // repeat, which must not be owned, and which must leave the ghost columns in
 // ascending order of id — as a build would have numbered them. Every slot
 // takes at least one contribution, so a full match binds every ghost column.
-// A row is looked up once per segment of coo; every contribution is checked.
-func (sh *shape) bind(m *RowMap, coo *COO, cl *classified, ins []incoming) (structure, bool) {
-	if len(sh.rowPtr) != m.N()+1 || coo.Len() != len(sh.plan) || len(ins) != len(sh.importSlots) {
+// A row is looked up once per segment of a; every contribution is checked.
+func (sh *shape) bind(m *RowMap, a assembly, cl *classified, ins []incoming) (structure, bool) {
+	if len(sh.rowPtr) != m.N()+1 || contributions(a) != len(sh.plan) || len(ins) != len(sh.importSlots) {
 		return structure{}, false
 	}
 	ghosts := make([]int, sh.nGhost)
@@ -421,7 +433,7 @@ func (sh *shape) bind(m *RowMap, coo *COO, cl *classified, ins []incoming) (stru
 		}
 		return ghosts[lc] == g && g != unbound
 	}
-	k, _, colIDs := coo.segments()
+	k, _, colIDs := a.segments()
 	for b := 0; b < len(colIDs); b += k { // the k segments that share their columns
 		cols := colIDs[b:][:k]
 		for s, lr := range cl.segRows[b:][:k] {
@@ -472,42 +484,103 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 	return st.ghostCols[lc-m.N()]
 }
 
-// Compact declares the matrix's values final: SetValues panics afterwards.
-// Call it on operators that are assembled once (mass, pressure, gradients)
-// so a stray refill cannot silently change them. It frees nothing — the
-// refill plan belongs to the shape the matrix shares with its siblings and
-// its rank's class-mates, and lives as long as the world.
-func (dm *DistMatrix) Compact() {
-	dm.compacted = true
+// SetValues refills the matrix from coo, which must contain exactly the
+// contributions (same order) the matrix was built from, with new values:
+// only coo.Vals is read. It is a Refill fed coo.Vals in one piece.
+func (dm *DistMatrix) SetValues(coo *COO) {
+	dm.rf.begin(dm, len(coo.Vals), "SetValues")
+	dm.rf.add(coo.Vals)
+	dm.rf.Finish()
 }
 
-// SetValues refills the matrix from coo, which must contain exactly the
-// contributions (same order) passed to NewDistMatrix, with new values: only
-// coo.Vals is read. Off-rank contributions are exported to their owners and
-// summed there.
-func (dm *DistMatrix) SetValues(coo *COO) {
+// Refill is one numeric refill of a DistMatrix in progress. The matrix's
+// contributions are fed in the order it was built from and land as they
+// arrive: a locally owned one is added into its value slot, an off-rank one
+// is staged for its owner — the staging laid out peer by peer, each peer's
+// run in contribution order. Finish ships the runs, adds what the peers ship
+// in and charges the accumulation, so the refill's values are never held as
+// one array: a finite-element space evaluates its elements straight into the
+// matrix (fem.Space.Refill).
+//
+// Val is zeroed, the local contributions are added in contribution order,
+// then each source peer's in ascending peer order: the values are bit for
+// bit those of SetValues on a COO holding the same stream — SetValues is
+// such a feed — with the same messages and charges. The zero Refill is
+// ready for use; one serves any number of matrices in turn, keeping its
+// staging.
+type Refill struct {
+	dm *DistMatrix
+	// t counts the contributions fed; at[i] is where export peer i's next
+	// one is staged.
+	t     int
+	at    []int
+	stage []float64
+}
+
+// Begin starts refilling dm from a stream of n contributions. A stream of
+// the wrong length panics here, before dm is touched; every rank of dm must
+// refill it together.
+func (rf *Refill) Begin(dm *DistMatrix, n int) { rf.begin(dm, n, "Refill") }
+
+func (rf *Refill) begin(dm *DistMatrix, n int, caller string) {
 	st := dm.st
-	if dm.compacted {
-		panic("sparse: SetValues on compacted matrix")
+	if n != len(st.plan) {
+		panic(fmt.Sprintf("sparse: %s with %d values, structure has %d", caller, n, len(st.plan)))
 	}
-	if len(coo.Vals) != len(st.plan) {
-		panic(fmt.Sprintf("sparse: SetValues with %d values, structure has %d", len(coo.Vals), len(st.plan)))
+	rf.dm, rf.t, rf.at = dm, 0, rf.at[:0]
+	off := 0
+	for _, l := range st.exportLen {
+		rf.at = append(rf.at, off)
+		off += l
 	}
+	if cap(rf.stage) < off {
+		rf.stage = make([]float64, off)
+	}
+	rf.stage = rf.stage[:off]
 	dm.A.ZeroVals()
-	val := dm.A.Val
-	for t, s := range st.plan {
+}
+
+// Add feeds the stream's next len(vals) contributions. The additions are
+// charged by Finish, with the rest of the accumulation.
+func (rf *Refill) Add(vals []float64) { rf.add(vals) }
+
+func (rf *Refill) add(vals []float64) {
+	plan := rf.dm.st.plan
+	if len(vals) > len(plan)-rf.t {
+		panic(fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t+len(vals), len(plan)))
+	}
+	val := rf.dm.A.Val
+	for j, s := range plan[rf.t:][:len(vals)] {
 		if s >= 0 {
-			val[s] += coo.Vals[t]
+			val[s] += vals[j]
+		} else {
+			rf.stage[rf.at[^s]] = vals[j]
+			rf.at[^s]++
 		}
 	}
+	rf.t += len(vals)
+}
+
+// Finish ships each export peer its run, adds in the runs the import peers
+// ship, and charges the accumulation. A stream that fell short panics here,
+// before anything is sent.
+func (rf *Refill) Finish() {
+	dm := rf.dm
+	st := dm.st
+	if rf.t != len(st.plan) {
+		panic(fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t, len(st.plan)))
+	}
+	off := 0
 	for i, p := range st.exportPeers {
-		dm.r.SendF64Gather(p, dm.tag+1, coo.Vals, st.exportIdx[i])
+		dm.r.SendF64(p, dm.tag+1, rf.stage[off:rf.at[i]])
+		off = rf.at[i]
 	}
 	for i, p := range st.importPeers {
-		dm.r.RecvF64AddScatter(p, dm.tag+1, val, st.importSlots[i])
+		dm.r.RecvF64AddScatter(p, dm.tag+1, dm.A.Val, st.importSlots[i])
 	}
 	// Accumulation cost of the numeric refill.
 	dm.r.ChargeCompute(float64(st.nLocal), 16*float64(st.nLocal))
+	rf.dm = nil
 }
 
 // NOwned returns the owned row count.

@@ -30,8 +30,7 @@ type refDistMatrix struct {
 	importPeers []int
 	importSlots [][]int
 
-	tag       int
-	compacted bool
+	tag int
 }
 
 // refNewDistMatrix is the former newDistMatrix, share == nil for
@@ -187,17 +186,7 @@ func (dm *refDistMatrix) StructureView() StructureView {
 		ExportIdx: dm.exportIdx, ImportSlots: dm.importSlots}
 }
 
-func (dm *refDistMatrix) Compact() {
-	dm.localTrip, dm.localSlots = nil, nil
-	dm.exportPeers, dm.exportIdx = nil, nil
-	dm.importPeers, dm.importSlots = nil, nil
-	dm.compacted = true
-}
-
 func (dm *refDistMatrix) SetValues(coo *COO) {
-	if dm.compacted {
-		panic("sparse: SetValues on compacted matrix")
-	}
 	if len(coo.Vals) != dm.nTrip {
 		panic(fmt.Sprintf("sparse: SetValues with %d values, structure has %d", len(coo.Vals), dm.nTrip))
 	}

@@ -31,10 +31,18 @@ type StructureView struct {
 	ExportIdx, ImportSlots   [][]int
 }
 
-// StructureView returns dm's structure; the slices alias it.
+// StructureView returns dm's structure; the slices alias it but for the
+// export lists, which the plan spells: contribution t goes to export peer i
+// where the plan holds ^i.
 func (dm *DistMatrix) StructureView() StructureView {
 	st := dm.st
+	exportIdx := make([][]int, len(st.exportPeers))
+	for t, s := range st.plan {
+		if s < 0 {
+			exportIdx[^s] = append(exportIdx[^s], t)
+		}
+	}
 	return StructureView{Plan: st.plan, GhostCols: st.ghostCols,
 		ExportPeers: st.exportPeers, ImportPeers: st.importPeers,
-		ExportIdx: st.exportIdx, ImportSlots: st.importSlots}
+		ExportIdx: exportIdx, ImportSlots: st.importSlots}
 }

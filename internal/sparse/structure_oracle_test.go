@@ -21,7 +21,6 @@ type distMatrix interface {
 	ColGlobal(lc int) int
 	Importer() *sparse.Importer
 	SetValues(coo *sparse.COO)
-	Compact()
 	StructureView() sparse.StructureView
 }
 
@@ -308,14 +307,13 @@ func sumOf(ops ...func(ke *[8][8]float64)) func(int, *[8][8]float64) {
 	}
 }
 
-// rdScript is rd.Run's build sequence: the mass matrix, compacted, then the
-// system matrix through the same scratch COO.
+// rdScript is rd.Run's build sequence: the mass matrix, then the system
+// matrix through the same scratch COO.
 func rdScript(b *builder) error {
 	el, r := b.s.El, b.r
 	var coo sparse.COO
 	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Mass(1, ke, r) }))
-	mass := b.build(&coo, b.s.Owner, 1100, nil)
-	mass.Compact()
+	b.build(&coo, b.s.Owner, 1100, nil)
 	b.s.AssembleMatrix(&coo, sumOf(
 		func(ke *[8][8]float64) { el.Mass(28.18, ke, r) },
 		func(ke *[8][8]float64) { el.Stiffness(0.83, ke, r) }))
@@ -324,19 +322,17 @@ func rdScript(b *builder) error {
 }
 
 // nsScript is nse.Run's: mass, then pressure, three gradients and velocity
-// built like the mass matrix, all but the last compacted before the next
-// assembly reuses the COO.
+// built like the mass matrix, each assembly reusing the COO.
 func nsScript(b *builder) error {
 	el, r := b.s.El, b.r
 	var coo sparse.COO
 	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Mass(1, ke, r) }))
 	mass := b.build(&coo, b.s.Owner, 2100, nil)
-	mass.Compact()
 	b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Stiffness(1, ke, r) }))
-	b.build(&coo, b.s.Owner, 2200, mass).Compact()
+	b.build(&coo, b.s.Owner, 2200, mass)
 	for d := 0; d < 3; d++ {
 		b.s.AssembleMatrix(&coo, sumOf(func(ke *[8][8]float64) { el.Gradient(d, ke, r) }))
-		b.build(&coo, b.s.Owner, 2300+100*d, mass).Compact()
+		b.build(&coo, b.s.Owner, 2300+100*d, mass)
 	}
 	b.s.AssembleMatrix(&coo, sumOf(
 		func(ke *[8][8]float64) { el.Mass(30, ke, r) },
