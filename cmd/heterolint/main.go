@@ -1,16 +1,18 @@
-// Command heterolint machine-checks the repository's determinism, pooling,
-// clock-charging, error-flow, reshape-lifetime and journal-shape invariants
-// with seven go/analysis-style checkers:
+// Command heterolint machine-checks the repository's map-order, pooling,
+// clock-charging, reshape-lifetime and journal-shape invariants with five
+// go/analysis-style checkers:
 //
-//	detclock      no wall-clock or global math/rand in simulation packages
 //	maporder      no map-iteration order leaking into deterministic output
 //	poolretain    mp payload-pool buffers respect their ownership contract
 //	vcharge       metered float loops charge the virtual clock (transitive
 //	              across packages via facts)
 //	worldconsume  no use of an mp.World after Shrink/ShrinkNodes/Grow
-//	errflow       wrapped sentinels tested with errors.Is and wrapped with %w
-//	obskind       obs journal records keep field order, unique kinds and
-//	              nil-safe writers
+//	obskind       obs journal kinds have one writer; no raw obs.Event
+//	              literals outside obs
+//
+// Wall-clock reads, error-sentinel identity and obs nil-safety are not
+// linted: the determinism and recovery tests fail on any violation (see
+// EXPERIMENTS.md § Static analysis).
 //
 // It speaks the cmd/go vet-tool protocol, so the canonical invocation is
 //
@@ -21,13 +23,6 @@
 // go vet with itself as the vettool:
 //
 //	heterolint ./...
-//
-// Some diagnostics carry machine-applicable fixes (errflow's errors.Is
-// rewrite, obskind's field reorder). The fix driver previews them as a
-// unified-ish diff and applies them on request:
-//
-//	heterolint -fix ./...          # dry-run: print pending fixes, exit 1 if any
-//	heterolint -fix -write ./...   # apply fixes in place
 //
 // Deliberate exceptions are annotated in source:
 //
@@ -44,8 +39,6 @@ import (
 	"os/exec"
 	"strings"
 
-	"heterohpc/internal/analysis/detclock"
-	"heterohpc/internal/analysis/errflow"
 	"heterohpc/internal/analysis/maporder"
 	"heterohpc/internal/analysis/obskind"
 	"heterohpc/internal/analysis/poolretain"
@@ -55,22 +48,16 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "-fix" {
-		os.Exit(runFix(args[1:]))
-	}
 	// Package patterns (no .cfg, no protocol flag) → re-exec under go vet,
 	// which builds dependency export data and drives the protocol.
-	if patterns := patternArgs(args); len(patterns) > 0 {
+	if patterns := patternArgs(os.Args[1:]); len(patterns) > 0 {
 		os.Exit(runGoVet(patterns))
 	}
 	unitchecker.Main(
-		detclock.Analyzer,
 		maporder.Analyzer,
 		poolretain.Analyzer,
 		vcharge.Analyzer,
 		worldconsume.Analyzer,
-		errflow.Analyzer,
 		obskind.Analyzer,
 	)
 }

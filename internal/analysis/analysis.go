@@ -6,11 +6,11 @@
 // vendored.
 //
 // Since v2 the framework is facts-capable: an analyzer may export typed
-// facts about package-level objects (or whole packages) and import facts
-// recorded by its own runs over dependency packages. Facts serialize
-// through the unitchecker's .vetx files, so cross-package propagation works
-// under the `go vet -vettool` protocol with nothing but the standard
-// library (go/ast, go/types, go/importer, encoding/json).
+// facts about package-level objects and import facts recorded by its own
+// runs over dependency packages. Facts serialize through the unitchecker's
+// .vetx files, so cross-package propagation works under the
+// `go vet -vettool` protocol with nothing but the standard library
+// (go/ast, go/types, go/importer, encoding/json).
 package analysis
 
 import (
@@ -27,7 +27,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph help text: first line is a summary.
 	Doc string
 	// AllowKeyword is the //heterolint:allow keyword that suppresses this
-	// analyzer's diagnostics ("wallclock" for detclock, etc.). Empty means
+	// analyzer's diagnostics ("vcharge" for vcharge, etc.). Empty means
 	// the analyzer cannot be suppressed. Non-empty keywords must be unique
 	// across the suite (enforced by Validate) so one annotation can never
 	// silence two different checkers.
@@ -94,44 +94,10 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.get(p.Analyzer.Name, obj.Pkg().Path(), key, fact)
 }
 
-// ExportPackageFact records fact about the pass package as a whole.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if err := p.facts.set(p.Analyzer.Name, p.Pkg.Path(), "", fact); err != nil {
-		panic(fmt.Sprintf("%s: ExportPackageFact: %v", p.Analyzer, err))
-	}
-}
-
-// ImportPackageFact copies into fact the package fact previously exported
-// for pkg and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	return p.facts.get(p.Analyzer.Name, pkg.Path(), "", fact)
-}
-
-// Diagnostic is one finding, attributed to a source position, optionally
-// carrying machine-applicable fixes.
+// Diagnostic is one finding, attributed to a source position.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// SuggestedFixes are alternative edits that resolve the finding; the
-	// heterolint -fix driver applies the first fix of each diagnostic.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one way to resolve a diagnostic, expressed as a set of
-// non-overlapping text edits.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source in [Pos, End) with NewText. End == Pos is a
-// pure insertion.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  []byte
 }
 
 // Validate checks the analyzer list for driver use: non-empty distinct
@@ -170,7 +136,7 @@ func Validate(analyzers []*Analyzer) error {
 
 // IsTestFile reports whether the file containing pos is a _test.go file.
 // The heterolint invariants govern simulation code; tests may legitimately
-// read the wall clock or iterate maps into t.Log output.
+// iterate maps into t.Log output or loop over floats without charging.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	f := fset.File(pos)
 	if f == nil {

@@ -4,7 +4,7 @@
 //
 // A fixture line carries its expectation in a trailing comment:
 //
-//	t := time.Now() // want `wall-clock read`
+//	fmt.Println(k) // want `map iteration order leaks`
 //
 // Each backquoted or double-quoted token after "want" is a regular
 // expression that must match exactly one diagnostic reported on that line;
@@ -50,75 +50,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		lp := ld.load(pkgPath)
 		checkExpectations(t, a, ld.fset, lp.files, lp.diags, pkgPath)
 	}
-}
-
-// RunFixes applies every suggested fix the analyzer reports on the fixture
-// package and compares each changed file against a sibling <name>.golden
-// file. Files the fixes leave untouched need no golden.
-func RunFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string) {
-	t.Helper()
-	ld, restore := newLoader(t, testdata, a)
-	defer restore()
-	lp := ld.load(pkgPath)
-
-	byFile := map[string][]analysis.Edit{}
-	for _, d := range lp.diags {
-		if len(d.SuggestedFixes) == 0 {
-			continue
-		}
-		// Like the -fix driver, apply the first fix of each diagnostic.
-		for _, te := range d.SuggestedFixes[0].TextEdits {
-			posn := ld.fset.Position(te.Pos)
-			end := ld.fset.Position(te.End)
-			byFile[posn.Filename] = append(byFile[posn.Filename], analysis.Edit{
-				Start: posn.Offset, End: end.Offset, New: te.NewText,
-			})
-		}
-	}
-	if len(byFile) == 0 {
-		t.Errorf("%s [%s]: no suggested fixes reported", pkgPath, a.Name)
-		return
-	}
-	names := make([]string, 0, len(byFile))
-	for name := range byFile {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		fixed, err := analysis.ApplyEdits(src, dedupeEdits(byFile[name]))
-		if err != nil {
-			t.Errorf("%s [%s]: %v", pkgPath, a.Name, err)
-			continue
-		}
-		golden, err := os.ReadFile(name + ".golden")
-		if err != nil {
-			t.Errorf("%s [%s]: fixes changed %s but no golden: %v", pkgPath, a.Name, name, err)
-			continue
-		}
-		if string(fixed) != string(golden) {
-			t.Errorf("%s [%s]: fixed %s does not match %s.golden:\n-- got --\n%s", pkgPath, a.Name, name, name, fixed)
-		}
-	}
-}
-
-// dedupeEdits drops exact duplicates: two diagnostics in one file may both
-// carry the same import-insertion edit, which must apply once.
-func dedupeEdits(edits []analysis.Edit) []analysis.Edit {
-	seen := map[string]bool{}
-	var out []analysis.Edit
-	for _, e := range edits {
-		k := fmt.Sprintf("%d:%d:%s", e.Start, e.End, e.New)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	return out
 }
 
 // loader type-checks fixture packages with one shared FileSet, importer and

@@ -9,11 +9,11 @@ import (
 	"sort"
 )
 
-// A Fact is one unit of analyzer knowledge about a package-level object or
-// a whole package, produced while analyzing the package that defines the
-// subject and consumed by the same analyzer's later runs over downstream
-// packages. Implementations must be JSON-serializable struct pointers and
-// appear in their analyzer's FactTypes.
+// A Fact is one unit of analyzer knowledge about a package-level object,
+// produced while analyzing the package that defines the subject and
+// consumed by the same analyzer's later runs over downstream packages.
+// Implementations must be JSON-serializable struct pointers and appear in
+// their analyzer's FactTypes.
 //
 // Unlike golang.org/x/tools (which names objects with go/types/objectpath),
 // facts here are keyed by a flat string — "F" for a package-level object,
@@ -54,7 +54,7 @@ func ObjectKey(obj types.Object) string {
 type factKey struct {
 	analyzer string
 	pkg      string
-	object   string // "" = package fact
+	object   string // ObjectKey of the subject
 }
 
 // FactStore holds the facts visible to one unit of analysis: facts decoded

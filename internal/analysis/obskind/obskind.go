@@ -3,25 +3,19 @@
 // CI comparisons and the paper's tables are all joins over (Kind, fields)
 // records — so the invariants are about record shape, not behavior:
 //
-//   - Event literals list their fields in declared order. The journal is
-//     both written and reviewed as a columnar log; a literal that jumbles
-//     the columns reads as a different record in code review even though
-//     it marshals identically. A suggested fix reorders the fields.
 //   - a literal journal kind belongs to exactly one writer function per
 //     package. Two writers sharing "halo" would merge distinct phenomena
 //     into one time series and no test would notice.
-//   - inside package obs, exported pointer-receiver methods start with a
-//     nil-receiver guard. The entire obs API is documented nil-safe so
-//     simulation code can emit unconditionally; one unguarded method turns
-//     "observability disabled" into a crash.
 //   - outside package obs, raw obs.Event literals are flagged: events flow
-//     through the RunContext emit helpers, which stamp T and Rank and keep
+//     through the Recorder emit helpers, which stamp T and Rank and keep
 //     the kind registry honest.
+//
+// Both rules are lint rather than tests because breaking either in real
+// code leaves every journal deterministic and parseable, so go test passes.
 package obskind
 
 import (
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strconv"
@@ -34,13 +28,11 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:         "obskind",
 	AllowKeyword: "obskind",
-	Doc: `keep obs journal records well-shaped: field order, unique kinds, nil-safe writers
+	Doc: `keep obs journal records well-shaped: unique kinds, no raw events outside obs
 
-obs.Event literals must list fields in declared order (fix available);
-a literal Kind string may be emitted by only one function per package;
-exported pointer-receiver methods of package obs must begin with a nil
-receiver guard; packages other than obs must not build raw obs.Event
-literals. Exceptions carry //heterolint:allow obskind <why>.`,
+A literal Kind string may be emitted by only one function per package;
+packages other than obs must not build raw obs.Event literals.
+Exceptions carry //heterolint:allow obskind <why>.`,
 	Run: run,
 }
 
@@ -56,26 +48,17 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if inObs {
-				checkNilGuard(pass, fn)
-			}
 			funcName := fn.Name.Name
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				lit, ok := n.(*ast.CompositeLit)
-				if !ok {
-					return true
-				}
-				st, named := eventStruct(pass, lit)
-				if st == nil {
+				if !ok || !isEvent(pass, lit) {
 					return true
 				}
 				if !inObs {
 					pass.Reportf(lit.Pos(),
-						"raw %s literal outside package obs; emit through the RunContext helpers so T/Rank are stamped and the kind registry stays authoritative",
-						named)
+						"raw obs.Event literal outside package obs; emit through the Recorder helpers so T/Rank are stamped and the kind registry stays authoritative")
 					return true
 				}
-				checkFieldOrder(pass, lit, st)
 				if kind, ok := literalKind(lit); ok {
 					if prev, seen := kindWriter[kind]; seen && prev != funcName {
 						pass.Reportf(lit.Pos(),
@@ -98,97 +81,11 @@ func finalSegment(path string) string {
 	return path
 }
 
-// eventStruct resolves lit to the obs Event struct type, returning its
-// struct layout and display name, or nil if lit is something else.
-func eventStruct(pass *analysis.Pass, lit *ast.CompositeLit) (*types.Struct, string) {
-	t := pass.TypesInfo.TypeOf(lit)
-	if t == nil {
-		return nil, ""
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Event" || named.Obj().Pkg() == nil {
-		return nil, ""
-	}
-	if finalSegment(named.Obj().Pkg().Path()) != "obs" {
-		return nil, ""
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, ""
-	}
-	return st, "obs.Event"
-}
-
-// checkFieldOrder verifies the keyed fields of an Event literal appear in
-// declared order and offers a reordering fix when they do not.
-func checkFieldOrder(pass *analysis.Pass, lit *ast.CompositeLit, st *types.Struct) {
-	idx := map[string]int{}
-	for i := 0; i < st.NumFields(); i++ {
-		idx[st.Field(i).Name()] = i
-	}
-	type elt struct {
-		kv    *ast.KeyValueExpr
-		index int
-	}
-	var elts []elt
-	for _, e := range lit.Elts {
-		kv, ok := e.(*ast.KeyValueExpr)
-		if !ok {
-			return // positional literal: order is the declared order by construction
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			return
-		}
-		i, ok := idx[key.Name]
-		if !ok {
-			return
-		}
-		elts = append(elts, elt{kv, i})
-	}
-	sorted := true
-	for i := 1; i < len(elts); i++ {
-		if elts[i].index < elts[i-1].index {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	d := analysis.Diagnostic{
-		Pos:     lit.Pos(),
-		Message: "obs.Event fields out of declared order; the journal reads as a columnar log — keep literals in struct order",
-	}
-	// Stable insertion sort by declared index keeps any equal-index
-	// impossibility moot and the output deterministic.
-	reordered := append([]elt(nil), elts...)
-	for i := 1; i < len(reordered); i++ {
-		for j := i; j > 0 && reordered[j].index < reordered[j-1].index; j-- {
-			reordered[j], reordered[j-1] = reordered[j-1], reordered[j]
-		}
-	}
-	var parts []string
-	ok := true
-	for _, e := range reordered {
-		var sb strings.Builder
-		if err := printer.Fprint(&sb, pass.Fset, e.kv); err != nil {
-			ok = false
-			break
-		}
-		parts = append(parts, sb.String())
-	}
-	if ok && len(elts) > 0 {
-		d.SuggestedFixes = []analysis.SuggestedFix{{
-			Message: "reorder fields to declared order",
-			TextEdits: []analysis.TextEdit{{
-				Pos:     elts[0].kv.Pos(),
-				End:     elts[len(elts)-1].kv.End(),
-				NewText: []byte(strings.Join(parts, ", ")),
-			}},
-		}}
-	}
-	pass.Report(d)
+// isEvent reports whether lit builds the Event struct of a package obs.
+func isEvent(pass *analysis.Pass, lit *ast.CompositeLit) bool {
+	named, ok := pass.TypesInfo.TypeOf(lit).(*types.Named)
+	return ok && named.Obj().Name() == "Event" && named.Obj().Pkg() != nil &&
+		finalSegment(named.Obj().Pkg().Path()) == "obs"
 }
 
 // literalKind extracts the constant string assigned to the Kind field, if
@@ -214,56 +111,4 @@ func literalKind(lit *ast.CompositeLit) (string, bool) {
 		return s, true
 	}
 	return "", false
-}
-
-// checkNilGuard requires exported pointer-receiver methods to open with a
-// nil-receiver test (alone or as the first operand of a || chain).
-func checkNilGuard(pass *analysis.Pass, fn *ast.FuncDecl) {
-	if !fn.Name.IsExported() || fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return
-	}
-	field := fn.Recv.List[0]
-	if _, ok := field.Type.(*ast.StarExpr); !ok {
-		return // value receiver: a nil pointer cannot reach it
-	}
-	if len(field.Names) == 0 || field.Names[0].Name == "_" {
-		return // receiver unnamed: the body cannot dereference it
-	}
-	recv := field.Names[0].Name
-	recvObj := pass.TypesInfo.Defs[field.Names[0]]
-	if len(fn.Body.List) > 0 {
-		if ifs, ok := fn.Body.List[0].(*ast.IfStmt); ok && ifs.Init == nil {
-			if condStartsWithNilCheck(pass, ifs.Cond, recvObj) {
-				return
-			}
-		}
-	}
-	pass.Reportf(fn.Name.Pos(),
-		"exported obs method %s has a pointer receiver but no leading nil guard; the obs API is documented nil-safe — start with 'if %s == nil'",
-		fn.Name.Name, recv)
-}
-
-// condStartsWithNilCheck accepts `r == nil` and `r == nil || <anything>`
-// (recursively, so `r == nil || x || y` parses left-associated and still
-// matches).
-func condStartsWithNilCheck(pass *analysis.Pass, cond ast.Expr, recv types.Object) bool {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	if be.Op == token.LOR {
-		return condStartsWithNilCheck(pass, be.X, recv)
-	}
-	if be.Op != token.EQL {
-		return false
-	}
-	isRecv := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && pass.TypesInfo.Uses[id] == recv
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	return (isRecv(be.X) && isNil(be.Y)) || (isRecv(be.Y) && isNil(be.X))
 }

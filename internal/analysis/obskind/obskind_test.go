@@ -10,7 +10,3 @@ import (
 func TestObskind(t *testing.T) {
 	analysistest.Run(t, "../testdata", obskind.Analyzer, "obs", "obsuser")
 }
-
-func TestObskindFixes(t *testing.T) {
-	analysistest.RunFixes(t, "../testdata", obskind.Analyzer, "obs")
-}

@@ -1,5 +1,5 @@
 // Package obs is the obskind fixture: a miniature journal with the same
-// Event shape and nil-safe API contract the real observability layer uses.
+// Event shape the real observability layer uses.
 package obs
 
 // Event is one journal record; field order is the journal's column order.
@@ -23,33 +23,9 @@ func (s *Sink) Emit(e Event) {
 	s.events = append(s.events, e)
 }
 
-// Len is nil-safe through a compound guard.
-func (s *Sink) Len() int {
-	if s == nil || len(s.events) == 0 {
-		return 0
-	}
-	return len(s.events)
-}
-
-// Reset forgets the guard the API contract requires.
-func (s *Sink) Reset() { // want `exported obs method Reset has a pointer receiver but no leading nil guard`
-	s.events = nil
-}
-
-// Snapshot has a value receiver: a nil pointer cannot reach it.
-func (s Sink) Snapshot() int { return len(s.events) }
-
-// clear is unexported: internal callers already hold a non-nil receiver.
-func (s *Sink) clear() { s.events = nil }
-
-// EmitStep writes the "step" record in declared order.
+// EmitStep writes the "step" record.
 func EmitStep(s *Sink, t float64, step int64) {
 	s.Emit(Event{T: t, Kind: "step", I1: step})
-}
-
-// EmitJumbled lists fields out of declared order.
-func EmitJumbled(s *Sink, t float64) {
-	s.Emit(Event{Kind: "jumbled", T: t, Name: "x"}) // want `obs\.Event fields out of declared order`
 }
 
 // EmitStepAgain reuses another writer's kind.

@@ -78,7 +78,7 @@ func Main(analyzers ...*analysis.Analyzer) {
 		log.Fatal(err)
 	}
 
-	jsonOut := os.Getenv("HETEROLINT_JSON") == "1"
+	var jsonOut bool
 	var cfgFile string
 	for _, arg := range os.Args[1:] {
 		switch {
@@ -143,9 +143,9 @@ func printVersion(progname string) {
 }
 
 func usage(progname string, analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(os.Stderr, "%s: machine-checks heterohpc's determinism, pooling and clock-charging invariants\n\n", progname)
+	fmt.Fprintf(os.Stderr, "%s: machine-checks heterohpc's map-order, pooling, clock-charging, world-lifetime and journal-shape invariants\n\n", progname)
 	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(command -v %s) ./...\n", progname)
-	fmt.Fprintf(os.Stderr, "       %s -fix [-write] ./...   preview (or apply) suggested fixes\n\nanalyzers:\n", progname)
+	fmt.Fprintf(os.Stderr, "       %s ./...   (runs go vet with itself as the vettool)\n\nanalyzers:\n", progname)
 	for _, a := range analyzers {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
@@ -162,27 +162,11 @@ type Result struct {
 }
 
 // JSONDiagnostic is one finding in -json output, following the upstream
-// unitchecker schema (posn string, optional suggested_fixes).
+// unitchecker schema.
 type JSONDiagnostic struct {
-	Analyzer       string             `json:"-"`
-	Posn           string             `json:"posn"`
-	Message        string             `json:"message"`
-	SuggestedFixes []JSONSuggestedFix `json:"suggested_fixes,omitempty"`
-}
-
-// JSONSuggestedFix is one machine-applicable fix.
-type JSONSuggestedFix struct {
-	Message string         `json:"message"`
-	Edits   []JSONTextEdit `json:"edits"`
-}
-
-// JSONTextEdit addresses a replacement by file and byte offsets, the form
-// the -fix driver applies without re-parsing.
-type JSONTextEdit struct {
-	Filename string `json:"filename"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	New      string `json:"new"`
+	Analyzer string `json:"-"`
+	Posn     string `json:"posn"`
+	Message  string `json:"message"`
 }
 
 // printJSON emits {"importpath": {"analyzer": [diags]}} like the upstream
@@ -336,26 +320,11 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer) (*Result, error) {
 			continue
 		}
 		for _, d := range diags {
-			jd := JSONDiagnostic{
+			res.Diagnostics = append(res.Diagnostics, JSONDiagnostic{
 				Analyzer: a.Name,
 				Posn:     fset.Position(d.Pos).String(),
 				Message:  d.Message,
-			}
-			for _, sf := range d.SuggestedFixes {
-				jsf := JSONSuggestedFix{Message: sf.Message}
-				for _, te := range sf.TextEdits {
-					posn := fset.Position(te.Pos)
-					end := fset.Position(te.End)
-					jsf.Edits = append(jsf.Edits, JSONTextEdit{
-						Filename: posn.Filename,
-						Start:    posn.Offset,
-						End:      end.Offset,
-						New:      string(te.NewText),
-					})
-				}
-				jd.SuggestedFixes = append(jd.SuggestedFixes, jsf)
-			}
-			res.Diagnostics = append(res.Diagnostics, jd)
+			})
 		}
 	}
 	if err := writeVetx(facts); err != nil {

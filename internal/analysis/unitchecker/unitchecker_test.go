@@ -10,11 +10,11 @@ import (
 
 // TestVetxFactFlow proves the facts round-trip through the real cmd/go
 // protocol: it builds the heterolint binary, lays out a two-package module
-// where the wrap that poisons a sentinel happens in the dependency, and
-// asserts that `go vet -vettool` flags the identity comparison in the
-// downstream package — which is only possible if the WrappedSentinel fact
-// survived serialization into the dependency unit's .vetx file and
-// deserialization in the consumer unit.
+// where a metered krylov loop charges only through a helper in its sparse
+// dependency, and asserts that `go vet -vettool` accepts that loop while
+// still flagging an uncharged sibling — which is only possible if the
+// ChargesFact survived serialization into the dependency unit's .vetx file
+// and deserialization in the consumer unit.
 func TestVetxFactFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to go vet")
@@ -43,51 +43,65 @@ func TestVetxFactFlow(t *testing.T) {
 		}
 	}
 	write("go.mod", "module factflow\n\ngo 1.22\n")
-	write("pool/pool.go", `package pool
+	write("sparse/sparse.go", `package sparse
 
-import (
-	"errors"
-	"fmt"
-)
+// Charger receives operation counts from compute kernels.
+type Charger interface {
+	ChargeCompute(flops, bytes float64)
+}
 
-// ErrExhausted is wrapped below: the fact must reach importers.
-var ErrExhausted = errors.New("exhausted")
+type nop struct{}
 
-// Acquire wraps the sentinel.
-func Acquire(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("acquire %d: %w", n, ErrExhausted)
+func (nop) ChargeCompute(flops, bytes float64) {}
+
+// Meter is the package-level charge sink.
+var Meter Charger = nop{}
+
+// AxpyMetered charges the package meter itself: no Charger crosses the
+// call, so importers see the charge only through the ChargesFact.
+func AxpyMetered(n int, a float64, x, y []float64) {
+	for i := 0; i < n; i++ {
+		y[i] += a * x[i]
 	}
-	return nil
+	Meter.ChargeCompute(2*float64(n), 24*float64(n))
 }
 `)
-	write("user/user.go", `package user
+	write("krylov/krylov.go", `package krylov
 
-import "factflow/pool"
+import "factflow/sparse"
 
-// Drain compares by identity; only the imported fact makes this a finding.
-func Drain(err error) bool {
-	return err == pool.ErrExhausted
+// TwoStage is charged only through the imported fact.
+func TwoStage(n int, x, y []float64) {
+	for i := 0; i < n; i++ {
+		y[i] -= x[i]
+	}
+	sparse.AxpyMetered(n, 2, x, y)
+}
+
+// RawNorm charges nothing.
+func RawNorm(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return s
 }
 `)
 
-	vet := exec.Command(goTool, "vet", "-vettool="+tool, "./...")
-	vet.Dir = mod
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet succeeded; want errflow finding in user package\noutput:\n%s", out)
-	}
-	if !strings.Contains(string(out), "sentinel ErrExhausted may arrive wrapped") ||
-		!strings.Contains(string(out), "user.go") {
-		t.Fatalf("missing cross-package errflow diagnostic; output:\n%s", out)
-	}
-
-	// Second run exercises cmd/go's vet cache: the cached .vetx files must
-	// decode to the same facts and reproduce the same finding.
-	vet2 := exec.Command(goTool, "vet", "-vettool="+tool, "./...")
-	vet2.Dir = mod
-	out2, err2 := vet2.CombinedOutput()
-	if err2 == nil || !strings.Contains(string(out2), "sentinel ErrExhausted may arrive wrapped") {
-		t.Fatalf("cached rerun lost the finding (err=%v); output:\n%s", err2, out2)
+	// The second run exercises cmd/go's vet cache: the cached .vetx files
+	// must decode to the same facts and reproduce the same verdicts.
+	for _, run := range []string{"first run", "cached rerun"} {
+		vet := exec.Command(goTool, "vet", "-vettool="+tool, "./...")
+		vet.Dir = mod
+		out, err := vet.CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s: go vet succeeded; want a vcharge finding on RawNorm\noutput:\n%s", run, out)
+		}
+		if !strings.Contains(string(out), "exported RawNorm loops over float64 data") {
+			t.Fatalf("%s: uncharged RawNorm not flagged; output:\n%s", run, out)
+		}
+		if strings.Contains(string(out), "TwoStage") {
+			t.Fatalf("%s: TwoStage flagged, so sparse's ChargesFact did not reach krylov; output:\n%s", run, out)
+		}
 	}
 }

@@ -12,7 +12,8 @@
 // decisions and spot-market ticks.
 //
 // Determinism contract: nothing in this package reads the wall clock or
-// process-global randomness (enforced by heterolint's detclock analyzer).
+// process-global randomness (pinned by TestJournalDeterministicMergeOrder
+// and cmd/heterobench's TestJournalBitDeterminism/TestFaultsJournalDeterminism).
 // Event timestamps come from vclock-backed Clocks or explicit virtual
 // times; metric aggregations are restricted to order-independent
 // operations (integer counter adds, maxima, integer bucket counts) so that

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,46 +15,65 @@ type fakeClock struct{ t float64 }
 func (c *fakeClock) Now() float64 { return c.t }
 
 // TestNilRunIsNoOp: every entry point must tolerate the disabled state — a
-// nil Run, nil Recorder, nil metric handles — without panicking or
-// allocating.
+// nil Run, nil Recorder, nil metric handles. Reflection walks every
+// exported method of the nil-safe pointer types and calls it on a nil
+// receiver, once with zero-valued arguments and once with non-zero scalars
+// (so an early return on a zero argument cannot hide a missing guard). No
+// call may panic or return anything but zero values, so a new method
+// added without its nil guard fails here.
 func TestNilRunIsNoOp(t *testing.T) {
-	var r *Run
-	if r.Metrics() != nil {
-		t.Fatal("nil Run returned a registry")
+	nils := []any{(*Run)(nil), (*Recorder)(nil), (*Registry)(nil),
+		(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil)}
+	for _, recv := range nils {
+		v := reflect.ValueOf(recv)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := fmt.Sprintf("nil %s.%s", v.Type(), v.Type().Method(i).Name)
+			for _, nonzero := range []bool{false, true} {
+				out, err := callNil(v.Method(i), nonzero)
+				if err != nil {
+					t.Errorf("%s panics: %v", name, err)
+				}
+				for k, o := range out {
+					if !o.IsZero() {
+						t.Errorf("%s result %d = %v, want the zero value", name, k, o)
+					}
+				}
+			}
+		}
 	}
-	rec := r.NewRecorder(0, &fakeClock{})
-	if rec != nil {
-		t.Fatal("nil Run returned a recorder")
+}
+
+// callNil calls fn with zero-valued arguments, or with every numeric,
+// string and bool argument set to a non-zero value, recovering a panic.
+func callNil(fn reflect.Value, nonzero bool) (out []reflect.Value, err error) {
+	ft := fn.Type()
+	args := make([]reflect.Value, ft.NumIn())
+	for j := range args {
+		a := reflect.New(ft.In(j)).Elem()
+		switch {
+		case !nonzero:
+		case a.CanInt():
+			a.SetInt(1)
+		case a.CanUint():
+			a.SetUint(1)
+		case a.CanFloat():
+			a.SetFloat(1)
+		case a.Kind() == reflect.String:
+			a.SetString("x")
+		case a.Kind() == reflect.Bool:
+			a.SetBool(true)
+		}
+		args[j] = a
 	}
-	if g := r.Global(); g != nil {
-		t.Fatal("nil Run returned a global recorder")
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	if ft.IsVariadic() {
+		return fn.CallSlice(args), nil
 	}
-	rec.Event("k", "n")
-	rec.EventAt(1, "k", "n")
-	rec.Phase(1, "solve")
-	rec.Step(1)
-	rec.Solve("cg", 10, 1e-9, true)
-	rec.Checkpoint("ckpt-write", 2, 100)
-	rec.SpotTick(1, 0.5)
-	rec.Preemption(1, 3, 0.9, 121)
-	rec.PoolStats(1, 10, 2)
-	rec.CountMsg(64)
-	rec.CountHalo(128)
-	rec.StepHalo(1)
-	rec.QueueInterval(0, 1)
-	r.Metrics().Counter("x").Add(1)
-	r.Metrics().Gauge("x").Max(1)
-	r.Metrics().Histogram("x", IterBuckets).Observe(1)
-	var buf bytes.Buffer
-	if err := r.WriteJournal(&buf); err != nil {
-		t.Fatalf("WriteJournal on nil Run: %v", err)
-	}
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatalf("WriteMetrics on nil Run: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("nil Run wrote %d bytes", buf.Len())
-	}
+	return fn.Call(args), nil
 }
 
 // TestNilRecorderHotPathAllocs pins the disabled-observability cost on the

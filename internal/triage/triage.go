@@ -9,8 +9,9 @@
 // grid, the front-end for outlier hunting.
 //
 // Determinism contract: the package reads no wall clock and no global
-// randomness (enforced by heterolint's detclock analyzer); its output is a
-// pure function of the two input byte streams.
+// randomness; its output is a pure function of the two input byte streams
+// (the TestDiff* tests pin the divergence line and context windows for
+// fixed inputs).
 package triage
 
 import (
