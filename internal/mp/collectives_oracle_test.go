@@ -169,7 +169,7 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
 			}
-			return out, w.pool.gets.Load(), w.pool.puts.Load(), w.pool.classes[poolClassOf(p)].n
+			return out, w.pool.gets.Load(), w.pool.puts.Load(), len(w.pool.classes[poolClassOf(p)].free)
 		}
 		want, wantGets, wantPuts, _ := run(ref)
 		got, gets, puts, free := run(pooled)

@@ -18,6 +18,10 @@
 //     without sending). Messages queued before a death are still
 //     delivered.
 //
+// A rank's exit wakes only the ranks parked on a message from it: each
+// mailbox records the (source, tag) its owner waits for, and markDead reads
+// those records instead of waking every mailbox of the world.
+//
 // The set of operations each rank completes before dying — and therefore
 // the set of checkpoints it saved — is thus a function of the program and
 // the fault schedule alone, so equal seeds produce equal failures AND
@@ -126,16 +130,25 @@ func (w *World) trip(node int, at float64) {
 	panic(killedPanic{})
 }
 
-// markDead records that rank id has terminally exited and wakes every
-// blocked mailbox wait so receivers parked on its messages re-check.
-// Taking each mailbox lock pairs with the dead-check waiters perform under
-// the same lock, so a waiter either sees the flag before sleeping or
-// receives this wakeup.
+// markDead records that rank id has terminally exited and wakes the ranks
+// parked on a message from it, so they unwind. Ranks parked on any other
+// sender are neither woken nor locked. The flag is set before the wait
+// records are read and take publishes its record before it reads the flag;
+// both are sequentially consistent atomics, so a waiter on id either sees
+// the death before it parks or is seen here.
+// Seen, it may still hold its lock on the way into cond.Wait: taking the lock
+// before signalling waits until it is enrolled.
 func (w *World) markDead(id int) {
 	w.rankDead[id].Store(true)
 	for _, mb := range w.boxes {
+		if mb.waitSrc.Load() != int32(id) {
+			continue
+		}
 		mb.mu.Lock()
-		mb.cond.Broadcast()
+		if mb.waitSrc.Load() == int32(id) {
+			mb.waitSrc.Store(noWait)
+			mb.cond.Signal()
+		}
 		mb.mu.Unlock()
 	}
 }

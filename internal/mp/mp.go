@@ -279,8 +279,13 @@ func (s *srcSlot) queue(tag int) *msgQueue {
 // neighbours and tree partners — not the world size.
 //
 // Only the owning rank's goroutine ever blocks on cond (sends and the
-// revoke/markDead paths never wait), so put can wake it with a single
-// Signal instead of a Broadcast.
+// revoke/markDead paths never wait), and it blocks for one named message.
+// Before it parks, take records that (src, tag) in waitSrc and waitTag; the
+// record is the wake rule. put signals only when the message it queues is the
+// one recorded, and markDead(id) only when the owner is parked on id. Whoever
+// wakes the owner clears the record, so no message is signalled twice, and a
+// message from any other source or under any other tag leaves the owner
+// asleep.
 type mailbox struct {
 	mu    sync.Mutex
 	slots []srcSlot // length zero or a power of two
@@ -297,11 +302,21 @@ type mailbox struct {
 	// (see fault.go).
 	w    *World
 	cond sync.Cond
+	// waitSrc is the source the owner is parked on, noWait when it is not
+	// parked. It is written under mu but is atomic because markDead reads it
+	// without the lock. waitTag, the tag of that wait, is read and written
+	// under mu only.
+	waitSrc atomic.Int32
+	waitTag int
 }
+
+// noWait is the waitSrc of a mailbox whose owner is not parked.
+const noWait = -1
 
 func newMailbox(w *World) *mailbox {
 	mb := &mailbox{w: w}
 	mb.cond.L = &mb.mu
+	mb.waitSrc.Store(noWait)
 	return mb
 }
 
@@ -344,11 +359,21 @@ func (mb *mailbox) lookup(src int, create bool) *srcSlot {
 	return s
 }
 
+// put queues m and wakes the owner if it is parked on exactly m's source and
+// tag. The owner records its wait under mu before it parks, and cond.Wait
+// enrols it before releasing mu, so a put that sees the record can signal
+// after unlocking.
 func (mb *mailbox) put(m message) {
 	mb.mu.Lock()
 	mb.queueFor(int(m.src), m.tag).push(m)
+	wake := mb.waitSrc.Load() == m.src && mb.waitTag == m.tag
+	if wake {
+		mb.waitSrc.Store(noWait)
+	}
 	mb.mu.Unlock()
-	mb.cond.Signal()
+	if wake {
+		mb.cond.Signal()
+	}
 }
 
 // queueFor routes a message to its FIFO, creating the queue on first use.
@@ -426,6 +451,9 @@ func (mb *mailbox) senders(tag, want int) []int {
 // exited — it can never send again — does the wait unwind with
 // killedPanic. This is the only blocking path of the transport, and it never
 // reads the world's poison flag.
+//
+// The wait record must be published before the dead flag is read (see
+// markDead).
 func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -440,7 +468,10 @@ func (mb *mailbox) take(src, tag int) message {
 				return q.pop()
 			}
 		}
+		mb.waitTag = tag
+		mb.waitSrc.Store(int32(src))
 		if mb.w.rankDead[src].Load() {
+			mb.waitSrc.Store(noWait)
 			panic(killedPanic{})
 		}
 		mb.cond.Wait()

@@ -48,13 +48,14 @@ type f64Pool struct {
 	gets, puts atomic.Int64
 }
 
-// poolClass is one shared stack. Its storage is part of the pool, so a put
-// never allocates — the puts of a rank draining on its way out land inside
-// whatever a still-running rank is measuring.
+// poolClass is one shared stack, bounded by classDepth. Its backing array is
+// made poolClassDepth long at the class's first put and grows by append up to
+// the deepest the class has been, so a put allocates only while that
+// high-water mark rises. In practice that is once per world: when its ranks
+// exit and drain their private stacks into it.
 type poolClass struct {
 	mu   sync.Mutex
-	n    int
-	free [poolClassDepth][]float64
+	free [][]float64
 }
 
 const (
@@ -62,9 +63,10 @@ const (
 	// elements (4 Mi float64 = 32 MiB); larger buffers are allocated
 	// directly and dropped on put.
 	poolClasses = 23
-	// poolClassDepth caps each shared class's stack so a burst cannot pin
-	// unbounded memory in the free list.
+	// poolClassDepth and poolClassBytes cap each shared class's stack (see
+	// classDepth) so a burst cannot pin unbounded memory in the free list.
 	poolClassDepth = 256
+	poolClassBytes = 32 << 20
 	// localClasses is the number of size classes a rank caches privately:
 	// payloads of up to 1<<(localClasses-1) = 256 elements. Larger ones are
 	// dominated by their copy, not by the shared lock.
@@ -83,6 +85,14 @@ func poolClassOf(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// classDepth is how many free buffers shared class c keeps: as many as fill
+// poolClassBytes, and never fewer than poolClassDepth. A census at P = 1000
+// (8 KiB indicators, three per rank) then finds its buffers again in the
+// next census instead of allocating all but 256 of them anew.
+func classDepth(c int) int {
+	return max(poolClassDepth, poolClassBytes/(8<<c))
+}
+
 // get returns a buffer of length n (capacity 1<<class). The contents are
 // unspecified; the caller must overwrite all n elements.
 func (p *f64Pool) get(n int) []float64 {
@@ -92,10 +102,10 @@ func (p *f64Pool) get(n int) []float64 {
 	}
 	cl := &p.classes[c]
 	cl.mu.Lock()
-	if cl.n > 0 {
-		cl.n--
-		buf := cl.free[cl.n]
-		cl.free[cl.n] = nil
+	if k := len(cl.free); k > 0 {
+		buf := cl.free[k-1]
+		cl.free[k-1] = nil
+		cl.free = cl.free[:k-1]
 		cl.mu.Unlock()
 		return buf[:n]
 	}
@@ -113,9 +123,11 @@ func (p *f64Pool) put(buf []float64) {
 	}
 	cl := &p.classes[ci]
 	cl.mu.Lock()
-	if cl.n < poolClassDepth {
-		cl.free[cl.n] = buf[:0]
-		cl.n++
+	if len(cl.free) < classDepth(ci) {
+		if cl.free == nil {
+			cl.free = make([][]float64, 0, poolClassDepth)
+		}
+		cl.free = append(cl.free, buf[:0])
 	}
 	cl.mu.Unlock()
 }
