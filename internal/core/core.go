@@ -142,11 +142,13 @@ type AttemptFailure struct {
 	// Node and At identify the scheduled failure (Node −1 when the world
 	// recorded none — an application error, not a node death).
 	Node int
-	// At is the failure's scheduled virtual time (deterministic, unlike
-	// the racing wavefront of rank clocks at abort).
+	// At is the failure's scheduled virtual time.
 	At float64
 	// ElapsedS is the furthest virtual time any rank reached before the
-	// world shut down — diagnostic only; it varies run to run.
+	// world shut down. Like At it is a function of the job and its fault
+	// plan: each rank stops at a fixed point of its program, where its own
+	// node's crash comes due or a receive finds its sender gone, so equal
+	// runs give equal values.
 	ElapsedS float64
 	// World is the poisoned world the attempt died in. A shrink-and-
 	// continue supervisor calls World.Shrink() on it to re-form the

@@ -303,3 +303,47 @@ func TestAttemptReportsInjectedFault(t *testing.T) {
 		t.Errorf("out-of-topology fault killed the run: %v", err)
 	}
 }
+
+// ringApp charges each rank uneven compute, passes a value round a ring and
+// takes a scalar maximum, step after step, until a fault stops it.
+type ringApp struct{ steps int }
+
+func (ringApp) Name() string { return "ring" }
+
+func (a ringApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
+	p, id := r.Size(), r.ID()
+	for i := 0; i < a.steps; i++ {
+		r.ChargeCompute(float64(2e4*(1+(id+i)%3)), 0)
+		r.SendF64((id+1)%p, 1, []float64{float64(i)})
+		r.RecvF64((id+p-1)%p, 1)
+		r.AllreduceScalar(mp.OpMax, float64(id))
+	}
+	return nil, nil, nil
+}
+
+// TestAttemptElapsedIsReproducible repeats one killed attempt — 16 ranks on
+// 4 nodes, node 2 crashing at 3 ms of virtual time — and requires the same
+// ElapsedS every time, as its documentation promises.
+func TestAttemptElapsedIsReproducible(t *testing.T) {
+	tg, err := NewTarget("puma", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Ranks: 16, App: ringApp{steps: 1000},
+		Faults: []fault.Event{{Kind: fault.KindCrash, Node: 2, At: 3e-3}}}
+	var first float64
+	for run := 0; run < 20; run++ {
+		_, af, err := tg.Attempt(spec)
+		if err != nil || af == nil || af.Node != 2 {
+			t.Fatalf("run %d: attempt gave failure %+v, error %v; want node 2's crash", run, af, err)
+		}
+		if af.ElapsedS < af.At {
+			t.Fatalf("run %d: elapsed %v below the failure time %v", run, af.ElapsedS, af.At)
+		}
+		if run == 0 {
+			first = af.ElapsedS
+		} else if af.ElapsedS != first {
+			t.Fatalf("run %d: elapsed %v, run 0 %v", run, af.ElapsedS, first)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package mp
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // ReduceOp is an element-wise reduction operator for collectives.
 type ReduceOp int
@@ -245,69 +249,229 @@ func (op ReduceOp) applyScalar(acc, v float64) float64 {
 	}
 }
 
-// sendScalar and recvScalar move one float64 through pooled one-element
-// payloads — the transport under the allocation-free scalar collectives.
-func (r *Rank) sendScalar(dst, tag int, v float64) {
-	r.checkDst(dst)
-	cp := r.pool.get(1)
-	cp[0] = v
-	r.post(dst, tag, 8, f64Msg(cp))
-}
-
-func (r *Rank) recvScalar(src, tag int) float64 {
-	r.checkFault()
-	m := r.world.boxes[r.id].take(src, tag)
-	r.clk.AdvanceTo(m.arriveAt)
-	r.checkFault()
-	buf := m.f64()
-	v := buf[0]
-	r.pool.put(buf)
-	return v
-}
-
 // AllreduceScalar is Allreduce for a single value — the reduction under
-// every distributed dot product, so it runs twice per Krylov iteration on
-// every rank. It mirrors Reduce(0)+Bcast(0) exactly (same binomial trees,
-// tag sequence, message sizes and combination order, hence bit-identical
-// values and virtual times) while keeping the payloads pooled.
+// every distributed dot product, so it runs several times per Krylov
+// iteration on every rank.
+//
+// Its virtual outcome is that of Allreduce over one-element payloads, rank by
+// rank and bit for bit: the binomial Reduce to rank 0 and Bcast from it, with
+// their tags, message sizes, combination order, clock charges, message and
+// pool counts and fault points. On the host no message moves. Each rank files
+// its value and parks; the event that completes the set — the last rank
+// arriving, or a rank exiting (World.markDead) while every other rank is
+// parked here — replays both trees over every rank's state at once and wakes
+// each rank with its verdict: the result, or death at the point of the tree
+// where the rank would have died.
 func (r *Rank) AllreduceScalar(op ReduceOp, x float64) float64 {
-	p := r.Size()
-	acc := x
-	// Reduce to rank 0 (kindReduce tag, as Allreduce's Reduce leg).
-	tag := r.collTag(kindReduce)
-	if p > 1 {
-		rel := r.id
-		for mask := 1; mask < p; mask <<= 1 {
-			if rel&mask == 0 {
-				if rel+mask < p {
-					acc = op.applyScalar(acc, r.recvScalar(rel+mask, tag))
-				}
-			} else {
-				r.sendScalar(rel-mask, tag, acc)
-				break
-			}
+	tags := [2]int{r.collTag(kindReduce), r.collTag(kindBcast)}
+	if r.Size() == 1 {
+		return x
+	}
+	s := &r.world.scalar
+	sl := &s.slots[r.id]
+	s.mu.Lock()
+	sl.x, sl.op, sl.tags = x, op, tags
+	s.in++
+	if s.in+s.out == len(s.slots) {
+		s.resolve()
+		s.mu.Unlock()
+		s.wake(r.id)
+	} else {
+		s.mu.Unlock()
+		<-sl.wake
+	}
+	if sl.dead {
+		panic(killedPanic{})
+	}
+	return sl.x
+}
+
+// scalarColl is a world's scalar allreduce: one slot per rank, made once per
+// world by Run, and the count of ranks the pending collective is waiting on.
+// mu guards the counts and the slots (but see wake), and the state of every
+// parked rank (clock, recorder, pool counts), which resolve charges in the
+// rank's stead.
+type scalarColl struct {
+	mu    sync.Mutex
+	slots []scalarSlot
+	// in counts the ranks parked in the pending collective, out the ranks
+	// that have exited. The collective is complete when they add up to P.
+	in, out int
+}
+
+// scalarSlot is one rank's part in the scalar allreduce.
+type scalarSlot struct {
+	r *Rank
+	// x is the rank's contribution and, once resolved, its result.
+	x    float64
+	op   ReduceOp
+	tags [2]int // reduce and broadcast tags of the rank's collective
+	// exited is set when the rank's goroutine ends: it never sends again.
+	// dead is the verdict that the collective kills the rank.
+	exited, dead bool
+	// sent, val and at are the message in flight between the rank and its
+	// tree parent — up the reduce tree, then down the broadcast tree.
+	sent    bool
+	val, at float64
+	wake    chan struct{}
+}
+
+// resolve completes the pending collective once every rank has arrived or
+// exited, leaving each arrived rank's verdict in its slot for wake to deliver.
+// It runs each arrived rank's part of the two trees in an order where every
+// message is sent before its receive comes up: in the reduce, children have
+// lower lowest set bits than their parent and rank 0 goes last; in the
+// broadcast, rank 0 goes first and parents have higher ones. A receive that
+// finds no message finds a sender that has died or exited, and kills the
+// receiver as take would.
+func (s *scalarColl) resolve() {
+	p := len(s.slots)
+	for low := 1; low < p; low <<= 1 {
+		for i := low; i < p; i += 2 * low {
+			s.reduce(i)
 		}
 	}
-	// Bcast from rank 0 (kindBcast tag, as Allreduce's Bcast leg).
-	tag = r.collTag(kindBcast)
-	if p > 1 {
-		rel := r.id
-		mask := 1
-		for mask < p {
-			if rel&mask != 0 {
-				acc = r.recvScalar(rel-mask, tag)
-				break
-			}
-			mask <<= 1
-		}
-		mask >>= 1
-		for ; mask > 0; mask >>= 1 {
-			if rel+mask < p {
-				r.sendScalar(rel+mask, tag, acc)
-			}
+	s.reduce(0)
+	s.strand(false)
+	s.bcast(0)
+	for low := 1 << (bits.Len(uint(p-1)) - 1); low > 0; low >>= 1 {
+		for i := low; i < p; i += 2 * low {
+			s.bcast(i)
 		}
 	}
-	return acc
+	s.strand(true)
+	s.in = 0
+}
+
+// wake wakes every rank parked in the collective resolve has just completed,
+// that is every rank but self (-1 when an exit resolved it) that had not
+// exited. It runs after mu is released: until it has woken them all, no
+// parked rank can arrive again, so no other collective can complete, and a
+// rank's exited flag is written only by the rank itself, never while it is
+// parked.
+func (s *scalarColl) wake(self int) {
+	for i := range s.slots {
+		if i != self && !s.slots[i].exited {
+			s.slots[i].wake <- struct{}{}
+		}
+	}
+}
+
+// reduce is rank i's Reduce leg: fold in the children i+1, i+2, i+4, …
+// below its lowest set bit, in that order, then send to the parent.
+func (s *scalarColl) reduce(i int) {
+	sl := &s.slots[i]
+	if sl.exited {
+		return
+	}
+	sl.dead = false
+	acc := sl.x
+	for mask := 1; mask < len(s.slots); mask <<= 1 {
+		if i&mask != 0 {
+			sl.send(i-mask, acc, sl)
+			return
+		}
+		if c := i + mask; c < len(s.slots) {
+			v, ok := sl.recv(&s.slots[c])
+			if !ok {
+				return
+			}
+			acc = sl.op.applyScalar(acc, v)
+		}
+	}
+	sl.x = acc
+}
+
+// bcast is rank i's Bcast leg: receive from the parent (rank 0 has none),
+// then send to the children below the lowest set bit, largest first.
+func (s *scalarColl) bcast(i int) {
+	sl := &s.slots[i]
+	if sl.exited || sl.dead {
+		return
+	}
+	mask := 1
+	for mask < len(s.slots) && i&mask == 0 {
+		mask <<= 1
+	}
+	if i != 0 {
+		v, ok := sl.recv(sl)
+		if !ok {
+			return
+		}
+		sl.x = v
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if c := i + mask; c < len(s.slots) && !sl.send(c, sl.x, &s.slots[c]) {
+			return
+		}
+	}
+}
+
+// send is a one-element send by the slot's rank, leaving the message in
+// msg: the fault check, the counted pool draw and the charge, as SendF64
+// makes them.
+func (sl *scalarSlot) send(dst int, v float64, msg *scalarSlot) bool {
+	r := sl.r
+	if r.due() {
+		sl.dead = true
+		return false
+	}
+	r.pool.gets++
+	msg.val, msg.at, msg.sent = v, r.chargeSend(dst, 8), true
+	return true
+}
+
+// recv is the matching receive by the slot's rank: fault check, take, clock
+// advance to the arrival, fault check, counted return of the payload.
+func (sl *scalarSlot) recv(msg *scalarSlot) (float64, bool) {
+	r := sl.r
+	if r.due() || !msg.sent {
+		sl.dead = true
+		return 0, false
+	}
+	msg.sent = false
+	r.clk.AdvanceTo(msg.at)
+	if r.due() {
+		sl.dead = true
+		return 0, false
+	}
+	r.pool.puts++
+	return msg.val, true
+}
+
+// strand leaves each message of one leg that its receiver never took, having
+// died first, in the receiver's mailbox, where the message tree leaves it, so
+// that a revoke counts it (Shrink.Revoked). It carries no payload.
+func (s *scalarColl) strand(bcast bool) {
+	for c := 1; c < len(s.slots); c++ {
+		sl := &s.slots[c]
+		if !sl.sent {
+			continue
+		}
+		sl.sent = false
+		parent := c - c&-c
+		src, dst, tag := c, parent, sl.tags[0]
+		if bcast {
+			src, dst, tag = parent, c, s.slots[parent].tags[1]
+		}
+		sl.r.world.boxes[dst].put(message{src: int32(src), tag: tag, arriveAt: sl.at})
+	}
+}
+
+// exit records that rank id has exited and resolves the pending collective
+// if the rank was the last one it waited on.
+func (s *scalarColl) exit(id int) {
+	s.mu.Lock()
+	s.slots[id].exited = true
+	s.out++
+	done := s.in > 0 && s.in+s.out == len(s.slots)
+	if done {
+		s.resolve()
+	}
+	s.mu.Unlock()
+	if done {
+		s.wake(-1)
+	}
 }
 
 // Gather collects each rank's (variable-length) data on root, returned as a

@@ -1,10 +1,18 @@
 package mp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
+
+	"heterohpc/internal/netmodel"
+	"heterohpc/internal/obs"
+	"heterohpc/internal/vclock"
 )
 
 // The vector collectives as they were before they recycled their vectors:
@@ -196,5 +204,439 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The scalar allreduce as it was when it moved messages: the binomial Reduce
+// to rank 0 and Bcast from it, each message one pooled one-element payload
+// taken from the sender's mailbox side. It is the oracle for AllreduceScalar,
+// which must leave every rank with the same bits, clock, per-phase charges,
+// message and pool counts, death and stranded messages. A non-nil trace
+// records each rank's clock at the fault checks of one call and at its
+// return; it changes nothing the oracle does.
+
+func refSendScalar(r *Rank, dst, tag int, v float64, tr *scalarTrace) {
+	tr.note(r)
+	r.checkDst(dst)
+	cp := r.pool.get(1)
+	cp[0] = v
+	r.post(dst, tag, 8, f64Msg(cp))
+}
+
+func refRecvScalar(r *Rank, src, tag int, tr *scalarTrace) float64 {
+	tr.note(r)
+	r.checkFault()
+	m := r.world.boxes[r.id].take(src, tag)
+	r.clk.AdvanceTo(m.arriveAt)
+	tr.note(r)
+	r.checkFault()
+	buf := m.f64()
+	v := buf[0]
+	r.pool.put(buf)
+	return v
+}
+
+func refAllreduceScalar(r *Rank, op ReduceOp, x float64, tr *scalarTrace) float64 {
+	p := r.Size()
+	acc := x
+	tag := r.collTag(kindReduce)
+	if p > 1 {
+		rel := r.id
+		for mask := 1; mask < p; mask <<= 1 {
+			if rel&mask == 0 {
+				if rel+mask < p {
+					acc = op.applyScalar(acc, refRecvScalar(r, rel+mask, tag, tr))
+				}
+			} else {
+				refSendScalar(r, rel-mask, tag, acc, tr)
+				break
+			}
+		}
+	}
+	tag = r.collTag(kindBcast)
+	if p > 1 {
+		rel := r.id
+		mask := 1
+		for mask < p {
+			if rel&mask != 0 {
+				acc = refRecvScalar(r, rel-mask, tag, tr)
+				break
+			}
+			mask <<= 1
+		}
+		mask >>= 1
+		for ; mask > 0; mask >>= 1 {
+			if rel+mask < p {
+				refSendScalar(r, rel+mask, tag, acc, tr)
+			}
+		}
+	}
+	tr.done(r)
+	return acc
+}
+
+// scalarTrace records, for call number call of every rank, the rank's clock
+// at each fault check and at return: every clock at which a node crash can
+// stop the rank inside that call. Each rank writes only its own entries.
+type scalarTrace struct {
+	call   int
+	calls  []int
+	clocks [][]float64
+}
+
+func newScalarTrace(p, call int) *scalarTrace {
+	return &scalarTrace{call: call, calls: make([]int, p), clocks: make([][]float64, p)}
+}
+
+func (tr *scalarTrace) note(r *Rank) {
+	if tr != nil && tr.calls[r.id] == tr.call {
+		tr.clocks[r.id] = append(tr.clocks[r.id], r.Wtime())
+	}
+}
+
+func (tr *scalarTrace) done(r *Rank) {
+	if tr != nil {
+		tr.note(r)
+		tr.calls[r.id]++
+	}
+}
+
+// scalarImpl is a scalar allreduce under comparison.
+type scalarImpl func(r *Rank, op ReduceOp, x float64) float64
+
+func treeScalar(tr *scalarTrace) scalarImpl {
+	return func(r *Rank, op ReduceOp, x float64) float64 { return refAllreduceScalar(r, op, x, tr) }
+}
+
+// scalarBody is the SPMD body of a comparison run: it calls allreduce and
+// logs every result it gets.
+type scalarBody func(r *Rank, allreduce scalarImpl, log *[]float64) error
+
+// scalarRank is what one rank shows after a run: the result of every call it
+// completed, whether it unwound, its clock, its communication time per phase
+// and its message counts.
+type scalarRank struct {
+	vals       []float64
+	unwound    bool
+	now        float64
+	comm       []float64
+	msgs, msgB int64
+}
+
+// scalarOutcome is what a whole run shows: its ranks, Run's error, the
+// recorded failure, the counted pool traffic, the journal and metrics, and
+// the messages left pending (revoked by Shrink if the world is poisoned, by
+// Grow otherwise).
+type scalarOutcome struct {
+	ranks            []scalarRank
+	err              string
+	failure          Failure
+	down             bool
+	gets, puts       int64
+	journal, metrics string
+	revoked          int
+}
+
+// runScalar runs body over allreduce on a fresh observed world from mk.
+func runScalar(t *testing.T, mk func() *World, allreduce scalarImpl, body scalarBody) scalarOutcome {
+	t.Helper()
+	w := mk()
+	run := obs.NewRun()
+	w.Observe(run)
+	out := scalarOutcome{ranks: make([]scalarRank, w.Size())}
+	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
+		o := &out.ranks[r.ID()]
+		o.unwound = true
+		err := body(r, allreduce, &o.vals)
+		o.unwound = false
+		return err
+	})
+	w.FlushObs()
+	if err != nil {
+		out.err = err.Error()
+	}
+	for i, clk := range w.Clocks() {
+		o := &out.ranks[i]
+		o.now = clk.Now()
+		for _, ph := range vclock.Phases {
+			o.comm = append(o.comm, clk.PhaseComm(ph))
+		}
+		_, _, o.msgs, o.msgB = clk.Counters()
+	}
+	out.failure, out.down = w.Failure()
+	out.gets, out.puts = w.pool.gets.Load(), w.pool.puts.Load()
+	var j, m strings.Builder
+	if err := run.WriteJournal(&j); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.WriteMetrics(&m); err != nil {
+		t.Fatal(err)
+	}
+	out.journal, out.metrics = j.String(), m.String()
+	if out.down {
+		sr, err := w.Shrink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.revoked = sr.Revoked
+	} else {
+		gr, err := w.Grow([]int{1}, []int{0}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.revoked = gr.Revoked
+	}
+	return out
+}
+
+// diffScalar reports every way got differs from the oracle's want.
+func diffScalar(t *testing.T, name string, got, want scalarOutcome) {
+	t.Helper()
+	if got.err != want.err || got.failure != want.failure || got.down != want.down {
+		t.Errorf("%s: Run returned %q with failure %+v (%v); tree %q, %+v (%v)",
+			name, got.err, got.failure, got.down, want.err, want.failure, want.down)
+	}
+	if got.gets != want.gets || got.puts != want.puts || got.revoked != want.revoked {
+		t.Errorf("%s: pool traffic %d gets, %d puts, %d messages pending; tree %d, %d, %d",
+			name, got.gets, got.puts, got.revoked, want.gets, want.puts, want.revoked)
+	}
+	if got.journal != want.journal || got.metrics != want.metrics {
+		t.Errorf("%s: journal or metrics differ from the tree's:\n%s\n%s\ntree:\n%s\n%s",
+			name, got.metrics, lastLines(got.journal, 3), want.metrics, lastLines(want.journal, 3))
+	}
+	for id := range want.ranks {
+		g, w := got.ranks[id], want.ranks[id]
+		if g.unwound != w.unwound || g.now != w.now || g.msgs != w.msgs || g.msgB != w.msgB || !slices.Equal(g.comm, w.comm) {
+			t.Errorf("%s rank %d: unwound %v at %v, comm %v, %d messages, %d bytes; tree %v at %v, %v, %d, %d",
+				name, id, g.unwound, g.now, g.comm, g.msgs, g.msgB, w.unwound, w.now, w.comm, w.msgs, w.msgB)
+			return
+		}
+		if len(g.vals) != len(w.vals) {
+			t.Errorf("%s rank %d: %d results, tree %d", name, id, len(g.vals), len(w.vals))
+			return
+		}
+		for i := range w.vals {
+			if math.Float64bits(g.vals[i]) != math.Float64bits(w.vals[i]) {
+				t.Errorf("%s rank %d: result %d is %v (%#x), tree %v (%#x)",
+					name, id, i, g.vals[i], math.Float64bits(g.vals[i]), w.vals[i], math.Float64bits(w.vals[i]))
+				return
+			}
+		}
+	}
+}
+
+func lastLines(s string, n int) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	return strings.Join(lines[max(0, len(lines)-n):], "\n")
+}
+
+// scalarWorld builds a world of p ranks, perNode to a node, on the 10 GbE
+// model, with node n in placement group n%groups.
+func scalarWorld(t *testing.T, p, perNode, groups int) *World {
+	t.Helper()
+	nodeOf := make([]int, p)
+	for i := range nodeOf {
+		nodeOf[i] = i / perNode
+	}
+	groupOf := make([]int, (p+perNode-1)/perNode)
+	for n := range groupOf {
+		groupOf[n] = n % groups
+	}
+	topo, err := NewTopology(nodeOf, groupOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := netmodel.NewFabric(netmodel.TenGigE, topo.NNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9, BytesPerSec: 1e10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// scalarScript is the comparison body: calls rounds of Sum, Max and Min, each
+// rank entering every call after its own seeded compute charge, with inputs
+// drawn from values whose combination depends on the fold order (NaNs of two
+// signs and payloads, signed zeros, infinities, extremes), and each round
+// charged to another phase.
+func scalarScript(calls int) scalarBody {
+	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), 1, -2.5, 0.1, 1e308, 5e-324}
+	ops := []ReduceOp{OpSum, OpMax, OpMin}
+	return func(r *Rank, allreduce scalarImpl, log *[]float64) error {
+		rng := rand.New(rand.NewSource(int64(r.ID())))
+		for call := 0; call < calls; call++ {
+			r.Clock().SetPhase(vclock.Phases[call/len(ops)%len(vclock.Phases)])
+			r.ChargeCompute(float64(rng.Intn(1<<17)), 0)
+			*log = append(*log, allreduce(r, ops[call%len(ops)], specials[rng.Intn(len(specials))]))
+		}
+		return nil
+	}
+}
+
+// TestScalarAllreduceMatchesTree runs one script through the message tree
+// and through AllreduceScalar, in identical observed worlds, and requires the
+// same outcome rank by rank: result bits, clock, per-phase communication,
+// message counts; and in the world the counted pool traffic, journal and
+// metrics. The worlds span one node or many, one placement group or three,
+// and one has degraded links on every node, each window opening inside the
+// first call: halfway between the entry and the return of the node's first
+// rank, as the tree times them.
+func TestScalarAllreduceMatchesTree(t *testing.T) {
+	const calls = 12
+	body := scalarScript(calls)
+	for _, p := range []int{1, 2, 3, 5, 8, 27, 64, 129} {
+		tr := newScalarTrace(p, 0)
+		runScalar(t, func() *World { return scalarWorld(t, p, 4, 1) }, treeScalar(tr), body)
+		for _, tc := range []struct {
+			name string
+			mk   func() *World
+		}{
+			{"one node", func() *World { return scalarWorld(t, p, p, 1) }},
+			{"nodes", func() *World { return scalarWorld(t, p, 4, 1) }},
+			{"groups", func() *World { return scalarWorld(t, p, 3, 3) }},
+			{"degraded", func() *World {
+				w := scalarWorld(t, p, 4, 1)
+				for n := 0; n < w.topo.NNodes(); n++ {
+					ck := tr.clocks[4*n]
+					from := (ck[0] + ck[len(ck)-1]) / 2
+					if err := w.ScheduleDegrade(n, from, from+1e-3*float64(1+n%3), 1.5+float64(n%4)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return w
+			}},
+		} {
+			want := runScalar(t, tc.mk, treeScalar(nil), body)
+			got := runScalar(t, tc.mk, (*Rank).AllreduceScalar, body)
+			diffScalar(t, fmt.Sprintf("P=%d %s", p, tc.name), got, want)
+		}
+	}
+}
+
+// TestScalarAllreduceFaultsMatchTree kills one node at every virtual time
+// where it can stop a rank inside one call of the tree — each of its ranks'
+// clocks at a fault check of that call, and at the call's return — so the
+// crash lands before a rank's entry, after a child's message has arrived and
+// before the send up, on either side of the broadcast receive, between two
+// broadcast sends, and after the call, where the next one trips. Every rank's
+// outcome and clock, the failure record, Run's error and the messages left
+// pending must be the tree's.
+func TestScalarAllreduceFaultsMatchTree(t *testing.T) {
+	const calls, traced = 6, 2
+	body := scalarScript(calls)
+	for _, tc := range []struct{ p, perNode, node int }{
+		{8, 2, 1},
+		{27, 4, 1},
+		{27, 4, 0}, // the root's node
+		{64, 16, 3},
+	} {
+		mk := func(at float64) func() *World {
+			return func() *World {
+				w := scalarWorld(t, tc.p, tc.perNode, 2)
+				if at >= 0 {
+					if err := w.ScheduleNodeCrash(tc.node, at); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return w
+			}
+		}
+		tr := newScalarTrace(tc.p, traced)
+		runScalar(t, mk(-1), treeScalar(tr), body)
+		var times []float64
+		for id := tc.node * tc.perNode; id < min(tc.p, (tc.node+1)*tc.perNode); id++ {
+			times = append(times, tr.clocks[id]...)
+		}
+		slices.Sort(times)
+		for _, at := range slices.Compact(times) {
+			want := runScalar(t, mk(at), treeScalar(nil), body)
+			if !want.down {
+				t.Fatalf("P=%d: node %d crash at %v never reached", tc.p, tc.node, at)
+			}
+			got := runScalar(t, mk(at), (*Rank).AllreduceScalar, body)
+			diffScalar(t, fmt.Sprintf("P=%d node %d crash at %v", tc.p, tc.node, at), got, want)
+		}
+	}
+}
+
+// TestScalarAllreduceExitsMatchTree lets one rank leave the script around one
+// call — returning an error before it, or returning right after it while the
+// others go on to the next — and requires every rank's outcome and clock, and
+// the messages left pending, to be the tree's. Each exit is made twice: at
+// once, and once every other rank is parked in AllreduceScalar, so that the
+// exit itself completes the collective.
+func TestScalarAllreduceExitsMatchTree(t *testing.T) {
+	const calls, at = 6, 3
+	errLeft := errors.New("left the script")
+	for _, tc := range []struct {
+		p, rank int
+		after   bool
+	}{
+		{2, 1, false}, {2, 0, true},
+		{8, 5, false}, {8, 6, true}, {8, 0, false},
+		{27, 12, false}, {27, 13, true},
+	} {
+		// The leaver runs the first calls of the same script: its inputs
+		// and charges up to its exit are the script's.
+		leaver, leaveErr := scalarScript(at), errLeft
+		if tc.after {
+			leaver, leaveErr = scalarScript(at+1), nil
+		}
+		body := func(parked bool) scalarBody {
+			return func(r *Rank, allreduce scalarImpl, log *[]float64) error {
+				if r.ID() != tc.rank {
+					return scalarScript(calls)(r, allreduce, log)
+				}
+				if err := leaver(r, allreduce, log); err != nil {
+					return err
+				}
+				if parked && !waitFor(func() bool {
+					s := &r.world.scalar
+					s.mu.Lock()
+					defer s.mu.Unlock()
+					return s.in == r.Size()-1
+				}) {
+					return errors.New("the other ranks never parked")
+				}
+				return leaveErr
+			}
+		}
+		mk := func() *World { return scalarWorld(t, tc.p, 4, 1) }
+		want := runScalar(t, mk, treeScalar(nil), body(false))
+		for _, parked := range []bool{false, true} {
+			got := runScalar(t, mk, (*Rank).AllreduceScalar, body(parked))
+			diffScalar(t, fmt.Sprintf("P=%d rank %d leaves at call %d (after %v, others parked %v)", tc.p, tc.rank, at, tc.after, parked), got, want)
+		}
+	}
+}
+
+// TestScalarAllreduceZeroAlloc holds AllreduceScalar at zero allocations per
+// call across a 27-rank world: the shared state and each rank's wake channel
+// are made once, by Run.
+func TestScalarAllreduceZeroAlloc(t *testing.T) {
+	const p, runs = 27, 200
+	w := testWorld(t, p, 8)
+	var allocs float64
+	err := w.Run(func(r *Rank) error {
+		call := func() { r.AllreduceScalar(OpSum, 1) }
+		call()
+		if r.ID() == 0 {
+			allocs = testing.AllocsPerRun(runs, call)
+			return nil
+		}
+		for i := 0; i <= runs; i++ {
+			call()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("AllreduceScalar on %d ranks: %v allocs per call, want 0", p, allocs)
 	}
 }

@@ -22,6 +22,14 @@
 // mailbox records the (source, tag) its owner waits for, and markDead reads
 // those records instead of waking every mailbox of the world.
 //
+// The scalar allreduce keeps both rules without moving a message. It
+// resolves only when every rank has either arrived in it or exited, and then
+// replays each arrived rank's fault checks, sends and receives of the
+// message trees: a rank whose clock reaches its node's kill time at a check
+// dies at that check, and a receive whose sender died earlier in the trees,
+// or exited without arriving, kills the receiver there. Each rank thus dies
+// where, and with the clock at which, the trees would have stopped it.
+//
 // The set of operations each rank completes before dying — and therefore
 // the set of checkpoints it saved — is thus a function of the program and
 // the fault schedule alone, so equal seeds produce equal failures AND
@@ -117,17 +125,16 @@ func (w *World) MaxVirtualTime() float64 {
 	return max
 }
 
-// trip poisons the world — it records the failure and unwinds the calling
-// rank. Idempotent beyond the first call. Waking the ranks blocked on the
-// dying rank's messages happens in markDead, once the unwind completes and
-// the rank truly can never send again.
-func (w *World) trip(node int, at float64) {
+// fail poisons the world: it records node's crash at virtual time at as the
+// failure, unless one is recorded already. Waking the ranks blocked on the
+// dying rank's messages happens in markDead, once the rank has unwound and
+// truly can never send again.
+func (w *World) fail(node int, at float64) {
 	w.failMu.Lock()
 	if !w.down {
 		w.failure, w.down = Failure{Node: node, At: at}, true
 	}
 	w.failMu.Unlock()
-	panic(killedPanic{})
 }
 
 // markDead records that rank id has terminally exited and wakes the ranks
@@ -138,6 +145,9 @@ func (w *World) trip(node int, at float64) {
 // the death before it parks or is seen here.
 // Seen, it may still hold its lock on the way into cond.Wait: taking the lock
 // before signalling waits until it is enrolled.
+// Ranks parked in a scalar allreduce wait on no sender: the exit counts
+// towards the collective, which it resolves if every other rank is parked in
+// it.
 func (w *World) markDead(id int) {
 	w.rankDead[id].Store(true)
 	for _, mb := range w.boxes {
@@ -151,23 +161,35 @@ func (w *World) markDead(id int) {
 		}
 		mb.mu.Unlock()
 	}
+	w.scalar.exit(id)
 }
 
 // checkFault is called on every send and receive path: it fires this
 // rank's own node crash when the rank's virtual clock has reached it.
 // Deaths of other ranks are observed only through unsatisfiable receives
 // (mailbox.take, the one blocking path, which every receive goes through
-// because every receive names its sender), never through a global flag, so
-// each rank's progress at death is deterministic rather than a wall-clock
-// race.
+// because every receive names its sender, and the scalar allreduce's
+// replay of it), never through a global flag, so each rank's progress at
+// death is deterministic rather than a wall-clock race.
 func (r *Rank) checkFault() {
+	if r.due() {
+		panic(killedPanic{})
+	}
+}
+
+// due reports whether this rank's node crash has come due at the rank's
+// virtual time, recording the failure if so: checkFault without the unwind,
+// for AllreduceScalar, which checks parked ranks.
+func (r *Rank) due() bool {
 	w := r.world
 	if w.killAt != nil {
 		node := w.topo.NodeOf[r.id]
 		if at := w.killAt[node]; r.clk.Now() >= at {
-			w.trip(node, at)
+			w.fail(node, at)
+			return true
 		}
 	}
+	return false
 }
 
 // commFactor returns the degradation multiplier in effect for rank r at

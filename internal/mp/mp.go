@@ -14,6 +14,8 @@
 // Allgather, Alltoall) are implemented on top of point-to-point messages
 // with binomial-tree / ring algorithms, so their virtual cost emerges from
 // the same network model rather than being postulated separately.
+// AllreduceScalar charges exactly what Allreduce's trees would, but resolves
+// on state the ranks share instead of moving messages.
 package mp
 
 import (
@@ -502,6 +504,9 @@ type World struct {
 	// again (Shrink revokes its mailboxes, Grow transplants them).
 	shrunk bool
 
+	// scalar is the shared state of AllreduceScalar, set up by Run.
+	scalar scalarColl
+
 	// Fault-injection state (see fault.go). killAt and degrades are fixed
 	// before Run; down/failure, under failMu, record the first scheduled
 	// crash reached. They are a report for Failure's callers — Run's error
@@ -611,13 +616,17 @@ func (w *World) Run(body func(r *Rank) error) error {
 	}
 	p := w.Size()
 	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
+	w.scalar.slots = make([]scalarSlot, p)
+	for i := range w.scalar.slots {
 		rank := &Rank{world: w, id: i, clk: w.clocks[i], pool: rankPool{shared: w.pool}}
 		if w.recs != nil {
 			rank.rec = w.recs[i]
 		}
+		w.scalar.slots[i] = scalarSlot{r: rank, wake: make(chan struct{}, 1)}
+	}
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for i := range w.scalar.slots {
 		go func(rk *Rank) {
 			defer wg.Done()
 			defer rk.pool.drain()
@@ -640,7 +649,7 @@ func (w *World) Run(body func(r *Rank) error) error {
 				}
 			}()
 			errs[rk.id] = body(rk)
-		}(rank)
+		}(w.scalar.slots[i].r)
 	}
 	wg.Wait()
 	for i, err := range errs {

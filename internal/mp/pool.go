@@ -27,8 +27,9 @@ import (
 // ownership to the application (RecvF64, and through it the results of Bcast,
 // Allreduce, Gather and the like) — the buffer then leaves the pool for good
 // — or copies/scatters the payload out and returns the buffer with put
-// (RecvF64Into, RecvF64Scatter, RecvF64AddScatter, scalar collectives). The
-// vector collectives own buffers in between: Reduce draws its accumulator
+// (RecvF64Into, RecvF64Scatter, RecvF64AddScatter). AllreduceScalar moves no
+// buffer but counts a get for each message its trees would send and a put for
+// each they would receive. The vector collectives own buffers in between: Reduce draws its accumulator
 // (scratch), folds each child's payload in and returns it (release), and
 // either sends the accumulator itself up the tree (sendOwned) or, on the
 // root, hands it to the caller; ExchangeInts returns both its indicator and

@@ -263,8 +263,9 @@ func benchHaloExchangeP1000(b *testing.B) {
 }
 
 // benchAllreduceScalarP512 is the reduction under every distributed dot
-// product, two per Krylov iteration on every rank: a binomial-tree reduce
-// and broadcast of one pooled float64 across 512 ranks. allocs/op must be 0.
+// product, two per Krylov iteration on every rank: 512 ranks file one
+// float64 each, and the last to arrive resolves the binomial reduce and
+// broadcast for all of them. allocs/op must be 0.
 func benchAllreduceScalarP512(b *testing.B) {
 	benchInWorld(b, 512, func(r *mp.Rank) (func(), error) {
 		return func() { r.AllreduceScalar(mp.OpSum, 1) }, nil
