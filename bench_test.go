@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"heterohpc/internal/bench"
-	"heterohpc/internal/perf"
 	"heterohpc/internal/provision"
 	"heterohpc/internal/spot"
 )
@@ -177,18 +176,4 @@ func BenchmarkSpotAcquisition(b *testing.B) {
 		spotShare = float64(a.SpotCount()) / 63
 	}
 	b.ReportMetric(spotShare, "spot-share")
-}
-
-// BenchmarkRDIteration measures one full platform-modelled RD run (the unit
-// of every figure) at quickstart size: the tracked rd-iteration case of
-// internal/perf, whose allocation ceilings CI enforces.
-func BenchmarkRDIteration(b *testing.B) {
-	b.ReportAllocs()
-	for _, c := range perf.Cases() {
-		if c.Name == "rd-iteration" {
-			c.Bench(b)
-			return
-		}
-	}
-	b.Fatal("rd-iteration case missing from the tracked set")
 }

@@ -34,7 +34,6 @@ import (
 	"heterohpc/internal/bench"
 	"heterohpc/internal/core"
 	"heterohpc/internal/obs"
-	"heterohpc/internal/perf"
 	"heterohpc/internal/trace"
 	"heterohpc/internal/triage"
 )
@@ -80,10 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 0, "faults command: autoscaler backoff retries after an exhausted acquisition (0 = default 4, negative = none)")
 	regrow := fs.Bool("regrow", false, "faults command: let the migrate autoscaler re-provision width lost to earlier degradations")
 	tracePath := fs.String("trace", "", "faults command: also write the recovered timeline with decision markers as a Chrome trace to this file")
-	benchOut := fs.String("out", "BENCH.json", "perf command: output path for the benchmark report")
-	benchFilter := fs.String("filter", "", "perf command: only run cases whose name contains this substring")
-	cpuProfile := fs.String("cpuprofile", "", "perf command: write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "perf command: write a heap profile to this file")
 	journalPath := fs.String("journal", "", "write the run's deterministic event journal (JSONL) to this file")
 	metricsPath := fs.String("metrics", "", "write the run's metric registry (JSON) to this file")
 	window := fs.Int("window", 3, "journal-diff: surrounding lines shown around the divergence")
@@ -96,6 +91,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed < 0 {
 		fmt.Fprintf(stderr, "heterobench: -seed %d is negative; the availability and spot-market models need a seed >= 0\n\n", *seed)
 		usage(stderr)
+		return 2
+	}
+	// negativeSize reports the first size flag set below zero. 0 keeps each
+	// one's default meaning; a negative size has none.
+	negativeSize := func() bool {
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"n", *n}, {"steps", *steps}, {"skip", *skip}, {"max", *maxRanks}, {"nodes", *nodes}, {"global", *globalN}} {
+			if f.v < 0 {
+				fmt.Fprintf(stderr, "heterobench: -%s %d is negative\n", f.name, f.v)
+				return true
+			}
+		}
+		return false
+	}
+	if negativeSize() {
 		return 2
 	}
 	var obsRun *obs.Run
@@ -163,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			oldPath, newPath = rest[0], rest[1]
 			rest = rest[2:]
 		}
-		if err := fs.Parse(rest); err != nil {
+		if err := fs.Parse(rest); err != nil || negativeSize() {
 			return 2
 		}
 		if *sweep && oldPath != "" {
@@ -196,8 +208,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Policy: *policy,
 			},
 		})
-	case "perf":
-		err = runPerf(stderr, *benchOut, *benchFilter, *cpuProfile, *memProfile)
 	case "all":
 		err = runAll(stdout, stderr, opts, *nodes)
 	case "help", "-h", "--help":
@@ -381,30 +391,10 @@ commands:
                           checkpoint before the divergence and dump solver/world state
                           -sweep: first-divergence grid across -platforms × ranks,
                           -seed vs -seed2 (generates its own journals)
-  perf [-out BENCH.json]  host-performance harness: tracked ns/op, B/op, allocs/op
-                          -filter substr, -cpuprofile out.pb.gz, -memprofile out.pb.gz
   all                     run everything
 
 flags: -n 10 -steps 3 -skip 1 -max 1000 -platforms puma,ellipse,lagrange,ec2 -seed 2012
        -journal run.jsonl -metrics metrics.json (deterministic run observability)`)
-}
-
-func runPerf(stderr io.Writer, outPath, filter, cpuProfile, memProfile string) error {
-	return perf.Profile(cpuProfile, memProfile, func() error {
-		rep := perf.Run(filter, stderr)
-		// Carry the reference numbers forward from the previous report and
-		// show each case against them; a missing file just means there is no
-		// baseline yet.
-		if old, err := perf.ReadJSON(outPath); err == nil {
-			rep.Baseline = old.Baseline
-		}
-		fmt.Fprint(stderr, perf.FormatComparison(rep))
-		if err := perf.WriteJSON(rep, outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", outPath)
-		return nil
-	})
 }
 
 func runWeak(stdout, stderr io.Writer, app string, opts bench.Options, csvPath string) error {

@@ -138,6 +138,56 @@ func TestValidateFaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadArguments drives the whole CLI in-process: a negative
+// size or seed, or a retired command, must exit 2 up front with a message,
+// never panic, and leave no file behind.
+func TestRunRejectsBadArguments(t *testing.T) {
+	dir := t.TempDir()
+	cwd, _ := os.Getwd()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(cwd)
+	for _, tc := range []struct {
+		args []string
+		want string // on stderr
+	}{
+		{[]string{"rd-weak", "-n", "-2", "-max", "8", "-journal", "run.jsonl"}, "-n -2 is negative"},
+		{[]string{"rd-weak", "-steps", "-1", "-max", "8"}, "-steps -1 is negative"},
+		{[]string{"rd-weak", "-skip", "-1", "-max", "8"}, "-skip -1 is negative"},
+		{[]string{"rd-weak", "-max", "-8", "-csv", "weak.csv"}, "-max -8 is negative"},
+		{[]string{"availability", "-nodes", "-1"}, "-nodes -1 is negative"},
+		{[]string{"bidding", "-nodes", "-4"}, "-nodes -4 is negative"},
+		{[]string{"strong", "-global", "-30", "-metrics", "metrics.json"}, "-global -30 is negative"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-n", "-2"}, "-n -2 is negative"},
+		{[]string{"rd-weak", "-seed", "-1", "-max", "8"}, "-seed -1 is negative"},
+		{[]string{"perf"}, `unknown command "perf"`},
+		{[]string{"rd-weak", "-cpuprofile", "cpu.pprof"}, "not defined: -cpuprofile"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(tc.args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			out := stdout.String() + stderr.String()
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr does not say %q:\n%s", tc.want, out)
+			}
+			if strings.Contains(out, "panic:") || strings.Contains(out, "goroutine") {
+				t.Errorf("output shows a crash:\n%s", out)
+			}
+			files, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				t.Errorf("left %s behind", f.Name())
+				os.Remove(filepath.Join(dir, f.Name()))
+			}
+		})
+	}
+}
+
 func TestRunFaultsCompareWritesDecisionTrace(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "faults_trace.json")

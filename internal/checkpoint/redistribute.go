@@ -93,8 +93,8 @@ func Redistribute(r *mp.Rank, m *mesh.Mesh, grid [3]int, app string, held []Snap
 		r.ChargeCompute(10*float64(len(h.Owned)), l.redistBytes*float64(len(h.Owned)))
 	}
 
-	// Pairwise exchange on the Alltoall schedule; sends are buffered so the
-	// rounds cannot deadlock.
+	// Pairwise exchange (round s sends to rank+s, receives from rank−s);
+	// sends are buffered so the rounds cannot deadlock.
 	recvIDs := [][]int{sendIDs[r.ID()]}
 	recvVals := [][]float64{sendVals[r.ID()]}
 	for s := 1; s < p; s++ {

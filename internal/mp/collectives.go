@@ -48,17 +48,13 @@ func (op ReduceOp) apply(dst, src []float64) {
 // call consumes one sequence number; all ranks execute the same collective
 // sequence so equal numbers pair up. The kind is mixed in so that a
 // mismatched program (rank 0 in a Bcast while rank 1 is in a Reduce) fails
-// loudly by deadlocking in tests rather than silently exchanging data.
+// loudly by deadlocking in tests rather than silently exchanging data. Kinds
+// 3–7 are unused and stay reserved, so that no tag value changes.
 const (
 	collKinds    = 9
 	kindBarrier  = 0
 	kindBcast    = 1
 	kindReduce   = 2
-	kindGather   = 3
-	kindAGather  = 4
-	kindAlltoall = 5
-	kindScatter  = 6
-	kindScan     = 7
 	kindExchange = 8
 )
 
@@ -472,147 +468,4 @@ func (s *scalarColl) exit(id int) {
 	if done {
 		s.wake(-1)
 	}
-}
-
-// Gather collects each rank's (variable-length) data on root, returned as a
-// per-rank slice on root and nil elsewhere.
-func (r *Rank) Gather(root int, data []float64) [][]float64 {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mp: gather root %d out of range", root))
-	}
-	tag := r.collTag(kindGather)
-	if r.id != root {
-		r.SendF64(root, tag, data)
-		return nil
-	}
-	out := make([][]float64, p)
-	own := make([]float64, len(data))
-	copy(own, data)
-	out[root] = own
-	for src := 0; src < p; src++ {
-		if src == root {
-			continue
-		}
-		out[src] = r.RecvF64(src, tag)
-	}
-	return out
-}
-
-// Allgather collects each rank's (variable-length) data on every rank using
-// a ring: P−1 steps, each forwarding one block to the right neighbour.
-func (r *Rank) Allgather(data []float64) [][]float64 {
-	p := r.Size()
-	tag := r.collTag(kindAGather)
-	out := make([][]float64, p)
-	own := make([]float64, len(data))
-	copy(own, data)
-	out[r.id] = own
-	right := (r.id + 1) % p
-	left := (r.id - 1 + p) % p
-	cur := own
-	for step := 1; step < p; step++ {
-		r.SendF64(right, tag, cur)
-		cur = r.RecvF64(left, tag)
-		out[(r.id-step+p)%p] = cur
-	}
-	return out
-}
-
-// Scatter distributes root's per-rank blocks: rank i receives send[i]
-// (send is ignored on non-root ranks).
-func (r *Rank) Scatter(root int, send [][]float64) []float64 {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mp: scatter root %d out of range", root))
-	}
-	tag := r.collTag(kindScatter)
-	if r.id == root {
-		if len(send) != p {
-			panic(fmt.Sprintf("mp: scatter needs %d blocks, got %d", p, len(send)))
-		}
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			r.SendF64(dst, tag, send[dst])
-		}
-		own := make([]float64, len(send[root]))
-		copy(own, send[root])
-		return own
-	}
-	return r.RecvF64(root, tag)
-}
-
-// Scan computes the inclusive prefix reduction: rank i receives
-// op(data₀, …, dataᵢ), using a linear chain (deterministic and exact for
-// the rank-ordered partial sums distributed assembly needs).
-func (r *Rank) Scan(op ReduceOp, data []float64) []float64 {
-	p := r.Size()
-	tag := r.collTag(kindScan)
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	if r.id > 0 {
-		prev := r.RecvF64(r.id-1, tag)
-		// acc = op(prefix, own): apply onto the prefix to preserve order.
-		op.apply(prev, acc)
-		acc = prev
-	}
-	if r.id < p-1 {
-		r.SendF64(r.id+1, tag, acc)
-	}
-	return acc
-}
-
-// ReduceScatter reduces send element-wise across ranks and scatters the
-// result: rank i receives the reduced block that rank-local send[i]
-// contributed to. Implemented as Reduce followed by Scatter.
-func (r *Rank) ReduceScatter(op ReduceOp, send [][]float64) []float64 {
-	p := r.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("mp: reduce-scatter needs %d blocks, got %d", p, len(send)))
-	}
-	// Flatten for the tree reduction.
-	sizes := make([]int, p)
-	total := 0
-	for i, blk := range send {
-		sizes[i] = len(blk)
-		total += len(blk)
-	}
-	flat := make([]float64, 0, total)
-	for _, blk := range send {
-		flat = append(flat, blk...)
-	}
-	reduced := r.Reduce(0, op, flat)
-	var blocks [][]float64
-	if r.id == 0 {
-		blocks = make([][]float64, p)
-		off := 0
-		for i := range blocks {
-			blocks[i] = reduced[off : off+sizes[i]]
-			off += sizes[i]
-		}
-	}
-	return r.Scatter(0, blocks)
-}
-
-// Alltoall delivers send[i] from this rank to rank i and returns the blocks
-// received from every rank, using a pairwise exchange schedule.
-func (r *Rank) Alltoall(send [][]float64) [][]float64 {
-	p := r.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("mp: alltoall needs %d blocks, got %d", p, len(send)))
-	}
-	tag := r.collTag(kindAlltoall)
-	out := make([][]float64, p)
-	own := make([]float64, len(send[r.id]))
-	copy(own, send[r.id])
-	out[r.id] = own
-	for step := 1; step < p; step++ {
-		dst := (r.id + step) % p
-		src := (r.id - step + p) % p
-		r.SendF64(dst, tag, send[dst])
-		out[src] = r.RecvF64(src, tag)
-	}
-	return out
 }

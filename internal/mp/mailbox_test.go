@@ -63,14 +63,13 @@ func TestMailboxFootprintIndependentOfWorldSize(t *testing.T) {
 					}
 				}
 			}
-			buf := make([]float64, 1)
 			for round := 0; round < 3; round++ {
 				for _, q := range peers {
 					r.SendF64(q, 7, []float64{float64(r.ID())})
 				}
 				for _, q := range peers {
-					if r.RecvF64Into(q, 7, buf); buf[0] != float64(q) {
-						return fmt.Errorf("rank %d got %v from %d", r.ID(), buf[0], q)
+					if got := r.RecvF64(q, 7); got[0] != float64(q) {
+						return fmt.Errorf("rank %d got %v from %d", r.ID(), got[0], q)
 					}
 				}
 				if got := r.AllreduceScalar(OpSum, 1); got != float64(p) {

@@ -10,10 +10,10 @@
 // per-phase virtual-time profile that stands in for the paper's wall-clock
 // measurements.
 //
-// Collective operations (Barrier, Bcast, Reduce, Allreduce, Gather,
-// Allgather, Alltoall) are implemented on top of point-to-point messages
-// with binomial-tree / ring algorithms, so their virtual cost emerges from
-// the same network model rather than being postulated separately.
+// Collective operations (Barrier, Bcast, Reduce, Allreduce, ExchangeInts)
+// are implemented on top of point-to-point messages with dissemination and
+// binomial-tree algorithms, so their virtual cost emerges from the same
+// network model rather than being postulated separately.
 // AllreduceScalar charges exactly what Allreduce's trees would, but resolves
 // on state the ranks share instead of moving messages.
 package mp
@@ -789,23 +789,10 @@ func (r *Rank) SendF64Gather(dst, tag int, x []float64, idx []int) {
 // RecvF64 blocks until a float64 message with the given source and tag
 // arrives, advances this rank's clock to the arrival time, and returns the
 // payload. Ownership of the returned slice transfers to the caller; use
-// RecvF64Into or the scatter variants on hot paths so the buffer returns
-// to the world's pool instead.
+// the scatter variants on hot paths so the buffer returns to the world's
+// pool instead.
 func (r *Rank) RecvF64(src, tag int) []float64 {
 	return r.recv(src, tag).f64()
-}
-
-// RecvF64Into receives like RecvF64 but copies the payload into dst and
-// recycles the transport buffer, keeping the steady state allocation-free.
-// dst must have room for the payload; the payload length is returned.
-func (r *Rank) RecvF64Into(src, tag int, dst []float64) int {
-	buf := r.recv(src, tag).f64()
-	if len(dst) < len(buf) {
-		r.reject(buf, fmt.Sprintf("mp: RecvF64Into buffer len %d < payload %d", len(dst), len(buf)))
-	}
-	n := copy(dst, buf)
-	r.pool.put(buf)
-	return n
 }
 
 // RecvF64Scatter receives like RecvF64 but scatters payload element j into

@@ -24,10 +24,10 @@ import (
 // between take and put, or a free stack (a rank's, or the shared one). A
 // send variant obtains a buffer with get, fills it completely and hands it
 // to the destination mailbox; the matching receive either transfers
-// ownership to the application (RecvF64, and through it the results of Bcast,
-// Allreduce, Gather and the like) — the buffer then leaves the pool for good
-// — or copies/scatters the payload out and returns the buffer with put
-// (RecvF64Into, RecvF64Scatter, RecvF64AddScatter). AllreduceScalar moves no
+// ownership to the application (RecvF64, and through it the results of Bcast
+// and Allreduce) — the buffer then leaves the pool for good — or scatters
+// the payload out and returns the buffer with put (RecvF64Scatter,
+// RecvF64AddScatter). AllreduceScalar moves no
 // buffer but counts a get for each message its trees would send and a put for
 // each they would receive. The vector collectives own buffers in between: Reduce draws its accumulator
 // (scratch), folds each child's payload in and returns it (release), and

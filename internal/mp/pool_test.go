@@ -60,8 +60,12 @@ func TestRankLocalPoolBounded(t *testing.T) {
 			return nil
 		}
 		r.RecvF64(0, 4)
+		pos := make([]int, largeSize)
+		for i := range pos {
+			pos[i] = i
+		}
 		for i := 0; i < small; i++ {
-			r.RecvF64Into(0, 3, data)
+			r.RecvF64Scatter(0, 3, data, pos[:smallSize])
 			for c := range r.pool.free {
 				if d := len(r.pool.free[c]); d > deepest {
 					deepest = d
@@ -69,7 +73,7 @@ func TestRankLocalPoolBounded(t *testing.T) {
 			}
 		}
 		for i := 0; i < large; i++ {
-			r.RecvF64Into(0, 5, big)
+			r.RecvF64Scatter(0, 5, big, pos)
 		}
 		return nil
 	})
@@ -138,11 +142,10 @@ func TestCensusBuffersOutliveTheCensus(t *testing.T) {
 	}
 }
 
-// TestRecvLengthMismatchReturnsBuffer checks that the copying receives hand
-// a payload of the wrong length back to the pool before they panic.
+// TestRecvLengthMismatchReturnsBuffer checks that the scattering receives
+// hand a payload of the wrong length back to the pool before they panic.
 func TestRecvLengthMismatchReturnsBuffer(t *testing.T) {
 	recvs := map[string]func(r *Rank){
-		"RecvF64Into":       func(r *Rank) { r.RecvF64Into(0, 3, make([]float64, 2)) },
 		"RecvF64Scatter":    func(r *Rank) { r.RecvF64Scatter(0, 3, make([]float64, 8), []int{0, 1}) },
 		"RecvF64AddScatter": func(r *Rank) { r.RecvF64AddScatter(0, 3, make([]float64, 8), []int{0, 1, 2, 3}) },
 	}

@@ -1,3 +1,8 @@
+// Package perf holds the host-performance gates: benchmarks over the
+// simulator's hot paths whose allocation counts the tests in perf_test.go
+// hold to ceilings (the virtual clock measures the modelled platforms; this
+// package measures the simulator itself). It has no non-test code: run the
+// bodies with `go test -run '^$' -bench . -benchmem ./internal/perf`.
 package perf
 
 import (
@@ -12,37 +17,12 @@ import (
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/platform"
 	"heterohpc/internal/sparse"
-	"heterohpc/internal/vclock"
 )
 
-// Case is one tracked benchmark: a name that stays stable across commits
-// (BENCH.json diffs pair results by it) and a standard benchmark body.
-type Case struct {
-	Name  string
-	Bench func(b *testing.B)
-}
-
-// Cases returns the tracked set. Order is the BENCH.json order.
-func Cases() []Case {
-	return []Case{
-		{Name: "rd-iteration", Bench: benchRDIteration},
-		{Name: "ns-iteration", Bench: benchNSIteration},
-		{Name: "cg-steady-serial", Bench: benchCGSteadySerial},
-		{Name: "gmres-arnoldi", Bench: benchGMRESArnoldi},
-		{Name: "distmatrix-build", Bench: benchDistMatrixBuild},
-		{Name: "distmatrix-rebuild", Bench: benchDistMatrixRebuild},
-		{Name: "ilu0-setup", Bench: benchILU0Setup},
-		{Name: "halo-exchange-p1000", Bench: benchHaloExchangeP1000},
-		{Name: "allreduce-scalar-p512", Bench: benchAllreduceScalarP512},
-		{Name: "space-refill-p27", Bench: benchSpaceRefillP27},
-	}
-}
-
-// benchRDIteration is one full platform-modelled RD run (world setup + two
-// BDF2 steps on 8 ranks) — the unit of every figure, and the case whose
-// allocs/op and bytes/op ceilings the CI perf-smoke step enforces. The root
-// package's BenchmarkRDIteration runs this body.
-func benchRDIteration(b *testing.B) {
+// BenchmarkRDIteration is one full platform-modelled RD run (world setup +
+// two BDF2 steps on 8 ranks) — the unit of every figure, and the case whose
+// allocs/op and bytes/op ceilings the CI perf-smoke step enforces.
+func BenchmarkRDIteration(b *testing.B) {
 	tg, err := core.NewTarget("ec2", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -63,9 +43,9 @@ func benchRDIteration(b *testing.B) {
 	b.ReportMetric(virt, "virtual-s/iter")
 }
 
-// benchNSIteration is the Navier–Stokes equivalent (8 ranks, reduced size:
-// ~4 linear solves per step).
-func benchNSIteration(b *testing.B) {
+// BenchmarkNSIteration is the Navier–Stokes equivalent (8 ranks, reduced
+// size: ~4 linear solves per step).
+func BenchmarkNSIteration(b *testing.B) {
 	tg, err := core.NewTarget("ec2", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -82,10 +62,10 @@ func benchNSIteration(b *testing.B) {
 	}
 }
 
-// benchCGSteadySerial measures repeated warm-workspace CG solves of a 3-D
-// Laplacian — the steady-state solver path with setup excluded; allocs/op
-// must be 0.
-func benchCGSteadySerial(b *testing.B) {
+// BenchmarkCGSteadySerial measures repeated warm-workspace CG solves of a
+// 3-D Laplacian — the steady-state solver path with setup excluded;
+// allocs/op must be 0.
+func BenchmarkCGSteadySerial(b *testing.B) {
 	const nx = 16
 	a := lap3d(nx)
 	n := a.NRows
@@ -114,10 +94,10 @@ func benchCGSteadySerial(b *testing.B) {
 	}
 }
 
-// benchGMRESArnoldi measures warm-workspace restarted GMRES on a
+// BenchmarkGMRESArnoldi measures warm-workspace restarted GMRES on a
 // convection-diffusion operator; allocs/op must be 0 (the per-cycle
 // triangular-solve vector lives in the workspace).
-func benchGMRESArnoldi(b *testing.B) {
+func BenchmarkGMRESArnoldi(b *testing.B) {
 	const n = 400
 	a := convdiff1d(n, 0.4)
 	rhs := make([]float64, n)
@@ -141,109 +121,11 @@ func benchGMRESArnoldi(b *testing.B) {
 	}
 }
 
-// benchDistMatrixBuild is the symbolic set-up a job pays for the first
-// operator of a space: 8 ranks of 10³ elements each assemble the mass matrix
-// into a COO and build its DistMatrix cold (classification, structure
-// exchange, CSR pattern and refill plan). Every iteration builds in a fresh
-// world — a world interns the shapes of the matrices built in it, so a second
-// build of the same operator takes the adopt path that
-// benchDistMatrixRebuild times. World and space construction are outside the
-// timed region.
-func benchDistMatrixBuild(b *testing.B) { benchDistMatrix(b, true) }
-
-// benchDistMatrixRebuild is what every later operator of the space pays, and
-// what a rank pays whose position class another rank has built for: the same
-// assembly and build in a world that already holds the shape, so the build
-// replays the structure exchange, verifies its contributions against the
-// interned plan and allocates only the values and its per-rank lists.
-func benchDistMatrixRebuild(b *testing.B) { benchDistMatrix(b, false) }
-
-// benchDistMatrix times b.N assemble-and-build rounds of the mass matrix on
-// 8 ranks: cold, one round in each of b.N worlds; otherwise all in one world
-// after an untimed first build.
-func benchDistMatrix(b *testing.B, cold bool) {
-	const p, n = 2, 10
-	m := mesh.NewUnitCube(p * n)
-	topo, err := mp.BlockTopology(p*p*p, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
-	if err != nil {
-		b.Fatal(err)
-	}
-	worlds, rounds := 1, b.N
-	if cold {
-		worlds, rounds = b.N, 1
-	}
-	b.StopTimer()
-	for ; worlds > 0; worlds-- {
-		w, err := mp.NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9, BytesPerSec: 1e10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = w.Run(func(r *mp.Rank) error {
-			s, err := fem.NewSpaceBlock(r, m, p, p, p, 1000)
-			if err != nil {
-				return err
-			}
-			elem := func(e int, out *[8][8]float64) { s.El.Mass(1, out, r) }
-			var coo sparse.COO
-			build := func() error {
-				s.AssembleMatrix(&coo, elem)
-				_, err := sparse.NewDistMatrix(r, s.RowMap, &coo, s.Owner, 1100)
-				return err
-			}
-			// Untimed: the COO's own arrays and, warm, the first build.
-			s.AssembleMatrix(&coo, elem)
-			if !cold {
-				if err := build(); err != nil {
-					return err
-				}
-			}
-			// The benchmark goroutine is parked in w.Run, so rank 0 owns b
-			// between each pair of barriers.
-			r.Barrier()
-			if r.ID() == 0 {
-				b.StartTimer()
-			}
-			r.Barrier()
-			for i := 0; i < rounds; i++ {
-				if err := build(); err != nil {
-					return err
-				}
-			}
-			r.Barrier()
-			if r.ID() == 0 {
-				b.StopTimer()
-			}
-			r.Barrier()
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchILU0Setup refactorises the 27-point trilinear-element stencil on a
-// 16³-element grid — the per-refill preconditioner set-up of every solve.
-func benchILU0Setup(b *testing.B) {
-	a := q1stencil(16)
-	pc := krylov.NewILU0(a, a.NRows, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pc.Setup(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchHaloExchangeP1000 is the ghost exchange at the paper's top point:
+// BenchmarkHaloExchangeP1000 is the ghost exchange at the paper's top point:
 // 1000 ranks of 2³ elements on the ec2 fabric, each trading a few values
 // with its 26 neighbours — all message hand-off, no data. One op is one
 // Importer.Exchange on every rank; allocs/op must be 0.
-func benchHaloExchangeP1000(b *testing.B) {
+func BenchmarkHaloExchangeP1000(b *testing.B) {
 	const p, n = 10, 2
 	m := mesh.NewUnitCube(p * n)
 	benchInWorld(b, p*p*p, func(r *mp.Rank) (func(), error) {
@@ -262,25 +144,25 @@ func benchHaloExchangeP1000(b *testing.B) {
 	})
 }
 
-// benchAllreduceScalarP512 is the reduction under every distributed dot
+// BenchmarkAllreduceScalarP512 is the reduction under every distributed dot
 // product, two per Krylov iteration on every rank: 512 ranks file one
 // float64 each, and the last to arrive resolves the binomial reduce and
 // broadcast for all of them. allocs/op must be 0.
-func benchAllreduceScalarP512(b *testing.B) {
+func BenchmarkAllreduceScalarP512(b *testing.B) {
 	benchInWorld(b, 512, func(r *mp.Rank) (func(), error) {
 		return func() { r.AllreduceScalar(mp.OpSum, 1) }, nil
 	})
 }
 
-// benchSpaceRefillP27 is the per-step matrix reassembly of the applications:
-// 27 ranks of 4³ elements re-evaluate the RD system operator's element
-// matrices and stream them into its DistMatrix, off-rank values shipped to
-// their owners (fem.Space.Refill). allocs/op must be 0. The traffic of a
-// refill is one-way — a rank that owns none of its neighbours' rows waits
-// for nobody — so each op ends in a barrier, as a time step ends in the
-// solver's reductions: without one such a rank runs thousands of refills
-// ahead and their payloads pile up in the mailboxes.
-func benchSpaceRefillP27(b *testing.B) {
+// BenchmarkSpaceRefillP27 is the per-step matrix reassembly of the
+// applications: 27 ranks of 4³ elements re-evaluate the RD system operator's
+// element matrices and stream them into its DistMatrix, off-rank values
+// shipped to their owners (fem.Space.Refill). allocs/op must be 0. The
+// traffic of a refill is one-way — a rank that owns none of its neighbours'
+// rows waits for nobody — so each op ends in a barrier, as a time step ends
+// in the solver's reductions: without one such a rank runs thousands of
+// refills ahead and their payloads pile up in the mailboxes.
+func BenchmarkSpaceRefillP27(b *testing.B) {
 	const p, n = 3, 4
 	m := mesh.NewUnitCube(p * n)
 	benchInWorld(b, p*p*p, func(r *mp.Rank) (func(), error) {
@@ -372,38 +254,6 @@ func benchInWorld(b *testing.B, p int, setup func(r *mp.Rank) (func(), error)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-}
-
-// q1stencil builds a diagonally dominant matrix with the sparsity of a
-// trilinear finite-element operator on an nx³-element grid: every pair of
-// vertices sharing an element is coupled (27 entries per interior row).
-func q1stencil(nx int) *sparse.CSR {
-	nv := nx + 1
-	var c sparse.COO
-	for k := 0; k < nx; k++ {
-		for j := 0; j < nx; j++ {
-			for i := 0; i < nx; i++ {
-				var vs [8]int
-				for a := range vs {
-					vs[a] = ((k+a/4)*nv+j+a/2%2)*nv + i + a%2
-				}
-				for _, va := range vs {
-					for _, vb := range vs {
-						if va == vb {
-							c.Add(va, vb, 8)
-						} else {
-							c.Add(va, vb, -1)
-						}
-					}
-				}
-			}
-		}
-	}
-	m, err := sparse.NewCSRFromCOO(nv*nv*nv, nv*nv*nv, &c)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // lap3d builds the 7-point Laplacian on an nx³ grid (SPD).
