@@ -75,7 +75,7 @@ func newSpace(r *mp.Rank, m *mesh.Mesh, l *mesh.Local, owner func(int) int, tag 
 		R:      r,
 		M:      m,
 		L:      l,
-		RowMap: sparse.NewRowMap(l.VertGlobal[:l.NumOwned]),
+		RowMap: sparse.RowMapOf(l.OwnedIndex()),
 		Owner:  owner,
 		El:     el,
 	}
@@ -236,7 +236,7 @@ func (s *Space) AssembleVector(out []float64, elemVec func(e int, out *[8]float6
 		elemVec(e, &fe)
 		vs := s.M.ElemVerts(e)
 		for a := 0; a < 8; a++ {
-			buf[s.L.G2L[vs[a]]] += fe[a]
+			buf[s.L.G2L(vs[a])] += fe[a]
 		}
 	}
 	nt := float64(8 * len(s.L.Elems))

@@ -3,6 +3,8 @@ package mesh
 import (
 	"fmt"
 	"sort"
+
+	"heterohpc/internal/idindex"
 )
 
 // Block is a contiguous range of elements in each lattice dimension
@@ -94,10 +96,11 @@ type Local struct {
 	VertGlobal []int
 	// NumOwned is the count of owned vertices (a prefix of VertGlobal).
 	NumOwned int
-	// G2L maps global vertex id -> local index for all local vertices.
-	G2L map[int]int
 	// GhostOwner[i] is the owner rank of ghost vertex NumOwned+i.
 	GhostOwner []int
+
+	// owned and ghost index the two sections of VertGlobal (see G2L).
+	owned, ghost idindex.Index
 }
 
 // NumVerts returns the total (owned + ghost) local vertex count.
@@ -108,6 +111,26 @@ func (l *Local) NumGhosts() int { return len(l.VertGlobal) - l.NumOwned }
 
 // IsOwned reports whether local vertex lv is owned by this rank.
 func (l *Local) IsOwned(lv int) bool { return lv < l.NumOwned }
+
+// G2L returns the local index of global vertex g, or -1 if g is not a
+// vertex of this rank's patch.
+func (l *Local) G2L(g int) int {
+	if lv, ok := l.owned.Lookup(g); ok {
+		return lv
+	}
+	if i, ok := l.ghost.Lookup(g); ok {
+		return l.NumOwned + i
+	}
+	return -1
+}
+
+// OwnedIndex returns the index of the owned vertices (VertGlobal[:NumOwned]),
+// shared, not copied: the space's row map is built on it, so the owned ids
+// are indexed once.
+func (l *Local) OwnedIndex() idindex.Index { return l.owned }
+
+// IndexBytes returns the host bytes G2L's index holds beyond VertGlobal.
+func (l *Local) IndexBytes() int { return l.owned.Bytes() + l.ghost.Bytes() }
 
 // vertexOwnerBlock returns the rank owning lattice vertex (i,j,k) under a
 // px×py×pz block decomposition: interface vertex layers belong to the
@@ -164,23 +187,23 @@ func NewLocalFromBlock(m *Mesh, px, py, pz, rank int) (*Local, error) {
 		}
 	}
 
-	var owned, ghosts []int
-	ghostOwner := map[int]int{}
+	// The owned section is sized for the whole patch, so the ghosts join it
+	// in VertGlobal without a copy.
+	owned := make([]int, 0, (xhi-xlo+1)*(yhi-ylo+1)*(zhi-zlo+1))
+	var ghosts []int
 	for k := zlo; k <= zhi; k++ {
 		for j := ylo; j <= yhi; j++ {
 			for i := xlo; i <= xhi; i++ {
 				v := m.VertexID(i, j, k)
-				owner := vertexOwnerBlock(m, px, py, pz, i, j, k)
-				if owner == rank {
+				if vertexOwnerBlock(m, px, py, pz, i, j, k) == rank {
 					owned = append(owned, v)
 				} else {
 					ghosts = append(ghosts, v)
-					ghostOwner[v] = owner
 				}
 			}
 		}
 	}
-	l.finish(owned, ghosts, ghostOwner)
+	l.finish(owned, ghosts, func(v int) int { return VertexOwnerOnBlocks(m, px, py, pz, v) })
 	return l, nil
 }
 
@@ -204,17 +227,14 @@ func NewLocalFromParts(m *Mesh, part []int, rank int) (*Local, error) {
 		}
 	}
 	var owned, ghosts []int
-	ghostOwner := map[int]int{}
 	for v := range vertSeen {
-		owner := vertexOwnerParts(m, part, v)
-		if owner == rank {
+		if vertexOwnerParts(m, part, v) == rank {
 			owned = append(owned, v)
 		} else {
 			ghosts = append(ghosts, v)
-			ghostOwner[v] = owner
 		}
 	}
-	l.finish(owned, ghosts, ghostOwner)
+	l.finish(owned, ghosts, func(v int) int { return vertexOwnerParts(m, part, v) })
 	return l, nil
 }
 
@@ -249,25 +269,19 @@ func vertexOwnerParts(m *Mesh, part []int, v int) int {
 	return owner
 }
 
-// finish sorts the owned/ghost sections and builds the index maps.
-func (l *Local) finish(owned, ghosts []int, ghostOwner map[int]int) {
+// finish sorts the owned/ghost sections, indexes them and looks up each
+// ghost's owner.
+func (l *Local) finish(owned, ghosts []int, owner func(v int) int) {
 	sort.Ints(owned)
 	sort.Ints(ghosts)
 	l.NumOwned = len(owned)
 	l.VertGlobal = append(owned, ghosts...)
-	l.G2L = make(map[int]int, len(l.VertGlobal))
-	for lv, gv := range l.VertGlobal {
-		l.G2L[gv] = lv
-	}
+	// The owned section's capacity ends at NumOwned: an append to it (or to
+	// the row map that shares it) cannot write over the ghosts.
+	l.owned = idindex.New(l.VertGlobal[:l.NumOwned:l.NumOwned])
+	l.ghost = idindex.New(l.VertGlobal[l.NumOwned:])
 	l.GhostOwner = make([]int, len(ghosts))
 	for i, gv := range ghosts {
-		l.GhostOwner[i] = ghostOwner[gv]
+		l.GhostOwner[i] = owner(gv)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

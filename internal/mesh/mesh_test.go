@@ -235,11 +235,7 @@ func TestLocalFromBlockConsistency(t *testing.T) {
 				t.Fatalf("rank %d ghost %d owned by itself", rank, i)
 			}
 		}
-		for lv, gv := range l.VertGlobal {
-			if l.G2L[gv] != lv {
-				t.Fatalf("rank %d G2L broken at %d", rank, lv)
-			}
-		}
+		checkG2L(t, l)
 	}
 	for e, c := range elemSeen {
 		if c != 1 {
@@ -398,4 +394,65 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// refG2L is the global-to-local vertex map Local held before its idindex:
+// the oracle G2L is held to.
+func refG2L(l *Local) map[int]int {
+	g2l := make(map[int]int, len(l.VertGlobal))
+	for lv, gv := range l.VertGlobal {
+		g2l[gv] = lv
+	}
+	return g2l
+}
+
+// checkG2L asks G2L for every vertex of the global mesh and one id past
+// either end, and holds each answer to the map's (-1 where the map has none).
+func checkG2L(t *testing.T, l *Local) {
+	t.Helper()
+	ref := refG2L(l)
+	for g := -1; g <= l.M.NumVerts(); g++ {
+		want, ok := ref[g]
+		if !ok {
+			want = -1
+		}
+		if got := l.G2L(g); got != want {
+			t.Fatalf("rank %d: G2L(%d) = %d, want %d", l.Rank, g, got, want)
+		}
+	}
+}
+
+// TestG2LMatchesMap: on block and scrambled-partition locals, whose ghost
+// sections are indexed by bitmap or by binary search, G2L agrees with the
+// map it replaced.
+func TestG2LMatchesMap(t *testing.T) {
+	m := NewUnitCube(6)
+	for rank := 0; rank < 27; rank++ {
+		l, err := NewLocalFromBlock(m, 3, 3, 3, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkG2L(t, l)
+	}
+	// At 5³ elements a rank on a 75³ mesh, an interior block's ghosts lie
+	// too sparse in their span for a bitmap; its owned vertices do not.
+	l, err := NewLocalFromBlock(NewUnitCube(75), 15, 15, 15, 7+15*(7+15*7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.owned.Bytes() == 0 || l.ghost.Bytes() != 0 {
+		t.Fatalf("index bytes: owned %d, ghost %d; want a bitmap and a binary search", l.owned.Bytes(), l.ghost.Bytes())
+	}
+	checkG2L(t, l)
+	part := make([]int, m.NumElems())
+	for e := range part {
+		part[e] = (e * 7) % 5
+	}
+	for rank := 0; rank < 5; rank++ {
+		l, err := NewLocalFromParts(m, part, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkG2L(t, l)
+	}
 }

@@ -198,7 +198,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		vs := s.M.ElemVerts(e)
 		var w [3]float64
 		for _, gv := range vs {
-			lv := s.L.G2L[gv]
+			lv := s.L.G2L(gv)
 			for d := 0; d < 3; d++ {
 				w[d] += patchW[d][lv]
 			}

@@ -4,75 +4,41 @@ import (
 	"fmt"
 	"sort"
 
+	"heterohpc/internal/idindex"
 	"heterohpc/internal/mp"
 )
 
 // RowMap records which global rows (mesh vertices) this rank owns. Owned
-// ids are sorted; local row i is Owned[i]. LocalOf, the inverse, is O(1) in
-// memory proportional to the span or the count of the owned ids. It is
-// immutable once built and holds nothing of the matrices built over it: what
-// they share is interned in their world (see NewDistMatrix).
+// ids are sorted; local row i is Owned[i]. LocalOf, the inverse, is an
+// idindex.Index over them: O(1) over the span of a structured block, a
+// binary search where the ids are scattered, and in memory proportional to
+// the owned count either way. It is immutable once built and holds nothing of
+// the matrices built over it: what they share is interned in their world (see
+// NewDistMatrix).
 type RowMap struct {
 	Owned []int
-	g2l   map[int]int
-	// dense[g-lo] = local index + 1 (0 = unowned) over the span of the owned
-	// ids, lo = Owned[0], used instead of the map when that span is small
-	// enough: LocalOf is the hottest lookup of matrix construction, and an
-	// array probe beats a map probe severalfold. The table is sized by what
-	// the rank owns, not by where in the id space it lies — for a block of
-	// a structured mesh the span is the block's vertex planes, whatever the
-	// world size. Nil for wide spans, where the map keeps memory
-	// proportional to the owned count.
-	dense []int32
-	lo    int
+	ix    idindex.Index
 }
 
-// denseRowMapLimit bounds the owned-id span for which NewRowMap builds the
-// dense lookup table (4 MiB of int32 per rank at the limit).
-const denseRowMapLimit = 1 << 20
-
-// NewRowMap builds a row map from the (copied, sorted) owned global ids.
+// NewRowMap builds a row map from the (copied, sorted) owned global ids,
+// which must be distinct.
 func NewRowMap(owned []int) *RowMap {
 	cp := append([]int(nil), owned...)
 	sort.Ints(cp)
-	m := &RowMap{Owned: cp}
-	// The span is taken in uint: the ids are sorted, so the difference is
-	// exact even where it would overflow int.
-	if n := len(cp); n > 0 && uint(cp[n-1])-uint(cp[0]) < denseRowMapLimit {
-		m.lo = cp[0]
-		m.dense = make([]int32, cp[n-1]-cp[0]+1)
-		for l, g := range cp {
-			m.dense[g-m.lo] = int32(l + 1)
-		}
-		return m
-	}
-	m.g2l = make(map[int]int, len(cp))
-	for l, g := range cp {
-		m.g2l[g] = l
-	}
-	return m
+	return RowMapOf(idindex.New(cp))
+}
+
+// RowMapOf builds a row map over an index of the owned global ids, sharing
+// it: a mesh.Local's owned section serves as its space's row map.
+func RowMapOf(ix idindex.Index) *RowMap {
+	return &RowMap{Owned: ix.IDs(), ix: ix}
 }
 
 // N returns the owned row count.
 func (m *RowMap) N() int { return len(m.Owned) }
 
 // LocalOf returns the local index of global row g, if owned.
-func (m *RowMap) LocalOf(g int) (int, bool) {
-	if m.dense != nil {
-		// One unsigned compare rejects ids on either side of the span: an
-		// id below lo wraps to a value no table is long enough for.
-		i := uint(g) - uint(m.lo)
-		if i >= uint(len(m.dense)) {
-			return 0, false
-		}
-		if l := m.dense[i]; l > 0 {
-			return int(l - 1), true
-		}
-		return 0, false
-	}
-	l, ok := m.g2l[g]
-	return l, ok
-}
+func (m *RowMap) LocalOf(g int) (int, bool) { return m.ix.Lookup(g) }
 
 // Importer moves owned vector values to the ranks that hold them as ghosts
 // (the Epetra_Import role). Construction performs a scalable handshake:

@@ -12,7 +12,6 @@ import (
 	"heterohpc/internal/mp"
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/partition"
-	"heterohpc/internal/stats"
 	"heterohpc/internal/vclock"
 )
 
@@ -365,78 +364,6 @@ func TestRowMap(t *testing.T) {
 	}
 	if _, ok := rm.LocalOf(7); ok {
 		t.Fatal("LocalOf(7) should miss")
-	}
-}
-
-// TestRowMapDenseSpanMatchesMap: the dense table covers the span of the
-// owned ids, wherever in the id space it lies, and answers every probe —
-// below, inside but unowned, owned, above, and the ends of the int range —
-// as a plain map does; a span one past the limit falls back to the map.
-func TestRowMapDenseSpanMatchesMap(t *testing.T) {
-	rng := stats.NewRNG(20260902)
-	strided := func(lo, step, n int) []int {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = lo + i*step
-		}
-		return ids
-	}
-	scattered := func(lo, span, n int) []int {
-		ids := []int{lo, lo + span - 1}
-		for len(ids) < n {
-			if g := lo + rng.Intn(span); !slices.Contains(ids, g) {
-				ids = append(ids, g)
-			}
-		}
-		return ids
-	}
-	for _, tc := range []struct {
-		name  string
-		owned []int
-		dense bool
-	}{
-		{"contiguous from zero", strided(0, 1, 50), true},
-		{"contiguous far out", strided(3<<40, 1, 50), true},
-		{"strided planes", strided(900_000_000, 121, 40), true},
-		{"single id", []int{123_456_789_012}, true},
-		{"single id zero", []int{0}, true},
-		{"negative ids", strided(-70, 3, 30), true},
-		{"scattered", scattered(5_000_000, 4000, 300), true},
-		{"span at the limit", scattered(1<<33, denseRowMapLimit, 20), true},
-		{"span one past the limit", scattered(1<<33, denseRowMapLimit+1, 20), false},
-		{"the whole int range", []int{math.MinInt, -1, 0, math.MaxInt}, false},
-		{"top of the int range", strided(math.MaxInt-9, 1, 10), true},
-		{"bottom of the int range", strided(math.MinInt, 1, 10), true},
-		{"nothing owned", nil, false},
-	} {
-		rm := NewRowMap(tc.owned)
-		if (rm.dense != nil) != tc.dense {
-			t.Errorf("%s: dense table = %v, want %v", tc.name, rm.dense != nil, tc.dense)
-		}
-		if tc.dense && len(rm.dense) != rm.Owned[len(rm.Owned)-1]-rm.Owned[0]+1 {
-			t.Errorf("%s: dense table has %d entries for span %d..%d", tc.name, len(rm.dense), rm.Owned[0], rm.Owned[len(rm.Owned)-1])
-		}
-		want := make(map[int]int, len(rm.Owned))
-		for l, g := range rm.Owned {
-			want[g] = l
-		}
-		probes := []int{math.MinInt, math.MinInt + 1, -1, 0, 1, math.MaxInt - 1, math.MaxInt}
-		for _, g := range rm.Owned {
-			probes = append(probes, g-1, g, g+1) // wraps at the ends of the int range: still a probe
-		}
-		if n := len(rm.Owned); n > 0 {
-			lo, hi := rm.Owned[0], rm.Owned[n-1]
-			for i := 0; i < 200; i++ {
-				probes = append(probes, lo-5+rng.Intn(10), hi-5+rng.Intn(10), lo+rng.Intn(int(min(uint(hi)-uint(lo), 1<<40)+1)))
-			}
-		}
-		for _, g := range probes {
-			l, ok := rm.LocalOf(g)
-			wl, wok := want[g]
-			if ok != wok || (ok && l != wl) {
-				t.Fatalf("%s: LocalOf(%d) = %d, %v; want %d, %v", tc.name, g, l, ok, wl, wok)
-			}
-		}
 	}
 }
 
