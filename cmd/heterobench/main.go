@@ -110,6 +110,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if negativeSize() {
 		return 2
 	}
+	fc := faultsConfig{
+		App: *app, Platform: *platform, Policy: *policy,
+		Ranks: *ranks, RanksPerNode: *rpn, Seed: *seed,
+		Crashes: *crashes, Preemptions: *preempts, Degradations: *degrades,
+		StormWave: *storm, StormCascades: *cascades, StormBursts: *bursts,
+		OnDemandSupply: *odsupply, ProvisionRetries: *retries, Regrow: *regrow,
+		TracePath: *tracePath,
+	}
+	if err := checkArgs(cmd, fc, *what, *nodes, *globalN); err != nil {
+		fmt.Fprintf(stderr, "heterobench: %v\n", err)
+		return 2
+	}
 	var obsRun *obs.Run
 	if *journalPath != "" || *metricsPath != "" {
 		obsRun = obs.NewRun()
@@ -151,14 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "trace":
 		err = runTrace(stdout, stderr, *app, opts, *ranks, *csvPath)
 	case "faults":
-		err = runFaults(stdout, stderr, faultsConfig{
-			App: *app, Platform: *platform, Policy: *policy,
-			Ranks: *ranks, RanksPerNode: *rpn, Seed: *seed,
-			Crashes: *crashes, Preemptions: *preempts, Degradations: *degrades,
-			StormWave: *storm, StormCascades: *cascades, StormBursts: *bursts,
-			OnDemandSupply: *odsupply, ProvisionRetries: *retries, Regrow: *regrow,
-			TracePath: *tracePath,
-		}, opts)
+		err = runFaults(stdout, stderr, fc, opts)
 	case "journal-diff":
 		// fs.Parse stopped at the first positional (the old journal path),
 		// so trailing flags like `journal-diff a.jsonl b.jsonl -replay` are
@@ -233,6 +238,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// checkArgs rejects, before cmd starts any work, a flag value it cannot run
+// with: an unknown application, ablation or policy name, and a rank, node or
+// mesh-edge count below one where the command needs one.
+func checkArgs(cmd string, fc faultsConfig, what string, nodes, globalN int) error {
+	switch cmd {
+	case "cost", "strong", "trace":
+		if fc.App != "rd" && fc.App != "ns" {
+			return fmt.Errorf("unknown app %q (want rd or ns)", fc.App)
+		}
+	case "ablate":
+		switch what {
+		case "precond", "packing", "interconnect", "partition":
+		default:
+			return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", what)
+		}
+	case "faults":
+		return validateFaults(fc)
+	}
+	switch {
+	case (cmd == "trace" || cmd == "ablate") && fc.Ranks < 1:
+		return fmt.Errorf("-ranks %d: the %s command needs at least one rank", fc.Ranks, cmd)
+	case cmd == "strong" && globalN < 1:
+		return fmt.Errorf("-global %d: the strong-scaling mesh needs at least one element per edge", globalN)
+	case cmd == "bidding" && nodes < 1:
+		return fmt.Errorf("-nodes %d: the bid sweep needs at least one node", nodes)
+	}
+	return nil
 }
 
 // jdConfig is the journal-diff command's bundle after flag re-parsing.

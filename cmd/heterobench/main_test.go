@@ -139,8 +139,9 @@ func TestValidateFaults(t *testing.T) {
 }
 
 // TestRunRejectsBadArguments drives the whole CLI in-process: a negative
-// size or seed, or a retired command, must exit 2 up front with a message,
-// never panic, and leave no file behind.
+// size or seed, an unknown application, ablation or policy name, a rank,
+// node or mesh-edge count the command cannot run with, or a retired command,
+// must exit 2 up front with a message, never panic, and leave no file behind.
 func TestRunRejectsBadArguments(t *testing.T) {
 	dir := t.TempDir()
 	cwd, _ := os.Getwd()
@@ -161,6 +162,15 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"strong", "-global", "-30", "-metrics", "metrics.json"}, "-global -30 is negative"},
 		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-n", "-2"}, "-n -2 is negative"},
 		{[]string{"rd-weak", "-seed", "-1", "-max", "8"}, "-seed -1 is negative"},
+		{[]string{"cost", "-app", "xx", "-journal", "run.jsonl"}, `unknown app "xx"`},
+		{[]string{"strong", "-app", "xx"}, `unknown app "xx"`},
+		{[]string{"ablate", "-what", "nope"}, `unknown ablation "nope"`},
+		{[]string{"ablate", "-ranks", "0"}, "-ranks 0: the ablate command needs at least one rank"},
+		{[]string{"faults", "-policy", "bogus", "-trace", "t.json"}, `unknown policy "bogus"`},
+		{[]string{"faults", "-storm", "-1"}, "-storm -1 is negative"},
+		{[]string{"trace", "-ranks", "0", "-csv", "trace.json"}, "-ranks 0: the trace command needs at least one rank"},
+		{[]string{"strong", "-global", "0"}, "-global 0: the strong-scaling mesh needs"},
+		{[]string{"bidding", "-nodes", "0"}, "-nodes 0: the bid sweep needs at least one node"},
 		{[]string{"perf"}, `unknown command "perf"`},
 		{[]string{"rd-weak", "-cpuprofile", "cpu.pprof"}, "not defined: -cpuprofile"},
 	} {

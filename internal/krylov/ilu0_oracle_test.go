@@ -78,8 +78,8 @@ func lap3dRows(nx, nrows int) *sparse.CSR {
 	return m
 }
 
-// TestILU0SetupMatchesSlotReference: the merge must apply the same updates
-// in the same order as the per-update binary search, so the factor and the
+// TestILU0SetupMatchesSlotReference: the scatter map must apply the same
+// updates in the same order as the per-update binary search, so the factor and the
 // charged flop count are equal bit for bit.
 func TestILU0SetupMatchesSlotReference(t *testing.T) {
 	cases := []struct {

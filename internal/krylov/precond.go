@@ -161,6 +161,9 @@ type ILU0 struct {
 	// only); diag, end are a's blockSplit, so diag[i] is the slot of U[i,i].
 	lu        []float64
 	diag, end []int32
+	// iw maps a block column to its slot in the row Setup is eliminating,
+	// -1 where the row has none; it is all -1 between rows.
+	iw []int32
 }
 
 // NewILU0 builds an ILU(0) preconditioner over the first n rows/columns
@@ -170,13 +173,18 @@ func NewILU0(a *sparse.CSR, n int, ch sparse.Charger) *ILU0 {
 		ch = sparse.NopCharger{}
 	}
 	diag, end := blockSplit(a, n)
-	return &ILU0{a: a, n: n, ch: ch, lu: make([]float64, a.NNZ()), diag: diag, end: end}
+	iw := make([]int32, n)
+	for j := range iw {
+		iw[j] = -1
+	}
+	return &ILU0{a: a, n: n, ch: ch, lu: make([]float64, a.NNZ()), diag: diag, end: end, iw: iw}
 }
 
 // Setup implements Preconditioner: IKJ-ordered ILU(0) on the block pattern.
-// Columns are sorted within a row, so the update of row i against pivot row
-// k is a two-pointer merge of the block parts of row i's tail and row k's
-// upper part.
+// Row i's block slots are scattered into iw, so the update of row i against
+// pivot row k walks row k's upper part once and finds each entry's partner
+// in row i by its column. Columns are sorted within a row, so the updates
+// come in column order.
 func (p *ILU0) Setup() error {
 	a := p.a
 	copy(p.lu, a.Val)
@@ -186,27 +194,27 @@ func (p *ILU0) Setup() error {
 		}
 	}
 	var flops float64
+	iw := p.iw
 	for i := 0; i < p.n; i++ {
-		di, rowEnd := int(p.diag[i]), int(p.end[i])
-		for sl := a.RowPtr[i]; sl < di; sl++ {
-			// Row k < i is finished, so its pivot has been checked.
+		lo, di, rowEnd := a.RowPtr[i], int(p.diag[i]), int(p.end[i])
+		for t := lo; t < rowEnd; t++ {
+			iw[a.Col[t]] = int32(t)
+		}
+		for sl := lo; sl < di; sl++ {
+			// Row k < i is finished, so its pivot has been checked. Its
+			// upper columns exceed k, so their partners lie after sl.
 			k := a.Col[sl]
 			lik := p.lu[sl] / p.lu[p.diag[k]]
 			p.lu[sl] = lik
-			u, kEnd := int(p.diag[k])+1, int(p.end[k])
-			for t := sl + 1; t < rowEnd && u < kEnd; {
-				switch j, ju := a.Col[t], a.Col[u]; {
-				case ju < j:
-					u++
-				case ju > j:
-					t++
-				default:
+			for u, kEnd := int(p.diag[k])+1, int(p.end[k]); u < kEnd; u++ {
+				if t := iw[a.Col[u]]; t >= 0 {
 					p.lu[t] -= lik * p.lu[u]
 					flops += 2
-					t++
-					u++
 				}
 			}
+		}
+		for t := lo; t < rowEnd; t++ {
+			iw[a.Col[t]] = -1
 		}
 		// Apply divides by every row's pivot, also by one that no later
 		// row eliminates against.

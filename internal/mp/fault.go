@@ -19,8 +19,9 @@
 //     delivered.
 //
 // A rank's exit wakes only the ranks parked on a message from it: each
-// mailbox records the (source, tag) its owner waits for, and markDead reads
-// those records instead of waking every mailbox of the world.
+// mailbox records the (source, tag) its owner waits for, in the mailbox or
+// on a link, and markDead reads those records instead of waking every
+// mailbox of the world.
 //
 // The scalar allreduce keeps both rules without moving a message. It
 // resolves only when every rank has either arrived in it or exited, and then
@@ -167,10 +168,10 @@ func (w *World) markDead(id int) {
 // checkFault is called on every send and receive path: it fires this
 // rank's own node crash when the rank's virtual clock has reached it.
 // Deaths of other ranks are observed only through unsatisfiable receives
-// (mailbox.take, the one blocking path, which every receive goes through
-// because every receive names its sender, and the scalar allreduce's
-// replay of it), never through a global flag, so each rank's progress at
-// death is deterministic rather than a wall-clock race.
+// (mailbox.take and a link's await, the blocking paths, which every receive
+// goes through because every receive names its sender, and the scalar
+// allreduce's replay of them), never through a global flag, so each rank's
+// progress at death is deterministic rather than a wall-clock race.
 func (r *Rank) checkFault() {
 	if r.due() {
 		panic(killedPanic{})

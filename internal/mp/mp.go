@@ -16,6 +16,13 @@
 // network model rather than being postulated separately.
 // AllreduceScalar charges exactly what Allreduce's trees would, but resolves
 // on state the ranks share instead of moving messages.
+//
+// Traffic whose peers, tag and sizes are fixed by a set-up step — the sparse
+// importer's halo exchange — runs on persistent links (link.go), MPI's
+// persistent requests: made once in the destination's mailbox, then written
+// and read without its lock, at the same virtual cost as a mailbox message.
+// The mailbox carries everything else: set-up, collectives and one-off
+// transfers.
 package mp
 
 import (
@@ -274,11 +281,11 @@ func (s *srcSlot) queue(tag int) *msgQueue {
 
 // mailbox is an unbounded matched-receive queue: an open-addressed table
 // keyed by source rank (multiply-shift hash, linear probing, doubling at 3/4
-// load). Every receive names its sender, so take is the only way a message
-// leaves and its per-sender rule the only way a wait unwinds. A source
-// enters the table with its first message and stays, so a mailbox's memory
-// follows the number of ranks that actually send to its owner — halo
-// neighbours and tree partners — not the world size.
+// load). Every receive names its sender, so take is the only way a queued
+// message leaves and its per-sender rule, which a link's await shares, the
+// only way a wait unwinds. A source enters the table with its first message
+// and stays, so a mailbox's memory follows the number of ranks that actually
+// send to its owner — neighbours and tree partners — not the world size.
 //
 // Only the owning rank's goroutine ever blocks on cond (sends and the
 // revoke/markDead paths never wait), and it blocks for one named message.
@@ -298,6 +305,9 @@ type mailbox struct {
 	// intern table it belongs to the simulator, not to the simulated job: no
 	// clock, message or journal event is involved.
 	filed []filing
+	// links are the persistent channels to the owner (see link.go), made at
+	// set-up under mu and never removed.
+	links []*Link
 	// w is the owning world; a blocked take consults its per-rank dead
 	// flags so a wait on a message that can never arrive (its sender has
 	// terminally exited without sending it) unwinds instead of deadlocking
@@ -395,10 +405,11 @@ func (mb *mailbox) queueFor(src, tag int) *msgQueue {
 	return &s.hot.q
 }
 
-// revoke purges the queued messages whose source satisfies stale and returns
-// their number. Source slots and their queues stay warm. Runs under mb.mu.
+// revoke purges the queued messages and pending link messages whose source
+// satisfies stale and returns their number. Source slots, their queues and
+// the links stay warm. Runs under mb.mu.
 func (mb *mailbox) revoke(stale func(src int) bool) int {
-	n := 0
+	n := mb.revokeLinks(stale)
 	for i := range mb.slots {
 		s := &mb.slots[i]
 		if s.key == 0 || !stale(s.key-1) {
@@ -700,10 +711,10 @@ func (r *Rank) Obs() *obs.Recorder { return r.rec }
 // noteRecv advances the receiver's clock to the message's arrival time and,
 // when observed, records the message's virtual mailbox-residency interval
 // (from its arrival to the moment this rank consumed it).
-func (r *Rank) noteRecv(m *message) {
-	r.clk.AdvanceTo(m.arriveAt)
+func (r *Rank) noteRecv(arriveAt float64) {
+	r.clk.AdvanceTo(arriveAt)
 	if r.rec != nil {
-		r.rec.QueueInterval(m.arriveAt, r.clk.Now())
+		r.rec.QueueInterval(arriveAt, r.clk.Now())
 	}
 }
 
@@ -752,7 +763,7 @@ func (r *Rank) post(dst, tag, payloadBytes int, m message) {
 func (r *Rank) recv(src, tag int) message {
 	r.checkFault()
 	m := r.world.boxes[r.id].take(src, tag)
-	r.noteRecv(&m)
+	r.noteRecv(m.arriveAt)
 	r.checkFault()
 	return m
 }
@@ -773,45 +784,19 @@ func (r *Rank) SendF64(dst, tag int, data []float64) {
 	r.post(dst, tag, 8*len(data), f64Msg(cp))
 }
 
-// SendF64Gather packs x[idx[0]], x[idx[1]], … into a pooled buffer and
-// sends it to rank dst — the importer's pack-and-send step without the
-// per-call staging allocation. The wire size and virtual charges are
-// identical to packing into a scratch slice and calling SendF64.
-func (r *Rank) SendF64Gather(dst, tag int, x []float64, idx []int) {
-	r.checkDst(dst)
-	cp := r.pool.get(len(idx))
-	for j, l := range idx {
-		cp[j] = x[l]
-	}
-	r.post(dst, tag, 8*len(idx), f64Msg(cp))
-}
-
 // RecvF64 blocks until a float64 message with the given source and tag
 // arrives, advances this rank's clock to the arrival time, and returns the
 // payload. Ownership of the returned slice transfers to the caller; use
-// the scatter variants on hot paths so the buffer returns to the world's
-// pool instead.
+// RecvF64AddScatter or a Link on hot paths so the buffer returns to the
+// world's pool, or never leaves the link.
 func (r *Rank) RecvF64(src, tag int) []float64 {
 	return r.recv(src, tag).f64()
 }
 
-// RecvF64Scatter receives like RecvF64 but scatters payload element j into
-// x[pos[j]] and recycles the transport buffer — the importer's
-// receive-and-unpack step without surfacing the wire buffer. The payload
-// must have exactly len(pos) elements.
-func (r *Rank) RecvF64Scatter(src, tag int, x []float64, pos []int) {
-	buf := r.recv(src, tag).f64()
-	if len(buf) != len(pos) {
-		r.reject(buf, fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos)))
-	}
-	for j, l := range pos {
-		x[l] = buf[j]
-	}
-	r.pool.put(buf)
-}
-
-// RecvF64AddScatter is RecvF64Scatter with accumulation: x[pos[j]] +=
-// payload[j], the exporter's sum-into-owner step.
+// RecvF64AddScatter receives like RecvF64, adds payload element j into
+// x[pos[j]] and recycles the transport buffer — the exporter's
+// sum-into-owner step without surfacing the wire buffer. The payload must
+// have exactly len(pos) elements.
 func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
 	buf := r.recv(src, tag).f64()
 	if len(buf) != len(pos) {

@@ -26,15 +26,16 @@ import (
 // to the destination mailbox; the matching receive either transfers
 // ownership to the application (RecvF64, and through it the results of Bcast
 // and Allreduce) — the buffer then leaves the pool for good — or scatters
-// the payload out and returns the buffer with put (RecvF64Scatter,
-// RecvF64AddScatter). AllreduceScalar moves no
-// buffer but counts a get for each message its trees would send and a put for
-// each they would receive. The vector collectives own buffers in between: Reduce draws its accumulator
+// the payload out and returns the buffer with put (RecvF64AddScatter).
+// Link traffic (link.go) and AllreduceScalar move no pool buffer but count a
+// get for each message they send and a put for each they receive, as the
+// mailbox sends and scattering receives they stand for would. The vector
+// collectives own buffers in between: Reduce draws its accumulator
 // (scratch), folds each child's payload in and returns it (release), and
 // either sends the accumulator itself up the tree (sendOwned) or, on the
 // root, hands it to the caller; ExchangeInts returns both its indicator and
-// the Allreduce result it read one entry of. A buffer must never be put twice or
-// retained after put. Buffers migrate: what a receiver puts came from its
+// the Allreduce result it read one entry of. A buffer must never be put twice
+// or retained after put. Buffers migrate: what a receiver puts came from its
 // sender's stacks.
 // A rank's stacks drain into the shared level when its goroutine exits
 // (World.Run), so between runs every free buffer is in the shared level and
@@ -72,8 +73,8 @@ const (
 	// payloads of up to 1<<(localClasses-1) = 256 elements. Larger ones are
 	// dominated by their copy, not by the shared lock.
 	localClasses = 9
-	// localClassDepth caps each private stack: a 26-neighbour halo exchange
-	// posts all its sends, up to 26 buffers of one class, before it receives.
+	// localClassDepth caps each private stack: a 26-neighbour refill posts
+	// all its sends, up to 26 buffers of one class, before it receives.
 	localClassDepth = 32
 )
 
@@ -134,9 +135,9 @@ func (p *f64Pool) put(buf []float64) {
 }
 
 // rankPool is one rank's private front to the world's f64Pool: unlocked
-// per-class stacks touched only by the owning goroutine. Halo exchanges and
-// the binomial trees return as many buffers of a class as they draw, so in
-// the steady state get and put stay within these stacks.
+// per-class stacks touched only by the owning goroutine. The binomial trees
+// and refills return as many buffers of a class as they draw, so in the
+// steady state get and put stay within these stacks.
 type rankPool struct {
 	shared *f64Pool
 	free   [localClasses][][]float64

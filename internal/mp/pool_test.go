@@ -65,7 +65,7 @@ func TestRankLocalPoolBounded(t *testing.T) {
 			pos[i] = i
 		}
 		for i := 0; i < small; i++ {
-			r.RecvF64Scatter(0, 3, data, pos[:smallSize])
+			r.RecvF64AddScatter(0, 3, data, pos[:smallSize])
 			for c := range r.pool.free {
 				if d := len(r.pool.free[c]); d > deepest {
 					deepest = d
@@ -73,7 +73,7 @@ func TestRankLocalPoolBounded(t *testing.T) {
 			}
 		}
 		for i := 0; i < large; i++ {
-			r.RecvF64Scatter(0, 5, big, pos)
+			r.RecvF64AddScatter(0, 5, big, pos)
 		}
 		return nil
 	})
@@ -142,11 +142,10 @@ func TestCensusBuffersOutliveTheCensus(t *testing.T) {
 	}
 }
 
-// TestRecvLengthMismatchReturnsBuffer checks that the scattering receives
-// hand a payload of the wrong length back to the pool before they panic.
+// TestRecvLengthMismatchReturnsBuffer checks that the scattering receive
+// hands a payload of the wrong length back to the pool before it panics.
 func TestRecvLengthMismatchReturnsBuffer(t *testing.T) {
 	recvs := map[string]func(r *Rank){
-		"RecvF64Scatter":    func(r *Rank) { r.RecvF64Scatter(0, 3, make([]float64, 8), []int{0, 1}) },
 		"RecvF64AddScatter": func(r *Rank) { r.RecvF64AddScatter(0, 3, make([]float64, 8), []int{0, 1, 2, 3}) },
 	}
 	for name, recv := range recvs {

@@ -125,10 +125,10 @@ func TestNSIterationAllocCeiling(t *testing.T) {
 // process-wide mallocs over 1000 and 512 rank goroutines, so one payload
 // that misses the pool or one queue that regrows on any rank in every op
 // shows too. A one-time cost does not: when halo-exchange-p1000's 1000 ranks
-// exit, they drain their private stacks into the shared pool, whose stacks
-// grow to hold them (about 45 allocations, 2.4 MB, the same total over 200,
-// 1000 or 3000 ops), which reads as 0 allocs/op and a few KB/op over the 200
-// ops each world case runs. The element-to-matrix refill of the
+// exit, they drain the set-up's buffers from their private stacks into the
+// shared pool, whose stacks grow to hold them (the exchange itself runs on
+// links made at set-up and draws none), which reads as 0 allocs/op and a few
+// KB/op over the 200 ops each world case runs. The element-to-matrix refill of the
 // applications' time loops is measured the same way, over 27 ranks.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, c := range []struct {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"heterohpc/internal/idindex"
@@ -44,12 +45,13 @@ func (m *RowMap) LocalOf(g int) (int, bool) { return m.ix.Lookup(g) }
 // (the Epetra_Import role). Construction performs a scalable handshake:
 // requesters know their ghost owners locally; owners learn their requesters
 // through one indicator-vector Allreduce followed by neighbour-only
-// messages, so no all-to-all traffic is needed even at 1000 ranks.
+// messages, so no all-to-all traffic is needed even at 1000 ranks. It then
+// opens one persistent mp.Link per peer and direction, and every exchange
+// runs on those: its peers, tag and sizes never change.
 type Importer struct {
 	r      *mp.Rank
 	nOwned int
 	nGhost int
-	tag    int
 	// sends[i]: owned local indices to pack for peer sendPeers[i].
 	sendPeers []int
 	sends     [][]int
@@ -57,6 +59,11 @@ type Importer struct {
 	// order that peer packs them.
 	recvPeers []int
 	recvs     [][]int
+	// Exchange sends on toSend[i] (to sendPeers[i]) and receives on
+	// fromRecv[i] (from recvPeers[i]); ExportAdd runs the other way, sending
+	// on toRecv[i] and receiving on fromSend[i]. Where a peer is in both
+	// lists the two directions to it share one link.
+	toSend, fromRecv, toRecv, fromSend []*mp.Link
 	// sendB/recvB cache the total payload bytes one Exchange (resp. the
 	// send half of ExportAdd) puts on the wire, for the observer.
 	sendB, recvB int
@@ -72,7 +79,7 @@ type Importer struct {
 // message tags (tag, tag+1) for this importer; the halo exchange runs under
 // tag+1 (the handshake that sets it up is a collective and uses neither).
 func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) int, tag int) (*Importer, error) {
-	im := &Importer{r: r, nOwned: rowMap.N(), nGhost: len(ghostGlobal), tag: tag}
+	im := &Importer{r: r, nOwned: rowMap.N(), nGhost: len(ghostGlobal)}
 
 	// Group ghost positions by owning rank: one counting pass sizes the
 	// per-peer groups exactly, so the second pass fills two flat backing
@@ -124,6 +131,28 @@ func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) 
 	for _, pos := range im.recvs {
 		im.recvB += 8 * len(pos)
 	}
+	// A link to a peer in both lists carries both directions' payloads, so
+	// it is as wide as the larger.
+	width := func(p int) int {
+		n := 0
+		if i, ok := slices.BinarySearch(im.sendPeers, p); ok {
+			n = len(im.sends[i])
+		}
+		if i, ok := slices.BinarySearch(im.recvPeers, p); ok {
+			n = max(n, len(im.recvs[i]))
+		}
+		return n
+	}
+	ns, nr := len(im.sendPeers), len(im.recvPeers)
+	links := make([]*mp.Link, 2*(ns+nr))
+	im.toSend, im.fromSend, links = links[:ns:ns], links[ns:2*ns:2*ns], links[2*ns:]
+	im.toRecv, im.fromRecv = links[:nr:nr], links[nr:]
+	for i, p := range im.sendPeers {
+		im.toSend[i], im.fromSend[i] = r.LinkTo(p, tag+1, width(p)), r.LinkFrom(p, tag+1)
+	}
+	for i, p := range im.recvPeers {
+		im.toRecv[i], im.fromRecv[i] = r.LinkTo(p, tag+1, width(p)), r.LinkFrom(p, tag+1)
+	}
 	im.ghostGlobal = append([]int(nil), ghostGlobal...)
 	return im, nil
 }
@@ -142,11 +171,11 @@ func (im *Importer) Exchange(x []float64) {
 		panic(fmt.Sprintf("sparse: Exchange vector len %d < %d", len(x), im.nOwned+im.nGhost))
 	}
 	im.r.Obs().CountHalo(im.sendB)
-	for i, p := range im.sendPeers {
-		im.r.SendF64Gather(p, im.tag+1, x, im.sends[i])
+	for i, l := range im.toSend {
+		im.r.SendGather(l, x, im.sends[i])
 	}
-	for i, p := range im.recvPeers {
-		im.r.RecvF64Scatter(p, im.tag+1, x, im.recvs[i])
+	for i, l := range im.fromRecv {
+		im.r.RecvScatter(l, x, im.recvs[i])
 	}
 }
 
@@ -159,15 +188,15 @@ func (im *Importer) ExportAdd(x []float64) {
 		panic(fmt.Sprintf("sparse: ExportAdd vector len %d < %d", len(x), im.nOwned+im.nGhost))
 	}
 	im.r.Obs().CountHalo(im.recvB)
-	for i, p := range im.recvPeers {
+	for i, l := range im.toRecv {
 		pos := im.recvs[i]
-		im.r.SendF64Gather(p, im.tag+1, x, pos)
-		for _, l := range pos {
-			x[l] = 0
+		im.r.SendGather(l, x, pos)
+		for _, k := range pos {
+			x[k] = 0
 		}
 	}
-	for i, p := range im.sendPeers {
-		im.r.RecvF64AddScatter(p, im.tag+1, x, im.sends[i])
+	for i, l := range im.fromSend {
+		im.r.RecvAddScatter(l, x, im.sends[i])
 	}
 }
 

@@ -195,7 +195,11 @@ func (dm *refDistMatrix) SetValues(coo *COO) {
 		dm.A.Val[dm.localSlots[i]] += coo.Vals[t]
 	}
 	for i, p := range dm.exportPeers {
-		dm.r.SendF64Gather(p, dm.tag+1, coo.Vals, dm.exportIdx[i])
+		vals := make([]float64, len(dm.exportIdx[i]))
+		for j, t := range dm.exportIdx[i] {
+			vals[j] = coo.Vals[t]
+		}
+		dm.r.SendF64(p, dm.tag+1, vals)
 	}
 	for i, p := range dm.importPeers {
 		dm.r.RecvF64AddScatter(p, dm.tag+1, dm.A.Val, dm.importSlots[i])
