@@ -172,16 +172,19 @@ func TestFailingRunStillWritesJournal(t *testing.T) {
 	jp := filepath.Join(dir, "fail.jsonl")
 	mp := filepath.Join(dir, "fail.json")
 	var stdout, stderr bytes.Buffer
-	// ec2 succeeds, then the bogus platform errors: the journal must hold
-	// the completed ec2 points when the run dies.
-	code := run([]string{"rd-weak", "-n", "2", "-steps", "2", "-max", "8",
-		"-platforms", "ec2,bogus", "-journal", jp, "-metrics", mp},
+	// The ec2 job runs, then writing its timeline into a directory that does
+	// not exist fails: the journal must hold the completed job when the
+	// command dies. (An unknown platform name no longer gets that far: it
+	// exits 2 before any work.)
+	tp := filepath.Join(dir, "missing", "trace.json")
+	code := run([]string{"trace", "-n", "2", "-steps", "2", "-ranks", "8",
+		"-platforms", "ec2", "-csv", tp, "-journal", jp, "-metrics", mp},
 		&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("run exited %d, want 1 (stderr: %s)", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "bogus") {
-		t.Errorf("stderr does not report the failing platform: %s", stderr.String())
+	if !strings.Contains(stderr.String(), tp) {
+		t.Errorf("stderr does not report the failing write: %s", stderr.String())
 	}
 	j, err := os.ReadFile(jp)
 	if err != nil {

@@ -34,6 +34,7 @@ import (
 	"heterohpc/internal/bench"
 	"heterohpc/internal/core"
 	"heterohpc/internal/obs"
+	"heterohpc/internal/platform"
 	"heterohpc/internal/trace"
 	"heterohpc/internal/triage"
 )
@@ -118,14 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OnDemandSupply: *odsupply, ProvisionRetries: *retries, Regrow: *regrow,
 		TracePath: *tracePath,
 	}
-	if err := checkArgs(cmd, fc, *what, *nodes, *globalN); err != nil {
-		fmt.Fprintf(stderr, "heterobench: %v\n", err)
-		return 2
-	}
-	var obsRun *obs.Run
-	if *journalPath != "" || *metricsPath != "" {
-		obsRun = obs.NewRun()
-	}
 	opts := bench.Options{
 		PerRankN:  *n,
 		Steps:     *steps,
@@ -133,8 +126,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxRanks:  *maxRanks,
 		Seed:      uint64(*seed),
 		Platforms: strings.Split(*platforms, ","),
-		Obs:       obsRun,
 	}
+	if err := checkArgs(cmd, fc, opts.Platforms, *what, *nodes, *globalN); err != nil {
+		fmt.Fprintf(stderr, "heterobench: %v\n", err)
+		return 2
+	}
+	var obsRun *obs.Run
+	if *journalPath != "" || *metricsPath != "" {
+		obsRun = obs.NewRun()
+	}
+	opts.Obs = obsRun
 
 	var err error
 	switch cmd {
@@ -241,9 +242,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // checkArgs rejects, before cmd starts any work, a flag value it cannot run
-// with: an unknown application, ablation or policy name, and a rank, node or
-// mesh-edge count below one where the command needs one.
-func checkArgs(cmd string, fc faultsConfig, what string, nodes, globalN int) error {
+// with: an unknown platform, application, ablation or policy name, and a
+// rank, node or mesh-edge count below one where the command needs one.
+func checkArgs(cmd string, fc faultsConfig, platforms []string, what string, nodes, globalN int) error {
+	for _, name := range append([]string{fc.Platform}, platforms...) {
+		if _, err := platform.Get(name); err != nil {
+			return err
+		}
+	}
 	switch cmd {
 	case "cost", "strong", "trace":
 		if fc.App != "rd" && fc.App != "ns" {
@@ -529,6 +535,13 @@ func runAvailability(stdout io.Writer, opts bench.Options, nodes int) error {
 // timelines ("<platform>_<app>_trace.json", or the -csv path when exactly
 // one platform is configured).
 func runTrace(stdout, stderr io.Writer, app string, opts bench.Options, ranks int, outPath string) error {
+	// -n 0 and -steps 0 mean what they mean to every other command.
+	if opts.PerRankN == 0 {
+		opts.PerRankN = 10
+	}
+	if opts.Steps == 0 {
+		opts.Steps = 3
+	}
 	for _, platform := range opts.Platforms {
 		tg, err := core.NewTarget(platform, opts.Seed)
 		if err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -171,6 +173,8 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"trace", "-ranks", "0", "-csv", "trace.json"}, "-ranks 0: the trace command needs at least one rank"},
 		{[]string{"strong", "-global", "0"}, "-global 0: the strong-scaling mesh needs"},
 		{[]string{"bidding", "-nodes", "0"}, "-nodes 0: the bid sweep needs at least one node"},
+		{[]string{"rd-weak", "-platforms", "puma,nope", "-max", "8", "-csv", "weak.csv"}, `unknown platform "nope"`},
+		{[]string{"faults", "-platform", "nope", "-journal", "run.jsonl"}, `unknown platform "nope"`},
 		{[]string{"perf"}, `unknown command "perf"`},
 		{[]string{"rd-weak", "-cpuprofile", "cpu.pprof"}, "not defined: -cpuprofile"},
 	} {
@@ -271,5 +275,31 @@ func TestRunTrace(t *testing.T) {
 	}
 	if err := runTrace(io.Discard, io.Discard, "bogus", o, 8, ""); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestTraceReadsZeroAsDefaults runs trace with -n 0 and -steps 0, which mean
+// the defaults to every command (10 elements per rank per edge, 3 steps), and
+// requires the timeline the explicit defaults write, for both applications.
+func TestTraceReadsZeroAsDefaults(t *testing.T) {
+	dir := t.TempDir()
+	for _, app := range []string{"rd", "ns"} {
+		var traces [2][]byte
+		for i, size := range [][]string{{"-n", "0", "-steps", "0"}, {"-n", "10", "-steps", "3"}} {
+			path := filepath.Join(dir, fmt.Sprintf("%s_%d.json", app, i))
+			args := append([]string{"trace", "-app", app, "-ranks", "1", "-platforms", "ec2", "-csv", path}, size...)
+			var stdout, stderr strings.Builder
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d:\n%s", args, code, stderr.String())
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[i] = data
+		}
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("trace -app %s -n 0 -steps 0 wrote another timeline than -n 10 -steps 3", app)
+		}
 	}
 }

@@ -76,7 +76,11 @@ func WeakRD(ranks, perRankN, steps int) (App, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: weak scaling needs cubic rank counts: %w", err)
 	}
-	m := mesh.NewUnitCube(perRankN * p)
+	n := perRankN * p
+	m, err := mesh.NewBox(mesh.UnitBox, n, n, n)
+	if err != nil {
+		return nil, err
+	}
 	return RDApp{Cfg: rd.Config{
 		Mesh:  m,
 		Grid:  [3]int{p, p, p},

@@ -140,6 +140,13 @@ func TestWeakAppValidation(t *testing.T) {
 	if _, err := WeakNS(10, 4, 1); err == nil {
 		t.Error("non-cubic rank count accepted")
 	}
+	// An empty mesh is an error from both builders, not a panic.
+	if _, err := WeakRD(8, 0, 1); err == nil {
+		t.Error("WeakRD accepted 0 elements per rank")
+	}
+	if _, err := WeakNS(8, 0, 1); err == nil {
+		t.Error("WeakNS accepted 0 elements per rank")
+	}
 }
 
 func TestMemPerRankGB(t *testing.T) {

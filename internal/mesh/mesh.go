@@ -34,11 +34,12 @@ type Mesh struct {
 	hx, hy, hz float64
 }
 
-// NewUnitCube returns an n×n×n mesh of the unit cube.
+// NewUnitCube returns an n×n×n mesh of the unit cube. It panics for n < 1;
+// a caller that has not validated n uses NewBox, which returns the error.
 func NewUnitCube(n int) *Mesh {
 	m, err := NewBox(UnitBox, n, n, n)
 	if err != nil {
-		panic(err) // n validated below; only n<1 can fail
+		panic(err)
 	}
 	return m
 }

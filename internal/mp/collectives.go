@@ -19,9 +19,6 @@ const (
 )
 
 func (op ReduceOp) apply(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mp: reduce length mismatch %d vs %d", len(dst), len(src)))
-	}
 	switch op {
 	case OpSum:
 		for i, v := range src {
@@ -39,15 +36,13 @@ func (op ReduceOp) apply(dst, src []float64) {
 				dst[i] = v
 			}
 		}
-	default:
-		panic(fmt.Sprintf("mp: unknown reduce op %d", op))
 	}
 }
 
 // Collective tags live in their own negative namespace: every collective
 // call consumes one sequence number; all ranks execute the same collective
 // sequence so equal numbers pair up. The kind is mixed in so that a
-// mismatched program (rank 0 in a Bcast while rank 1 is in a Reduce) fails
+// mismatched program (rank 0 in a Bcast while rank 1 is in a Barrier) fails
 // loudly by deadlocking in tests rather than silently exchanging data. Kinds
 // 3–7 are unused and stay reserved, so that no tag value changes.
 const (
@@ -68,16 +63,10 @@ func (r *Rank) collTag(kind int) int {
 // pattern (ceil(log2 P) rounds of paired messages).
 func (r *Rank) Barrier() {
 	p := r.Size()
-	if p == 1 {
-		r.collSeq++
-		return
-	}
 	tag := r.collTag(kindBarrier)
 	for k := 1; k < p; k <<= 1 {
-		dst := (r.id + k) % p
-		src := (r.id - k + p) % p
-		r.SendF64(dst, tag, nil)
-		r.RecvF64(src, tag)
+		r.SendF64((r.id+k)%p, tag, nil)
+		r.RecvF64((r.id-k+p)%p, tag)
 	}
 }
 
@@ -85,87 +74,32 @@ func (r *Rank) Barrier() {
 // returns each rank's copy. Non-root ranks pass their (possibly nil) buffer;
 // the returned slice holds the broadcast data.
 func (r *Rank) Bcast(root int, data []float64) []float64 {
-	out := r.bcast(root, data)
-	if r.id == root {
-		out = make([]float64, len(data))
-		copy(out, data)
-	}
-	return out
-}
-
-// bcast is Bcast without the root's copy: the root gets buf itself back.
-func (r *Rank) bcast(root int, buf []float64) []float64 {
 	p := r.Size()
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("mp: bcast root %d out of range", root))
 	}
 	tag := r.collTag(kindBcast)
 	rel := (r.id - root + p) % p
-	// Receive once from the parent (unless root).
+	buf := data
+	if rel == 0 {
+		buf = make([]float64, len(data))
+		copy(buf, data)
+	}
+	// Receive once from the parent (unless root), then forward to the
+	// children below the mask at which it arrived.
 	mask := 1
-	for mask < p {
+	for ; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
-			src := (rel - mask + root) % p
-			buf = r.RecvF64(src, tag)
+			buf = r.RecvF64((rel-mask+root)%p, tag)
 			break
 		}
-		mask <<= 1
 	}
-	// Forward to children below the mask at which we received.
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
-			dst := (rel + mask + root) % p
-			r.SendF64(dst, tag, buf)
+			r.SendF64((rel+mask+root)%p, tag, buf)
 		}
-		mask >>= 1
 	}
 	return buf
-}
-
-// Reduce combines data from all ranks with op along a binomial tree and
-// returns the result on root (nil elsewhere). data is not modified. The
-// accumulator is a pool buffer: every rank but the root sends its own on as
-// the payload, the root's passes to the caller, and the children's payloads
-// go back to the pool once folded in.
-func (r *Rank) Reduce(root int, op ReduceOp, data []float64) []float64 {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mp: reduce root %d out of range", root))
-	}
-	tag := r.collTag(kindReduce)
-	acc := r.pool.scratch(len(data))
-	copy(acc, data)
-	rel := (r.id - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			r.sendOwned((rel-mask+root)%p, tag, acc)
-			return nil
-		}
-		if rel+mask < p {
-			buf := r.RecvF64((rel+mask+root)%p, tag)
-			op.apply(acc, buf)
-			r.pool.release(buf)
-		}
-	}
-	return acc
-}
-
-// sendOwned is SendF64 for a buffer the caller drew with scratch and is done
-// with: it travels itself instead of a copy. The draw is counted here, where
-// SendF64 would have made it.
-func (r *Rank) sendOwned(dst, tag int, buf []float64) {
-	r.checkDst(dst)
-	if len(buf) > 0 {
-		r.pool.gets++
-	}
-	r.post(dst, tag, 8*len(buf), f64Msg(buf))
-}
-
-// Allreduce combines data from all ranks with op and returns the result on
-// every rank (Reduce to rank 0 followed by Bcast, 2·ceil(log2 P) stages).
-func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
-	return r.bcast(0, r.Reduce(0, op, data))
 }
 
 // ExchangeInts sends payload(i) to peers[i] and returns what the ranks that
@@ -180,16 +114,18 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 // How many will send is learnt at virtual cost, as a distributor's census
 // learns it: one P-length indicator Allreduce, 1 at each peer, whose own entry
 // is the count. Who is learnt on the host: each rank first files its id with
-// its peers' mailboxes. Every rank files before it contributes to the
-// Allreduce and reads its own list after the result has reached it, so the
-// Allreduce's message chain orders every filing before any reader, and a list
-// that disagrees with the count is a broken invariant. The receives are then
-// directed, so a sender that dies is observed by take's per-sender rule like
-// any other; the streams travel under a collective tag, in each source's
-// collective FIFO, and leave no per-tag queue behind.
+// its peers' mailboxes. Every rank files before it enters the Allreduce and
+// reads its own list after the Allreduce has woken it, and the Allreduce
+// resolves under its lock only once every rank has entered, so every filing
+// is ordered before any reader, and a list that disagrees with the count is a
+// broken invariant. The receives are then directed, so a sender that dies is
+// observed by take's per-sender rule like any other; the streams travel under
+// a collective tag, in each source's collective FIFO, and leave no per-tag
+// queue behind.
 func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int, recv [][]int) {
 	tag := r.collTag(kindExchange)
-	// ind[p] is 1 from p's filing until p's stream is sent.
+	// ind[p] is 1 from p's filing. The census sums ind in place, which
+	// leaves it at least 1 at every peer until p's stream is sent.
 	ind := r.pool.scratch(r.Size())
 	clear(ind)
 	for _, p := range peers {
@@ -201,15 +137,14 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 			r.world.boxes[p].file(tag, r.id)
 		}
 	}
-	sum := r.Allreduce(OpSum, ind)
-	n := int(sum[r.id] + 0.5)
-	r.pool.release(sum)
+	r.allreduce(OpSum, ind, true)
+	n := int(ind[r.id] + 0.5)
 	srcs = r.world.boxes[r.id].senders(tag, n)
 	if len(srcs) != n {
 		panic(fmt.Sprintf("mp: exchange census counted %d senders to rank %d, %d filed", n, r.id, len(srcs)))
 	}
 	for i, p := range peers {
-		if ind[p] == 1 {
+		if ind[p] != 0 {
 			ind[p] = 0
 			stream := payload(i)
 			r.checkDst(p)
@@ -224,49 +159,57 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 	return srcs, recv
 }
 
-// applyScalar is the one-element form of apply, with the identical
-// floating-point evaluation order (acc op= v).
-func (op ReduceOp) applyScalar(acc, v float64) float64 {
-	switch op {
-	case OpSum:
-		return acc + v
-	case OpMax:
-		if v > acc {
-			return v
-		}
-		return acc
-	case OpMin:
-		if v < acc {
-			return v
-		}
-		return acc
-	default:
-		panic(fmt.Sprintf("mp: unknown reduce op %d", op))
-	}
+// Allreduce combines data from all ranks with op and returns the result on
+// every rank, in a pool buffer the caller owns from then on (as RecvF64
+// hands over its payload). data is not modified. Every rank must pass as
+// many elements: a rank that is sent a contribution of another length
+// panics, as the tree's receiver would.
+//
+// Its virtual outcome is that of a binomial Reduce to rank 0 followed by a
+// binomial Bcast from it (2·ceil(log2 P) stages), each message a SendF64 and
+// a RecvF64 of the rank's accumulator: tags, message sizes, combination
+// order, clock charges, queue intervals, message and pool counts and fault
+// points. On the host no message moves: see AllreduceScalar.
+func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
+	acc := r.pool.scratch(len(data))
+	copy(acc, data)
+	r.allreduce(op, acc, true)
+	return acc
 }
 
 // AllreduceScalar is Allreduce for a single value — the reduction under
 // every distributed dot product, so it runs several times per Krylov
-// iteration on every rank.
+// iteration on every rank. Its payload lives in the rank's slot, so a call
+// allocates nothing, and each of its receives counts a pool put and records
+// no queue interval, as the one-element messages it once moved did.
 //
-// Its virtual outcome is that of Allreduce over one-element payloads, rank by
-// rank and bit for bit: the binomial Reduce to rank 0 and Bcast from it, with
-// their tags, message sizes, combination order, clock charges, message and
-// pool counts and fault points. On the host no message moves. Each rank files
-// its value and parks; the event that completes the set — the last rank
-// arriving, or a rank exiting (World.markDead) while every other rank is
-// parked here — replays both trees over every rank's state at once and wakes
-// each rank with its verdict: the result, or death at the point of the tree
-// where the rank would have died.
+// Neither form moves a message. Each rank files its payload and parks; the
+// event that completes the set — the last rank arriving, or a rank exiting
+// (World.markDead) while every other rank is parked here — replays both
+// trees over every rank's state at once and wakes each rank with its
+// verdict: the result, death at the point of the tree where the rank would
+// have died, or the panic of a length mismatch.
 func (r *Rank) AllreduceScalar(op ReduceOp, x float64) float64 {
+	sl := &r.world.allreduce.slots[r.id]
+	sl.one[0] = x
+	r.allreduce(op, sl.one[:], false)
+	return sl.one[0]
+}
+
+// allreduce reduces buf in place across the world; vector selects the
+// receive accounting of Allreduce over that of AllreduceScalar.
+func (r *Rank) allreduce(op ReduceOp, buf []float64, vector bool) {
+	if op < OpSum || op > OpMin {
+		panic(fmt.Sprintf("mp: unknown reduce op %d", op))
+	}
 	tags := [2]int{r.collTag(kindReduce), r.collTag(kindBcast)}
 	if r.Size() == 1 {
-		return x
+		return
 	}
-	s := &r.world.scalar
+	s := &r.world.allreduce
 	sl := &s.slots[r.id]
 	s.mu.Lock()
-	sl.x, sl.op, sl.tags = x, op, tags
+	sl.buf, sl.op, sl.tags, sl.vector = buf, op, tags, vector
 	s.in++
 	if s.in+s.out == len(s.slots) {
 		s.resolve()
@@ -276,40 +219,49 @@ func (r *Rank) AllreduceScalar(op ReduceOp, x float64) float64 {
 		s.mu.Unlock()
 		<-sl.wake
 	}
+	if sl.fault != "" {
+		panic(sl.fault)
+	}
 	if sl.dead {
 		panic(killedPanic{})
 	}
-	return sl.x
 }
 
-// scalarColl is a world's scalar allreduce: one slot per rank, made once per
+// allreduceColl is a world's allreduce: one slot per rank, made once per
 // world by Run, and the count of ranks the pending collective is waiting on.
 // mu guards the counts and the slots (but see wake), and the state of every
 // parked rank (clock, recorder, pool counts), which resolve charges in the
 // rank's stead.
-type scalarColl struct {
+type allreduceColl struct {
 	mu    sync.Mutex
-	slots []scalarSlot
+	slots []allreduceSlot
 	// in counts the ranks parked in the pending collective, out the ranks
 	// that have exited. The collective is complete when they add up to P.
 	in, out int
 }
 
-// scalarSlot is one rank's part in the scalar allreduce.
-type scalarSlot struct {
+// allreduceSlot is one rank's part in the allreduce.
+type allreduceSlot struct {
 	r *Rank
-	// x is the rank's contribution and, once resolved, its result.
-	x    float64
-	op   ReduceOp
-	tags [2]int // reduce and broadcast tags of the rank's collective
+	// buf is the rank's contribution, reduced in place into its result: the
+	// caller's accumulator for Allreduce, one for AllreduceScalar. It is
+	// also the payload of every message the rank sends.
+	buf    []float64
+	one    [1]float64
+	op     ReduceOp
+	vector bool
+	tags   [2]int // reduce and broadcast tags of the rank's collective
 	// exited is set when the rank's goroutine ends: it never sends again.
-	// dead is the verdict that the collective kills the rank.
+	// dead is the verdict that the collective kills the rank, and fault the
+	// panic of a length mismatch that kills it.
 	exited, dead bool
-	// sent, val and at are the message in flight between the rank and its
-	// tree parent — up the reduce tree, then down the broadcast tree.
-	sent    bool
-	val, at float64
-	wake    chan struct{}
+	fault        string
+	// sent and at are the message in flight between the rank and its tree
+	// parent — up the reduce tree, then down the broadcast tree — and its
+	// arrival time. Its payload is the sender's buf.
+	sent bool
+	at   float64
+	wake chan struct{}
 }
 
 // resolve completes the pending collective once every rank has arrived or
@@ -320,7 +272,7 @@ type scalarSlot struct {
 // broadcast, rank 0 goes first and parents have higher ones. A receive that
 // finds no message finds a sender that has died or exited, and kills the
 // receiver as take would.
-func (s *scalarColl) resolve() {
+func (s *allreduceColl) resolve() {
 	p := len(s.slots)
 	for low := 1; low < p; low <<= 1 {
 		for i := low; i < p; i += 2 * low {
@@ -345,7 +297,7 @@ func (s *scalarColl) resolve() {
 // parked rank can arrive again, so no other collective can complete, and a
 // rank's exited flag is written only by the rank itself, never while it is
 // parked.
-func (s *scalarColl) wake(self int) {
+func (s *allreduceColl) wake(self int) {
 	for i := range s.slots {
 		if i != self && !s.slots[i].exited {
 			s.slots[i].wake <- struct{}{}
@@ -354,33 +306,39 @@ func (s *scalarColl) wake(self int) {
 }
 
 // reduce is rank i's Reduce leg: fold in the children i+1, i+2, i+4, …
-// below its lowest set bit, in that order, then send to the parent.
-func (s *scalarColl) reduce(i int) {
+// below its lowest set bit, in that order, then send to the parent. A child
+// whose payload has another length than the rank's kills the rank with the
+// panic the tree's fold raised.
+func (s *allreduceColl) reduce(i int) {
 	sl := &s.slots[i]
 	if sl.exited {
 		return
 	}
-	sl.dead = false
-	acc := sl.x
+	sl.dead, sl.fault = false, ""
 	for mask := 1; mask < len(s.slots); mask <<= 1 {
 		if i&mask != 0 {
-			sl.send(i-mask, acc, sl)
+			sl.send(i-mask, sl)
 			return
 		}
 		if c := i + mask; c < len(s.slots) {
-			v, ok := sl.recv(&s.slots[c])
-			if !ok {
+			child := &s.slots[c]
+			if !sl.recv(child) {
 				return
 			}
-			acc = sl.op.applyScalar(acc, v)
+			if len(child.buf) != len(sl.buf) {
+				sl.dead = true
+				sl.fault = fmt.Sprintf("mp: reduce length mismatch %d vs %d", len(sl.buf), len(child.buf))
+				return
+			}
+			sl.op.apply(sl.buf, child.buf)
 		}
 	}
-	sl.x = acc
 }
 
 // bcast is rank i's Bcast leg: receive from the parent (rank 0 has none),
-// then send to the children below the lowest set bit, largest first.
-func (s *scalarColl) bcast(i int) {
+// then send to the children below the lowest set bit, largest first. The
+// reduce has held every rank's length to the root's.
+func (s *allreduceColl) bcast(i int) {
 	sl := &s.slots[i]
 	if sl.exited || sl.dead {
 		return
@@ -390,55 +348,64 @@ func (s *scalarColl) bcast(i int) {
 		mask <<= 1
 	}
 	if i != 0 {
-		v, ok := sl.recv(sl)
-		if !ok {
+		if !sl.recv(sl) {
 			return
 		}
-		sl.x = v
+		copy(sl.buf, s.slots[i-mask].buf)
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
-		if c := i + mask; c < len(s.slots) && !sl.send(c, sl.x, &s.slots[c]) {
+		if c := i + mask; c < len(s.slots) && !sl.send(c, &s.slots[c]) {
 			return
 		}
 	}
 }
 
-// send is a one-element send by the slot's rank, leaving the message in
+// send is the slot's rank sending its buf to dst, leaving the message in
 // msg: the fault check, the counted pool draw and the charge, as SendF64
 // makes them.
-func (sl *scalarSlot) send(dst int, v float64, msg *scalarSlot) bool {
+func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 	r := sl.r
 	if r.due() {
 		sl.dead = true
 		return false
 	}
-	r.pool.gets++
-	msg.val, msg.at, msg.sent = v, r.chargeSend(dst, 8), true
+	if len(sl.buf) > 0 {
+		r.pool.gets++
+	}
+	msg.at, msg.sent = r.chargeSend(dst, 8*len(sl.buf)), true
 	return true
 }
 
 // recv is the matching receive by the slot's rank: fault check, take, clock
-// advance to the arrival, fault check, counted return of the payload.
-func (sl *scalarSlot) recv(msg *scalarSlot) (float64, bool) {
+// advance to the arrival, fault check. Allreduce's receive also records the
+// queue interval, as RecvF64 does; AllreduceScalar's instead counts the
+// return of the payload to the pool.
+func (sl *allreduceSlot) recv(msg *allreduceSlot) bool {
 	r := sl.r
 	if r.due() || !msg.sent {
 		sl.dead = true
-		return 0, false
+		return false
 	}
 	msg.sent = false
-	r.clk.AdvanceTo(msg.at)
+	if sl.vector {
+		r.noteRecv(msg.at)
+	} else {
+		r.clk.AdvanceTo(msg.at)
+	}
 	if r.due() {
 		sl.dead = true
-		return 0, false
+		return false
 	}
-	r.pool.puts++
-	return msg.val, true
+	if !sl.vector {
+		r.pool.puts++
+	}
+	return true
 }
 
 // strand leaves each message of one leg that its receiver never took, having
 // died first, in the receiver's mailbox, where the message tree leaves it, so
 // that a revoke counts it (Shrink.Revoked). It carries no payload.
-func (s *scalarColl) strand(bcast bool) {
+func (s *allreduceColl) strand(bcast bool) {
 	for c := 1; c < len(s.slots); c++ {
 		sl := &s.slots[c]
 		if !sl.sent {
@@ -456,7 +423,7 @@ func (s *scalarColl) strand(bcast bool) {
 
 // exit records that rank id has exited and resolves the pending collective
 // if the rank was the last one it waited on.
-func (s *scalarColl) exit(id int) {
+func (s *allreduceColl) exit(id int) {
 	s.mu.Lock()
 	s.slots[id].exited = true
 	s.out++

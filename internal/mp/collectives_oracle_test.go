@@ -15,14 +15,16 @@ import (
 	"heterohpc/internal/vclock"
 )
 
-// The vector collectives as they were before they recycled their vectors:
-// a fresh accumulator per rank, sent on as a second copy, the children's
-// payloads left to the GC, the root's broadcast result a third copy, and a
-// census that made its indicator and dropped the sum. They are the oracle
-// for Reduce, Allreduce and ExchangeInts: same trees, tags, sizes and
-// combination order, hence the same bits, virtual times and traffic counts.
+// The vector collectives as they were when they moved messages and before
+// they recycled their vectors: a fresh accumulator per rank, sent on as a
+// second copy, the children's payloads left to the GC, the root's broadcast
+// result a third copy, and a census that made its indicator and dropped the
+// sum. They are the oracle for Allreduce and ExchangeInts: same trees, tags,
+// sizes and combination order, hence the same bits, virtual times and
+// traffic counts. A non-nil trace records the clock at each fault check
+// (see allreduceTrace); it changes nothing the oracle does.
 
-func refBcast(r *Rank, root int, data []float64) []float64 {
+func refBcast(r *Rank, root int, data []float64, tr *allreduceTrace) []float64 {
 	p := r.Size()
 	tag := r.collTag(kindBcast)
 	if p == 1 {
@@ -33,13 +35,16 @@ func refBcast(r *Rank, root int, data []float64) []float64 {
 	mask := 1
 	for mask < p {
 		if rel&mask != 0 {
+			tr.note(r)
 			buf = r.RecvF64((rel-mask+root)%p, tag)
+			tr.note(r)
 			break
 		}
 		mask <<= 1
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
+			tr.note(r)
 			r.SendF64((rel+mask+root)%p, tag, buf)
 		}
 	}
@@ -49,21 +54,35 @@ func refBcast(r *Rank, root int, data []float64) []float64 {
 	return buf
 }
 
-func refReduce(r *Rank, root int, op ReduceOp, data []float64) []float64 {
+func refReduce(r *Rank, root int, op ReduceOp, data []float64, tr *allreduceTrace) []float64 {
 	p := r.Size()
 	tag := r.collTag(kindReduce)
 	acc := append([]float64(nil), data...)
 	rel := (r.id - root + p) % p
 	for mask := 1; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
+			tr.note(r)
 			r.SendF64((rel-mask+root)%p, tag, acc)
 			return nil
 		}
 		if rel+mask < p {
-			op.apply(acc, r.RecvF64((rel+mask+root)%p, tag))
+			tr.note(r)
+			buf := r.RecvF64((rel+mask+root)%p, tag)
+			tr.note(r)
+			if len(buf) != len(acc) {
+				panic(fmt.Sprintf("mp: reduce length mismatch %d vs %d", len(acc), len(buf)))
+			}
+			op.apply(acc, buf)
 		}
 	}
 	return acc
+}
+
+// refAllreduce is the vector allreduce as the message trees made it.
+func refAllreduce(r *Rank, op ReduceOp, data []float64, tr *allreduceTrace) []float64 {
+	out := refBcast(r, 0, refReduce(r, 0, op, data, tr), tr)
+	tr.done(r)
+	return out
 }
 
 func refCensus(r *Rank, peers []int) int {
@@ -71,7 +90,7 @@ func refCensus(r *Rank, peers []int) int {
 	for _, p := range peers {
 		ind[p] = 1
 	}
-	return int(refBcast(r, 0, refReduce(r, 0, OpSum, ind))[r.id] + 0.5)
+	return int(refBcast(r, 0, refReduce(r, 0, OpSum, ind, nil), nil)[r.id] + 0.5)
 }
 
 // exchangeTag is the application tag refExchange sends its streams under.
@@ -110,14 +129,13 @@ func exchangePeers(id, p int) []int {
 	return peers
 }
 
-// TestVectorCollectivesMatchUnpooledReference runs one script of reductions,
+// TestVectorCollectivesMatchUnpooledReference runs one script of
 // all-reductions and exchanges through the reference and through the pooled
 // collectives, in two identical observed worlds, and requires on every rank
 // the same result bits, clock, message and byte counts — and in the world the
 // same counted pool traffic, which the journal's "pool" event reports.
 func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 	type impl struct {
-		reduce    func(r *Rank, root int, op ReduceOp, data []float64) []float64
 		allreduce func(r *Rank, op ReduceOp, data []float64) []float64
 		exchange  func(r *Rank, peers []int, payload func(i int) []int) ([]int, [][]int)
 	}
@@ -133,10 +151,9 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 				senders[q] = append(senders[q], id)
 			}
 		}
-		ref := impl{refReduce,
-			func(r *Rank, op ReduceOp, data []float64) []float64 { return refBcast(r, 0, refReduce(r, 0, op, data)) },
+		ref := impl{func(r *Rank, op ReduceOp, data []float64) []float64 { return refAllreduce(r, op, data, nil) },
 			refExchange(func(id int) []int { return senders[id] })}
-		pooled := impl{(*Rank).Reduce, (*Rank).Allreduce, (*Rank).ExchangeInts}
+		pooled := impl{(*Rank).Allreduce, (*Rank).ExchangeInts}
 		run := func(im impl) ([]outcome, int64, int64, int) {
 			w := testWorld(t, p, 4)
 			w.pool.counting = true
@@ -150,7 +167,6 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 						data[i] = math.Sqrt(float64(1 + i + 7*r.ID() + 31*round))
 					}
 					for _, op := range []ReduceOp{OpSum, OpMax, OpMin} {
-						o.vals = append(o.vals, im.reduce(r, (round+int(op))%p, op, data)...)
 						o.vals = append(o.vals, im.allreduce(r, op, data)...)
 					}
 					// Streams of different lengths, an empty one among them,
@@ -168,7 +184,6 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 							o.vals = append(o.vals, float64(v))
 						}
 					}
-					o.vals = append(o.vals, im.reduce(r, 0, OpSum, nil)...)
 				}
 				_, _, o.msgs, o.msgB = r.Clock().Counters()
 				o.now = r.Wtime()
@@ -215,7 +230,7 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 // records each rank's clock at the fault checks of one call and at its
 // return; it changes nothing the oracle does.
 
-func refSendScalar(r *Rank, dst, tag int, v float64, tr *scalarTrace) {
+func refSendScalar(r *Rank, dst, tag int, v float64, tr *allreduceTrace) {
 	tr.note(r)
 	r.checkDst(dst)
 	cp := r.pool.get(1)
@@ -223,7 +238,7 @@ func refSendScalar(r *Rank, dst, tag int, v float64, tr *scalarTrace) {
 	r.post(dst, tag, 8, f64Msg(cp))
 }
 
-func refRecvScalar(r *Rank, src, tag int, tr *scalarTrace) float64 {
+func refRecvScalar(r *Rank, src, tag int, tr *allreduceTrace) float64 {
 	tr.note(r)
 	r.checkFault()
 	m := r.world.boxes[r.id].take(src, tag)
@@ -236,7 +251,16 @@ func refRecvScalar(r *Rank, src, tag int, tr *scalarTrace) float64 {
 	return v
 }
 
-func refAllreduceScalar(r *Rank, op ReduceOp, x float64, tr *scalarTrace) float64 {
+// refApplyScalar folds v into acc (acc op= v) with apply, the primitive
+// both forms of the allreduce fold with. The oracle pins the fold order; which
+// of two NaNs a sum keeps is the primitive's, and Go leaves it unspecified.
+func refApplyScalar(op ReduceOp, acc, v float64) float64 {
+	a := [1]float64{acc}
+	op.apply(a[:], []float64{v})
+	return a[0]
+}
+
+func refAllreduceScalar(r *Rank, op ReduceOp, x float64, tr *allreduceTrace) float64 {
 	p := r.Size()
 	acc := x
 	tag := r.collTag(kindReduce)
@@ -245,7 +269,7 @@ func refAllreduceScalar(r *Rank, op ReduceOp, x float64, tr *scalarTrace) float6
 		for mask := 1; mask < p; mask <<= 1 {
 			if rel&mask == 0 {
 				if rel+mask < p {
-					acc = op.applyScalar(acc, refRecvScalar(r, rel+mask, tag, tr))
+					acc = refApplyScalar(op, acc, refRecvScalar(r, rel+mask, tag, tr))
 				}
 			} else {
 				refSendScalar(r, rel-mask, tag, acc, tr)
@@ -275,60 +299,87 @@ func refAllreduceScalar(r *Rank, op ReduceOp, x float64, tr *scalarTrace) float6
 	return acc
 }
 
-// scalarTrace records, for call number call of every rank, the rank's clock
-// at each fault check and at return: every clock at which a node crash can
-// stop the rank inside that call. Each rank writes only its own entries.
-type scalarTrace struct {
+// allreduceTrace records, for call number call of every rank, the rank's
+// clock at each fault check and at return: every clock at which a node crash
+// can stop the rank inside that call. Each rank writes only its own entries.
+type allreduceTrace struct {
 	call   int
 	calls  []int
 	clocks [][]float64
 }
 
-func newScalarTrace(p, call int) *scalarTrace {
-	return &scalarTrace{call: call, calls: make([]int, p), clocks: make([][]float64, p)}
+func newAllreduceTrace(p, call int) *allreduceTrace {
+	return &allreduceTrace{call: call, calls: make([]int, p), clocks: make([][]float64, p)}
 }
 
-func (tr *scalarTrace) note(r *Rank) {
+func (tr *allreduceTrace) note(r *Rank) {
 	if tr != nil && tr.calls[r.id] == tr.call {
 		tr.clocks[r.id] = append(tr.clocks[r.id], r.Wtime())
 	}
 }
 
-func (tr *scalarTrace) done(r *Rank) {
+func (tr *allreduceTrace) done(r *Rank) {
 	if tr != nil {
 		tr.note(r)
 		tr.calls[r.id]++
 	}
 }
 
-// scalarImpl is a scalar allreduce under comparison.
-type scalarImpl func(r *Rank, op ReduceOp, x float64) float64
+// allreduceImpl is an allreduce under comparison.
+type allreduceImpl func(r *Rank, op ReduceOp, data []float64) []float64
 
-func treeScalar(tr *scalarTrace) scalarImpl {
-	return func(r *Rank, op ReduceOp, x float64) float64 { return refAllreduceScalar(r, op, x, tr) }
+// allreduceForm is one form of the allreduce with its message-tree oracle and
+// the payload length of each call of a script.
+type allreduceForm struct {
+	impl   allreduceImpl
+	tree   func(tr *allreduceTrace) allreduceImpl
+	length func(call int) int
 }
 
-// scalarBody is the SPMD body of a comparison run: it calls allreduce and
-// logs every result it gets.
-type scalarBody func(r *Rank, allreduce scalarImpl, log *[]float64) error
+var (
+	scalarForm = allreduceForm{
+		impl: func(r *Rank, op ReduceOp, data []float64) []float64 {
+			return []float64{r.AllreduceScalar(op, data[0])}
+		},
+		tree: func(tr *allreduceTrace) allreduceImpl {
+			return func(r *Rank, op ReduceOp, data []float64) []float64 {
+				return []float64{refAllreduceScalar(r, op, data[0], tr)}
+			}
+		},
+		length: func(int) int { return 1 },
+	}
+	// vectorForm's calls carry 0 to 6 elements, the empty payload first.
+	vectorForm = allreduceForm{
+		impl: (*Rank).Allreduce,
+		tree: func(tr *allreduceTrace) allreduceImpl {
+			return func(r *Rank, op ReduceOp, data []float64) []float64 { return refAllreduce(r, op, data, tr) }
+		},
+		length: func(call int) int { return call * 5 % 7 },
+	}
+)
 
-// scalarRank is what one rank shows after a run: the result of every call it
-// completed, whether it unwound, its clock, its communication time per phase
-// and its message counts.
-type scalarRank struct {
+// allreduceBody is the SPMD body of a comparison run: it calls allreduce and
+// logs every result it gets.
+type allreduceBody func(r *Rank, allreduce allreduceImpl, log *[]float64) error
+
+// allreduceRank is what one rank shows after a run: the result of every call
+// it completed, whether it unwound and with which panic, its clock, its
+// communication time per phase and its message counts.
+type allreduceRank struct {
 	vals       []float64
 	unwound    bool
+	panicked   string
 	now        float64
 	comm       []float64
 	msgs, msgB int64
 }
 
-// scalarOutcome is what a whole run shows: its ranks, Run's error, the
+// allreduceOutcome is what a whole run shows: its ranks, Run's error, the
 // recorded failure, the counted pool traffic, the journal and metrics, and
 // the messages left pending (revoked by Shrink if the world is poisoned, by
 // Grow otherwise).
-type scalarOutcome struct {
-	ranks            []scalarRank
+type allreduceOutcome struct {
+	ranks            []allreduceRank
 	err              string
 	failure          Failure
 	down             bool
@@ -337,15 +388,21 @@ type scalarOutcome struct {
 	revoked          int
 }
 
-// runScalar runs body over allreduce on a fresh observed world from mk.
-func runScalar(t *testing.T, mk func() *World, allreduce scalarImpl, body scalarBody) scalarOutcome {
+// runAllreduce runs body over allreduce on a fresh observed world from mk.
+func runAllreduce(t *testing.T, mk func() *World, allreduce allreduceImpl, body allreduceBody) allreduceOutcome {
 	t.Helper()
 	w := mk()
 	run := obs.NewRun()
 	w.Observe(run)
-	out := scalarOutcome{ranks: make([]scalarRank, w.Size())}
+	out := allreduceOutcome{ranks: make([]allreduceRank, w.Size())}
 	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
 		o := &out.ranks[r.ID()]
+		defer func() {
+			if rec := recover(); rec != nil {
+				o.panicked = fmt.Sprint(rec)
+				panic(rec)
+			}
+		}()
 		o.unwound = true
 		err := body(r, allreduce, &o.vals)
 		o.unwound = false
@@ -389,8 +446,8 @@ func runScalar(t *testing.T, mk func() *World, allreduce scalarImpl, body scalar
 	return out
 }
 
-// diffScalar reports every way got differs from the oracle's want.
-func diffScalar(t *testing.T, name string, got, want scalarOutcome) {
+// diffAllreduce reports every way got differs from the oracle's want.
+func diffAllreduce(t *testing.T, name string, got, want allreduceOutcome) {
 	t.Helper()
 	if got.err != want.err || got.failure != want.failure || got.down != want.down {
 		t.Errorf("%s: Run returned %q with failure %+v (%v); tree %q, %+v (%v)",
@@ -406,9 +463,9 @@ func diffScalar(t *testing.T, name string, got, want scalarOutcome) {
 	}
 	for id := range want.ranks {
 		g, w := got.ranks[id], want.ranks[id]
-		if g.unwound != w.unwound || g.now != w.now || g.msgs != w.msgs || g.msgB != w.msgB || !slices.Equal(g.comm, w.comm) {
-			t.Errorf("%s rank %d: unwound %v at %v, comm %v, %d messages, %d bytes; tree %v at %v, %v, %d, %d",
-				name, id, g.unwound, g.now, g.comm, g.msgs, g.msgB, w.unwound, w.now, w.comm, w.msgs, w.msgB)
+		if g.unwound != w.unwound || g.panicked != w.panicked || g.now != w.now || g.msgs != w.msgs || g.msgB != w.msgB || !slices.Equal(g.comm, w.comm) {
+			t.Errorf("%s rank %d: unwound %v (%q) at %v, comm %v, %d messages, %d bytes; tree %v (%q) at %v, %v, %d, %d",
+				name, id, g.unwound, g.panicked, g.now, g.comm, g.msgs, g.msgB, w.unwound, w.panicked, w.now, w.comm, w.msgs, w.msgB)
 			return
 		}
 		if len(g.vals) != len(w.vals) {
@@ -457,40 +514,52 @@ func scalarWorld(t *testing.T, p, perNode, groups int) *World {
 	return w
 }
 
-// scalarScript is the comparison body: calls rounds of Sum, Max and Min, each
-// rank entering every call after its own seeded compute charge, with inputs
-// drawn from values whose combination depends on the fold order (NaNs of two
-// signs and payloads, signed zeros, infinities, extremes), and each round
-// charged to another phase.
-func scalarScript(calls int) scalarBody {
+// allreduceScript is the comparison body: calls rounds of Sum, Max and Min,
+// each rank entering every call after its own seeded compute charge, with
+// payloads of the form's lengths drawn from values whose combination depends
+// on the fold order (NaNs of two signs and payloads, signed zeros,
+// infinities, extremes), and each round charged to another phase.
+func allreduceScript(form allreduceForm, calls int) allreduceBody {
 	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), 0, math.Copysign(0, -1),
 		math.Inf(1), math.Inf(-1), 1, -2.5, 0.1, 1e308, 5e-324}
 	ops := []ReduceOp{OpSum, OpMax, OpMin}
-	return func(r *Rank, allreduce scalarImpl, log *[]float64) error {
+	return func(r *Rank, allreduce allreduceImpl, log *[]float64) error {
 		rng := rand.New(rand.NewSource(int64(r.ID())))
 		for call := 0; call < calls; call++ {
 			r.Clock().SetPhase(vclock.Phases[call/len(ops)%len(vclock.Phases)])
 			r.ChargeCompute(float64(rng.Intn(1<<17)), 0)
-			*log = append(*log, allreduce(r, ops[call%len(ops)], specials[rng.Intn(len(specials))]))
+			data := make([]float64, form.length(call))
+			for i := range data {
+				data[i] = specials[rng.Intn(len(specials))]
+			}
+			*log = append(*log, allreduce(r, ops[call%len(ops)], data)...)
 		}
 		return nil
 	}
 }
 
-// TestScalarAllreduceMatchesTree runs one script through the message tree
-// and through AllreduceScalar, in identical observed worlds, and requires the
-// same outcome rank by rank: result bits, clock, per-phase communication,
-// message counts; and in the world the counted pool traffic, journal and
-// metrics. The worlds span one node or many, one placement group or three,
-// and one has degraded links on every node, each window opening inside the
-// first call: halfway between the entry and the return of the node's first
-// rank, as the tree times them.
+// TestScalarAllreduceMatchesTree and TestVectorAllreduceMatchesTree run one
+// script through the message trees and through the allreduce, in identical
+// observed worlds, and require the same outcome rank by rank: result bits,
+// clock, per-phase communication, message counts; and in the world the
+// counted pool traffic, journal and metrics. The worlds span one node or
+// many, one placement group or three, and one has degraded links on every
+// node, each window opening inside the first call: halfway between the entry
+// and the return of the node's first rank, as the tree times them.
 func TestScalarAllreduceMatchesTree(t *testing.T) {
+	testAllreduceMatchesTree(t, scalarForm, []int{1, 2, 3, 5, 8, 27, 64, 129})
+}
+
+func TestVectorAllreduceMatchesTree(t *testing.T) {
+	testAllreduceMatchesTree(t, vectorForm, []int{1, 2, 3, 5, 8, 27, 64})
+}
+
+func testAllreduceMatchesTree(t *testing.T, form allreduceForm, sizes []int) {
 	const calls = 12
-	body := scalarScript(calls)
-	for _, p := range []int{1, 2, 3, 5, 8, 27, 64, 129} {
-		tr := newScalarTrace(p, 0)
-		runScalar(t, func() *World { return scalarWorld(t, p, 4, 1) }, treeScalar(tr), body)
+	body := allreduceScript(form, calls)
+	for _, p := range sizes {
+		tr := newAllreduceTrace(p, 0)
+		runAllreduce(t, func() *World { return scalarWorld(t, p, 4, 1) }, form.tree(tr), body)
 		for _, tc := range []struct {
 			name string
 			mk   func() *World
@@ -510,24 +579,32 @@ func TestScalarAllreduceMatchesTree(t *testing.T) {
 				return w
 			}},
 		} {
-			want := runScalar(t, tc.mk, treeScalar(nil), body)
-			got := runScalar(t, tc.mk, (*Rank).AllreduceScalar, body)
-			diffScalar(t, fmt.Sprintf("P=%d %s", p, tc.name), got, want)
+			want := runAllreduce(t, tc.mk, form.tree(nil), body)
+			got := runAllreduce(t, tc.mk, form.impl, body)
+			diffAllreduce(t, fmt.Sprintf("P=%d %s", p, tc.name), got, want)
 		}
 	}
 }
 
-// TestScalarAllreduceFaultsMatchTree kills one node at every virtual time
-// where it can stop a rank inside one call of the tree — each of its ranks'
-// clocks at a fault check of that call, and at the call's return — so the
-// crash lands before a rank's entry, after a child's message has arrived and
-// before the send up, on either side of the broadcast receive, between two
-// broadcast sends, and after the call, where the next one trips. Every rank's
-// outcome and clock, the failure record, Run's error and the messages left
-// pending must be the tree's.
+// TestScalarAllreduceFaultsMatchTree and TestVectorAllreduceFaultsMatchTree
+// kill one node at every virtual time where it can stop a rank inside one
+// call of the tree — each of its ranks' clocks at a fault check of that
+// call, and at the call's return — so the crash lands before a rank's entry,
+// after a child's message has arrived and before the send up, on either side
+// of the broadcast receive, between two broadcast sends, and after the call,
+// where the next one trips. Every rank's outcome and clock, the failure
+// record, Run's error and the messages left pending must be the tree's.
 func TestScalarAllreduceFaultsMatchTree(t *testing.T) {
+	testAllreduceFaultsMatchTree(t, scalarForm)
+}
+
+func TestVectorAllreduceFaultsMatchTree(t *testing.T) {
+	testAllreduceFaultsMatchTree(t, vectorForm)
+}
+
+func testAllreduceFaultsMatchTree(t *testing.T, form allreduceForm) {
 	const calls, traced = 6, 2
-	body := scalarScript(calls)
+	body := allreduceScript(form, calls)
 	for _, tc := range []struct{ p, perNode, node int }{
 		{8, 2, 1},
 		{27, 4, 1},
@@ -545,31 +622,40 @@ func TestScalarAllreduceFaultsMatchTree(t *testing.T) {
 				return w
 			}
 		}
-		tr := newScalarTrace(tc.p, traced)
-		runScalar(t, mk(-1), treeScalar(tr), body)
+		tr := newAllreduceTrace(tc.p, traced)
+		runAllreduce(t, mk(-1), form.tree(tr), body)
 		var times []float64
 		for id := tc.node * tc.perNode; id < min(tc.p, (tc.node+1)*tc.perNode); id++ {
 			times = append(times, tr.clocks[id]...)
 		}
 		slices.Sort(times)
 		for _, at := range slices.Compact(times) {
-			want := runScalar(t, mk(at), treeScalar(nil), body)
+			want := runAllreduce(t, mk(at), form.tree(nil), body)
 			if !want.down {
 				t.Fatalf("P=%d: node %d crash at %v never reached", tc.p, tc.node, at)
 			}
-			got := runScalar(t, mk(at), (*Rank).AllreduceScalar, body)
-			diffScalar(t, fmt.Sprintf("P=%d node %d crash at %v", tc.p, tc.node, at), got, want)
+			got := runAllreduce(t, mk(at), form.impl, body)
+			diffAllreduce(t, fmt.Sprintf("P=%d node %d crash at %v", tc.p, tc.node, at), got, want)
 		}
 	}
 }
 
-// TestScalarAllreduceExitsMatchTree lets one rank leave the script around one
-// call — returning an error before it, or returning right after it while the
-// others go on to the next — and requires every rank's outcome and clock, and
-// the messages left pending, to be the tree's. Each exit is made twice: at
-// once, and once every other rank is parked in AllreduceScalar, so that the
-// exit itself completes the collective.
+// TestScalarAllreduceExitsMatchTree and TestVectorAllreduceExitsMatchTree let
+// one rank leave the script around one call — returning an error before it,
+// or returning right after it while the others go on to the next — and
+// require every rank's outcome and clock, and the messages left pending, to
+// be the tree's. Each exit is made twice: at once, and once every other rank
+// is parked in the allreduce, so that the exit itself completes the
+// collective.
 func TestScalarAllreduceExitsMatchTree(t *testing.T) {
+	testAllreduceExitsMatchTree(t, scalarForm)
+}
+
+func TestVectorAllreduceExitsMatchTree(t *testing.T) {
+	testAllreduceExitsMatchTree(t, vectorForm)
+}
+
+func testAllreduceExitsMatchTree(t *testing.T, form allreduceForm) {
 	const calls, at = 6, 3
 	errLeft := errors.New("left the script")
 	for _, tc := range []struct {
@@ -582,20 +668,20 @@ func TestScalarAllreduceExitsMatchTree(t *testing.T) {
 	} {
 		// The leaver runs the first calls of the same script: its inputs
 		// and charges up to its exit are the script's.
-		leaver, leaveErr := scalarScript(at), errLeft
+		leaver, leaveErr := allreduceScript(form, at), errLeft
 		if tc.after {
-			leaver, leaveErr = scalarScript(at+1), nil
+			leaver, leaveErr = allreduceScript(form, at+1), nil
 		}
-		body := func(parked bool) scalarBody {
-			return func(r *Rank, allreduce scalarImpl, log *[]float64) error {
+		body := func(parked bool) allreduceBody {
+			return func(r *Rank, allreduce allreduceImpl, log *[]float64) error {
 				if r.ID() != tc.rank {
-					return scalarScript(calls)(r, allreduce, log)
+					return allreduceScript(form, calls)(r, allreduce, log)
 				}
 				if err := leaver(r, allreduce, log); err != nil {
 					return err
 				}
 				if parked && !waitFor(func() bool {
-					s := &r.world.scalar
+					s := &r.world.allreduce
 					s.mu.Lock()
 					defer s.mu.Unlock()
 					return s.in == r.Size()-1
@@ -606,10 +692,49 @@ func TestScalarAllreduceExitsMatchTree(t *testing.T) {
 			}
 		}
 		mk := func() *World { return scalarWorld(t, tc.p, 4, 1) }
-		want := runScalar(t, mk, treeScalar(nil), body(false))
+		want := runAllreduce(t, mk, form.tree(nil), body(false))
 		for _, parked := range []bool{false, true} {
-			got := runScalar(t, mk, (*Rank).AllreduceScalar, body(parked))
-			diffScalar(t, fmt.Sprintf("P=%d rank %d leaves at call %d (after %v, others parked %v)", tc.p, tc.rank, at, tc.after, parked), got, want)
+			got := runAllreduce(t, mk, form.impl, body(parked))
+			diffAllreduce(t, fmt.Sprintf("P=%d rank %d leaves at call %d (after %v, others parked %v)", tc.p, tc.rank, at, tc.after, parked), got, want)
+		}
+	}
+}
+
+// TestVectorAllreduceLengthMismatch gives one rank a payload one element
+// longer than the others'. The rank that is sent a payload of another length
+// than its own — the mismatched rank's tree parent, or, for a parent, the
+// mismatched rank itself when its first child's payload arrives — panics
+// with the tree fold's message, and every other rank dies or ends as it did
+// in the tree, with the same clocks, counts and pending messages.
+func TestVectorAllreduceLengthMismatch(t *testing.T) {
+	for _, tc := range []struct{ p, rank, receiver int }{
+		{2, 1, 0},
+		{8, 5, 4},
+		{8, 4, 4},
+		{8, 0, 0},
+		{27, 16, 16},
+		{27, 26, 24},
+	} {
+		body := func(r *Rank, allreduce allreduceImpl, log *[]float64) error {
+			data := []float64{float64(r.ID()), 1}
+			if r.ID() == tc.rank {
+				data = append(data, 2)
+			}
+			*log = append(*log, allreduce(r, OpSum, data)...)
+			return nil
+		}
+		mk := func() *World { return scalarWorld(t, tc.p, 4, 1) }
+		want := runAllreduce(t, mk, vectorForm.tree(nil), body)
+		got := runAllreduce(t, mk, vectorForm.impl, body)
+		name := fmt.Sprintf("P=%d rank %d sends 3 elements", tc.p, tc.rank)
+		diffAllreduce(t, name, got, want)
+		for id, o := range got.ranks {
+			if !o.unwound {
+				t.Errorf("%s: rank %d completed", name, id)
+			}
+			if (id == tc.receiver) != strings.HasPrefix(o.panicked, "mp: reduce length mismatch") {
+				t.Errorf("%s: rank %d panicked with %q; rank %d should report the mismatch", name, id, o.panicked, tc.receiver)
+			}
 		}
 	}
 }

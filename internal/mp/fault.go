@@ -23,8 +23,8 @@
 // on a link, and markDead reads those records instead of waking every
 // mailbox of the world.
 //
-// The scalar allreduce keeps both rules without moving a message. It
-// resolves only when every rank has either arrived in it or exited, and then
+// The allreduce keeps both rules without moving a message. It resolves
+// only when every rank has either arrived in it or exited, and then
 // replays each arrived rank's fault checks, sends and receives of the
 // message trees: a rank whose clock reaches its node's kill time at a check
 // dies at that check, and a receive whose sender died earlier in the trees,
@@ -146,9 +146,8 @@ func (w *World) fail(node int, at float64) {
 // the death before it parks or is seen here.
 // Seen, it may still hold its lock on the way into cond.Wait: taking the lock
 // before signalling waits until it is enrolled.
-// Ranks parked in a scalar allreduce wait on no sender: the exit counts
-// towards the collective, which it resolves if every other rank is parked in
-// it.
+// Ranks parked in the allreduce wait on no sender: the exit counts towards
+// the collective, which it resolves if every other rank is parked in it.
 func (w *World) markDead(id int) {
 	w.rankDead[id].Store(true)
 	for _, mb := range w.boxes {
@@ -162,14 +161,14 @@ func (w *World) markDead(id int) {
 		}
 		mb.mu.Unlock()
 	}
-	w.scalar.exit(id)
+	w.allreduce.exit(id)
 }
 
 // checkFault is called on every send and receive path: it fires this
 // rank's own node crash when the rank's virtual clock has reached it.
 // Deaths of other ranks are observed only through unsatisfiable receives
 // (mailbox.take and a link's await, the blocking paths, which every receive
-// goes through because every receive names its sender, and the scalar
+// goes through because every receive names its sender, and the
 // allreduce's replay of them), never through a global flag, so each rank's
 // progress at death is deterministic rather than a wall-clock race.
 func (r *Rank) checkFault() {
@@ -180,7 +179,7 @@ func (r *Rank) checkFault() {
 
 // due reports whether this rank's node crash has come due at the rank's
 // virtual time, recording the failure if so: checkFault without the unwind,
-// for AllreduceScalar, which checks parked ranks.
+// for the allreduce, which checks parked ranks.
 func (r *Rank) due() bool {
 	w := r.world
 	if w.killAt != nil {

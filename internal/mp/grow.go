@@ -21,8 +21,6 @@ package mp
 import (
 	"fmt"
 
-	"sync/atomic"
-
 	"heterohpc/internal/vclock"
 )
 
@@ -120,23 +118,20 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 		return nil, fmt.Errorf("mp: grown topology: %w", err)
 	}
 
-	nw := &World{
-		topo:     topo,
-		fabric:   w.fabric,
-		rater:    w.rater,
-		clocks:   make([]*vclock.Clock, p+added),
-		boxes:    make([]*mailbox, p+added),
-		pool:     w.pool, // ownership of the warm free lists moves with the ranks
-		rankDead: make([]atomic.Bool, p+added),
+	nw, err := NewWorld(topo, w.fabric, w.rater)
+	if err != nil {
+		return nil, err
 	}
+	nw.pool = w.pool // ownership of the warm free lists moves with the ranks
 
 	// Transplant the surviving ranks' mailboxes: repoint them at the grown
 	// world and purge any stale payloads, keeping the per-source slots and
 	// their queues warm — the same sources and tags recur after the growth
 	// because rank numbers are stable under Grow, and a joiner simply enters
-	// the table with its first message. Filed senders go with the payloads:
+	// the map with its first message. Filed senders go with the payloads:
 	// an old world whose body ended early can leave some behind, and the
-	// grown world's collective tags start over.
+	// grown world's collective tags start over. The joiners keep the fresh
+	// mailboxes NewWorld made.
 	for i := 0; i < p; i++ {
 		mb := w.boxes[i]
 		mb.mu.Lock()
@@ -148,7 +143,6 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 		nw.clocks[i] = vclock.NewAt(w.rater, w.clocks[i].Now())
 	}
 	for i := p; i < p+added; i++ {
-		nw.boxes[i] = newMailbox(nw)
 		nw.clocks[i] = vclock.NewAt(w.rater, startAt)
 	}
 

@@ -28,7 +28,9 @@ func refSendGather(r *Rank, dst, tag int, x []float64, idx []int) {
 func refRecvScatter(r *Rank, src, tag int, x []float64, pos []int) {
 	buf := r.recv(src, tag).f64()
 	if len(buf) != len(pos) {
-		r.reject(buf, fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos)))
+		msg := fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos))
+		r.pool.put(buf)
+		panic(msg)
 	}
 	for j, k := range pos {
 		x[k] = buf[j]

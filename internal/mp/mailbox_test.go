@@ -43,7 +43,7 @@ func TestMsgQueuePopTag(t *testing.T) {
 
 // TestMailboxFootprintIndependentOfWorldSize runs the solver's communication
 // pattern — a 26-neighbour exchange, a scalar allreduce, a barrier — on a 4³
-// and a 10³ grid of ranks and checks that a mailbox's table follows the
+// and a 10³ grid of ranks and checks that a mailbox's source map follows the
 // number of ranks that send to its owner, not the world size: a per-mailbox
 // array of length P cannot come back unnoticed.
 func TestMailboxFootprintIndependentOfWorldSize(t *testing.T) {
@@ -83,15 +83,13 @@ func TestMailboxFootprintIndependentOfWorldSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		logP := bits.Len(uint(p - 1)) // ⌈log₂ P⌉
-		// Senders to one rank: its grid neighbours, its reduce children and
-		// broadcast parent, its barrier partners.
+		// Senders to one rank: its grid neighbours and barrier partners. The
+		// bound also counts its allreduce tree partners, which now send it
+		// nothing but a message stranded by a death.
 		bound := 26 + 2*logP + logP
 		for i, mb := range w.boxes {
-			if mb.used > bound {
-				t.Fatalf("P=%d: mailbox %d holds %d sources, bound is %d", p, i, mb.used, bound)
-			}
-			if len(mb.slots) > 4*bound {
-				t.Fatalf("P=%d: mailbox %d has %d slots for %d sources, bound is %d", p, i, len(mb.slots), mb.used, 4*bound)
+			if len(mb.srcs) > bound {
+				t.Fatalf("P=%d: mailbox %d holds %d sources, bound is %d", p, i, len(mb.srcs), bound)
 			}
 		}
 	}

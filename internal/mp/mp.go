@@ -10,24 +10,24 @@
 // per-phase virtual-time profile that stands in for the paper's wall-clock
 // measurements.
 //
-// Collective operations (Barrier, Bcast, Reduce, Allreduce, ExchangeInts)
-// are implemented on top of point-to-point messages with dissemination and
-// binomial-tree algorithms, so their virtual cost emerges from the same
-// network model rather than being postulated separately.
-// AllreduceScalar charges exactly what Allreduce's trees would, but resolves
-// on state the ranks share instead of moving messages.
+// Collective operations (Barrier, Bcast, ExchangeInts) are implemented on
+// top of point-to-point messages with dissemination and binomial-tree
+// algorithms, so their virtual cost emerges from the same network model
+// rather than being postulated separately. The allreduce — Allreduce, and
+// AllreduceScalar for one value — charges exactly what a binomial Reduce and
+// Bcast of such messages would, but resolves on state the ranks share
+// instead of moving them.
 //
 // Traffic whose peers, tag and sizes are fixed by a set-up step — the sparse
 // importer's halo exchange — runs on persistent links (link.go), MPI's
 // persistent requests: made once in the destination's mailbox, then written
 // and read without its lock, at the same virtual cost as a mailbox message.
-// The mailbox carries everything else: set-up, collectives and one-off
-// transfers.
+// The mailbox carries everything else: set-up, the message collectives and
+// one-off transfers.
 package mp
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -240,52 +240,36 @@ type tagQueue struct {
 	q   msgQueue
 }
 
-// noTag marks a srcSlot whose hot queue is not in use; application tags are
-// non-negative.
-const noTag = -1
-
-// srcSlot is one source rank's entry in a mailbox table: everything that
-// rank has sent and the owner has not yet received. Directed application
-// traffic (tag >= 0) has one queue per tag, and the queues stay resident
-// when drained — the same tags recur every iteration.
+// srcSlot is everything one source rank has sent a mailbox's owner and the
+// owner has not yet received. Directed traffic (tag >= 0) has one queue per
+// tag, and the queues stay resident when drained — the same tags recur every
+// iteration.
 type srcSlot struct {
-	// key is the source rank plus one; zero marks a free slot.
-	key int
-	// hot is the directed queue used last, kept in the slot itself: one tag
-	// (the solver's halo exchange) carries nearly all of a neighbour's
-	// traffic, and finding its queue then costs no cache line beyond the
-	// slot's own.
-	hot tagQueue
 	// coll holds collective traffic (tag < 0). Collective tags are unique
 	// per collective, so they are matched by a scan of this (nearly always
 	// length-≤1) FIFO instead of getting a queue each.
 	coll msgQueue
-	// rest holds the other directed queues.
-	rest []tagQueue
+	tags []tagQueue
 }
 
-// queue returns the directed queue of tag, which becomes the hot one; nil
-// when src has sent nothing under tag.
+// queue returns the directed queue of tag; nil when src has sent nothing
+// under tag.
 func (s *srcSlot) queue(tag int) *msgQueue {
-	if s.hot.tag == tag {
-		return &s.hot.q
-	}
-	for i := range s.rest {
-		if s.rest[i].tag == tag {
-			s.hot, s.rest[i] = s.rest[i], s.hot
-			return &s.hot.q
+	for i := range s.tags {
+		if s.tags[i].tag == tag {
+			return &s.tags[i].q
 		}
 	}
 	return nil
 }
 
-// mailbox is an unbounded matched-receive queue: an open-addressed table
-// keyed by source rank (multiply-shift hash, linear probing, doubling at 3/4
-// load). Every receive names its sender, so take is the only way a queued
-// message leaves and its per-sender rule, which a link's await shares, the
-// only way a wait unwinds. A source enters the table with its first message
-// and stays, so a mailbox's memory follows the number of ranks that actually
-// send to its owner — neighbours and tree partners — not the world size.
+// mailbox is an unbounded matched-receive queue: a map from source rank to
+// that source's slot. Every receive names its sender, so take is the only
+// way a queued message leaves and its per-sender rule, which a link's await
+// shares, the only way a wait unwinds. A source enters the map with its
+// first message and stays, so a mailbox's memory follows the number of ranks
+// that actually send to its owner — neighbours and barrier partners — not
+// the world size.
 //
 // Only the owning rank's goroutine ever blocks on cond (sends and the
 // revoke/markDead paths never wait), and it blocks for one named message.
@@ -296,10 +280,9 @@ func (s *srcSlot) queue(tag int) *msgQueue {
 // message from any other source or under any other tag leaves the owner
 // asleep.
 type mailbox struct {
-	mu    sync.Mutex
-	slots []srcSlot // length zero or a power of two
-	shift uint8     // 32 - log2(len(slots))
-	used  int       // occupied slots
+	mu sync.Mutex
+	// srcs holds each source's slot; slots stay warm when drained.
+	srcs map[int32]*srcSlot
 	// filed lists the ranks that have announced a stream to the owner and
 	// that the owner has not yet asked for (see ExchangeInts). Like the
 	// intern table it belongs to the simulator, not to the simulated job: no
@@ -326,49 +309,10 @@ type mailbox struct {
 const noWait = -1
 
 func newMailbox(w *World) *mailbox {
-	mb := &mailbox{w: w}
+	mb := &mailbox{srcs: make(map[int32]*srcSlot), w: w}
 	mb.cond.L = &mb.mu
 	mb.waitSrc.Store(noWait)
 	return mb
-}
-
-// probe returns the slot holding key or, when the table has none, the free
-// slot where key belongs. The table must not be empty or full.
-func (mb *mailbox) probe(key int) *srcSlot {
-	mask := uint32(len(mb.slots) - 1)
-	for i := uint32(key) * 0x9E3779B1 >> mb.shift; ; i = (i + 1) & mask {
-		if s := &mb.slots[i]; s.key == key || s.key == 0 {
-			return s
-		}
-	}
-}
-
-// lookup returns src's slot. A source that has never sent to this mailbox
-// has none: lookup then answers nil or, with create, enters it into the table.
-func (mb *mailbox) lookup(src int, create bool) *srcSlot {
-	key := src + 1
-	if len(mb.slots) > 0 {
-		if s := mb.probe(key); s.key == key {
-			return s
-		}
-	}
-	if !create {
-		return nil
-	}
-	if 4*(mb.used+1) > 3*len(mb.slots) {
-		old := mb.slots
-		mb.slots = make([]srcSlot, max(16, 2*len(old)))
-		mb.shift = uint8(32 - bits.TrailingZeros(uint(len(mb.slots))))
-		for i := range old {
-			if old[i].key != 0 {
-				*mb.probe(old[i].key) = old[i]
-			}
-		}
-	}
-	mb.used++
-	s := mb.probe(key)
-	s.key, s.hot.tag = key, noTag
-	return s
 }
 
 // put queues m and wakes the owner if it is parked on exactly m's source and
@@ -391,18 +335,19 @@ func (mb *mailbox) put(m message) {
 // queueFor routes a message to its FIFO, creating the queue on first use.
 // Runs under mb.mu.
 func (mb *mailbox) queueFor(src, tag int) *msgQueue {
-	s := mb.lookup(src, true)
+	s := mb.srcs[int32(src)]
+	if s == nil {
+		s = new(srcSlot)
+		mb.srcs[int32(src)] = s
+	}
 	if tag < 0 {
 		return &s.coll
 	}
 	if q := s.queue(tag); q != nil {
 		return q
 	}
-	if s.hot.tag != noTag {
-		s.rest = append(s.rest, s.hot)
-	}
-	s.hot = tagQueue{tag: tag}
-	return &s.hot.q
+	s.tags = append(s.tags, tagQueue{tag: tag})
+	return &s.tags[len(s.tags)-1].q
 }
 
 // revoke purges the queued messages and pending link messages whose source
@@ -410,14 +355,13 @@ func (mb *mailbox) queueFor(src, tag int) *msgQueue {
 // the links stay warm. Runs under mb.mu.
 func (mb *mailbox) revoke(stale func(src int) bool) int {
 	n := mb.revokeLinks(stale)
-	for i := range mb.slots {
-		s := &mb.slots[i]
-		if s.key == 0 || !stale(s.key-1) {
+	for src, s := range mb.srcs {
+		if !stale(int(src)) {
 			continue
 		}
-		n += s.coll.drop(stale) + s.hot.q.drop(stale)
-		for j := range s.rest {
-			n += s.rest[j].q.drop(stale)
+		n += s.coll.drop(stale)
+		for i := range s.tags {
+			n += s.tags[i].q.drop(stale)
 		}
 	}
 	return n
@@ -471,8 +415,7 @@ func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		// Looked up afresh after every wait: a put may have grown the table.
-		if s := mb.lookup(src, false); s != nil {
+		if s := mb.srcs[int32(src)]; s != nil {
 			if tag < 0 {
 				if m, ok := s.coll.popTag(tag); ok {
 					return m
@@ -515,8 +458,9 @@ type World struct {
 	// again (Shrink revokes its mailboxes, Grow transplants them).
 	shrunk bool
 
-	// scalar is the shared state of AllreduceScalar, set up by Run.
-	scalar scalarColl
+	// allreduce is the shared state of Allreduce and AllreduceScalar, set up
+	// by Run.
+	allreduce allreduceColl
 
 	// Fault-injection state (see fault.go). killAt and degrades are fixed
 	// before Run; down/failure, under failMu, record the first scheduled
@@ -627,17 +571,17 @@ func (w *World) Run(body func(r *Rank) error) error {
 	}
 	p := w.Size()
 	errs := make([]error, p)
-	w.scalar.slots = make([]scalarSlot, p)
-	for i := range w.scalar.slots {
+	w.allreduce.slots = make([]allreduceSlot, p)
+	for i := range w.allreduce.slots {
 		rank := &Rank{world: w, id: i, clk: w.clocks[i], pool: rankPool{shared: w.pool}}
 		if w.recs != nil {
 			rank.rec = w.recs[i]
 		}
-		w.scalar.slots[i] = scalarSlot{r: rank, wake: make(chan struct{}, 1)}
+		w.allreduce.slots[i] = allreduceSlot{r: rank, wake: make(chan struct{}, 1)}
 	}
 	var wg sync.WaitGroup
 	wg.Add(p)
-	for i := range w.scalar.slots {
+	for i := range w.allreduce.slots {
 		go func(rk *Rank) {
 			defer wg.Done()
 			defer rk.pool.drain()
@@ -660,7 +604,7 @@ func (w *World) Run(body func(r *Rank) error) error {
 				}
 			}()
 			errs[rk.id] = body(rk)
-		}(w.scalar.slots[i].r)
+		}(w.allreduce.slots[i].r)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -768,13 +712,6 @@ func (r *Rank) recv(src, tag int) message {
 	return m
 }
 
-// reject returns a received payload the caller cannot accept to the pool
-// and panics with msg, so a mismatched receive does not leak the buffer.
-func (r *Rank) reject(buf []float64, msg string) {
-	r.pool.put(buf)
-	panic(msg)
-}
-
 // SendF64 sends a copy of data to rank dst with the given tag (tag >= 0 is
 // reserved for applications; collectives use negative tags internally).
 func (r *Rank) SendF64(dst, tag int, data []float64) {
@@ -800,7 +737,10 @@ func (r *Rank) RecvF64(src, tag int) []float64 {
 func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
 	buf := r.recv(src, tag).f64()
 	if len(buf) != len(pos) {
-		r.reject(buf, fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos)))
+		// The payload goes back to the pool, so the mismatch leaks nothing.
+		msg := fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos))
+		r.pool.put(buf)
+		panic(msg)
 	}
 	for j, l := range pos {
 		x[l] += buf[j]

@@ -327,18 +327,13 @@ func TestBcastAllSizes(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
+func TestAllreduceSum(t *testing.T) {
 	for _, p := range collectiveSizes() {
 		w := testWorld(t, p, 4)
 		err := w.Run(func(r *Rank) error {
-			res := r.Reduce(0, OpSum, []float64{float64(r.ID()), 1})
-			if r.ID() == 0 {
-				wantSum := float64(p*(p-1)) / 2
-				if res[0] != wantSum || res[1] != float64(p) {
-					return fmt.Errorf("reduce got %v", res)
-				}
-			} else if res != nil {
-				return fmt.Errorf("non-root got non-nil %v", res)
+			res := r.Allreduce(OpSum, []float64{float64(r.ID()), 1})
+			if wantSum := float64(p*(p-1)) / 2; len(res) != 2 || res[0] != wantSum || res[1] != float64(p) {
+				return fmt.Errorf("rank %d: allreduce got %v", r.ID(), res)
 			}
 			return nil
 		})

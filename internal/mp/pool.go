@@ -24,19 +24,17 @@ import (
 // between take and put, or a free stack (a rank's, or the shared one). A
 // send variant obtains a buffer with get, fills it completely and hands it
 // to the destination mailbox; the matching receive either transfers
-// ownership to the application (RecvF64, and through it the results of Bcast
-// and Allreduce) — the buffer then leaves the pool for good — or scatters
-// the payload out and returns the buffer with put (RecvF64AddScatter).
-// Link traffic (link.go) and AllreduceScalar move no pool buffer but count a
-// get for each message they send and a put for each they receive, as the
-// mailbox sends and scattering receives they stand for would. The vector
-// collectives own buffers in between: Reduce draws its accumulator
-// (scratch), folds each child's payload in and returns it (release), and
-// either sends the accumulator itself up the tree (sendOwned) or, on the
-// root, hands it to the caller; ExchangeInts returns both its indicator and
-// the Allreduce result it read one entry of. A buffer must never be put twice
-// or retained after put. Buffers migrate: what a receiver puts came from its
-// sender's stacks.
+// ownership to the application (RecvF64, and through it the result of Bcast)
+// — the buffer then leaves the pool for good — or scatters the payload out
+// and returns the buffer with put (RecvF64AddScatter). Link traffic
+// (link.go) and the allreduce move no pool buffer but count a get for each
+// message they send, and links and AllreduceScalar a put for each they
+// receive, as the mailbox sends and receives they stand for would.
+// Allreduce draws its accumulator outside the counts (scratch), reduces into
+// it and hands it to the caller, as RecvF64 hands over a payload;
+// ExchangeInts' census sums its indicator in place and returns it
+// (release). A buffer must never be put twice or retained after put.
+// Buffers migrate: what a receiver puts came from its sender's stacks.
 // A rank's stacks drain into the shared level when its goroutine exits
 // (World.Run), so between runs every free buffer is in the shared level and
 // Grow hands the warm pool to the grown world's ranks.
@@ -89,8 +87,8 @@ func poolClassOf(n int) int {
 
 // classDepth is how many free buffers shared class c keeps: as many as fill
 // poolClassBytes, and never fewer than poolClassDepth. A census at P = 1000
-// (8 KiB indicators, three per rank) then finds its buffers again in the
-// next census instead of allocating all but 256 of them anew.
+// (an 8 KiB indicator per rank) then finds its buffers again in the next
+// census instead of allocating all but 256 of them anew.
 func classDepth(c int) int {
 	return max(poolClassDepth, poolClassBytes/(8<<c))
 }
@@ -135,9 +133,9 @@ func (p *f64Pool) put(buf []float64) {
 }
 
 // rankPool is one rank's private front to the world's f64Pool: unlocked
-// per-class stacks touched only by the owning goroutine. The binomial trees
-// and refills return as many buffers of a class as they draw, so in the
-// steady state get and put stay within these stacks.
+// per-class stacks touched only by the owning goroutine. Refills return as
+// many buffers of a class as they draw, so in the steady state get and put
+// stay within these stacks.
 type rankPool struct {
 	shared *f64Pool
 	free   [localClasses][][]float64
@@ -162,10 +160,10 @@ func (p *rankPool) put(buf []float64) {
 	p.release(buf)
 }
 
-// scratch and release are get and put outside the traffic counts, for the
-// vector collectives' accumulators and indicators and the payloads they
-// consume. gets and puts reach the journal (obs "pool" event), which recycling
-// added to a collective must leave byte for byte as it was.
+// scratch and release are get and put outside the traffic counts, for
+// Allreduce's accumulators and the census indicators. gets and puts reach
+// the journal (obs "pool" event), which recycling added to a collective must
+// leave byte for byte as it was.
 func (p *rankPool) scratch(n int) []float64 {
 	if n == 0 {
 		return nil

@@ -101,12 +101,12 @@ func TestRankLocalPoolBounded(t *testing.T) {
 }
 
 // TestCensusBuffersOutliveTheCensus runs two ExchangeInts on 300 ranks, whose
-// P-length indicators and sums fall in a class no rank caches privately.
-// The shared class starts with as many buffers as one census can draw (an
-// indicator and an accumulator per rank, a broadcast copy per rank but the
-// root), so a census never has to allocate; afterwards the class must hold
-// exactly those buffers. A class that kept fewer would have dropped some
-// and, in the second census, allocated them anew.
+// P-length indicators fall in a class no rank caches privately. The shared
+// class starts with as many buffers as one census can draw (an indicator per
+// rank, which the census sums in place), so a census never has to allocate;
+// afterwards the class must hold exactly those buffers. A class that kept
+// fewer would have dropped some and, in the second census, allocated them
+// anew.
 func TestCensusBuffersOutliveTheCensus(t *testing.T) {
 	const p = 300
 	class := poolClassOf(p)
@@ -114,12 +114,12 @@ func TestCensusBuffersOutliveTheCensus(t *testing.T) {
 		t.Fatalf("a %d-element census buffer is in private class %d", p, class)
 	}
 	w := testWorld(t, p, 16)
-	for i := 0; i < 3*p; i++ {
+	for i := 0; i < p; i++ {
 		w.pool.put(make([]float64, 0, 1<<class))
 	}
 	before := sharedFree(t, w.pool)[class]
-	if len(before) != 3*p {
-		t.Fatalf("shared class %d kept %d of the %d buffers put", class, len(before), 3*p)
+	if len(before) != p {
+		t.Fatalf("shared class %d kept %d of the %d buffers put", class, len(before), p)
 	}
 	err := w.Run(func(r *Rank) error {
 		for round := 0; round < 2; round++ {
