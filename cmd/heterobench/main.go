@@ -33,6 +33,7 @@ import (
 
 	"heterohpc/internal/bench"
 	"heterohpc/internal/core"
+	"heterohpc/internal/mesh"
 	"heterohpc/internal/obs"
 	"heterohpc/internal/platform"
 	"heterohpc/internal/trace"
@@ -242,8 +243,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // checkArgs rejects, before cmd starts any work, a flag value it cannot run
-// with: an unknown platform, application, ablation or policy name, and a
-// rank, node or mesh-edge count below one where the command needs one.
+// with: an unknown platform, application, ablation or policy name, a rank,
+// node or mesh-edge count below one where the command needs one, and a rank
+// count that is not a cube where the command lays a weak-scaling mesh over
+// the ranks.
 func checkArgs(cmd string, fc faultsConfig, platforms []string, what string, nodes, globalN int) error {
 	for _, name := range append([]string{fc.Platform}, platforms...) {
 		if _, err := platform.Get(name); err != nil {
@@ -262,15 +265,22 @@ func checkArgs(cmd string, fc faultsConfig, platforms []string, what string, nod
 			return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", what)
 		}
 	case "faults":
-		return validateFaults(fc)
+		if err := validateFaults(fc); err != nil {
+			return err
+		}
 	}
+	_, notCube := mesh.CubeGrid(fc.Ranks)
 	switch {
 	case (cmd == "trace" || cmd == "ablate") && fc.Ranks < 1:
 		return fmt.Errorf("-ranks %d: the %s command needs at least one rank", fc.Ranks, cmd)
+	case (cmd == "trace" || cmd == "faults" || cmd == "ablate" && what != "partition") && notCube != nil:
+		return fmt.Errorf("-ranks %d is not a cube: the %s command lays its mesh over p³ ranks", fc.Ranks, cmd)
 	case cmd == "strong" && globalN < 1:
 		return fmt.Errorf("-global %d: the strong-scaling mesh needs at least one element per edge", globalN)
 	case cmd == "bidding" && nodes < 1:
 		return fmt.Errorf("-nodes %d: the bid sweep needs at least one node", nodes)
+	case (cmd == "availability" || cmd == "all") && nodes < 1:
+		return fmt.Errorf("-nodes %d: the availability comparison needs at least one node", nodes)
 	}
 	return nil
 }

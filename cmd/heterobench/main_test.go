@@ -173,6 +173,13 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"trace", "-ranks", "0", "-csv", "trace.json"}, "-ranks 0: the trace command needs at least one rank"},
 		{[]string{"strong", "-global", "0"}, "-global 0: the strong-scaling mesh needs"},
 		{[]string{"bidding", "-nodes", "0"}, "-nodes 0: the bid sweep needs at least one node"},
+		{[]string{"availability", "-nodes", "0", "-journal", "run.jsonl"}, "-nodes 0: the availability comparison needs at least one node"},
+		{[]string{"all", "-nodes", "0", "-max", "8"}, "-nodes 0: the availability comparison needs at least one node"},
+		{[]string{"trace", "-ranks", "5", "-csv", "trace.json"}, "-ranks 5 is not a cube: the trace command"},
+		{[]string{"faults", "-ranks", "12", "-metrics", "metrics.json"}, "-ranks 12 is not a cube: the faults command"},
+		{[]string{"ablate", "-what", "precond", "-ranks", "5"}, "-ranks 5 is not a cube: the ablate command"},
+		{[]string{"ablate", "-what", "packing", "-ranks", "9"}, "-ranks 9 is not a cube: the ablate command"},
+		{[]string{"ablate", "-what", "interconnect", "-ranks", "26"}, "-ranks 26 is not a cube: the ablate command"},
 		{[]string{"rd-weak", "-platforms", "puma,nope", "-max", "8", "-csv", "weak.csv"}, `unknown platform "nope"`},
 		{[]string{"faults", "-platform", "nope", "-journal", "run.jsonl"}, `unknown platform "nope"`},
 		{[]string{"perf"}, `unknown command "perf"`},

@@ -1,9 +1,8 @@
-// Command heterolint machine-checks the repository's map-order, pooling,
-// clock-charging, reshape-lifetime and journal-shape invariants with five
+// Command heterolint machine-checks the repository's map-order,
+// clock-charging, reshape-lifetime and journal-shape invariants with four
 // go/analysis-style checkers:
 //
 //	maporder      no map-iteration order leaking into deterministic output
-//	poolretain    mp payload-pool buffers respect their ownership contract
 //	vcharge       metered float loops charge the virtual clock (transitive
 //	              across packages via facts)
 //	worldconsume  no use of an mp.World after Shrink/ShrinkNodes/Grow
@@ -41,7 +40,6 @@ import (
 
 	"heterohpc/internal/analysis/maporder"
 	"heterohpc/internal/analysis/obskind"
-	"heterohpc/internal/analysis/poolretain"
 	"heterohpc/internal/analysis/unitchecker"
 	"heterohpc/internal/analysis/vcharge"
 	"heterohpc/internal/analysis/worldconsume"
@@ -55,7 +53,6 @@ func main() {
 	}
 	unitchecker.Main(
 		maporder.Analyzer,
-		poolretain.Analyzer,
 		vcharge.Analyzer,
 		worldconsume.Analyzer,
 		obskind.Analyzer,

@@ -1,8 +1,11 @@
-// world.go gives the fixture World the reshape surface the worldconsume
-// analyzer keys on: Shrink/ShrinkNodes/Grow consume their receiver and
-// hand the replacement back inside the result, mirroring the real
-// transport's signatures.
+// Package mp is the worldconsume fixture's transport: a World with the
+// reshape surface the analyzer keys on. Shrink/ShrinkNodes/Grow consume
+// their receiver and hand the replacement back inside the result,
+// mirroring the real transport's signatures.
 package mp
+
+// World stands in for the real transport's world.
+type World struct{}
 
 // Reshape carries the replacement world out of a consuming call.
 type Reshape struct{ World *World }

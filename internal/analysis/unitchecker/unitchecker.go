@@ -143,7 +143,7 @@ func printVersion(progname string) {
 }
 
 func usage(progname string, analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(os.Stderr, "%s: machine-checks heterohpc's map-order, pooling, clock-charging, world-lifetime and journal-shape invariants\n\n", progname)
+	fmt.Fprintf(os.Stderr, "%s: machine-checks heterohpc's map-order, clock-charging, world-lifetime and journal-shape invariants\n\n", progname)
 	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(command -v %s) ./...\n", progname)
 	fmt.Fprintf(os.Stderr, "       %s ./...   (runs go vet with itself as the vettool)\n\nanalyzers:\n", progname)
 	for _, a := range analyzers {

@@ -33,7 +33,7 @@ func newTestWorld(t *testing.T, nranks int) *mp.World {
 
 // TestDistributedCGSteadyStateZeroAlloc asserts the full distributed solve
 // path — CG over a sparse.DistMatrix, ghost exchange through the Importer,
-// scalar allreduces through the mailbox and payload pool — allocates nothing
+// scalar allreduces on the world's shared state — allocates nothing
 // once warm. The only counter that sees every rank goroutine is the
 // process-wide malloc count, which also sees the runtime and whatever else
 // the test binary is doing; so it is read over several windows of solves,
@@ -92,7 +92,7 @@ func TestDistributedCGSteadyStateZeroAlloc(t *testing.T) {
 			return err
 		}
 		// Warm everything the steady state touches: workspace vectors,
-		// mailbox queues, payload pool, and the barrier path itself.
+		// mailbox queues, links, and the barrier path itself.
 		for k := 0; k < 2; k++ {
 			if err := solve(); err != nil {
 				return err

@@ -126,7 +126,10 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 	tag := r.collTag(kindExchange)
 	// ind[p] is 1 from p's filing. The census sums ind in place, which
 	// leaves it at least 1 at every peer until p's stream is sent.
-	ind := r.pool.scratch(r.Size())
+	if r.census == nil {
+		r.census = make([]float64, r.Size())
+	}
+	ind := r.census
 	clear(ind)
 	for _, p := range peers {
 		if p < 0 || p >= r.Size() || p == r.id {
@@ -151,7 +154,6 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 			r.post(p, tag, 8*len(stream), intsMsg(stream))
 		}
 	}
-	r.pool.release(ind)
 	recv = make([][]int, n)
 	for i, src := range srcs {
 		recv[i] = r.RecvInts(src, tag)
@@ -160,19 +162,17 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 }
 
 // Allreduce combines data from all ranks with op and returns the result on
-// every rank, in a pool buffer the caller owns from then on (as RecvF64
-// hands over its payload). data is not modified. Every rank must pass as
+// every rank, in a fresh slice. data is not modified. Every rank must pass as
 // many elements: a rank that is sent a contribution of another length
 // panics, as the tree's receiver would.
 //
 // Its virtual outcome is that of a binomial Reduce to rank 0 followed by a
 // binomial Bcast from it (2·ceil(log2 P) stages), each message a SendF64 and
 // a RecvF64 of the rank's accumulator: tags, message sizes, combination
-// order, clock charges, queue intervals, message and pool counts and fault
-// points. On the host no message moves: see AllreduceScalar.
+// order, clock charges, queue intervals, message and payload counts and
+// fault points. On the host no message moves: see AllreduceScalar.
 func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
-	acc := r.pool.scratch(len(data))
-	copy(acc, data)
+	acc := append([]float64(nil), data...)
 	r.allreduce(op, acc, true)
 	return acc
 }
@@ -180,8 +180,8 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 // AllreduceScalar is Allreduce for a single value — the reduction under
 // every distributed dot product, so it runs several times per Krylov
 // iteration on every rank. Its payload lives in the rank's slot, so a call
-// allocates nothing, and each of its receives counts a pool put and records
-// no queue interval, as the one-element messages it once moved did.
+// allocates nothing, and each of its receives counts a payload return and
+// records no queue interval, as the one-element messages it once moved did.
 //
 // Neither form moves a message. Each rank files its payload and parks; the
 // event that completes the set — the last rank arriving, or a rank exiting
@@ -230,7 +230,7 @@ func (r *Rank) allreduce(op ReduceOp, buf []float64, vector bool) {
 // allreduceColl is a world's allreduce: one slot per rank, made once per
 // world by Run, and the count of ranks the pending collective is waiting on.
 // mu guards the counts and the slots (but see wake), and the state of every
-// parked rank (clock, recorder, pool counts), which resolve charges in the
+// parked rank (clock, recorder, payload counts), which resolve charges in the
 // rank's stead.
 type allreduceColl struct {
 	mu    sync.Mutex
@@ -361,7 +361,7 @@ func (s *allreduceColl) bcast(i int) {
 }
 
 // send is the slot's rank sending its buf to dst, leaving the message in
-// msg: the fault check, the counted pool draw and the charge, as SendF64
+// msg: the fault check, the counted payload draw and the charge, as SendF64
 // makes them.
 func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 	r := sl.r
@@ -370,7 +370,7 @@ func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 		return false
 	}
 	if len(sl.buf) > 0 {
-		r.pool.gets++
+		r.gets++
 	}
 	msg.at, msg.sent = r.chargeSend(dst, 8*len(sl.buf)), true
 	return true
@@ -379,7 +379,7 @@ func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 // recv is the matching receive by the slot's rank: fault check, take, clock
 // advance to the arrival, fault check. Allreduce's receive also records the
 // queue interval, as RecvF64 does; AllreduceScalar's instead counts the
-// return of the payload to the pool.
+// payload's return.
 func (sl *allreduceSlot) recv(msg *allreduceSlot) bool {
 	r := sl.r
 	if r.due() || !msg.sent {
@@ -397,7 +397,7 @@ func (sl *allreduceSlot) recv(msg *allreduceSlot) bool {
 		return false
 	}
 	if !sl.vector {
-		r.pool.puts++
+		r.puts++
 	}
 	return true
 }

@@ -130,10 +130,10 @@ func exchangePeers(id, p int) []int {
 }
 
 // TestVectorCollectivesMatchUnpooledReference runs one script of
-// all-reductions and exchanges through the reference and through the pooled
-// collectives, in two identical observed worlds, and requires on every rank
-// the same result bits, clock, message and byte counts — and in the world the
-// same counted pool traffic, which the journal's "pool" event reports.
+// all-reductions and exchanges through the reference and through the
+// collectives, in two identical worlds, and requires on every rank the same
+// result bits, clock, message and byte counts — and in the world the same
+// counted payload traffic, which the journal's "pool" event reports.
 func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 	type impl struct {
 		allreduce func(r *Rank, op ReduceOp, data []float64) []float64
@@ -153,10 +153,9 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 		}
 		ref := impl{func(r *Rank, op ReduceOp, data []float64) []float64 { return refAllreduce(r, op, data, nil) },
 			refExchange(func(id int) []int { return senders[id] })}
-		pooled := impl{(*Rank).Allreduce, (*Rank).ExchangeInts}
-		run := func(im impl) ([]outcome, int64, int64, int) {
+		collectives := impl{(*Rank).Allreduce, (*Rank).ExchangeInts}
+		run := func(im impl) ([]outcome, int64, int64) {
 			w := testWorld(t, p, 4)
-			w.pool.counting = true
 			out := make([]outcome, p)
 			err := w.Run(func(r *Rank) error {
 				o := &out[r.ID()]
@@ -192,17 +191,12 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
 			}
-			return out, w.pool.gets.Load(), w.pool.puts.Load(), len(w.pool.classes[poolClassOf(p)].free)
+			return out, w.gets.Load(), w.puts.Load()
 		}
-		want, wantGets, wantPuts, _ := run(ref)
-		got, gets, puts, free := run(pooled)
-		// What the ranks gave back is in the shared level once they have
-		// exited; the reference gives nothing back.
-		if free == 0 {
-			t.Errorf("p=%d: no census vector returned to the pool", p)
-		}
+		want, wantGets, wantPuts := run(ref)
+		got, gets, puts := run(collectives)
 		if gets != wantGets || puts != wantPuts {
-			t.Errorf("p=%d: counted pool traffic %d gets, %d puts; reference %d, %d", p, gets, puts, wantGets, wantPuts)
+			t.Errorf("p=%d: counted payload traffic %d gets, %d puts; reference %d, %d", p, gets, puts, wantGets, wantPuts)
 		}
 		for id := range want {
 			g, w := got[id], want[id]
@@ -223,19 +217,17 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 }
 
 // The scalar allreduce as it was when it moved messages: the binomial Reduce
-// to rank 0 and Bcast from it, each message one pooled one-element payload
-// taken from the sender's mailbox side. It is the oracle for AllreduceScalar,
+// to rank 0 and Bcast from it, each message one one-element payload. It is the oracle for AllreduceScalar,
 // which must leave every rank with the same bits, clock, per-phase charges,
-// message and pool counts, death and stranded messages. A non-nil trace
+// message and payload counts, death and stranded messages. A non-nil trace
 // records each rank's clock at the fault checks of one call and at its
 // return; it changes nothing the oracle does.
 
 func refSendScalar(r *Rank, dst, tag int, v float64, tr *allreduceTrace) {
 	tr.note(r)
 	r.checkDst(dst)
-	cp := r.pool.get(1)
-	cp[0] = v
-	r.post(dst, tag, 8, f64Msg(cp))
+	r.gets++
+	r.post(dst, tag, 8, f64Msg([]float64{v}))
 }
 
 func refRecvScalar(r *Rank, src, tag int, tr *allreduceTrace) float64 {
@@ -245,10 +237,8 @@ func refRecvScalar(r *Rank, src, tag int, tr *allreduceTrace) float64 {
 	r.clk.AdvanceTo(m.arriveAt)
 	tr.note(r)
 	r.checkFault()
-	buf := m.f64()
-	v := buf[0]
-	r.pool.put(buf)
-	return v
+	r.puts++
+	return m.f64()[0]
 }
 
 // refApplyScalar folds v into acc (acc op= v) with apply, the primitive
@@ -375,7 +365,7 @@ type allreduceRank struct {
 }
 
 // allreduceOutcome is what a whole run shows: its ranks, Run's error, the
-// recorded failure, the counted pool traffic, the journal and metrics, and
+// recorded failure, the counted payload traffic, the journal and metrics, and
 // the messages left pending (revoked by Shrink if the world is poisoned, by
 // Grow otherwise).
 type allreduceOutcome struct {
@@ -421,7 +411,7 @@ func runAllreduce(t *testing.T, mk func() *World, allreduce allreduceImpl, body 
 		_, _, o.msgs, o.msgB = clk.Counters()
 	}
 	out.failure, out.down = w.Failure()
-	out.gets, out.puts = w.pool.gets.Load(), w.pool.puts.Load()
+	out.gets, out.puts = w.gets.Load(), w.puts.Load()
 	var j, m strings.Builder
 	if err := run.WriteJournal(&j); err != nil {
 		t.Fatal(err)
@@ -454,7 +444,7 @@ func diffAllreduce(t *testing.T, name string, got, want allreduceOutcome) {
 			name, got.err, got.failure, got.down, want.err, want.failure, want.down)
 	}
 	if got.gets != want.gets || got.puts != want.puts || got.revoked != want.revoked {
-		t.Errorf("%s: pool traffic %d gets, %d puts, %d messages pending; tree %d, %d, %d",
+		t.Errorf("%s: payload traffic %d gets, %d puts, %d messages pending; tree %d, %d, %d",
 			name, got.gets, got.puts, got.revoked, want.gets, want.puts, want.revoked)
 	}
 	if got.journal != want.journal || got.metrics != want.metrics {
@@ -542,7 +532,7 @@ func allreduceScript(form allreduceForm, calls int) allreduceBody {
 // script through the message trees and through the allreduce, in identical
 // observed worlds, and require the same outcome rank by rank: result bits,
 // clock, per-phase communication, message counts; and in the world the
-// counted pool traffic, journal and metrics. The worlds span one node or
+// counted payload traffic, journal and metrics. The worlds span one node or
 // many, one placement group or three, and one has degraded links on every
 // node, each window opening inside the first call: halfway between the entry
 // and the return of the node's first rank, as the tree times them.

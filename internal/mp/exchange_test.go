@@ -245,3 +245,35 @@ func TestExchangeWithDyingSender(t *testing.T) {
 		}
 	})
 }
+
+// TestCensusBuffersOutliveTheCensus runs two ExchangeInts on 300 ranks. Each
+// rank sums its census in one P-length buffer of its own, which it keeps:
+// the second census must find the first one's buffer and allocate none.
+func TestCensusBuffersOutliveTheCensus(t *testing.T) {
+	const p = 300
+	held := make([][2]*float64, p)
+	err := testWorld(t, p, 16).Run(func(r *Rank) error {
+		for round := 0; round < 2; round++ {
+			r.ExchangeInts(exchangePeers(r.ID(), p), func(int) []int { return []int{round} })
+			if len(r.census) != p {
+				return fmt.Errorf("census %d holds a buffer of %d elements, want %d", round, len(r.census), p)
+			}
+			held[r.ID()][round] = &r.census[0]
+			r.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*float64]bool{}
+	for id, h := range held {
+		if h[1] != h[0] {
+			t.Fatalf("rank %d's second census allocated a buffer", id)
+		}
+		if seen[h[0]] {
+			t.Fatalf("rank %d shares its census buffer", id)
+		}
+		seen[h[0]] = true
+	}
+}

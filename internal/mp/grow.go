@@ -5,10 +5,10 @@
 // replacement nodes: the proactive half of preemption recovery, where the
 // supervisor uses the spot-market notice window to evacuate a doomed node's
 // state, acquire a replacement, and continue at full width instead of
-// degrading. Surviving ranks keep their rank numbers, their mailboxes (with
-// the warm per-source slots and queues) and the shared payload pool, and
-// their clocks carry their absolute virtual times via vclock.NewAt — the
-// same continuation contract Shrink established. New ranks start with fresh
+// degrading. Surviving ranks keep their rank numbers and their mailboxes
+// (with the warm per-source slots, queues and links), and their clocks
+// carry their absolute virtual times via vclock.NewAt — the same
+// continuation contract Shrink established. New ranks start with fresh
 // mailboxes and clocks seeded at startAt, the virtual time at which their
 // node came online.
 //
@@ -26,9 +26,9 @@ import (
 
 // Grow is the outcome of extending a world with replacement nodes.
 type Grow struct {
-	// World is the grown world: same fabric and payload pool, extended
-	// topology, survivor clocks carried at their absolute virtual times and
-	// new-rank clocks seeded at the growth time.
+	// World is the grown world: same fabric, extended topology, survivor
+	// clocks carried at their absolute virtual times and new-rank clocks
+	// seeded at the growth time.
 	World *World
 	// OldToNew maps old rank -> new rank. Growth never renumbers: the map
 	// is the identity, kept for symmetry with Shrink so supervisors can
@@ -50,8 +50,8 @@ type Grow struct {
 // Grow extends a healthy, completed world with replacement capacity:
 // ranksPerNewNode[i] ranks are added on a new node in placement group
 // groupOfNewNode[i], appended after the existing nodes. Existing ranks keep
-// their numbers, mailboxes and pool ownership; their clocks continue at
-// their absolute virtual times. New ranks get clocks seeded at startAt (the
+// their numbers and mailboxes; their clocks continue at their absolute
+// virtual times. New ranks get clocks seeded at startAt (the
 // virtual time their node was provisioned). The old world is consumed — it
 // cannot Run again; the grown world is fresh: it has no fault schedule, no
 // observer, and may Run exactly once.
@@ -122,12 +122,10 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 	if err != nil {
 		return nil, err
 	}
-	nw.pool = w.pool // ownership of the warm free lists moves with the ranks
-
 	// Transplant the surviving ranks' mailboxes: repoint them at the grown
-	// world and purge any stale payloads, keeping the per-source slots and
-	// their queues warm — the same sources and tags recur after the growth
-	// because rank numbers are stable under Grow, and a joiner simply enters
+	// world and purge any stale payloads, keeping the per-source slots, their
+	// queues and the links warm — the same sources and tags recur after the
+	// growth because rank numbers are stable under Grow, and a joiner enters
 	// the map with its first message. Filed senders go with the payloads:
 	// an old world whose body ended early can leave some behind, and the
 	// grown world's collective tags start over. The joiners keep the fresh

@@ -80,10 +80,6 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 			t.Fatalf("joiner rank %d clock %v, want %v", r, got, startAt)
 		}
 	}
-	// Pool ownership moved with the ranks.
-	if gr.World.pool != w.pool {
-		t.Fatal("grown world did not inherit the payload pool")
-	}
 	// Transplanted mailboxes point at the grown world.
 	for r := 0; r < 6; r++ {
 		mb := gr.World.boxes[r]

@@ -8,17 +8,19 @@ import (
 // Link is a persistent point-to-point channel — MPI's persistent requests
 // (MPI_Send_init / MPI_Recv_init, then MPI_Start per message) — for traffic
 // whose peers, tag and sizes are fixed once a communication plan is set up,
-// as a halo exchange's are. There is one link per (source, destination, tag):
-// the sender's LinkTo and the receiver's LinkFrom find the same one in the
-// destination's mailbox, which makes it under its lock at set-up, as it files
-// ExchangeInts' senders. From then on a message costs neither side that lock:
-// the sender fills a slot the link owns and publishes it, the receiver reads
-// it in place and consumes it, and the two counters that order them are the
-// only memory they share.
+// as a halo exchange's and a matrix refill's are. There is one link per
+// (source, destination, tag): the sender's LinkTo and the receiver's LinkFrom
+// find the same one in the destination's mailbox, which makes it under its
+// lock at set-up, as it files ExchangeInts' senders. From then on a message
+// costs neither side that lock: the sender takes the next slot the link
+// owns, fills it and publishes it (TakeSlot, SendSlot; SendGather does all
+// three; DropSlot gives a slot back unsent), the receiver reads it in place
+// and consumes it, and the two counters that order them are the only memory
+// they share.
 //
 // A message over a link is, in virtual terms, the message SendF64 and the
 // scattering receives make: the same fault checks, charge, counts (the
-// sender's pool draw and the receiver's return are counted although no
+// sender's payload draw and the receiver's return are counted although no
 // buffer moves), clock advance and queue interval, and the same FIFO order.
 // Sends are buffered: a sender never blocks, and a link whose receiver has
 // not consumed its every slot grows. A parked receiver waits on the same
@@ -37,6 +39,9 @@ type Link struct {
 	// receiver has consumed; pub-con are pending. Each is written by one
 	// side only (and by a revoke, when no rank runs).
 	pub, con atomic.Uint64
+	// taken is set from TakeSlot to SendSlot or DropSlot, while the sender
+	// fills slot pub. Sender only (and a revoke).
+	taken bool
 	// first is the ring the link is made with, and env its envelopes.
 	first linkRing
 	env   [linkDepth]linkMsg
@@ -95,6 +100,9 @@ func (r *Rank) LinkTo(dst, tag, n int) *Link {
 	}
 	l := r.world.boxes[dst].link(r.id, dst, tag)
 	if rg := l.ring.Load(); n > rg.width {
+		if l.taken {
+			panic(fmt.Sprintf("mp: rank %d widens its link to rank %d while filling a slot", r.id, dst))
+		}
 		if l.pub.Load() == 0 {
 			// Nothing was ever published, so the ring is still the first and
 			// no receiver has read it: it is sized in place, by its one
@@ -138,30 +146,62 @@ func (l *Link) grow(n int) {
 	l.ring.Store(rg)
 }
 
-// SendGather packs x[idx[0]], x[idx[1]], … into the next slot of l, which
-// must start at this rank, and publishes it: SendF64 of the gathered values,
-// with the same checks, charge and counted pool draw, that moves no buffer.
-func (r *Rank) SendGather(l *Link, x []float64, idx []int) {
+// TakeSlot returns the next payload slot of l, which must start at this
+// rank, n elements long, for the caller to fill and SendSlot to send. The
+// link has one slot to give at a time: taking a second before sending the
+// first panics.
+func (r *Rank) TakeSlot(l *Link, n int) []float64 {
 	if l.src != r.id {
 		panic(fmt.Sprintf("mp: rank %d sends on the link from rank %d", r.id, l.src))
 	}
-	r.checkDst(l.dst)
-	if len(idx) > 0 {
-		r.pool.gets++
+	if l.taken {
+		panic(fmt.Sprintf("mp: rank %d takes a second slot on its link to rank %d before sending the first", r.id, l.dst))
 	}
 	s := l.pub.Load()
 	rg := l.ring.Load()
-	if len(idx) > rg.width || s-l.con.Load() == uint64(len(rg.msgs)) {
-		l.grow(len(idx))
+	if n > rg.width || s-l.con.Load() == uint64(len(rg.msgs)) {
+		l.grow(n)
 		rg = l.ring.Load()
 	}
 	m, buf := rg.slot(s)
+	m.n, l.taken = n, true
+	return buf[:n]
+}
+
+// SendSlot publishes the slot TakeSlot gave: SendF64 of its values, with the
+// same checks, charge and counted payload draw, that moves no buffer.
+func (r *Rank) SendSlot(l *Link) {
+	if !l.taken {
+		panic(fmt.Sprintf("mp: rank %d sends on its link to rank %d with no slot taken", r.id, l.dst))
+	}
+	r.checkDst(l.dst)
+	s := l.pub.Load()
+	m, _ := l.ring.Load().slot(s)
+	if m.n > 0 {
+		r.gets++
+	}
+	m.arriveAt = r.chargeSend(l.dst, 8*m.n)
+	l.taken = false
+	l.publish(s + 1)
+}
+
+// DropSlot gives back the slot TakeSlot gave, unsent: no message, charge
+// or count is made, and the link's next TakeSlot gives the same slot.
+func (r *Rank) DropSlot(l *Link) {
+	if !l.taken {
+		panic(fmt.Sprintf("mp: rank %d gives back a slot on its link to rank %d with none taken", r.id, l.dst))
+	}
+	l.taken = false
+}
+
+// SendGather packs x[idx[0]], x[idx[1]], … into the next slot of l and
+// sends it.
+func (r *Rank) SendGather(l *Link, x []float64, idx []int) {
+	buf := r.TakeSlot(l, len(idx))
 	for j, k := range idx {
 		buf[j] = x[k]
 	}
-	m.n = len(idx)
-	m.arriveAt = r.chargeSend(l.dst, 8*len(idx))
-	l.publish(s + 1)
+	r.SendSlot(l)
 }
 
 // publish makes the messages before pub visible and wakes the receiver if
@@ -230,7 +270,7 @@ func (r *Rank) recvLink(l *Link, n int) []float64 {
 		panic(killedPanic{})
 	}
 	if len(buf) != n {
-		r.pool.puts++
+		r.puts++
 		l.con.Store(s + 1)
 		panic(fmt.Sprintf("mp: link payload %d != positions %d", len(buf), n))
 	}
@@ -239,14 +279,14 @@ func (r *Rank) recvLink(l *Link, n int) []float64 {
 
 // RecvScatter receives l's next message, which must end at this rank and
 // have len(pos) elements, into x[pos[j]] = payload[j]: RecvF64 and a scatter,
-// with the same checks, clock advance and counted pool return, that moves no
-// buffer.
+// with the same checks, clock advance and counted payload return, that moves
+// no buffer.
 func (r *Rank) RecvScatter(l *Link, x []float64, pos []int) {
 	buf := r.recvLink(l, len(pos))
 	for j, k := range pos {
 		x[k] = buf[j]
 	}
-	r.pool.puts++
+	r.puts++
 	l.con.Add(1)
 }
 
@@ -256,13 +296,13 @@ func (r *Rank) RecvAddScatter(l *Link, x []float64, pos []int) {
 	for j, k := range pos {
 		x[k] += buf[j]
 	}
-	r.pool.puts++
+	r.puts++
 	l.con.Add(1)
 }
 
 // revokeLinks purges the pending messages of the links whose source
-// satisfies stale and returns their number. Runs under mb.mu, with no rank
-// running.
+// satisfies stale, and a slot taken and never sent, and returns the number
+// of messages. Runs under mb.mu, with no rank running.
 func (mb *mailbox) revokeLinks(stale func(src int) bool) int {
 	n := 0
 	for _, l := range mb.links {
@@ -270,6 +310,7 @@ func (mb *mailbox) revokeLinks(stale func(src int) bool) int {
 			pub := l.pub.Load()
 			n += int(pub - l.con.Load())
 			l.con.Store(pub)
+			l.taken = false
 		}
 	}
 	return n

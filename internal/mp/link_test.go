@@ -11,31 +11,28 @@ import (
 	"time"
 )
 
-// The importer's transport as it was before links: a pooled copy of the
-// gathered values posted to the destination's mailbox, and a directed
-// receive that scatters the payload and returns the buffer to the pool. It
-// is the oracle for SendGather, RecvScatter and RecvAddScatter.
+// The importer's transport as it was before links: a copy of the gathered
+// values posted to the destination's mailbox, and a directed receive that
+// scatters the payload and counts its return. It is the oracle for
+// SendGather, RecvScatter and RecvAddScatter.
 
 func refSendGather(r *Rank, dst, tag int, x []float64, idx []int) {
-	r.checkDst(dst)
-	cp := r.pool.get(len(idx))
+	cp := make([]float64, len(idx))
 	for j, k := range idx {
 		cp[j] = x[k]
 	}
-	r.post(dst, tag, 8*len(idx), f64Msg(cp))
+	r.SendF64(dst, tag, cp)
 }
 
 func refRecvScatter(r *Rank, src, tag int, x []float64, pos []int) {
 	buf := r.recv(src, tag).f64()
+	r.puts++
 	if len(buf) != len(pos) {
-		msg := fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos))
-		r.pool.put(buf)
-		panic(msg)
+		panic(fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos)))
 	}
 	for j, k := range pos {
 		x[k] = buf[j]
 	}
-	r.pool.put(buf)
 }
 
 // linkStressPlan is one seeded script of exchanges for a world of p ranks:
@@ -353,7 +350,6 @@ func TestLinkDeathWaitsForPendingMessages(t *testing.T) {
 // reject returns the buffer, and a link refuses the wrong rank.
 func TestLinkRecvLengthMismatch(t *testing.T) {
 	w := testWorld(t, 2, 2)
-	w.pool.counting = true
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
 			r.SendGather(r.LinkTo(1, 3, 3), []float64{1, 2, 3}, []int{0, 1, 2})
@@ -365,7 +361,7 @@ func TestLinkRecvLengthMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "mp: link payload 3 != positions 4") {
 		t.Fatalf("a mismatched receive returned %v, want its panic", err)
 	}
-	if gets, puts := w.pool.gets.Load(), w.pool.puts.Load(); gets != 1 || puts != 1 {
+	if gets, puts := w.gets.Load(), w.puts.Load(); gets != 1 || puts != 1 {
 		t.Fatalf("%d gets, %d puts; want one of each", gets, puts)
 	}
 	if l := w.boxes[1].links[0]; l.pub.Load() != 1 || l.con.Load() != 1 {
@@ -378,5 +374,82 @@ func TestLinkRecvLengthMismatch(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "sends on the link from rank") {
 		t.Fatalf("a send on another rank's link returned %v, want a panic", err)
+	}
+}
+
+// TestLinkSlotMisusePanics: a link gives one slot at a time, so a second
+// TakeSlot before SendSlot panics, as do SendSlot or DropSlot with no slot
+// taken and a LinkTo that would widen the ring under a taken slot; a slot
+// taken and never sent is no message, and a revoke clears it.
+func TestLinkSlotMisusePanics(t *testing.T) {
+	w := testWorld(t, 2, 2)
+	var msgs []string
+	err := w.Run(func(r *Rank) error {
+		if r.ID() != 0 {
+			return nil
+		}
+		l := r.LinkTo(1, 3, 2)
+		for _, misuse := range []func(){
+			func() { r.SendSlot(l) },
+			func() { r.DropSlot(l) },
+			func() { r.TakeSlot(l, 2); r.TakeSlot(l, 1) },
+			func() { r.LinkTo(1, 3, 4) },
+		} {
+			func() {
+				defer func() { msgs = append(msgs, fmt.Sprint(recover())) }()
+				misuse()
+			}()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"mp: rank 0 sends on its link to rank 1 with no slot taken",
+		"mp: rank 0 gives back a slot on its link to rank 1 with none taken",
+		"mp: rank 0 takes a second slot on its link to rank 1 before sending the first",
+		"mp: rank 0 widens its link to rank 1 while filling a slot",
+	}
+	if !slices.Equal(msgs, want) {
+		t.Fatalf("panics %q, want %q", msgs, want)
+	}
+	l := w.boxes[1].links[0]
+	gr, err := w.Grow([]int{1}, []int{0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Revoked != 0 || l.taken || l.pub.Load() != 0 {
+		t.Fatalf("the unsent slot left %d revoked, taken %v, %d published; want none", gr.Revoked, l.taken, l.pub.Load())
+	}
+}
+
+// TestLinkDropSlotSendsNothing: a slot given back unsent is no message, and
+// the link gives it again: the receiver gets only what the sent slot holds.
+func TestLinkDropSlotSendsNothing(t *testing.T) {
+	w := testWorld(t, 2, 2)
+	got := make([]float64, 2)
+	err := w.Run(func(r *Rank) error {
+		if r.ID() == 1 {
+			r.RecvScatter(r.LinkFrom(0, 3), got, []int{0, 1})
+			return nil
+		}
+		l := r.LinkTo(1, 3, 2)
+		buf := r.TakeSlot(l, 2)
+		buf[0], buf[1] = 7, 7
+		r.DropSlot(l)
+		buf = r.TakeSlot(l, 2)
+		buf[0] = 9
+		r.SendSlot(l)
+		if _, _, msgs, _ := r.Clock().Counters(); msgs != 1 {
+			return fmt.Errorf("sent %d messages, want 1", msgs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{9, 7}; !slices.Equal(got, want) {
+		t.Fatalf("received %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package mp
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 )
 
@@ -92,5 +93,26 @@ func TestMailboxFootprintIndependentOfWorldSize(t *testing.T) {
 				t.Fatalf("P=%d: mailbox %d holds %d sources, bound is %d", p, i, len(mb.srcs), bound)
 			}
 		}
+	}
+}
+
+// TestRecvLengthMismatchReturnsBuffer checks that the scattering mailbox
+// receive counts the return of a payload of the wrong length before it
+// panics, as it counts every payload it takes.
+func TestRecvLengthMismatchReturnsBuffer(t *testing.T) {
+	w := testWorld(t, 2, 2)
+	err := w.Run(func(r *Rank) error {
+		if r.ID() == 0 {
+			r.SendF64(1, 3, []float64{1, 2, 3})
+			return nil
+		}
+		r.RecvF64AddScatter(0, 3, make([]float64, 8), []int{0, 1, 2, 3})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "mp: RecvF64AddScatter payload 3 != positions 4") {
+		t.Fatalf("a mismatched receive returned %v, want its panic", err)
+	}
+	if gets, puts := w.gets.Load(), w.puts.Load(); gets != 1 || puts != 1 {
+		t.Fatalf("%d gets, %d puts; the rejected payload's return was not counted", gets, puts)
 	}
 }

@@ -19,11 +19,13 @@
 // instead of moving them.
 //
 // Traffic whose peers, tag and sizes are fixed by a set-up step — the sparse
-// importer's halo exchange — runs on persistent links (link.go), MPI's
-// persistent requests: made once in the destination's mailbox, then written
-// and read without its lock, at the same virtual cost as a mailbox message.
-// The mailbox carries everything else: set-up, the message collectives and
-// one-off transfers.
+// importer's halo exchange and a matrix's refill — runs on persistent links
+// (link.go), MPI's persistent requests: made once in the destination's
+// mailbox, then written and read without its lock, at the same virtual cost
+// as a mailbox message. So a time step's traffic never touches the mailbox.
+// The mailbox carries the rest, each payload a private copy: set-up streams
+// (ExchangeInts), checkpoint mirrors and redistribution, and the message
+// collectives Barrier and Bcast.
 package mp
 
 import (
@@ -112,8 +114,8 @@ func (t Topology) SameGroup(a, b int) bool {
 func (t Topology) NICShare(r int) int { return t.ranksOnNode[t.NodeOf[r]] }
 
 // message is one in-flight payload, sized to fit one cache line. Payloads
-// are private to the message — either defensive copies or freshly packed
-// pool buffers — so a sender may reuse its buffer immediately (MPI
+// are private to the message — defensive copies, or streams ExchangeInts
+// hands over — so a sender may reuse its buffer immediately (MPI
 // buffered-send semantics).
 //
 // A message carries exactly one of three payload kinds, so it holds one
@@ -441,10 +443,9 @@ type World struct {
 	rater  vclock.ComputeRater
 	clocks []*vclock.Clock
 	boxes  []*mailbox
-	// pool recycles f64 message payloads (see pool.go). It is held by
-	// pointer so Grow can transfer ownership of the warm free lists to the
-	// grown world along with the mailboxes.
-	pool *f64Pool
+	// gets and puts total the payload draws and returns of the ranks that
+	// have exited (see Rank.gets), for the journal's "pool" event.
+	gets, puts atomic.Int64
 	// interns shares immutable host-side values between ranks (see
 	// intern.go).
 	interns internTable
@@ -497,7 +498,6 @@ func NewWorld(topo Topology, fabric *netmodel.Fabric, rater vclock.ComputeRater)
 		rater:    rater,
 		clocks:   make([]*vclock.Clock, p),
 		boxes:    make([]*mailbox, p),
-		pool:     &f64Pool{},
 		rankDead: make([]atomic.Bool, p),
 	}
 	for i := 0; i < p; i++ {
@@ -518,15 +518,14 @@ func (w *World) Clocks() []*vclock.Clock { return w.clocks }
 
 // Observe attaches an observability sink to the world: every rank gets an
 // event recorder bound to its virtual clock, phase transitions are mirrored
-// into the journal, and the payload pool starts counting its traffic. Must
-// be called before Run; a nil run leaves the world unobserved (the default,
+// into the journal, and FlushObs reports the payload traffic. Must be
+// called before Run; a nil run leaves the world unobserved (the default,
 // which costs nothing on the message hot paths).
 func (w *World) Observe(run *obs.Run) {
 	if run == nil {
 		return
 	}
 	w.obsRun = run
-	w.pool.counting = true
 	w.recs = make([]*obs.Recorder, len(w.clocks))
 	for i, clk := range w.clocks {
 		rec := run.NewRecorder(i, clk)
@@ -537,7 +536,7 @@ func (w *World) Observe(run *obs.Run) {
 	}
 }
 
-// FlushObs emits the world-level end-of-run observations (payload-pool
+// FlushObs emits the world-level end-of-run observations (payload
 // traffic) to the run's global recorder, stamped at the world's final
 // virtual time. Call once after Run has returned; a no-op when the world is
 // unobserved.
@@ -545,7 +544,7 @@ func (w *World) FlushObs() {
 	if w.obsRun == nil {
 		return
 	}
-	gets, puts := w.pool.gets.Load(), w.pool.puts.Load()
+	gets, puts := w.gets.Load(), w.puts.Load()
 	if gets+puts > 0 {
 		w.obsRun.Global().PoolStats(w.MaxVirtualTime(), gets, puts)
 	}
@@ -573,7 +572,7 @@ func (w *World) Run(body func(r *Rank) error) error {
 	errs := make([]error, p)
 	w.allreduce.slots = make([]allreduceSlot, p)
 	for i := range w.allreduce.slots {
-		rank := &Rank{world: w, id: i, clk: w.clocks[i], pool: rankPool{shared: w.pool}}
+		rank := &Rank{world: w, id: i, clk: w.clocks[i]}
 		if w.recs != nil {
 			rank.rec = w.recs[i]
 		}
@@ -584,7 +583,10 @@ func (w *World) Run(body func(r *Rank) error) error {
 	for i := range w.allreduce.slots {
 		go func(rk *Rank) {
 			defer wg.Done()
-			defer rk.pool.drain()
+			defer func() {
+				w.gets.Add(rk.gets)
+				w.puts.Add(rk.puts)
+			}()
 			// Runs after the recover below: whatever way the rank exits,
 			// it can never send again, so waiters on its messages must be
 			// woken to observe the death instead of sleeping forever.
@@ -621,9 +623,12 @@ type Rank struct {
 	world *World
 	id    int
 	clk   *vclock.Clock
-	// pool is the rank's private front to the world's payload pool (see
-	// pool.go).
-	pool rankPool
+	// gets and puts count the payloads the rank has sent and received, in
+	// the terms of the journal's "pool" event (World.FlushObs): every
+	// non-empty f64 send is a get, every scattering receive a put.
+	gets, puts int64
+	// census is ExchangeInts' P-length indicator, kept between calls.
+	census []float64
 	// rec is the rank's event recorder (nil unless the world is observed;
 	// all its methods are nil-safe no-ops).
 	rec *obs.Recorder
@@ -716,36 +721,36 @@ func (r *Rank) recv(src, tag int) message {
 // reserved for applications; collectives use negative tags internally).
 func (r *Rank) SendF64(dst, tag int, data []float64) {
 	r.checkDst(dst)
-	cp := r.pool.get(len(data))
-	copy(cp, data)
+	var cp []float64
+	if len(data) > 0 {
+		cp = make([]float64, len(data))
+		copy(cp, data)
+		r.gets++
+	}
 	r.post(dst, tag, 8*len(data), f64Msg(cp))
 }
 
 // RecvF64 blocks until a float64 message with the given source and tag
 // arrives, advances this rank's clock to the arrival time, and returns the
-// payload. Ownership of the returned slice transfers to the caller; use
-// RecvF64AddScatter or a Link on hot paths so the buffer returns to the
-// world's pool, or never leaves the link.
+// payload, which belongs to the caller from then on.
 func (r *Rank) RecvF64(src, tag int) []float64 {
 	return r.recv(src, tag).f64()
 }
 
-// RecvF64AddScatter receives like RecvF64, adds payload element j into
-// x[pos[j]] and recycles the transport buffer — the exporter's
-// sum-into-owner step without surfacing the wire buffer. The payload must
-// have exactly len(pos) elements.
+// RecvF64AddScatter receives like RecvF64 and adds payload element j into
+// x[pos[j]], counting the payload's return; the payload must have exactly
+// len(pos) elements. No production path calls it: it is the mailbox
+// receive that the tests hold a link's RecvAddScatter to, in the references
+// of the importer's export and of a matrix's refill.
 func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
 	buf := r.recv(src, tag).f64()
+	r.puts++
 	if len(buf) != len(pos) {
-		// The payload goes back to the pool, so the mismatch leaks nothing.
-		msg := fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos))
-		r.pool.put(buf)
-		panic(msg)
+		panic(fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos)))
 	}
 	for j, l := range pos {
 		x[l] += buf[j]
 	}
-	r.pool.put(buf)
 }
 
 // SendInts sends a copy of an int slice to rank dst.

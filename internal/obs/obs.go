@@ -8,7 +8,7 @@
 // package is the machine-readable substrate for that kind of reporting:
 // instead of only end-of-run tables, an observed run leaves a journal of
 // phase transitions, per-step solver convergence, halo-exchange traffic,
-// payload-pool effectiveness, checkpoint writes/restores, recovery
+// payload traffic, checkpoint writes/restores, recovery
 // decisions and spot-market ticks.
 //
 // Determinism contract: nothing in this package reads the wall clock or
@@ -362,12 +362,12 @@ func (rc *Recorder) ProvisionRetry(t float64, attempt, got, want int, delayS flo
 		I1: int64(attempt), I2: int64(got), I3: int64(want), F1: delayS})
 }
 
-// PoolStats records one world's payload-pool traffic at virtual time t:
-// kind "pool", I1 = buffer requests served, I2 = buffers returned. The
-// hit/miss split is deliberately not recorded: which get finds a recycled
-// buffer depends on goroutine scheduling, while request/return totals are
-// pure functions of the deterministic message sequence. gets − puts is the
-// number of buffers whose ownership passed to the application.
+// PoolStats records one world's payload traffic at virtual time t: kind
+// "pool", I1 = payloads drawn, I2 = payloads returned, counted as the draws
+// from and returns to the payload pool the transport once had (mp.Rank).
+// Both totals are pure functions of the deterministic message sequence.
+// gets − puts is the number of payloads whose ownership passed to the
+// application.
 func (rc *Recorder) PoolStats(t float64, gets, puts int64) {
 	if rc == nil {
 		return

@@ -188,9 +188,10 @@ func BenchmarkSpaceRefillP27(b *testing.B) {
 			s.Refill(dm, elem)
 			r.Barrier()
 		}
-		// A payload class a rank only receives fills its private stack (32
-		// deep) before it overflows to the shared level its senders draw
-		// from: until then each such send is a fresh buffer.
+		// The refill links are sized at the build and the barrier keeps each
+		// at most one message deep, so the first refill reaches the steady
+		// state. The case keeps its forty untimed refills: its virtual-s/op
+		// averages over the run, so the count fixes the figure it reports.
 		for i := 0; i < 40; i++ {
 			refill()
 		}
@@ -201,7 +202,7 @@ func BenchmarkSpaceRefillP27(b *testing.B) {
 // benchInWorld times b.N collective calls of the op that setup returns on
 // every rank of a p-rank ec2 world (dense packing, the platform's fabric and
 // compute rater, as core.Target builds it). A few untimed calls warm the
-// payload pool and the mailboxes first; rank 0's virtual clock gives
+// mailboxes and links first; rank 0's virtual clock gives
 // virtual-s/op.
 func benchInWorld(b *testing.B, p int, setup func(r *mp.Rank) (func(), error)) {
 	plat, err := platform.Get("ec2")

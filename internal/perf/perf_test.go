@@ -123,12 +123,9 @@ func TestNSIterationAllocCeiling(t *testing.T) {
 // the instrumented CG/GMRES wrappers, so any allocation the wrappers
 // introduced would show up here; the two message-layer cases count
 // process-wide mallocs over 1000 and 512 rank goroutines, so one payload
-// that misses the pool or one queue that regrows on any rank in every op
-// shows too. A one-time cost does not: when halo-exchange-p1000's 1000 ranks
-// exit, they drain the set-up's buffers from their private stacks into the
-// shared pool, whose stacks grow to hold them (the exchange itself runs on
-// links made at set-up and draws none), which reads as 0 allocs/op and a few
-// KB/op over the 200 ops each world case runs. The element-to-matrix refill of the
+// that is copied or one queue or link that regrows on any rank in every op
+// shows too; a one-time cost, such as a world's set-up, is spread over the
+// 200 ops each world case runs. The element-to-matrix refill of the
 // applications' time loops is measured the same way, over 27 ranks.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, c := range []struct {

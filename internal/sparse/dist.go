@@ -76,9 +76,13 @@ type Importer struct {
 // NewImporter builds an importer for a vector laid out as [owned | ghosts].
 // ghostGlobal lists the ghost global ids in their local order (position
 // nOwned+i); owner maps any global id to its owning rank; tag reserves two
-// message tags (tag, tag+1) for this importer; the halo exchange runs under
-// tag+1 (the handshake that sets it up is a collective and uses neither).
+// message tags (tag, tag+1) for this importer, which must lie in
+// [0, refillTag); the halo exchange runs under tag+1 (the handshake that
+// sets it up is a collective and uses neither).
 func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) int, tag int) (*Importer, error) {
+	if err := checkTags(tag, 2); err != nil {
+		return nil, err
+	}
 	im := &Importer{r: r, nOwned: rowMap.N(), nGhost: len(ghostGlobal)}
 
 	// Group ghost positions by owning rank: one counting pass sizes the

@@ -372,7 +372,9 @@ func TestRowMap(t *testing.T) {
 // the matrix stays usable and no rank is left waiting on a half-done refill.
 // So must a Refill begun with the wrong length; one fed past its length
 // panics at that Add and one that falls short at Finish, in both cases
-// before anything is sent.
+// before anything is sent, giving back the slots it took: SetValues then
+// refills dm, and the rejected cursor another matrix of the rank; a cursor
+// begun again gives up the refill it has in flight.
 func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 	m := mesh.NewUnitCube(2)
 	const nranks = 2
@@ -397,7 +399,6 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 			return err
 		}
 		before := append([]float64(nil), dm.Local().Val...)
-		_, _, msgs, _ := r.Clock().Counters()
 		n := coo.Len()
 		short := COO{Vals: coo.Vals[:n-1]}
 		var rf Refill
@@ -414,6 +415,7 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 			{"Refill finished short", fmt.Sprintf("sparse: Refill fed %d values, structure has %d", n-1, n),
 				func() { rf.Begin(dm, n); rf.Add(coo.Vals[:n-1]); rf.Finish() }},
 		} {
+			_, _, msgs, _ := r.Clock().Counters()
 			got := func() (msg interface{}) {
 				defer func() { msg = recover() }()
 				tc.refill()
@@ -432,13 +434,117 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 					}
 				}
 			}
-		}
-		// Nothing was sent: a correct refill still pairs up across ranks.
-		dm.SetValues(&coo)
-		for i, v := range dm.Local().Val {
-			if v != before[i] {
-				return fmt.Errorf("refill after rejection: Val[%d] = %v, want %v", i, v, before[i])
+			// Nothing was sent, and the rejected refill gave its slots back:
+			// a correct refill by another cursor still pairs up across ranks.
+			dm.SetValues(&coo)
+			for i, v := range dm.Local().Val {
+				if v != before[i] {
+					return fmt.Errorf("%s: refill after it: Val[%d] = %v, want %v", tc.name, i, v, before[i])
+				}
 			}
+		}
+		// The rejected cursor refills another matrix of the rank, over the
+		// same links; begun again with a refill in flight, it gives that one
+		// up and refills dm.
+		other, err := NewDistMatrix(r, dm.RowMap(), &coo, owner, 710)
+		if err != nil {
+			return err
+		}
+		rf.Begin(other, n)
+		rf.Add(coo.Vals)
+		rf.Finish()
+		rf.Begin(dm, n)
+		rf.Add(coo.Vals[:1])
+		rf.Begin(dm, n)
+		rf.Add(coo.Vals)
+		rf.Finish()
+		if !slices.Equal(other.Local().Val, before) || !slices.Equal(dm.Local().Val, before) {
+			return fmt.Errorf("refills by the rejected cursor give other values")
+		}
+		return nil
+	})
+}
+
+// TestRefillGivesBackSlotsOnConflict: rank 0 exports to ranks 1 and 2 in
+// refills of A, to rank 2 alone in refills of B. A refill of A begun while
+// one of B is in flight takes the link to rank 1, panics on the link to
+// rank 2, and gives the first back: once B's refill is done, A refills
+// over both.
+func TestRefillGivesBackSlotsOnConflict(t *testing.T) {
+	owner := func(g int) int { return g }
+	runWorld(t, 3, func(r *mp.Rank) error {
+		id := r.ID()
+		rm := NewRowMap([]int{id})
+		var ca, cb COO
+		ca.Add(id, id, 1)
+		cb.Add(id, id, 1)
+		if id == 0 {
+			ca.Add(1, 1, 10)
+			ca.Add(2, 2, 100)
+			cb.Add(2, 2, 100)
+		}
+		a, err := NewDistMatrix(r, rm, &ca, owner, 10)
+		if err != nil {
+			return err
+		}
+		b, err := NewDistMatrix(r, rm, &cb, owner, 20)
+		if err != nil {
+			return err
+		}
+		builtA, builtB := slices.Clone(a.Local().Val), slices.Clone(b.Local().Val)
+		if id != 0 {
+			b.SetValues(&cb)
+			a.SetValues(&ca)
+		} else {
+			var ra, rb Refill
+			rb.Begin(b, cb.Len())
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				ra.Begin(a, ca.Len())
+				return nil
+			}()
+			want := "mp: rank 0 takes a second slot on its link to rank 2 before sending the first"
+			if got != want {
+				return fmt.Errorf("a refill of A while B's is in flight: panic %v, want %q", got, want)
+			}
+			rb.Add(cb.Vals)
+			rb.Finish()
+			a.SetValues(&ca)
+		}
+		if !slices.Equal(a.Local().Val, builtA) || !slices.Equal(b.Local().Val, builtB) {
+			return fmt.Errorf("rank %d: refills give A %v, B %v; want %v, %v", id, a.Local().Val, b.Local().Val, builtA, builtB)
+		}
+		return nil
+	})
+}
+
+// TestCallerTagsStayBelowRefills: a matrix or importer whose tags would
+// reach the refills' tag, or the collectives' below 0, is refused before
+// any message.
+func TestCallerTagsStayBelowRefills(t *testing.T) {
+	runWorld(t, 1, func(r *mp.Rank) error {
+		rm := NewRowMap([]int{0})
+		var coo COO
+		coo.Add(0, 0, 1)
+		owner := func(int) int { return 0 }
+		_, errM := NewDistMatrix(r, rm, &coo, owner, refillTag-3)
+		_, errI := NewImporter(r, rm, nil, owner, -1)
+		for _, c := range []struct {
+			err  error
+			want string
+		}{
+			{errM, fmt.Sprintf("sparse: tags [%d, %d) leave [0, %d)", refillTag-3, refillTag+1, refillTag)},
+			{errI, fmt.Sprintf("sparse: tags [-1, 1) leave [0, %d)", refillTag)},
+		} {
+			if c.err == nil || c.err.Error() != c.want {
+				return fmt.Errorf("got error %v, want %q", c.err, c.want)
+			}
+		}
+		if _, _, msgs, _ := r.Clock().Counters(); msgs != 0 {
+			return fmt.Errorf("refused builds sent %d messages", msgs)
+		}
+		if _, err := NewDistMatrix(r, rm, &coo, owner, refillTag-4); err != nil {
+			return err
 		}
 		return nil
 	})

@@ -34,8 +34,11 @@ type DistMatrix struct {
 	// pattern, this matrix's values.
 	A   *CSR
 	imp *Importer
+	// exports[i] is the refill link to st.exportPeers[i], imports[i] the one
+	// from st.importPeers[i]: the rank's links under refillTag, which every
+	// matrix it refills shares.
+	exports, imports []*mp.Link
 
-	tag  int
 	xbuf []float64
 	// rf is SetValues' cursor.
 	rf Refill
@@ -82,8 +85,10 @@ type incoming struct {
 // NewDistMatrix builds the distributed structure from an assembly COO in
 // global ids (coo may contain rows owned by other ranks) and fills the
 // values. owner maps any global id to its owning rank; tag reserves message
-// tags [tag, tag+4) for this matrix. The coo is not retained; SetValues
-// refills take one with the same contribution order.
+// tags [tag, tag+4) for this matrix, of which its importer uses tag+2 and
+// tag+3 (NewImporter with tag+2) and tag and tag+1 are spare; they must lie
+// in [0, refillTag), for every refill runs under refillTag. The coo is not
+// retained; SetValues refills take one with the same contribution order.
 //
 // When the world already holds a shape that coo and the peers' streams
 // follow contribution for contribution — built by this rank for an earlier
@@ -140,13 +145,25 @@ func NewDistMatrixBlocks(r *mp.Rank, rowMap *RowMap, blk *Blocks, owner func(int
 // newDistMatrix builds the structure and the importer of a matrix, its
 // values zero.
 func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
+	if err := checkTags(tag, 4); err != nil {
+		return nil, err
+	}
 	st, err := structureFor(r, rowMap, a, owner)
 	if err != nil {
 		return nil, err
 	}
 	nOwned, nCols := rowMap.N(), rowMap.N()+len(st.ghostCols)
-	dm := &DistMatrix{r: r, rowMap: rowMap, st: st, tag: tag}
+	dm := &DistMatrix{r: r, rowMap: rowMap, st: st}
 	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: st.rowPtr, Col: st.col, Val: make([]float64, len(st.col))}
+	ne := len(st.exportPeers)
+	links := make([]*mp.Link, ne+len(st.importPeers))
+	dm.exports, dm.imports = links[:ne:ne], links[ne:]
+	for i, p := range st.exportPeers {
+		dm.exports[i] = r.LinkTo(p, refillTag, st.exportLen[i])
+	}
+	for i, p := range st.importPeers {
+		dm.imports[i] = r.LinkFrom(p, refillTag)
+	}
 
 	// Ghost-value importer for matrix-vector products, shared with a
 	// structurally identical sibling when possible. The decision must be
@@ -493,33 +510,52 @@ func (dm *DistMatrix) SetValues(coo *COO) {
 	dm.rf.Finish()
 }
 
+// refillTag is the tag of the refill links: one per export peer and
+// direction, which every matrix a rank refills shares. No caller may
+// reserve it (checkTags). Refills are collective and run one at a time, so
+// the runs of successive refills pass over a link in the order they are
+// sent.
+const refillTag = 1 << 30
+
+// checkTags rejects a caller's tags [tag, tag+n) unless they lie in
+// [0, refillTag): below are the collectives', and refillTag is the refills'.
+func checkTags(tag, n int) error {
+	if tag < 0 || tag > refillTag-n {
+		return fmt.Errorf("sparse: tags [%d, %d) leave [0, %d)", tag, tag+n, refillTag)
+	}
+	return nil
+}
+
 // Refill is one numeric refill of a DistMatrix in progress. The matrix's
 // contributions are fed in the order it was built from and land as they
 // arrive: a locally owned one is added into its value slot, an off-rank one
-// is staged for its owner — the staging laid out peer by peer, each peer's
-// run in contribution order. Finish ships the runs, adds what the peers ship
-// in and charges the accumulation, so the refill's values are never held as
-// one array: a finite-element space evaluates its elements straight into the
-// matrix (fem.Space.Refill).
+// is written into the payload slot of its owner's refill link, each peer's
+// run in contribution order. Finish sends the slots, adds what the peers
+// send in and charges the accumulation, so the refill's values are never
+// held as one array: a finite-element space evaluates its elements straight
+// into the matrix (fem.Space.Refill).
 //
 // Val is zeroed, the local contributions are added in contribution order,
 // then each source peer's in ascending peer order: the values are bit for
 // bit those of SetValues on a COO holding the same stream — SetValues is
 // such a feed — with the same messages and charges. The zero Refill is
-// ready for use; one serves any number of matrices in turn, keeping its
-// staging.
+// ready for use; one serves any number of matrices in turn. A rank refills
+// one matrix at a time: Begin takes the slots of links other matrices
+// share, and taking one before Finish has sent it panics in mp. A refill
+// that panics, on its stream's length or at Begin on a link another refill
+// holds, gives back the slots it took, unsent.
 type Refill struct {
 	dm *DistMatrix
-	// t counts the contributions fed; at[i] is where export peer i's next
-	// one is staged.
+	// t counts the contributions fed; slots[i] is export peer i's payload
+	// slot and at[i] where its next contribution goes.
 	t     int
 	at    []int
-	stage []float64
+	slots [][]float64
 }
 
 // Begin starts refilling dm from a stream of n contributions. A stream of
 // the wrong length panics here, before dm is touched; every rank of dm must
-// refill it together.
+// refill it together. A refill this cursor has in flight is given up.
 func (rf *Refill) Begin(dm *DistMatrix, n int) { rf.begin(dm, n, "Refill") }
 
 func (rf *Refill) begin(dm *DistMatrix, n int, caller string) {
@@ -527,16 +563,20 @@ func (rf *Refill) begin(dm *DistMatrix, n int, caller string) {
 	if n != len(st.plan) {
 		panic(fmt.Sprintf("sparse: %s with %d values, structure has %d", caller, n, len(st.plan)))
 	}
-	rf.dm, rf.t, rf.at = dm, 0, rf.at[:0]
-	off := 0
-	for _, l := range st.exportLen {
-		rf.at = append(rf.at, off)
-		off += l
+	if rf.dm != nil {
+		rf.abandon()
 	}
-	if cap(rf.stage) < off {
-		rf.stage = make([]float64, off)
+	rf.dm, rf.t, rf.slots = dm, 0, rf.slots[:0]
+	defer func() {
+		if len(rf.slots) < len(dm.exports) {
+			// Another refill holds a link: give back the slots taken.
+			rf.abandon()
+		}
+	}()
+	for i, l := range dm.exports {
+		rf.slots = append(rf.slots, dm.r.TakeSlot(l, st.exportLen[i]))
 	}
-	rf.stage = rf.stage[:off]
+	rf.at = append(rf.at[:0], make([]int, len(rf.slots))...)
 	dm.A.ZeroVals()
 }
 
@@ -547,40 +587,52 @@ func (rf *Refill) Add(vals []float64) { rf.add(vals) }
 func (rf *Refill) add(vals []float64) {
 	plan := rf.dm.st.plan
 	if len(vals) > len(plan)-rf.t {
-		panic(fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t+len(vals), len(plan)))
+		msg := fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t+len(vals), len(plan))
+		rf.abandon()
+		panic(msg)
 	}
 	val := rf.dm.A.Val
 	for j, s := range plan[rf.t:][:len(vals)] {
 		if s >= 0 {
 			val[s] += vals[j]
 		} else {
-			rf.stage[rf.at[^s]] = vals[j]
+			rf.slots[^s][rf.at[^s]] = vals[j]
 			rf.at[^s]++
 		}
 	}
 	rf.t += len(vals)
 }
 
-// Finish ships each export peer its run, adds in the runs the import peers
-// ship, and charges the accumulation. A stream that fell short panics here,
-// before anything is sent.
+// Finish sends each export peer its slot in peer order, adds in the runs
+// the import peers send, and charges the accumulation. A stream that fell
+// short panics here, before anything is sent.
 func (rf *Refill) Finish() {
 	dm := rf.dm
 	st := dm.st
 	if rf.t != len(st.plan) {
-		panic(fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t, len(st.plan)))
+		msg := fmt.Sprintf("sparse: Refill fed %d values, structure has %d", rf.t, len(st.plan))
+		rf.abandon()
+		panic(msg)
 	}
-	off := 0
-	for i, p := range st.exportPeers {
-		dm.r.SendF64(p, dm.tag+1, rf.stage[off:rf.at[i]])
-		off = rf.at[i]
+	// The slots are the links' once sent: a send or receive that unwinds on
+	// a failure leaves the cursor nothing to give back.
+	rf.dm = nil
+	for _, l := range dm.exports {
+		dm.r.SendSlot(l)
 	}
-	for i, p := range st.importPeers {
-		dm.r.RecvF64AddScatter(p, dm.tag+1, dm.A.Val, st.importSlots[i])
+	for i, l := range dm.imports {
+		dm.r.RecvAddScatter(l, dm.A.Val, st.importSlots[i])
 	}
 	// Accumulation cost of the numeric refill.
 	dm.r.ChargeCompute(float64(st.nLocal), 16*float64(st.nLocal))
-	rf.dm = nil
+}
+
+// abandon gives back the slots the refill holds, unsent, and ends it.
+func (rf *Refill) abandon() {
+	for i := range rf.slots {
+		rf.dm.r.DropSlot(rf.dm.exports[i])
+	}
+	rf.dm, rf.slots = nil, rf.slots[:0]
 }
 
 // NOwned returns the owned row count.

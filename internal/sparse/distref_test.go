@@ -31,6 +31,9 @@ type refDistMatrix struct {
 	importSlots [][]int
 
 	tag int
+	// note, if set, is called at every fault check of a refill: before each
+	// send, and before and after each receive.
+	note func()
 }
 
 // refNewDistMatrix is the former newDistMatrix, share == nil for
@@ -199,13 +202,26 @@ func (dm *refDistMatrix) SetValues(coo *COO) {
 		for j, t := range dm.exportIdx[i] {
 			vals[j] = coo.Vals[t]
 		}
+		dm.trace()
 		dm.r.SendF64(p, dm.tag+1, vals)
 	}
 	for i, p := range dm.importPeers {
+		dm.trace()
 		dm.r.RecvF64AddScatter(p, dm.tag+1, dm.A.Val, dm.importSlots[i])
+		dm.trace()
 	}
 	dm.r.ChargeCompute(float64(len(dm.localTrip)), 16*float64(len(dm.localTrip)))
 }
+
+func (dm *refDistMatrix) trace() {
+	if dm.note != nil {
+		dm.note()
+	}
+}
+
+// TraceRefills makes dm's refills call note at each of their fault checks;
+// nil stops it.
+func (dm *refDistMatrix) TraceRefills(note func()) { dm.note = note }
 
 func (dm *refDistMatrix) Local() *CSR         { return dm.A }
 func (dm *refDistMatrix) Importer() *Importer { return dm.imp }

@@ -273,7 +273,7 @@ func runStreamed(t *testing.T, ow oracleWorld, ops []streamOp, newPath func() st
 // COO (AssembleMatrix, the per-matrix reference build, AssembleMatrixValues,
 // the reference's SetValues) — and, over the run, the same sequence of
 // compute charges on every rank and the same journal (whose "pool" event
-// counts the payload pool's traffic) and metrics.
+// counts the payloads sent and received) and metrics.
 func TestStreamedAssemblyMatchesCOO(t *testing.T) {
 	for _, ow := range oracleWorlds(t) {
 		for _, app := range []struct {
