@@ -95,21 +95,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	// negativeSize reports the first size flag set below zero. 0 keeps each
-	// one's default meaning; a negative size has none.
-	negativeSize := func() bool {
+	// badSize reports the first size flag out of its range. A negative size
+	// has no meaning, and neither has 0 for -n, -steps and -max: a mesh, a
+	// run and a series need at least one element, step and rank (the flag
+	// help prints the defaults). 0 is a size for -skip and -window; -nodes
+	// and -global are checked per command (checkArgs).
+	badSize := func() bool {
 		for _, f := range []struct {
 			name string
 			v    int
-		}{{"n", *n}, {"steps", *steps}, {"skip", *skip}, {"max", *maxRanks}, {"nodes", *nodes}, {"global", *globalN}} {
-			if f.v < 0 {
+			min  int
+		}{{"n", *n, 1}, {"steps", *steps, 1}, {"skip", *skip, 0}, {"max", *maxRanks, 1},
+			{"nodes", *nodes, 0}, {"global", *globalN, 0}, {"window", *window, 0}} {
+			switch {
+			case f.v < 0:
 				fmt.Fprintf(stderr, "heterobench: -%s %d is negative\n", f.name, f.v)
+				return true
+			case f.v < f.min:
+				fmt.Fprintf(stderr, "heterobench: -%s %d is below %d\n", f.name, f.v, f.min)
 				return true
 			}
 		}
 		return false
 	}
-	if negativeSize() {
+	if badSize() {
 		return 2
 	}
 	fc := faultsConfig{
@@ -182,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			oldPath, newPath = rest[0], rest[1]
 			rest = rest[2:]
 		}
-		if err := fs.Parse(rest); err != nil || negativeSize() {
+		if err := fs.Parse(rest); err != nil || badSize() {
 			return 2
 		}
 		if *sweep && oldPath != "" {
@@ -545,13 +554,6 @@ func runAvailability(stdout io.Writer, opts bench.Options, nodes int) error {
 // timelines ("<platform>_<app>_trace.json", or the -csv path when exactly
 // one platform is configured).
 func runTrace(stdout, stderr io.Writer, app string, opts bench.Options, ranks int, outPath string) error {
-	// -n 0 and -steps 0 mean what they mean to every other command.
-	if opts.PerRankN == 0 {
-		opts.PerRankN = 10
-	}
-	if opts.Steps == 0 {
-		opts.Steps = 3
-	}
 	for _, platform := range opts.Platforms {
 		tg, err := core.NewTarget(platform, opts.Seed)
 		if err != nil {

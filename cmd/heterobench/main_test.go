@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -141,9 +139,10 @@ func TestValidateFaults(t *testing.T) {
 }
 
 // TestRunRejectsBadArguments drives the whole CLI in-process: a negative
-// size or seed, an unknown application, ablation or policy name, a rank,
-// node or mesh-edge count the command cannot run with, or a retired command,
-// must exit 2 up front with a message, never panic, and leave no file behind.
+// size or seed, a zero -n, -steps or -max, an unknown application, ablation
+// or policy name, a rank, node or mesh-edge count the command cannot run
+// with, or a retired command, must exit 2 up front with a message, never
+// panic, and leave no file behind.
 func TestRunRejectsBadArguments(t *testing.T) {
 	dir := t.TempDir()
 	cwd, _ := os.Getwd()
@@ -163,6 +162,13 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"bidding", "-nodes", "-4"}, "-nodes -4 is negative"},
 		{[]string{"strong", "-global", "-30", "-metrics", "metrics.json"}, "-global -30 is negative"},
 		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-n", "-2"}, "-n -2 is negative"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-window", "-3"}, "-window -3 is negative"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-steps", "0"}, "-steps 0 is below 1"},
+		{[]string{"rd-weak", "-n", "0", "-max", "1", "-journal", "run.jsonl"}, "-n 0 is below 1"},
+		{[]string{"rd-weak", "-max", "0", "-csv", "weak.csv"}, "-max 0 is below 1"},
+		{[]string{"ns-weak", "-steps", "0", "-max", "8"}, "-steps 0 is below 1"},
+		{[]string{"trace", "-ranks", "8", "-steps", "0", "-csv", "trace.json"}, "-steps 0 is below 1"},
+		{[]string{"trace", "-n", "0", "-csv", "trace.json"}, "-n 0 is below 1"},
 		{[]string{"rd-weak", "-seed", "-1", "-max", "8"}, "-seed -1 is negative"},
 		{[]string{"cost", "-app", "xx", "-journal", "run.jsonl"}, `unknown app "xx"`},
 		{[]string{"strong", "-app", "xx"}, `unknown app "xx"`},
@@ -282,31 +288,5 @@ func TestRunTrace(t *testing.T) {
 	}
 	if err := runTrace(io.Discard, io.Discard, "bogus", o, 8, ""); err == nil {
 		t.Fatal("unknown app accepted")
-	}
-}
-
-// TestTraceReadsZeroAsDefaults runs trace with -n 0 and -steps 0, which mean
-// the defaults to every command (10 elements per rank per edge, 3 steps), and
-// requires the timeline the explicit defaults write, for both applications.
-func TestTraceReadsZeroAsDefaults(t *testing.T) {
-	dir := t.TempDir()
-	for _, app := range []string{"rd", "ns"} {
-		var traces [2][]byte
-		for i, size := range [][]string{{"-n", "0", "-steps", "0"}, {"-n", "10", "-steps", "3"}} {
-			path := filepath.Join(dir, fmt.Sprintf("%s_%d.json", app, i))
-			args := append([]string{"trace", "-app", app, "-ranks", "1", "-platforms", "ec2", "-csv", path}, size...)
-			var stdout, stderr strings.Builder
-			if code := run(args, &stdout, &stderr); code != 0 {
-				t.Fatalf("%v: exit %d:\n%s", args, code, stderr.String())
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			traces[i] = data
-		}
-		if !bytes.Equal(traces[0], traces[1]) {
-			t.Errorf("trace -app %s -n 0 -steps 0 wrote another timeline than -n 10 -steps 3", app)
-		}
 	}
 }

@@ -3,8 +3,11 @@ package mp
 import "sync"
 
 // internTable is a world's single-flight table of immutable host-side values
-// that several of its ranks would otherwise each build for themselves (the
-// symbolic matrix structure of a position class in a block decomposition).
+// that several of its ranks would otherwise each build for themselves: the
+// symbolic matrix structure of a position class in a block decomposition,
+// and the value array of a constant operator that class-mates assemble bit
+// for bit alike (sparse.DistMatrix.Freeze). Both kinds share one table and
+// may share a chain, so an accept tells them apart by type.
 // It belongs to the simulator, not to the simulated job: no clock, message
 // or journal event is involved, and the table goes when the world does.
 //
@@ -26,8 +29,9 @@ type interned struct {
 // after. A rank that finds an entry still being built waits for it, so ranks
 // that would build equal values build one: the number of builds is the number
 // of distinct values, whatever the schedule. accept must be exact — key only
-// narrows the search, colliding keys share a chain — and must leave the value
-// alone: it is shared between goroutines from the moment it is filed.
+// narrows the search, and colliding keys share a chain, whatever kind of
+// value each filed — and must leave the value alone: it is shared between
+// goroutines from the moment it is filed.
 //
 // The wait always ends provided build waits for no other rank: a builder
 // then finishes whatever its peers do, and it resolves its entry also when

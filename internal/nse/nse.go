@@ -127,6 +127,11 @@ type Result struct {
 	Pressure []float64
 }
 
+// freeze shares the values of an operator Run never writes again with the
+// rank's class-mates (sparse.DistMatrix.Freeze); a test wraps it to see the
+// operators Run freezes.
+var freeze = (*sparse.DistMatrix).Freeze
+
 // Run executes the Navier–Stokes solver as the SPMD body of rank r.
 func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -146,11 +151,13 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	// Constant operators: mass, pressure Laplacian, gradient blocks. All six
 	// operators are built from the space's element ids, so the later ones
-	// adopt the first one's pattern and refill plan.
+	// adopt the first one's pattern and refill plan. The constant ones are
+	// frozen after their last write, so class-mates hold one copy of each.
 	massDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Mass(1, out, ch) }, 2100, nil)
 	if err != nil {
 		return nil, err
 	}
+	freeze(massDM)
 
 	// The pressure, gradient and velocity operators couple the same element
 	// stencil as the mass matrix, so their ghost-column sets coincide and
@@ -162,6 +169,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	presBC := presDM.NewDirichlet(s.IsBoundary)
+	freeze(presDM)
 	presPC, err := newPrecond(cfg.Precond, presDM, r)
 	if err != nil {
 		return nil, err
@@ -176,6 +184,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		freeze(grad[d])
 	}
 
 	// Lumped mass (row sums of M = ∫N_a) for the velocity correction.

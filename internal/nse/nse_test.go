@@ -3,11 +3,13 @@ package nse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"heterohpc/internal/mesh"
 	"heterohpc/internal/mp"
 	"heterohpc/internal/netmodel"
+	"heterohpc/internal/sparse"
 	"heterohpc/internal/vclock"
 )
 
@@ -233,5 +235,55 @@ func TestNSVelocitySolverValidation(t *testing.T) {
 	m, _ := mesh.NewBox(mesh.SymmetricBox, 2, 2, 2)
 	if err := (Config{Mesh: m, VelocitySolver: "sor"}).Validate(); err == nil {
 		t.Fatal("unknown solver accepted")
+	}
+}
+
+// TestConstantOperatorsSharedPerClass runs nse on 4³ blocks. Each operator
+// Run freezes — mass, pressure (after its boundary elimination) and the
+// three gradients, in that order — must come out as exactly 27 value arrays
+// across the 64 ranks, one per position class, and each rank's must still
+// hold, bit for bit, what that rank assembled before it froze it.
+func TestConstantOperatorsSharedPerClass(t *testing.T) {
+	const nranks = 64
+	type frozenOp struct {
+		dm        *sparse.DistMatrix
+		assembled []float64
+	}
+	ops := make([][]frozenOp, nranks) // each rank appends to its own only
+	defer func(f func(*sparse.DistMatrix)) { freeze = f }(freeze)
+	freeze = func(dm *sparse.DistMatrix) {
+		own := slices.Clone(dm.Local().Val)
+		dm.Freeze()
+		id := dm.Rank().ID()
+		ops[id] = append(ops[id], frozenOp{dm, own})
+	}
+	m, _ := mesh.NewBox(mesh.SymmetricBox, 8, 8, 8)
+	runRanks(t, nranks, func(r *mp.Rank) error {
+		_, err := Run(r, Config{Mesh: m, Grid: [3]int{4, 4, 4}, Steps: 1})
+		return err
+	})
+	names := []string{"mass", "pressure", "gradient x", "gradient y", "gradient z"}
+	arrays := make([]map[*float64]bool, len(names))
+	for k := range arrays {
+		arrays[k] = map[*float64]bool{}
+	}
+	for id, rs := range ops {
+		if len(rs) != len(names) {
+			t.Fatalf("rank %d froze %d operators, want %d (%v)", id, len(rs), len(names), names)
+		}
+		for k, op := range rs {
+			a := op.dm.Local()
+			for i, v := range a.Val {
+				if math.Float64bits(v) != math.Float64bits(op.assembled[i]) {
+					t.Fatalf("rank %d: %s Val[%d] = %v after the run, assembled %v", id, names[k], i, v, op.assembled[i])
+				}
+			}
+			arrays[k][&a.Val[0]] = true
+		}
+	}
+	for k, name := range names {
+		if len(arrays[k]) != 27 {
+			t.Errorf("64 ranks hold %d %s value arrays, want 27 (one per position class)", len(arrays[k]), name)
+		}
 	}
 }

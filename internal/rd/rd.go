@@ -159,6 +159,11 @@ func NewPrecond(name string, dm *sparse.DistMatrix, r *mp.Rank) (krylov.Precondi
 	}
 }
 
+// freeze shares the values of an operator Run never writes again with the
+// rank's class-mates (sparse.DistMatrix.Freeze); a test wraps it to see the
+// operators Run freezes.
+var freeze = (*sparse.DistMatrix).Freeze
+
 // Run executes the RD solver as the SPMD body of rank r. All ranks of the
 // world must call Run with identical configuration.
 func Run(r *mp.Rank, cfg Config) (*Result, error) {
@@ -178,15 +183,16 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	n := s.NOwned()
 
 	// Mass matrix (constant in time, assembled once for the BDF2 history
-	// term M·(4u¹−u²)/(2Δt)). Both operators are built from the space's
-	// element ids, so the system matrix adopts the mass matrix's pattern and
-	// refill plan.
+	// term M·(4u¹−u²)/(2Δt), so frozen: class-mates hold one copy). Both
+	// operators are built from the space's element ids, so the system matrix
+	// adopts the mass matrix's pattern and refill plan.
 	massDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) {
 		s.El.Mass(1, out, ch)
 	}, 1100, nil)
 	if err != nil {
 		return nil, err
 	}
+	freeze(massDM)
 
 	// System matrix structure (same sparsity as mass; values refilled each
 	// step because the diffusion and reaction coefficients depend on t).

@@ -3,11 +3,13 @@ package rd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"heterohpc/internal/mesh"
 	"heterohpc/internal/mp"
 	"heterohpc/internal/netmodel"
+	"heterohpc/internal/sparse"
 	"heterohpc/internal/vclock"
 )
 
@@ -283,4 +285,45 @@ func TestCheckpointStateRetention(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestConstantOperatorsSharedPerClass runs rd on 4³ blocks. The mass matrix,
+// the one operator Run freezes, must come out as exactly 27 value arrays
+// across the 64 ranks, one per position class, and each rank's must still
+// hold, bit for bit, what that rank assembled before it froze it.
+func TestConstantOperatorsSharedPerClass(t *testing.T) {
+	const nranks = 64
+	type frozenOp struct {
+		dm        *sparse.DistMatrix
+		assembled []float64
+	}
+	ops := make([][]frozenOp, nranks) // each rank appends to its own only
+	defer func(f func(*sparse.DistMatrix)) { freeze = f }(freeze)
+	freeze = func(dm *sparse.DistMatrix) {
+		own := slices.Clone(dm.Local().Val)
+		dm.Freeze()
+		id := dm.Rank().ID()
+		ops[id] = append(ops[id], frozenOp{dm, own})
+	}
+	m := mesh.NewUnitCube(8)
+	runRanks(t, nranks, func(r *mp.Rank) error {
+		_, err := Run(r, Config{Mesh: m, Grid: [3]int{4, 4, 4}, Steps: 1})
+		return err
+	})
+	arrays := map[*float64]bool{}
+	for id, rs := range ops {
+		if len(rs) != 1 {
+			t.Fatalf("rank %d froze %d operators, want 1 (the mass matrix)", id, len(rs))
+		}
+		a := rs[0].dm.Local()
+		for i, v := range a.Val {
+			if math.Float64bits(v) != math.Float64bits(rs[0].assembled[i]) {
+				t.Fatalf("rank %d: mass Val[%d] = %v after the run, assembled %v", id, i, v, rs[0].assembled[i])
+			}
+		}
+		arrays[&a.Val[0]] = true
+	}
+	if len(arrays) != 27 {
+		t.Errorf("64 ranks hold %d mass value arrays, want 27 (one per position class)", len(arrays))
+	}
 }

@@ -180,12 +180,14 @@ func (c *COO) segments() (k int, rows, cols []int) {
 // with column indices sorted within each row) is immutable after
 // construction; Val may be refilled for matrices whose coefficients change
 // every time step, which is how the applications keep the per-step assembly
-// cheap without re-sorting triplets.
+// cheap without re-sorting triplets. A frozen CSR's Val may be another
+// rank's too (DistMatrix.Freeze): every method that writes it panics first.
 type CSR struct {
 	NRows, NCols int
 	RowPtr       []int
 	Col          []int
 	Val          []float64
+	frozen       bool
 }
 
 // NewCSRFromCOO builds a CSR from a COO of either form, summing duplicates
@@ -362,8 +364,16 @@ func buildPattern(nrows, ncols int, in *rowSegments) (rowPtr, col []int, err err
 // NNZ returns the stored entry count.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
+// mustWrite panics, naming op, before a write to frozen values.
+func (m *CSR) mustWrite(op string) {
+	if m.frozen {
+		panic("sparse: " + op + " on a frozen matrix")
+	}
+}
+
 // ZeroVals resets all stored values, keeping the pattern.
 func (m *CSR) ZeroVals() {
+	m.mustWrite("ZeroVals")
 	for i := range m.Val {
 		m.Val[i] = 0
 	}
@@ -390,6 +400,7 @@ func (m *CSR) Slot(row, col int) int {
 // AddAt accumulates v into entry (row, col), which must exist in the
 // pattern.
 func (m *CSR) AddAt(row, col int, v float64) {
+	m.mustWrite("AddAt")
 	s := m.Slot(row, col)
 	if s < 0 {
 		panic(fmt.Sprintf("sparse: entry (%d,%d) not in pattern", row, col))
@@ -454,7 +465,7 @@ func (m *CSR) Diagonal(d []float64) {
 	}
 }
 
-// Clone returns a deep copy sharing no storage.
+// Clone returns a deep copy sharing no storage, not frozen.
 func (m *CSR) Clone() *CSR {
 	c := &CSR{
 		NRows: m.NRows, NCols: m.NCols,

@@ -25,7 +25,9 @@ import (
 // in the world (mp.Rank.Intern): the operators of one finite-element space
 // share one copy, and so do the ranks of one position class of a block
 // decomposition. A.RowPtr and A.Col of such matrices alias the same arrays,
-// on this rank and on others, and must be treated as read-only.
+// on this rank and on others, and must be treated as read-only. The values
+// of an operator that is never written again are shared the same way once
+// the rank freezes it (Freeze).
 type DistMatrix struct {
 	r      *mp.Rank
 	rowMap *RowMap
@@ -230,8 +232,11 @@ func structureFor(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int) (
 	}
 	var st structure
 	_, err = r.Intern(key,
-		func(v any) (ok bool) {
-			st, ok = v.(*shape).bind(rowMap, a, cl, ins)
+		func(v any) bool {
+			sh, ok := v.(*shape)
+			if ok {
+				st, ok = sh.bind(rowMap, a, cl, ins)
+			}
 			return ok
 		},
 		func() (any, error) {
@@ -501,6 +506,58 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 	return st.ghostCols[lc-m.N()]
 }
 
+// Freeze declares the matrix's values final on this rank and shares them
+// with the world: A.Val becomes the first array filed there whose every bit
+// equals it — the ranks of one position class of a block decomposition
+// assemble a constant operator bit for bit alike — and this rank's own is
+// dropped; when none is, the rank files its own for the ranks that come
+// after. From then on every path that writes the values (SetValues, Refill,
+// NewDirichlet, Recompute, ApplyDirichlet, CSR.ZeroVals and AddAt) panics
+// before it touches them. Freeze is host-only — no message, charge or
+// journal event — so it is rank-local; a second call finds the array the
+// first left and changes nothing.
+func (dm *DistMatrix) Freeze() { dm.freeze(valuesKey(dm.A.Val)) }
+
+// frozenVals is a value array as the world's intern table files it, a type
+// of its own so that a value array and a shape filed under one key are told
+// apart.
+type frozenVals []float64
+
+// freeze is Freeze with the key given, so that a test can make keys collide.
+func (dm *DistMatrix) freeze(key uint64) {
+	own := dm.A.Val
+	v, _ := dm.r.Intern(key,
+		func(v any) bool {
+			w, ok := v.(frozenVals)
+			return ok && sameBits(w, own)
+		},
+		func() (any, error) { return frozenVals(own), nil })
+	dm.A.Val, dm.A.frozen = v.(frozenVals), true
+}
+
+// valuesKey fingerprints a value array: its length and every value's bits.
+func valuesKey(val []float64) uint64 {
+	h := mix(14695981039346656037, len(val))
+	for _, x := range val {
+		h = mix(h, int(math.Float64bits(x)))
+	}
+	return h
+}
+
+// sameBits reports whether a and b hold the same bits, so +0 and −0 differ
+// and a NaN equals only its own bit pattern.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // SetValues refills the matrix from coo, which must contain exactly the
 // contributions (same order) the matrix was built from, with new values:
 // only coo.Vals is read. It is a Refill fed coo.Vals in one piece.
@@ -554,11 +611,13 @@ type Refill struct {
 }
 
 // Begin starts refilling dm from a stream of n contributions. A stream of
-// the wrong length panics here, before dm is touched; every rank of dm must
-// refill it together. A refill this cursor has in flight is given up.
+// the wrong length or a frozen dm panics here, before dm is touched; every
+// rank of dm must refill it together. A refill this cursor has in flight is
+// given up.
 func (rf *Refill) Begin(dm *DistMatrix, n int) { rf.begin(dm, n, "Refill") }
 
 func (rf *Refill) begin(dm *DistMatrix, n int, caller string) {
+	dm.A.mustWrite(caller)
 	st := dm.st
 	if n != len(st.plan) {
 		panic(fmt.Sprintf("sparse: %s with %d values, structure has %d", caller, n, len(st.plan)))
@@ -731,6 +790,7 @@ func (dm *DistMatrix) NewDirichlet(isBC func(global int) bool) *Dirichlet {
 func (d *Dirichlet) Recompute(isBC func(global int) bool) {
 	dm := d.dm
 	A := dm.A
+	A.mustWrite("Dirichlet elimination")
 	n := dm.NOwned()
 	nc := dm.NCols()
 	if cap(d.colAt) < nc {

@@ -46,3 +46,7 @@ func (dm *DistMatrix) StructureView() StructureView {
 		ExportPeers: st.exportPeers, ImportPeers: st.importPeers,
 		ExportIdx: exportIdx, ImportSlots: st.importSlots}
 }
+
+// FreezeUnder freezes dm as Freeze does, but files and looks up its values
+// under key, so that a test can make the keys of unequal arrays collide.
+func (dm *DistMatrix) FreezeUnder(key uint64) { dm.freeze(key) }
