@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	skip := fs.Int("skip", 1, "initial iterations to discard from averages")
 	maxRanks := fs.Int("max", 1000, "largest process count of the series")
 	platforms := fs.String("platforms", "puma,ellipse,lagrange,ec2", "comma-separated platforms")
-	seed := fs.Int64("seed", 2012, "seed for queue-wait and spot-market models (must be >= 0)")
+	seed := fs.Int64("seed", 2012, "seed for queue-wait and spot-market models (must be >= 1)")
 	app := fs.String("app", "rd", "application for the cost/strong commands (rd or ns)")
 	nodes := fs.Int("nodes", 8, "node count for the availability command")
 	globalN := fs.Int("global", 30, "global mesh edge for the strong command")
@@ -90,16 +90,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2
 	}
-	if *seed < 0 {
-		fmt.Fprintf(stderr, "heterobench: -seed %d is negative; the availability and spot-market models need a seed >= 0\n\n", *seed)
+	// The option defaults read a zero seed as 2012, so -seed 0 would run as
+	// another seed than the one asked for.
+	if *seed < 1 {
+		reason := "is negative"
+		if *seed == 0 {
+			reason = "is below 1 (0 would run as the default 2012)"
+		}
+		fmt.Fprintf(stderr, "heterobench: -seed %d %s; the availability and spot-market models need a seed >= 1\n\n", *seed, reason)
 		usage(stderr)
 		return 2
 	}
 	// badSize reports the first size flag out of its range. A negative size
 	// has no meaning, and neither has 0 for -n, -steps and -max: a mesh, a
 	// run and a series need at least one element, step and rank (the flag
-	// help prints the defaults). 0 is a size for -skip and -window; -nodes
-	// and -global are checked per command (checkArgs).
+	// help prints the defaults). 0 is a size for -window, and for -skip in a
+	// one-step run (checked below); -nodes and -global are checked per
+	// command (checkArgs).
 	badSize := func() bool {
 		for _, f := range []struct {
 			name string
@@ -119,6 +126,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return false
 	}
 	if badSize() {
+		return 2
+	}
+	// The option defaults discard the first step of a multi-step run
+	// whatever -skip says, so -skip 0 would run as -skip 1.
+	if *skip == 0 && *steps > 1 {
+		fmt.Fprintf(stderr, "heterobench: -skip 0 with -steps %d: a multi-step run always discards its first step; pass -skip 1 or more\n", *steps)
 		return 2
 	}
 	fc := faultsConfig{

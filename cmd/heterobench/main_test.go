@@ -139,7 +139,8 @@ func TestValidateFaults(t *testing.T) {
 }
 
 // TestRunRejectsBadArguments drives the whole CLI in-process: a negative
-// size or seed, a zero -n, -steps or -max, an unknown application, ablation
+// size or seed, a zero -n, -steps, -max or -seed, a -skip 0 the defaults
+// would run as 1, an unknown application, ablation
 // or policy name, a rank, node or mesh-edge count the command cannot run
 // with, or a retired command, must exit 2 up front with a message, never
 // panic, and leave no file behind.
@@ -170,6 +171,8 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"trace", "-ranks", "8", "-steps", "0", "-csv", "trace.json"}, "-steps 0 is below 1"},
 		{[]string{"trace", "-n", "0", "-csv", "trace.json"}, "-n 0 is below 1"},
 		{[]string{"rd-weak", "-seed", "-1", "-max", "8"}, "-seed -1 is negative"},
+		{[]string{"rd-weak", "-seed", "0", "-max", "8", "-csv", "weak.csv"}, "-seed 0 is below 1"},
+		{[]string{"rd-weak", "-skip", "0", "-steps", "3", "-max", "8", "-journal", "run.jsonl"}, "-skip 0 with -steps 3"},
 		{[]string{"cost", "-app", "xx", "-journal", "run.jsonl"}, `unknown app "xx"`},
 		{[]string{"strong", "-app", "xx"}, `unknown app "xx"`},
 		{[]string{"ablate", "-what", "nope"}, `unknown ablation "nope"`},

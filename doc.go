@@ -21,13 +21,15 @@
 // exact manufactured solutions on every run. Only wall-clock time on the
 // 2012 hardware is virtualised.
 //
-// Quick start:
+// Quick start, from a program inside this module (internal/core runs one
+// job on one platform model):
 //
-//	tgt, _ := heterohpc.NewTarget("ec2", 1)
-//	app, _ := heterohpc.WeakRD(8, 10, 4) // 8 ranks × 10³ elements, 4 BDF2 steps
-//	rep, err := tgt.Run(heterohpc.JobSpec{Ranks: 8, App: app})
+//	tgt, _ := core.NewTarget("ec2", 1)
+//	app, _ := core.WeakRD(8, 10, 4) // 8 ranks × 10³ elements, 4 BDF2 steps
+//	rep, err := tgt.Run(core.JobSpec{Ranks: 8, App: app})
 //	// rep.Iter has per-phase iteration times; rep.CostPerIter the dollars.
 //
 // The cmd/heterobench CLI regenerates the paper's tables; the examples/
-// directory holds runnable scenario walkthroughs.
+// directory holds runnable scenario walkthroughs. This package itself holds
+// only the paper-level integration tests and benchmarks.
 package heterohpc

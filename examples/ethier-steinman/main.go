@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"log"
 
-	"heterohpc"
+	"heterohpc/internal/core"
 )
 
 func main() {
-	target, err := heterohpc.NewTarget("ec2", 1)
+	target, err := core.NewTarget("ec2", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -21,11 +21,11 @@ func main() {
 	// 8 ranks × 6³ elements on [-1,1]³, 3 BDF2 steps of the projection
 	// solver: per step, three BiCGStab velocity solves plus one CG pressure
 	// Poisson solve.
-	app, err := heterohpc.WeakNS(8, 6, 3)
+	app, err := core.WeakNS(8, 6, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := target.Run(heterohpc.JobSpec{Ranks: 8, App: app, SkipSteps: 1})
+	rep, err := target.Run(core.JobSpec{Ranks: 8, App: app, SkipSteps: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

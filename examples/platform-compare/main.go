@@ -12,7 +12,7 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"heterohpc"
+	"heterohpc/internal/core"
 	"heterohpc/internal/cost"
 )
 
@@ -22,15 +22,15 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "platform\tnodes\tqueue wait\titer time\tcomm%\t$/iter\tverdict")
 	for _, name := range []string{"puma", "ellipse", "lagrange", "ec2"} {
-		target, err := heterohpc.NewTarget(name, 42)
+		target, err := core.NewTarget(name, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
-		app, err := heterohpc.WeakRD(ranks, 8, 3)
+		app, err := core.WeakRD(ranks, 8, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := target.Run(heterohpc.JobSpec{Ranks: ranks, App: app, SkipSteps: 1})
+		rep, err := target.Run(core.JobSpec{Ranks: ranks, App: app, SkipSteps: 1})
 		if err != nil {
 			fmt.Fprintf(w, "%s\t-\t-\t-\t-\t-\tcannot run: %v\n", name, err)
 			continue
@@ -57,12 +57,12 @@ func main() {
 
 	fmt.Println("\nAnd the paper's 1000-core question — who can even run it?")
 	for _, name := range []string{"puma", "ellipse", "lagrange", "ec2"} {
-		target, _ := heterohpc.NewTarget(name, 42)
-		app, err := heterohpc.WeakRD(1000, 4, 1)
+		target, _ := core.NewTarget(name, 42)
+		app, err := core.WeakRD(1000, 4, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := target.Run(heterohpc.JobSpec{Ranks: 1000, App: app}); err != nil {
+		if _, err := target.Run(core.JobSpec{Ranks: 1000, App: app}); err != nil {
 			fmt.Printf("  %-9s: %v\n", name, err)
 		} else {
 			fmt.Printf("  %-9s: runs the 1000-core task\n", name)

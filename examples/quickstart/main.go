@@ -8,22 +8,22 @@ import (
 	"fmt"
 	"log"
 
-	"heterohpc"
+	"heterohpc/internal/core"
 )
 
 func main() {
 	// The "home" platform of the paper's application.
-	target, err := heterohpc.NewTarget("puma", 1)
+	target, err := core.NewTarget("puma", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 8 MPI ranks, each loaded with 10³ mesh elements, 4 BDF2 steps.
-	app, err := heterohpc.WeakRD(8, 10, 4)
+	app, err := core.WeakRD(8, 10, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := target.Run(heterohpc.JobSpec{Ranks: 8, App: app, SkipSteps: 1})
+	rep, err := target.Run(core.JobSpec{Ranks: 8, App: app, SkipSteps: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

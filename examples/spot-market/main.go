@@ -9,14 +9,13 @@ import (
 	"fmt"
 	"log"
 
-	"heterohpc"
 	"heterohpc/internal/core"
 	"heterohpc/internal/spot"
 )
 
 func main() {
 	const ranks = 1000 // 63 × 16-core cc2.8xlarge
-	target, err := heterohpc.NewTarget("ec2", 2012)
+	target, err := core.NewTarget("ec2", 2012)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,12 +44,12 @@ func main() {
 
 	// Run a reduced version of the 1000-process RD workload on both fleets.
 	fmt.Println("\nRunning the RD workload on both assemblies (reduced mesh, 4³/rank)...")
-	run := func(groups []int) *heterohpc.Report {
+	run := func(groups []int) *core.Report {
 		app, err := core.WeakRD(ranks, 4, 2)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := target.Run(heterohpc.JobSpec{
+		rep, err := target.Run(core.JobSpec{
 			Ranks: ranks, App: app, SkipSteps: 1, GroupOfNode: groups,
 		})
 		if err != nil {

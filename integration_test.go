@@ -8,7 +8,6 @@ package heterohpc
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"heterohpc/internal/bench"
@@ -144,41 +143,6 @@ func TestSpotNeverFills63(t *testing.T) {
 		if len(a.Nodes) != 63 {
 			t.Fatalf("seed %d: fleet incomplete", seed)
 		}
-	}
-}
-
-// The public API surface works as documented in the README.
-func TestPublicAPI(t *testing.T) {
-	if got := Platforms(); len(got) < 4 {
-		t.Fatalf("catalog has %d platforms", len(got))
-	}
-	p, err := GetPlatform("lagrange")
-	if err != nil || p.CoresPerNode() != 12 {
-		t.Fatalf("GetPlatform: %v %+v", err, p)
-	}
-	tgt, err := NewTarget("ec2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := WeakRD(8, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tgt.Run(JobSpec{Ranks: 8, App: app, SkipSteps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Metrics["max_err"] > 1e-4 {
-		t.Fatalf("wrong answer: %v", rep.Metrics["max_err"])
-	}
-	if table := CapabilityTable(); !strings.Contains(table, "IB 4X DDR") {
-		t.Fatal("capability table incomplete")
-	}
-	series, err := RunWeakScaling("rd", "lagrange", BenchOptions{
-		PerRankN: 3, Steps: 2, SkipSteps: 1, MaxRanks: 8, Seed: 1,
-	})
-	if err != nil || len(series.Points) != 2 {
-		t.Fatalf("RunWeakScaling: %v", err)
 	}
 }
 

@@ -269,8 +269,8 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if err := dst.Decode(enc); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Len() != 2 {
-		t.Fatalf("decoded %d facts, want 2", dst.Len())
+	if len(dst.m) != 2 {
+		t.Fatalf("decoded %d facts, want 2", len(dst.m))
 	}
 	var fa factA
 	if !dst.get("alpha", "pkg/x", "F", &fa) || fa.N != 7 {
@@ -290,8 +290,8 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if err := partial.Decode(enc); err != nil {
 		t.Fatal(err)
 	}
-	if partial.Len() != 1 {
-		t.Fatalf("partial decode kept %d facts, want 1", partial.Len())
+	if len(partial.m) != 1 {
+		t.Fatalf("partial decode kept %d facts, want 1", len(partial.m))
 	}
 
 	// Garbage degrades to an error from Decode, not a panic.

@@ -191,6 +191,3 @@ func (s *FactStore) Decode(data []byte) error {
 	}
 	return nil
 }
-
-// Len reports the number of stored facts (test support).
-func (s *FactStore) Len() int { return len(s.m) }

@@ -11,9 +11,9 @@ type Runner struct{ World *mp.World }
 
 // UseAfterShrink keeps talking to the dead world.
 func UseAfterShrink(w *mp.World) {
-	res, err := w.Shrink()
+	res, err := w.ShrinkNodes(nil)
 	_ = err
-	w.Barrier() // want `w is used after Shrink consumed it`
+	w.Barrier() // want `w is used after ShrinkNodes consumed it`
 	_ = res
 }
 
@@ -33,14 +33,14 @@ func GrowConsumes(w *mp.World) {
 
 // DoubleConsume: the second reshape is itself a use of the dead world.
 func DoubleConsume(w *mp.World) {
-	_, _ = w.Shrink()
-	_, _ = w.Shrink() // want `w is used after Shrink consumed it`
+	_, _ = w.ShrinkNodes(nil)
+	_, _ = w.ShrinkNodes(nil) // want `w is used after ShrinkNodes consumed it`
 }
 
 // LeakClosure captures the dead world in a closure: still a use.
 func LeakClosure(w *mp.World) func() {
-	_, _ = w.Shrink()
-	return func() { w.Barrier() } // want `w is used after Shrink consumed it`
+	_, _ = w.ShrinkNodes(nil)
+	return func() { w.Barrier() } // want `w is used after ShrinkNodes consumed it`
 }
 
 // SwapsInReplacement is the sanctioned pattern: reassigning the tracked
@@ -56,7 +56,7 @@ func SwapsInReplacement(r *Runner, doomed []int) {
 
 // LocalSwap reassigns the plain identifier.
 func LocalSwap(w *mp.World) {
-	res, _ := w.Shrink()
+	res, _ := w.ShrinkNodes(nil)
 	w = res.World
 	w.Barrier()
 }
@@ -65,7 +65,7 @@ func LocalSwap(w *mp.World) {
 // which path executed, so the flow-light scan stays quiet by design.
 func BranchConsume(w *mp.World, degraded bool) {
 	if degraded {
-		res, _ := w.Shrink()
+		res, _ := w.ShrinkNodes(nil)
 		_ = res
 	} else {
 		w.Send(1)
@@ -75,13 +75,13 @@ func BranchConsume(w *mp.World, degraded bool) {
 
 // OtherWorld is untouched: consuming one world says nothing about another.
 func OtherWorld(w, spare *mp.World) {
-	_, _ = w.Shrink()
+	_, _ = w.ShrinkNodes(nil)
 	spare.Barrier()
 }
 
 // AllowHatch documents a deliberate post-consume touch.
 func AllowHatch(w *mp.World) {
-	_, _ = w.Shrink()
+	_, _ = w.ShrinkNodes(nil)
 	//heterolint:allow worldconsume read-only autopsy of the dead world's topology
 	w.Barrier()
 }

@@ -1,5 +1,5 @@
 // Package mp is the worldconsume fixture's transport: a World with the
-// reshape surface the analyzer keys on. Shrink/ShrinkNodes/Grow consume
+// reshape surface the analyzer keys on. ShrinkNodes and Grow consume
 // their receiver and hand the replacement back inside the result,
 // mirroring the real transport's signatures.
 package mp
@@ -10,10 +10,7 @@ type World struct{}
 // Reshape carries the replacement world out of a consuming call.
 type Reshape struct{ World *World }
 
-// Shrink re-forms the world around survivors; the receiver is consumed.
-func (w *World) Shrink() (*Reshape, error) { return &Reshape{World: w}, nil }
-
-// ShrinkNodes is Shrink for correlated losses; the receiver is consumed.
+// ShrinkNodes re-forms the world around survivors; the receiver is consumed.
 func (w *World) ShrinkNodes(alsoDoomed []int) (*Reshape, error) {
 	return &Reshape{World: w}, nil
 }

@@ -59,8 +59,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	chargerIface := findChargerInterface(pass.Pkg)
 
 	// Package-local functions and methods, keyed by their *types.Func, with
-	// a fixpoint over "calls a charging helper": Norm2Local charges because
-	// DotLocal does, and DotLocal's cross-package analogue charges because
+	// a fixpoint over "calls a charging helper": a norm charges because the
+	// DotLocal it calls does, and DotLocal's cross-package analogue charges because
 	// its defining package exported a ChargesFact for it.
 	decls := map[*types.Func]*ast.FuncDecl{}
 	var order []*types.Func

@@ -1,11 +1,11 @@
 // Package worldconsume flags uses of an mp.World after it has been passed
-// through a consuming reshape call. Shrink, ShrinkNodes and Grow tear down
+// through a consuming reshape call. ShrinkNodes and Grow tear down
 // the receiver's barrier generation and hand back a fresh *World; the old
 // value is poisoned by contract (mp documents it as consumed), but nothing
 // at runtime stops a caller from Send-ing on it — the bug surfaces as a
 // deadlocked barrier or a message routed to a dead rank, deep inside a
 // fault-storm replay. The analyzer enforces the contract statically: after
-// `nw := w.Shrink()`, any later use of `w` (or `af.World`, for selector
+// `sr, _ := w.ShrinkNodes(nil)`, any later use of `w` (or `af.World`, for selector
 // receivers) in straight-line code is a diagnostic until the variable is
 // reassigned.
 //
@@ -30,7 +30,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:         "worldconsume",
 	AllowKeyword: "worldconsume",
-	Doc: `flag uses of an mp.World after Shrink/ShrinkNodes/Grow consumed it
+	Doc: `flag uses of an mp.World after ShrinkNodes/Grow consumed it
 
 Reshape calls invalidate their receiver and return the world to keep using;
 touching the old value afterwards races a torn-down barrier generation.
@@ -41,7 +41,7 @@ carry //heterolint:allow worldconsume <why>.`,
 }
 
 // consumingMethods invalidate their *mp.World receiver.
-var consumingMethods = map[string]bool{"Shrink": true, "ShrinkNodes": true, "Grow": true}
+var consumingMethods = map[string]bool{"ShrinkNodes": true, "Grow": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
@@ -156,7 +156,7 @@ func receiverPath(pass *analysis.Pass, e ast.Expr) (types.Object, []string, bool
 // consuming call and reports the first use of the consumed path, stopping
 // at a reassignment or a control-flow boundary.
 func scanAfter(pass *analysis.Pass, c consumption) {
-	// `w = w.Shrink()` consumes and reassigns in one statement: the old
+	// `w = w.ShrinkNodes(nil)` consumes and reassigns in one statement: the old
 	// value is dead but the name already holds the replacement, so there is
 	// no poisoned window to scan.
 	for _, n := range c.chain {

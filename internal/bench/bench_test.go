@@ -69,6 +69,11 @@ func TestRunWeakAllAndFormat(t *testing.T) {
 	if len(series) != 4 {
 		t.Fatalf("got %d series", len(series))
 	}
+	for _, s := range series {
+		if len(s.Points) != 2 || s.Points[0].Ranks != 1 || s.Points[1].Ranks != 8 {
+			t.Fatalf("%s: MaxRanks 8 gave %d points, want ranks 1 and 8", s.Platform, len(s.Points))
+		}
+	}
 	out := FormatWeak(series)
 	for _, want := range []string{"puma", "ellipse", "lagrange", "ec2", "assembly", "solve"} {
 		if !strings.Contains(out, want) {

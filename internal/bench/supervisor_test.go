@@ -108,7 +108,7 @@ func TestSupervisedDegradesWithoutReplacement(t *testing.T) {
 	}
 }
 
-// A supervised NS run exercises the WriteNSE/ReadNSE containers end to end.
+// A supervised NS run exercises the NS checkpoint layout end to end.
 func TestSupervisedNSRecovers(t *testing.T) {
 	o := FaultOptions{
 		App: "ns", Platform: "ec2", Ranks: 8, PerRankN: 4, Steps: 3,

@@ -14,7 +14,6 @@ import (
 	"strconv"
 
 	"heterohpc/internal/h5lite"
-	"heterohpc/internal/nse"
 	"heterohpc/internal/rd"
 )
 
@@ -199,30 +198,5 @@ func ReadRD(r io.Reader) (st rd.State, rank, nranks int, ownedIDs []int, err err
 		return st, 0, 0, nil, err
 	}
 	st = rd.State{StepsDone: s.StepsDone, Time: s.Time, U1: s.Fields[0], U2: s.Fields[1]}
-	return st, s.Rank, s.Width, s.Owned, nil
-}
-
-// WriteNSE serialises one rank's Navier–Stokes solver state: the two BDF2
-// velocity history levels per component, the pressure, and the owned vertex
-// ids. The container layout mirrors WriteRD under the "ns" prefix and keeps
-// FormatVersion; the app tag tells the two apart.
-func WriteNSE(w io.Writer, st nse.State, rank, nranks int, ownedIDs []int) error {
-	return Write(w, AppNS, Snapshot{StepsDone: st.StepsDone, Time: st.Time,
-		Fields: [][]float64{st.U1[0], st.U2[0], st.U1[1], st.U2[1], st.U1[2], st.U2[2], st.P},
-		Owned:  ownedIDs, Rank: rank, Width: nranks})
-}
-
-// ReadNSE restores one rank's Navier–Stokes solver state, returning the
-// state, the rank and world size it was written from, and the owned vertex
-// ids.
-func ReadNSE(r io.Reader) (st nse.State, rank, nranks int, ownedIDs []int, err error) {
-	s, err := Read(r, AppNS)
-	if err != nil {
-		return st, 0, 0, nil, err
-	}
-	st = nse.State{StepsDone: s.StepsDone, Time: s.Time, P: s.Fields[6]}
-	for d := 0; d < 3; d++ {
-		st.U1[d], st.U2[d] = s.Fields[2*d], s.Fields[2*d+1]
-	}
 	return st, s.Rank, s.Width, s.Owned, nil
 }

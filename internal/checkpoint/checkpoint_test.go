@@ -23,7 +23,7 @@ func runRanks(t *testing.T, nranks int, body func(r *mp.Rank) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +248,17 @@ func TestWriteReadNSERoundTrip(t *testing.T) {
 		P:         []float64{9.5, -0.75},
 	}
 	var buf bytes.Buffer
-	if err := WriteNSE(&buf, st, 3, 8, []int{20, 21}); err != nil {
+	if err := Write(&buf, AppNS, nsSnapshot(st, 3, 8, []int{20, 21})); err != nil {
 		t.Fatal(err)
 	}
-	got, rank, nranks, ids, err := ReadNSE(&buf)
+	s, err := Read(&buf, AppNS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rank != 3 || nranks != 8 {
-		t.Fatalf("rank/nranks = %d/%d", rank, nranks)
+	if s.Rank != 3 || s.Width != 8 {
+		t.Fatalf("rank/nranks = %d/%d", s.Rank, s.Width)
 	}
+	got, ids := nsState(s), s.Owned
 	if got.StepsDone != 2 || got.Time != 0.008 {
 		t.Fatalf("metadata %+v", got)
 	}
@@ -281,11 +282,11 @@ func TestWriteReadNSERoundTrip(t *testing.T) {
 func TestNSEWriteValidation(t *testing.T) {
 	var buf bytes.Buffer
 	bad := nse.State{U1: [3][]float64{{1}, {1}, {1, 2}}, U2: [3][]float64{{1}, {1}, {1}}, P: []float64{1}}
-	if err := WriteNSE(&buf, bad, 0, 1, []int{0}); err == nil {
+	if err := Write(&buf, AppNS, nsSnapshot(bad, 0, 1, []int{0})); err == nil {
 		t.Error("inconsistent vectors accepted")
 	}
 	ok := nse.State{U1: [3][]float64{{1}, {1}, {1}}, U2: [3][]float64{{1}, {1}, {1}}, P: []float64{1}}
-	if err := WriteNSE(&buf, ok, 0, 1, []int{0, 1}); err == nil {
+	if err := Write(&buf, AppNS, nsSnapshot(ok, 0, 1, []int{0, 1})); err == nil {
 		t.Error("mismatched ids accepted")
 	}
 }
@@ -300,11 +301,11 @@ func TestAppTagSeparatesSolvers(t *testing.T) {
 	nsSt := nse.State{StepsDone: 1, Time: 0.006,
 		U1: [3][]float64{{1}, {2}, {3}}, U2: [3][]float64{{4}, {5}, {6}}, P: []float64{7}}
 	var nsBuf bytes.Buffer
-	if err := WriteNSE(&nsBuf, nsSt, 0, 1, []int{0}); err != nil {
+	if err := Write(&nsBuf, AppNS, nsSnapshot(nsSt, 0, 1, []int{0})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := ReadNSE(bytes.NewReader(rdBuf.Bytes())); err == nil {
-		t.Error("ReadNSE accepted an RD container")
+	if _, err := Read(bytes.NewReader(rdBuf.Bytes()), AppNS); err == nil {
+		t.Error("Read(AppNS) accepted an RD container")
 	}
 	if _, _, _, _, err := ReadRD(bytes.NewReader(nsBuf.Bytes())); err == nil {
 		t.Error("ReadRD accepted an NS container")
@@ -382,20 +383,21 @@ func TestNSEResumeMatchesStraightRun(t *testing.T) {
 		short.Steps = stopAfter
 		short.Checkpoint = func(st nse.State) error {
 			blobs[r.ID()].Reset() // keep only the latest checkpoint
-			return WriteNSE(&blobs[r.ID()], st, r.ID(), r.Size(), ownedIDs[r.ID()])
+			return Write(&blobs[r.ID()], AppNS, nsSnapshot(st, r.ID(), r.Size(), ownedIDs[r.ID()]))
 		}
 		_, err := nse.Run(r, short)
 		return err
 	})
 
 	runRanks(t, nranks, func(r *mp.Rank) error {
-		st, rank, nr, _, err := ReadNSE(bytes.NewReader(blobs[r.ID()].Bytes()))
+		s, err := Read(bytes.NewReader(blobs[r.ID()].Bytes()), AppNS)
 		if err != nil {
 			return err
 		}
-		if rank != r.ID() || nr != nranks {
-			return fmt.Errorf("checkpoint belongs to rank %d/%d", rank, nr)
+		if s.Rank != r.ID() || s.Width != nranks {
+			return fmt.Errorf("checkpoint belongs to rank %d/%d", s.Rank, s.Width)
 		}
+		st := nsState(s)
 		resumedCfg := cfg
 		resumedCfg.Resume = &st
 		res, err := nse.Run(r, resumedCfg)
@@ -422,7 +424,7 @@ func TestNSEResumeMatchesStraightRun(t *testing.T) {
 	})
 }
 
-// refContainer writes a checkpoint container the way WriteRD and WriteNSE did
+// refContainer writes a checkpoint container the way WriteRD and the NS writer did
 // before they shared Write: datasets created by hand in the given order, the
 // owned ids after them, the six metadata attributes on the first dataset.
 func refContainer(t *testing.T, app string, names []string, fields [][]float64, owned string, ids []int64,
@@ -454,7 +456,7 @@ func refContainer(t *testing.T, app string, names []string, fields [][]float64, 
 }
 
 // The neutral Write, driven by the layout table, produces the container bytes
-// the two hand-written writers produced, and WriteRD/WriteNSE are that Write.
+// the two hand-written writers produced, and WriteRD is that Write.
 func TestWriteMatchesHandWrittenContainers(t *testing.T) {
 	rdSt := rd.State{StepsDone: 3, Time: 1.15, U1: []float64{1.5, -2.5, 3.25}, U2: []float64{0.5, 0.25, -0.125}}
 	nsSt := nse.State{StepsDone: 2, Time: 0.008,
@@ -465,7 +467,7 @@ func TestWriteMatchesHandWrittenContainers(t *testing.T) {
 		app    string
 		snap   Snapshot
 		want   []byte
-		legacy func(w *bytes.Buffer) error
+		legacy func(w *bytes.Buffer) error // the solver-typed writer, if any
 	}{
 		{AppRD,
 			Snapshot{StepsDone: 3, Time: 1.15, Fields: [][]float64{rdSt.U1, rdSt.U2}, Owned: []int{10, 11, 12}, Rank: 2, Width: 8},
@@ -473,26 +475,27 @@ func TestWriteMatchesHandWrittenContainers(t *testing.T) {
 				"rd/owned", []int64{10, 11, 12}, 3, 1.15, 2, 8),
 			func(w *bytes.Buffer) error { return WriteRD(w, rdSt, 2, 8, []int{10, 11, 12}) }},
 		{AppNS,
-			Snapshot{StepsDone: 2, Time: 0.008, Owned: []int{20, 21}, Rank: 3, Width: 8,
-				Fields: [][]float64{nsSt.U1[0], nsSt.U2[0], nsSt.U1[1], nsSt.U2[1], nsSt.U1[2], nsSt.U2[2], nsSt.P}},
+			nsSnapshot(nsSt, 3, 8, []int{20, 21}),
 			refContainer(t, AppNS, []string{"ns/u1_0", "ns/u2_0", "ns/u1_1", "ns/u2_1", "ns/u1_2", "ns/u2_2", "ns/p"},
 				[][]float64{nsSt.U1[0], nsSt.U2[0], nsSt.U1[1], nsSt.U2[1], nsSt.U1[2], nsSt.U2[2], nsSt.P},
 				"ns/owned", []int64{20, 21}, 2, 0.008, 3, 8),
-			func(w *bytes.Buffer) error { return WriteNSE(w, nsSt, 3, 8, []int{20, 21}) }},
+			nil},
 	}
 	for _, c := range cases {
 		var neutral, legacy bytes.Buffer
 		if err := Write(&neutral, c.app, c.snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.legacy(&legacy); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(neutral.Bytes(), c.want) {
 			t.Errorf("%s: Write produced %d bytes that differ from the hand-written container's %d", c.app, neutral.Len(), len(c.want))
 		}
-		if !bytes.Equal(legacy.Bytes(), c.want) {
-			t.Errorf("%s: the solver-typed writer differs from the hand-written container", c.app)
+		if c.legacy != nil {
+			if err := c.legacy(&legacy); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(legacy.Bytes(), c.want) {
+				t.Errorf("%s: the solver-typed writer differs from the hand-written container", c.app)
+			}
 		}
 		got, err := Read(bytes.NewReader(c.want), c.app)
 		if err != nil {
@@ -540,7 +543,23 @@ func TestTagLessNSContainerRejected(t *testing.T) {
 	if _, err := f.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := ReadNSE(&b); err != nil {
+	if _, err := Read(&b, AppNS); err != nil {
 		t.Errorf("the same container with its tag: %v", err)
 	}
+}
+
+// nsSnapshot lays an NS state out in AppNS's field order, as bench's solver
+// table does.
+func nsSnapshot(st nse.State, rank, width int, owned []int) Snapshot {
+	return Snapshot{StepsDone: st.StepsDone, Time: st.Time, Owned: owned, Rank: rank, Width: width,
+		Fields: [][]float64{st.U1[0], st.U2[0], st.U1[1], st.U2[1], st.U1[2], st.U2[2], st.P}}
+}
+
+// nsState is nsSnapshot's inverse.
+func nsState(s Snapshot) nse.State {
+	st := nse.State{StepsDone: s.StepsDone, Time: s.Time, P: s.Fields[6]}
+	for d := 0; d < 3; d++ {
+		st.U1[d], st.U2[d] = s.Fields[2*d], s.Fields[2*d+1]
+	}
+	return st
 }

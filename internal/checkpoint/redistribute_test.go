@@ -50,7 +50,7 @@ func runWorld(t *testing.T, nranks int, body func(r *mp.Rank) error) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +209,14 @@ func solverRun(r *mp.Rank, app string, m *mesh.Mesh, grid [3]int, steps int, res
 	}
 	cfg := nse.Config{Mesh: m, Grid: grid, Steps: steps}
 	if resume != nil {
-		st, _, _, _, err := ReadNSE(&blob)
+		s, err := Read(&blob, AppNS)
 		if err != nil {
 			return nil, err
 		}
+		st := nsState(s)
 		cfg.Resume = &st
 	}
-	cfg.Checkpoint = func(st nse.State) error { return saved(WriteNSE(&blob, st, r.ID(), r.Size(), owned)) }
+	cfg.Checkpoint = func(st nse.State) error { return saved(Write(&blob, AppNS, nsSnapshot(st, r.ID(), r.Size(), owned))) }
 	res, err := nse.Run(r, cfg)
 	if err != nil {
 		return nil, err

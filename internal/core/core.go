@@ -151,7 +151,7 @@ type AttemptFailure struct {
 	// runs give equal values.
 	ElapsedS float64
 	// World is the poisoned world the attempt died in. A shrink-and-
-	// continue supervisor calls World.Shrink() on it to re-form the
+	// continue supervisor calls World.ShrinkNodes on it to re-form the
 	// survivors; restart supervisors may ignore it.
 	World *mp.World
 }
@@ -175,16 +175,6 @@ func (t *Target) Run(spec JobSpec) (*Report, error) {
 		return nil, af
 	}
 	return rep, nil
-}
-
-// RunObserved is Run with an observability sink attached: every rank's
-// phase transitions, solver convergence, halo traffic and checkpoints are
-// journalled into run, and the world's traffic counters land in its metric
-// registry. Equivalent to setting spec.Obs; provided as the explicit entry
-// point for callers that hold a spec they do not want to mutate.
-func (t *Target) RunObserved(spec JobSpec, run *obs.Run) (*Report, error) {
-	spec.Obs = run
-	return t.Run(spec)
 }
 
 // Attempt submits the job once, distinguishing infrastructure verdicts:

@@ -71,13 +71,6 @@ func (b Billing) JobCost(seconds float64, ranks int) float64 {
 	return float64(ranks) * b.PerCoreHour * hours
 }
 
-// EffectiveCoreRate returns the dollars per core-hour a job of ranks ranks
-// actually pays (higher than nominal when whole nodes are underfilled —
-// the effect visible in the first points of Figures 6 and 7).
-func (b Billing) EffectiveCoreRate(ranks int) float64 {
-	return b.JobCost(3600, ranks) / float64(ranks)
-}
-
 // PerIteration returns the cost of one solver iteration lasting iterSeconds
 // on ranks ranks — the quantity plotted in Figures 6 and 7 and tabulated in
 // Table II.

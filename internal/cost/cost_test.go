@@ -55,28 +55,33 @@ func TestTableIICostFormula(t *testing.T) {
 	}
 }
 
+// coreHourRate is the dollars per core-hour a job of ranks ranks actually
+// pays: higher than nominal when whole nodes are underfilled, the effect
+// visible in the first points of Figures 6 and 7.
+func coreHourRate(b Billing, ranks int) float64 { return b.JobCost(3600, ranks) / float64(ranks) }
+
 // §VII-D: EC2 per-core rate is 15¢ for full instances and 3.375¢ for spot,
 // rising when cores are left idle.
 func TestEffectiveCoreRates(t *testing.T) {
 	ec2 := get(t, "ec2")
 	full := ForPlatform(ec2)
-	if got := full.EffectiveCoreRate(16); math.Abs(got-0.15) > 1e-9 {
+	if got := coreHourRate(full, 16); math.Abs(got-0.15) > 1e-9 {
 		t.Errorf("full 16-core rate %v, want 0.15", got)
 	}
 	spotB, _ := SpotForPlatform(ec2)
-	if got := spotB.EffectiveCoreRate(16); math.Abs(got-0.03375) > 1e-9 {
+	if got := coreHourRate(spotB, 16); math.Abs(got-0.03375) > 1e-9 {
 		t.Errorf("spot 16-core rate %v, want 0.03375", got)
 	}
 	// One rank still pays the whole node: 2.40/core-hour.
-	if got := full.EffectiveCoreRate(1); math.Abs(got-2.40) > 1e-9 {
+	if got := coreHourRate(full, 1); math.Abs(got-2.40) > 1e-9 {
 		t.Errorf("1-core rate %v, want 2.40", got)
 	}
 	// Flat-rate platforms never inflate.
 	puma := ForPlatform(get(t, "puma"))
-	if got := puma.EffectiveCoreRate(1); math.Abs(got-0.023) > 1e-12 {
+	if got := coreHourRate(puma, 1); math.Abs(got-0.023) > 1e-12 {
 		t.Errorf("puma rate %v", got)
 	}
-	if got := puma.EffectiveCoreRate(100); math.Abs(got-0.023) > 1e-12 {
+	if got := coreHourRate(puma, 100); math.Abs(got-0.023) > 1e-12 {
 		t.Errorf("puma rate at 100 ranks %v", got)
 	}
 }
@@ -91,6 +96,20 @@ func TestJobCostEdgeCases(t *testing.T) {
 	}
 }
 
+// Whole-node billing charges every started node: 17 ranks on 16-core EC2
+// instances pay for two.
+func TestWholeNodeBillingRoundsUp(t *testing.T) {
+	b := ForPlatform(get(t, "ec2"))
+	for _, tc := range []struct {
+		ranks int
+		want  float64
+	}{{1, 2.40}, {16, 2.40}, {17, 4.80}, {32, 4.80}, {33, 7.20}} {
+		if got := b.JobCost(3600, tc.ranks); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("one hour on %d ranks = %v, want %v", tc.ranks, got, tc.want)
+		}
+	}
+}
+
 func TestSpotForPlatformErrors(t *testing.T) {
 	if _, err := SpotForPlatform(get(t, "puma")); err == nil {
 		t.Error("puma has no spot market")
@@ -101,12 +120,12 @@ func TestSpotForPlatformErrors(t *testing.T) {
 // rate (15¢) must sit between ellipse (5¢) and lagrange (19.19¢), and spot
 // (3.375¢) must undercut everything but puma's nominal estimate.
 func TestPerCoreRateOrdering(t *testing.T) {
-	ec2full := ForPlatform(get(t, "ec2")).EffectiveCoreRate(16)
+	ec2full := coreHourRate(ForPlatform(get(t, "ec2")), 16)
 	ec2spot, _ := SpotForPlatform(get(t, "ec2"))
-	spotRate := ec2spot.EffectiveCoreRate(16)
-	ellipse := ForPlatform(get(t, "ellipse")).EffectiveCoreRate(16)
-	lagrange := ForPlatform(get(t, "lagrange")).EffectiveCoreRate(16)
-	puma := ForPlatform(get(t, "puma")).EffectiveCoreRate(16)
+	spotRate := coreHourRate(ec2spot, 16)
+	ellipse := coreHourRate(ForPlatform(get(t, "ellipse")), 16)
+	lagrange := coreHourRate(ForPlatform(get(t, "lagrange")), 16)
+	puma := coreHourRate(ForPlatform(get(t, "puma")), 16)
 	if !(ellipse < ec2full && ec2full < lagrange) {
 		t.Errorf("ordering broken: ellipse %v, ec2 %v, lagrange %v", ellipse, ec2full, lagrange)
 	}
@@ -151,8 +170,8 @@ func TestLedgerSummarize(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if len(l.Entries()) != 3 {
-		t.Errorf("entries: %d", len(l.Entries()))
+	if len(l.entries) != 3 {
+		t.Errorf("entries: %d", len(l.entries))
 	}
 }
 

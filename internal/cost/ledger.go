@@ -29,11 +29,6 @@ func (l *Ledger) Add(e LedgerEntry) {
 	l.entries = append(l.entries, e)
 }
 
-// Entries returns a copy of the recorded jobs.
-func (l *Ledger) Entries() []LedgerEntry {
-	return append([]LedgerEntry(nil), l.entries...)
-}
-
 // PlatformSummary aggregates one platform's usage.
 type PlatformSummary struct {
 	Platform string

@@ -333,7 +333,3 @@ func (b *Backoff) Next() float64 {
 	b.attempt++
 	return d * b.rng.Range(0.5, 1.5)
 }
-
-// Reset restarts the schedule after a successful attempt (the jitter
-// stream keeps advancing so retries stay decorrelated).
-func (b *Backoff) Reset() { b.attempt = 0 }

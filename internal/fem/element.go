@@ -22,21 +22,6 @@ type QuadPoint struct {
 	W  float64
 }
 
-// Gauss222 returns the 2×2×2 Gauss–Legendre rule on [-1,1]³ (exact for
-// tri-cubic polynomials, the standard rule for Q1 operators).
-func Gauss222() []QuadPoint {
-	const g = 0.5773502691896257 // 1/sqrt(3)
-	pts := make([]QuadPoint, 0, 8)
-	for _, z := range [2]float64{-g, g} {
-		for _, y := range [2]float64{-g, g} {
-			for _, x := range [2]float64{-g, g} {
-				pts = append(pts, QuadPoint{Xi: [3]float64{x, y, z}, W: 1})
-			}
-		}
-	}
-	return pts
-}
-
 // ShapeQ1 evaluates the 8 trilinear shape functions and their reference
 // gradients at ξ. Local node ordering matches mesh.ElemVerts: x fastest,
 // then y, then z.
@@ -265,7 +250,3 @@ func (el *Element) Load(f func(x, y, z float64) float64, corner [3]float64, out 
 	}
 	ch.ChargeCompute(float64(len(el.qp))*(8*2+20), 8*8)
 }
-
-// Volume returns the element volume (a sanity identity: the row sums of the
-// mass matrix with c=1 integrate to it).
-func (el *Element) Volume() float64 { return el.Hx * el.Hy * el.Hz }

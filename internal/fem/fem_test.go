@@ -64,17 +64,30 @@ func TestShapeKroneckerAtCorners(t *testing.T) {
 	}
 }
 
+// The element integrates with the 2×2×2 Gauss–Legendre rule: eight points
+// at ±1/√3 whose unit weights sum to the reference volume 8 and which
+// integrate ξ²η²ζ² exactly.
 func TestGauss222Weights(t *testing.T) {
-	qp := Gauss222()
-	if len(qp) != 8 {
-		t.Fatalf("%d quadrature points", len(qp))
+	el, err := NewElement(1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sum float64
-	for _, q := range qp {
+	const g = 0.5773502691896257
+	var sum, cubic float64
+	for _, q := range el.qp {
+		for d, x := range q.Xi {
+			if math.Abs(math.Abs(x)-g) > 1e-15 {
+				t.Fatalf("point %v: coordinate %d is not ±1/√3", q.Xi, d)
+			}
+		}
 		sum += q.W
+		cubic += q.W * q.Xi[0] * q.Xi[0] * q.Xi[1] * q.Xi[1] * q.Xi[2] * q.Xi[2]
 	}
 	if math.Abs(sum-8) > 1e-14 {
 		t.Fatalf("weights sum to %v, want 8 (reference volume)", sum)
+	}
+	if want := 8.0 / 27; math.Abs(cubic-want) > 1e-14 {
+		t.Fatalf("rule integrates ξ²η²ζ² to %v, want %v", cubic, want)
 	}
 }
 
@@ -97,7 +110,7 @@ func TestMassMatrixIntegratesVolume(t *testing.T) {
 			sum += m[a][b]
 		}
 	}
-	if want := 3 * el.Volume(); math.Abs(sum-want) > 1e-12 {
+	if want := 3 * el.Hx * el.Hy * el.Hz; math.Abs(sum-want) > 1e-12 {
 		t.Fatalf("mass total %v, want %v", sum, want)
 	}
 	// Symmetry.
@@ -144,7 +157,7 @@ func TestStiffnessExactOnLinear(t *testing.T) {
 			energy += u[a] * k[a][b] * u[b]
 		}
 	}
-	if want := el.Volume(); math.Abs(energy-want) > 1e-12 {
+	if want := el.Hx * el.Hy * el.Hz; math.Abs(energy-want) > 1e-12 {
 		t.Fatalf("energy %v, want %v", energy, want)
 	}
 }
@@ -181,8 +194,8 @@ func TestConvectionExactOnLinear(t *testing.T) {
 			total += c[a][b] * u[b]
 		}
 	}
-	if math.Abs(total-el.Volume()) > 1e-12 {
-		t.Fatalf("convection action %v, want %v", total, el.Volume())
+	if math.Abs(total-el.Hx*el.Hy*el.Hz) > 1e-12 {
+		t.Fatalf("convection action %v, want %v", total, el.Hx*el.Hy*el.Hz)
 	}
 }
 
@@ -201,7 +214,7 @@ func TestGradientExactOnLinear(t *testing.T) {
 			total += g[a][b] * p[b]
 		}
 	}
-	if want := 3 * el.Volume(); math.Abs(total-want) > 1e-12 {
+	if want := 3 * el.Hx * el.Hy * el.Hz; math.Abs(total-want) > 1e-12 {
 		t.Fatalf("gradient action %v, want %v", total, want)
 	}
 	defer func() {
@@ -220,7 +233,7 @@ func TestLoadIntegratesConstant(t *testing.T) {
 	for a := 0; a < 8; a++ {
 		sum += f[a]
 	}
-	if want := 4 * el.Volume(); math.Abs(sum-want) > 1e-12 {
+	if want := 4 * el.Hx * el.Hy * el.Hz; math.Abs(sum-want) > 1e-12 {
 		t.Fatalf("load total %v, want %v", sum, want)
 	}
 }
@@ -248,7 +261,7 @@ func runRanks(t *testing.T, nranks int, body func(r *mp.Rank) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +317,7 @@ func TestPatchTestDistributed(t *testing.T) {
 			return err
 		}
 		rhs := make([]float64, s.NOwned())
-		dm.ApplyDirichlet(s.IsBoundary, func(v int) float64 {
+		dm.NewDirichlet(s.IsBoundary).EliminateRHS(func(v int) float64 {
 			x, y, z := s.M.VertexCoord(v)
 			return exact(x, y, z)
 		}, rhs)
@@ -357,7 +370,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			s.AssembleVector(rhs, func(e int, out *[8]float64) {
 				s.El.Load(func(x, y, z float64) float64 { return x + y*z }, s.ElemCorner(e), out, r)
 			})
-			dm.ApplyDirichlet(s.IsBoundary, func(v int) float64 {
+			dm.NewDirichlet(s.IsBoundary).EliminateRHS(func(v int) float64 {
 				x, y, z := s.M.VertexCoord(v)
 				return exact(x, y, z)
 			}, rhs)

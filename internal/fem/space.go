@@ -111,9 +111,9 @@ func (s *Space) ElemCorner(e int) [3]float64 {
 // NewMatrix assembles the distributed matrix of the operator whose element
 // matrices elem evaluates; tag reserves message tags [tag, tag+4), and like,
 // if not nil, is a matrix of this space whose ghost importer the new one may
-// share (sparse.NewDistMatrixLike). No value is held between an element and
-// the matrix: each element matrix goes straight into it through the space's
-// refill cursor.
+// share (see sparse.NewDistMatrixBlocks). No value is held between an
+// element and the matrix: each element matrix goes straight into it through
+// the space's refill cursor.
 //
 // The elements are evaluated twice. The platform assembles before it
 // exchanges the matrix structure, and the structure exchange must find the
@@ -283,12 +283,3 @@ func (s *Space) L2NodalError(u []float64, f func(x, y, z float64) float64) float
 
 // IsBoundary reports whether global vertex id v is on the domain boundary.
 func (s *Space) IsBoundary(v int) bool { return s.M.OnBoundary(v) }
-
-// BoundaryFunc adapts a coordinate function of space and time to a global-
-// vertex-id function at fixed time (for Dirichlet application).
-func (s *Space) BoundaryFunc(g func(x, y, z, t float64) float64, t float64) func(int) float64 {
-	return func(v int) float64 {
-		x, y, z := s.M.VertexCoord(v)
-		return g(x, y, z, t)
-	}
-}

@@ -139,19 +139,6 @@ func (f *File) Get(name string) (*Dataset, bool) {
 	return d, ok
 }
 
-// List returns the dataset paths under the given group prefix
-// ("" for all), sorted. A prefix "a/b" matches "a/b/..." and "a/b" itself.
-func (f *File) List(prefix string) []string {
-	var out []string
-	for name := range f.ds {
-		if prefix == "" || name == prefix || strings.HasPrefix(name, prefix+"/") {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EncodedLen returns the exact number of bytes WriteTo produces, so a
 // caller writing into memory can size its buffer once.
 func (f *File) EncodedLen() int {

@@ -119,21 +119,82 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestList(t *testing.T) {
+// WriteTo keeps creation order, and a round trip reproduces it: a
+// checkpoint's bytes depend on the order its writer created datasets in,
+// never on map iteration.
+func TestWriteToKeepsCreationOrder(t *testing.T) {
 	f := New()
-	for _, n := range []string{"a/x", "a/y", "b/z", "a"} {
-		if err := f.CreateF64(n, []int{0}, nil); err != nil {
+	names := []string{"z", "a/y", "m", "a"}
+	for i, n := range names {
+		if err := f.CreateI64(n, []int{1}, []int64{int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := f.List("a"); len(got) != 3 || got[0] != "a" || got[2] != "a/y" {
-		t.Fatalf("List(a) = %v", got)
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := f.List(""); len(got) != 4 {
-		t.Fatalf("List() = %v", got)
+	g, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := f.List("b"); len(got) != 1 || got[0] != "b/z" {
-		t.Fatalf("List(b) = %v", got)
+	if fmt.Sprint(g.order) != fmt.Sprint(names) {
+		t.Fatalf("order after round trip %v, want %v", g.order, names)
+	}
+}
+
+// A create that fails its shape check leaves no entry behind in the write
+// order either, so the next dataset encodes where it would have anyway.
+func TestFailedCreateLeavesNoOrderEntry(t *testing.T) {
+	f := New()
+	if err := f.CreateF64("a", []int{1}, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CreateF64("bad", []int{2}, []float64{1}); err == nil {
+		t.Fatal("shape mismatch accepted")
+	}
+	if err := f.CreateI64("bad64", []int{3}, nil); err == nil {
+		t.Fatal("shape mismatch accepted")
+	}
+	if err := f.CreateF64("b", []int{1}, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(f.order) != "[a b]" {
+		t.Fatalf("order %v, want [a b]", f.order)
+	}
+	var buf bytes.Buffer
+	n, err := f.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(f.EncodedLen()) {
+		t.Fatalf("wrote %d bytes, EncodedLen says %d", n, f.EncodedLen())
+	}
+}
+
+// Attributes are encoded sorted by key, so the order SetAttr ran in does
+// not reach the bytes.
+func TestAttrInsertionOrderDoesNotChangeEncoding(t *testing.T) {
+	encode := func(keys []string) []byte {
+		f := New()
+		if err := f.CreateF64("u", []int{2}, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := f.SetAttr("u", k, "v"+k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := f.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a := encode([]string{"time", "app", "step"})
+	b := encode([]string{"step", "time", "app"})
+	if !bytes.Equal(a, b) {
+		t.Fatal("attribute insertion order changed the encoding")
 	}
 }
 
@@ -160,7 +221,7 @@ func TestEmptyFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.List("")) != 0 {
+	if len(g.ds) != 0 {
 		t.Fatal("empty file has datasets")
 	}
 }

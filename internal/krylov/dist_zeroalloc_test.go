@@ -20,7 +20,7 @@ func newTestWorld(t *testing.T, nranks int) *mp.World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}

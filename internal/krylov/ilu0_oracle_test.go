@@ -9,14 +9,14 @@ import (
 	"heterohpc/internal/sparse"
 )
 
-// refILU0Setup is the Slot-based IKJ factorisation ILU0.Setup used before
+// refILU0Setup is the slot-based IKJ factorisation ILU0.Setup used before
 // the two-pointer merge, kept as its oracle: a binary search of row k per
 // candidate update instead of a merge of the two sorted rows.
 func refILU0Setup(a *sparse.CSR, n int) (lu []float64, flops float64, err error) {
 	lu = append([]float64(nil), a.Val...)
 	diag := make([]int, n)
 	for i := 0; i < n; i++ {
-		if diag[i] = a.Slot(i, i); diag[i] < 0 {
+		if diag[i] = slot(a, i, i); diag[i] < 0 {
 			return nil, 0, fmt.Errorf("krylov: missing diagonal at row %d", i)
 		}
 	}
@@ -33,7 +33,7 @@ func refILU0Setup(a *sparse.CSR, n int) (lu []float64, flops float64, err error)
 				if j >= n {
 					continue
 				}
-				if u := a.Slot(k, j); u >= 0 {
+				if u := slot(a, k, j); u >= 0 {
 					lu[t] -= lik * lu[u]
 					flops += 2
 				}
@@ -165,4 +165,22 @@ func TestILU0SetupErrorsSurface(t *testing.T) {
 			t.Errorf("%s: reference says %v, Setup says %v", tc.name, refErr, err)
 		}
 	}
+}
+
+// slot returns the value index of entry (row, col) of a, or -1 if the
+// pattern has no such entry: a binary search of the row's sorted columns.
+func slot(a *sparse.CSR, row, col int) int {
+	lo, hi := a.RowPtr[row], a.RowPtr[row+1]
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch {
+		case a.Col[mid] < col:
+			lo = mid + 1
+		case a.Col[mid] > col:
+			hi = mid
+		default:
+			return mid
+		}
+	}
+	return -1
 }

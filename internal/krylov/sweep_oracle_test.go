@@ -29,7 +29,7 @@ func refILU0Apply(a *sparse.CSR, n int, lu []float64, r, z []float64, ch sparse.
 		z[i] = sum
 	}
 	for i := n - 1; i >= 0; i-- {
-		d := a.Slot(i, i)
+		d := slot(a, i, i)
 		sum := z[i]
 		for sl := d + 1; sl < a.RowPtr[i+1]; sl++ {
 			if c := a.Col[sl]; c < n {
@@ -45,7 +45,7 @@ func refILU0Apply(a *sparse.CSR, n int, lu []float64, r, z []float64, ch sparse.
 func refInvertDiagonal(a *sparse.CSR, n int, ch sparse.Charger) ([]float64, error) {
 	dinv := make([]float64, n)
 	for i := 0; i < n; i++ {
-		s := a.Slot(i, i)
+		s := slot(a, i, i)
 		if s < 0 || a.Val[s] == 0 {
 			return nil, fmt.Errorf("krylov: zero diagonal at row %d", i)
 		}
@@ -218,9 +218,9 @@ func TestBlockSplitMatchesScan(t *testing.T) {
 			for wantEnd < b.a.RowPtr[i+1] && b.a.Col[wantEnd] < b.n {
 				wantEnd++
 			}
-			if int(diag[i]) != b.a.Slot(i, i) || int(end[i]) != wantEnd {
+			if int(diag[i]) != slot(b.a, i, i) || int(end[i]) != wantEnd {
 				t.Fatalf("%s: row %d split at diag %d, end %d; scan says %d, %d",
-					b.name, i, diag[i], end[i], b.a.Slot(i, i), wantEnd)
+					b.name, i, diag[i], end[i], slot(b.a, i, i), wantEnd)
 			}
 		}
 	}

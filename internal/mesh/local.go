@@ -15,11 +15,6 @@ type Block struct {
 	Lo, Hi [3]int
 }
 
-// NumElems returns the number of elements in the block.
-func (b Block) NumElems() int {
-	return (b.Hi[0] - b.Lo[0]) * (b.Hi[1] - b.Lo[1]) * (b.Hi[2] - b.Lo[2])
-}
-
 // splitRange divides n items into parts near-equal chunks: the first n%parts
 // chunks get one extra item. It returns the bounds of chunk idx.
 func splitRange(n, parts, idx int) (lo, hi int) {
@@ -105,12 +100,6 @@ type Local struct {
 
 // NumVerts returns the total (owned + ghost) local vertex count.
 func (l *Local) NumVerts() int { return len(l.VertGlobal) }
-
-// NumGhosts returns the ghost vertex count.
-func (l *Local) NumGhosts() int { return len(l.VertGlobal) - l.NumOwned }
-
-// IsOwned reports whether local vertex lv is owned by this rank.
-func (l *Local) IsOwned(lv int) bool { return lv < l.NumOwned }
 
 // G2L returns the local index of global vertex g, or -1 if g is not a
 // vertex of this rank's patch.

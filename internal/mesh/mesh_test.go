@@ -135,11 +135,11 @@ func TestDecomposeCoversAllElements(t *testing.T) {
 	covered := make([]int, m.NumElems())
 	totalElems := 0
 	for _, b := range blocks {
-		totalElems += b.NumElems()
 		for k := b.Lo[2]; k < b.Hi[2]; k++ {
 			for j := b.Lo[1]; j < b.Hi[1]; j++ {
 				for i := b.Lo[0]; i < b.Hi[0]; i++ {
 					covered[m.ElemID(i, j, k)]++
+					totalElems++
 				}
 			}
 		}
@@ -227,7 +227,7 @@ func TestLocalFromBlockConsistency(t *testing.T) {
 			vertOwners[gv] = append(vertOwners[gv], rank)
 		}
 		// Local invariants.
-		if len(l.GhostOwner) != l.NumGhosts() {
+		if len(l.GhostOwner) != len(l.VertGlobal)-l.NumOwned {
 			t.Fatalf("rank %d ghost owner list mismatched", rank)
 		}
 		for i, owner := range l.GhostOwner {

@@ -406,7 +406,7 @@ func runAllreduce(t *testing.T, mk func() *World, allreduce allreduceImpl, body 
 		o := &out.ranks[i]
 		o.now = clk.Now()
 		for _, ph := range vclock.Phases {
-			o.comm = append(o.comm, clk.PhaseComm(ph))
+			o.comm = append(o.comm, clk.Snapshot().Comm[ph])
 		}
 		_, _, o.msgs, o.msgB = clk.Counters()
 	}
@@ -421,7 +421,7 @@ func runAllreduce(t *testing.T, mk func() *World, allreduce allreduceImpl, body 
 	}
 	out.journal, out.metrics = j.String(), m.String()
 	if out.down {
-		sr, err := w.Shrink()
+		sr, err := w.ShrinkNodes(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -161,7 +161,7 @@ func TestGrowAfterShrinkRestoresWidth(t *testing.T) {
 	// back to full width on a replacement node, then run a collective that
 	// spans everyone.
 	w := crashWorld(t, 8, 2, 1, 0.005) // kills ranks 2,3
-	sr, err := w.Shrink()
+	sr, err := w.ShrinkNodes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

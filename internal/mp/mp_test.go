@@ -16,7 +16,7 @@ func testWorld(t *testing.T, nranks, ranksPerNode int) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRunRecoversPanics(t *testing.T) {
 
 func TestNewWorldValidation(t *testing.T) {
 	topo, _ := BlockTopology(2, 2)
-	fab, _ := netmodel.NewFabric(netmodel.Loopback, 1)
+	fab, _ := netmodel.NewFabric(netmodel.IBDDR4X, 1)
 	if _, err := NewWorld(Topology{}, fab, vclock.LinearRater{}); err == nil {
 		t.Error("empty topology accepted")
 	}

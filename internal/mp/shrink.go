@@ -33,7 +33,7 @@ type Shrink struct {
 	OldToNewNode []int
 	// DeadRanks and DeadNode identify what was lost (old numbering).
 	// DeadNode is the recorded failure node; DeadNodes lists every dropped
-	// node ascending (equal to [DeadNode] for a plain Shrink).
+	// node ascending (equal to [DeadNode] for ShrinkNodes(nil)).
 	DeadRanks []int
 	DeadNode  int
 	DeadNodes []int
@@ -43,21 +43,19 @@ type Shrink struct {
 	Revoked int
 }
 
-// Shrink re-forms a poisoned world around its survivors. It must be called
-// after Run has returned with ErrRankDead: the failed node's ranks are
-// dropped, surviving ranks and nodes are renumbered order-preserving, and
-// pending mailbox traffic to or from the dead is revoked. The old world is
-// consumed (it cannot Run again); the survivor world is fresh — it has no
-// fault schedule and may Run exactly once, with each rank's clock
+// ShrinkNodes re-forms a poisoned world around its survivors. It must be
+// called after Run has returned with ErrRankDead: the failed node's ranks
+// are dropped, surviving ranks and nodes are renumbered order-preserving,
+// and pending mailbox traffic to or from the dead is revoked. The old world
+// is consumed (it cannot Run again); the survivor world is fresh — it has
+// no fault schedule and may Run exactly once, with each rank's clock
 // continuing at the virtual time the rank had reached when it unwound.
-func (w *World) Shrink() (*Shrink, error) { return w.ShrinkNodes(nil) }
-
-// ShrinkNodes is Shrink generalised to correlated losses: besides the
-// recorded failure node it also drops alsoDoomed — nodes the supervisor
-// knows are about to be reclaimed (a preemption wave) even though only one
-// failure actually poisoned the world. Dropping them in one re-formation
-// keeps recovery single-shot: one revoke, one survivor world, one
-// continuation, instead of a shrink per casualty.
+//
+// Besides the recorded failure node it also drops alsoDoomed — nodes the
+// supervisor knows are about to be reclaimed (a preemption wave) even
+// though only one failure actually poisoned the world. Dropping them in one
+// re-formation keeps recovery single-shot: one revoke, one survivor world,
+// one continuation, instead of a shrink per casualty.
 func (w *World) ShrinkNodes(alsoDoomed []int) (*Shrink, error) {
 	f, down := w.Failure()
 	if !down {

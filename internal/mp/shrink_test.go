@@ -30,7 +30,7 @@ func crashWorld(t *testing.T, nranks, perNode, node int, at float64) *World {
 
 func TestShrinkDropsDeadNodeAndRenumbers(t *testing.T) {
 	w := crashWorld(t, 8, 2, 1, 0.005) // kills ranks 2,3
-	sr, err := w.Shrink()
+	sr, err := w.ShrinkNodes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestShrinkDropsDeadNodeAndRenumbers(t *testing.T) {
 	if err := w.Run(func(r *Rank) error { return nil }); err == nil {
 		t.Fatal("shrunk world accepted Run")
 	}
-	if _, err := w.Shrink(); err == nil {
+	if _, err := w.ShrinkNodes(nil); err == nil {
 		t.Fatal("double Shrink accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestShrinkRevokesPendingTraffic(t *testing.T) {
 	if !errors.Is(err, ErrRankDead) {
 		t.Fatalf("want ErrRankDead, got %v", err)
 	}
-	sr, err := w.Shrink()
+	sr, err := w.ShrinkNodes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAgreeDeadUnionsSuspicions(t *testing.T) {
 
 func TestShrinkOnHealthyWorldRefused(t *testing.T) {
 	w := faultWorld(t, 4, 2)
-	if _, err := w.Shrink(); err == nil {
+	if _, err := w.ShrinkNodes(nil); err == nil {
 		t.Fatal("Shrink on a healthy world accepted")
 	}
 }

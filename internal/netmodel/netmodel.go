@@ -28,10 +28,7 @@
 // from a single placement group, and the model reproduces that.
 package netmodel
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Link describes one physical communication path.
 type Link struct {
@@ -140,15 +137,6 @@ var (
 		OversubNodes:        128,
 		CrossGroupBandwidth: 1,
 	}
-
-	// Loopback is an idealised zero-cost-ish fabric for unit tests and for
-	// running the solvers without a platform model.
-	Loopback = &Model{
-		Name:                "loopback",
-		Inter:               Link{Latency: 1e-9, Bandwidth: 1e12},
-		Intra:               Link{Latency: 1e-9, Bandwidth: 1e12},
-		CrossGroupBandwidth: 1,
-	}
 )
 
 // Fabric binds a Model to the topology of one job: how many nodes it spans
@@ -156,7 +144,6 @@ var (
 // for concurrent use.
 type Fabric struct {
 	model *Model
-	nodes int
 	// interBW is the oversubscription-adjusted NIC bandwidth.
 	interBW float64
 	// scale multiplies every transfer time. The platform catalog uses it to
@@ -190,18 +177,8 @@ func NewFabricScaled(m *Model, nodes int, scale float64) (*Fabric, error) {
 	if m.OversubNodes > 0 && nodes > 1 {
 		bw /= 1 + m.Oversub*float64(nodes-1)/float64(m.OversubNodes)
 	}
-	return &Fabric{model: m, nodes: nodes, interBW: bw, scale: scale}, nil
+	return &Fabric{model: m, interBW: bw, scale: scale}, nil
 }
-
-// Model returns the underlying interconnect model.
-func (f *Fabric) Model() *Model { return f.model }
-
-// Nodes returns the number of nodes the fabric was sized for.
-func (f *Fabric) Nodes() int { return f.nodes }
-
-// InterBandwidth returns the oversubscription-adjusted per-NIC bandwidth in
-// bytes per second (before NIC sharing).
-func (f *Fabric) InterBandwidth() float64 { return f.interBW }
 
 // P2P returns the virtual seconds for one rank to transfer bytes to a peer.
 //
@@ -228,13 +205,4 @@ func (f *Fabric) P2P(bytes int, sameNode, sameGroup bool, nicShare int) float64 
 		}
 	}
 	return f.scale * (lat + float64(bytes)/bw)
-}
-
-// TreeDepth returns ceil(log2(p)), the stage count of binomial-tree
-// collectives over p ranks; 0 for p <= 1.
-func TreeDepth(p int) int {
-	if p <= 1 {
-		return 0
-	}
-	return int(math.Ceil(math.Log2(float64(p))))
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestReferenceModelsValidate(t *testing.T) {
-	for _, m := range []*Model{GigE, TenGigE, IBDDR4X, Loopback} {
+	for _, m := range []*Model{GigE, TenGigE, IBDDR4X} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
@@ -54,15 +54,15 @@ func TestFabricIntraCheaperThanInter(t *testing.T) {
 func TestOversubscriptionDegradesWithNodes(t *testing.T) {
 	f2, _ := NewFabric(GigE, 2)
 	f64, _ := NewFabric(GigE, 64)
-	if f64.InterBandwidth() >= f2.InterBandwidth() {
+	if f64.interBW >= f2.interBW {
 		t.Fatalf("bandwidth should fall with node count: %v vs %v",
-			f64.InterBandwidth(), f2.InterBandwidth())
+			f64.interBW, f2.interBW)
 	}
 	// IB keeps much more of its bandwidth across the same growth.
 	ib2, _ := NewFabric(IBDDR4X, 2)
 	ib64, _ := NewFabric(IBDDR4X, 64)
-	ibRetention := ib64.InterBandwidth() / ib2.InterBandwidth()
-	geRetention := f64.InterBandwidth() / f2.InterBandwidth()
+	ibRetention := ib64.interBW / ib2.interBW
+	geRetention := f64.interBW / f2.interBW
 	if ibRetention <= geRetention {
 		t.Fatalf("IB retention %v should beat GigE retention %v", ibRetention, geRetention)
 	}
@@ -146,15 +146,6 @@ func TestP2PPanicsOnBadInput(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestTreeDepth(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1000: 10, 1024: 10}
-	for p, want := range cases {
-		if got := TreeDepth(p); got != want {
-			t.Errorf("TreeDepth(%d) = %d, want %d", p, got, want)
-		}
 	}
 }
 

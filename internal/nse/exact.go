@@ -24,15 +24,6 @@ const (
 	nu  = 1.0
 )
 
-// ExactVelocity returns the Ethier–Steinman velocity (u₁,u₂,u₃) at (x,y,z,t).
-func ExactVelocity(x, y, z, t float64) (u, v, w float64) {
-	e := math.Exp(-nu * dES * dES * t)
-	u = -aES * (math.Exp(aES*x)*math.Sin(aES*y+dES*z) + math.Exp(aES*z)*math.Cos(aES*x+dES*y)) * e
-	v = -aES * (math.Exp(aES*y)*math.Sin(aES*z+dES*x) + math.Exp(aES*x)*math.Cos(aES*y+dES*z)) * e
-	w = -aES * (math.Exp(aES*z)*math.Sin(aES*x+dES*y) + math.Exp(aES*y)*math.Cos(aES*z+dES*x)) * e
-	return
-}
-
 // ExactPressure returns the Ethier–Steinman pressure at (x,y,z,t).
 func ExactPressure(x, y, z, t float64) float64 {
 	e2 := math.Exp(-2 * nu * dES * dES * t)
@@ -43,10 +34,10 @@ func ExactPressure(x, y, z, t float64) float64 {
 			2*math.Sin(aES*z+dES*x)*math.Cos(aES*y+dES*z)*math.Exp(aES*(x+y)))
 }
 
-// Component returns the d-th exact velocity component (d in 0..2) — its
-// expression as ExactVelocity writes it, so the values agree bit for bit
-// while a caller that wants one component (boundary data, per component
-// and boundary vertex and step) does not pay for three.
+// Component returns the d-th Ethier–Steinman velocity component (d in 0..2)
+// at (x,y,z,t), one closure per component, so a caller that wants one
+// component (boundary data, per component and boundary vertex and step)
+// does not pay for three.
 func Component(d int) func(x, y, z, t float64) float64 {
 	switch d {
 	case 0:

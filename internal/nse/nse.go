@@ -162,7 +162,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	// The pressure, gradient and velocity operators couple the same element
 	// stencil as the mass matrix, so their ghost-column sets coincide and
 	// they can share its importer instead of each re-running the importer
-	// handshake (NewDistMatrixLike falls back to a private importer if the
+	// handshake (the build falls back to a private importer if the
 	// structures ever diverge).
 	presDM, err := s.NewMatrix(func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Stiffness(1, out, ch) }, 2200, massDM)
 	if err != nil {

@@ -19,7 +19,7 @@ func runRanks(t *testing.T, nranks int, body func(r *mp.Rank) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestExactDivergenceFree(t *testing.T) {
 	pts := [][4]float64{{0.2, -0.3, 0.4, 0.01}, {-0.7, 0.5, -0.1, 0.05}, {0, 0, 0, 0}}
 	for _, pt := range pts {
 		x, y, z, tt := pt[0], pt[1], pt[2], pt[3]
-		ux1, _, _ := ExactVelocity(x+h, y, z, tt)
-		ux0, _, _ := ExactVelocity(x-h, y, z, tt)
-		_, vy1, _ := ExactVelocity(x, y+h, z, tt)
-		_, vy0, _ := ExactVelocity(x, y-h, z, tt)
-		_, _, wz1 := ExactVelocity(x, y, z+h, tt)
-		_, _, wz0 := ExactVelocity(x, y, z-h, tt)
+		ux1, _, _ := exactVelocity(x+h, y, z, tt)
+		ux0, _, _ := exactVelocity(x-h, y, z, tt)
+		_, vy1, _ := exactVelocity(x, y+h, z, tt)
+		_, vy0, _ := exactVelocity(x, y-h, z, tt)
+		_, _, wz1 := exactVelocity(x, y, z+h, tt)
+		_, _, wz0 := exactVelocity(x, y, z-h, tt)
 		div := (ux1-ux0)/(2*h) + (vy1-vy0)/(2*h) + (wz1-wz0)/(2*h)
 		if math.Abs(div) > 1e-7 {
 			t.Fatalf("divergence %v at %v", div, pt)
@@ -60,7 +60,7 @@ func TestExactSatisfiesMomentum(t *testing.T) {
 		x, y, z, tt := pt[0], pt[1], pt[2], pt[3]
 		for d := 0; d < 3; d++ {
 			c := Component(d)
-			u, v, w := ExactVelocity(x, y, z, tt)
+			u, v, w := exactVelocity(x, y, z, tt)
 			dudt := (c(x, y, z, tt+h) - c(x, y, z, tt-h)) / (2 * h)
 			dx := (c(x+h, y, z, tt) - c(x-h, y, z, tt)) / (2 * h)
 			dy := (c(x, y+h, z, tt) - c(x, y-h, z, tt)) / (2 * h)

@@ -236,15 +236,6 @@ func (rc *Recorder) emit(ev Event) {
 	rc.events = append(rc.events, ev)
 }
 
-// Event records a bare kind/name event at the recorder's current virtual
-// time.
-func (rc *Recorder) Event(kind, name string) {
-	if rc == nil {
-		return
-	}
-	rc.emit(Event{T: rc.now(), Kind: kind, Name: name})
-}
-
 // EventAt records a kind/name event at an explicit virtual time — the
 // supervisor-decision form (kind = decision kind, name = detail).
 func (rc *Recorder) EventAt(t float64, kind, name string) {

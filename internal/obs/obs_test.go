@@ -313,7 +313,7 @@ func TestGaugeMaxConcurrent(t *testing.T) {
 func TestEventEncodingEscapes(t *testing.T) {
 	r := NewRun()
 	rec := r.NewRecorder(0, &fakeClock{t: 1.5})
-	rec.Event("decision", `detail with "quotes" and
+	rec.EventAt(1.5, "decision", `detail with "quotes" and
 newline`)
 	var buf bytes.Buffer
 	if err := r.WriteJournal(&buf); err != nil {

@@ -141,7 +141,7 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 	}()
 	Register(&Platform{
 		Name: "puma", SocketsPerNode: 1, CoresPerSocket: 1, MaxNodes: 1,
-		RAMPerNodeGB: 1, Net: netmodel.Loopback,
+		RAMPerNodeGB: 1, Net: netmodel.GigE,
 		Rater: vclock.LinearRater{FlopsPerSec: 1},
 	})
 }

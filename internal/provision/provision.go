@@ -17,7 +17,6 @@ package provision
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Method is how a dependency gets provided on a target.
@@ -276,34 +275,3 @@ func Resolve(r Registry, st *State, targets []string) (*Plan, error) {
 
 // AppTargets is the top-level build goal: the CFD applications.
 var AppTargets = []string{"app"}
-
-// Script renders the plan as an annotated shell-like script — the runbook a
-// team member would follow (or automate, which the paper names as future
-// work via tools like doit and StarCluster).
-func (p *Plan) Script() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#!/bin/sh\n# provisioning runbook for %s (estimated %.1f man-hours)\nset -e\n\n", p.Platform, p.TotalHours)
-	for _, t := range p.Extra {
-		fmt.Fprintf(&b, "# task: %s (%.1f h) — %s\n", t.Name, t.Hours, t.Note)
-	}
-	if len(p.Extra) > 0 {
-		b.WriteString("\n")
-	}
-	for _, s := range p.Steps {
-		switch s.Method {
-		case Preinstalled:
-			fmt.Fprintf(&b, "# %s %s: already provided by the platform\n", s.Pkg, s.Version)
-		case Yum:
-			fmt.Fprintf(&b, "yum install -y %s   # %s (%.1f h incl. verification)\n",
-				s.Pkg, s.Version, s.Hours)
-		case Source:
-			fmt.Fprintf(&b, "fetch-and-build %s %s   # user-space source install (%.1f h)",
-				s.Pkg, s.Version, s.Hours)
-			if s.Note != "" {
-				fmt.Fprintf(&b, " — %s", s.Note)
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
-}

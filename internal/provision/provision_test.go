@@ -202,32 +202,6 @@ func TestPlanCoversFullStack(t *testing.T) {
 	}
 }
 
-func TestPlanScript(t *testing.T) {
-	r := DefaultRegistry()
-	st, _ := PlatformState("ec2")
-	plan, _ := Resolve(r, st, AppTargets)
-	script := plan.Script()
-	for _, want := range []string{
-		"#!/bin/sh",
-		"yum install -y gcc",
-		"fetch-and-build trilinos 10.6.4",
-		"ssh mutual authentication",
-	} {
-		if !containsStr(script, want) {
-			t.Errorf("script missing %q:\n%s", want, script)
-		}
-	}
-	// The home platform's script is almost all comments.
-	stP, _ := PlatformState("puma")
-	planP, _ := Resolve(r, stP, AppTargets)
-	if containsStr(planP.Script(), "yum install") {
-		t.Error("puma script should not use yum")
-	}
-	if !containsStr(planP.Script(), "already provided") {
-		t.Error("puma script should mark preinstalled packages")
-	}
-}
-
 func containsStr(haystack, needle string) bool {
 	return len(haystack) >= len(needle) && strings.Contains(haystack, needle)
 }

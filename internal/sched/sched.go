@@ -46,9 +46,6 @@ func New(p *platform.Platform, seed uint64) *Scheduler {
 	return &Scheduler{p: p, rng: stats.NewRNG(seed)}
 }
 
-// Platform returns the scheduled platform.
-func (s *Scheduler) Platform() *platform.Platform { return s.p }
-
 // Admit checks whether a job of ranks ranks needing memPerRankGB gigabytes
 // per rank can run, returning one of the typed errors above otherwise.
 func (s *Scheduler) Admit(ranks int, memPerRankGB float64) error {

@@ -379,35 +379,6 @@ func (m *CSR) ZeroVals() {
 	}
 }
 
-// Slot returns the value index of entry (row, col), or -1 if the pattern
-// has no such entry. Columns are sorted per row, so this is a binary search.
-func (m *CSR) Slot(row, col int) int {
-	lo, hi := m.RowPtr[row], m.RowPtr[row+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case m.Col[mid] < col:
-			lo = mid + 1
-		case m.Col[mid] > col:
-			hi = mid
-		default:
-			return mid
-		}
-	}
-	return -1
-}
-
-// AddAt accumulates v into entry (row, col), which must exist in the
-// pattern.
-func (m *CSR) AddAt(row, col int, v float64) {
-	m.mustWrite("AddAt")
-	s := m.Slot(row, col)
-	if s < 0 {
-		panic(fmt.Sprintf("sparse: entry (%d,%d) not in pattern", row, col))
-	}
-	m.Val[s] += v
-}
-
 // MulVec computes y = A·x and charges 2·nnz flops plus the CSR streaming
 // traffic to ch. len(x) must be NCols and len(y) must be NRows.
 func (m *CSR) MulVec(x, y []float64, ch Charger) {
@@ -449,20 +420,6 @@ func dotFrom(sum float64, col []int, val, x []float64) float64 {
 		sum += val[k] * x[c]
 	}
 	return sum
-}
-
-// Diagonal extracts the matrix diagonal into d (len NRows); missing
-// diagonal entries yield 0.
-func (m *CSR) Diagonal(d []float64) {
-	if len(d) != m.NRows {
-		panic("sparse: Diagonal length mismatch")
-	}
-	for r := range d {
-		d[r] = 0
-		if s := m.Slot(r, r); s >= 0 {
-			d[r] = m.Val[s]
-		}
-	}
 }
 
 // Clone returns a deep copy sharing no storage, not frozen.

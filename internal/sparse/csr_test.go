@@ -212,30 +212,6 @@ func TestCOOReset(t *testing.T) {
 	}
 }
 
-func TestSlotAndAddAt(t *testing.T) {
-	var c COO
-	c.Add(0, 2, 1)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, 1)
-	m, _ := NewCSRFromCOO(2, 3, &c)
-	if s := m.Slot(0, 2); s < 0 || m.Val[s] != 1 {
-		t.Fatalf("Slot(0,2) = %d", s)
-	}
-	if s := m.Slot(0, 1); s != -1 {
-		t.Fatalf("missing entry returned slot %d", s)
-	}
-	m.AddAt(0, 0, 5)
-	if d := m.Dense(); d[0][0] != 6 {
-		t.Fatalf("AddAt result %v", d[0][0])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddAt outside pattern did not panic")
-		}
-	}()
-	m.AddAt(1, 0, 1)
-}
-
 func TestZeroValsKeepsPattern(t *testing.T) {
 	var c COO
 	c.Add(0, 0, 7)
@@ -288,18 +264,6 @@ func TestMulVecDimPanic(t *testing.T) {
 		}
 	}()
 	m.MulVec(make([]float64, 2), make([]float64, 1), NopCharger{})
-}
-
-func TestDiagonal(t *testing.T) {
-	var c COO
-	c.Add(0, 0, 4)
-	c.Add(1, 0, 2)
-	m, _ := NewCSRFromCOO(2, 2, &c)
-	d := make([]float64, 2)
-	m.Diagonal(d)
-	if d[0] != 4 || d[1] != 0 {
-		t.Fatalf("diagonal %v", d)
-	}
 }
 
 func TestClone(t *testing.T) {
@@ -384,9 +348,6 @@ func TestVecOps(t *testing.T) {
 	}
 	if d := DotLocal(3, x, x, NopCharger{}); d != 14 {
 		t.Fatalf("dot %v", d)
-	}
-	if n := Norm2Local(3, x, NopCharger{}); math.Abs(n-math.Sqrt(14)) > 1e-14 {
-		t.Fatalf("norm %v", n)
 	}
 	// Prefix-only application.
 	z := []float64{1, 1}

@@ -69,7 +69,7 @@ type Importer struct {
 	sendB, recvB int
 	// ghostGlobal keeps the ghost ids this importer serves, so structurally
 	// identical matrices can verify compatibility and share the importer
-	// (see NewDistMatrixLike).
+	// (see NewDistMatrixBlocks).
 	ghostGlobal []int
 }
 
@@ -160,12 +160,6 @@ func NewImporter(r *mp.Rank, rowMap *RowMap, ghostGlobal []int, owner func(int) 
 	im.ghostGlobal = append([]int(nil), ghostGlobal...)
 	return im, nil
 }
-
-// NOwned returns the owned prefix length of vectors this importer serves.
-func (im *Importer) NOwned() int { return im.nOwned }
-
-// NGhost returns the ghost tail length.
-func (im *Importer) NGhost() int { return im.nGhost }
 
 // Exchange fills the ghost tail of x (layout [owned | ghosts]) with the
 // owners' current values. All ranks sharing the importer must call it

@@ -21,7 +21,7 @@ func newWorld(t *testing.T, nranks int) *mp.World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := netmodel.NewFabric(netmodel.Loopback, topo.NNodes())
+	fab, err := netmodel.NewFabric(netmodel.IBDDR4X, topo.NNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestApplyDirichletIdentityRowsAndSymmetry(t *testing.T) {
 			return err
 		}
 		rhs := make([]float64, dm.NOwned())
-		dm.ApplyDirichlet(isBC, g, rhs)
+		dm.NewDirichlet(isBC).EliminateRHS(g, rhs)
 		mu.Lock()
 		defer mu.Unlock()
 		A := dm.Local()
@@ -446,7 +446,7 @@ func TestSetValuesRejectsWrongLengthUpFront(t *testing.T) {
 		// The rejected cursor refills another matrix of the rank, over the
 		// same links; begun again with a refill in flight, it gives that one
 		// up and refills dm.
-		other, err := NewDistMatrix(r, dm.RowMap(), &coo, owner, 710)
+		other, err := NewDistMatrix(r, dm.rowMap, &coo, owner, 710)
 		if err != nil {
 			return err
 		}

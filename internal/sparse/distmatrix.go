@@ -107,32 +107,21 @@ func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 	return dm, nil
 }
 
-// NewDistMatrixLike builds a matrix like NewDistMatrix over prev's rank and
-// RowMap, and also reuses prev's ghost-value importer when the new matrix
+// NewDistMatrixBlocks builds the matrix whose contributions blk lists, as
+// NewDistMatrix would from a COO of those blocks — the same structure,
+// exchanges and charges — but leaves every value zero: its ranks then stream
+// the values in with a Refill, which exchanges and charges what the refill
+// that ends NewDistMatrix does. Nothing of the values is ever held whole.
+//
+// A like that is not nil lends its ghost-value importer when the new matrix
 // turns out to have the same ghost column set (the common case for several
 // operators assembled over one finite-element space, e.g. the Navier–Stokes
 // mass/gradient/velocity family). Sharing skips the importer's census
-// Allreduce and request handshake — at 8 ranks that is the dominant setup
-// allocation — and is collective: all ranks must agree on prev. When the
-// ghost sets differ the matrix silently builds its own importer, so the
-// call is always safe. The symbolic structure is shared through the world
-// by either constructor; what Like adds is the importer, whose handshake is
-// real traffic and so can only be skipped by agreement.
-func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
-	dm, err := newDistMatrix(prev.r, prev.rowMap, coo, owner, tag, prev.imp)
-	if err != nil {
-		return nil, err
-	}
-	dm.SetValues(coo)
-	return dm, nil
-}
-
-// NewDistMatrixBlocks builds the matrix whose contributions blk lists, as
-// NewDistMatrix (like == nil) or NewDistMatrixLike (like's importer) would
-// from a COO of those blocks — the same structure, exchanges and charges —
-// but leaves every value zero: its ranks then stream the values in with a
-// Refill, which exchanges and charges what the refill that ends
-// NewDistMatrix does. Nothing of the values is ever held whole.
+// Allreduce and request handshake and is collective: all ranks must agree on
+// like. When the ghost sets differ the matrix silently builds its own
+// importer, so passing like is always safe. The symbolic structure is shared
+// through the world either way; the importer's handshake is real traffic and
+// so can only be skipped by agreement.
 func NewDistMatrixBlocks(r *mp.Rank, rowMap *RowMap, blk *Blocks, owner func(int) int, tag int, like *DistMatrix) (*DistMatrix, error) {
 	if blk.K <= 0 || len(blk.IDs)%blk.K != 0 {
 		return nil, fmt.Errorf("sparse: %d ids do not make blocks of %d", len(blk.IDs), blk.K)
@@ -512,7 +501,7 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 // assemble a constant operator bit for bit alike — and this rank's own is
 // dropped; when none is, the rank files its own for the ranks that come
 // after. From then on every path that writes the values (SetValues, Refill,
-// NewDirichlet, Recompute, ApplyDirichlet, CSR.ZeroVals and AddAt) panics
+// NewDirichlet, Recompute and CSR.ZeroVals) panics
 // before it touches them. Freeze is host-only — no message, charge or
 // journal event — so it is rank-local; a second call finds the array the
 // first left and changes nothing.
@@ -699,9 +688,6 @@ func (dm *DistMatrix) NOwned() int { return dm.rowMap.N() }
 
 // NCols returns the local column-space width (owned + ghost columns).
 func (dm *DistMatrix) NCols() int { return dm.A.NCols }
-
-// RowMap returns the matrix's row distribution.
-func (dm *DistMatrix) RowMap() *RowMap { return dm.rowMap }
 
 // Importer returns the ghost-column importer (shared with solvers that need
 // ghost exchanges of iterate vectors).
@@ -907,12 +893,4 @@ func (d *Dirichlet) SetSolution(g func(global int) float64, x []float64) {
 	for _, lr := range d.bcRows {
 		x[lr] = g(d.dm.rowMap.Owned[lr])
 	}
-}
-
-// ApplyDirichlet imposes u = g on boundary rows/columns in a
-// symmetry-preserving way: boundary rows become identity with rhs = g, and
-// boundary columns are eliminated into the right-hand side
-// (rhs_i -= A_ij·g_j). It is shorthand for NewDirichlet + EliminateRHS.
-func (dm *DistMatrix) ApplyDirichlet(isBC func(global int) bool, g func(global int) float64, rhs []float64) {
-	dm.NewDirichlet(isBC).EliminateRHS(g, rhs)
 }

@@ -50,3 +50,15 @@ func (dm *DistMatrix) StructureView() StructureView {
 // FreezeUnder freezes dm as Freeze does, but files and looks up its values
 // under key, so that a test can make the keys of unequal arrays collide.
 func (dm *DistMatrix) FreezeUnder(key uint64) { dm.freeze(key) }
+
+// NewDistMatrixLike builds a matrix from coo as NewDistMatrix does, over
+// prev's rank and RowMap, sharing prev's importer as NewDistMatrixBlocks
+// does for its like: the COO form of that build, for the structure oracles.
+func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
+	dm, err := newDistMatrix(prev.r, prev.rowMap, coo, owner, tag, prev.imp)
+	if err != nil {
+		return nil, err
+	}
+	dm.SetValues(coo)
+	return dm, nil
+}

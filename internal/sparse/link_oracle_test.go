@@ -265,7 +265,7 @@ func runHalo(t *testing.T, w *mp.World, impl haloImpl, tr *haloTrace,
 		o := &out.ranks[i]
 		o.now = clk.Now()
 		for _, ph := range vclock.Phases {
-			o.comm = append(o.comm, clk.PhaseComm(ph))
+			o.comm = append(o.comm, clk.Snapshot().Comm[ph])
 		}
 		_, _, o.msgs, o.msgB = clk.Counters()
 	}
@@ -279,7 +279,7 @@ func runHalo(t *testing.T, w *mp.World, impl haloImpl, tr *haloTrace,
 	}
 	out.journal, out.metrics = j.String(), m.String()
 	if out.down {
-		sr, err := w.Shrink()
+		sr, err := w.ShrinkNodes(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

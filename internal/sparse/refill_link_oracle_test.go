@@ -117,7 +117,7 @@ func runRefill(t *testing.T, ow oracleWorld, perNode int, crashAt float64, newPa
 	}
 	out.journal = j.String()
 	if out.down {
-		sr, err := w.Shrink()
+		sr, err := w.ShrinkNodes(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func TestRowMapIndexFootprint(t *testing.T) {
 			table := 4 * (owned[len(owned)-1] - owned[0] + 1)
 			perOwned := float64(idx) / float64(l.NumOwned)
 			t.Logf("P=%d rank %d: %d owned, %d ghosts; index %d B (%.1f B per owned vertex), dense table was %d B",
-				p*p*p, rank, l.NumOwned, l.NumGhosts(), idx, perOwned, table)
+				p*p*p, rank, l.NumOwned, len(l.VertGlobal)-l.NumOwned, idx, perOwned, table)
 			// The index's own bound is 48 B per id it holds plus a word per
 			// section; a block's ghosts are under a fifth of its owned
 			// vertices, so that is under 60 B per owned vertex at any P.

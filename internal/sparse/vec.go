@@ -1,7 +1,5 @@
 package sparse
 
-import "math"
-
 // BLAS-1 kernels over the owned prefix of distributed vectors. Each charges
 // its flop and byte counts so virtual time reflects the real work.
 
@@ -35,9 +33,4 @@ func DotLocal(n int, x, y []float64, ch Charger) float64 {
 	}
 	ch.ChargeCompute(2*float64(n), 16*float64(n))
 	return sum
-}
-
-// Norm2Local returns sqrt(dot(x,x)) over the first n entries (no reduction).
-func Norm2Local(n int, x []float64, ch Charger) float64 {
-	return math.Sqrt(DotLocal(n, x, x, ch))
 }

@@ -65,21 +65,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Exp returns an exponentially distributed float64 with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Split derives an independent generator from the current stream. The child
-// stream is decorrelated from the parent by mixing in a fixed odd constant.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64()*0xda942042e4dd58b5 + 1}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -39,6 +39,22 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+func TestRangeBounds(t *testing.T) {
+	r := NewRNG(5)
+	var sum float64
+	const n = 100000
+	for i := 0; i < n; i++ {
+		x := r.Range(-3, 5)
+		if x < -3 || x >= 5 {
+			t.Fatalf("Range(-3,5) = %v", x)
+		}
+		sum += x
+	}
+	if mean := sum / n; math.Abs(mean-1) > 0.05 {
+		t.Fatalf("Range(-3,5) mean = %v, want ~1", mean)
+	}
+}
+
 func TestFloat64Mean(t *testing.T) {
 	r := NewRNG(11)
 	var sum float64
@@ -95,22 +111,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(9)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.Exp(2.5)
-		if x < 0 {
-			t.Fatalf("Exp produced negative %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-2.5) > 0.1 {
-		t.Fatalf("exp mean = %v, want ~2.5", mean)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := NewRNG(13)
 	for i := 0; i < 10000; i++ {
@@ -120,20 +120,16 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(21)
-	child := parent.Split()
-	// The child stream must not simply replay the parent's.
-	p2 := NewRNG(21)
-	p2.Uint64() // consume what Split consumed
-	match := 0
-	for i := 0; i < 50; i++ {
-		if child.Uint64() == p2.Uint64() {
-			match++
-		}
+// LogNormal's parameters are those of the underlying normal: the median of
+// the draws is exp(mu).
+func TestLogNormalMedian(t *testing.T) {
+	r := NewRNG(17)
+	xs := make([]float64, 20001)
+	for i := range xs {
+		xs[i] = r.LogNormal(1, 0.5)
 	}
-	if match > 2 {
-		t.Fatalf("child stream tracks parent: %d matches", match)
+	if med := Quantile(xs, 0.5); math.Abs(med-math.E) > 0.05 {
+		t.Fatalf("median = %v, want ~e", med)
 	}
 }
 
@@ -167,34 +163,15 @@ func TestPermProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("std = %v", s.Std)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-}
-
-func TestMeanMaxMin(t *testing.T) {
+func TestMaxMin(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Mean(xs) != 2.75 {
-		t.Errorf("mean = %v", Mean(xs))
-	}
 	if Max(xs) != 7 {
 		t.Errorf("max = %v", Max(xs))
 	}
 	if Min(xs) != -1 {
 		t.Errorf("min = %v", Min(xs))
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
+	if Max(nil) != 0 || Min(nil) != 0 {
 		t.Error("empty-sample helpers should return 0")
 	}
 }
@@ -213,6 +190,28 @@ func TestQuantile(t *testing.T) {
 	// Input must be left unmodified.
 	if xs[0] != 4 {
 		t.Error("Quantile mutated input")
+	}
+}
+
+func TestQuantileEdgeCases(t *testing.T) {
+	if q := Quantile(nil, 0.5); q != 0 {
+		t.Errorf("empty sample quantile = %v, want 0", q)
+	}
+	if q := Quantile([]float64{7}, 0.3); q != 7 {
+		t.Errorf("single-sample quantile = %v, want 7", q)
+	}
+	xs := []float64{5, 1, 3}
+	if q := Quantile(xs, -0.5); q != 1 {
+		t.Errorf("q<0 = %v, want the minimum 1", q)
+	}
+	if q := Quantile(xs, 1.5); q != 5 {
+		t.Errorf("q>1 = %v, want the maximum 5", q)
+	}
+	if q := Quantile([]float64{0, 10}, 0.1); math.Abs(q-1) > 1e-12 {
+		t.Errorf("interpolated q0.1 of {0,10} = %v, want 1", q)
+	}
+	if q := Quantile([]float64{1, 2, 3, 4, 5}, 0.25); q != 2 {
+		t.Errorf("q0.25 of 1..5 = %v, want 2", q)
 	}
 }
 

@@ -5,58 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics for xs. It returns a zero
-// Summary for an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty sample.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Max returns the maximum of xs, or 0 for an empty sample.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -76,37 +74,4 @@ func (rec *Recorder) Format() string {
 		b.WriteString(d.String())
 	}
 	return b.String()
-}
-
-// WriteChrome renders the decisions as Chrome trace instant events ("i"),
-// one global track, so recovery actions can be overlaid on the per-rank
-// phase timeline of WriteChrome.
-func (rec *Recorder) WriteChrome(w io.Writer, jobName string) error {
-	type instant struct {
-		Name string            `json:"name"`
-		Cat  string            `json:"cat"`
-		Ph   string            `json:"ph"`
-		Ts   float64           `json:"ts"`
-		S    string            `json:"s"`
-		Pid  int               `json:"pid"`
-		Tid  int               `json:"tid"`
-		Args map[string]string `json:"args,omitempty"`
-	}
-	ds := rec.Decisions()
-	events := make([]instant, 0, len(ds))
-	for _, d := range ds {
-		events = append(events, instant{
-			Name: d.Kind,
-			Cat:  jobName,
-			Ph:   "i",
-			Ts:   d.AtS * 1e6,
-			S:    "g", // global scope: spans all rank tracks
-			Args: map[string]string{"detail": d.Detail},
-		})
-	}
-	doc := struct {
-		TraceEvents []instant `json:"traceEvents"`
-		DisplayUnit string    `json:"displayTimeUnit"`
-	}{TraceEvents: events, DisplayUnit: "ms"}
-	return json.NewEncoder(w).Encode(doc)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -116,28 +115,6 @@ func TestRecorder(t *testing.T) {
 	}
 	if s := rec.Format(); !strings.Contains(s, "failure") {
 		t.Errorf("format lacks kind: %q", s)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf, "job"); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph string  `json:"ph"`
-			S  string  `json:"s"`
-			Ts float64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 8 {
-		t.Fatalf("%d trace events, want 8", len(doc.TraceEvents))
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph != "i" || e.S != "g" {
-			t.Errorf("event %+v not a global instant", e)
-		}
 	}
 	if (&Recorder{}).Format() == "" {
 		t.Error("empty recorder formats to nothing")

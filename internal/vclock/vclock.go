@@ -144,9 +144,6 @@ func (c *Clock) SetPhase(p Phase) Phase {
 	return old
 }
 
-// Phase returns the phase charges currently accrue to.
-func (c *Clock) Phase() Phase { return c.phase }
-
 // ChargeCompute records flops floating-point operations and bytes of memory
 // traffic in the current phase.
 func (c *Clock) ChargeCompute(flops, bytes float64) {
@@ -186,17 +183,6 @@ func (c *Clock) AdvanceTo(t float64) {
 		c.now = t
 	}
 }
-
-// PhaseTotal returns compute+comm virtual seconds accrued in phase p.
-func (c *Clock) PhaseTotal(p Phase) float64 {
-	return c.compute[p] + c.comm[p]
-}
-
-// PhaseComm returns the communication share of phase p.
-func (c *Clock) PhaseComm(p Phase) float64 { return c.comm[p] }
-
-// PhaseCompute returns the compute share of phase p.
-func (c *Clock) PhaseCompute(p Phase) float64 { return c.compute[p] }
 
 // Counters returns lifetime totals: floating point operations, compute bytes,
 // message count and message payload bytes.
@@ -244,43 +230,4 @@ func (t PhaseTimes) Total() float64 {
 // Phase returns compute+comm elapsed time in phase p.
 func (t PhaseTimes) Phase(p Phase) float64 {
 	return t.Compute[p] + t.Comm[p]
-}
-
-// Add returns the element-wise sum of two breakdowns.
-func (t PhaseTimes) Add(o PhaseTimes) PhaseTimes {
-	var r PhaseTimes
-	for i := Phase(0); i < numPhases; i++ {
-		r.Compute[i] = t.Compute[i] + o.Compute[i]
-		r.Comm[i] = t.Comm[i] + o.Comm[i]
-	}
-	return r
-}
-
-// Scale returns the breakdown multiplied by f.
-func (t PhaseTimes) Scale(f float64) PhaseTimes {
-	var r PhaseTimes
-	for i := Phase(0); i < numPhases; i++ {
-		r.Compute[i] = t.Compute[i] * f
-		r.Comm[i] = t.Comm[i] * f
-	}
-	return r
-}
-
-// MaxOver returns the element-wise-by-phase maximum total across a set of
-// rank breakdowns along with the maximum overall total. This matches the
-// paper's reporting: "the average times of assembly, preconditioning, and
-// solver phases with the total maximal iteration time".
-func MaxOver(ts []PhaseTimes) (perPhaseMax PhaseTimes, maxTotal float64) {
-	for _, t := range ts {
-		for i := Phase(0); i < numPhases; i++ {
-			if v := t.Compute[i] + t.Comm[i]; v > perPhaseMax.Compute[i] {
-				// Store the phase max in the Compute slot; Comm left zero.
-				perPhaseMax.Compute[i] = v
-			}
-		}
-		if tot := t.Total(); tot > maxTotal {
-			maxTotal = tot
-		}
-	}
-	return perPhaseMax, maxTotal
 }

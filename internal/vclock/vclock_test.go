@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestChargeComputeAccumulates(t *testing.T) {
 	c.SetPhase(PhaseAssembly)
 	c.ChargeCompute(1e9, 0) // 1 second
 	c.ChargeCompute(0, 4e9) // 1 second
-	if got := c.PhaseTotal(PhaseAssembly); math.Abs(got-2) > 1e-12 {
+	if got := c.Since(Snapshot{}).Phase(PhaseAssembly); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("assembly total = %v, want 2", got)
 	}
 	if got := c.Now(); math.Abs(got-2) > 1e-12 {
@@ -43,13 +44,13 @@ func TestPhaseAttribution(t *testing.T) {
 		t.Fatalf("SetPhase returned %v", prev)
 	}
 	c.ChargeComm(0.5, 100)
-	if got := c.PhaseTotal(PhaseAssembly); math.Abs(got-1) > 1e-12 {
+	if got := c.Since(Snapshot{}).Phase(PhaseAssembly); math.Abs(got-1) > 1e-12 {
 		t.Errorf("assembly = %v", got)
 	}
-	if got := c.PhaseComm(PhaseSolve); math.Abs(got-0.5) > 1e-12 {
+	if got := c.comm[PhaseSolve]; math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("solve comm = %v", got)
 	}
-	if got := c.PhaseCompute(PhaseSolve); got != 0 {
+	if got := c.compute[PhaseSolve]; got != 0 {
 		t.Errorf("solve compute = %v", got)
 	}
 }
@@ -62,13 +63,58 @@ func TestAdvanceTo(t *testing.T) {
 	if got := c.Now(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("Now = %v, want 3", got)
 	}
-	if got := c.PhaseComm(PhaseSolve); math.Abs(got-2) > 1e-12 {
+	if got := c.comm[PhaseSolve]; math.Abs(got-2) > 1e-12 {
 		t.Fatalf("idle comm = %v, want 2", got)
 	}
 	// Advancing backwards is a no-op.
 	c.AdvanceTo(1)
 	if got := c.Now(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("AdvanceTo went backwards: %v", got)
+	}
+}
+
+// NewAt carries absolute time without booking it to any phase: a rank
+// resuming in a shrunk world keeps its clock but starts clean accounts.
+func TestNewAtStartsWithEmptyPhases(t *testing.T) {
+	c := NewAt(testRater(), 5)
+	if c.Now() != 5 {
+		t.Fatalf("Now = %v, want 5", c.Now())
+	}
+	if got := c.Since(Snapshot{}).Total(); got != 0 {
+		t.Fatalf("phase total at start = %v, want 0", got)
+	}
+	c.ChargeCompute(1e9, 0)
+	c.AdvanceTo(7)
+	if c.Now() != 7 {
+		t.Fatalf("Now = %v, want 7", c.Now())
+	}
+	if got := c.Since(Snapshot{}).Total(); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("phase total = %v, want 2", got)
+	}
+	if got := NewAt(testRater(), -1).Now(); got != 0 {
+		t.Fatalf("negative start gave Now = %v, want 0", got)
+	}
+}
+
+// The phase listener fires once per actual change, with the time of the
+// switch; setting the current phase again is silent.
+func TestPhaseListenerSeesOnlyChanges(t *testing.T) {
+	c := New(testRater())
+	type switchAt struct {
+		t        float64
+		from, to Phase
+	}
+	var got []switchAt
+	c.SetPhaseListener(func(t float64, from, to Phase) { got = append(got, switchAt{t, from, to}) })
+	c.SetPhase(PhaseAssembly)
+	c.ChargeCompute(1e9, 0)
+	c.SetPhase(PhaseAssembly)
+	c.SetPhase(PhaseSolve)
+	c.SetPhaseListener(nil)
+	c.SetPhase(PhaseAssembly)
+	want := []switchAt{{0, PhaseOther, PhaseAssembly}, {1, PhaseAssembly, PhaseSolve}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("listener saw %v, want %v", got, want)
 	}
 }
 
@@ -146,39 +192,6 @@ func TestPhaseStrings(t *testing.T) {
 	}
 }
 
-func TestPhaseTimesAddScale(t *testing.T) {
-	var a, b PhaseTimes
-	a.Compute[PhaseAssembly] = 1
-	a.Comm[PhaseSolve] = 2
-	b.Compute[PhaseAssembly] = 3
-	sum := a.Add(b)
-	if sum.Phase(PhaseAssembly) != 4 || sum.Phase(PhaseSolve) != 2 {
-		t.Fatalf("Add wrong: %+v", sum)
-	}
-	half := sum.Scale(0.5)
-	if half.Total() != 3 {
-		t.Fatalf("Scale wrong: %v", half.Total())
-	}
-}
-
-func TestMaxOver(t *testing.T) {
-	var a, b PhaseTimes
-	a.Compute[PhaseAssembly] = 5
-	a.Comm[PhaseSolve] = 1
-	b.Compute[PhaseAssembly] = 2
-	b.Comm[PhaseSolve] = 9
-	perPhase, maxTotal := MaxOver([]PhaseTimes{a, b})
-	if got := perPhase.Phase(PhaseAssembly); got != 5 {
-		t.Errorf("max assembly = %v", got)
-	}
-	if got := perPhase.Phase(PhaseSolve); got != 9 {
-		t.Errorf("max solve = %v", got)
-	}
-	if maxTotal != 11 {
-		t.Errorf("max total = %v", maxTotal)
-	}
-}
-
 // Property: Now always equals the sum of the phase totals, regardless of
 // charge order.
 func TestNowEqualsPhaseSumProperty(t *testing.T) {
@@ -194,7 +207,7 @@ func TestNowEqualsPhaseSumProperty(t *testing.T) {
 		}
 		var sum float64
 		for _, p := range Phases {
-			sum += c.PhaseTotal(p)
+			sum += c.Since(Snapshot{}).Phase(p)
 		}
 		return math.Abs(sum-c.Now()) < 1e-9*(1+sum)
 	}

@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 
 	"heterohpc/internal/mesh"
 )
@@ -122,15 +121,4 @@ func FromOwned(m *mesh.Mesh, ownedIDs [][]int, ownedVals [][]float64) ([]float64
 		return nil, fmt.Errorf("vtkio: %d vertices unowned", missing)
 	}
 	return out, nil
-}
-
-// SortedFieldNames returns field names in deterministic order (test helper
-// for callers assembling fields from maps).
-func SortedFieldNames(fields map[string][]float64) []string {
-	names := make([]string, 0, len(fields))
-	for n := range fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

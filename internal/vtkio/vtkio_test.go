@@ -60,6 +60,30 @@ func TestWriteVectorField(t *testing.T) {
 	}
 }
 
+// Fields are written in the order given, not sorted by name, so a caller
+// controls the layout ParaView shows.
+func TestWriteKeepsFieldOrder(t *testing.T) {
+	m := mesh.NewUnitCube(1)
+	nv := m.NumVerts()
+	vec := [3][]float64{make([]float64, nv), make([]float64, nv), make([]float64, nv)}
+	fields := []Field{
+		{Name: "z", Values: make([]float64, nv)},
+		{Name: "b", Vector: vec},
+		{Name: "a", Values: make([]float64, nv)},
+	}
+	var b strings.Builder
+	if err := Write(&b, m, "order", fields); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	z := strings.Index(out, "SCALARS z double 1")
+	v := strings.Index(out, "VECTORS b double")
+	a := strings.Index(out, "SCALARS a double 1")
+	if z < 0 || v < 0 || a < 0 || !(z < v && v < a) {
+		t.Fatalf("field headers at %d, %d, %d; want z, b, a in order:\n%s", z, v, a, out)
+	}
+}
+
 func TestWriteValidation(t *testing.T) {
 	m := mesh.NewUnitCube(1)
 	var b strings.Builder
@@ -114,12 +138,5 @@ func TestFromOwnedValidation(t *testing.T) {
 	}
 	if _, err := FromOwned(m, [][]int{{0}}, [][]float64{{1}}); err == nil {
 		t.Error("incomplete coverage accepted")
-	}
-}
-
-func TestSortedFieldNames(t *testing.T) {
-	names := SortedFieldNames(map[string][]float64{"z": nil, "a": nil, "m": nil})
-	if len(names) != 3 || names[0] != "a" || names[2] != "z" {
-		t.Fatalf("got %v", names)
 	}
 }
