@@ -123,6 +123,48 @@ func TestJournalDiffReplay(t *testing.T) {
 	}
 }
 
+// TestJournalDiffReplayKeepsTheStorm replays a shrink-continue storm: a
+// two-notice wave shrinks the 8-rank world to 4 ranks at t = 1.8 s, so the
+// last checkpoint at the submitted width is the one after step 4. A replay
+// that dropped -storm would re-run the job fault-free and anchor after
+// step 5.
+func TestJournalDiffReplayKeepsTheStorm(t *testing.T) {
+	dir := t.TempDir()
+	scenario := []string{"-app", "rd", "-platform", "ec2", "-ranks", "8", "-rpn", "2",
+		"-n", "3", "-steps", "6", "-policy", "shrink-continue",
+		"-crashes", "0", "-preempts", "0", "-storm", "2", "-seed", "12"}
+	j, _ := driveObserved(t, dir, "storm", append([]string{"faults"}, scenario...))
+	evs, err := obs.ReadJournal(bytes.NewReader(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for i := range evs {
+		if evs[i].Kind == "solve" {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("the storm journal has no solve line")
+	}
+	evs[last].I1++
+	var edited []byte
+	for i := range evs {
+		edited = obs.AppendEventLine(edited, &evs[i])
+	}
+	a, b := filepath.Join(dir, "storm.jsonl"), filepath.Join(dir, "edited.jsonl")
+	if err := os.WriteFile(b, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := diff(t, append([]string{a, b, "-replay"}, scenario...)...)
+	if code != 1 {
+		t.Fatalf("replay diff exited %d, want 1:\n%s", code, out)
+	}
+	if want := "resumed from the checkpoint after step 4, replayed to step 6"; !strings.Contains(out, want) {
+		t.Fatalf("replay output missing %q:\n%s", want, out)
+	}
+}
+
 // TestJournalDiffSweep smoke-tests the grid report: every point of a small
 // platform × ranks sweep is generated at two seeds and diffed; fault-free
 // journals are seed-independent, so the grid must read "same" everywhere.

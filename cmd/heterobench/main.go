@@ -12,7 +12,7 @@
 //	heterobench cost -app rd|ns [flags]      # Figures 6 and 7
 //	heterobench availability [-nodes N]      # §VIII availability comparison
 //	heterobench faults [-platform P] [flags] # supervised run under injected faults
-//	heterobench journal-diff a.jsonl b.jsonl # triage: first diverging journal line (+ -replay)
+//	heterobench journal-diff a.jsonl b.jsonl # triage: first diverging journal line (+ -replay <faults flags>)
 //	heterobench all [flags]                  # everything above
 //
 // Common flags: -n (elements per rank per dimension; the paper uses 20,
@@ -44,213 +44,288 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole CLI: parse, dispatch, write observability files. It
-// exists apart from main so tests can drive commands end to end against
-// in-memory writers.
+// run is the whole CLI: parse and validate, then execute. It exists apart
+// from main so tests can drive commands end to end against in-memory
+// writers.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) < 1 {
-		usage(stderr)
+	c := parseArgs(args, stderr)
+	if c == nil {
 		return 2
 	}
-	cmd := args[0]
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	n := fs.Int("n", 10, "elements per rank per dimension (paper: 20)")
-	steps := fs.Int("steps", 3, "BDF2 steps per run")
-	skip := fs.Int("skip", 1, "initial iterations to discard from averages")
-	maxRanks := fs.Int("max", 1000, "largest process count of the series")
+	return c.execute(stdout, stderr)
+}
+
+// config is one invocation, parsed and validated: execute runs it as it
+// stands. opts is the weak-scaling grid (-n -steps -skip -max -seed
+// -platforms); fo the fault scenario faults runs and journal-diff -replay
+// re-runs, whose App and Ranks the cost, strong, trace and ablate commands
+// read too.
+type config struct {
+	cmd                   string
+	opts                  bench.Options
+	fo                    bench.FaultOptions
+	seed2                 uint64
+	nodes, global, window int
+	what, csv, trace      string
+	journal, metrics      string
+	replay, sweep         bool
+	files                 []string // positional arguments: journal-diff's two journals
+}
+
+// policyCompare runs all three recovery policies on the identical plan; it
+// is a CLI-only alias, not a bench policy.
+const policyCompare = "compare"
+
+// parseArgs parses and validates every flag exactly once, before any model
+// runs. Flags may come before, between or after positional arguments. It
+// returns nil after writing one "heterobench:" line to stderr when the
+// arguments cannot run.
+func parseArgs(args []string, stderr io.Writer) *config {
+	if len(args) < 1 {
+		fmt.Fprintln(stderr, "heterobench: no command given")
+		usage(stderr)
+		return nil
+	}
+	c := &config{cmd: args[0]}
+	o, fo := &c.opts, &c.fo
+	fs := flag.NewFlagSet(c.cmd, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.IntVar(&o.PerRankN, "n", 10, "elements per rank per dimension (paper: 20)")
+	fs.IntVar(&o.Steps, "steps", 3, "BDF2 steps per run")
+	fs.IntVar(&o.SkipSteps, "skip", 1, "initial iterations to discard from averages")
+	fs.IntVar(&o.MaxRanks, "max", 1000, "largest process count of the series")
 	platforms := fs.String("platforms", "puma,ellipse,lagrange,ec2", "comma-separated platforms")
 	seed := fs.Int64("seed", 2012, "seed for queue-wait and spot-market models (must be >= 1)")
-	app := fs.String("app", "rd", "application for the cost/strong commands (rd or ns)")
-	nodes := fs.Int("nodes", 8, "node count for the availability command")
-	globalN := fs.Int("global", 30, "global mesh edge for the strong command")
-	ranks := fs.Int("ranks", 27, "rank count for the ablate command")
-	what := fs.String("what", "precond", "ablation: precond, packing, interconnect or partition")
-	csvPath := fs.String("csv", "", "also write the raw series as CSV to this file (rd-weak, ns-weak, placement)")
-	platform := fs.String("platform", "ec2", "single platform for the faults command")
-	crashes := fs.Int("crashes", 1, "node crashes injected by the faults command")
-	preempts := fs.Int("preempts", 1, "spot preemptions injected by the faults command")
-	degrades := fs.Int("degrades", 0, "straggler windows injected by the faults command")
-	policy := fs.String("policy", bench.PolicyRestart,
+	fs.StringVar(&fo.App, "app", "rd", "application for the cost/strong/trace/faults commands (rd or ns)")
+	fs.IntVar(&c.nodes, "nodes", 8, "node count for the availability command")
+	fs.IntVar(&c.global, "global", 30, "global mesh edge for the strong command")
+	fs.IntVar(&fo.Ranks, "ranks", 27, "rank count for the ablate, trace and faults commands")
+	fs.StringVar(&c.what, "what", "precond", "ablation: precond, packing, interconnect or partition")
+	fs.StringVar(&c.csv, "csv", "", "also write the raw series as CSV to this file (rd-weak, ns-weak, placement)")
+	fs.StringVar(&fo.Platform, "platform", "ec2", "single platform for the faults command")
+	fs.IntVar(&fo.Crashes, "crashes", 1, "node crashes injected by the faults command")
+	fs.IntVar(&fo.Preemptions, "preempts", 1, "spot preemptions injected by the faults command")
+	fs.IntVar(&fo.Degradations, "degrades", 0, "straggler windows injected by the faults command")
+	fs.StringVar(&fo.Policy, "policy", bench.PolicyRestart,
 		"recovery policy for the faults command: restart, shrink-continue, migrate or compare")
-	rpn := fs.Int("rpn", 0, "ranks per node for the faults command (0 = pack by cores; shrink needs >= 2 nodes)")
-	storm := fs.Int("storm", 0, "faults command: correlated storm — wave of N simultaneous-notice preemptions (>= 2; replaces -crashes/-preempts/-degrades)")
-	cascades := fs.Int("cascades", 0, "faults command: storm cascades — preemptions re-hitting wave slots mid-recovery (needs -storm)")
-	bursts := fs.Int("bursts", 0, "faults command: storm straggler bursts — correlated degradation windows (needs -storm)")
-	odsupply := fs.Int("odsupply", 0, "faults command: cap the replacement market's on-demand pool (0 = unlimited, negative = none; makes exhaustion reachable)")
-	retries := fs.Int("retries", 0, "faults command: autoscaler backoff retries after an exhausted acquisition (0 = default 4, negative = none)")
-	regrow := fs.Bool("regrow", false, "faults command: let the migrate autoscaler re-provision width lost to earlier degradations")
-	tracePath := fs.String("trace", "", "faults command: also write the recovered timeline with decision markers as a Chrome trace to this file")
-	journalPath := fs.String("journal", "", "write the run's deterministic event journal (JSONL) to this file")
-	metricsPath := fs.String("metrics", "", "write the run's metric registry (JSON) to this file")
-	window := fs.Int("window", 3, "journal-diff: surrounding lines shown around the divergence")
-	replay := fs.Bool("replay", false, "journal-diff: re-run the scenario from the nearest checkpoint before the divergence and dump state (takes the faults scenario flags)")
-	sweep := fs.Bool("sweep", false, "journal-diff: first-divergence report across the platform × rank grid, -seed vs -seed2 (no journal files)")
+	fs.IntVar(&fo.RanksPerNode, "rpn", 0, "ranks per node for the faults command (0 = pack by cores; shrink needs >= 2 nodes)")
+	fs.IntVar(&fo.StormWave, "storm", 0, "faults command: correlated storm — wave of N simultaneous-notice preemptions (>= 2; replaces -crashes/-preempts/-degrades)")
+	fs.IntVar(&fo.StormCascades, "cascades", 0, "faults command: storm cascades — preemptions re-hitting wave slots mid-recovery (needs -storm)")
+	fs.IntVar(&fo.StormBursts, "bursts", 0, "faults command: storm straggler bursts — correlated degradation windows (needs -storm)")
+	fs.IntVar(&fo.OnDemandSupply, "odsupply", 0, "faults command: cap the replacement market's on-demand pool (0 = unlimited, negative = none; makes exhaustion reachable)")
+	fs.IntVar(&fo.ProvisionRetries, "retries", 0, "faults command: autoscaler backoff retries after an exhausted acquisition (0 = default 4, negative = none)")
+	fs.BoolVar(&fo.Regrow, "regrow", false, "faults command: let the migrate autoscaler re-provision width lost to earlier degradations")
+	fs.StringVar(&c.trace, "trace", "", "faults command: also write the recovered timeline with decision markers as a Chrome trace to this file")
+	fs.StringVar(&c.journal, "journal", "", "write the run's deterministic event journal (JSONL) to this file")
+	fs.StringVar(&c.metrics, "metrics", "", "write the run's metric registry (JSON) to this file")
+	fs.IntVar(&c.window, "window", 3, "journal-diff: surrounding lines shown around the divergence")
+	fs.BoolVar(&c.replay, "replay", false, "journal-diff: re-run the recorded scenario (every faults flag) from the nearest checkpoint before the divergence and dump state")
+	fs.BoolVar(&c.sweep, "sweep", false, "journal-diff: first-divergence report across the platform × rank grid, -seed vs -seed2 (no journal files)")
 	seed2 := fs.Int64("seed2", 0, "journal-diff -sweep: second seed (default: -seed + 1)")
-	if err := fs.Parse(args[1:]); err != nil {
-		return 2
+	// fs.Parse stops at the first positional argument: set it aside and
+	// parse on, so a flag after a file name counts like one before it.
+	for rest := args[1:]; len(rest) > 0; {
+		if err := fs.Parse(rest); err != nil {
+			fmt.Fprintf(stderr, "heterobench: %v\nflags of %s:\n", err, c.cmd)
+			fs.SetOutput(stderr)
+			fs.PrintDefaults()
+			return nil
+		}
+		if rest = fs.Args(); len(rest) > 0 {
+			c.files, rest = append(c.files, rest[0]), rest[1:]
+		}
 	}
+	o.Platforms = strings.Split(*platforms, ",")
+	if err := c.validate(*seed, *seed2); err != nil {
+		fmt.Fprintf(stderr, "heterobench: %v\n", err)
+		return nil
+	}
+	o.Seed = uint64(*seed)
+	fo.PerRankN, fo.Steps, fo.SkipSteps, fo.Seed = o.PerRankN, o.Steps, o.SkipSteps, o.Seed
+	c.seed2 = uint64(*seed2)
+	if c.seed2 == 0 {
+		c.seed2 = o.Seed + 1
+	}
+	return c
+}
+
+// validate checks the final flag values once: the sizes and seeds every
+// command shares, the platform names, what the command itself needs, and
+// that only journal-diff was given positional arguments.
+func (c *config) validate(seed, seed2 int64) error {
 	// The option defaults read a zero seed as 2012, so -seed 0 would run as
 	// another seed than the one asked for.
-	if *seed < 1 {
-		reason := "is negative"
-		if *seed == 0 {
-			reason = "is below 1 (0 would run as the default 2012)"
-		}
-		fmt.Fprintf(stderr, "heterobench: -seed %d %s; the availability and spot-market models need a seed >= 1\n\n", *seed, reason)
-		usage(stderr)
-		return 2
+	switch {
+	case seed < 0:
+		return fmt.Errorf("-seed %d is negative; the availability and spot-market models need a seed >= 1", seed)
+	case seed == 0:
+		return fmt.Errorf("-seed 0 is below 1 (0 would run as the default 2012); the availability and spot-market models need a seed >= 1")
+	case seed2 < 0:
+		return fmt.Errorf("-seed2 %d is negative", seed2)
 	}
-	// badSize reports the first size flag out of its range. A negative size
-	// has no meaning, and neither has 0 for -n, -steps and -max: a mesh, a
-	// run and a series need at least one element, step and rank (the flag
-	// help prints the defaults). 0 is a size for -window, and for -skip in a
-	// one-step run (checked below); -nodes and -global are checked per
-	// command (checkArgs).
-	badSize := func() bool {
-		for _, f := range []struct {
-			name string
-			v    int
-			min  int
-		}{{"n", *n, 1}, {"steps", *steps, 1}, {"skip", *skip, 0}, {"max", *maxRanks, 1},
-			{"nodes", *nodes, 0}, {"global", *globalN, 0}, {"window", *window, 0}} {
-			switch {
-			case f.v < 0:
-				fmt.Fprintf(stderr, "heterobench: -%s %d is negative\n", f.name, f.v)
-				return true
-			case f.v < f.min:
-				fmt.Fprintf(stderr, "heterobench: -%s %d is below %d\n", f.name, f.v, f.min)
-				return true
-			}
+	// A negative size has no meaning, and neither has 0 for -n, -steps and
+	// -max: a mesh, a run and a series need at least one element, step and
+	// rank. 0 is a size for -window, and for -skip in a one-step run; -nodes
+	// and -global are checked per command below.
+	o := c.opts
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"n", o.PerRankN, 1}, {"steps", o.Steps, 1}, {"skip", o.SkipSteps, 0}, {"max", o.MaxRanks, 1},
+		{"nodes", c.nodes, 0}, {"global", c.global, 0}, {"window", c.window, 0}} {
+		switch {
+		case f.v < 0:
+			return fmt.Errorf("-%s %d is negative", f.name, f.v)
+		case f.v < f.min:
+			return fmt.Errorf("-%s %d is below %d", f.name, f.v, f.min)
 		}
-		return false
-	}
-	if badSize() {
-		return 2
 	}
 	// The option defaults discard the first step of a multi-step run
 	// whatever -skip says, so -skip 0 would run as -skip 1.
-	if *skip == 0 && *steps > 1 {
-		fmt.Fprintf(stderr, "heterobench: -skip 0 with -steps %d: a multi-step run always discards its first step; pass -skip 1 or more\n", *steps)
-		return 2
+	if o.SkipSteps == 0 && o.Steps > 1 {
+		return fmt.Errorf("-skip 0 with -steps %d: a multi-step run always discards its first step; pass -skip 1 or more", o.Steps)
 	}
-	fc := faultsConfig{
-		App: *app, Platform: *platform, Policy: *policy,
-		Ranks: *ranks, RanksPerNode: *rpn, Seed: *seed,
-		Crashes: *crashes, Preemptions: *preempts, Degradations: *degrades,
-		StormWave: *storm, StormCascades: *cascades, StormBursts: *bursts,
-		OnDemandSupply: *odsupply, ProvisionRetries: *retries, Regrow: *regrow,
-		TracePath: *tracePath,
+	for _, name := range append([]string{c.fo.Platform}, o.Platforms...) {
+		if _, err := platform.Get(name); err != nil {
+			return err
+		}
 	}
-	opts := bench.Options{
-		PerRankN:  *n,
-		Steps:     *steps,
-		SkipSteps: *skip,
-		MaxRanks:  *maxRanks,
-		Seed:      uint64(*seed),
-		Platforms: strings.Split(*platforms, ","),
+	if err := c.validateCommand(); err != nil {
+		return err
 	}
-	if err := checkArgs(cmd, fc, opts.Platforms, *what, *nodes, *globalN); err != nil {
-		fmt.Fprintf(stderr, "heterobench: %v\n", err)
-		return 2
+	if len(c.files) > 0 && c.cmd != "journal-diff" {
+		return fmt.Errorf("unexpected argument %q: %s takes flags only", c.files[0], c.cmd)
+	}
+	return nil
+}
+
+// validateCommand rejects what the command cannot run with: an unknown
+// command, application, ablation or policy name, a rank, node or mesh-edge
+// count below one where the command needs one, a rank count that is not a
+// cube where the command lays a weak-scaling mesh over the ranks, and
+// journal-diff's file arguments in the wrong number.
+func (c *config) validateCommand() error {
+	ranks, app := c.fo.Ranks, c.fo.App
+	_, notCube := mesh.CubeGrid(ranks)
+	switch c.cmd {
+	case "capabilities", "provision", "rd-weak", "ns-weak", "placement", "help", "-h", "--help":
+	case "cost", "strong", "trace":
+		switch {
+		case app != "rd" && app != "ns":
+			return fmt.Errorf("unknown app %q (want rd or ns)", app)
+		case c.cmd == "strong" && c.global < 1:
+			return fmt.Errorf("-global %d: the strong-scaling mesh needs at least one element per edge", c.global)
+		case c.cmd == "trace" && ranks < 1:
+			return fmt.Errorf("-ranks %d: the trace command needs at least one rank", ranks)
+		case c.cmd == "trace" && notCube != nil:
+			return fmt.Errorf("-ranks %d is not a cube: the trace command lays its mesh over p³ ranks", ranks)
+		}
+	case "ablate":
+		switch {
+		case c.what != "precond" && c.what != "packing" && c.what != "interconnect" && c.what != "partition":
+			return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", c.what)
+		case ranks < 1:
+			return fmt.Errorf("-ranks %d: the ablate command needs at least one rank", ranks)
+		case c.what != "partition" && notCube != nil:
+			return fmt.Errorf("-ranks %d is not a cube: the ablate command lays its mesh over p³ ranks", ranks)
+		}
+	case "bidding":
+		if c.nodes < 1 {
+			return fmt.Errorf("-nodes %d: the bid sweep needs at least one node", c.nodes)
+		}
+	case "availability", "all":
+		if c.nodes < 1 {
+			return fmt.Errorf("-nodes %d: the availability comparison needs at least one node", c.nodes)
+		}
+	case "faults":
+		return c.validateScenario()
+	case "journal-diff":
+		switch {
+		case c.sweep && len(c.files) > 0:
+			return fmt.Errorf("journal-diff -sweep generates its own journals; drop the file arguments")
+		case !c.sweep && len(c.files) != 2:
+			return fmt.Errorf("journal-diff takes two journals, got %d argument(s); usage: journal-diff old.jsonl new.jsonl [-window N] [-replay <faults flags>], or journal-diff -sweep", len(c.files))
+		case c.replay && c.fo.Policy == policyCompare:
+			return fmt.Errorf("-replay re-runs one recorded run, and a -policy compare journal holds three; name the policy to replay")
+		case c.replay:
+			return c.validateScenario()
+		}
+	default:
+		return fmt.Errorf("unknown command %q (heterobench help lists them)", c.cmd)
+	}
+	return nil
+}
+
+// validateScenario checks the fault scenario with the check the supervisor
+// itself makes (compare with CompareRecovery's, which runs every policy),
+// plus the cube its weak-scaling mesh needs.
+func (c *config) validateScenario() error {
+	fo := c.fo
+	switch fo.Policy {
+	case policyCompare:
+		fo.Policy = ""
+	case "":
+		return fmt.Errorf("-policy is empty (want restart, shrink-continue, migrate or compare)")
+	}
+	if err := bench.ValidateFaults(fo); err != nil {
+		return err
+	}
+	if _, err := mesh.CubeGrid(fo.Ranks); err != nil {
+		return fmt.Errorf("-ranks %d is not a cube: the %s command lays its mesh over p³ ranks", fo.Ranks, c.cmd)
+	}
+	return nil
+}
+
+// execute runs the validated command. Every command but journal-diff then
+// writes the observability files it was asked for.
+func (c *config) execute(stdout, stderr io.Writer) int {
+	if c.cmd == "journal-diff" {
+		return runJournalDiff(stdout, stderr, c)
 	}
 	var obsRun *obs.Run
-	if *journalPath != "" || *metricsPath != "" {
+	if c.journal != "" || c.metrics != "" {
 		obsRun = obs.NewRun()
 	}
-	opts.Obs = obsRun
-
+	opts, app, ranks := c.opts, c.fo.App, c.fo.Ranks
+	opts.Obs, c.fo.Obs = obsRun, obsRun
 	var err error
-	switch cmd {
+	switch c.cmd {
 	case "capabilities":
 		fmt.Fprint(stdout, bench.FormatCapabilities())
 	case "provision":
 		err = runProvision(stdout)
 	case "rd-weak":
-		err = runWeak(stdout, stderr, "rd", opts, *csvPath)
+		err = runWeak(stdout, stderr, "rd", opts, c.csv)
 	case "ns-weak":
-		err = runWeak(stdout, stderr, "ns", opts, *csvPath)
+		err = runWeak(stdout, stderr, "ns", opts, c.csv)
 	case "placement":
-		err = runPlacement(stdout, stderr, opts, *csvPath)
+		err = runPlacement(stdout, stderr, opts, c.csv)
 	case "cost":
-		err = runCost(stdout, *app, opts)
+		err = runCost(stdout, app, opts)
 	case "availability":
-		err = runAvailability(stdout, opts, *nodes)
+		err = runAvailability(stdout, opts, c.nodes)
 	case "strong":
-		err = runStrong(stdout, *app, *globalN, opts)
+		err = runStrong(stdout, app, c.global, opts)
 	case "bidding":
 		var out string
-		out, err = bench.FormatBidSweep(opts, *nodes, 50)
+		out, err = bench.FormatBidSweep(opts, c.nodes, 50)
 		fmt.Fprint(stdout, out)
 	case "ablate":
-		err = runAblate(stdout, *what, opts, *ranks)
+		err = runAblate(stdout, c.what, opts, ranks)
 	case "trace":
-		err = runTrace(stdout, stderr, *app, opts, *ranks, *csvPath)
+		err = runTrace(stdout, stderr, app, opts, ranks, c.csv)
 	case "faults":
-		err = runFaults(stdout, stderr, fc, opts)
-	case "journal-diff":
-		// fs.Parse stopped at the first positional (the old journal path),
-		// so trailing flags like `journal-diff a.jsonl b.jsonl -replay` are
-		// still sitting in fs.Args(): consume the positionals and parse the
-		// remainder through the same FlagSet.
-		rest := fs.Args()
-		var oldPath, newPath string
-		if !*sweep {
-			if len(rest) < 2 || strings.HasPrefix(rest[0], "-") || strings.HasPrefix(rest[1], "-") {
-				fmt.Fprintln(stderr, "usage: heterobench journal-diff old.jsonl new.jsonl [-window N] [-replay <scenario flags>]")
-				fmt.Fprintln(stderr, "       heterobench journal-diff -sweep [-app rd|ns] [-platforms list] [-max N] [-seed N] [-seed2 M]")
-				return 2
-			}
-			oldPath, newPath = rest[0], rest[1]
-			rest = rest[2:]
-		}
-		if err := fs.Parse(rest); err != nil || badSize() {
-			return 2
-		}
-		if *sweep && oldPath != "" {
-			fmt.Fprintln(stderr, "heterobench: journal-diff -sweep generates its own journals; drop the file arguments")
-			return 2
-		}
-		// The re-parse may have updated any flag: rebuild the derived
-		// option bundles from the final values.
-		s2 := uint64(*seed2)
-		if *seed2 < 0 {
-			fmt.Fprintf(stderr, "heterobench: -seed2 %d is negative\n", *seed2)
-			return 2
-		}
-		if s2 == 0 {
-			s2 = uint64(*seed) + 1
-		}
-		return runJournalDiff(stdout, stderr, jdConfig{
-			oldPath: oldPath, newPath: newPath,
-			window: *window, replay: *replay, sweep: *sweep,
-			app: *app, seed2: s2,
-			opts: bench.Options{
-				PerRankN: *n, Steps: *steps, SkipSteps: *skip,
-				MaxRanks: *maxRanks, Seed: uint64(*seed),
-				Platforms: strings.Split(*platforms, ","),
-			},
-			scenario: bench.ReplayOptions{
-				App: *app, Platform: *platform, Ranks: *ranks, RanksPerNode: *rpn,
-				PerRankN: *n, Steps: *steps, SkipSteps: *skip, Seed: uint64(*seed),
-				Crashes: *crashes, Preemptions: *preempts, Degradations: *degrades,
-				Policy: *policy,
-			},
-		})
+		err = runFaults(stdout, stderr, c.fo, c.trace)
 	case "all":
-		err = runAll(stdout, stderr, opts, *nodes)
-	case "help", "-h", "--help":
+		err = runAll(stdout, stderr, opts, c.nodes)
+	default: // help, -h, --help
 		usage(stderr)
-	default:
-		fmt.Fprintf(stderr, "heterobench: unknown command %q\n\n", cmd)
-		usage(stderr)
-		return 2
 	}
 	// Observability is written best-effort even when the command failed:
 	// the journal is most valuable exactly then (journal-diff triage of a
 	// failing run). The command's own error stays the exit status; a write
 	// failure on top of it is only reported.
-	if werr := writeObs(stderr, obsRun, *journalPath, *metricsPath); werr != nil {
+	if werr := writeObs(stderr, obsRun, c.journal, c.metrics); werr != nil {
 		if err == nil {
 			err = werr
 		} else {
@@ -264,81 +339,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkArgs rejects, before cmd starts any work, a flag value it cannot run
-// with: an unknown platform, application, ablation or policy name, a rank,
-// node or mesh-edge count below one where the command needs one, and a rank
-// count that is not a cube where the command lays a weak-scaling mesh over
-// the ranks.
-func checkArgs(cmd string, fc faultsConfig, platforms []string, what string, nodes, globalN int) error {
-	for _, name := range append([]string{fc.Platform}, platforms...) {
-		if _, err := platform.Get(name); err != nil {
-			return err
-		}
-	}
-	switch cmd {
-	case "cost", "strong", "trace":
-		if fc.App != "rd" && fc.App != "ns" {
-			return fmt.Errorf("unknown app %q (want rd or ns)", fc.App)
-		}
-	case "ablate":
-		switch what {
-		case "precond", "packing", "interconnect", "partition":
-		default:
-			return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", what)
-		}
-	case "faults":
-		if err := validateFaults(fc); err != nil {
-			return err
-		}
-	}
-	_, notCube := mesh.CubeGrid(fc.Ranks)
-	switch {
-	case (cmd == "trace" || cmd == "ablate") && fc.Ranks < 1:
-		return fmt.Errorf("-ranks %d: the %s command needs at least one rank", fc.Ranks, cmd)
-	case (cmd == "trace" || cmd == "faults" || cmd == "ablate" && what != "partition") && notCube != nil:
-		return fmt.Errorf("-ranks %d is not a cube: the %s command lays its mesh over p³ ranks", fc.Ranks, cmd)
-	case cmd == "strong" && globalN < 1:
-		return fmt.Errorf("-global %d: the strong-scaling mesh needs at least one element per edge", globalN)
-	case cmd == "bidding" && nodes < 1:
-		return fmt.Errorf("-nodes %d: the bid sweep needs at least one node", nodes)
-	case (cmd == "availability" || cmd == "all") && nodes < 1:
-		return fmt.Errorf("-nodes %d: the availability comparison needs at least one node", nodes)
-	}
-	return nil
-}
-
-// jdConfig is the journal-diff command's bundle after flag re-parsing.
-type jdConfig struct {
-	oldPath, newPath string
-	window           int
-	replay           bool
-	sweep            bool
-	app              string
-	seed2            uint64
-	opts             bench.Options       // sweep grid configuration
-	scenario         bench.ReplayOptions // -replay scenario (the faults flags)
-}
-
 // runJournalDiff is the triage front-end. Exit contract: 0 when the
 // journals are byte-identical (or the sweep completed), 1 when a
 // divergence was found and reported, 2 on usage, I/O or parse errors.
-func runJournalDiff(stdout, stderr io.Writer, c jdConfig) int {
+func runJournalDiff(stdout, stderr io.Writer, c *config) int {
 	if c.sweep {
-		return runJournalDiffSweep(stdout, stderr, c)
+		return runJournalDiffSweep(stdout, c)
 	}
-	of, err := os.Open(c.oldPath)
+	oldPath, newPath := c.files[0], c.files[1]
+	of, err := os.Open(oldPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "heterobench: %v\n", err)
 		return 2
 	}
 	defer of.Close()
-	nf, err := os.Open(c.newPath)
+	nf, err := os.Open(newPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "heterobench: %v\n", err)
 		return 2
 	}
 	defer nf.Close()
-	d, lines, err := triage.Diff(c.oldPath, of, c.newPath, nf, c.window)
+	d, lines, err := triage.Diff(oldPath, of, newPath, nf, c.window)
 	if err != nil {
 		fmt.Fprintf(stderr, "heterobench: %v\n", err)
 		return 2
@@ -360,8 +381,7 @@ func runJournalDiff(stdout, stderr io.Writer, c jdConfig) int {
 			fmt.Fprintln(stderr, "heterobench: no parseable diverging line to anchor the replay on")
 			return 2
 		}
-		c.scenario.DivStep = side.Step + 1
-		dump, err := bench.ReplayFromCheckpoint(c.scenario)
+		dump, err := bench.ReplayFromCheckpoint(c.fo, side.Step+1)
 		if err != nil {
 			fmt.Fprintf(stderr, "heterobench: %v\n", err)
 			return 2
@@ -376,7 +396,7 @@ func runJournalDiff(stdout, stderr io.Writer, c jdConfig) int {
 // (platform, ranks) point of the weak-scaling grid and prints the
 // first-divergence summary table. The sweep itself always exits 0 (it is
 // a report, not an assertion); points that fail to run show as ERR cells.
-func runJournalDiffSweep(stdout, stderr io.Writer, c jdConfig) int {
+func runJournalDiffSweep(stdout io.Writer, c *config) int {
 	o2 := c.opts
 	o2.Seed = c.seed2
 	nameA := fmt.Sprintf("seed %d", c.opts.Seed)
@@ -388,12 +408,12 @@ func runJournalDiffSweep(stdout, stderr io.Writer, c jdConfig) int {
 				break
 			}
 			pt := triage.SweepPoint{Platform: p, Ranks: ranks}
-			ja, err := bench.PointJournal(c.app, p, ranks, c.opts)
+			ja, err := bench.PointJournal(c.fo.App, p, ranks, c.opts)
 			if err != nil {
 				results = append(results, triage.SweepResult{Point: pt, Err: err})
 				continue
 			}
-			jb, err := bench.PointJournal(c.app, p, ranks, o2)
+			jb, err := bench.PointJournal(c.fo.App, p, ranks, o2)
 			if err != nil {
 				results = append(results, triage.SweepResult{Point: pt, Err: err})
 				continue
@@ -459,14 +479,18 @@ commands:
                           autoscaler: -odsupply N -retries N -regrow (capped market, backoff re-grow)
   journal-diff a b        triage: report the first diverging line of two -journal files
                           (exit 0 identical, 1 divergence, 2 errors); -window N context
-                          -replay: re-run the scenario (faults flags) from the nearest
-                          checkpoint before the divergence and dump solver/world state
+                          -replay: re-run the recorded run from the nearest checkpoint
+                          before the divergence and dump solver/world state; pass its
+                          faults flags, all of which reach the replay (not -policy compare,
+                          whose journal holds three runs)
                           -sweep: first-divergence grid across -platforms × ranks,
                           -seed vs -seed2 (generates its own journals)
   all                     run everything
 
 flags: -n 10 -steps 3 -skip 1 -max 1000 -platforms puma,ellipse,lagrange,ec2 -seed 2012
-       -journal run.jsonl -metrics metrics.json (deterministic run observability)`)
+       -journal run.jsonl -metrics metrics.json (deterministic run observability)
+       flags may stand before or after journal-diff's file names; no other command
+       takes a positional argument, and every value is checked before any model runs`)
 }
 
 func runWeak(stdout, stderr io.Writer, app string, opts bench.Options, csvPath string) error {
@@ -610,92 +634,15 @@ func runTrace(stdout, stderr io.Writer, app string, opts bench.Options, ranks in
 	return nil
 }
 
-// faultsConfig is the faults command's flag bundle, validated before any
-// model runs so a typo fails in milliseconds with a usable message.
-type faultsConfig struct {
-	App, Platform, Policy                 string
-	Ranks, RanksPerNode                   int
-	Seed                                  int64
-	Crashes, Preemptions, Degradations    int
-	StormWave, StormCascades, StormBursts int
-	OnDemandSupply, ProvisionRetries      int
-	Regrow                                bool
-	TracePath                             string
-}
-
-// policyCompare runs all three recovery policies on the identical plan; it
-// is a CLI-only alias, not a bench policy.
-const policyCompare = "compare"
-
-// validateFaults rejects impossible fault-command configurations: negative
-// seeds or event counts, non-positive rank counts, unknown applications and
-// unknown policy names.
-func validateFaults(c faultsConfig) error {
-	if c.Seed < 0 {
-		return fmt.Errorf("-seed %d is negative; the fault plan needs a seed >= 0", c.Seed)
-	}
-	if c.Ranks < 1 {
-		return fmt.Errorf("-ranks %d: a supervised run needs at least one rank", c.Ranks)
-	}
-	if c.RanksPerNode < 0 {
-		return fmt.Errorf("-rpn %d is negative (use 0 to pack by cores)", c.RanksPerNode)
-	}
-	if c.Crashes < 0 || c.Preemptions < 0 || c.Degradations < 0 {
-		return fmt.Errorf("fault counts must be >= 0, got -crashes %d -preempts %d -degrades %d",
-			c.Crashes, c.Preemptions, c.Degradations)
-	}
-	if c.StormWave < 0 {
-		return fmt.Errorf("-storm %d is negative (a storm wave needs >= 2 correlated notices)", c.StormWave)
-	}
-	if c.StormWave == 1 {
-		return fmt.Errorf("-storm 1 is a lone preemption, not a storm; use -preempts 1 instead")
-	}
-	if c.StormCascades < 0 || c.StormBursts < 0 {
-		return fmt.Errorf("storm event counts must be >= 0, got -cascades %d -bursts %d",
-			c.StormCascades, c.StormBursts)
-	}
-	if c.StormWave == 0 && (c.StormCascades > 0 || c.StormBursts > 0) {
-		return fmt.Errorf("-cascades/-bursts correlate events with a storm wave; add -storm N (>= 2)")
-	}
-	if c.Regrow && c.Policy != bench.PolicyMigrate && c.Policy != policyCompare {
-		return fmt.Errorf("-regrow is the migrate autoscaler's knob; use -policy %s or %s",
-			bench.PolicyMigrate, policyCompare)
-	}
-	switch c.App {
-	case "rd", "ns":
-	default:
-		return fmt.Errorf("unknown app %q (want rd or ns)", c.App)
-	}
-	switch c.Policy {
-	case bench.PolicyRestart, bench.PolicyShrink, bench.PolicyMigrate, policyCompare:
-	default:
-		return fmt.Errorf("unknown policy %q (want %s, %s, %s or %s)",
-			c.Policy, bench.PolicyRestart, bench.PolicyShrink, bench.PolicyMigrate, policyCompare)
-	}
-	return nil
-}
-
 // runFaults executes one weak-scaling job under a seeded fault plan with
 // the recovery supervisor and prints the recovery report: the decision log
 // plus recovered-vs-clean numbers with the overhead itemised. With -policy
 // compare it runs the same plan under all three policies and prints them
 // side by side; with -trace it also writes the recovered run's Chrome trace with
 // the supervisor's decisions overlaid as instant markers.
-func runFaults(stdout, stderr io.Writer, c faultsConfig, opts bench.Options) error {
-	if err := validateFaults(c); err != nil {
-		return err
-	}
-	fo := bench.FaultOptions{
-		App: c.App, Platform: c.Platform, Ranks: c.Ranks, RanksPerNode: c.RanksPerNode,
-		PerRankN: opts.PerRankN, Steps: opts.Steps, SkipSteps: opts.SkipSteps,
-		Seed:    uint64(c.Seed),
-		Crashes: c.Crashes, Preemptions: c.Preemptions, Degradations: c.Degradations,
-		StormWave: c.StormWave, StormCascades: c.StormCascades, StormBursts: c.StormBursts,
-		OnDemandSupply: c.OnDemandSupply, ProvisionRetries: c.ProvisionRetries, Regrow: c.Regrow,
-		Obs: opts.Obs,
-	}
+func runFaults(stdout, stderr io.Writer, fo bench.FaultOptions, tracePath string) error {
 	var traced *bench.RecoveryReport
-	switch c.Policy {
+	switch fo.Policy {
 	case policyCompare:
 		cmp, err := bench.CompareRecovery(fo)
 		if err != nil {
@@ -704,7 +651,6 @@ func runFaults(stdout, stderr io.Writer, c faultsConfig, opts bench.Options) err
 		fmt.Fprint(stdout, bench.FormatRecoveryComparison(cmp))
 		traced = cmp.Shrink
 	default:
-		fo.Policy = c.Policy
 		rep, err := bench.RunSupervised(fo)
 		if err != nil {
 			return err
@@ -712,17 +658,17 @@ func runFaults(stdout, stderr io.Writer, c faultsConfig, opts bench.Options) err
 		fmt.Fprint(stdout, bench.FormatRecovery(rep))
 		traced = rep
 	}
-	if c.TracePath == "" {
+	if tracePath == "" {
 		return nil
 	}
 	if traced == nil || traced.Final == nil {
 		return fmt.Errorf("no finished run to trace")
 	}
-	f, err := os.Create(c.TracePath)
+	f, err := os.Create(tracePath)
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("%s on %s (%s)", c.App, c.Platform, traced.Policy)
+	name := fmt.Sprintf("%s on %s (%s)", fo.App, fo.Platform, traced.Policy)
 	if err := trace.WriteChromeWithDecisions(f, name, traced.Final.PerRankSteps, traced.Decisions); err != nil {
 		f.Close()
 		return err
@@ -730,7 +676,7 @@ func runFaults(stdout, stderr io.Writer, c faultsConfig, opts bench.Options) err
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "wrote %s (decision markers overlay the rank timelines)\n", c.TracePath)
+	fmt.Fprintf(stderr, "wrote %s (decision markers overlay the rank timelines)\n", tracePath)
 	return nil
 }
 

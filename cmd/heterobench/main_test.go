@@ -79,71 +79,14 @@ func TestRunAblate(t *testing.T) {
 	}
 }
 
-func TestValidateFaults(t *testing.T) {
-	ok := faultsConfig{App: "rd", Platform: "puma", Policy: bench.PolicyRestart,
-		Ranks: 8, Seed: 2012, Crashes: 1}
-	cases := []struct {
-		name    string
-		mutate  func(*faultsConfig)
-		wantErr string // substring; "" means valid
-	}{
-		{"defaults are valid", func(c *faultsConfig) {}, ""},
-		{"shrink policy is valid", func(c *faultsConfig) { c.Policy = bench.PolicyShrink }, ""},
-		{"migrate policy is valid", func(c *faultsConfig) { c.Policy = bench.PolicyMigrate }, ""},
-		{"compare policy is valid", func(c *faultsConfig) { c.Policy = policyCompare }, ""},
-		{"zero fault counts are valid", func(c *faultsConfig) { c.Crashes = 0 }, ""},
-		{"negative seed", func(c *faultsConfig) { c.Seed = -1 }, "seed"},
-		{"very negative seed", func(c *faultsConfig) { c.Seed = -1 << 40 }, "seed"},
-		{"zero ranks", func(c *faultsConfig) { c.Ranks = 0 }, "rank"},
-		{"negative ranks per node", func(c *faultsConfig) { c.RanksPerNode = -2 }, "-rpn"},
-		{"negative crashes", func(c *faultsConfig) { c.Crashes = -1 }, "crashes"},
-		{"negative preemptions", func(c *faultsConfig) { c.Preemptions = -3 }, "preempts"},
-		{"negative degradations", func(c *faultsConfig) { c.Degradations = -1 }, "degrades"},
-		{"unknown app", func(c *faultsConfig) { c.App = "lbm" }, `app "lbm"`},
-		{"unknown policy", func(c *faultsConfig) { c.Policy = "abandon-ship" }, `policy "abandon-ship"`},
-		{"misspelled policy", func(c *faultsConfig) { c.Policy = "shrink" }, bench.PolicyShrink},
-		{"misspelled migrate", func(c *faultsConfig) { c.Policy = "migrate-continue" }, bench.PolicyMigrate},
-		{"storm wave is valid", func(c *faultsConfig) { c.StormWave = 3 }, ""},
-		{"storm with cascades and bursts is valid",
-			func(c *faultsConfig) { c.StormWave = 2; c.StormCascades = 1; c.StormBursts = 1 }, ""},
-		{"negative storm", func(c *faultsConfig) { c.StormWave = -2 }, "-storm -2 is negative"},
-		{"storm of one", func(c *faultsConfig) { c.StormWave = 1 }, "lone preemption"},
-		{"negative cascades", func(c *faultsConfig) { c.StormWave = 3; c.StormCascades = -1 }, "-cascades -1"},
-		{"negative bursts", func(c *faultsConfig) { c.StormWave = 3; c.StormBursts = -2 }, "-bursts -2"},
-		{"cascades without a storm", func(c *faultsConfig) { c.StormCascades = 1 }, "add -storm"},
-		{"bursts without a storm", func(c *faultsConfig) { c.StormBursts = 2 }, "add -storm"},
-		{"regrow under restart", func(c *faultsConfig) { c.Regrow = true }, "-regrow"},
-		{"regrow under migrate is valid",
-			func(c *faultsConfig) { c.Regrow = true; c.Policy = bench.PolicyMigrate }, ""},
-		{"regrow under compare is valid",
-			func(c *faultsConfig) { c.Regrow = true; c.Policy = policyCompare }, ""},
-		{"capped market is valid",
-			func(c *faultsConfig) { c.OnDemandSupply = -1; c.ProvisionRetries = 2 }, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := ok
-			tc.mutate(&c)
-			err := validateFaults(c)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("valid config rejected: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("got %v, want error mentioning %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestRunRejectsBadArguments drives the whole CLI in-process: a negative
 // size or seed, a zero -n, -steps, -max or -seed, a -skip 0 the defaults
 // would run as 1, an unknown application, ablation
 // or policy name, a rank, node or mesh-edge count the command cannot run
-// with, or a retired command, must exit 2 up front with a message, never
-// panic, and leave no file behind.
+// with, a retired command, a positional argument the command does not
+// take, or a bad -replay scenario flag after journal-diff's file names,
+// must exit 2 up front with a message, never panic, and leave no file
+// behind.
 func TestRunRejectsBadArguments(t *testing.T) {
 	dir := t.TempDir()
 	cwd, _ := os.Getwd()
@@ -193,6 +136,12 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{[]string{"faults", "-platform", "nope", "-journal", "run.jsonl"}, `unknown platform "nope"`},
 		{[]string{"perf"}, `unknown command "perf"`},
 		{[]string{"rd-weak", "-cpuprofile", "cpu.pprof"}, "not defined: -cpuprofile"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-seed", "0"}, "-seed 0 is below 1"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-crashes", "-2"}, "-crashes -2"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-storm", "1"}, "-storm 1 is a lone preemption"},
+		{[]string{"journal-diff", "a.jsonl", "b.jsonl", "-replay", "-policy", "compare"}, "-policy compare journal holds three"},
+		{[]string{"availability", "x", "-nodes", "0"}, "-nodes 0: the availability comparison needs at least one node"},
+		{[]string{"capabilities", "extra"}, `unexpected argument "extra"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var stdout, stderr strings.Builder
@@ -221,12 +170,10 @@ func TestRunRejectsBadArguments(t *testing.T) {
 func TestRunFaultsCompareWritesDecisionTrace(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "faults_trace.json")
-	o := tinyOpts()
-	o.Steps = 3
-	err := runFaults(io.Discard, io.Discard, faultsConfig{
+	err := runFaults(io.Discard, io.Discard, bench.FaultOptions{
 		App: "rd", Platform: "puma", Policy: policyCompare,
-		Ranks: 8, RanksPerNode: 2, Seed: 7, Crashes: 1, TracePath: out,
-	}, o)
+		Ranks: 8, RanksPerNode: 2, PerRankN: 2, Steps: 3, Seed: 7, Crashes: 1,
+	}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +186,7 @@ func TestRunFaultsCompareWritesDecisionTrace(t *testing.T) {
 			t.Fatalf("decision trace missing %q", want)
 		}
 	}
-	if err := runFaults(io.Discard, io.Discard, faultsConfig{App: "rd", Policy: "bogus", Ranks: 8, Seed: 1}, o); err == nil {
+	if err := runFaults(io.Discard, io.Discard, bench.FaultOptions{App: "rd", Policy: "bogus", Ranks: 8, Seed: 1}, ""); err == nil {
 		t.Fatal("invalid config reached the supervisor")
 	}
 }
@@ -248,14 +195,12 @@ func TestRunFaultsCompareWritesDecisionTrace(t *testing.T) {
 // 3-notice wave with one cascade on a dry on-demand market, recovered by
 // the arbiter with backoff re-provisioning.
 func TestRunFaultsStorm(t *testing.T) {
-	o := tinyOpts()
-	o.PerRankN, o.Steps = 3, 3
 	var out strings.Builder
-	err := runFaults(&out, io.Discard, faultsConfig{
+	err := runFaults(&out, io.Discard, bench.FaultOptions{
 		App: "rd", Platform: "ec2", Policy: bench.PolicyMigrate,
-		Ranks: 8, RanksPerNode: 2, Seed: 12,
+		Ranks: 8, RanksPerNode: 2, PerRankN: 3, Steps: 3, Seed: 12,
 		StormWave: 3, StormCascades: 1, OnDemandSupply: -1,
-	}, o)
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

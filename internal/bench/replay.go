@@ -12,40 +12,6 @@ import (
 	"heterohpc/internal/obs"
 )
 
-// ReplayOptions configures a checkpoint-anchored replay of one scenario
-// (see ReplayFromCheckpoint). The scenario fields mirror the knobs that
-// produced the journal being triaged: a plain weak-scaling point when the
-// fault counts are zero, a supervised run under Policy otherwise.
-type ReplayOptions struct {
-	// App is "rd" or "ns"; Platform names the target.
-	App, Platform string
-	// Ranks is the submitted process count (cubic).
-	Ranks int
-	// RanksPerNode underfills nodes, as in FaultOptions.
-	RanksPerNode int
-	// PerRankN is the per-process mesh edge (default 10).
-	PerRankN int
-	// Steps is the scenario's total step count (default 4, matching
-	// FaultOptions; plain CLI runs pass their -steps).
-	Steps int
-	// SkipSteps discards initial iterations from averaged statistics.
-	SkipSteps int
-	// Seed is the scenario seed.
-	Seed uint64
-	// Crashes, Preemptions and Degradations size the fault plan; all zero
-	// means an unsupervised run.
-	Crashes, Preemptions, Degradations int
-	// Policy is the recovery policy of a faulted scenario (default
-	// PolicyRestart). Every policy writes its checkpoints through the one
-	// tapped store, so all three replay; only generations at the submitted
-	// width anchor.
-	Policy string
-	// DivStep is the step the divergence happened in (the diverging rank's
-	// last completed step + 1, clamped to [1, Steps]): the replay runs up
-	// to and including it.
-	DivStep int
-}
-
 // ReplayRankState is one rank's state at the divergence step.
 type ReplayRankState struct {
 	Rank int
@@ -149,57 +115,32 @@ func (s *anchorStore) blobsAt(step int) [][]byte {
 	return out
 }
 
-func (o ReplayOptions) withDefaults() ReplayOptions {
-	if o.App == "" {
-		o.App = "rd"
-	}
-	if o.Platform == "" {
-		o.Platform = "ec2"
-	}
-	if o.Ranks == 0 {
-		o.Ranks = 8
-	}
-	if o.PerRankN == 0 {
-		o.PerRankN = 10
-	}
-	if o.Steps == 0 {
-		o.Steps = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 2012
-	}
-	return o
-}
-
 // ReplayFromCheckpoint time-travels to a journal divergence: it re-runs
-// the configured scenario once while tapping every checkpoint write
+// the scenario o describes once while tapping every checkpoint write
 // (phase 1), picks the nearest checkpoint line at or before the
 // divergence step that all ranks share, then resumes a fresh fault-free
 // world from that line and runs it up to the divergence step (phase 2),
-// dumping solver and world state there. The phase-2 run is observed with
-// a fresh journal and the dump's solve data is read back through the
-// journal reader, so the replay exercises the same encoding it triages.
-func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
+// dumping solver and world state there. divStep is the step the divergence
+// happened in (the diverging rank's last completed step + 1), clamped to
+// [1, Steps]. Phase 1 is a plain job when o draws no event (no Plan, every
+// count zero) and a supervised run under o.Policy otherwise; every policy
+// writes its checkpoints through the one tapped store, and only generations
+// at the submitted width anchor. o.Obs is not used: the phase-2 run is
+// observed with a fresh journal and the dump's solve data is read back
+// through the journal reader, so the replay exercises the same encoding it
+// triages.
+func ReplayFromCheckpoint(o FaultOptions, divStep int) (*ReplayDump, error) {
+	if err := ValidateFaults(o); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
-	divStep := o.DivStep
-	if divStep < 1 {
-		divStep = 1
-	}
-	if divStep > o.Steps {
-		divStep = o.Steps
-	}
+	divStep = min(max(divStep, 1), o.Steps)
 	anchors := newAnchorStore(o.Ranks, divStep-1)
 
 	// Phase 1: re-run the scenario, tapping its checkpoint stream.
-	if o.Crashes+o.Preemptions+o.Degradations > 0 {
-		fo := FaultOptions{
-			App: o.App, Platform: o.Platform, Ranks: o.Ranks,
-			RanksPerNode: o.RanksPerNode, Policy: o.Policy,
-			PerRankN: o.PerRankN, Steps: o.Steps, SkipSteps: o.SkipSteps,
-			Seed: o.Seed, Crashes: o.Crashes, Preemptions: o.Preemptions,
-			Degradations: o.Degradations, ckptTap: anchors.tap,
-		}
-		if _, err := RunSupervised(fo); err != nil {
+	if o.Plan != nil || o.Crashes+o.Preemptions+o.Degradations+o.StormWave > 0 {
+		o.ckptTap, o.Obs = anchors.tap, nil
+		if _, err := runSupervised(o); err != nil {
 			return nil, fmt.Errorf("bench: replay phase 1 (scenario re-run) failed: %w", err)
 		}
 	} else {

@@ -9,10 +9,10 @@ import (
 )
 
 func TestReplayPlainAnchorsBeforeDivergence(t *testing.T) {
-	d, err := ReplayFromCheckpoint(ReplayOptions{
+	d, err := ReplayFromCheckpoint(FaultOptions{
 		App: "rd", Platform: "ec2", Ranks: 8, PerRankN: 2,
-		Steps: 3, Seed: 7, DivStep: 3,
-	})
+		Steps: 3, Seed: 7,
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestReplayPlainAnchorsBeforeDivergence(t *testing.T) {
 }
 
 func TestReplayColdStartAtFirstStep(t *testing.T) {
-	d, err := ReplayFromCheckpoint(ReplayOptions{
+	d, err := ReplayFromCheckpoint(FaultOptions{
 		App: "rd", Platform: "puma", Ranks: 8, PerRankN: 2,
-		Steps: 2, Seed: 7, DivStep: 1,
-	})
+		Steps: 2, Seed: 7,
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestReplayColdStartAtFirstStep(t *testing.T) {
 }
 
 func TestReplayFaultedScenario(t *testing.T) {
-	d, err := ReplayFromCheckpoint(ReplayOptions{
+	d, err := ReplayFromCheckpoint(FaultOptions{
 		App: "rd", Platform: "ec2", Ranks: 8, PerRankN: 2,
-		Steps: 3, Seed: 11, Crashes: 1, Preemptions: 1, DivStep: 2,
-	})
+		Steps: 3, Seed: 11, Crashes: 1, Preemptions: 1,
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +84,15 @@ func TestReplayFaultedScenario(t *testing.T) {
 }
 
 func TestReplayDeterministic(t *testing.T) {
-	opt := ReplayOptions{
+	opt := FaultOptions{
 		App: "rd", Platform: "ec2", Ranks: 8, PerRankN: 2,
-		Steps: 3, Seed: 11, Crashes: 1, DivStep: 3,
+		Steps: 3, Seed: 11, Crashes: 1,
 	}
-	a, err := ReplayFromCheckpoint(opt)
+	a, err := ReplayFromCheckpoint(opt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayFromCheckpoint(opt)
+	b, err := ReplayFromCheckpoint(opt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,15 @@ func TestReplayDeterministic(t *testing.T) {
 // fault-free and policy-independent, so the shrink and migrate replays must
 // return the restart replay's dump.
 func TestReplayEveryPolicyAnchorsBeforeFirstFailure(t *testing.T) {
-	opt := ReplayOptions{
+	opt := FaultOptions{
 		App: "rd", Platform: "ec2", Ranks: 8, RanksPerNode: 2, PerRankN: 2,
-		Steps: 4, Seed: 4, Crashes: 1, Preemptions: 1, DivStep: 2,
+		Steps: 4, Seed: 4, Crashes: 1, Preemptions: 1,
 	}
+	const divStep = 2
 	dumps := map[string]string{}
 	for _, policy := range allPolicies {
 		opt.Policy = policy
-		d, err := ReplayFromCheckpoint(opt)
+		d, err := ReplayFromCheckpoint(opt, divStep)
 		if err != nil {
 			t.Fatalf("policy %s: %v", policy, err)
 		}
@@ -133,13 +134,13 @@ func TestReplayEveryPolicyAnchorsBeforeFirstFailure(t *testing.T) {
 	// the anchor then, shrink never gets back to that width, so its replay
 	// starts cold — and still reaches the divergence step.
 	opt.Seed, opt.Policy = 7, PolicyShrink
-	d, err := ReplayFromCheckpoint(opt)
+	d, err := ReplayFromCheckpoint(opt, divStep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.ColdStart || d.PerRank[0].StepsDone != opt.DivStep {
+	if !d.ColdStart || d.PerRank[0].StepsDone != divStep {
 		t.Errorf("shrink replay without a full-width anchor: cold %v, rank 0 at step %d, want a cold replay to step %d",
-			d.ColdStart, d.PerRank[0].StepsDone, opt.DivStep)
+			d.ColdStart, d.PerRank[0].StepsDone, divStep)
 	}
 }
 

@@ -36,15 +36,16 @@ type FaultOptions struct {
 	App string
 	// Platform names the target.
 	Platform string
-	// Ranks is the submitted process count (must be cubic for the
+	// Ranks is the submitted process count (at least one, and cubic for the
 	// weak-scaling applications).
 	Ranks int
 	// RanksPerNode underfills nodes (0: pack to the platform's cores per
 	// node). Shrink-and-continue needs at least two nodes, so small jobs on
 	// fat-node platforms set this to spread ranks out.
 	RanksPerNode int
-	// Policy selects the recovery strategy: PolicyRestart (default),
-	// PolicyShrink or PolicyMigrate.
+	// Policy selects the recovery strategy: PolicyRestart, PolicyShrink or
+	// PolicyMigrate. Empty names none: RunSupervised restarts, and
+	// CompareRecovery, which ignores the field, runs all three.
 	Policy string
 	// PerRankN is the per-process mesh edge (default 10, as in Options).
 	PerRankN int
@@ -106,21 +107,59 @@ type FaultOptions struct {
 
 	// ckptTap, when non-nil, mirrors every checkpoint the faulted job's
 	// ranks write under any policy — (rank, step, world width, serialised
-	// blob) — to the replay anchor collector. The clean baseline inside newSuperSetup is
-	// never tapped, matching the journal's coverage. Unexported: only
-	// ReplayFromCheckpoint sets it (see replay.go).
+	// blob) — to the replay anchor collector. The clean baseline writes no
+	// checkpoints, so it is never tapped, matching the journal's coverage.
+	// Unexported: only ReplayFromCheckpoint sets it (see replay.go).
 	ckptTap func(rank, step, width int, blob []byte)
 }
 
-func (o FaultOptions) withDefaults() FaultOptions {
-	if o.App == "" {
-		o.App = "rd"
+// ValidateFaults rejects a scenario no supervised run can honour: a rank
+// count below one, a negative ranks-per-node or event count, a storm of one
+// notice, storm cascades or bursts without a wave, Regrow under a named
+// policy that never regrows, and an unknown application or policy. It reads
+// the options as given, before any default, and names the heterobench flags,
+// so the CLI, RunSupervised, CompareRecovery and ReplayFromCheckpoint refuse
+// a scenario with the same words.
+func ValidateFaults(o FaultOptions) error {
+	if o.Ranks < 1 {
+		return fmt.Errorf("-ranks %d: a supervised run needs at least one rank", o.Ranks)
 	}
+	if o.RanksPerNode < 0 {
+		return fmt.Errorf("-rpn %d is negative (use 0 to pack by cores)", o.RanksPerNode)
+	}
+	if o.Crashes < 0 || o.Preemptions < 0 || o.Degradations < 0 {
+		return fmt.Errorf("fault counts must be >= 0, got -crashes %d -preempts %d -degrades %d",
+			o.Crashes, o.Preemptions, o.Degradations)
+	}
+	if o.StormWave < 0 {
+		return fmt.Errorf("-storm %d is negative (a storm wave needs >= 2 correlated notices)", o.StormWave)
+	}
+	if o.StormWave == 1 {
+		return fmt.Errorf("-storm 1 is a lone preemption, not a storm; use -preempts 1 instead")
+	}
+	if o.StormCascades < 0 || o.StormBursts < 0 {
+		return fmt.Errorf("storm event counts must be >= 0, got -cascades %d -bursts %d",
+			o.StormCascades, o.StormBursts)
+	}
+	if o.StormWave == 0 && (o.StormCascades > 0 || o.StormBursts > 0) {
+		return fmt.Errorf("-cascades/-bursts correlate events with a storm wave; add -storm N (>= 2)")
+	}
+	if o.Regrow && o.Policy != "" && o.Policy != PolicyMigrate {
+		return fmt.Errorf("-regrow is the migrate autoscaler's knob; use -policy %s, or compare the policies", PolicyMigrate)
+	}
+	if o.App != "rd" && o.App != "ns" {
+		return fmt.Errorf("unknown app %q (want rd or ns)", o.App)
+	}
+	switch o.Policy {
+	case "", PolicyRestart, PolicyShrink, PolicyMigrate:
+		return nil
+	}
+	return fmt.Errorf("unknown policy %q (want %s, %s or %s)", o.Policy, PolicyRestart, PolicyShrink, PolicyMigrate)
+}
+
+func (o FaultOptions) withDefaults() FaultOptions {
 	if o.Platform == "" {
 		o.Platform = "ec2"
-	}
-	if o.Ranks == 0 {
-		o.Ranks = 8
 	}
 	if o.Policy == "" {
 		o.Policy = PolicyRestart
@@ -279,12 +318,13 @@ type superSetup struct {
 
 func newSuperSetup(o FaultOptions) (*superSetup, error) {
 	// Clean baseline on a fresh target: the comparison column, and the
-	// virtual horizon fault plans are drawn over.
+	// virtual horizon fault plans are drawn over. Nothing restores it, so it
+	// keeps no checkpoints.
 	cleanTG, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cleanApp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, newSnapshotStore(o.Ranks, nil, nil))
+	cleanApp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -357,9 +397,17 @@ func (s *superSetup) newReplacementMarket() *spot.Market {
 // recovery engine (engine.go): classify the failure, let the policy decide,
 // and restart from stable storage, shrink onto the survivors, or migrate
 // inside the notice window — degrading to fewer ranks when no replacement is
-// available. Everything is deterministic for equal seeds.
+// available. Everything is deterministic for equal seeds. Options that
+// ValidateFaults refuses fail before anything runs.
 func RunSupervised(o FaultOptions) (*RecoveryReport, error) {
-	o = o.withDefaults()
+	if err := ValidateFaults(o); err != nil {
+		return nil, err
+	}
+	return runSupervised(o.withDefaults())
+}
+
+// runSupervised is RunSupervised on options already validated and defaulted.
+func runSupervised(o FaultOptions) (*RecoveryReport, error) {
 	s, err := newSuperSetup(o)
 	if err != nil {
 		return nil, err
@@ -381,13 +429,10 @@ func supervise(s *superSetup) (*RecoveryReport, *generation, error) {
 	case PolicyShrink:
 		e.decide = func(*recoveryPoint) string { return "shrink" }
 		e.rep.Shrink = &e.sh
-	case PolicyMigrate:
+	default: // PolicyMigrate: ValidateFaults admits no other
 		e.drain = true
 		e.decide = e.ladder
 		e.rep.Shrink, e.rep.Migrate = &e.sh, &e.mg
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown recovery policy %q (want %q, %q or %q)",
-			s.o.Policy, PolicyRestart, PolicyShrink, PolicyMigrate)
 	}
 	if !e.stable && s.nodes < 2 {
 		return nil, nil, fmt.Errorf("bench: policy %s keeps checkpoints in node memory and needs at least 2 nodes for buddy copies (placement has %d); lower RanksPerNode or raise Ranks",
@@ -405,13 +450,18 @@ type RecoveryComparison struct {
 // CompareRecovery runs the same seeded fault plan under checkpoint-restart,
 // shrink-and-continue and proactive migration, so the reports differ only
 // by policy. The restart run draws the plan; the other two replay it
-// verbatim.
+// verbatim. o.Policy is ignored, so Regrow is accepted: it reaches the
+// migrate run.
 func CompareRecovery(o FaultOptions) (*RecoveryComparison, error) {
+	o.Policy = ""
+	if err := ValidateFaults(o); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	run := func(label, policy string, plan *fault.Plan) (*RecoveryReport, error) {
 		po := o
 		po.Policy, po.Plan = policy, plan
-		rep, err := RunSupervised(po)
+		rep, err := runSupervised(po)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s policy: %w", label, err)
 		}

@@ -176,3 +176,63 @@ func TestDegradedShape(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateFaults holds the one scenario check the CLI, RunSupervised,
+// CompareRecovery and ReplayFromCheckpoint share: each row is valid, or is
+// refused with a message naming what is wrong.
+func TestValidateFaults(t *testing.T) {
+	ok := FaultOptions{App: "rd", Platform: "puma", Policy: PolicyRestart,
+		Ranks: 8, Seed: 2012, Crashes: 1}
+	cases := []struct {
+		name    string
+		mutate  func(*FaultOptions)
+		wantErr string // substring; "" means valid
+	}{
+		{"defaults are valid", func(c *FaultOptions) {}, ""},
+		{"shrink policy is valid", func(c *FaultOptions) { c.Policy = PolicyShrink }, ""},
+		{"migrate policy is valid", func(c *FaultOptions) { c.Policy = PolicyMigrate }, ""},
+		{"no policy (CompareRecovery's) is valid", func(c *FaultOptions) { c.Policy = "" }, ""},
+		{"zero fault counts are valid", func(c *FaultOptions) { c.Crashes = 0 }, ""},
+		{"zero ranks", func(c *FaultOptions) { c.Ranks = 0 }, "rank"},
+		{"negative ranks per node", func(c *FaultOptions) { c.RanksPerNode = -2 }, "-rpn"},
+		{"negative crashes", func(c *FaultOptions) { c.Crashes = -1 }, "crashes"},
+		{"negative preemptions", func(c *FaultOptions) { c.Preemptions = -3 }, "preempts"},
+		{"negative degradations", func(c *FaultOptions) { c.Degradations = -1 }, "degrades"},
+		{"unknown app", func(c *FaultOptions) { c.App = "lbm" }, `app "lbm"`},
+		{"unknown policy", func(c *FaultOptions) { c.Policy = "abandon-ship" }, `policy "abandon-ship"`},
+		{"misspelled policy", func(c *FaultOptions) { c.Policy = "shrink" }, PolicyShrink},
+		{"misspelled migrate", func(c *FaultOptions) { c.Policy = "migrate-continue" }, PolicyMigrate},
+		{"storm wave is valid", func(c *FaultOptions) { c.StormWave = 3 }, ""},
+		{"storm with cascades and bursts is valid",
+			func(c *FaultOptions) { c.StormWave = 2; c.StormCascades = 1; c.StormBursts = 1 }, ""},
+		{"negative storm", func(c *FaultOptions) { c.StormWave = -2 }, "-storm -2 is negative"},
+		{"storm of one", func(c *FaultOptions) { c.StormWave = 1 }, "lone preemption"},
+		{"negative cascades", func(c *FaultOptions) { c.StormWave = 3; c.StormCascades = -1 }, "-cascades -1"},
+		{"negative bursts", func(c *FaultOptions) { c.StormWave = 3; c.StormBursts = -2 }, "-bursts -2"},
+		{"cascades without a storm", func(c *FaultOptions) { c.StormCascades = 1 }, "add -storm"},
+		{"bursts without a storm", func(c *FaultOptions) { c.StormBursts = 2 }, "add -storm"},
+		{"regrow under restart", func(c *FaultOptions) { c.Regrow = true }, "-regrow"},
+		{"regrow under migrate is valid",
+			func(c *FaultOptions) { c.Regrow = true; c.Policy = PolicyMigrate }, ""},
+		{"regrow under no policy (CompareRecovery's) is valid",
+			func(c *FaultOptions) { c.Regrow = true; c.Policy = "" }, ""},
+		{"capped market is valid",
+			func(c *FaultOptions) { c.OnDemandSupply = -1; c.ProvisionRetries = 2 }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := ok
+			tc.mutate(&c)
+			err := ValidateFaults(c)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("got %v, want error mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -104,9 +104,6 @@ func gmres(sys System, M Preconditioner, b, x []float64, opt Options) (Result, e
 			res.Iterations++
 			rel = math.Abs(g[k+1]) / bnorm
 			res.Residual = rel
-			if opt.RecordHistory {
-				res.History = append(res.History, rel)
-			}
 			if rel < opt.Tol || hk1 == 0 {
 				k++
 				break

@@ -75,8 +75,6 @@ type Options struct {
 	MaxIter int
 	// Restart is the GMRES restart length (default 30).
 	Restart int
-	// RecordHistory stores the residual norm after each iteration.
-	RecordHistory bool
 	// Work supplies reusable scratch storage so repeated solves (one per
 	// time step) allocate nothing in steady state. Nil means the solver
 	// allocates a private workspace for the call.
@@ -106,8 +104,6 @@ type Result struct {
 	Iterations int
 	// Residual is the final relative residual ‖r‖/‖b‖.
 	Residual float64
-	// History holds per-iteration relative residuals when requested.
-	History []float64
 }
 
 // ErrBreakdown reports a Krylov breakdown (zero inner product); the caller
@@ -173,9 +169,6 @@ func cg(sys System, M Preconditioner, b, x []float64, opt Options) (Result, erro
 		res.Iterations = k + 1
 		rel := norm2(sys, r) / bnorm
 		res.Residual = rel
-		if opt.RecordHistory {
-			res.History = append(res.History, rel)
-		}
 		if rel < opt.Tol {
 			res.Converged = true
 			return res, nil
@@ -261,9 +254,6 @@ func bicgstab(sys System, M Preconditioner, b, x []float64, opt Options) (Result
 			sparse.Axpy(n, alpha, phat, x, sys)
 			res.Residual = rel
 			res.Converged = true
-			if opt.RecordHistory {
-				res.History = append(res.History, rel)
-			}
 			return res, nil
 		}
 		M.Apply(s, shat)
@@ -283,9 +273,6 @@ func bicgstab(sys System, M Preconditioner, b, x []float64, opt Options) (Result
 		sys.ChargeCompute(6*float64(n), 48*float64(n))
 		rel := norm2(sys, r) / bnorm
 		res.Residual = rel
-		if opt.RecordHistory {
-			res.History = append(res.History, rel)
-		}
 		if rel < opt.Tol {
 			res.Converged = true
 			return res, nil

@@ -259,23 +259,6 @@ func TestZeroRHS(t *testing.T) {
 	}
 }
 
-func TestResidualHistoryRecorded(t *testing.T) {
-	a := lap1d(30)
-	b := make([]float64, 30)
-	b[0] = 1
-	x := make([]float64, 30)
-	res, err := CG(SerialSystem{A: a}, nil, b, x, Options{RecordHistory: true, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != res.Iterations {
-		t.Fatalf("history %d entries for %d iterations", len(res.History), res.Iterations)
-	}
-	if res.History[len(res.History)-1] >= res.History[0] {
-		t.Fatal("residual did not decrease")
-	}
-}
-
 func TestMaxIterRespected(t *testing.T) {
 	a := lap1d(400)
 	b := make([]float64, 400)

@@ -28,9 +28,6 @@ type Config struct {
 	// Precond selects the preconditioner ("ilu0" default, "jacobi", "sgs",
 	// "none").
 	Precond string
-	// VelocitySolver selects the nonsymmetric solver for the three velocity
-	// systems: "bicgstab" (default) or "gmres".
-	VelocitySolver string
 	// MaxIter caps linear iterations per solve (default 600).
 	MaxIter int
 	// Checkpoint, if non-nil, is invoked after every completed BDF2 step
@@ -78,9 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.Precond == "" {
 		c.Precond = "ilu0"
 	}
-	if c.VelocitySolver == "" {
-		c.VelocitySolver = "bicgstab"
-	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 600
 	}
@@ -95,11 +89,6 @@ func (c Config) Validate() error {
 	}
 	if c.Dt <= 0 || c.Steps < 1 {
 		return fmt.Errorf("nse: bad time stepping dt=%v steps=%d", c.Dt, c.Steps)
-	}
-	switch c.VelocitySolver {
-	case "bicgstab", "gmres":
-	default:
-		return fmt.Errorf("nse: unknown velocity solver %q", c.VelocitySolver)
 	}
 	return nil
 }
@@ -288,10 +277,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		rhss[d] = make([]float64, n)
 	}
 	work := &krylov.Workspace{}
-	velSolve := krylov.BiCGStab
-	if cfg.VelocitySolver == "gmres" {
-		velSolve = krylov.GMRES
-	}
 
 	// Boundary-value closures are hoisted out of the loop: the captured
 	// component/time variables are retargeted per step instead of closing
@@ -375,7 +360,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		velIters := 0
 		for d := 0; d < 3; d++ {
 			sparse.CopyN(n, uStar[d], uPrev1[d], r)
-			sol, err := velSolve(velDM, velPC, rhss[d], uStar[d], krylov.Options{
+			sol, err := krylov.BiCGStab(velDM, velPC, rhss[d], uStar[d], krylov.Options{
 				Tol: cfg.Tol, MaxIter: cfg.MaxIter, Work: work, Obs: rec,
 			})
 			if err != nil {

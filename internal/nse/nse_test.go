@@ -210,34 +210,6 @@ func TestNSMoreExpensiveThanItsParts(t *testing.T) {
 	}
 }
 
-func TestNSGMRESVelocitySolver(t *testing.T) {
-	m, _ := mesh.NewBox(mesh.SymmetricBox, 4, 4, 4)
-	var bicg, gmres *Result
-	runRanks(t, 1, func(r *mp.Rank) error {
-		res, err := Run(r, Config{Mesh: m, Grid: [3]int{1, 1, 1}, Steps: 2})
-		bicg = res
-		return err
-	})
-	runRanks(t, 1, func(r *mp.Rank) error {
-		res, err := Run(r, Config{Mesh: m, Grid: [3]int{1, 1, 1}, Steps: 2,
-			VelocitySolver: "gmres"})
-		gmres = res
-		return err
-	})
-	// Both solvers must reach the same discrete solution (same systems,
-	// tolerance-level agreement), so the final errors essentially coincide.
-	if math.Abs(bicg.VelL2Err-gmres.VelL2Err) > 1e-3*(1+bicg.VelL2Err) {
-		t.Fatalf("BiCGStab error %v vs GMRES error %v", bicg.VelL2Err, gmres.VelL2Err)
-	}
-}
-
-func TestNSVelocitySolverValidation(t *testing.T) {
-	m, _ := mesh.NewBox(mesh.SymmetricBox, 2, 2, 2)
-	if err := (Config{Mesh: m, VelocitySolver: "sor"}).Validate(); err == nil {
-		t.Fatal("unknown solver accepted")
-	}
-}
-
 // TestConstantOperatorsSharedPerClass runs nse on 4³ blocks. Each operator
 // Run freezes — mass, pressure (after its boundary elimination) and the
 // three gradients, in that order — must come out as exactly 27 value arrays
