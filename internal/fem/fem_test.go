@@ -3,6 +3,8 @@ package fem
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -460,6 +462,51 @@ func TestAssembleMatrixValuesMatchesFull(t *testing.T) {
 			if full.Vals[i] != want[i] {
 				return fmt.Errorf("value %d differs: %v vs %v", i, full.Vals[i], want[i])
 			}
+		}
+		return nil
+	})
+}
+
+// TestRefillDropsBuildState: the first Refill ends set-up, so the space lets
+// go of everything NewMatrix keeps for the builds that follow — its element
+// ids, the pair streams they shipped and the value array a frozen operator
+// dropped (the 4×4×4 blocks have class-mates, so most ranks have one) — and
+// a NewMatrix after it still builds the operator it built before.
+func TestRefillDropsBuildState(t *testing.T) {
+	const q = 4
+	m := mesh.NewUnitCube(2 * q)
+	runRanks(t, q*q*q, func(r *mp.Rank) error {
+		s, err := NewSpaceBlock(r, m, q, q, q, 80)
+		if err != nil {
+			return err
+		}
+		mass := func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Mass(1, out, ch) }
+		stiff := func(e int, out *[8][8]float64, ch sparse.Charger) { s.El.Stiffness(1, out, ch) }
+		massDM, err := s.NewMatrix(mass, 100, nil)
+		if err != nil {
+			return err
+		}
+		want := massDM.Local().Clone()
+		sys, err := s.NewMatrix(stiff, 200, massDM)
+		if err != nil {
+			return err
+		}
+		massDM.Freeze()
+		if s.blocks.IDs == nil {
+			return fmt.Errorf("no element ids kept during set-up")
+		}
+		s.Refill(sys, stiff)
+		if !reflect.ValueOf(s.blocks).IsZero() {
+			return fmt.Errorf("the space keeps build state after Refill")
+		}
+		again, err := s.NewMatrix(mass, 300, massDM)
+		if err != nil {
+			return err
+		}
+		got := again.Local()
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) ||
+			!slices.EqualFunc(got.Val, want.Val, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return fmt.Errorf("a build after Refill differs from the first")
 		}
 		return nil
 	})

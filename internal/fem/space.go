@@ -29,8 +29,9 @@ type Space struct {
 
 	// blocks lists every local element's 8 vertex ids, in element order: the
 	// structure all the space's matrices are built from, made by the first
-	// NewMatrix. refill is the cursor their values stream through, and ke the
-	// element matrix it is fed from.
+	// NewMatrix and dropped by the first Refill, with the build state kept
+	// alongside it. refill is the cursor their values stream through, and ke
+	// the element matrix it is fed from.
 	blocks sparse.Blocks
 	refill sparse.Refill
 	ke     [8][8]float64
@@ -124,6 +125,13 @@ func (s *Space) ElemCorner(e int) [3]float64 {
 // charges discarded, streams the values in, and the off-rank ones are
 // shipped as NewDistMatrix ships them. Clock, messages and values are those
 // of AssembleMatrix followed by NewDistMatrix.
+//
+// The space's operators are all built from one set of element ids, which
+// the first NewMatrix spells out and keeps with the build state its
+// successors reuse: the pair streams it shipped, which they re-send, and a
+// value array a frozen operator dropped (sparse.DistMatrix.Freeze), which
+// the next one fills. Refill ends set-up and drops them all; a NewMatrix
+// after it spells them out again.
 func (s *Space) NewMatrix(elem ElemMatrix, tag int, like *sparse.DistMatrix) (*sparse.DistMatrix, error) {
 	for _, e := range s.L.Elems {
 		elem(e, &s.ke, s.R)
@@ -152,8 +160,10 @@ func (s *Space) NewMatrix(elem ElemMatrix, tag int, like *sparse.DistMatrix) (*s
 // whose structure exists. Clock, messages and values are those of
 // AssembleMatrixValues followed by SetValues. A dm whose structure counts
 // other than this space's 64 contributions per element panics before it is
-// touched.
+// touched. The time loop refills, so set-up is over: the element ids and
+// build state NewMatrix keeps are dropped.
 func (s *Space) Refill(dm *sparse.DistMatrix, elem ElemMatrix) {
+	s.blocks = sparse.Blocks{}
 	s.stream(dm, elem, s.R)
 	nt := float64(64 * len(s.L.Elems))
 	s.R.ChargeCompute(nt, 8*nt)

@@ -107,9 +107,12 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 // communication plan, where a rank knows whom it will message but not who will
 // message it. A peer listed twice is one peer, messaged once (payload is asked
 // for its first index); naming oneself or a rank outside the world is a bug
-// and panics. A payload is handed over, not copied: from its send on it
-// belongs to the receiver (NewImporter's receivers rewrite theirs in place),
-// so the sender must neither reuse one nor return one slice for two peers.
+// and panics. A payload is handed over, not copied, so a sender must not
+// write one after its send, and the receiver may rewrite one in place
+// (NewImporter's receivers do) only if its sender never sends it again. A
+// sender may re-send a payload, in a later exchange or to two peers, that
+// all its receivers only read: a matrix build re-sends the pair streams of
+// the last build from the same assembly, and build and bind read them.
 //
 // How many will send is learnt at virtual cost, as a distributor's census
 // learns it: one P-length indicator Allreduce, 1 at each peer, whose own entry

@@ -114,9 +114,9 @@ func (t Topology) SameGroup(a, b int) bool {
 func (t Topology) NICShare(r int) int { return t.ranksOnNode[t.NodeOf[r]] }
 
 // message is one in-flight payload, sized to fit one cache line. Payloads
-// are private to the message — defensive copies, or streams ExchangeInts
-// hands over — so a sender may reuse its buffer immediately (MPI
-// buffered-send semantics).
+// are defensive copies, so a sender may reuse its buffer immediately (MPI
+// buffered-send semantics), or streams ExchangeInts hands over under its
+// contract.
 //
 // A message carries exactly one of three payload kinds, so it holds one
 // slice header, not three: data, n and c are the first element, length and

@@ -43,6 +43,27 @@ func BenchmarkRDIteration(b *testing.B) {
 	b.ReportMetric(virt, "virtual-s/iter")
 }
 
+// BenchmarkRDJobP64 is one RD job of 64 ranks (4³ elements each, two BDF2
+// steps): the smallest gate whose block decomposition has class-mates — 27
+// position classes of 64 ranks — so the only one where set-up's sharing of
+// frozen operator values between ranks shows.
+func BenchmarkRDJobP64(b *testing.B) {
+	tg, err := core.NewTarget("ec2", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app, err := core.WeakRD(64, 4, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tg.Run(core.JobSpec{Ranks: 64, App: app, SkipSteps: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNSIteration is the Navier–Stokes equivalent (8 ranks, reduced
 // size: ~4 linear solves per step).
 func BenchmarkNSIteration(b *testing.B) {

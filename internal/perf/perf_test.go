@@ -29,10 +29,13 @@ const rdIterationAllocCeiling = 2153
 // no assembly COO holds 64 values per element, brought it to 4.89 MB/op
 // (4.78 MB/op after the transport changes that followed); indexing each
 // rank's vertices in a bitmap that follows what the rank holds, in place of
-// a table over the span of its ids and a map, brought it to 4.62 MB/op, and
-// the ceiling is that plus 10%. allocs/op cannot see this: the set-up makes
-// few, large allocations.
-const rdIterationBytesCeiling = 5_085_000
+// a table over the span of its ids and a map, brought it to 4.62 MB/op (4.42
+// MB/op by the time the next step landed); re-sending the mass matrix's pair
+// streams for the system matrix, where they were spelled out and shipped
+// again byte for byte, brought it to 4.20 MB/op, and the ceiling is that
+// plus 10%. allocs/op cannot see this: the set-up makes few, large
+// allocations.
+const rdIterationBytesCeiling = 4_623_000
 
 // nsIterationAllocCeiling is the BenchmarkNSIteration ceiling. The six
 // Navier–Stokes operators used to build six private ghost importers
@@ -44,6 +47,20 @@ const rdIterationBytesCeiling = 5_085_000
 // 10%. The residue over RD is genuine setup work: six DistMatrix assemblies
 // per job instead of two.
 const nsIterationAllocCeiling = 3038
+
+// nsIterationBytesCeiling bounds what BenchmarkNSIteration moves through the
+// heap. Its six operators are built from one space's element ids: each used
+// to spell out and ship its own copy of the same pair streams (3.01 MB/op);
+// re-sending the first operator's brought it to 2.52 MB/op, and the ceiling
+// is that plus 10%.
+const nsIterationBytesCeiling = 2_772_000
+
+// rdJobP64BytesCeiling bounds what BenchmarkRDJobP64 moves through the heap.
+// On top of the re-sent pair streams, a rank whose frozen mass matrix adopts
+// a class-mate's values builds the system matrix into the array it dropped,
+// where it used to drop it and allocate another of the same length: 12.90
+// MB/op went to 11.22 MB/op, and the ceiling is that plus 10%.
+const rdJobP64BytesCeiling = 12_340_000
 
 // measure runs one benchmark body for a fixed n iterations under
 // testing.Benchmark (as `-benchtime Nx` would), skipping when the
@@ -72,17 +89,26 @@ func measure(t *testing.T, name string, n int, bench func(*testing.B)) testing.B
 	return res
 }
 
-// rdIteration is the one measurement of BenchmarkRDIteration that both of
-// its ceilings read; the first of them to run takes it (a skipped
-// measurement leaves it empty, so the other skips too).
-var rdIteration testing.BenchmarkResult
+// rdIteration and nsIteration are the one measurement of
+// BenchmarkRDIteration and BenchmarkNSIteration that both ceilings of each
+// read; the first of them to run takes it (a skipped measurement leaves it
+// empty, so the other skips too).
+var rdIteration, nsIteration testing.BenchmarkResult
+
+func measureOnce(t *testing.T, res *testing.BenchmarkResult, name string, bench func(*testing.B)) testing.BenchmarkResult {
+	t.Helper()
+	if res.N == 0 {
+		*res = measure(t, name, 20, bench)
+	}
+	return *res
+}
 
 func measureRDIteration(t *testing.T) testing.BenchmarkResult {
-	t.Helper()
-	if rdIteration.N == 0 {
-		rdIteration = measure(t, "rd-iteration", 20, BenchmarkRDIteration)
-	}
-	return rdIteration
+	return measureOnce(t, &rdIteration, "rd-iteration", BenchmarkRDIteration)
+}
+
+func measureNSIteration(t *testing.T) testing.BenchmarkResult {
+	return measureOnce(t, &nsIteration, "ns-iteration", BenchmarkNSIteration)
 }
 
 // TestRDIterationAllocCeiling is the CI perf-smoke step: it measures
@@ -110,10 +136,31 @@ func TestRDIterationBytesCeiling(t *testing.T) {
 // TestNSIterationAllocCeiling extends the CI alloc gate to the
 // Navier–Stokes benchmark, so the importer sharing cannot silently regress.
 func TestNSIterationAllocCeiling(t *testing.T) {
-	res := measure(t, "ns-iteration", 20, BenchmarkNSIteration)
+	res := measureNSIteration(t)
 	if res.AllocsPerOp() > nsIterationAllocCeiling {
 		t.Errorf("ns-iteration allocates %d allocs/op, ceiling is %d",
 			res.AllocsPerOp(), nsIterationAllocCeiling)
+	}
+}
+
+// TestNSIterationBytesCeiling gates the Navier–Stokes job on bytes/op: six
+// operators built from one space, so what each build allocates shows six
+// times.
+func TestNSIterationBytesCeiling(t *testing.T) {
+	res := measureNSIteration(t)
+	if res.AllocedBytesPerOp() > nsIterationBytesCeiling {
+		t.Errorf("ns-iteration allocates %d B/op, ceiling is %d",
+			res.AllocedBytesPerOp(), nsIterationBytesCeiling)
+	}
+}
+
+// TestRDJobP64BytesCeiling gates the 64-rank RD job on bytes/op: the one
+// gate whose ranks have class-mates to share frozen values with.
+func TestRDJobP64BytesCeiling(t *testing.T) {
+	res := measure(t, "rd-job-p64", 10, BenchmarkRDJobP64)
+	if res.AllocedBytesPerOp() > rdJobP64BytesCeiling {
+		t.Errorf("rd-job-p64 allocates %d B/op, ceiling is %d",
+			res.AllocedBytesPerOp(), rdJobP64BytesCeiling)
 	}
 }
 

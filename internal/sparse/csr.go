@@ -63,11 +63,21 @@ type Blocks struct {
 	segScratch
 }
 
-// segScratch is a build's per-segment classification (see classify): the
-// local row or export marker of every row segment, and the exported
-// segments.
+// segScratch is what the builds from one assembly keep between them: the
+// per-segment classification (see classify) — the local row or export marker
+// of every row segment, and the exported segments — the pair streams the
+// last build sent, and a value array a frozen matrix dropped.
 type segScratch struct {
 	segRows, exported []int32
+	// sent[i] is the (row, col) pair stream last sent to export peer
+	// sentTo[i] (ascending). A later build re-sends it when it would spell
+	// the same ints, so it is never written after its first send.
+	sentTo []int
+	sent   [][]int
+	// spare is the value array of a matrix that Freeze made adopt another
+	// rank's: the next matrix built from the assembly takes it, zeroed, if it
+	// has the same length.
+	spare []float64
 }
 
 func (s *segScratch) scratch() *segScratch { return s }

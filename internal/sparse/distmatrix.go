@@ -44,6 +44,9 @@ type DistMatrix struct {
 	xbuf []float64
 	// rf is SetValues' cursor.
 	rf Refill
+	// sc is the scratch of the assembly the matrix was built from, until
+	// Freeze hands it the values the rank drops.
+	sc *segScratch
 }
 
 // shape is the rank-independent part of a symbolic structure: everything
@@ -134,7 +137,8 @@ func NewDistMatrixBlocks(r *mp.Rank, rowMap *RowMap, blk *Blocks, owner func(int
 }
 
 // newDistMatrix builds the structure and the importer of a matrix, its
-// values zero.
+// values zero. They live in the array the last Freeze of a matrix built from
+// a dropped, when it has their length, and in a new one otherwise.
 func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, tag int, share *Importer) (*DistMatrix, error) {
 	if err := checkTags(tag, 4); err != nil {
 		return nil, err
@@ -144,8 +148,16 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, 
 		return nil, err
 	}
 	nOwned, nCols := rowMap.N(), rowMap.N()+len(st.ghostCols)
-	dm := &DistMatrix{r: r, rowMap: rowMap, st: st}
-	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: st.rowPtr, Col: st.col, Val: make([]float64, len(st.col))}
+	sc := a.scratch()
+	val := sc.spare
+	if val != nil && len(val) == len(st.col) {
+		clear(val)
+		sc.spare = nil
+	} else {
+		val = make([]float64, len(st.col))
+	}
+	dm := &DistMatrix{r: r, rowMap: rowMap, st: st, sc: sc}
+	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: st.rowPtr, Col: st.col, Val: val}
 	ne := len(st.exportPeers)
 	links := make([]*mp.Link, ne+len(st.importPeers))
 	dm.exports, dm.imports = links[:ne:ne], links[ne:]
@@ -197,19 +209,21 @@ func structureFor(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int) (
 
 	// Ship off-rank structure (row,col pairs) to owners; receive ours. The
 	// pairs are spelled out of the segments only here, each peer's stream at
-	// its exact size and handed over to the exchange.
-	k, rowIDs, colIDs := a.segments()
+	// its exact size. The streams stay with the assembly's scratch: the next
+	// build from it re-sends one that it would spell alike (the operators of
+	// one finite-element space all do), so neither side writes a stream after
+	// its first send.
+	sc := a.scratch()
+	sent := make([][]int, len(cl.exportPeers))
 	srcs, streams := r.ExchangeInts(cl.exportPeers, func(i int) []int {
-		pairs := make([]int, 0, 2*cl.exportCounts[i])
-		for _, s := range cl.exported {
-			if cl.segRows[s] == ^int32(i) {
-				for _, c := range colIDs[int(s)-int(s)%k:][:k] {
-					pairs = append(pairs, rowIDs[s], c)
-				}
-			}
+		var old []int
+		if j, ok := slices.BinarySearch(sc.sentTo, cl.exportPeers[i]); ok {
+			old = sc.sent[j]
 		}
-		return pairs
+		sent[i] = cl.stream(a, i, old)
+		return sent[i]
 	})
+	sc.sentTo, sc.sent = cl.exportPeers, sent
 	ins := make([]incoming, len(srcs))
 	for i, src := range srcs {
 		ins[i] = incoming{src, streams[i]}
@@ -251,6 +265,41 @@ type classified struct {
 	// taken once — so class-mates agree on it, and so do the forms of one
 	// assembly.
 	hash uint64
+}
+
+// stream returns the (row, col) pairs of a's contributions to export peer i,
+// in contribution order: old itself when it holds exactly those ints —
+// compared in place, so a re-sent stream costs no allocation — and otherwise
+// a fresh slice, for old may be in a receiver's hands.
+func (cl *classified) stream(a assembly, i int, old []int) []int {
+	k, rowIDs, colIDs := a.segments()
+	n := 2 * cl.exportCounts[i]
+	same := len(old) == n
+	var pairs []int
+	if !same {
+		pairs = make([]int, 0, n)
+	}
+	j := 0
+	for _, s := range cl.exported {
+		if cl.segRows[s] != ^int32(i) {
+			continue
+		}
+		row := rowIDs[s]
+		for _, c := range colIDs[int(s)-int(s)%k:][:k] {
+			if same && (old[j] != row || old[j+1] != c) {
+				same = false
+				pairs = append(make([]int, 0, n), old[:j]...)
+			}
+			if !same {
+				pairs = append(pairs, row, c)
+			}
+			j += 2
+		}
+	}
+	if same {
+		return old
+	}
+	return pairs
 }
 
 // mix folds v into the fingerprint h (FNV-1a over whole words).
@@ -505,6 +554,11 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 // before it touches them. Freeze is host-only — no message, charge or
 // journal event — so it is rank-local; a second call finds the array the
 // first left and changes nothing.
+//
+// A dropped array is not freed but handed to the next matrix the rank builds
+// from the same assembly, which zeroes it and takes it as its own; an array
+// the rank filed is never handed over. A caller must therefore not hold
+// A.Val across Freeze: read it again from A afterwards.
 func (dm *DistMatrix) Freeze() { dm.freeze(valuesKey(dm.A.Val)) }
 
 // frozenVals is a value array as the world's intern table files it, a type
@@ -521,7 +575,11 @@ func (dm *DistMatrix) freeze(key uint64) {
 			return ok && sameBits(w, own)
 		},
 		func() (any, error) { return frozenVals(own), nil })
-	dm.A.Val, dm.A.frozen = v.(frozenVals), true
+	w := v.(frozenVals)
+	if dm.sc != nil && len(own) > 0 && &w[0] != &own[0] {
+		dm.sc.spare = own
+	}
+	dm.A.Val, dm.A.frozen, dm.sc = w, true, nil
 }
 
 // valuesKey fingerprints a value array: its length and every value's bits.

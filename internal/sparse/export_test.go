@@ -62,3 +62,8 @@ func NewDistMatrixLike(prev *DistMatrix, coo *COO, owner func(int) int, tag int)
 	dm.SetValues(coo)
 	return dm, nil
 }
+
+// Sent returns the pair streams the last build from the assembly sent, one
+// per export peer in ascending order: the slices themselves, which the next
+// build re-sends when it would spell them alike.
+func (s *segScratch) Sent() [][]int { return s.sent }
