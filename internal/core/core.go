@@ -32,11 +32,18 @@ type App interface {
 	Run(r *mp.Rank) (steps []vclock.PhaseTimes, metrics map[string]float64, err error)
 }
 
-// Target is a platform ready to execute jobs.
+// Target is a platform ready to execute jobs, one at a time.
 type Target struct {
 	Platform *platform.Platform
 	Sched    *sched.Scheduler
 	Billing  cost.Billing
+
+	// interns is the intern table of every world the target's jobs run in
+	// (see mp.InternTable): a sweep's points and a supervisor's attempts
+	// adopt the shapes and frozen values the job before them built. It is
+	// host-only, so a job's report, journal and metrics are those it would
+	// give on a fresh target.
+	interns mp.InternTable
 }
 
 // NewTarget builds the named platform's target with a deterministic
@@ -235,6 +242,7 @@ func (t *Target) Attempt(spec JobSpec) (*Report, *AttemptFailure, error) {
 	if err := fault.Arm(world, spec.Faults); err != nil {
 		return nil, nil, err
 	}
+	world.UseInterns(&t.interns)
 	world.Observe(spec.Obs)
 	return t.execute(world, spec.App, "on", spec.SkipSteps, queueWait)
 }
@@ -242,11 +250,12 @@ func (t *Target) Attempt(spec JobSpec) (*Report, *AttemptFailure, error) {
 // ResumeAttempt runs app on an already-formed world — the survivor world a
 // Shrink produced — instead of building placement, fabric, and topology
 // from a JobSpec. There is no scheduler admission and no queue wait: the
-// nodes are the ones the original job already held. faults arms any
-// remaining failure schedule (translated to the survivor node numbering);
-// the same three-way verdict as Attempt applies, so a second node loss in
-// the continuation surfaces as another *AttemptFailure carrying its own
-// poisoned world.
+// nodes are the ones the original job already held, and the world shares
+// the original job's intern table (Shrink and Grow pass it on). faults arms
+// any remaining failure schedule (translated to the survivor node
+// numbering); the same three-way verdict as Attempt applies, so a second
+// node loss in the continuation surfaces as another *AttemptFailure
+// carrying its own poisoned world.
 func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults []fault.Event) (*Report, *AttemptFailure, error) {
 	if app == nil {
 		return nil, nil, fmt.Errorf("core: resume without application")
@@ -261,9 +270,10 @@ func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults [
 }
 
 // execute is the tail Attempt and ResumeAttempt share: run app on every
-// rank of an armed world, then either describe the death (how words the
-// error: "on" for a launch, "resumed on" for a continuation) or aggregate
-// the per-rank profiles into the report.
+// rank of an armed world, prune the intern table to what the job used, then
+// either describe the death (how words the error: "on" for a launch,
+// "resumed on" for a continuation) or aggregate the per-rank profiles into
+// the report.
 func (t *Target) execute(world *mp.World, app App, how string, skipSteps int, queueWait float64) (*Report, *AttemptFailure, error) {
 	p, ranks := t.Platform, world.Size()
 	perRank := make([][]vclock.PhaseTimes, ranks)
@@ -280,6 +290,7 @@ func (t *Target) execute(world *mp.World, app App, how string, skipSteps int, qu
 		return nil
 	})
 	world.FlushObs()
+	t.interns.Prune()
 	if runErr != nil {
 		af := &AttemptFailure{
 			Err: fmt.Errorf("core: %s %s %s with %d ranks: %w",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 
 	"heterohpc/internal/fault"
 	"heterohpc/internal/mp"
+	"heterohpc/internal/obs"
 	"heterohpc/internal/sched"
 	"heterohpc/internal/vclock"
 )
@@ -241,6 +243,62 @@ func TestDeterministicReports(t *testing.T) {
 	if a.Iter.MaxTotal != b.Iter.MaxTotal || a.CostPerIter != b.CostPerIter ||
 		a.QueueWaitS != b.QueueWaitS {
 		t.Fatalf("reports not deterministic: %+v vs %+v", a.Iter, b.Iter)
+	}
+}
+
+// TestSharedInternTableChangesNoByte: a sweep of RD jobs at P = 1, 8, 27
+// and 64 and an NS pair, run on one target, whose later jobs adopt the
+// shapes and frozen values its earlier ones built, writes the reports,
+// journal and metrics it writes when each job runs on a target of its own.
+// The fresh targets draw from one scheduler stream, as the shared one does.
+func TestSharedInternTableChangesNoByte(t *testing.T) {
+	type job struct {
+		weak  func(ranks, perRankN, steps int) (App, error)
+		ranks int
+	}
+	jobs := []job{{WeakRD, 1}, {WeakRD, 8}, {WeakRD, 27}, {WeakRD, 64}, {WeakNS, 8}, {WeakNS, 27}}
+	sweep := func(targetFor func() *Target) []byte {
+		var out bytes.Buffer
+		run := obs.NewRun()
+		for _, j := range jobs {
+			app, err := j.weak(j.ranks, 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := targetFor().Run(JobSpec{Ranks: j.ranks, App: app, SkipSteps: 1, Obs: run})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%+v\n", *rep)
+		}
+		if err := run.WriteJournal(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := run.WriteMetrics(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	shared, err := NewTarget("ec2", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sweep(func() *Target { return shared })
+	base, err := NewTarget("ec2", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweep(func() *Target {
+		return &Target{Platform: base.Platform, Sched: base.Sched, Billing: base.Billing}
+	})
+	t.Logf("%d bytes of reports, journal and metrics", len(got))
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("one target wrote %d bytes, fresh targets %d; first difference at byte %d:\n%.200s\nvs\n%.200s",
+			len(got), len(want), i, got[i:], want[i:])
 	}
 }
 

@@ -54,7 +54,8 @@ type Grow struct {
 // virtual times. New ranks get clocks seeded at startAt (the
 // virtual time their node was provisioned). The old world is consumed — it
 // cannot Run again; the grown world is fresh: it has no fault schedule, no
-// observer, and may Run exactly once.
+// observer, and may Run exactly once. It shares the old world's intern
+// table.
 //
 // Grow refuses a poisoned world: a world that recorded a failure has dead
 // ranks that must be dropped first, so the recovery sequence there is
@@ -122,6 +123,7 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 	if err != nil {
 		return nil, err
 	}
+	nw.interns = w.interns
 	// Transplant the surviving ranks' mailboxes: repoint them at the grown
 	// world and purge any stale payloads, keeping the per-source slots, their
 	// queues and the links warm — the same sources and tags recur after the

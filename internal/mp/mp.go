@@ -446,9 +446,9 @@ type World struct {
 	// gets and puts total the payload draws and returns of the ranks that
 	// have exited (see Rank.gets), for the journal's "pool" event.
 	gets, puts atomic.Int64
-	// interns shares immutable host-side values between ranks (see
-	// intern.go).
-	interns internTable
+	// interns shares immutable host-side values between ranks, and between
+	// the worlds that point at the same table (see intern.go).
+	interns *InternTable
 
 	// obsRun/recs are the attached observability sink and its per-rank
 	// recorders (nil when the world is unobserved; see Observe).
@@ -499,6 +499,7 @@ func NewWorld(topo Topology, fabric *netmodel.Fabric, rater vclock.ComputeRater)
 		clocks:   make([]*vclock.Clock, p),
 		boxes:    make([]*mailbox, p),
 		rankDead: make([]atomic.Bool, p),
+		interns:  new(InternTable),
 	}
 	for i := 0; i < p; i++ {
 		w.clocks[i] = vclock.New(rater)

@@ -49,7 +49,8 @@ type Shrink struct {
 // and pending mailbox traffic to or from the dead is revoked. The old world
 // is consumed (it cannot Run again); the survivor world is fresh — it has
 // no fault schedule and may Run exactly once, with each rank's clock
-// continuing at the virtual time the rank had reached when it unwound.
+// continuing at the virtual time the rank had reached when it unwound. It
+// shares the old world's intern table.
 //
 // Besides the recorded failure node it also drops alsoDoomed — nodes the
 // supervisor knows are about to be reclaimed (a preemption wave) even
@@ -137,6 +138,7 @@ func (w *World) ShrinkNodes(alsoDoomed []int) (*Shrink, error) {
 	if err != nil {
 		return nil, err
 	}
+	nw.interns = w.interns
 	for newR, oldR := range sr.NewToOld {
 		nw.clocks[newR] = vclock.NewAt(w.rater, w.clocks[oldR].Now())
 	}

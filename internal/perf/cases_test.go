@@ -1,12 +1,14 @@
 // Package perf holds the host-performance gates: benchmarks over the
 // simulator's hot paths whose allocation counts the tests in perf_test.go
-// hold to ceilings (the virtual clock measures the modelled platforms; this
-// package measures the simulator itself). It has no non-test code: run the
-// bodies with `go test -run '^$' -bench . -benchmem ./internal/perf`.
+// hold to ceilings, and the live heap of a sweep's job (the virtual clock
+// measures the modelled platforms; this package measures the simulator
+// itself). It has no non-test code: run the bodies with `go test -run '^$'
+// -bench . -benchmem ./internal/perf`.
 package perf
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"heterohpc/internal/core"
@@ -16,20 +18,24 @@ import (
 	"heterohpc/internal/mp"
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/platform"
+	"heterohpc/internal/rd"
 	"heterohpc/internal/sparse"
+	"heterohpc/internal/vclock"
 )
 
 // BenchmarkRDIteration is one full platform-modelled RD run (world setup +
 // two BDF2 steps on 8 ranks) — the unit of every figure, and the case whose
-// allocs/op and bytes/op ceilings the CI perf-smoke step enforces.
+// allocs/op and bytes/op ceilings the CI perf-smoke step enforces. Each op
+// makes its own target, as the other set-up gates do, so that it builds
+// every shape it needs: on a shared target a job adopts what the job before
+// it built (BenchmarkRDSweepOneTarget gates that path).
 func BenchmarkRDIteration(b *testing.B) {
-	tg, err := core.NewTarget("ec2", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	var virt float64
 	for i := 0; i < b.N; i++ {
+		tg, err := core.NewTarget("ec2", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		app, err := core.WeakRD(8, 6, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -48,12 +54,11 @@ func BenchmarkRDIteration(b *testing.B) {
 // position classes of 64 ranks — so the only one where set-up's sharing of
 // frozen operator values between ranks shows.
 func BenchmarkRDJobP64(b *testing.B) {
-	tg, err := core.NewTarget("ec2", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tg, err := core.NewTarget("ec2", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		app, err := core.WeakRD(64, 4, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -67,12 +72,11 @@ func BenchmarkRDJobP64(b *testing.B) {
 // BenchmarkNSIteration is the Navier–Stokes equivalent (8 ranks, reduced
 // size: ~4 linear solves per step).
 func BenchmarkNSIteration(b *testing.B) {
-	tg, err := core.NewTarget("ec2", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tg, err := core.NewTarget("ec2", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		app, err := core.WeakNS(8, 4, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -81,6 +85,85 @@ func BenchmarkNSIteration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRDSweepOneTarget is a weak-scaling sweep in small: RD jobs at P =
+// 8, 27 and 64 (4³ elements each, two BDF2 steps) on one fresh target per
+// op. The jobs share the target's intern table, so the P = 27 job builds
+// only the shapes P = 8 did not have, and the P = 64 job adopts all 27.
+func BenchmarkRDSweepOneTarget(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tg, err := core.NewTarget("ec2", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range []int{8, 27, 64} {
+			app, err := core.WeakRD(p, 4, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tg.Run(core.JobSpec{Ranks: p, App: app, SkipSteps: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// rdLiveHeapPerRank runs an RD job at P = 27 and then one at P = 64 on one
+// fresh target (6³ elements per rank, two BDF2 steps each) and returns the
+// P = 64 job's live heap per rank: what rank 0 reads after a full GC once it
+// has checkpointed its first step, less the heap before the first job.
+func rdLiveHeapPerRank(t *testing.T) uint64 {
+	t.Helper()
+	tg, err := core.NewTarget("ec2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := liveHeap()
+	var sampled uint64
+	for _, p := range []int{27, 64} {
+		app, err := core.WeakRD(p, 6, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == 64 {
+			app = heapSampledRD{RDApp: app.(core.RDApp), heap: &sampled}
+		}
+		if _, err := tg.Run(core.JobSpec{Ranks: p, App: app, SkipSteps: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sampled <= base {
+		t.Fatalf("rank 0 sampled %d B of live heap, %d B before the first job", sampled, base)
+	}
+	return (sampled - base) / 64
+}
+
+// heapSampledRD is an RD application whose rank 0 stores the live heap in
+// *heap once its first step is done, from the time loop's checkpoint hook.
+type heapSampledRD struct {
+	core.RDApp
+	heap *uint64
+}
+
+func (a heapSampledRD) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
+	if r.ID() == 0 {
+		a.Cfg.Checkpoint = func(st rd.State) error {
+			if st.StepsDone == 1 {
+				*a.heap = liveHeap()
+			}
+			return nil
+		}
+	}
+	return a.RDApp.Run(r)
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkCGSteadySerial measures repeated warm-workspace CG solves of a

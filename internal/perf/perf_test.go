@@ -62,6 +62,23 @@ const nsIterationBytesCeiling = 2_772_000
 // MB/op went to 11.22 MB/op, and the ceiling is that plus 10%.
 const rdJobP64BytesCeiling = 12_340_000
 
+// rdSweepBytesCeiling bounds what BenchmarkRDSweepOneTarget moves through
+// the heap: three RD jobs on one target. When each job built its shapes
+// afresh the sweep moved 18.58 MB/op; sharing the target's intern table
+// between its jobs, so the P = 27 job builds only the shapes P = 8 lacked
+// and the P = 64 job builds none, brought it to 16.30 MB/op, and the
+// ceiling is that plus 10%.
+const rdSweepBytesCeiling = 17_930_000
+
+// rdLiveHeapPerRankCeiling bounds the live heap per rank of an RD job at P
+// = 64 (6³ elements each) run after a P = 27 job on its target
+// (TestRDLiveHeapPerRankCeiling). With a table per world it read 331.9 kB
+// per rank. A target's table holds the P = 27 job's entries until the P =
+// 64 job ends: its shapes, which P = 64 adopts, and its frozen mass values,
+// which P = 64 cannot (the mesh width differs), so it reads 354.2 kB per
+// rank, and the ceiling is that plus 10%.
+const rdLiveHeapPerRankCeiling = 389_600
+
 // measure runs one benchmark body for a fixed n iterations under
 // testing.Benchmark (as `-benchtime Nx` would), skipping when the
 // environment cannot give representative allocation counts. A fixed count
@@ -69,12 +86,7 @@ const rdJobP64BytesCeiling = 12_340_000
 // hundreds of iterations to read the same counts.
 func measure(t *testing.T, name string, n int, bench func(*testing.B)) testing.BenchmarkResult {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are not representative under -race")
-	}
-	if testing.Short() {
-		t.Skip("perf smoke skipped in -short mode")
-	}
+	skipUnrepresentative(t)
 	bt := flag.Lookup("test.benchtime")
 	was := bt.Value.String()
 	if err := bt.Value.Set(fmt.Sprintf("%dx", n)); err != nil {
@@ -87,6 +99,18 @@ func measure(t *testing.T, name string, n int, bench func(*testing.B)) testing.B
 	t.Logf("%s: %d ns/op, %d B/op, %d allocs/op (%d iterations) %v",
 		name, res.NsPerOp(), res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N, res.Extra)
 	return res
+}
+
+// skipUnrepresentative skips a gate where the environment cannot give
+// representative allocation counts or heap sizes.
+func skipUnrepresentative(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	if testing.Short() {
+		t.Skip("perf smoke skipped in -short mode")
+	}
 }
 
 // rdIteration and nsIteration are the one measurement of
@@ -161,6 +185,30 @@ func TestRDJobP64BytesCeiling(t *testing.T) {
 	if res.AllocedBytesPerOp() > rdJobP64BytesCeiling {
 		t.Errorf("rd-job-p64 allocates %d B/op, ceiling is %d",
 			res.AllocedBytesPerOp(), rdJobP64BytesCeiling)
+	}
+}
+
+// TestRDSweepBytesCeiling gates the three-job sweep on bytes/op: the one
+// gate whose jobs adopt what the jobs before them built on their target.
+func TestRDSweepBytesCeiling(t *testing.T) {
+	res := measure(t, "rd-sweep-one-target", 5, BenchmarkRDSweepOneTarget)
+	if res.AllocedBytesPerOp() > rdSweepBytesCeiling {
+		t.Errorf("rd-sweep-one-target allocates %d B/op, ceiling is %d",
+			res.AllocedBytesPerOp(), rdSweepBytesCeiling)
+	}
+}
+
+// TestRDLiveHeapPerRankCeiling gates the footprint of a sweep: the live
+// heap of an RD job at P = 64 (6³ elements per rank), run after a P = 27
+// job on the same target, so that it includes what the target's intern
+// table holds between jobs.
+func TestRDLiveHeapPerRankCeiling(t *testing.T) {
+	skipUnrepresentative(t)
+	perRank := rdLiveHeapPerRank(t)
+	t.Logf("rd-live-heap-p64: %d B/rank", perRank)
+	if perRank > rdLiveHeapPerRankCeiling {
+		t.Errorf("rd job at P = 64 holds %d B/rank live, ceiling is %d",
+			perRank, rdLiveHeapPerRankCeiling)
 	}
 }
 

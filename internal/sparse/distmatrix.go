@@ -22,12 +22,13 @@ import (
 // A matrix is a symbolic structure plus its own values. The structure's
 // bulk — CSR pattern and refill plan, its shape — depends only on the (row,
 // col) sequences the ranks assemble, in local numbering, so it is interned
-// in the world (mp.Rank.Intern): the operators of one finite-element space
-// share one copy, and so do the ranks of one position class of a block
-// decomposition. A.RowPtr and A.Col of such matrices alias the same arrays,
-// on this rank and on others, and must be treated as read-only. The values
-// of an operator that is never written again are shared the same way once
-// the rank freezes it (Freeze).
+// in the world's intern table (mp.Rank.Intern): the operators of one
+// finite-element space share one copy, and so do the ranks of one position
+// class of a block decomposition — also across the worlds that share a
+// table, such as the jobs of one core.Target. A.RowPtr and A.Col of such
+// matrices alias the same arrays, on this rank, on others and in later jobs,
+// and must be treated as read-only. The values of an operator that is never
+// written again are shared the same way once the rank freezes it (Freeze).
 type DistMatrix struct {
 	r      *mp.Rank
 	rowMap *RowMap
@@ -95,12 +96,13 @@ type incoming struct {
 // in [0, refillTag), for every refill runs under refillTag. The coo is not
 // retained; SetValues refills take one with the same contribution order.
 //
-// When the world already holds a shape that coo and the peers' streams
-// follow contribution for contribution — built by this rank for an earlier
-// operator or by another rank, from an assembly of whichever form — the
-// matrix adopts it and allocates only its values and its per-rank lists;
-// otherwise it builds one and files it for the builds that follow. Either way
-// the ranks exchange the same messages and charge the same virtual cost.
+// When the world's intern table already holds a shape that coo and the
+// peers' streams follow contribution for contribution — built by this rank
+// for an earlier operator, by another rank or in an earlier job, from an
+// assembly of whichever form — the matrix adopts it and allocates only its
+// values and its per-rank lists; otherwise it builds one and files it for
+// the builds that follow. Either way the ranks exchange the same messages
+// and charge the same virtual cost.
 func NewDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, tag int) (*DistMatrix, error) {
 	dm, err := newDistMatrix(r, rowMap, coo, owner, tag, nil)
 	if err != nil {
@@ -194,10 +196,10 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, 
 }
 
 // structureFor classifies this rank's contributions, exchanges the off-rank
-// (row, col) pairs and only then looks in the world for the shape of the
-// matrix that a and the received streams describe: one already interned
-// that they follow exactly (bind), otherwise a new one, which is interned
-// for the builds that follow. The exchange is the same either way — a rank
+// (row, col) pairs and only then looks in the intern table for the shape of
+// the matrix that a and the received streams describe: one already
+// interned that they follow exactly (bind), otherwise a new one, which is
+// interned for the builds that follow. The exchange is the same either way — a rank
 // cannot know whether its peers are adopting or building, and set-up traffic
 // moves every rank's virtual clock — and it is complete before the lookup,
 // so a rank waiting there for a class-mate's build waits for host work only.
@@ -545,11 +547,11 @@ func (st *structure) colGlobal(m *RowMap, lc int) int {
 }
 
 // Freeze declares the matrix's values final on this rank and shares them
-// with the world: A.Val becomes the first array filed there whose every bit
-// equals it — the ranks of one position class of a block decomposition
-// assemble a constant operator bit for bit alike — and this rank's own is
-// dropped; when none is, the rank files its own for the ranks that come
-// after. From then on every path that writes the values (SetValues, Refill,
+// through the world's intern table: A.Val becomes the first array filed
+// there whose every bit equals it — the ranks of one position class of a
+// block decomposition assemble a constant operator bit for bit alike — and
+// this rank's own is dropped; when none is, the rank files its own for the
+// ranks, and the jobs that share the table, that come after. From then on every path that writes the values (SetValues, Refill,
 // NewDirichlet, Recompute and CSR.ZeroVals) panics
 // before it touches them. Freeze is host-only — no message, charge or
 // journal event — so it is rank-local; a second call finds the array the
