@@ -65,16 +65,12 @@ func CollectAllows(fset *token.FileSet, files []*ast.File) []Allow {
 // allow-annotation protocol: diagnostics on (or directly below) a matching
 // annotation are suppressed, suppressions without a justification are
 // reported, and annotations that suppressed nothing are reported as stale.
-// Diagnostics come back sorted by position so every driver prints the same
+// Diagnostics come back sorted by position so every run prints the same
 // order — the suite practices the determinism it preaches.
 //
-// facts is the unit's shared fact store (imported dependency facts in,
-// exported facts out); nil runs the analyzer fact-blind with a private
-// empty store.
+// facts is the lint's shared fact store: facts exported over dependency
+// packages in, this package's out.
 func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *FactStore) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFactStore(a)
-	}
 	var raw []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,

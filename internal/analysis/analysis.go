@@ -1,16 +1,13 @@
-// Package analysis is a self-contained static-analysis framework for the
-// repository's own invariant checkers (heterolint). It mirrors the core API
-// of golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic, Fact —
-// so the heterolint analyzers read like any other go/analysis checker and
-// can migrate to the upstream framework verbatim once the module is
-// vendored.
+// Package analysis is a small static-analysis framework for the
+// repository's own invariant checkers (heterolint), after the core API of
+// golang.org/x/tools/go/analysis: Analyzer, Pass, Diagnostic, Fact. An
+// analyzer may export typed facts about package-level objects and import
+// the facts its own runs over dependency packages exported.
 //
-// Since v2 the framework is facts-capable: an analyzer may export typed
-// facts about package-level objects and import facts recorded by its own
-// runs over dependency packages. Facts serialize through the unitchecker's
-// .vetx files, so cross-package propagation works under the
-// `go vet -vettool` protocol with nothing but the standard library
-// (go/ast, go/types, go/importer, encoding/json).
+// The checkers run inside go test, with nothing but the standard library:
+// package analysistest type-checks the module from source and runs them
+// over its packages in dependency order with one in-memory FactStore
+// (TestHeterolint in this directory), and over the fixtures under testdata.
 package analysis
 
 import (
@@ -33,8 +30,7 @@ type Analyzer struct {
 	// silence two different checkers.
 	AllowKeyword string
 	// FactTypes lists the fact types the analyzer exports or imports, one
-	// zero value per type. An analyzer with no FactTypes is fact-free and
-	// is skipped on facts-only (VetxOnly) unitchecker runs.
+	// zero value per type.
 	FactTypes []Fact
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (interface{}, error)
@@ -45,15 +41,19 @@ func (a *Analyzer) String() string { return a.Name }
 // Pass provides one analyzer run with a single type-checked package and a
 // sink for its diagnostics, mirroring go/analysis.Pass.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	// Files are the package's files. Its _test.go files among them are
+	// parsed but not type-checked (TypesInfo knows nothing of them): an
+	// analyzer skips them (IsTestFile), so they reach only the allow
+	// protocol.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// facts is the fact store shared by every analyzer run of one unit:
-	// facts imported from dependency packages plus facts exported here.
+	// facts is the fact store shared by every run of one lint: facts
+	// exported over dependency packages plus facts exported here.
 	facts *FactStore
 }
 

@@ -140,7 +140,7 @@ func runBadCalls(t *testing.T, keyword string) []string {
 		return nil, nil
 	}}
 	fset, files, pkg, info := typecheckFiles(t, "example/p", allowSrc)
-	diags, err := RunAnalyzer(a, fset, files, pkg, info, nil)
+	diags, err := RunAnalyzer(a, fset, files, pkg, info, NewFactStore(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,68 +235,6 @@ var X int
 	}
 	if got := ObjectKey(nil); got != "" {
 		t.Errorf("nil key = %q, want empty", got)
-	}
-}
-
-func TestFactStoreRoundTrip(t *testing.T) {
-	a1 := mkAnalyzer("alpha", "", (*factA)(nil))
-	a2 := mkAnalyzer("beta", "", (*factB)(nil))
-	s := NewFactStore(a1, a2)
-	if err := s.set("alpha", "pkg/x", "F", &factA{N: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.set("beta", "pkg/y", "T.M", &factB{S: "hi"}); err != nil {
-		t.Fatal(err)
-	}
-	// Unregistered fact types are rejected at set time.
-	if err := s.set("alpha", "pkg/x", "G", &factB{}); err == nil {
-		t.Fatal("set with undeclared fact type: want error")
-	}
-
-	enc, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(enc) != string(enc2) {
-		t.Fatal("Encode is not deterministic")
-	}
-
-	dst := NewFactStore(a1, a2)
-	if err := dst.Decode(enc); err != nil {
-		t.Fatal(err)
-	}
-	if len(dst.m) != 2 {
-		t.Fatalf("decoded %d facts, want 2", len(dst.m))
-	}
-	var fa factA
-	if !dst.get("alpha", "pkg/x", "F", &fa) || fa.N != 7 {
-		t.Fatalf("object fact round-trip: got %+v, found=%v", fa, dst.get("alpha", "pkg/x", "F", &fa))
-	}
-	var fb factB
-	if !dst.get("beta", "pkg/y", "T.M", &fb) || fb.S != "hi" {
-		t.Fatalf("method fact round-trip: got %+v", fb)
-	}
-	// Wrong concrete type at get: not found, dst untouched.
-	if dst.get("alpha", "pkg/x", "F", &fb) {
-		t.Fatal("get with mismatched type: want not found")
-	}
-
-	// A store that does not know beta's fact type skips those records.
-	partial := NewFactStore(a1)
-	if err := partial.Decode(enc); err != nil {
-		t.Fatal(err)
-	}
-	if len(partial.m) != 1 {
-		t.Fatalf("partial decode kept %d facts, want 1", len(partial.m))
-	}
-
-	// Garbage degrades to an error from Decode, not a panic.
-	if err := dst.Decode([]byte("not json")); err == nil {
-		t.Fatal("Decode(garbage): want error")
 	}
 }
 

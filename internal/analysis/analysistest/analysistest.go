@@ -1,6 +1,8 @@
-// Package analysistest runs an analyzer over GOPATH-style fixture packages
-// under a testdata directory and checks its diagnostics against // want
-// expectations, mirroring golang.org/x/tools/go/analysis/analysistest.
+// Package analysistest loads Go source trees and runs the heterolint
+// analyzers over them: the whole module (LoadModule and Program.Lint, which
+// TestHeterolint in internal/analysis runs) and GOPATH-style fixture
+// packages under a testdata directory, whose diagnostics Run checks against
+// // want expectations, after golang.org/x/tools/go/analysis/analysistest.
 //
 // A fixture line carries its expectation in a trailing comment:
 //
@@ -9,15 +11,14 @@
 // Each backquoted or double-quoted token after "want" is a regular
 // expression that must match exactly one diagnostic reported on that line;
 // diagnostics without a matching expectation (and expectations without a
-// matching diagnostic) fail the test. Fixture packages are type-checked
-// from source with GOPATH pointed at testdata, so fixtures may import both
-// sibling fixture packages and the standard library.
+// matching diagnostic) fail the test.
 //
-// Sibling fixture imports resolve through a shared loader that analyzes
-// the dependency first, so facts exported by the analyzer's run over the
-// imported package are visible when the importing package is analyzed —
-// the in-process mirror of the unitchecker's .vetx fact flow. Naming both
-// packages in one Run checks diagnostics in both directions.
+// Both kinds of tree load the same way: a package is parsed with its
+// comments and type-checked from source after the packages it imports,
+// with the standard library from go/importer's source importer. Lint runs
+// the analyzers over the packages in that order with one fact store, so the
+// facts an analyzer exports about a package reach its runs over every
+// importer.
 package analysistest
 
 import (
@@ -36,136 +37,127 @@ import (
 	"testing"
 
 	"heterohpc/internal/analysis"
+	"heterohpc/internal/analysis/maporder"
+	"heterohpc/internal/analysis/obskind"
+	"heterohpc/internal/analysis/vcharge"
+	"heterohpc/internal/analysis/worldconsume"
 )
 
-// Run applies the analyzer to each fixture package (an import path under
-// testdata/src) and reports expectation mismatches through t. Dependencies
-// between fixture packages are analyzed in import order with a fact store
-// shared across the whole run.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	ld, restore := newLoader(t, testdata, a)
-	defer restore()
-	for _, pkgPath := range pkgPaths {
-		lp := ld.load(pkgPath)
-		checkExpectations(t, a, ld.fset, lp.files, lp.diags, pkgPath)
-	}
+// Heterolint is the repository's suite of invariant checkers, the one
+// TestHeterolint lints the module with.
+var Heterolint = []*analysis.Analyzer{maporder.Analyzer, vcharge.Analyzer, worldconsume.Analyzer, obskind.Analyzer}
+
+// Program is the loaded packages of one source tree.
+type Program struct {
+	Fset *token.FileSet
+	// Dir is the tree's root directory, absolute.
+	Dir string
+	// Path is the import path of Dir: the module path, or "" for a
+	// GOPATH-style src directory.
+	Path string
+	// Packages holds every loaded package after the packages it imports.
+	Packages []*Package
+
+	byPath map[string]*Package // nil while the package is being loaded
+	std    types.Importer
 }
 
-// loader type-checks fixture packages with one shared FileSet, importer and
-// fact store, analyzing each package exactly once in dependency order.
-type loader struct {
-	t        *testing.T
-	testdata string
-	fset     *token.FileSet
-	analyzer *analysis.Analyzer
-	std      types.Importer
-	facts    *analysis.FactStore
-	pkgs     map[string]*loadedPkg
-	loading  map[string]bool // cycle detection
+// Package is one loaded package.
+type Package struct {
+	Path string
+	// Files are the non-test files, type-checked into Types and Info.
+	Files []*ast.File
+	// TestFiles are the _test.go files, in-package and external, parsed but
+	// not type-checked; Lint hands them to the analyzers after Files (see
+	// analysis.Pass.Files).
+	TestFiles []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
-type loadedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	diags []analysis.Diagnostic
-}
-
-// newLoader builds a loader and points go/build's default context (and the
-// process environment the source importer consults) at the fixture tree;
-// the returned restore func undoes both.
-func newLoader(t *testing.T, testdata string, a *analysis.Analyzer) (*loader, func()) {
-	t.Helper()
-	abs, err := filepath.Abs(testdata)
+func newProgram(dir, path string) (*Program, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	oldGOPATH := build.Default.GOPATH
-	build.Default.GOPATH = abs
-	var undo []func()
-	undo = append(undo, func() { build.Default.GOPATH = oldGOPATH })
-	// Fixture imports resolve GOPATH-style; without this, go/build defers
-	// to the module-aware `go list`, which cannot see testdata/src.
-	for k, v := range map[string]string{"GOPATH": abs, "GO111MODULE": "off"} {
-		old, had := os.LookupEnv(k)
-		os.Setenv(k, v)
-		k, old, had := k, old, had
-		undo = append(undo, func() {
-			if had {
-				os.Setenv(k, old)
-			} else {
-				os.Unsetenv(k)
-			}
-		})
+		return nil, err
 	}
 	fset := token.NewFileSet()
-	ld := &loader{
-		t:        t,
-		testdata: abs,
-		fset:     fset,
-		analyzer: a,
-		std:      importer.ForCompiler(fset, "source", nil),
-		facts:    analysis.NewFactStore(a),
-		pkgs:     map[string]*loadedPkg{},
-		loading:  map[string]bool{},
-	}
-	return ld, func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
-	}
+	return &Program{Fset: fset, Dir: dir, Path: path, byPath: map[string]*Package{},
+		std: importer.ForCompiler(fset, "source", nil)}, nil
 }
 
-// Import resolves an import encountered while type-checking a fixture:
-// sibling fixture packages load (and get analyzed) through the loader so
-// object identity and facts are shared; everything else falls through to
-// the standard source importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(ld.testdata, "src", filepath.FromSlash(path)); isDir(dir) {
-		return ld.load(path).pkg, nil
-	}
-	return ld.std.Import(path)
-}
-
-func isDir(p string) bool {
-	st, err := os.Stat(p)
-	return err == nil && st.IsDir()
-}
-
-// load parses, type-checks and analyzes one fixture package, memoized.
-func (ld *loader) load(pkgPath string) *loadedPkg {
-	ld.t.Helper()
-	if lp, ok := ld.pkgs[pkgPath]; ok {
-		return lp
-	}
-	if ld.loading[pkgPath] {
-		ld.t.Fatalf("%s: fixture import cycle through %q", ld.analyzer.Name, pkgPath)
-	}
-	ld.loading[pkgPath] = true
-	defer delete(ld.loading, pkgPath)
-
-	dir := filepath.Join(ld.testdata, "src", filepath.FromSlash(pkgPath))
-	entries, err := os.ReadDir(dir)
+// LoadModule loads every package of the Go module rooted at dir, skipping
+// testdata and hidden directories.
+func LoadModule(dir string) (*Program, error) {
+	gomod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
-		ld.t.Fatalf("%s: %v", ld.analyzer.Name, err)
+		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	var path string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			path = f[1]
 		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+	}
+	p, err := newProgram(dir, path)
+	if err != nil {
+		return nil, err
+	}
+	err = filepath.WalkDir(p.Dir, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if dir != p.Dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(p.Dir, dir)
 		if err != nil {
-			ld.t.Fatalf("%s: %v", ld.analyzer.Name, err)
+			return err
 		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		ld.t.Fatalf("%s: no fixture files in %s", ld.analyzer.Name, dir)
-	}
+		path := p.Path
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		if _, err := p.load(path); err != nil {
+			if _, none := err.(*build.NoGoError); !none {
+				return err
+			}
+		}
+		return nil
+	})
+	return p, err
+}
 
-	tc := &types.Config{Importer: ld}
-	info := &types.Info{
+// dir gives the directory of a package of the tree, and false for an
+// import path from outside it.
+func (p *Program) dir(path string) (string, bool) {
+	if p.Path == "" {
+		dir := filepath.Join(p.Dir, filepath.FromSlash(path))
+		st, err := os.Stat(dir)
+		return dir, err == nil && st.IsDir()
+	}
+	if path == p.Path {
+		return p.Dir, true
+	}
+	rel, ok := strings.CutPrefix(path, p.Path+"/")
+	return filepath.Join(p.Dir, filepath.FromSlash(rel)), ok
+}
+
+// load parses and type-checks a package of the tree, once.
+func (p *Program) load(path string) (*Package, error) {
+	if pkg, ok := p.byPath[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	dir, _ := p.dir(path)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	p.byPath[path] = nil
+	pkg := &Package{Path: path, Info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -173,18 +165,105 @@ func (ld *loader) load(pkgPath string) *loadedPkg {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
+	}}
+	if pkg.Files, err = p.parse(dir, bp.GoFiles); err != nil {
+		return nil, err
 	}
-	pkg, err := tc.Check(pkgPath, ld.fset, files, info)
+	if pkg.TestFiles, err = p.parse(dir, append(bp.TestGoFiles, bp.XTestGoFiles...)); err != nil {
+		return nil, err
+	}
+	if pkg.Types, err = (&types.Config{Importer: p}).Check(path, p.Fset, pkg.Files, pkg.Info); err != nil {
+		return nil, err
+	}
+	p.byPath[path] = pkg
+	p.Packages = append(p.Packages, pkg)
+	return pkg, nil
+}
+
+func (p *Program) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// Import resolves an import met while type-checking: a package of the tree
+// is loaded here, so each of its objects is one object across the program;
+// the rest is the standard library.
+func (p *Program) Import(path string) (*types.Package, error) {
+	if _, ok := p.dir(path); !ok {
+		return p.std.Import(path)
+	}
+	pkg, err := p.load(path)
 	if err != nil {
-		ld.t.Fatalf("%s: typecheck %s: %v", ld.analyzer.Name, pkgPath, err)
+		return nil, err
 	}
-	diags, err := analysis.RunAnalyzer(ld.analyzer, ld.fset, files, pkg, info, ld.facts)
+	return pkg.Types, nil
+}
+
+// A Finding is one diagnostic of a Lint run.
+type Finding struct {
+	Package  *Package
+	Analyzer *analysis.Analyzer
+	analysis.Diagnostic
+}
+
+// Lint validates the analyzers as one suite (analysis.Validate), then runs
+// each over every package, in the order of Packages, with one fact store.
+// Findings come in package order, then analyzer order, then position order.
+func (p *Program) Lint(analyzers ...*analysis.Analyzer) ([]Finding, error) {
+	if err := analysis.Validate(analyzers); err != nil {
+		return nil, err
+	}
+	facts := analysis.NewFactStore(analyzers...)
+	var out []Finding
+	for _, pkg := range p.Packages {
+		files := append(pkg.Files[:len(pkg.Files):len(pkg.Files)], pkg.TestFiles...)
+		for _, a := range analyzers {
+			diags, err := analysis.RunAnalyzer(a, p.Fset, files, pkg.Types, pkg.Info, facts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
+			}
+			for _, d := range diags {
+				out = append(out, Finding{pkg, a, d})
+			}
+		}
+	}
+	return out, nil
+}
+
+// Run loads each fixture package (an import path under testdata/src) with
+// the fixtures it imports, lints them all with the analyzer, and reports
+// through t each expectation mismatch in the named packages.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
+	t.Helper()
+	p, err := newProgram(filepath.Join(testdata, "src"), "")
 	if err != nil {
-		ld.t.Fatalf("%s: %v", ld.analyzer.Name, err)
+		t.Fatal(err)
 	}
-	lp := &loadedPkg{pkg: pkg, files: files, diags: diags}
-	ld.pkgs[pkgPath] = lp
-	return lp
+	for _, path := range pkgPaths {
+		if _, err := p.load(path); err != nil {
+			t.Fatalf("%s: %s: %v", a.Name, path, err)
+		}
+	}
+	findings, err := p.Lint(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range pkgPaths {
+		var diags []analysis.Diagnostic
+		for _, f := range findings {
+			if f.Package.Path == path {
+				diags = append(diags, f.Diagnostic)
+			}
+		}
+		checkExpectations(t, a, p.Fset, p.byPath[path].Files, diags, path)
+	}
 }
 
 type lineKey struct {

@@ -1,17 +1,15 @@
-package analysis
+package analysis_test
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"heterohpc/internal/analysis/analysistest"
 )
 
 // testOnlyExports lists the exported names that no non-test file uses but
@@ -32,7 +30,7 @@ var testOnlyExports = map[string]string{
 	"mesh.Local.IndexBytes":     "bounds the index footprint (rowmap_oracle_test.go: TestRowMapIndexFootprint)",
 	"mp.Rank.RecvF64AddScatter": "the mailbox receive the link oracles compare against (link_oracle_test.go: TestImporterLinksMatchMailbox)",
 	"fem.NewSpaceParts":         "the irregular 5-part world of the structure oracles (structure_oracle_test.go: TestInternedStructureMatchesPerRankBuild)",
-	"pkg analysis/analysistest": "the analyzers' fixture driver (maporder_test.go: TestMaporder and the other analyzers' tests)",
+	"pkg analysis/analysistest": "the analyzers' loader and driver (lint_test.go: TestHeterolint; maporder_test.go: TestMaporder and the other fixture tests)",
 }
 
 // TestNoExportedNameOnlyTestsCall type-checks every non-test file of the
@@ -43,18 +41,7 @@ var testOnlyExports = map[string]string{
 // loaded interface with a method of that name (error, fmt.Stringer,
 // krylov.Preconditioner, ...).
 func TestNoExportedNameOnlyTestsCall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := loadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, err := m.unusedExports()
+	dead, err := unusedExports(loadModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,140 +78,29 @@ func pkgOf(key string) string {
 	return key
 }
 
-// module is the type-checked non-test code of one Go module.
-type module struct {
-	path  string // module path, "heterohpc"
-	fset  *token.FileSet
-	pkgs  map[string]*types.Package // by import path, module packages only
-	info  map[string]*types.Info
-	order []string          // import paths in type-check order
-	dirs  map[string]string // import path -> directory
-	std   types.Importer    // the standard library, from source
-}
-
-// loadModule parses and type-checks every package directory under root
-// (skipping testdata and hidden directories) from its non-test files.
-func loadModule(root string) (*module, error) {
-	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	m := &module{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*types.Package{},
-		info: map[string]*types.Info{},
-		dirs: map[string]string{},
-	}
-	for _, line := range strings.Split(string(gomod), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			m.path = f[1]
-		}
-	}
-	m.std = importer.ForCompiler(m.fset, "source", nil)
-	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		imp := m.path
-		if rel != "." {
-			imp += "/" + filepath.ToSlash(rel)
-		}
-		m.dirs[imp] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, 0, len(m.dirs))
-	for imp := range m.dirs {
-		paths = append(paths, imp)
-	}
-	sort.Strings(paths)
-	for _, imp := range paths {
-		if _, err := m.load(imp); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// load type-checks one module package (memoised); a directory with no
-// non-test Go file gives a nil package.
-func (m *module) load(imp string) (*types.Package, error) {
-	if pkg, ok := m.pkgs[imp]; ok {
-		return pkg, nil
-	}
-	bp, err := build.ImportDir(m.dirs[imp], 0)
-	if _, none := err.(*build.NoGoError); none {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: importerFunc(m.importPath)}
-	pkg, err := conf.Check(imp, m.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	m.pkgs[imp], m.info[imp] = pkg, info
-	m.order = append(m.order, imp)
-	return pkg, nil
-}
-
-// importPath resolves an import: a module package is type-checked here, so
-// each of its names is one object across the module; the rest is the
-// standard library.
-func (m *module) importPath(path string) (*types.Package, error) {
-	if path == m.path || strings.HasPrefix(path, m.path+"/") {
-		return m.load(path)
-	}
-	return m.std.Import(path)
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 // unusedExports returns the keys of the exported names of the root and
 // internal/ packages that no non-test file uses, sorted.
-func (m *module) unusedExports() ([]string, error) {
+func unusedExports(prog *analysistest.Program) ([]string, error) {
 	used := map[types.Object]bool{}
-	for _, imp := range m.order {
-		for _, obj := range m.info[imp].Uses {
+	for _, pkg := range prog.Packages {
+		for _, obj := range pkg.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
 			}
 			used[obj] = true
 		}
 	}
-	ifaces, err := m.interfaces()
+	ifaces, err := interfaces(prog)
 	if err != nil {
 		return nil, err
 	}
 	var dead []string
-	for _, imp := range m.order {
-		key, ok := m.keyPrefix(imp)
+	for _, pkg := range prog.Packages {
+		key, ok := keyPrefix(prog.Path, pkg.Path)
 		if !ok {
 			continue
 		}
-		scope := m.pkgs[imp].Scope()
+		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() && !used[obj] {
@@ -253,11 +129,11 @@ func (m *module) unusedExports() ([]string, error) {
 // keyPrefix gives "sparse." for heterohpc/internal/sparse and "heterohpc."
 // for the root package; other packages (cmd/, examples/, benchmarks/) are
 // callers only.
-func (m *module) keyPrefix(imp string) (string, bool) {
-	if imp == m.path {
-		return m.path + ".", true
+func keyPrefix(module, imp string) (string, bool) {
+	if imp == module {
+		return module + ".", true
 	}
-	rel, ok := strings.CutPrefix(imp, m.path+"/internal/")
+	rel, ok := strings.CutPrefix(imp, module+"/internal/")
 	return rel + ".", ok
 }
 
@@ -275,12 +151,13 @@ type (
 
 // interfaces returns every named interface type of every loaded package,
 // the standard library's included, plus error and unnamedAsserts.
-func (m *module) interfaces() ([]*types.Interface, error) {
-	f, err := parser.ParseFile(m.fset, "asserts.go", unnamedAsserts, 0)
+func interfaces(prog *analysistest.Program) ([]*types.Interface, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "asserts.go", unnamedAsserts, 0)
 	if err != nil {
 		return nil, err
 	}
-	asserts, err := new(types.Config).Check("asserts", m.fset, []*ast.File{f}, nil)
+	asserts, err := new(types.Config).Check("asserts", fset, []*ast.File{f}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +187,8 @@ func (m *module) interfaces() ([]*types.Interface, error) {
 		}
 	}
 	walk(asserts)
-	for _, imp := range m.order {
-		walk(m.pkgs[imp])
+	for _, pkg := range prog.Packages {
+		walk(pkg.Types)
 	}
 	return out, nil
 }

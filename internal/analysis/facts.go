@@ -1,19 +1,16 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is one unit of analyzer knowledge about a package-level object,
 // produced while analyzing the package that defines the subject and
 // consumed by the same analyzer's later runs over downstream packages.
-// Implementations must be JSON-serializable struct pointers and appear in
-// their analyzer's FactTypes.
+// Implementations must be struct pointers and appear in their analyzer's
+// FactTypes.
 //
 // Unlike golang.org/x/tools (which names objects with go/types/objectpath),
 // facts here are keyed by a flat string — "F" for a package-level object,
@@ -57,25 +54,22 @@ type factKey struct {
 	object   string // ObjectKey of the subject
 }
 
-// FactStore holds the facts visible to one unit of analysis: facts decoded
-// from dependency .vetx files plus facts exported by the current run. One
-// store is shared by all analyzers of a unit; entries are namespaced by
-// analyzer name.
+// FactStore holds the facts of one lint run: every analyzer's runs over
+// the packages analyzed so far exported them, and its runs over their
+// importers read them. Entries are namespaced by analyzer name.
 type FactStore struct {
-	// factTypes maps "analyzer/TypeName" to the registered concrete type,
-	// for decoding.
-	factTypes map[string]reflect.Type
-	m         map[factKey]Fact
+	// declared holds each analyzer's FactTypes, as "analyzer/TypeName".
+	declared map[string]bool
+	m        map[factKey]Fact
 }
 
-// NewFactStore returns an empty store with the given analyzers' fact types
-// registered for decoding.
+// NewFactStore returns an empty store for the given analyzers' fact types.
 func NewFactStore(analyzers ...*Analyzer) *FactStore {
-	s := &FactStore{factTypes: map[string]reflect.Type{}, m: map[factKey]Fact{}}
+	s := &FactStore{declared: map[string]bool{}, m: map[factKey]Fact{}}
 	for _, a := range analyzers {
 		for _, f := range a.FactTypes {
 			if validateFactType(f) == nil {
-				s.factTypes[a.Name+"/"+reflect.TypeOf(f).Elem().Name()] = reflect.TypeOf(f)
+				s.declared[a.Name+"/"+reflect.TypeOf(f).Elem().Name()] = true
 			}
 		}
 	}
@@ -96,8 +90,7 @@ func (s *FactStore) set(analyzer, pkg, object string, fact Fact) error {
 	if err := validateFactType(fact); err != nil {
 		return err
 	}
-	name := analyzer + "/" + reflect.TypeOf(fact).Elem().Name()
-	if _, ok := s.factTypes[name]; !ok {
+	if !s.declared[analyzer+"/"+reflect.TypeOf(fact).Elem().Name()] {
 		return fmt.Errorf("fact type %T is not declared in analyzer %s's FactTypes", fact, analyzer)
 	}
 	cp := reflect.New(reflect.TypeOf(fact).Elem())
@@ -115,79 +108,4 @@ func (s *FactStore) get(analyzer, pkg, object string, dst Fact) bool {
 	}
 	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(f).Elem())
 	return true
-}
-
-// factRecord is the serialized form of one fact.
-type factRecord struct {
-	Analyzer string          `json:"a"`
-	Pkg      string          `json:"p"`
-	Object   string          `json:"o,omitempty"`
-	Type     string          `json:"t"` // fact type name within the analyzer
-	Data     json.RawMessage `json:"d"`
-}
-
-// Encode serializes every fact in the store — the current package's and the
-// inherited ones — in a deterministic order. The closure is re-exported
-// whole because the unitchecker protocol hands each unit only its direct
-// dependencies' .vetx files: transitive facts must ride along.
-func (s *FactStore) Encode() ([]byte, error) {
-	// Sort the keys before marshalling so both the record order and any
-	// marshal failure (which aborts the encode) are deterministic.
-	keys := make([]factKey, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		if a.pkg != b.pkg {
-			return a.pkg < b.pkg
-		}
-		return a.object < b.object
-	})
-	recs := make([]factRecord, 0, len(keys))
-	for _, k := range keys {
-		f := s.m[k]
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: encode fact %T for %s.%s: %v", f, k.pkg, k.object, err)
-		}
-		recs = append(recs, factRecord{
-			Analyzer: k.analyzer,
-			Pkg:      k.pkg,
-			Object:   k.object,
-			Type:     reflect.TypeOf(f).Elem().Name(),
-			Data:     data,
-		})
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges serialized facts into the store. Records whose fact type is
-// not registered (an analyzer that no longer exists, or a newer format) are
-// skipped: stale cache entries must degrade to "no facts", not to a failed
-// build.
-func (s *FactStore) Decode(data []byte) error {
-	var recs []factRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("analysis: decode facts: %v", err)
-	}
-	for _, r := range recs {
-		t, ok := s.factTypes[r.Analyzer+"/"+r.Type]
-		if !ok {
-			continue
-		}
-		f := reflect.New(t.Elem()).Interface().(Fact)
-		if err := json.Unmarshal(r.Data, f); err != nil {
-			continue
-		}
-		s.m[factKey{r.Analyzer, r.Pkg, r.Object}] = f
-	}
-	return nil
 }
