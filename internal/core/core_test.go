@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"heterohpc/internal/fault"
@@ -299,6 +300,49 @@ func TestSharedInternTableChangesNoByte(t *testing.T) {
 		}
 		t.Fatalf("one target wrote %d bytes, fresh targets %d; first difference at byte %d:\n%.200s\nvs\n%.200s",
 			len(got), len(want), i, got[i:], want[i:])
+	}
+}
+
+// internApp is a job that interns one value per key on every rank and
+// counts the builds per key, which the ranks of one job share.
+type internApp struct {
+	keys   []uint64
+	builds map[uint64]*atomic.Int64
+}
+
+func (a internApp) Name() string { return "intern" }
+func (a internApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
+	for _, key := range a.keys {
+		n := a.builds[key]
+		if _, err := r.Intern(key, func(any) bool { return true }, func() (any, error) {
+			n.Add(1)
+			return key, nil
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return []vclock.PhaseTimes{{}}, nil, nil
+}
+
+// TestTargetPrunesInternsAfterEachJob: a target's jobs share its intern
+// table, and each job's end prunes the table to what that job filed or
+// adopted. A value the job before last built and the last job did not use
+// is built again; the last job's values are adopted.
+func TestTargetPrunesInternsAfterEachJob(t *testing.T) {
+	tg, err := NewTarget("ec2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := map[uint64]*atomic.Int64{1: {}, 2: {}}
+	for _, keys := range [][]uint64{{1}, {1}, {2}, {1, 2}} {
+		if _, err := tg.Run(JobSpec{Ranks: 8, App: internApp{keys, builds}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Key 1: built by the first job, adopted by the second, pruned after
+	// the third, built again by the fourth. Key 2: built once, by the third.
+	if b1, b2 := builds[1].Load(), builds[2].Load(); b1 != 2 || b2 != 1 {
+		t.Errorf("builds per key: 1 → %d, 2 → %d; want 2 and 1", b1, b2)
 	}
 }
 

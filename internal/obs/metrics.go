@@ -140,19 +140,24 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets: counts[i] tallies
 // values v with v <= bounds[i] (and above the previous bound); the last
-// bucket is the +Inf overflow. Nil-safe.
+// bucket is the +Inf overflow. Recorders tally their own observations
+// and add them in when the run is written (Recorder.fold).
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64
 }
 
-// Observe tallies v into its bucket.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+// addCounts adds a recorder's bucket counts (from tally) into the named
+// histogram. Nil counts observed nothing and leave the registry alone, so a
+// histogram exists exactly when some value was observed into it.
+func (g *Registry) addCounts(name string, bounds []float64, counts []int64) {
+	if counts == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h := g.Histogram(name, bounds)
+	for i, c := range counts {
+		h.counts[i].Add(c)
+	}
 }
 
 // write emits the registry as deterministic JSON: sections and names in

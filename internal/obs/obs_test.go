@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +143,49 @@ func TestJournalDeterministicMergeOrder(t *testing.T) {
 	}
 }
 
+// TestJournalMergeMatchesSort: the streams' merge writes what sorting every
+// event by (T, recorder, seq) writes, also when a stream's explicit times
+// run backwards, and a second write writes it again.
+func TestJournalMergeMatchesSort(t *testing.T) {
+	r := NewRun()
+	clk := &fakeClock{}
+	ranks := []*Recorder{r.NewRecorder(0, clk), r.NewRecorder(1, clk)}
+	g := r.Global()
+	late := r.NewRecorder(2, clk)
+	for i := 0; i < 40; i++ {
+		clk.t = float64(i / 3)
+		ranks[i%2].Step(i)
+		g.EventAt(float64((i*7)%11)/2, "decision", fmt.Sprint(i)) // out of order, with ties
+		if i%5 == 0 {
+			late.Phase(clk.t, "solve")
+		}
+	}
+	var all []Event
+	for _, rc := range r.recs {
+		all = append(all, rc.events...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.T != b.T {
+			return a.T < b.T
+		}
+		return a.recID < b.recID || a.recID == b.recID && a.seq < b.seq
+	})
+	var want []byte
+	for i := range all {
+		want = AppendEventLine(want, &all[i])
+	}
+	for pass := 1; pass <= 2; pass++ {
+		var got bytes.Buffer
+		if err := r.WriteJournal(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("write %d: merged journal differs from the sorted one:\n%s\nvs\n%s", pass, got.Bytes(), want)
+		}
+	}
+}
+
 // TestMetricsDeterministicOutput: registry export must be byte-identical
 // for identical recorded values regardless of recording interleaving.
 func TestMetricsDeterministicOutput(t *testing.T) {
@@ -155,7 +199,7 @@ func TestMetricsDeterministicOutput(t *testing.T) {
 				defer wg.Done()
 				reg.Counter("mp.messages").Add(int64(100 + i))
 				reg.Gauge("depth").Max(float64(i))
-				reg.Histogram("iters", IterBuckets).Observe(float64(i * 30))
+				reg.addCounts("iters", IterBuckets, tally(nil, IterBuckets, float64(i*30)))
 			}(i)
 		}
 		wg.Wait()
@@ -208,10 +252,11 @@ func TestRecorderFoldsCounters(t *testing.T) {
 	rec.CountMsg(100)
 	rec.CountMsg(28)
 	rec.CountHalo(512)
-	// Three overlapping residency intervals, then a disjoint one.
+	// Three overlapping residency intervals, then a disjoint one, in
+	// receive order (ends ascending).
+	rec.QueueInterval(1.5, 1.7)
 	rec.QueueInterval(0, 2)
 	rec.QueueInterval(1, 3)
-	rec.QueueInterval(1.5, 1.7)
 	rec.QueueInterval(10, 11)
 	var buf bytes.Buffer
 	if err := r.WriteMetrics(&buf); err != nil {
@@ -240,6 +285,34 @@ func TestRecorderFoldsCounters(t *testing.T) {
 	}
 }
 
+// TestHistogramsFoldOnlyWhenObserved: each recorder tallies its own
+// krylov.iterations and halo.step_bytes buckets, which the write adds into
+// the registry once; a histogram no recorder observed into stays out of the
+// metrics.
+func TestHistogramsFoldOnlyWhenObserved(t *testing.T) {
+	r := NewRun()
+	a, b := r.NewRecorder(0, &fakeClock{}), r.NewRecorder(1, &fakeClock{})
+	a.Solve("cg", 1, 1e-9, true)
+	a.Solve("cg", 7, 1e-9, true)
+	b.Solve("gmres", 700, 1e-3, false)
+	b.StepHalo(1) // no halo traffic: observes nothing
+	var buf bytes.Buffer
+	for i := 0; i < 2; i++ { // the second write must not fold again
+		buf.Reset()
+		if err := r.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := buf.String()
+	if strings.Contains(out, "halo.step_bytes") {
+		t.Errorf("an unobserved histogram reached the metrics:\n%s", out)
+	}
+	want := `"krylov.iterations": {"bounds": [1, 2, 5, 10, 20, 50, 100, 200, 500], "counts": [1, 0, 0, 1, 0, 0, 0, 0, 0, 1]}`
+	if !strings.Contains(out, want) {
+		t.Errorf("metrics lack %s:\n%s", want, out)
+	}
+}
+
 // TestStepHaloDeltas: StepHalo must emit deltas, not running totals, and
 // skip steps with no traffic.
 func TestStepHaloDeltas(t *testing.T) {
@@ -265,27 +338,6 @@ func TestStepHaloDeltas(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `"i1":3,"i2":1,"i3":25`) {
 		t.Errorf("second halo event wrong: %s", lines[1])
-	}
-}
-
-func TestMaxOverlap(t *testing.T) {
-	cases := []struct {
-		ivals []ival
-		want  int
-	}{
-		{nil, 0},
-		{[]ival{{0, 1}}, 1},
-		{[]ival{{0, 1}, {2, 3}}, 1},
-		{[]ival{{0, 2}, {1, 3}, {1.5, 1.7}}, 3},
-		// Touching endpoints count as overlapping (arrival at the instant
-		// of another's receive was queued behind it).
-		{[]ival{{0, 1}, {1, 2}}, 2},
-		{[]ival{{0, 0}, {0, 0}, {0, 0}}, 3},
-	}
-	for i, c := range cases {
-		if got := maxOverlap(c.ivals); got != c.want {
-			t.Errorf("case %d: maxOverlap = %d, want %d", i, got, c.want)
-		}
 	}
 }
 

@@ -62,6 +62,15 @@ const nsIterationBytesCeiling = 2_772_000
 // MB/op went to 11.22 MB/op, and the ceiling is that plus 10%.
 const rdJobP64BytesCeiling = 12_340_000
 
+// rdJobP64ObservedBytesCeiling bounds what BenchmarkRDJobP64Observed moves
+// through the heap. When each rank kept every message's residency interval
+// for the mailbox high-water, and the journal write copied every event into
+// one slice to sort it, the observed job moved 13.97 MB/op against the
+// unobserved 11.22; folding the high-water in O(high-water) memory per rank
+// and merging the recorders' streams in place brought it to 11.56 MB/op,
+// and the ceiling is that plus 10%.
+const rdJobP64ObservedBytesCeiling = 12_720_000
+
 // rdSweepBytesCeiling bounds what BenchmarkRDSweepOneTarget moves through
 // the heap: three RD jobs on one target. When each job built its shapes
 // afresh the sweep moved 18.58 MB/op; sharing the target's intern table
@@ -185,6 +194,16 @@ func TestRDJobP64BytesCeiling(t *testing.T) {
 	if res.AllocedBytesPerOp() > rdJobP64BytesCeiling {
 		t.Errorf("rd-job-p64 allocates %d B/op, ceiling is %d",
 			res.AllocedBytesPerOp(), rdJobP64BytesCeiling)
+	}
+}
+
+// TestRDJobP64ObservedBytesCeiling gates the same job observed, journal and
+// metrics written: what observing costs beyond the output it makes.
+func TestRDJobP64ObservedBytesCeiling(t *testing.T) {
+	res := measure(t, "rd-job-p64-observed", 10, BenchmarkRDJobP64Observed)
+	if res.AllocedBytesPerOp() > rdJobP64ObservedBytesCeiling {
+		t.Errorf("rd-job-p64-observed allocates %d B/op, ceiling is %d",
+			res.AllocedBytesPerOp(), rdJobP64ObservedBytesCeiling)
 	}
 }
 
