@@ -190,17 +190,18 @@ func ReplayFromCheckpoint(o FaultOptions, divStep int) (*ReplayDump, error) {
 	dump := &ReplayDump{
 		App: o.App, Platform: o.Platform, Ranks: o.Ranks,
 		AnchorStep: line, ColdStart: line == 0, DivStep: divStep,
-		MaxVirtualS:      virtualDuration(rep),
-		MailboxHighWater: run.Metrics().Gauge("mp.mailbox_highwater").Value(),
-		PerRank:          make([]ReplayRankState, o.Ranks),
+		MaxVirtualS: virtualDuration(rep),
+		PerRank:     make([]ReplayRankState, o.Ranks),
 	}
 
 	// The replay dogfoods the journal reader: phase 2's solve history is
-	// read back from its own journal bytes.
+	// read back from its own journal bytes. Writing the journal folds the
+	// recorders into the metrics, so the high-water gauge is read after it.
 	var jbuf bytes.Buffer
 	if err := run.WriteJournal(&jbuf); err != nil {
 		return nil, err
 	}
+	dump.MailboxHighWater = run.Metrics().Gauge("mp.mailbox_highwater").Value()
 	evs, err := obs.ReadJournal(&jbuf)
 	if err != nil {
 		return nil, fmt.Errorf("bench: replay journal does not parse: %w", err)

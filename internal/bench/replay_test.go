@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,6 +26,11 @@ func TestReplayPlainAnchorsBeforeDivergence(t *testing.T) {
 	if d.MaxVirtualS <= 0 {
 		t.Fatalf("no virtual time replayed: %v", d.MaxVirtualS)
 	}
+	// The high-water exists only once the anchored run's recorders are
+	// folded into its metrics.
+	if d.MailboxHighWater < 1 {
+		t.Fatalf("mailbox high-water %v, want at least one message", d.MailboxHighWater)
+	}
 	for _, rs := range d.PerRank {
 		if rs.StepsDone != 3 {
 			t.Fatalf("rank %d stopped at step %d, want 3", rs.Rank, rs.StepsDone)
@@ -37,7 +43,8 @@ func TestReplayPlainAnchorsBeforeDivergence(t *testing.T) {
 		}
 	}
 	out := FormatReplayDump(d)
-	for _, want := range []string{"checkpoint-anchored replay", "after step 2", "to step 3", "state-l2"} {
+	hw := fmt.Sprintf("mailbox high-water %.0f", d.MailboxHighWater)
+	for _, want := range []string{"checkpoint-anchored replay", "after step 2", "to step 3", "state-l2", hw} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}

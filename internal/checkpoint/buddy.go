@@ -62,14 +62,17 @@ type Mirrored struct {
 // in ascending origin order. All ranks of the world must call Mirror with
 // the same tag each round; sends are buffered, so the exchange cannot
 // deadlock. On single-node topologies it is a no-op returning nil.
+//
+// The blob is handed over, not copied (see mp.Send): after the call the
+// sender and its buddy hold the same bytes, so neither may write them.
 func Mirror(r *mp.Rank, tag int, blob []byte) []Mirrored {
 	topo := r.Topology()
 	if b := BuddyOf(topo, r.ID()); b >= 0 {
-		r.SendBytes(b, tag, blob)
+		mp.Send(r, b, tag, blob)
 	}
 	var out []Mirrored
 	for _, origin := range Protects(topo, r.ID()) {
-		out = append(out, Mirrored{Origin: origin, Blob: r.RecvBytes(origin, tag)})
+		out = append(out, Mirrored{Origin: origin, Blob: mp.Recv[byte](r, origin, tag)})
 	}
 	return out
 }

@@ -24,7 +24,10 @@ import (
 // restore line (StepsDone, Time). The exchange is a pure permutation of the
 // stored float64 values — no arithmetic — so a run resumed from the result
 // is bit-identical to a run at the new rank count resumed from the same
-// snapshot. tag and tag+1 must be free application tags.
+// snapshot. tag and tag+1 must be free application tags. The exchange is
+// MPI's pairwise MPI_Alltoallv: every rank sends every other rank its ids
+// under tag and their values under tag+1, empty buckets included, so a call
+// moves 2·P·(P−1) messages.
 func Redistribute(r *mp.Rank, m *mesh.Mesh, grid [3]int, app string, held []Snapshot, tag int) (Snapshot, error) {
 	l, err := layoutOf(app)
 	if err != nil {
@@ -94,16 +97,17 @@ func Redistribute(r *mp.Rank, m *mesh.Mesh, grid [3]int, app string, held []Snap
 	}
 
 	// Pairwise exchange (round s sends to rank+s, receives from rank−s);
-	// sends are buffered so the rounds cannot deadlock.
+	// sends are buffered so the rounds cannot deadlock, and each bucket is
+	// handed over (see mp.Send), never written after its send.
 	recvIDs := [][]int{sendIDs[r.ID()]}
 	recvVals := [][]float64{sendVals[r.ID()]}
 	for s := 1; s < p; s++ {
 		dst := (r.ID() + s) % p
 		src := (r.ID() - s + p) % p
-		r.SendInts(dst, tag, sendIDs[dst])
-		r.SendF64(dst, tag+1, sendVals[dst])
-		ids := r.RecvInts(src, tag)
-		vals := r.RecvF64(src, tag+1)
+		mp.Send(r, dst, tag, sendIDs[dst])
+		mp.Send(r, dst, tag+1, sendVals[dst])
+		ids := mp.Recv[int](r, src, tag)
+		vals := mp.Recv[float64](r, src, tag+1)
 		if nf*len(ids) != len(vals) {
 			return Snapshot{}, fmt.Errorf("checkpoint: rank %d sent %d ids with %d values", src, len(ids), len(vals))
 		}

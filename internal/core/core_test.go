@@ -423,8 +423,8 @@ func (a ringApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error
 	p, id := r.Size(), r.ID()
 	for i := 0; i < a.steps; i++ {
 		r.ChargeCompute(float64(2e4*(1+(id+i)%3)), 0)
-		r.SendF64((id+1)%p, 1, []float64{float64(i)})
-		r.RecvF64((id+p-1)%p, 1)
+		mp.Send(r, (id+1)%p, 1, []float64{float64(i)})
+		mp.Recv[float64](r, (id+p-1)%p, 1)
 		r.AllreduceScalar(mp.OpMax, float64(id))
 	}
 	return nil, nil, nil

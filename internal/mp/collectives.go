@@ -3,6 +3,7 @@ package mp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -65,14 +66,16 @@ func (r *Rank) Barrier() {
 	p := r.Size()
 	tag := r.collTag(kindBarrier)
 	for k := 1; k < p; k <<= 1 {
-		r.SendF64((r.id+k)%p, tag, nil)
-		r.RecvF64((r.id-k+p)%p, tag)
+		Send[float64](r, (r.id+k)%p, tag, nil)
+		Recv[float64](r, (r.id-k+p)%p, tag)
 	}
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
-// returns each rank's copy. Non-root ranks pass their (possibly nil) buffer;
-// the returned slice holds the broadcast data.
+// returns each rank's copy, a slice no other rank holds. Non-root ranks pass
+// their (possibly nil) buffer, which is ignored. The root's data is the
+// tree's one payload, handed from rank to rank under Send's contract, so the
+// root must not write it after the call; each rank returns a copy of it.
 func (r *Rank) Bcast(root int, data []float64) []float64 {
 	p := r.Size()
 	if root < 0 || root >= p {
@@ -81,25 +84,21 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 	tag := r.collTag(kindBcast)
 	rel := (r.id - root + p) % p
 	buf := data
-	if rel == 0 {
-		buf = make([]float64, len(data))
-		copy(buf, data)
-	}
 	// Receive once from the parent (unless root), then forward to the
 	// children below the mask at which it arrived.
 	mask := 1
 	for ; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
-			buf = r.RecvF64((rel-mask+root)%p, tag)
+			buf = Recv[float64](r, (rel-mask+root)%p, tag)
 			break
 		}
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
-			r.SendF64((rel+mask+root)%p, tag, buf)
+			Send(r, (rel+mask+root)%p, tag, buf)
 		}
 	}
-	return buf
+	return slices.Clone(buf)
 }
 
 // ExchangeInts sends payload(i) to peers[i] and returns what the ranks that
@@ -107,12 +106,13 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 // communication plan, where a rank knows whom it will message but not who will
 // message it. A peer listed twice is one peer, messaged once (payload is asked
 // for its first index); naming oneself or a rank outside the world is a bug
-// and panics. A payload is handed over, not copied, so a sender must not
-// write one after its send, and the receiver may rewrite one in place
-// (NewImporter's receivers do) only if its sender never sends it again. A
-// sender may re-send a payload, in a later exchange or to two peers, that
-// all its receivers only read: a matrix build re-sends the pair streams of
-// the last build from the same assembly, and build and bind read them.
+// and panics. The streams are mailbox messages under Send's hand-over
+// contract: a sender must not write one after its send, and the receiver may
+// rewrite one in place (NewImporter's receivers do) only if its sender never
+// sends it again. A sender may re-send a payload, in a later exchange or to
+// two peers, that all its receivers only read: a matrix build re-sends the
+// pair streams of the last build from the same assembly, and build and bind
+// read them.
 //
 // How many will send is learnt at virtual cost, as a distributor's census
 // learns it: one P-length indicator Allreduce, 1 at each peer, whose own entry
@@ -152,14 +152,12 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 	for i, p := range peers {
 		if ind[p] != 0 {
 			ind[p] = 0
-			stream := payload(i)
-			r.checkDst(p)
-			r.post(p, tag, 8*len(stream), intsMsg(stream))
+			Send(r, p, tag, payload(i))
 		}
 	}
 	recv = make([][]int, n)
 	for i, src := range srcs {
-		recv[i] = r.RecvInts(src, tag)
+		recv[i] = Recv[int](r, src, tag)
 	}
 	return srcs, recv
 }
@@ -170,8 +168,8 @@ func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int,
 // panics, as the tree's receiver would.
 //
 // Its virtual outcome is that of a binomial Reduce to rank 0 followed by a
-// binomial Bcast from it (2·ceil(log2 P) stages), each message a SendF64 and
-// a RecvF64 of the rank's accumulator: tags, message sizes, combination
+// binomial Bcast from it (2·ceil(log2 P) stages), each message a Send and a
+// Recv of the rank's accumulator: tags, message sizes, combination
 // order, clock charges, queue intervals, message and payload counts and
 // fault points. On the host no message moves: see AllreduceScalar.
 func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
@@ -364,7 +362,7 @@ func (s *allreduceColl) bcast(i int) {
 }
 
 // send is the slot's rank sending its buf to dst, leaving the message in
-// msg: the fault check, the counted payload draw and the charge, as SendF64
+// msg: the fault check, the counted payload draw and the charge, as Send
 // makes them.
 func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 	r := sl.r
@@ -381,7 +379,7 @@ func (sl *allreduceSlot) send(dst int, msg *allreduceSlot) bool {
 
 // recv is the matching receive by the slot's rank: fault check, take, clock
 // advance to the arrival, fault check. Allreduce's receive also records the
-// queue interval, as RecvF64 does; AllreduceScalar's instead counts the
+// queue interval, as Recv does; AllreduceScalar's instead counts the
 // payload's return.
 func (sl *allreduceSlot) recv(msg *allreduceSlot) bool {
 	r := sl.r

@@ -16,9 +16,9 @@ import (
 )
 
 // The vector collectives as they were when they moved messages and before
-// they recycled their vectors: a fresh accumulator per rank, sent on as a
-// second copy, the children's payloads left to the GC, the root's broadcast
-// result a third copy, and a census that made its indicator and dropped the
+// they recycled their vectors: a fresh accumulator per rank, handed to its
+// parent, the children's payloads left to the GC, the root's broadcast
+// result a second copy, and a census that made its indicator and dropped the
 // sum. They are the oracle for Allreduce and ExchangeInts: same trees, tags,
 // sizes and combination order, hence the same bits, virtual times and
 // traffic counts. A non-nil trace records the clock at each fault check
@@ -36,7 +36,7 @@ func refBcast(r *Rank, root int, data []float64, tr *allreduceTrace) []float64 {
 	for mask < p {
 		if rel&mask != 0 {
 			tr.note(r)
-			buf = r.RecvF64((rel-mask+root)%p, tag)
+			buf = Recv[float64](r, (rel-mask+root)%p, tag)
 			tr.note(r)
 			break
 		}
@@ -45,7 +45,7 @@ func refBcast(r *Rank, root int, data []float64, tr *allreduceTrace) []float64 {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
 			tr.note(r)
-			r.SendF64((rel+mask+root)%p, tag, buf)
+			Send(r, (rel+mask+root)%p, tag, buf)
 		}
 	}
 	if rel == 0 {
@@ -62,12 +62,12 @@ func refReduce(r *Rank, root int, op ReduceOp, data []float64, tr *allreduceTrac
 	for mask := 1; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
 			tr.note(r)
-			r.SendF64((rel-mask+root)%p, tag, acc)
+			Send(r, (rel-mask+root)%p, tag, acc)
 			return nil
 		}
 		if rel+mask < p {
 			tr.note(r)
-			buf := r.RecvF64((rel+mask+root)%p, tag)
+			buf := Recv[float64](r, (rel+mask+root)%p, tag)
 			tr.note(r)
 			if len(buf) != len(acc) {
 				panic(fmt.Sprintf("mp: reduce length mismatch %d vs %d", len(acc), len(buf)))
@@ -107,11 +107,11 @@ func refExchange(senders func(id int) []int) func(r *Rank, peers []int, payload 
 			panic(fmt.Sprintf("reference census counted %d senders to rank %d, the test expects %v", n, r.id, srcs))
 		}
 		for i, p := range peers {
-			r.SendInts(p, exchangeTag, payload(i))
+			Send(r, p, exchangeTag, payload(i))
 		}
 		recv := make([][]int, len(srcs))
 		for i, src := range srcs {
-			recv[i] = r.RecvInts(src, exchangeTag)
+			recv[i] = Recv[int](r, src, exchangeTag)
 		}
 		return srcs, recv
 	}
@@ -225,9 +225,7 @@ func TestVectorCollectivesMatchUnpooledReference(t *testing.T) {
 
 func refSendScalar(r *Rank, dst, tag int, v float64, tr *allreduceTrace) {
 	tr.note(r)
-	r.checkDst(dst)
-	r.gets++
-	r.post(dst, tag, 8, f64Msg([]float64{v}))
+	Send(r, dst, tag, []float64{v})
 }
 
 func refRecvScalar(r *Rank, src, tag int, tr *allreduceTrace) float64 {
@@ -238,7 +236,7 @@ func refRecvScalar(r *Rank, src, tag int, tr *allreduceTrace) float64 {
 	tr.note(r)
 	r.checkFault()
 	r.puts++
-	return m.f64()[0]
+	return unpack[float64](m)[0]
 }
 
 // refApplyScalar folds v into acc (acc op= v) with apply, the primitive

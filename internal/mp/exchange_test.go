@@ -181,7 +181,7 @@ func TestExchangeWithDyingSender(t *testing.T) {
 		refCensus(r, peersOf(r.ID()))
 		afterCensus[r.ID()] = r.Wtime()
 		for _, q := range peersOf(r.ID()) {
-			r.SendInts(q, exchangeTag, stream)
+			Send(r, q, exchangeTag, stream)
 		}
 		afterSend[r.ID()] = r.Wtime()
 		return nil

@@ -30,16 +30,8 @@ type Grow struct {
 	// clocks carried at their absolute virtual times and new-rank clocks
 	// seeded at the growth time.
 	World *World
-	// OldToNew maps old rank -> new rank. Growth never renumbers: the map
-	// is the identity, kept for symmetry with Shrink so supervisors can
-	// compose remappings uniformly.
-	OldToNew []int
-	// NewToOld maps new rank -> old rank, -1 for ranks that joined at the
-	// growth (they have no pre-growth history).
-	NewToOld []int
-	// NewRanks and NewNodes list the appended ranks and nodes (new
-	// numbering, ascending).
-	NewRanks []int
+	// NewNodes lists the appended nodes, ascending. Growth never renumbers:
+	// old ranks keep their numbers and the joiners follow them.
 	NewNodes []int
 	// Revoked counts stale mailbox messages purged during the transplant —
 	// payloads sent but never received before the old world completed.
@@ -89,19 +81,7 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 	}
 	w.shrunk = true
 
-	gr := &Grow{
-		OldToNew: make([]int, p),
-		NewToOld: make([]int, p+added),
-	}
-	for r := 0; r < p; r++ {
-		gr.OldToNew[r] = r
-		gr.NewToOld[r] = r
-	}
-	for r := p; r < p+added; r++ {
-		gr.NewToOld[r] = -1
-		gr.NewRanks = append(gr.NewRanks, r)
-	}
-
+	gr := new(Grow)
 	nodeOf := make([]int, p, p+added)
 	copy(nodeOf, w.topo.NodeOf)
 	groups := make([]int, nnodes, nnodes+len(ranksPerNewNode))
@@ -148,18 +128,4 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 
 	gr.World = nw
 	return gr, nil
-}
-
-// PriceBytes returns the virtual seconds one payload of payloadBytes takes
-// from rank src to rank dst on this world's fabric, priced exactly as a send
-// would charge it (header overhead and NIC sharing included) but without
-// advancing any clock. The supervisor uses it to cost a notice-window
-// evacuation before committing to it.
-func (w *World) PriceBytes(src, dst, payloadBytes int) float64 {
-	return w.fabric.P2P(
-		payloadBytes+msgHeaderBytes,
-		w.topo.SameNode(src, dst),
-		w.topo.SameGroup(src, dst),
-		w.topo.NICShare(src),
-	)
 }

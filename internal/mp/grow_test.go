@@ -2,6 +2,7 @@ package mp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -46,28 +47,14 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 	if got := gr.World.Topology().NNodes(); got != 4 {
 		t.Fatalf("grown world has %d nodes, want 4", got)
 	}
-	// Growth never renumbers: identity for old ranks, -1 for joiners.
-	for r := 0; r < 6; r++ {
-		if gr.OldToNew[r] != r || gr.NewToOld[r] != r {
-			t.Fatalf("rank %d renumbered: OldToNew=%d NewToOld=%d",
-				r, gr.OldToNew[r], gr.NewToOld[r])
-		}
-	}
-	for r := 6; r < 8; r++ {
-		if gr.NewToOld[r] != -1 {
-			t.Fatalf("joiner rank %d has NewToOld %d, want -1", r, gr.NewToOld[r])
-		}
-	}
-	if len(gr.NewRanks) != 2 || gr.NewRanks[0] != 6 || gr.NewRanks[1] != 7 {
-		t.Fatalf("NewRanks %v, want [6 7]", gr.NewRanks)
-	}
 	if len(gr.NewNodes) != 1 || gr.NewNodes[0] != 3 {
 		t.Fatalf("NewNodes %v, want [3]", gr.NewNodes)
 	}
-	// The new ranks live together on the appended node.
+	// Growth never renumbers: the old ranks keep their nodes, and the
+	// joiners follow them together on the appended node.
 	topo := gr.World.Topology()
-	if topo.NodeOf[6] != 3 || topo.NodeOf[7] != 3 {
-		t.Fatalf("joiner ranks on nodes %d,%d, want 3,3", topo.NodeOf[6], topo.NodeOf[7])
+	if want := []int{0, 0, 1, 1, 2, 2, 3, 3}; !slices.Equal(topo.NodeOf, want) {
+		t.Fatalf("grown NodeOf %v, want %v", topo.NodeOf, want)
 	}
 	// Old clocks carry their absolute times; joiners start at startAt.
 	for r := 0; r < 6; r++ {
@@ -109,9 +96,9 @@ func TestGrowAppendsRanksAndCarriesClocks(t *testing.T) {
 		mu.Unlock()
 		switch id := r.ID(); {
 		case id >= 6:
-			r.SendF64(id-6, 5, []float64{float64(id)})
+			Send(r, id-6, 5, []float64{float64(id)})
 		case id < 2:
-			if got := r.RecvF64(id+6, 5); len(got) != 1 || got[0] != float64(id+6) {
+			if got := Recv[float64](r, id+6, 5); len(got) != 1 || got[0] != float64(id+6) {
 				return fmt.Errorf("rank %d got %v from joiner %d", id, got, id+6)
 			}
 		}
@@ -216,17 +203,27 @@ func TestGrowSingleRankWorld(t *testing.T) {
 	}
 }
 
+// A price is what the send it prices charges the sender's clock
+// (TestSendChargeMatchesFabricModel holds both to the fabric model).
 func TestPriceBytesMatchesSendCharge(t *testing.T) {
-	w := healthyWorld(t, 4, 2)
-	const payload = 8192
-	// Same formula as chargeSend: header overhead, node/group locality and
-	// NIC sharing all included.
-	want := w.fabric.P2P(payload+msgHeaderBytes,
-		w.topo.SameNode(0, 2), w.topo.SameGroup(0, 2), w.topo.NICShare(0))
-	if got := w.PriceBytes(0, 2, payload); got != want {
-		t.Fatalf("PriceBytes(0,2,%d) = %v, want %v", payload, got, want)
+	w := testWorld(t, 4, 2)
+	const n = 1024
+	err := w.Run(func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			Send(r, 2, 0, make([]float64, n))
+		case 2:
+			Recv[float64](r, 0, 0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.PriceBytes(0, 1, payload) >= w.PriceBytes(0, 2, payload) {
+	if got, want := w.Clocks()[0].Now(), w.PriceBytes(0, 2, 8*n); got != want {
+		t.Fatalf("the send charged %v, PriceBytes(0,2,%d) = %v", got, 8*n, want)
+	}
+	if w.PriceBytes(0, 1, 8*n) >= w.PriceBytes(0, 2, 8*n) {
 		t.Fatal("intra-node transfer not cheaper than inter-node")
 	}
 }

@@ -18,8 +18,8 @@ import (
 // and consumes it, and the two counters that order them are the only memory
 // they share.
 //
-// A message over a link is, in virtual terms, the message SendF64 and the
-// scattering receives make: the same fault checks, charge, counts (the
+// A message over a link is, in virtual terms, the float64 message Send and
+// the scattering receives make: the same fault checks, charge, counts (the
 // sender's payload draw and the receiver's return are counted although no
 // buffer moves), clock advance and queue interval, and the same FIFO order.
 // Sends are buffered: a sender never blocks, and a link whose receiver has
@@ -168,7 +168,7 @@ func (r *Rank) TakeSlot(l *Link, n int) []float64 {
 	return buf[:n]
 }
 
-// SendSlot publishes the slot TakeSlot gave: SendF64 of its values, with the
+// SendSlot publishes the slot TakeSlot gave: Send of its values, with the
 // same checks, charge and counted payload draw, that moves no buffer.
 func (r *Rank) SendSlot(l *Link) {
 	if !l.taken {
@@ -278,7 +278,7 @@ func (r *Rank) recvLink(l *Link, n int) []float64 {
 }
 
 // RecvScatter receives l's next message, which must end at this rank and
-// have len(pos) elements, into x[pos[j]] = payload[j]: RecvF64 and a scatter,
+// have len(pos) elements, into x[pos[j]] = payload[j]: Recv and a scatter,
 // with the same checks, clock advance and counted payload return, that moves
 // no buffer.
 func (r *Rank) RecvScatter(l *Link, x []float64, pos []int) {

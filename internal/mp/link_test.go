@@ -21,11 +21,11 @@ func refSendGather(r *Rank, dst, tag int, x []float64, idx []int) {
 	for j, k := range idx {
 		cp[j] = x[k]
 	}
-	r.SendF64(dst, tag, cp)
+	Send(r, dst, tag, cp)
 }
 
 func refRecvScatter(r *Rank, src, tag int, x []float64, pos []int) {
-	buf := r.recv(src, tag).f64()
+	buf := Recv[float64](r, src, tag)
 	r.puts++
 	if len(buf) != len(pos) {
 		panic(fmt.Sprintf("mp: RecvF64Scatter payload %d != positions %d", len(buf), len(pos)))
@@ -287,7 +287,7 @@ func TestLinkParkedReceiverSleepsThroughOtherTraffic(t *testing.T) {
 		for _, l := range others {
 			publish(l, float64(i))
 		}
-		m := intsMsg([]int{i})
+		m := pack([]int{i})
 		m.src, m.tag = int32(1+i%2), tag
 		mb.put(m)
 	}

@@ -135,7 +135,7 @@ func receive(op func() message) (d delivery) {
 		}
 	}()
 	m := op()
-	return delivery{src: int(m.src), tag: m.tag, serial: m.ints()[0]}
+	return delivery{src: int(m.src), tag: m.tag, serial: unpack[int](m)[0]}
 }
 
 // mailboxScript generates one seeded sequence of operations and replays it
@@ -192,7 +192,7 @@ func (s *mailboxScript) pickQueued(m map[refKey]int) (refKey, bool) {
 // mailboxes.
 func (s *mailboxScript) send(a, b eitherMailbox, src, tag int) {
 	for _, mb := range []eitherMailbox{a, b} {
-		m := intsMsg([]int{s.serial})
+		m := pack([]int{s.serial})
 		m.src, m.tag = int32(src), tag
 		mb.put(m)
 	}
@@ -337,7 +337,7 @@ func TestTakeFromDeadSender(t *testing.T) {
 			// Rank 3 puts before it dies, rank 2 dies silent; rank 1 lives on
 			// and its traffic is untouched by either death.
 			for src := 1; src <= 3; src += 2 {
-				m := intsMsg([]int{src})
+				m := pack([]int{src})
 				m.src, m.tag = int32(src), tag
 				mb.put(m)
 			}

@@ -14,7 +14,7 @@ func TestMsgQueuePopTag(t *testing.T) {
 	var q msgQueue
 	// Interleave three collective tags, two messages each.
 	for i, tag := range []int{-1, -2, -3, -1, -2, -3} {
-		m := intsMsg([]int{i})
+		m := pack([]int{i})
 		m.tag = tag
 		q.push(m)
 	}
@@ -28,8 +28,11 @@ func TestMsgQueuePopTag(t *testing.T) {
 	}
 	for _, w := range wantOrder {
 		m, ok := q.popTag(w.tag)
-		if !ok || m.ints()[0] != w.val {
-			t.Fatalf("popTag(%d): got %v ok=%v, want value %d", w.tag, m.ints(), ok, w.val)
+		if !ok {
+			t.Fatalf("popTag(%d) found nothing, want value %d", w.tag, w.val)
+		}
+		if got := unpack[int](m)[0]; got != w.val {
+			t.Fatalf("popTag(%d) = %d, want %d", w.tag, got, w.val)
 		}
 	}
 	if !q.empty() || q.head != 0 || len(q.buf) != 0 {
@@ -66,10 +69,10 @@ func TestMailboxFootprintIndependentOfWorldSize(t *testing.T) {
 			}
 			for round := 0; round < 3; round++ {
 				for _, q := range peers {
-					r.SendF64(q, 7, []float64{float64(r.ID())})
+					Send(r, q, 7, []float64{float64(r.ID())})
 				}
 				for _, q := range peers {
-					if got := r.RecvF64(q, 7); got[0] != float64(q) {
+					if got := Recv[float64](r, q, 7); got[0] != float64(q) {
 						return fmt.Errorf("rank %d got %v from %d", r.ID(), got[0], q)
 					}
 				}
@@ -103,7 +106,7 @@ func TestRecvLengthMismatchReturnsBuffer(t *testing.T) {
 	w := testWorld(t, 2, 2)
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(1, 3, []float64{1, 2, 3})
+			Send(r, 1, 3, []float64{1, 2, 3})
 			return nil
 		}
 		r.RecvF64AddScatter(0, 3, make([]float64, 8), []int{0, 1, 2, 3})

@@ -23,9 +23,11 @@
 // (link.go), MPI's persistent requests: made once in the destination's
 // mailbox, then written and read without its lock, at the same virtual cost
 // as a mailbox message. So a time step's traffic never touches the mailbox.
-// The mailbox carries the rest, each payload a private copy: set-up streams
-// (ExchangeInts), checkpoint mirrors and redistribution, and the message
-// collectives Barrier and Bcast.
+// The mailbox carries the rest through one send and one receive, Send and
+// Recv, generic in the element type as MPI_Send and MPI_Recv take a
+// datatype: set-up streams (ExchangeInts), checkpoint mirrors and
+// redistribution, and the message collectives Barrier and Bcast. A payload is
+// handed over, not copied: the receiver gets the slice the sender passed.
 package mp
 
 import (
@@ -113,16 +115,13 @@ func (t Topology) SameGroup(a, b int) bool {
 // NICShare returns the number of job ranks sharing rank r's NIC.
 func (t Topology) NICShare(r int) int { return t.ranksOnNode[t.NodeOf[r]] }
 
-// message is one in-flight payload, sized to fit one cache line. Payloads
-// are defensive copies, so a sender may reuse its buffer immediately (MPI
-// buffered-send semantics), or streams ExchangeInts hands over under its
-// contract.
+// message is one in-flight payload, sized to fit one cache line. Its payload
+// is handed over, not copied (see Send): the slice the sender passed.
 //
-// A message carries exactly one of three payload kinds, so it holds one
-// slice header, not three: data, n and c are the first element, length and
-// capacity of the slice it was built from and kind is that slice's element
-// type. The typed accessors rebuild the slice, or answer nil for another
-// kind.
+// A message carries one slice of one of the payload element types, so it
+// holds one slice header: data, n and c are the first element, length and
+// capacity of that slice and kind is its element type. unpack rebuilds the
+// slice.
 type message struct {
 	data unsafe.Pointer
 	n, c int
@@ -134,30 +133,38 @@ type message struct {
 	kind     uint8
 }
 
+// payload is the element type of a mailbox message.
+type payload interface{ float64 | int | byte }
+
 const (
 	payF64 uint8 = iota
 	payInts
 	payBytes
 )
 
-func pack[T any](kind uint8, p []T) message {
-	return message{data: unsafe.Pointer(unsafe.SliceData(p)), n: len(p), c: cap(p), kind: kind}
+// kindOf returns the message kind of element type T.
+func kindOf[T payload]() uint8 {
+	switch any(*new(T)).(type) {
+	case float64:
+		return payF64
+	case int:
+		return payInts
+	}
+	return payBytes
 }
 
-func unpack[T any](m message, kind uint8) []T {
-	if m.kind != kind {
-		return nil
+func pack[T payload](p []T) message {
+	return message{data: unsafe.Pointer(unsafe.SliceData(p)), n: len(p), c: cap(p), kind: kindOf[T]()}
+}
+
+// unpack rebuilds m's payload, which must have element type T: a receive of
+// another type than its send is a bug in the program's pairing of the two.
+func unpack[T payload](m message) []T {
+	if m.kind != kindOf[T]() {
+		panic(fmt.Sprintf("mp: a %T receive from rank %d under tag %d found another element type", *new(T), m.src, m.tag))
 	}
 	return unsafe.Slice((*T)(m.data), m.c)[:m.n]
 }
-
-func f64Msg(p []float64) message { return pack(payF64, p) }
-func intsMsg(p []int) message    { return pack(payInts, p) }
-func bytesMsg(p []byte) message  { return pack(payBytes, p) }
-
-func (m message) f64() []float64 { return unpack[float64](m, payF64) }
-func (m message) ints() []int    { return unpack[int](m, payInts) }
-func (m message) bytes() []byte  { return unpack[byte](m, payBytes) }
 
 // msgQueue is a FIFO of messages that recycles its backing array: popping
 // the last element rewinds the queue in place and a push that finds the
@@ -674,17 +681,25 @@ func (r *Rank) ChargeCompute(flops, bytes float64) { r.clk.ChargeCompute(flops, 
 // msgHeaderBytes approximates per-message protocol overhead.
 const msgHeaderBytes = 64
 
+// PriceBytes returns the virtual seconds one payload of payloadBytes takes
+// from rank src to rank dst on this world's fabric: header overhead and NIC
+// sharing included, degradation windows not, and no clock advanced. Every
+// send is charged this price times the sender's degradation factor; the
+// supervisor uses it to cost a notice-window evacuation before committing to
+// it.
+func (w *World) PriceBytes(src, dst, payloadBytes int) float64 {
+	return w.fabric.P2P(
+		payloadBytes+msgHeaderBytes,
+		w.topo.SameNode(src, dst),
+		w.topo.SameGroup(src, dst),
+		w.topo.NICShare(src),
+	)
+}
+
 // chargeSend advances the sender clock for a payload of n bytes to dst and
 // returns the virtual arrival time at dst.
 func (r *Rank) chargeSend(dst, payloadBytes int) float64 {
-	w := r.world
-	t := w.fabric.P2P(
-		payloadBytes+msgHeaderBytes,
-		w.topo.SameNode(r.id, dst),
-		w.topo.SameGroup(r.id, dst),
-		w.topo.NICShare(r.id),
-	)
-	t *= r.commFactor()
+	t := r.world.PriceBytes(r.id, dst, payloadBytes) * r.commFactor()
 	start := r.clk.Now()
 	r.clk.ChargeComm(t, payloadBytes)
 	r.rec.CountMsg(payloadBytes)
@@ -700,51 +715,44 @@ func (r *Rank) checkDst(dst int) {
 	r.checkFault()
 }
 
-// post is the last step of every send: it charges payloadBytes on the wire
-// and hands m, stamped with its envelope, to dst's mailbox.
-func (r *Rank) post(dst, tag, payloadBytes int, m message) {
+// Send sends data to rank dst with the given tag (tag >= 0 is reserved for
+// applications; collectives use negative tags internally), charging
+// unsafe.Sizeof(T)·len(data) payload bytes on the wire. Like MPI_Send it
+// returns without waiting for the receive (sends are buffered, so an
+// exchange cannot deadlock), but the payload is handed over, not copied: the
+// sender must not write data after sending it, and a receiver may write the
+// slice Recv returns only if no other rank holds it — its sender does not
+// keep it, nor send it to another rank too.
+func Send[T payload](r *Rank, dst, tag int, data []T) {
+	r.checkDst(dst)
+	m := pack(data)
+	if m.kind == payF64 && len(data) > 0 {
+		r.gets++
+	}
 	m.src, m.tag = int32(r.id), tag
-	m.arriveAt = r.chargeSend(dst, payloadBytes)
+	m.arriveAt = r.chargeSend(dst, int(unsafe.Sizeof(*new(T)))*len(data))
 	r.world.boxes[dst].put(m)
 }
 
-// recv is the directed receive under every Recv variant: it blocks for the
-// message and advances this rank's clock to its arrival time.
-func (r *Rank) recv(src, tag int) message {
+// Recv blocks until the message from rank src under tag arrives, advances
+// this rank's clock to its arrival time and returns its payload, the slice
+// its sender handed over (see Send). A message of another element type than
+// T panics, naming src and tag.
+func Recv[T payload](r *Rank, src, tag int) []T {
 	r.checkFault()
 	m := r.world.boxes[r.id].take(src, tag)
 	r.noteRecv(m.arriveAt)
 	r.checkFault()
-	return m
+	return unpack[T](m)
 }
 
-// SendF64 sends a copy of data to rank dst with the given tag (tag >= 0 is
-// reserved for applications; collectives use negative tags internally).
-func (r *Rank) SendF64(dst, tag int, data []float64) {
-	r.checkDst(dst)
-	var cp []float64
-	if len(data) > 0 {
-		cp = make([]float64, len(data))
-		copy(cp, data)
-		r.gets++
-	}
-	r.post(dst, tag, 8*len(data), f64Msg(cp))
-}
-
-// RecvF64 blocks until a float64 message with the given source and tag
-// arrives, advances this rank's clock to the arrival time, and returns the
-// payload, which belongs to the caller from then on.
-func (r *Rank) RecvF64(src, tag int) []float64 {
-	return r.recv(src, tag).f64()
-}
-
-// RecvF64AddScatter receives like RecvF64 and adds payload element j into
-// x[pos[j]], counting the payload's return; the payload must have exactly
-// len(pos) elements. No production path calls it: it is the mailbox
+// RecvF64AddScatter receives like Recv[float64] and adds payload element j
+// into x[pos[j]], counting the payload's return; the payload must have
+// exactly len(pos) elements. No production path calls it: it is the mailbox
 // receive that the tests hold a link's RecvAddScatter to, in the references
 // of the importer's export and of a matrix's refill.
 func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
-	buf := r.recv(src, tag).f64()
+	buf := Recv[float64](r, src, tag)
 	r.puts++
 	if len(buf) != len(pos) {
 		panic(fmt.Sprintf("mp: RecvF64AddScatter payload %d != positions %d", len(buf), len(pos)))
@@ -754,38 +762,10 @@ func (r *Rank) RecvF64AddScatter(src, tag int, x []float64, pos []int) {
 	}
 }
 
-// SendInts sends a copy of an int slice to rank dst.
-func (r *Rank) SendInts(dst, tag int, data []int) {
-	r.checkDst(dst)
-	cp := make([]int, len(data))
-	copy(cp, data)
-	r.post(dst, tag, 8*len(data), intsMsg(cp))
-}
-
-// RecvInts blocks for an int message with the given source and tag.
-func (r *Rank) RecvInts(src, tag int) []int {
-	return r.recv(src, tag).ints()
-}
-
-// SendBytes sends a copy of an opaque byte payload to rank dst — the
-// transport of serialised checkpoint blobs between buddy ranks. The
-// transfer is charged through the fabric like any other message, so
-// diskless checkpoint protection shows up in virtual time.
-func (r *Rank) SendBytes(dst, tag int, data []byte) {
-	r.checkDst(dst)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	r.post(dst, tag, len(data), bytesMsg(cp))
-}
-
-// RecvBytes blocks for a byte message with the given source and tag.
-func (r *Rank) RecvBytes(src, tag int) []byte {
-	return r.recv(src, tag).bytes()
-}
-
 // SendRecvF64 exchanges float64 slices with a peer (both sides must call
-// it). Sends are buffered, so the exchange cannot deadlock.
+// it): Send of send, then Recv from the peer, under Send's hand-over
+// contract. Sends are buffered, so the exchange cannot deadlock.
 func (r *Rank) SendRecvF64(peer, tag int, send []float64) []float64 {
-	r.SendF64(peer, tag, send)
-	return r.RecvF64(peer, tag)
+	Send(r, peer, tag, send)
+	return Recv[float64](r, peer, tag)
 }

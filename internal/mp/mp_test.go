@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"heterohpc/internal/netmodel"
@@ -70,16 +72,57 @@ func TestNewTopologyValidation(t *testing.T) {
 	}
 }
 
+// sendRecvCase sends data from rank 0 to rank 1 and checks the payload
+// delivered, the bytes charged for it (unsafe.Sizeof of the element times
+// the length) and the payload draws counted (non-empty float64 sends only).
+func sendRecvCase[T payload](data []T, bytes int, gets int64) func(*testing.T) {
+	return func(t *testing.T) {
+		w := testWorld(t, 2, 2)
+		err := w.Run(func(r *Rank) error {
+			if r.ID() == 0 {
+				Send(r, 1, 7, data)
+				return nil
+			}
+			if got := Recv[T](r, 0, 7); !slices.Equal(got, data) {
+				return fmt.Errorf("got %v, want %v", got, data)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := w.Clocks()[0].Now(), w.PriceBytes(0, 1, bytes); got != want {
+			t.Fatalf("the send charged %v, the price of %d bytes is %v", got, bytes, want)
+		}
+		if got := w.gets.Load(); got != gets {
+			t.Fatalf("%d payload draws counted, want %d", got, gets)
+		}
+	}
+}
+
 func TestSendRecvDeliversData(t *testing.T) {
+	t.Run("float64", sendRecvCase([]float64{1, 2, 3}, 24, 1))
+	t.Run("int", sendRecvCase([]int{10, 20}, 16, 0))
+	t.Run("byte", sendRecvCase([]byte("blob"), 4, 0))
+	t.Run("empty", sendRecvCase([]float64{}, 0, 0))
+}
+
+// TestSendHandsPayloadOver: a payload is the receiver's from its send on,
+// the very slice the sender passed, not a copy of it.
+func TestSendHandsPayloadOver(t *testing.T) {
+	sentF, sentB := []float64{1, 2, 3}, []byte("blob")
 	w := testWorld(t, 2, 2)
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(1, 7, []float64{1, 2, 3})
+			Send(r, 1, 0, sentF)
+			Send(r, 1, 1, sentB)
 			return nil
 		}
-		got := r.RecvF64(0, 7)
-		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-			return fmt.Errorf("got %v", got)
+		if got := Recv[float64](r, 0, 0); &got[0] != &sentF[0] {
+			return fmt.Errorf("received %v, not the float64 slice rank 0 sent", got)
+		}
+		if got := Recv[byte](r, 0, 1); &got[0] != &sentB[0] {
+			return fmt.Errorf("received %q, not the byte slice rank 0 sent", got)
 		}
 		return nil
 	})
@@ -88,24 +131,22 @@ func TestSendRecvDeliversData(t *testing.T) {
 	}
 }
 
-func TestSendCopiesPayload(t *testing.T) {
+// TestRecvOfAnotherElementTypePanics: a receive whose element type is not
+// its send's panics, naming the source and tag, instead of returning nil.
+func TestRecvOfAnotherElementTypePanics(t *testing.T) {
 	w := testWorld(t, 2, 2)
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			buf := []float64{1, 2, 3}
-			r.SendF64(1, 0, buf)
-			buf[0] = 99 // must not affect the receiver
-			r.Barrier()
+			Send(r, 1, 5, []int{1, 2})
 			return nil
 		}
-		r.Barrier()
-		if got := r.RecvF64(0, 0); got[0] != 1 {
-			return fmt.Errorf("payload aliased sender buffer: %v", got)
-		}
-		return nil
+		got := Recv[float64](r, 0, 5)
+		return fmt.Errorf("an int message received as float64 returned %v", got)
 	})
-	if err != nil {
-		t.Fatal(err)
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 1 ||
+		!strings.Contains(err.Error(), "mp: a float64 receive from rank 0 under tag 5 found another element type") {
+		t.Fatalf("got %v, want rank 1's element-type panic", err)
 	}
 }
 
@@ -113,15 +154,15 @@ func TestTagMatching(t *testing.T) {
 	w := testWorld(t, 2, 2)
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(1, 1, []float64{1})
-			r.SendF64(1, 2, []float64{2})
+			Send(r, 1, 1, []float64{1})
+			Send(r, 1, 2, []float64{2})
 			return nil
 		}
 		// Receive out of send order by tag.
-		if got := r.RecvF64(0, 2); got[0] != 2 {
+		if got := Recv[float64](r, 0, 2); got[0] != 2 {
 			return fmt.Errorf("tag 2 got %v", got)
 		}
-		if got := r.RecvF64(0, 1); got[0] != 1 {
+		if got := Recv[float64](r, 0, 1); got[0] != 1 {
 			return fmt.Errorf("tag 1 got %v", got)
 		}
 		return nil
@@ -136,32 +177,14 @@ func TestFIFOPerTag(t *testing.T) {
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
 			for i := 0; i < 50; i++ {
-				r.SendF64(1, 3, []float64{float64(i)})
+				Send(r, 1, 3, []float64{float64(i)})
 			}
 			return nil
 		}
 		for i := 0; i < 50; i++ {
-			if got := r.RecvF64(0, 3)[0]; got != float64(i) {
+			if got := Recv[float64](r, 0, 3)[0]; got != float64(i) {
 				return fmt.Errorf("message %d got %v", i, got)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvInts(t *testing.T) {
-	w := testWorld(t, 2, 2)
-	err := w.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			r.SendInts(1, 4, []int{10, 20})
-			return nil
-		}
-		got := r.RecvInts(0, 4)
-		if len(got) != 2 || got[1] != 20 {
-			return fmt.Errorf("got %v", got)
 		}
 		return nil
 	})
@@ -191,9 +214,9 @@ func TestVirtualTimeAdvancesOnComm(t *testing.T) {
 	w, _ := NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9})
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(1, 0, make([]float64, 1000))
+			Send(r, 1, 0, make([]float64, 1000))
 		} else {
-			r.RecvF64(0, 0)
+			Recv[float64](r, 0, 0)
 		}
 		return nil
 	})
@@ -262,7 +285,7 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 	w := testWorld(t, 2, 2)
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(5, 0, nil)
+			Send[float64](r, 5, 0, nil)
 		}
 		return nil
 	})
@@ -322,6 +345,48 @@ func TestBcastAllSizes(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("p=%d root=%d: %v", p, root, err)
+			}
+		}
+	}
+}
+
+// TestBcastResultsArePrivate: the tree hands one payload from rank to rank,
+// but every rank, the root included, returns a slice no other rank holds, so
+// a rank that writes its result changes no other rank's.
+func TestBcastResultsArePrivate(t *testing.T) {
+	const p, root = 7, 2
+	w := testWorld(t, p, 4)
+	results := make([][]float64, p)
+	problems := make([]string, p)
+	err := w.Run(func(r *Rank) error {
+		var data []float64
+		if r.ID() == root {
+			data = []float64{3.5, 4.5}
+		}
+		got := r.Bcast(root, data)
+		if r.ID() == root && &got[0] == &data[0] {
+			problems[r.ID()] = "the root returned its own data"
+		}
+		got[0] = float64(100 + r.ID())
+		results[r.ID()] = got
+		r.Barrier()
+		if got[0] != float64(100+r.ID()) || got[1] != 4.5 {
+			problems[r.ID()] = fmt.Sprintf("rank %d's result became %v", r.ID(), got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range problems {
+		if pr != "" {
+			t.Error(pr)
+		}
+	}
+	for i := range results {
+		for j := i + 1; j < p; j++ {
+			if &results[i][0] == &results[j][0] {
+				t.Fatalf("ranks %d and %d share one result", i, j)
 			}
 		}
 	}
@@ -389,11 +454,11 @@ func TestCollectivesInterleaveWithP2P(t *testing.T) {
 	err := w.Run(func(r *Rank) error {
 		sum := r.AllreduceScalar(OpSum, 1)
 		if r.ID() == 0 {
-			r.SendF64(1, 11, []float64{sum})
+			Send(r, 1, 11, []float64{sum})
 		}
 		r.Barrier()
 		if r.ID() == 1 {
-			if got := r.RecvF64(0, 11); got[0] != p {
+			if got := Recv[float64](r, 0, 11); got[0] != p {
 				return fmt.Errorf("got %v", got)
 			}
 		}
@@ -441,11 +506,11 @@ func TestSendChargeMatchesFabricModel(t *testing.T) {
 	const n = 1234
 	err := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendF64(2, 0, make([]float64, n)) // inter-node
-			r.SendF64(1, 0, make([]float64, n)) // intra-node
+			Send(r, 2, 0, make([]float64, n)) // inter-node
+			Send(r, 1, 0, make([]float64, n)) // intra-node
 		}
 		if r.ID() == 1 || r.ID() == 2 {
-			r.RecvF64(0, 0)
+			Recv[float64](r, 0, 0)
 		}
 		return nil
 	})

@@ -26,17 +26,14 @@ type Shrink struct {
 	// World is the survivor world: same fabric, survivor-only topology,
 	// clocks seeded with each survivor's virtual time at death-observation.
 	World *World
-	// OldToNew maps old rank -> new rank, -1 for dead ranks; NewToOld is
-	// the inverse (survivors in ascending old-rank order).
-	OldToNew, NewToOld []int
-	// OldToNewNode maps old node -> new node, -1 for dropped nodes.
+	// NewToOld maps new rank -> old rank (survivors in ascending old-rank
+	// order).
+	NewToOld []int
+	// OldToNewNode maps old node -> new node, -1 for dropped nodes: the
+	// recorded failure node and the doomed ones.
 	OldToNewNode []int
-	// DeadRanks and DeadNode identify what was lost (old numbering).
-	// DeadNode is the recorded failure node; DeadNodes lists every dropped
-	// node ascending (equal to [DeadNode] for ShrinkNodes(nil)).
+	// DeadRanks lists the dropped ranks ascending (old numbering).
 	DeadRanks []int
-	DeadNode  int
-	DeadNodes []int
 	// Revoked counts the pending mailbox messages purged because they were
 	// addressed to or sent by a dead rank — traffic a ULFM revoke would
 	// have interrupted.
@@ -78,32 +75,24 @@ func (w *World) ShrinkNodes(alsoDoomed []int) (*Shrink, error) {
 	}
 	w.shrunk = true
 
-	sr := &Shrink{
-		OldToNew:     make([]int, p),
-		OldToNewNode: make([]int, nnodes),
-		DeadNode:     f.Node,
-	}
-	next := 0
-	for n := 0; n < nnodes; n++ {
-		if doomed[n] {
-			sr.OldToNewNode[n] = -1
-			sr.DeadNodes = append(sr.DeadNodes, n)
-			continue
+	sr := &Shrink{OldToNewNode: make([]int, nnodes)}
+	groups := make([]int, 0, nnodes)
+	for n, g := range w.topo.GroupOfNode {
+		sr.OldToNewNode[n] = -1
+		if !doomed[n] {
+			sr.OldToNewNode[n] = len(groups)
+			groups = append(groups, g)
 		}
-		sr.OldToNewNode[n] = next
-		next++
 	}
 	for r := 0; r < p; r++ {
 		if doomed[w.topo.NodeOf[r]] {
-			sr.OldToNew[r] = -1
 			sr.DeadRanks = append(sr.DeadRanks, r)
-			continue
+		} else {
+			sr.NewToOld = append(sr.NewToOld, r)
 		}
-		sr.OldToNew[r] = len(sr.NewToOld)
-		sr.NewToOld = append(sr.NewToOld, r)
 	}
 	if len(sr.NewToOld) == 0 {
-		return nil, fmt.Errorf("mp: no survivors: node(s) %v held every rank", sr.DeadNodes)
+		return nil, fmt.Errorf("mp: no survivors: failure node %d and doomed nodes %v held every rank", f.Node, alsoDoomed)
 	}
 
 	// Revoke: purge pending messages involving dead ranks. Deterministic —
@@ -121,12 +110,6 @@ func (w *World) ShrinkNodes(alsoDoomed []int) (*Shrink, error) {
 	}
 
 	nodeOf := make([]int, len(sr.NewToOld))
-	groups := make([]int, 0, nnodes-len(sr.DeadNodes))
-	for n, g := range w.topo.GroupOfNode {
-		if !doomed[n] {
-			groups = append(groups, g)
-		}
-	}
 	for newR, oldR := range sr.NewToOld {
 		nodeOf[newR] = sr.OldToNewNode[w.topo.NodeOf[oldR]]
 	}

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,30 +38,18 @@ func TestShrinkDropsDeadNodeAndRenumbers(t *testing.T) {
 	if got := sr.World.Size(); got != 6 {
 		t.Fatalf("survivor world has %d ranks, want 6", got)
 	}
-	if sr.DeadNode != 1 {
-		t.Fatalf("dead node %d, want 1", sr.DeadNode)
+	if f, _ := w.Failure(); f.Node != 1 {
+		t.Fatalf("recorded failure on node %d, want 1", f.Node)
 	}
-	wantDead := []int{2, 3}
-	if len(sr.DeadRanks) != 2 || sr.DeadRanks[0] != wantDead[0] || sr.DeadRanks[1] != wantDead[1] {
-		t.Fatalf("dead ranks %v, want %v", sr.DeadRanks, wantDead)
+	if want := []int{2, 3}; !slices.Equal(sr.DeadRanks, want) {
+		t.Fatalf("dead ranks %v, want %v", sr.DeadRanks, want)
 	}
-	wantO2N := []int{0, 1, -1, -1, 2, 3, 4, 5}
-	for old, want := range wantO2N {
-		if sr.OldToNew[old] != want {
-			t.Fatalf("OldToNew[%d] = %d, want %d", old, sr.OldToNew[old], want)
-		}
-	}
-	for newR, oldR := range sr.NewToOld {
-		if sr.OldToNew[oldR] != newR {
-			t.Fatalf("NewToOld not the inverse at new rank %d", newR)
-		}
+	if want := []int{0, 1, 4, 5, 6, 7}; !slices.Equal(sr.NewToOld, want) {
+		t.Fatalf("NewToOld %v, want %v", sr.NewToOld, want)
 	}
 	// Node renumbering is order-preserving and skips the dead node.
-	wantNode := []int{0, -1, 1, 2}
-	for old, want := range wantNode {
-		if sr.OldToNewNode[old] != want {
-			t.Fatalf("OldToNewNode[%d] = %d, want %d", old, sr.OldToNewNode[old], want)
-		}
+	if want := []int{0, -1, 1, 2}; !slices.Equal(sr.OldToNewNode, want) {
+		t.Fatalf("OldToNewNode %v, want %v", sr.OldToNewNode, want)
 	}
 	// Survivor clocks carry the pre-shrink virtual times.
 	for newR, oldR := range sr.NewToOld {
@@ -90,8 +79,8 @@ func TestShrinkRevokesPendingTraffic(t *testing.T) {
 		// before anyone notices the failure; rank 1 dies at its first
 		// communication call, leaving its mailbox traffic pending.
 		if r.ID() == 0 {
-			r.SendF64(1, 7, []float64{1})
-			r.SendF64(2, 7, []float64{2})
+			Send(r, 1, 7, []float64{1})
+			Send(r, 2, 7, []float64{2})
 		}
 		r.ChargeCompute(1e9, 0)
 		r.AllreduceScalar(OpSum, 1)
@@ -153,32 +142,18 @@ func TestShrinkNodesDropsCorrelatedSet(t *testing.T) {
 	if got := sr.World.Size(); got != 4 {
 		t.Fatalf("survivor world has %d ranks, want 4", got)
 	}
-	if sr.DeadNode != 1 {
-		t.Fatalf("dead node %d, want the recorded failure node 1", sr.DeadNode)
+	if f, _ := w.Failure(); f.Node != 1 {
+		t.Fatalf("recorded failure on node %d, want 1", f.Node)
 	}
-	if len(sr.DeadNodes) != 2 || sr.DeadNodes[0] != 1 || sr.DeadNodes[1] != 3 {
-		t.Fatalf("dead nodes %v, want [1 3] ascending", sr.DeadNodes)
+	if want := []int{2, 3, 6, 7}; !slices.Equal(sr.DeadRanks, want) {
+		t.Fatalf("dead ranks %v, want %v", sr.DeadRanks, want)
 	}
-	wantDead := []int{2, 3, 6, 7}
-	if len(sr.DeadRanks) != len(wantDead) {
-		t.Fatalf("dead ranks %v, want %v", sr.DeadRanks, wantDead)
+	if want := []int{0, 1, 4, 5}; !slices.Equal(sr.NewToOld, want) {
+		t.Fatalf("NewToOld %v, want %v", sr.NewToOld, want)
 	}
-	for i, r := range wantDead {
-		if sr.DeadRanks[i] != r {
-			t.Fatalf("dead ranks %v, want %v", sr.DeadRanks, wantDead)
-		}
-	}
-	wantO2N := []int{0, 1, -1, -1, 2, 3, -1, -1}
-	for old, want := range wantO2N {
-		if sr.OldToNew[old] != want {
-			t.Fatalf("OldToNew[%d] = %d, want %d", old, sr.OldToNew[old], want)
-		}
-	}
-	wantNode := []int{0, -1, 1, -1}
-	for old, want := range wantNode {
-		if sr.OldToNewNode[old] != want {
-			t.Fatalf("OldToNewNode[%d] = %d, want %d", old, sr.OldToNewNode[old], want)
-		}
+	// Both the failure node and the doomed one are dropped.
+	if want := []int{0, -1, 1, -1}; !slices.Equal(sr.OldToNewNode, want) {
+		t.Fatalf("OldToNewNode %v, want %v", sr.OldToNewNode, want)
 	}
 	// Survivor clocks carry, exactly as for a plain Shrink.
 	for newR, oldR := range sr.NewToOld {
@@ -203,9 +178,9 @@ func TestShrinkNodesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.World.Size() != 6 || len(sr.DeadNodes) != 1 || sr.DeadNodes[0] != 1 {
-		t.Fatalf("duplicate doomed node changed the outcome: %d ranks, dead %v",
-			sr.World.Size(), sr.DeadNodes)
+	if want := []int{0, -1, 1, 2}; sr.World.Size() != 6 || !slices.Equal(sr.OldToNewNode, want) {
+		t.Fatalf("duplicate doomed node changed the outcome: %d ranks, OldToNewNode %v, want 6 and %v",
+			sr.World.Size(), sr.OldToNewNode, want)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestParkedRankSleepsThroughOtherTraffic(t *testing.T) {
 	relabel(mb, sleepMark)
 	serial := 0
 	send := func(src, tag int) {
-		m := intsMsg([]int{serial})
+		m := pack([]int{serial})
 		m.src, m.tag = int32(src), tag
 		mb.put(m)
 		serial++
@@ -117,9 +117,9 @@ func TestDeathWakesOnlyItsWaiters(t *testing.T) {
 			}
 			relabel(w.boxes[3], sleepMark) // then exits having sent nothing
 		case 1, 2:
-			r.RecvF64(0, tag)
+			Recv[float64](r, 0, tag)
 		case 3:
-			if got := r.RecvF64(4, tag); len(got) != 1 || got[0] != 4 {
+			if got := Recv[float64](r, 4, tag); len(got) != 1 || got[0] != 4 {
 				return fmt.Errorf("rank 3 received %v from rank 4", got)
 			}
 		case 4:
@@ -130,7 +130,7 @@ func TestDeathWakesOnlyItsWaiters(t *testing.T) {
 				return errors.New("rank 3, parked on rank 4, was woken by another rank's exit")
 			}
 			relabel(w.boxes[3], tag)
-			r.SendF64(3, tag, []float64{4})
+			Send(r, 3, tag, []float64{4})
 		}
 		returned[r.ID()].Store(true)
 		return nil
@@ -217,10 +217,10 @@ func (pl *stressPlan) run(t *testing.T) ([][]string, string) {
 				return nil
 			}
 			for j, m := range pl.sends[round][id] {
-				r.SendF64(m.peer, m.tag, []float64{float64(1000*id + j), float64(round)})
+				Send(r, m.peer, m.tag, []float64{float64(1000*id + j), float64(round)})
 			}
 			for _, m := range pl.recvs[round][id] {
-				*log = append(*log, fmt.Sprint(m.peer, m.tag, r.RecvF64(m.peer, m.tag)))
+				*log = append(*log, fmt.Sprint(m.peer, m.tag, Recv[float64](r, m.peer, m.tag)))
 			}
 			switch pl.coll[round] {
 			case 1:

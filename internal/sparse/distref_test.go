@@ -203,7 +203,7 @@ func (dm *refDistMatrix) SetValues(coo *COO) {
 			vals[j] = coo.Vals[t]
 		}
 		dm.trace()
-		dm.r.SendF64(p, dm.tag+1, vals)
+		mp.Send(dm.r, p, dm.tag+1, vals)
 	}
 	for i, p := range dm.importPeers {
 		dm.trace()

@@ -16,7 +16,7 @@ import (
 )
 
 // refExchange and refExportAdd are Importer.Exchange and ExportAdd as they
-// ran before the importer had links: every payload a pooled copy sent
+// ran before the importer had links: every payload a gathered copy sent
 // through the destination's mailbox and scattered out of the receiver's. A
 // non-nil trace records the clock at each fault check of the traced round:
 // a send's, and a receive's before and after it takes its message.
@@ -24,7 +24,7 @@ func refExchange(im *Importer, x []float64, tr *haloTrace) {
 	im.r.Obs().CountHalo(im.sendB)
 	for i, p := range im.sendPeers {
 		tr.note(im.r)
-		im.r.SendF64(p, haloTag, gather(x, im.sends[i]))
+		mp.Send(im.r, p, haloTag, gather(x, im.sends[i]))
 	}
 	for i, p := range im.recvPeers {
 		tr.note(im.r)
@@ -37,7 +37,7 @@ func refExportAdd(im *Importer, x []float64, tr *haloTrace) {
 	im.r.Obs().CountHalo(im.recvB)
 	for i, p := range im.recvPeers {
 		tr.note(im.r)
-		im.r.SendF64(p, haloTag, gather(x, im.recvs[i]))
+		mp.Send(im.r, p, haloTag, gather(x, im.recvs[i]))
 		for _, l := range im.recvs[i] {
 			x[l] = 0
 		}
