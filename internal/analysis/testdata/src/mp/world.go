@@ -1,7 +1,7 @@
 // Package mp is the worldconsume fixture's transport: a World with the
-// reshape surface the analyzer keys on. ShrinkNodes and Grow consume
-// their receiver and hand the replacement back inside the result,
-// mirroring the real transport's signatures.
+// reshape surface the analyzer keys on. Reform consumes its receiver and
+// hands the replacement back inside the result, mirroring the real
+// transport's signature.
 package mp
 
 // World stands in for the real transport's world.
@@ -10,13 +10,9 @@ type World struct{}
 // Reshape carries the replacement world out of a consuming call.
 type Reshape struct{ World *World }
 
-// ShrinkNodes re-forms the world around survivors; the receiver is consumed.
-func (w *World) ShrinkNodes(alsoDoomed []int) (*Reshape, error) {
-	return &Reshape{World: w}, nil
-}
-
-// Grow appends capacity; the receiver is consumed.
-func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*Reshape, error) {
+// Reform re-forms the world around survivors and new nodes; the receiver
+// is consumed.
+func (w *World) Reform(alsoDoomed, ranksPerNewNode, groupOfNewNode []int, joinAt float64) (*Reshape, error) {
 	return &Reshape{World: w}, nil
 }
 

@@ -1,13 +1,12 @@
 // Package worldconsume flags uses of an mp.World after it has been passed
-// through a consuming reshape call. ShrinkNodes and Grow tear down
-// the receiver's barrier generation and hand back a fresh *World; the old
-// value is poisoned by contract (mp documents it as consumed), but nothing
-// at runtime stops a caller from Send-ing on it — the bug surfaces as a
-// deadlocked barrier or a message routed to a dead rank, deep inside a
-// fault-storm replay. The analyzer enforces the contract statically: after
-// `sr, _ := w.ShrinkNodes(nil)`, any later use of `w` (or `af.World`, for selector
-// receivers) in straight-line code is a diagnostic until the variable is
-// reassigned.
+// through a consuming reshape call. Reform revokes the receiver's mailboxes
+// and hands back a fresh *World; the old value is poisoned by contract (mp
+// documents it as consumed), but nothing at runtime stops a caller from
+// Send-ing on it — the bug surfaces as a deadlocked barrier or a message
+// routed to a dead rank, deep inside a fault-storm replay. The analyzer
+// enforces the contract statically: after `rf, _ := w.Reform(nil, nil, nil,
+// 0)`, any later use of `w` (or `af.World`, for selector receivers) in
+// straight-line code is a diagnostic until the variable is reassigned.
 //
 // The scan is deliberately flow-light: it walks statements *after* the
 // consuming call in the same block, ascending only through unconditional
@@ -30,10 +29,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:         "worldconsume",
 	AllowKeyword: "worldconsume",
-	Doc: `flag uses of an mp.World after ShrinkNodes/Grow consumed it
+	Doc: `flag uses of an mp.World after Reform consumed it
 
 Reshape calls invalidate their receiver and return the world to keep using;
-touching the old value afterwards races a torn-down barrier generation.
+touching the old value afterwards talks to revoked mailboxes.
 Reassigning the variable (w = nw) ends the poisoned window. Deliberate
 double-consumes (panic tests live in _test.go files, which are skipped)
 carry //heterolint:allow worldconsume <why>.`,
@@ -41,7 +40,7 @@ carry //heterolint:allow worldconsume <why>.`,
 }
 
 // consumingMethods invalidate their *mp.World receiver.
-var consumingMethods = map[string]bool{"ShrinkNodes": true, "Grow": true}
+var consumingMethods = map[string]bool{"Reform": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
@@ -156,7 +155,7 @@ func receiverPath(pass *analysis.Pass, e ast.Expr) (types.Object, []string, bool
 // consuming call and reports the first use of the consumed path, stopping
 // at a reassignment or a control-flow boundary.
 func scanAfter(pass *analysis.Pass, c consumption) {
-	// `w = w.ShrinkNodes(nil)` consumes and reassigns in one statement: the old
+	// `w = w.Reform(nil, nil, nil, 0)` consumes and reassigns in one statement: the old
 	// value is dead but the name already holds the replacement, so there is
 	// no poisoned window to scan.
 	for _, n := range c.chain {
@@ -234,8 +233,8 @@ func stmtsAfter(list []ast.Stmt, below []ast.Node) []ast.Stmt {
 
 // scanStmt looks through one statement for a use or kill of the tracked
 // path. Assignment right-hand sides are scanned as uses before the
-// left-hand side can kill: `w = w.Grow(...)` would flag the RHS use only
-// if Grow's receiver weren't the consuming call itself, while `w = nw`
+// left-hand side can kill: `w = w.Reform(...)` would flag the RHS use only
+// if Reform's receiver weren't the consuming call itself, while `w = nw`
 // cleanly ends tracking.
 func scanStmt(pass *analysis.Pass, s ast.Stmt, base types.Object, fields []string) (token.Pos, bool, bool) {
 	if as, ok := s.(*ast.AssignStmt); ok {

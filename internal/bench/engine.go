@@ -443,7 +443,7 @@ func (e *engine) restart(pt *recoveryPoint, attempt int) error {
 	return nil
 }
 
-// growth is what a migration adds back after the shrink: the new nodes'
+// growth is what a migration adds in its re-formation: the new nodes'
 // rank counts and placement groups, when they join, and how many of them
 // replace doomed slots one for one (the rest regrow earlier deficit).
 type growth struct {
@@ -453,9 +453,9 @@ type growth struct {
 }
 
 // reform is the one re-formation step behind both elastic verbs: the doomed
-// nodes take their memory with them, the restore line is fixed, the world
-// shrinks them out in one ShrinkNodes (and, for a migration, grows the
-// acquired nodes in), the rolled-back span goes on the waste ledger, the
+// nodes take their memory with them, the restore line is fixed, one
+// mp.World.Reform drops them from the world (and, for a migration, adds the
+// acquired nodes), the rolled-back span goes on the waste ledger, the
 // global mesh is re-partitioned onto the new rank count, and the next
 // generation is set up to open with the agreement round and redistribute
 // from whatever fragments its ranks hold, checkpointing into a fresh store
@@ -475,32 +475,27 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 		// capped at Steps-1.
 		line, lineAtS = store.line(o.Steps - 1)
 	}
-	sr, err := pt.af.World.ShrinkNodes(pt.doomed[1:])
+	var ranksPer, groupsOf []int
+	at := pt.stopAt
+	if grow != nil {
+		ranksPer, groupsOf, at = grow.ranksPer, grow.groupsOf, grow.startAt
+	}
+	rf, err := pt.af.World.Reform(pt.doomed[1:], ranksPer, groupsOf, at)
 	if err != nil {
 		return err
 	}
 	e.sh.Shrinks++
-	e.sh.RevokedMsgs += sr.Revoked
+	e.sh.RevokedMsgs += rf.Revoked
 	e.sh.DeadNodes = append(e.sh.DeadNodes, pt.origSlots...)
-	world, toOld, at := sr.World, sr.NewToOld, pt.stopAt
-	survivors := world.Size()
-	var newNodes []int
+	world, toOld := rf.World, rf.NewToOld
 	if grow == nil {
 		e.rec.Record(at, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
-			g.ranks, survivors, sr.Revoked)
+			g.ranks, world.Size(), rf.Revoked)
 	} else {
-		gw, err := world.Grow(grow.ranksPer, grow.groupsOf, grow.startAt)
-		if err != nil {
-			return err
-		}
-		world, at, newNodes = gw.World, grow.startAt, gw.NewNodes
-		e.gobs.WorldGrow(at, survivors, world.Size(), newNodes[0])
+		survivors := g.ranks - len(rf.DeadRanks)
+		e.gobs.WorldGrow(at, survivors, world.Size(), rf.NewNodes[0])
 		e.rec.Record(at, "world-grow", "world grew %d -> %d ranks: replacement joins as node %d at t=%.1fs",
-			survivors, world.Size(), newNodes[0], at)
-		// The joiners hold nothing.
-		for len(toOld) < world.Size() {
-			toOld = append(toOld, -1)
-		}
+			survivors, world.Size(), rf.NewNodes[0], at)
 	}
 
 	// Only the rolled-back span is wasted: survivors keep their work up to
@@ -539,7 +534,7 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 	// The continuation opens with the agreement collective over the
 	// pre-loss rank space.
 	next.suspect = make([]bool, g.ranks)
-	for _, d := range sr.DeadRanks {
+	for _, d := range rf.DeadRanks {
 		next.suspect[d] = true
 	}
 	if world.Topology().NNodes() < 2 {
@@ -548,12 +543,12 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 
 	for on := range e.nodeMap {
 		if e.nodeMap[on] >= 0 {
-			e.nodeMap[on] = sr.OldToNewNode[e.nodeMap[on]]
+			e.nodeMap[on] = rf.OldToNewNode[e.nodeMap[on]]
 		}
 	}
 	if grow != nil {
-		for i := 0; i < grow.replaceN && i < len(newNodes); i++ {
-			e.nodeMap[pt.origSlots[i]] = newNodes[i]
+		for i := 0; i < grow.replaceN && i < len(rf.NewNodes); i++ {
+			e.nodeMap[pt.origSlots[i]] = rf.NewNodes[i]
 		}
 	}
 	// The re-formed world is a fresh mp.World: re-attach the observer so the

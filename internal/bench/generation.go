@@ -45,7 +45,7 @@ type solver struct {
 var solvers = map[string]*solver{
 	checkpoint.AppRD: {
 		app: checkpoint.AppRD, fields: 1, errKey: "max_err", current: []int{0},
-		mesh: func(n int) (*mesh.Mesh, error) { return mesh.NewUnitCube(n), nil },
+		mesh: func(n int) (*mesh.Mesh, error) { return mesh.NewBox(mesh.UnitBox, n, n, n) },
 		run: func(r *mp.Rank, m *mesh.Mesh, grid [3]int, steps int, resume *checkpoint.Snapshot,
 			save func(checkpoint.Snapshot) error) ([]vclock.PhaseTimes, map[string]float64, error) {
 			cfg := rd.Config{Mesh: m, Grid: grid, Steps: steps}

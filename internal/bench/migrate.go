@@ -5,8 +5,9 @@ package bench
 // acts on the two-minute interruption notice. It drains the job at the
 // notice, prices an evacuation of the doomed node's diskless checkpoint
 // shards to their buddy nodes, and — when the window covers the copy and a
-// replacement can be provisioned — shrinks the dead node out and grows a
-// replacement back in (mp.World.Grow), resuming at full width. The
+// replacement can be provisioned — drops the dead node and adds a
+// replacement in one re-formation (mp.World.Reform), resuming at full
+// width. The
 // elasticity driver decides migrate-vs-shrink-vs-restart per event, so the
 // policy degrades gracefully to the reactive paths and can never hang.
 //
@@ -14,8 +15,8 @@ package bench
 // when several preemption notices land inside one notice window (a
 // price-spike reclamation wave), the arbiter coalesces them into ONE
 // recovery point — one drain, one evacuation (re-homing shards whose buddy
-// node is itself doomed onto surviving refugees), one multi-node shrink,
-// one grow — so overlapping events can never double-restore. A second
+// node is itself doomed onto surviving refugees), one multi-node
+// re-formation — so overlapping events can never double-restore. A second
 // notice for a slot already doomed in the same window is a cascade: the
 // replacement being provisioned for it is reclaimed mid-flight, and the
 // arbiter re-plans by acquiring another. On top sits an elastic

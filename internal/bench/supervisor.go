@@ -127,6 +127,15 @@ func ValidateFaults(o FaultOptions) error {
 	if o.RanksPerNode < 0 {
 		return fmt.Errorf("-rpn %d is negative (use 0 to pack by cores)", o.RanksPerNode)
 	}
+	// 0 asks for the default of each; a negative size has no meaning.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-n", o.PerRankN}, {"-steps", o.Steps}, {"-skip", o.SkipSteps}, {"MaxAttempts", o.MaxAttempts}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d is negative", f.name, f.v)
+		}
+	}
 	if o.Crashes < 0 || o.Preemptions < 0 || o.Degradations < 0 {
 		return fmt.Errorf("fault counts must be >= 0, got -crashes %d -preempts %d -degrades %d",
 			o.Crashes, o.Preemptions, o.Degradations)
@@ -489,11 +498,7 @@ func FormatRecovery(rep *RecoveryReport) string {
 	fmt.Fprintf(&b, "Fault-injected %s on %s (%d ranks, policy %s)\n",
 		strings.ToUpper(rep.App), rep.Platform, rep.Ranks, rep.Policy)
 	fmt.Fprintf(&b, "%s\n\nsupervisor decisions:\n", rep.Plan)
-	var rec trace.Recorder
-	for _, d := range rep.Decisions {
-		rec.Record(d.AtS, d.Kind, "%s", d.Detail)
-	}
-	b.WriteString(rec.Format())
+	b.WriteString(trace.FormatDecisions(rep.Decisions))
 	b.WriteString("\n\n")
 
 	errKey := errKeyOf(rep.App)

@@ -195,6 +195,12 @@ func TestValidateFaults(t *testing.T) {
 		{"zero fault counts are valid", func(c *FaultOptions) { c.Crashes = 0 }, ""},
 		{"zero ranks", func(c *FaultOptions) { c.Ranks = 0 }, "rank"},
 		{"negative ranks per node", func(c *FaultOptions) { c.RanksPerNode = -2 }, "-rpn"},
+		{"negative mesh edge", func(c *FaultOptions) { c.PerRankN = -2 }, "-n -2 is negative"},
+		{"negative steps", func(c *FaultOptions) { c.Steps = -1 }, "-steps -1 is negative"},
+		{"negative skip", func(c *FaultOptions) { c.SkipSteps = -1 }, "-skip -1 is negative"},
+		{"negative attempt cap", func(c *FaultOptions) { c.MaxAttempts = -1 }, "MaxAttempts -1 is negative"},
+		{"zero sizes take the defaults",
+			func(c *FaultOptions) { c.PerRankN, c.Steps, c.SkipSteps, c.MaxAttempts = 0, 0, 0, 0 }, ""},
 		{"negative crashes", func(c *FaultOptions) { c.Crashes = -1 }, "crashes"},
 		{"negative preemptions", func(c *FaultOptions) { c.Preemptions = -3 }, "preempts"},
 		{"negative degradations", func(c *FaultOptions) { c.Degradations = -1 }, "degrades"},
@@ -234,5 +240,15 @@ func TestValidateFaults(t *testing.T) {
 				t.Fatalf("got %v, want error mentioning %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// Both applications' meshes refuse a non-positive edge with an error, so a
+// caller that skips ValidateFaults gets no panic.
+func TestWeakGenerationRejectsNonPositiveMesh(t *testing.T) {
+	for _, app := range []string{"rd", "ns"} {
+		if _, _, err := weakGeneration(app, 8, -2, 4, nil); err == nil {
+			t.Errorf("%s: a mesh edge of -2 per rank was accepted", app)
+		}
 	}
 }

@@ -157,9 +157,9 @@ type AttemptFailure struct {
 	// node's crash comes due or a receive finds its sender gone, so equal
 	// runs give equal values.
 	ElapsedS float64
-	// World is the poisoned world the attempt died in. A shrink-and-
-	// continue supervisor calls World.ShrinkNodes on it to re-form the
-	// survivors; restart supervisors may ignore it.
+	// World is the poisoned world the attempt died in. An elastic
+	// supervisor calls World.Reform on it to re-form the survivors (and any
+	// replacement nodes); restart supervisors may ignore it.
 	World *mp.World
 }
 
@@ -192,6 +192,9 @@ func (t *Target) Run(spec JobSpec) (*Report, error) {
 func (t *Target) Attempt(spec JobSpec) (*Report, *AttemptFailure, error) {
 	if spec.App == nil {
 		return nil, nil, fmt.Errorf("core: job without application")
+	}
+	if spec.SkipSteps < 0 {
+		return nil, nil, fmt.Errorf("core: SkipSteps %d is negative", spec.SkipSteps)
 	}
 	if err := t.Sched.Admit(spec.Ranks, spec.MemPerRankGB); err != nil {
 		return nil, nil, err
@@ -247,14 +250,14 @@ func (t *Target) Attempt(spec JobSpec) (*Report, *AttemptFailure, error) {
 	return t.execute(world, spec.App, "on", spec.SkipSteps, queueWait)
 }
 
-// ResumeAttempt runs app on an already-formed world — the survivor world a
-// Shrink produced — instead of building placement, fabric, and topology
-// from a JobSpec. There is no scheduler admission and no queue wait: the
-// nodes are the ones the original job already held, and the world shares
-// the original job's intern table (Shrink and Grow pass it on). faults arms
-// any remaining failure schedule (translated to the survivor node
-// numbering); the same three-way verdict as Attempt applies, so a second
-// node loss in the continuation surfaces as another *AttemptFailure
+// ResumeAttempt runs app on an already-formed world — the world
+// mp.World.Reform produced — instead of building placement, fabric, and
+// topology from a JobSpec. There is no scheduler admission and no queue
+// wait: the nodes are the ones the original job already held, and the
+// world shares the original job's intern table (Reform passes it on).
+// faults arms any remaining failure schedule (translated to the survivor
+// node numbering); the same three-way verdict as Attempt applies, so a
+// second node loss in the continuation surfaces as another *AttemptFailure
 // carrying its own poisoned world.
 func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults []fault.Event) (*Report, *AttemptFailure, error) {
 	if app == nil {
@@ -262,6 +265,9 @@ func (t *Target) ResumeAttempt(world *mp.World, app App, skipSteps int, faults [
 	}
 	if world == nil {
 		return nil, nil, fmt.Errorf("core: resume without world")
+	}
+	if skipSteps < 0 {
+		return nil, nil, fmt.Errorf("core: SkipSteps %d is negative", skipSteps)
 	}
 	if err := fault.Arm(world, faults); err != nil {
 		return nil, nil, err

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"heterohpc/internal/fault"
 	"heterohpc/internal/mp"
+	"heterohpc/internal/netmodel"
 	"heterohpc/internal/obs"
 	"heterohpc/internal/sched"
 	"heterohpc/internal/vclock"
@@ -381,6 +383,38 @@ func TestRanksPerNodeOverride(t *testing.T) {
 
 // An injected crash surfaces as an AttemptFailure wrapping mp.ErrRankDead,
 // with the scheduled failure coordinates; Run wraps the same failure.
+// TestNegativeSkipRefusedBeforeRun: a negative SkipSteps is an error from
+// Attempt and from ResumeAttempt, returned before any rank runs.
+func TestNegativeSkipRefusedBeforeRun(t *testing.T) {
+	tg, _ := NewTarget("puma", 1)
+	var ran atomic.Bool
+	app := fakeApp{perRank: func(int) []vclock.PhaseTimes {
+		ran.Store(true)
+		return make([]vclock.PhaseTimes, 2)
+	}}
+	if _, err := tg.Run(JobSpec{Ranks: 1, App: app, SkipSteps: -1}); err == nil || !strings.Contains(err.Error(), "SkipSteps -1") {
+		t.Errorf("Run with SkipSteps -1 returned %v, want the negative skip refused", err)
+	}
+	topo, err := mp.BlockTopology(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := netmodel.NewFabric(netmodel.TenGigE, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mp.NewWorld(topo, fab, vclock.LinearRater{FlopsPerSec: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tg.ResumeAttempt(w, app, -1, nil); err == nil || !strings.Contains(err.Error(), "SkipSteps -1") {
+		t.Errorf("ResumeAttempt with skip -1 returned %v, want the negative skip refused", err)
+	}
+	if ran.Load() {
+		t.Error("the application ran before the negative skip was refused")
+	}
+}
+
 func TestAttemptReportsInjectedFault(t *testing.T) {
 	tg, _ := NewTarget("puma", 1)
 	app, err := WeakRD(8, 4, 3)

@@ -405,7 +405,7 @@ func (sl *allreduceSlot) recv(msg *allreduceSlot) bool {
 
 // strand leaves each message of one leg that its receiver never took, having
 // died first, in the receiver's mailbox, where the message tree leaves it, so
-// that a revoke counts it (Shrink.Revoked). It carries no payload.
+// that a revoke counts it (Reformed.Revoked). It carries no payload.
 func (s *allreduceColl) strand(bcast bool) {
 	for c := 1; c < len(s.slots); c++ {
 		sl := &s.slots[c]

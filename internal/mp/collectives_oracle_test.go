@@ -364,8 +364,8 @@ type allreduceRank struct {
 
 // allreduceOutcome is what a whole run shows: its ranks, Run's error, the
 // recorded failure, the counted payload traffic, the journal and metrics, and
-// the messages left pending (revoked by Shrink if the world is poisoned, by
-// Grow otherwise).
+// the messages left pending (those Reform revokes if the world is poisoned,
+// every one otherwise).
 type allreduceOutcome struct {
 	ranks            []allreduceRank
 	err              string
@@ -419,17 +419,9 @@ func runAllreduce(t *testing.T, mk func() *World, allreduce allreduceImpl, body 
 	}
 	out.journal, out.metrics = j.String(), m.String()
 	if out.down {
-		sr, err := w.ShrinkNodes(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.revoked = sr.Revoked
+		out.revoked = reformAll(t, w).Revoked
 	} else {
-		gr, err := w.Grow([]int{1}, []int{0}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.revoked = gr.Revoked
+		out.revoked = pending(w)
 	}
 	return out
 }

@@ -119,47 +119,6 @@ func TestSendersTakesOnlyItsTag(t *testing.T) {
 	}
 }
 
-// TestGrowForgetsFiledSenders ends a world after its ranks have filed for an
-// exchange whose Allreduce can never complete (rank 3 returns without joining
-// it), then grows it. Grow keeps the mailboxes and the grown world's
-// collective tags start over, so without the clear in Grow rank 0 would find
-// the old world's ranks 1 and 2 filed under its first exchange.
-func TestGrowForgetsFiledSenders(t *testing.T) {
-	w := faultWorld(t, 4, 2)
-	quit := errors.New("rank 3 leaves early")
-	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
-		if r.ID() == 3 {
-			return quit
-		}
-		r.ExchangeInts([]int{0, 1}[:r.ID()], func(int) []int { return nil })
-		return errors.New("the exchange completed without rank 3")
-	})
-	if !errors.Is(err, ErrRankDead) {
-		t.Fatalf("old world ended with %v, want ErrRankDead on rank 0", err)
-	}
-	if n := len(w.boxes[0].filed) + len(w.boxes[1].filed); n != 3 {
-		t.Fatalf("old world left %d filings, the schedule should leave 3", n)
-	}
-	gr, err := w.Grow([]int{1}, []int{0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = runWithDeadline(t, gr.World, 30*time.Second, func(r *Rank) error {
-		var peers []int
-		if r.ID() >= 3 {
-			peers = []int{0}
-		}
-		srcs, _ := r.ExchangeInts(peers, func(int) []int { return nil })
-		if want := [][]int{{3, 4}, {}, {}, {}, {}}[r.ID()]; !slices.Equal(srcs, want) {
-			return fmt.Errorf("senders %v, want %v", srcs, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The two schedules of a filed sender that dies, through the collective, one
 // rank per node. In both, rank 3 names rank 0 and nobody else names anybody.
 // Where rank 3's clock stands between the steps of the exchange is read off a

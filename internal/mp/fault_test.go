@@ -172,3 +172,15 @@ func TestDegradeSlowsCommunication(t *testing.T) {
 		t.Fatalf("degraded run %v not slower than clean %v", slow, base)
 	}
 }
+
+// pending revokes every message the finished world w left unreceived, in its
+// mailboxes and on its links, and counts them.
+func pending(w *World) int {
+	n := 0
+	for _, mb := range w.boxes {
+		mb.mu.Lock()
+		n += mb.revoke(func(int) bool { return true })
+		mb.mu.Unlock()
+	}
+	return n
+}

@@ -10,7 +10,7 @@ import "sync"
 // a chain, so an accept tells them apart by type.
 // It belongs to the simulator, not to the simulated job: no clock, message
 // or journal event is involved. Every world points at one: NewWorld makes a
-// fresh one, a world that Shrink or Grow forms shares its parent's, and a
+// fresh one, a world that Reform forms shares its parent's, and a
 // world's maker may hand it another (UseInterns) so that the jobs run one
 // after the other — a sweep's points, a supervisor's attempts — adopt what
 // the jobs before them built. Prune between two jobs keeps what the last

@@ -239,53 +239,35 @@ func TestInternPruneKeepsWhatTheLastJobUsed(t *testing.T) {
 	}
 }
 
-// TestInternTableSharedByShrinkAndGrow: the world a Shrink forms and the
-// world a Grow forms adopt what their parent filed, on survivors and
-// joiners alike.
-func TestInternTableSharedByShrinkAndGrow(t *testing.T) {
+// TestInternTableSharedByReform: the world Reform forms adopts what its
+// parent filed, on survivors and joiners alike.
+func TestInternTableSharedByReform(t *testing.T) {
 	class := func(id int) int { return id % 2 }
 	var builds atomic.Int32
-	fileThen := func(w *World, loop int) error {
-		return runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
-			if _, err := internInts(r, class(r.ID()), &builds); err != nil {
-				return err
-			}
-			for i := 0; i < loop; i++ {
-				r.ChargeCompute(1e6, 0)
-				r.AllreduceScalar(OpSum, 1)
-			}
-			return nil
-		})
-	}
-
-	doomed := faultWorld(t, 8, 2)
-	if err := doomed.ScheduleNodeCrash(1, 0.005); err != nil {
+	w := faultWorld(t, 8, 2)
+	if err := w.ScheduleNodeCrash(1, 0.005); err != nil {
 		t.Fatal(err)
 	}
-	if err := fileThen(doomed, 1000); !errors.Is(err, ErrRankDead) {
+	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
+		if _, err := internInts(r, class(r.ID()), &builds); err != nil {
+			return err
+		}
+		for i := 0; i < 1000; i++ {
+			r.ChargeCompute(1e6, 0)
+			r.AllreduceScalar(OpSum, 1)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrRankDead) {
 		t.Fatalf("crash did not poison the world: %v", err)
 	}
-	sr, err := doomed.ShrinkNodes(nil)
+	rf, err := w.Reform(nil, []int{2}, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	filed := builds.Load()
-	runInterning(t, sr.World, class, &builds)
+	runInterning(t, rf.World, class, &builds)
 	if n := builds.Load() - filed; n != 0 {
-		t.Errorf("shrunk world built %d values its parent had filed", n)
-	}
-
-	healthy := faultWorld(t, 6, 2)
-	if err := fileThen(healthy, 4); err != nil {
-		t.Fatal(err)
-	}
-	gr, err := healthy.Grow([]int{2}, []int{0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filed = builds.Load()
-	runInterning(t, gr.World, class, &builds)
-	if n := builds.Load() - filed; n != 0 {
-		t.Errorf("grown world built %d values its parent had filed", n)
+		t.Errorf("re-formed world built %d values its parent had filed", n)
 	}
 }

@@ -131,7 +131,7 @@ func (pl *linkStressPlan) tag(src int) int {
 
 // run executes the plan and returns each rank's log — every payload it
 // received with its clock after the receive, ending in "exit" or "unwound" —
-// Run's error text and the messages Grow found pending. With links, rank 0
+// Run's error text and the messages left pending. With links, rank 0
 // waits in round slow for the depth the plan promises.
 func (pl *linkStressPlan) run(t *testing.T, links bool) ([][]string, string, int) {
 	w := faultWorld(t, pl.p, 4)
@@ -218,11 +218,7 @@ func (pl *linkStressPlan) run(t *testing.T, links bool) ([][]string, string, int
 			}
 		}
 	}
-	gr, err := w.Grow([]int{1}, []int{0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return logs, errText, gr.Revoked
+	return logs, errText, pending(w)
 }
 
 // TestLinkStressMatchesMailbox runs seeded 48-rank exchange scripts on links
@@ -415,12 +411,8 @@ func TestLinkSlotMisusePanics(t *testing.T) {
 		t.Fatalf("panics %q, want %q", msgs, want)
 	}
 	l := w.boxes[1].links[0]
-	gr, err := w.Grow([]int{1}, []int{0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.Revoked != 0 || l.taken || l.pub.Load() != 0 {
-		t.Fatalf("the unsent slot left %d revoked, taken %v, %d published; want none", gr.Revoked, l.taken, l.pub.Load())
+	if n := pending(w); n != 0 || l.taken || l.pub.Load() != 0 {
+		t.Fatalf("the unsent slot left %d pending, taken %v, %d published; want none", n, l.taken, l.pub.Load())
 	}
 }
 

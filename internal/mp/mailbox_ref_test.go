@@ -76,7 +76,7 @@ func (mb *refMailbox) take(src, tag int) message {
 	}
 }
 
-// shrinkRevoke is the revocation sweep Shrink ran over one map-based
+// shrinkRevoke is the revocation sweep Reform runs over one map-based
 // mailbox.
 func (mb *refMailbox) shrinkRevoke(ownerDead bool, dead []bool) (revoked int) {
 	for k, q := range mb.pending {
@@ -89,26 +89,6 @@ func (mb *refMailbox) shrinkRevoke(ownerDead bool, dead []bool) (revoked int) {
 		if q := &mb.coll[src]; ownerDead || dead[src] {
 			revoked += q.len()
 			*q = msgQueue{}
-		}
-	}
-	return revoked
-}
-
-// growTransplant is what Grow did to one map-based mailbox: widen the
-// collective FIFOs, purge every stale payload.
-func (mb *refMailbox) growTransplant(nw *World, added int) (revoked int) {
-	mb.w = nw
-	if mb.coll != nil {
-		mb.coll = append(mb.coll, make([]msgQueue, added)...)
-		for src := range mb.coll {
-			revoked += mb.coll[src].len()
-			mb.coll[src] = msgQueue{}
-		}
-	}
-	for _, q := range mb.pending {
-		for !q.empty() {
-			q.pop()
-			revoked++
 		}
 	}
 	return revoked
@@ -242,14 +222,15 @@ func (s *mailboxScript) step(a, b eitherMailbox, w *World) (da, db delivery) {
 // (src, tag)-keyed reference with seeded random scripts: puts and takes over
 // more than a hundred sources, collective tags
 // interleaved per source, receives from dead sources that must unwind, then
-// a simulated shrink or grow and more traffic on the transplanted mailbox.
-// Every delivery, every panic and both Revoked counts must agree.
+// Reform's revoke sweep as a surviving owner, more traffic, and the sweep as
+// a dead owner. Every delivery, every panic and both revoked counts must
+// agree.
 func TestMailboxMatchesMapReference(t *testing.T) {
-	const p, added = 160, 8
+	const p = 160
 	for seed := int64(1); seed <= 12; seed++ {
 		w := testWorld(t, p, 8)
-		// Sources spread over the world, joiners included for the grow leg;
-		// the first half are dead, so empty receives from them unwind.
+		// Sources spread over the world; the first half are dead, so empty
+		// receives from them unwind.
 		var sources []int
 		for i := 0; i < 110; i++ {
 			sources = append(sources, (i*37+int(seed))%p)
@@ -261,11 +242,10 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 		}
 		got, want := newMailbox(w), newRefMailbox(w)
 		s := newMailboxScript(seed, sources)
-		cur := w // the world the mailboxes point at
 		run := func(steps int, phase string) {
 			t.Helper()
 			for i := 0; i < steps; i++ {
-				dg, dw := s.step(got, want, cur)
+				dg, dw := s.step(got, want, w)
 				if dg != dw {
 					t.Fatalf("seed %d %s step %d: mailbox delivered %+v, reference %+v", seed, phase, i, dg, dw)
 				}
@@ -276,47 +256,26 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 			t.Fatalf("seed %d: %d sources; the script should reach at least 49", seed, len(got.srcs))
 		}
 
-		if seed%2 == 0 {
-			// Shrink: sweep as a surviving owner, then as a dead one.
-			rg := got.revoke(func(src int) bool { return dead[src] })
-			if rw := want.shrinkRevoke(false, dead); rg != rw {
-				t.Fatalf("seed %d: shrink revoked %d, reference %d", seed, rg, rw)
-			}
-			for k := range s.dir {
-				if dead[k.src] {
-					delete(s.dir, k)
-				}
-			}
-			for k := range s.coll {
-				if dead[k.src] {
-					delete(s.coll, k)
-				}
-			}
-			run(1500, "after shrink sweep")
-			rg = got.revoke(func(int) bool { return true })
-			if rw := want.shrinkRevoke(true, dead); rg != rw {
-				t.Fatalf("seed %d: dead-owner shrink revoked %d, reference %d", seed, rg, rw)
-			}
-			continue
+		// Revoke: sweep as a surviving owner, then as a dead one.
+		rg := got.revoke(func(src int) bool { return dead[src] })
+		if rw := want.shrinkRevoke(false, dead); rg != rw {
+			t.Fatalf("seed %d: revoke revoked %d, reference %d", seed, rg, rw)
 		}
-
-		// Grow: transplant into a wider world, then traffic from old ranks
-		// and joiners alike.
-		nw := testWorld(t, p+added, 8)
-		for src := range dead {
-			nw.rankDead[src].Store(dead[src])
+		for k := range s.dir {
+			if dead[k.src] {
+				delete(s.dir, k)
+			}
 		}
-		cur = nw
-		got.w = nw
-		rg := got.revoke(func(int) bool { return true })
-		if rw := want.growTransplant(nw, added); rg != rw {
-			t.Fatalf("seed %d: grow revoked %d, reference %d", seed, rg, rw)
+		for k := range s.coll {
+			if dead[k.src] {
+				delete(s.coll, k)
+			}
 		}
-		s.dir, s.coll = map[refKey]int{}, map[refKey]int{}
-		for j := 0; j < added; j++ {
-			s.sources = append(s.sources, p+j)
+		run(1500, "after revoke sweep")
+		rg = got.revoke(func(int) bool { return true })
+		if rw := want.shrinkRevoke(true, dead); rg != rw {
+			t.Fatalf("seed %d: dead-owner revoke revoked %d, reference %d", seed, rg, rw)
 		}
-		run(3000, "after grow")
 	}
 }
 

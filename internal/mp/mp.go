@@ -462,9 +462,9 @@ type World struct {
 	obsRun *obs.Run
 	recs   []*obs.Recorder
 
-	// shrunk marks a world consumed by Shrink or Grow; it must not Run
-	// again (Shrink revokes its mailboxes, Grow transplants them).
-	shrunk bool
+	// consumed marks a world Reform has re-formed; it must not Run again
+	// (Reform revoked its mailboxes).
+	consumed bool
 
 	// allreduce is the shared state of Allreduce and AllreduceScalar, set up
 	// by Run.
@@ -473,7 +473,7 @@ type World struct {
 	// Fault-injection state (see fault.go). killAt and degrades are fixed
 	// before Run; down/failure, under failMu, record the first scheduled
 	// crash reached. They are a report for Failure's callers — Run's error
-	// text, Shrink, Grow — and no rank's progress depends on them: rankDead[i]
+	// text, Reform — and no rank's progress depends on them: rankDead[i]
 	// is set once rank i's goroutine has terminally exited (fault, error or
 	// completion) and can never send again, and it is what a blocked receive
 	// from rank i consults to unwind instead of waiting.
@@ -573,8 +573,8 @@ func (e *RankError) Unwrap() error { return e.Err }
 // (by rank order) if any rank fails or panics. Run may be called once per
 // World.
 func (w *World) Run(body func(r *Rank) error) error {
-	if w.shrunk {
-		return fmt.Errorf("mp: world was consumed by Shrink or Grow; run the re-formed world instead")
+	if w.consumed {
+		return fmt.Errorf("mp: world was consumed by Reform; run the re-formed world instead")
 	}
 	p := w.Size()
 	errs := make([]error, p)

@@ -532,3 +532,28 @@ func TestSendChargeMatchesFabricModel(t *testing.T) {
 		t.Fatalf("inter receiver at %v, arrival %v", r2, wantInter)
 	}
 }
+
+// A price is what the send it prices charges the sender's clock
+// (TestSendChargeMatchesFabricModel holds both to the fabric model).
+func TestPriceBytesMatchesSendCharge(t *testing.T) {
+	w := testWorld(t, 4, 2)
+	const n = 1024
+	err := w.Run(func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			Send(r, 2, 0, make([]float64, n))
+		case 2:
+			Recv[float64](r, 0, 0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Clocks()[0].Now(), w.PriceBytes(0, 2, 8*n); got != want {
+		t.Fatalf("the send charged %v, PriceBytes(0,2,%d) = %v", got, 8*n, want)
+	}
+	if w.PriceBytes(0, 1, 8*n) >= w.PriceBytes(0, 2, 8*n) {
+		t.Fatal("intra-node transfer not cheaper than inter-node")
+	}
+}

@@ -224,8 +224,7 @@ type haloRank struct {
 // haloOutcome is what a whole run shows: its ranks, Run's error, the
 // recorded failure, the journal (whose pool event counts the payloads drawn
 // and returned) and metrics (message, halo and mailbox-residency counts),
-// and the messages left pending — revoked by Shrink if the world is
-// poisoned, by Grow otherwise.
+// and, if the world is poisoned, the pending messages Reform revokes.
 type haloOutcome struct {
 	ranks            []haloRank
 	err              string
@@ -279,17 +278,11 @@ func runHalo(t *testing.T, w *mp.World, impl haloImpl, tr *haloTrace,
 	}
 	out.journal, out.metrics = j.String(), m.String()
 	if out.down {
-		sr, err := w.ShrinkNodes(nil)
+		rf, err := w.Reform(nil, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.revoked = sr.Revoked
-	} else {
-		gr, err := w.Grow([]int{1}, []int{0}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.revoked = gr.Revoked
+		out.revoked = rf.Revoked
 	}
 	return out
 }
@@ -356,11 +349,12 @@ func haloWorld(t *testing.T, p, perNode int) *mp.World {
 // identical observed worlds, for P = 1 to 1000 under both stencils, and
 // requires the same outcome rank by rank — value bits and clocks after every
 // exchange, final clock, per-phase communication, message counts — and in
-// the world the same journal (pool traffic), metrics (message and halo
-// counts, mailbox residency) and pending messages. One world has degraded
-// links on every node, each window opening inside round 1 on the node's
-// first rank; in another a rank leaves before round 2, so that its
-// neighbours unwind and their messages to it stay pending.
+// the world the same journal (pool traffic, so the payloads left pending),
+// metrics (message and halo counts, mailbox residency). One world has
+// degraded links on every node, each window opening inside round 1 on the
+// node's first rank; in another a rank leaves before round 2, so that its
+// neighbours unwind and their messages to it stay pending: its journal
+// leaves more payloads unreturned than the clean world's.
 func TestImporterLinksMatchMailbox(t *testing.T) {
 	const rounds, perNode = 4, 8
 	for _, k := range []int{1, 2, 3, 4, 5, 10} {
@@ -370,6 +364,7 @@ func TestImporterLinksMatchMailbox(t *testing.T) {
 			body := haloScript(hg, rounds, -1)
 			tr := newHaloTrace(p, 1)
 			runHalo(t, haloWorld(t, p, perNode), refHalo(tr), tr, body)
+			var cleanLeft int64
 			for _, tc := range []struct {
 				name string
 				mk   func() *mp.World
@@ -393,8 +388,13 @@ func TestImporterLinksMatchMailbox(t *testing.T) {
 				want := runHalo(t, tc.mk(), refHalo(nil), nil, tc.body)
 				got := runHalo(t, tc.mk(), linkHalo, nil, tc.body)
 				diffHalo(t, name, got, want)
-				if p > 1 && tc.name == "leaver" && want.revoked == 0 {
-					t.Errorf("%s: nothing was left pending to the leaver", name)
+				switch left := unreturned(t, want.journal); tc.name {
+				case "clean":
+					cleanLeft = left
+				case "leaver":
+					if p > 1 && left <= cleanLeft {
+						t.Errorf("%s: nothing was left pending to the leaver", name)
+					}
 				}
 			}
 		}
@@ -444,4 +444,21 @@ func TestImporterLinkFaultsMatchMailbox(t *testing.T) {
 			diffHalo(t, fmt.Sprintf("P=%d upwind=%v node %d crash at %v", p, tc.upwind, tc.node, at), got, want)
 		}
 	}
+}
+
+// unreturned is what the journal's pool event counts drawn and never
+// returned: the f64 payloads that no scattering receive took.
+func unreturned(t *testing.T, journal string) int64 {
+	t.Helper()
+	evs, err := obs.ReadJournal(strings.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, ev := range evs {
+		if ev.Kind == "pool" {
+			n += ev.I1 - ev.I2
+		}
+	}
+	return n
 }

@@ -117,11 +117,11 @@ func runRefill(t *testing.T, ow oracleWorld, perNode int, crashAt float64, newPa
 	}
 	out.journal = j.String()
 	if out.down {
-		sr, err := w.ShrinkNodes(nil)
+		rf, err := w.Reform(nil, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.revoked = sr.Revoked
+		out.revoked = rf.Revoked
 	}
 	return out
 }

@@ -59,9 +59,8 @@ func (rec *Recorder) Decisions() []Decision {
 	return append([]Decision(nil), rec.ds...)
 }
 
-// Format renders the log as an indented block for reports.
-func (rec *Recorder) Format() string {
-	ds := rec.Decisions()
+// FormatDecisions renders a decision log as an indented block for reports.
+func FormatDecisions(ds []Decision) string {
 	if len(ds) == 0 {
 		return "  (no decisions recorded)"
 	}
