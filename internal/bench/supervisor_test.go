@@ -199,8 +199,6 @@ func TestValidateFaults(t *testing.T) {
 		{"negative steps", func(c *FaultOptions) { c.Steps = -1 }, "-steps -1 is negative"},
 		{"negative skip", func(c *FaultOptions) { c.SkipSteps = -1 }, "-skip -1 is negative"},
 		{"negative attempt cap", func(c *FaultOptions) { c.MaxAttempts = -1 }, "MaxAttempts -1 is negative"},
-		{"zero sizes take the defaults",
-			func(c *FaultOptions) { c.PerRankN, c.Steps, c.SkipSteps, c.MaxAttempts = 0, 0, 0, 0 }, ""},
 		{"negative crashes", func(c *FaultOptions) { c.Crashes = -1 }, "crashes"},
 		{"negative preemptions", func(c *FaultOptions) { c.Preemptions = -3 }, "preempts"},
 		{"negative degradations", func(c *FaultOptions) { c.Degradations = -1 }, "degrades"},
