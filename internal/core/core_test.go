@@ -381,8 +381,6 @@ func TestRanksPerNodeOverride(t *testing.T) {
 	}
 }
 
-// An injected crash surfaces as an AttemptFailure wrapping mp.ErrRankDead,
-// with the scheduled failure coordinates; Run wraps the same failure.
 // TestNegativeSkipRefusedBeforeRun: a negative SkipSteps is an error from
 // Attempt and from ResumeAttempt, returned before any rank runs.
 func TestNegativeSkipRefusedBeforeRun(t *testing.T) {
@@ -415,6 +413,8 @@ func TestNegativeSkipRefusedBeforeRun(t *testing.T) {
 	}
 }
 
+// An injected crash surfaces as an AttemptFailure wrapping mp.ErrRankDead,
+// with the scheduled failure coordinates; Run wraps the same failure.
 func TestAttemptReportsInjectedFault(t *testing.T) {
 	tg, _ := NewTarget("puma", 1)
 	app, err := WeakRD(8, 4, 3)

@@ -92,10 +92,10 @@ func TestReformDropsTwoNodesAndJoinsTwo(t *testing.T) {
 	var table InternTable
 	w.UseInterns(&table)
 	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
-		// Rank 0 posts to the failed node's rank 2, the doomed node's rank 6
-		// and the surviving rank 4, which never takes it.
+		// Rank 0 posts to the failed node's rank 2 and the doomed node's
+		// rank 6, which never take it.
 		if r.ID() == 0 {
-			for _, dst := range []int{2, 6, 4} {
+			for _, dst := range []int{2, 6} {
 				Send(r, dst, 7, []float64{float64(dst)})
 			}
 			return nil
@@ -132,13 +132,12 @@ func TestReformDropsTwoNodesAndJoinsTwo(t *testing.T) {
 	if !slices.Equal(topo.GroupOfNode, wantGroups) {
 		t.Fatalf("GroupOfNode %v, want %v", topo.GroupOfNode, wantGroups)
 	}
-	// The messages to the dead are revoked; the one between survivors is
-	// left behind with the old world, uncounted.
+	// The messages to the dead are revoked.
 	if rf.Revoked != 2 {
 		t.Fatalf("revoked %d messages, want the 2 addressed to dead ranks", rf.Revoked)
 	}
-	if n := pending(w); n != 1 {
-		t.Fatalf("the old world kept %d messages, want the 1 between survivors", n)
+	if n := pending(w); n != 0 {
+		t.Fatalf("the old world kept %d messages after Reform, want none", n)
 	}
 	for newR, oldR := range rf.NewToOld {
 		want := joinAt

@@ -25,7 +25,7 @@ type refillRank struct {
 }
 
 // refillOutcome is what a whole run shows: its ranks, Run's error, the
-// recorded failure, the journal and the messages Shrink revokes.
+// recorded failure, the journal and the messages Reform revokes.
 type refillOutcome struct {
 	ranks   []refillRank
 	err     string
