@@ -71,3 +71,43 @@ func TestIdentityDigests(t *testing.T) {
 		}
 	}
 }
+
+// resultsFromTree maps each results/ file cheap enough to re-derive inside
+// go test to its results/README.md command (the arguments after
+// "heterobench").
+var resultsFromTree = map[string]string{
+	"availability.txt":        "availability -nodes 32",
+	"bidding.txt":             "bidding -nodes 63",
+	"strong.txt":              "strong -global 24 -n 10 -steps 2 -platforms lagrange,ec2 -max 216",
+	"ablate_precond.txt":      "ablate -what precond -ranks 27 -n 8 -steps 2",
+	"ablate_packing.txt":      "ablate -what packing -ranks 64 -n 8 -steps 2",
+	"ablate_interconnect.txt": "ablate -what interconnect -ranks 27 -n 8 -steps 2",
+}
+
+// TestResultsMatchTree runs each command of resultsFromTree through run and
+// compares its stdout, as text, with the checked-in file, and checks that
+// results/README.md still names that command: a change that moves a number
+// EXPERIMENTS.md quotes regenerates the file in the same commit.
+func TestResultsMatchTree(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "results", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, args := range resultsFromTree {
+		if row := "| `" + file + "` | `heterobench " + args + "` |"; !strings.Contains(string(readme), row) {
+			t.Errorf("results/README.md has no row %q", row)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+			t.Errorf("%s: exit %d\n%s", args, code, stderr.String())
+			continue
+		}
+		if got := stdout.String(); got != string(want) {
+			t.Errorf("results/%s is stale; heterobench %s now prints:\n%s", file, args, got)
+		}
+	}
+}
