@@ -123,8 +123,7 @@ func (r *Rank) Bcast(root int, data []float64) []float64 {
 // is ordered before any reader, and a list that disagrees with the count is a
 // broken invariant. The receives are then directed, so a sender that dies is
 // observed by take's per-sender rule like any other; the streams travel under
-// a collective tag, in each source's collective FIFO, and leave no per-tag
-// queue behind.
+// a collective tag, through each source's FIFO like every mailbox message.
 func (r *Rank) ExchangeInts(peers []int, payload func(i int) []int) (srcs []int, recv [][]int) {
 	tag := r.collTag(kindExchange)
 	// ind[p] is 1 from p's filing. The census sums ind in place, which

@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// refMailbox is the mailbox as it was before its per-source slots, kept as
-// the reference model: directed traffic in a map keyed by (src, tag),
-// collective traffic in a world-sized array of per-source FIFOs. The scripts
-// below drive it and the real mailbox with the same operations and demand the
-// same deliveries, panics and revocation counts.
+// refMailbox is the mailbox as it was before its per-source FIFOs, kept as
+// the reference model: directed traffic in a map of FIFOs keyed by
+// (src, tag), collective traffic in a world-sized array of per-source FIFOs
+// matched by tag. The scripts below drive it and the real mailbox, one FIFO
+// per source for every tag, with the same operations and demand the same
+// deliveries, panics and revocation counts.
 type refMailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -66,8 +67,10 @@ func (mb *refMailbox) take(src, tag int) message {
 	}
 	k := refKey{src, tag}
 	for {
-		if q := mb.pending[k]; q != nil && !q.empty() {
-			return q.pop()
+		if q := mb.pending[k]; q != nil {
+			if m, ok := q.popTag(tag); ok {
+				return m
+			}
 		}
 		if mb.w.rankDead[src].Load() {
 			panic(killedPanic{})
@@ -218,9 +221,9 @@ func (s *mailboxScript) step(a, b eitherMailbox, w *World) (da, db delivery) {
 	return delivery{}, delivery{}
 }
 
-// TestMailboxMatchesMapReference drives the per-source mailbox and the
-// (src, tag)-keyed reference with seeded random scripts: puts and takes over
-// more than a hundred sources, collective tags
+// TestMailboxMatchesMapReference drives the mailbox, one FIFO per source, and
+// the (src, tag)-keyed reference with seeded random scripts: puts and takes
+// over more than a hundred sources, application and collective tags
 // interleaved per source, receives from dead sources that must unwind, then
 // Reform's revoke sweep as a surviving owner, more traffic, and the sweep as
 // a dead owner. Every delivery, every panic and both revoked counts must

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestMsgQueuePopTag unit-tests the collective FIFO's tag matching: removal
-// is by oldest-of-tag, order among the remaining messages is preserved, and
-// draining rewinds the queue for reuse.
+// TestMsgQueuePopTag unit-tests a source FIFO's tag matching: removal is by
+// oldest-of-tag, order among the remaining messages is preserved, and a
+// drained queue takes messages again.
 func TestMsgQueuePopTag(t *testing.T) {
 	var q msgQueue
-	// Interleave three collective tags, two messages each.
+	// Interleave three tags, two messages each.
 	for i, tag := range []int{-1, -2, -3, -1, -2, -3} {
 		m := pack([]int{i})
 		m.tag = tag
@@ -35,13 +35,13 @@ func TestMsgQueuePopTag(t *testing.T) {
 			t.Fatalf("popTag(%d) = %d, want %d", w.tag, got, w.val)
 		}
 	}
-	if !q.empty() || q.head != 0 || len(q.buf) != 0 {
-		t.Fatalf("drained queue not rewound: head=%d len=%d", q.head, len(q.buf))
+	if q.len() != 0 {
+		t.Fatalf("drained queue holds %d messages", q.len())
 	}
-	// Reuse after rewind must not lose messages.
+	// Reuse after draining must not lose messages.
 	q.push(message{tag: -4})
 	if m, ok := q.popTag(-4); !ok || m.tag != -4 {
-		t.Fatal("queue unusable after rewind")
+		t.Fatal("queue unusable after draining")
 	}
 }
 

@@ -166,114 +166,29 @@ func unpack[T payload](m message) []T {
 	return unsafe.Slice((*T)(m.data), m.c)[:m.n]
 }
 
-// msgQueue is a FIFO of messages that recycles its backing array: popping
-// the last element rewinds the queue in place and a push that finds the
-// array's end slides the live window back to its start, so a queue
-// reallocates only when more messages are waiting than it has ever held.
-type msgQueue struct {
-	buf  []message
-	head int
-}
+// msgQueue is the FIFO of the messages one source has sent a mailbox's owner
+// and the owner has not yet received, of every tag.
+type msgQueue []message
 
-func (q *msgQueue) push(m message) {
-	if len(q.buf) == cap(q.buf) {
-		if q.head > 0 {
-			// A sender that stays one message ahead of its receiver never
-			// lets the queue drain and rewind.
-			n := copy(q.buf, q.buf[q.head:])
-			clear(q.buf[n:])
-			q.buf, q.head = q.buf[:n], 0
-		} else if cap(q.buf) == 0 {
-			// Most queues hold a handful of messages; skip the 1→2→4 append
-			// growth so a queue's backing array is a single allocation.
-			q.buf = make([]message, 0, 4)
-		}
-	}
-	q.buf = append(q.buf, m)
-}
+func (q *msgQueue) push(m message) { *q = append(*q, m) }
 
-func (q *msgQueue) empty() bool { return q.head == len(q.buf) }
-
-func (q *msgQueue) len() int { return len(q.buf) - q.head }
-
-func (q *msgQueue) pop() message {
-	m := q.buf[q.head]
-	q.buf[q.head] = message{} // drop payload references
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m
-}
+func (q *msgQueue) len() int { return len(*q) }
 
 // popTag removes and returns the oldest message with the given tag,
-// preserving the order of the rest. Messages of one tag are delivered in
-// send order; the scan only walks past head when collectives with distinct
-// tags are simultaneously in flight.
+// preserving the order of the rest: MPI's tag matching, under which the
+// messages of one (source, tag) are delivered in send order.
 func (q *msgQueue) popTag(tag int) (message, bool) {
-	for i := q.head; i < len(q.buf); i++ {
-		if q.buf[i].tag == tag {
-			m := q.buf[i]
-			copy(q.buf[i:], q.buf[i+1:])
-			q.buf[len(q.buf)-1] = message{}
-			q.buf = q.buf[:len(q.buf)-1]
-			if q.head == len(q.buf) {
-				q.buf = q.buf[:0]
-				q.head = 0
-			}
+	for i, m := range *q {
+		if m.tag == tag {
+			*q = slices.Delete(*q, i, i+1)
 			return m, true
 		}
 	}
 	return message{}, false
 }
 
-// drop discards the queued messages for which stale(src) holds, keeping the
-// order of the rest and the backing array, and returns how many went.
-func (q *msgQueue) drop(stale func(src int) bool) int {
-	kept := q.buf[:0]
-	for _, m := range q.buf[q.head:] {
-		if !stale(int(m.src)) {
-			kept = append(kept, m)
-		}
-	}
-	n := q.len() - len(kept)
-	clear(q.buf[len(kept):])
-	q.buf, q.head = kept, 0
-	return n
-}
-
-// tagQueue is the FIFO of one application tag.
-type tagQueue struct {
-	tag int
-	q   msgQueue
-}
-
-// srcSlot is everything one source rank has sent a mailbox's owner and the
-// owner has not yet received. Directed traffic (tag >= 0) has one queue per
-// tag, and the queues stay resident when drained — the same tags recur every
-// iteration.
-type srcSlot struct {
-	// coll holds collective traffic (tag < 0). Collective tags are unique
-	// per collective, so they are matched by a scan of this (nearly always
-	// length-≤1) FIFO instead of getting a queue each.
-	coll msgQueue
-	tags []tagQueue
-}
-
-// queue returns the directed queue of tag; nil when src has sent nothing
-// under tag.
-func (s *srcSlot) queue(tag int) *msgQueue {
-	for i := range s.tags {
-		if s.tags[i].tag == tag {
-			return &s.tags[i].q
-		}
-	}
-	return nil
-}
-
 // mailbox is an unbounded matched-receive queue: a map from source rank to
-// that source's slot. Every receive names its sender, so take is the only
+// that source's FIFO. Every receive names its sender, so take is the only
 // way a queued message leaves and its per-sender rule, which a link's await
 // shares, the only way a wait unwinds. A source enters the map with its
 // first message and stays, so a mailbox's memory follows the number of ranks
@@ -290,8 +205,8 @@ func (s *srcSlot) queue(tag int) *msgQueue {
 // asleep.
 type mailbox struct {
 	mu sync.Mutex
-	// srcs holds each source's slot; slots stay warm when drained.
-	srcs map[int32]*srcSlot
+	// srcs holds each source's FIFO.
+	srcs map[int32]*msgQueue
 	// filed lists the ranks that have announced a stream to the owner and
 	// that the owner has not yet asked for (see ExchangeInts). Like the
 	// intern table it belongs to the simulator, not to the simulated job: no
@@ -318,7 +233,7 @@ type mailbox struct {
 const noWait = -1
 
 func newMailbox(w *World) *mailbox {
-	mb := &mailbox{srcs: make(map[int32]*srcSlot), w: w}
+	mb := &mailbox{srcs: make(map[int32]*msgQueue), w: w}
 	mb.cond.L = &mb.mu
 	mb.waitSrc.Store(noWait)
 	return mb
@@ -330,7 +245,12 @@ func newMailbox(w *World) *mailbox {
 // after unlocking.
 func (mb *mailbox) put(m message) {
 	mb.mu.Lock()
-	mb.queueFor(int(m.src), m.tag).push(m)
+	q := mb.srcs[m.src]
+	if q == nil {
+		q = new(msgQueue)
+		mb.srcs[m.src] = q
+	}
+	q.push(m)
 	wake := mb.waitSrc.Load() == m.src && mb.waitTag == m.tag
 	if wake {
 		mb.waitSrc.Store(noWait)
@@ -341,36 +261,14 @@ func (mb *mailbox) put(m message) {
 	}
 }
 
-// queueFor routes a message to its FIFO, creating the queue on first use.
-// Runs under mb.mu.
-func (mb *mailbox) queueFor(src, tag int) *msgQueue {
-	s := mb.srcs[int32(src)]
-	if s == nil {
-		s = new(srcSlot)
-		mb.srcs[int32(src)] = s
-	}
-	if tag < 0 {
-		return &s.coll
-	}
-	if q := s.queue(tag); q != nil {
-		return q
-	}
-	s.tags = append(s.tags, tagQueue{tag: tag})
-	return &s.tags[len(s.tags)-1].q
-}
-
 // revoke purges the queued messages and pending link messages whose source
-// satisfies stale and returns their number. Source slots, their queues and
-// the links stay warm. Runs under mb.mu.
+// satisfies stale and returns their number. Runs under mb.mu.
 func (mb *mailbox) revoke(stale func(src int) bool) int {
 	n := mb.revokeLinks(stale)
-	for src, s := range mb.srcs {
-		if !stale(int(src)) {
-			continue
-		}
-		n += s.coll.drop(stale)
-		for i := range s.tags {
-			n += s.tags[i].q.drop(stale)
+	for src, q := range mb.srcs {
+		if stale(int(src)) {
+			n += q.len()
+			*q = nil
 		}
 	}
 	return n
@@ -424,13 +322,9 @@ func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		if s := mb.srcs[int32(src)]; s != nil {
-			if tag < 0 {
-				if m, ok := s.coll.popTag(tag); ok {
-					return m
-				}
-			} else if q := s.queue(tag); q != nil && !q.empty() {
-				return q.pop()
+		if q := mb.srcs[int32(src)]; q != nil {
+			if m, ok := q.popTag(tag); ok {
+				return m
 			}
 		}
 		mb.waitTag = tag

@@ -39,9 +39,10 @@ type Reformed struct {
 	// NewNodes lists the appended nodes ascending (new numbering); they
 	// follow every surviving node.
 	NewNodes []int
-	// Revoked counts the pending mailbox messages purged because they were
-	// addressed to or sent by a dead rank — traffic a ULFM revoke would
-	// have interrupted.
+	// Revoked counts the pending messages, queued or on a link, purged
+	// because they were addressed to or sent by a dead rank — traffic a ULFM
+	// revoke would have interrupted. Messages pending between two survivors
+	// go with the old world uncounted.
 	Revoked int
 }
 
@@ -127,7 +128,8 @@ func (w *World) Reform(alsoDoomed, ranksPerNewNode, groupOfNewNode []int, joinAt
 	}
 	w.consumed = true
 
-	// Revoke: purge pending messages involving dead ranks. Deterministic —
+	// Revoke: purge and count pending messages involving dead ranks; the
+	// old world keeps the rest, which no rank will receive. Deterministic —
 	// the set of sent-but-unreceived messages at world death is a function
 	// of the program and the fault schedule alone.
 	dead := make([]bool, p)
