@@ -88,6 +88,14 @@ type recoveryPoint struct {
 	lineAtS          float64
 }
 
+// The supervisor's retry backoff starts at backoffBaseS and is capped at
+// backoffCapS; a run gets extraAttempts attempts beyond one per fatal event
+// of its plan.
+const (
+	backoffBaseS, backoffCapS = 15, 240
+	extraAttempts             = 3
+)
+
 func newEngine(s *superSetup) *engine {
 	o := s.o
 	e := &engine{
@@ -100,8 +108,8 @@ func newEngine(s *superSetup) *engine {
 		gobs:   o.Obs.Global(),
 		market: s.newReplacementMarket(),
 		spares: o.SpareNodes,
-		bo:     fault.NewBackoff(o.BackoffBaseS, o.BackoffCapS, o.Seed+1),
-		pbo:    fault.NewBackoff(o.BackoffBaseS, o.BackoffCapS, o.Seed+3),
+		bo:     fault.NewBackoff(backoffBaseS, backoffCapS, o.Seed+1),
+		pbo:    fault.NewBackoff(backoffBaseS, backoffCapS, o.Seed+3),
 		fatals: s.plan.Failures(), degrades: s.plan.Degradations(),
 		nodeMap: make([]int, s.nodes),
 	}
@@ -141,10 +149,7 @@ func (e *engine) run() (*RecoveryReport, *generation, error) {
 	if e.gen, _, err = weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, store); err != nil {
 		return nil, nil, err
 	}
-	maxAttempts := o.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = len(e.fatals) + 3
-	}
+	maxAttempts := len(e.fatals) + extraAttempts
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		rep.Attempts = attempt
 		events, pt := e.arm()
@@ -488,6 +493,7 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 	e.sh.RevokedMsgs += rf.Revoked
 	e.sh.DeadNodes = append(e.sh.DeadNodes, pt.origSlots...)
 	world, toOld := rf.World, rf.NewToOld
+	// rf.Revoked counts only the messages pending to or from a dead rank.
 	if grow == nil {
 		e.rec.Record(at, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
 			g.ranks, world.Size(), rf.Revoked)

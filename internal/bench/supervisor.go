@@ -63,11 +63,6 @@ type FaultOptions struct {
 	Plan *fault.Plan
 	// Crashes, Preemptions and Degradations size the generated plan.
 	Crashes, Preemptions, Degradations int
-	// MaxAttempts caps supervisor retries (default: fatal events + 3).
-	MaxAttempts int
-	// BackoffBaseS and BackoffCapS parameterise the retry backoff
-	// (defaults 15 s base, 240 s cap).
-	BackoffBaseS, BackoffCapS float64
 	// SpareNodes is the cold-spare pool for replacing dead nodes on
 	// platforms without a market. When exhausted, the supervisor degrades
 	// to fewer ranks instead. The zero value means the default of 2; pass
@@ -131,7 +126,7 @@ func ValidateFaults(o FaultOptions) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"-n", o.PerRankN}, {"-steps", o.Steps}, {"-skip", o.SkipSteps}, {"MaxAttempts", o.MaxAttempts}} {
+	}{{"-n", o.PerRankN}, {"-steps", o.Steps}, {"-skip", o.SkipSteps}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s %d is negative", f.name, f.v)
 		}
@@ -181,12 +176,6 @@ func (o FaultOptions) withDefaults() FaultOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 2012
-	}
-	if o.BackoffBaseS == 0 {
-		o.BackoffBaseS = 15
-	}
-	if o.BackoffCapS == 0 {
-		o.BackoffCapS = 240
 	}
 	if o.SpareNodes == 0 {
 		o.SpareNodes = 2
@@ -267,7 +256,9 @@ type ShrinkStats struct {
 	// BuddyBytes the total bytes mirrored.
 	BuddyOverheadS float64
 	BuddyBytes     int64
-	// RevokedMsgs counts pending messages purged by world revocation.
+	// RevokedMsgs sums mp.Reformed.Revoked over the re-formations: the
+	// pending messages addressed to or sent by a dead rank. Messages pending
+	// between two survivors are dropped with the old world and not counted.
 	RevokedMsgs int
 	// PartitionImbalance is the survivor decomposition's element imbalance
 	// (max/avg; 0 when not evaluated).

@@ -198,7 +198,6 @@ func TestValidateFaults(t *testing.T) {
 		{"negative mesh edge", func(c *FaultOptions) { c.PerRankN = -2 }, "-n -2 is negative"},
 		{"negative steps", func(c *FaultOptions) { c.Steps = -1 }, "-steps -1 is negative"},
 		{"negative skip", func(c *FaultOptions) { c.SkipSteps = -1 }, "-skip -1 is negative"},
-		{"negative attempt cap", func(c *FaultOptions) { c.MaxAttempts = -1 }, "MaxAttempts -1 is negative"},
 		{"negative crashes", func(c *FaultOptions) { c.Crashes = -1 }, "crashes"},
 		{"negative preemptions", func(c *FaultOptions) { c.Preemptions = -3 }, "preempts"},
 		{"negative degradations", func(c *FaultOptions) { c.Degradations = -1 }, "degrades"},
