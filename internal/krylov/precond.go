@@ -17,6 +17,23 @@ func (Identity) Setup() error { return nil }
 // Apply implements Preconditioner.
 func (Identity) Apply(r, z []float64) { copy(z, r) }
 
+// NewPrecond builds the preconditioner named name — "ilu0", "jacobi", "sgs"
+// or "none" — over the first n rows/columns of a (the owned square block);
+// the caller adds its context to the error an unknown name returns.
+func NewPrecond(name string, a *sparse.CSR, n int, ch sparse.Charger) (Preconditioner, error) {
+	switch name {
+	case "ilu0":
+		return NewILU0(a, n, ch), nil
+	case "jacobi":
+		return NewJacobi(a, n, ch), nil
+	case "sgs":
+		return NewSGS(a, n, ch), nil
+	case "none":
+		return Identity{}, nil
+	}
+	return nil, fmt.Errorf("unknown preconditioner %q", name)
+}
+
 // blockSplit locates, for each of the first n rows of a, the slot of the
 // diagonal entry (-1 when the pattern has none) and the slot that ends the
 // row's block columns (< n). Columns are sorted within a row and ghost

@@ -159,9 +159,9 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	}
 	presBC := presDM.NewDirichlet(s.IsBoundary)
 	freeze(presDM)
-	presPC, err := newPrecond(cfg.Precond, presDM, r)
+	presPC, err := krylov.NewPrecond(cfg.Precond, presDM.Local(), presDM.NOwned(), r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nse: %w", err)
 	}
 	if err := presPC.Setup(); err != nil {
 		return nil, err
@@ -223,9 +223,9 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	velPC, err := newPrecond(cfg.Precond, velDM, r)
+	velPC, err := krylov.NewPrecond(cfg.Precond, velDM.Local(), velDM.NOwned(), r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nse: %w", err)
 	}
 
 	// History from the exact solution at t0 and t0+Δt, or from a
@@ -467,19 +467,4 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	}
 	res.Pressure = append([]float64(nil), p[:n]...)
 	return res, nil
-}
-
-func newPrecond(name string, dm *sparse.DistMatrix, r *mp.Rank) (krylov.Preconditioner, error) {
-	switch name {
-	case "ilu0":
-		return krylov.NewILU0(dm.Local(), dm.NOwned(), r), nil
-	case "jacobi":
-		return krylov.NewJacobi(dm.Local(), dm.NOwned(), r), nil
-	case "sgs":
-		return krylov.NewSGS(dm.Local(), dm.NOwned(), r), nil
-	case "none":
-		return krylov.Identity{}, nil
-	default:
-		return nil, fmt.Errorf("nse: unknown preconditioner %q", name)
-	}
 }

@@ -96,6 +96,13 @@ func TestConfigValidation(t *testing.T) {
 	if err := (Config{Mesh: m}).Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+	runRanks(t, 1, func(r *mp.Rank) error {
+		_, err := Run(r, Config{Mesh: m, Grid: [3]int{1, 1, 1}, Steps: 1, Precond: "bogus"})
+		if err == nil || err.Error() != `nse: unknown preconditioner "bogus"` {
+			return fmt.Errorf("bogus preconditioner gave %v", err)
+		}
+		return nil
+	})
 }
 
 func TestNSSerialAccuracy(t *testing.T) {

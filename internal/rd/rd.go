@@ -142,23 +142,6 @@ type Result struct {
 	Solution []float64
 }
 
-// NewPrecond builds the preconditioner named in cfg over a distributed
-// matrix's local block.
-func NewPrecond(name string, dm *sparse.DistMatrix, r *mp.Rank) (krylov.Preconditioner, error) {
-	switch name {
-	case "ilu0":
-		return krylov.NewILU0(dm.Local(), dm.NOwned(), r), nil
-	case "jacobi":
-		return krylov.NewJacobi(dm.Local(), dm.NOwned(), r), nil
-	case "sgs":
-		return krylov.NewSGS(dm.Local(), dm.NOwned(), r), nil
-	case "none":
-		return krylov.Identity{}, nil
-	default:
-		return nil, fmt.Errorf("unknown preconditioner %q", name)
-	}
-}
-
 // freeze shares the values of an operator Run never writes again with the
 // rank's class-mates (sparse.DistMatrix.Freeze); a test wraps it to see the
 // operators Run freezes.
@@ -231,9 +214,9 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		x, y, z := s.M.VertexCoord(v)
 		return Exact(x, y, z, bcTime)
 	}
-	precond, err := NewPrecond(cfg.Precond, sysDM, r)
+	precond, err := krylov.NewPrecond(cfg.Precond, sysDM.Local(), sysDM.NOwned(), r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rd: %w", err)
 	}
 
 	// Constant source vector ∫(−6)·N_a, assembled once.

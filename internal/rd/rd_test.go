@@ -168,8 +168,8 @@ func TestRDPreconditionerChoices(t *testing.T) {
 	}
 	runRanks(t, 1, func(r *mp.Rank) error {
 		_, err := Run(r, Config{Mesh: m, Grid: [3]int{1, 1, 1}, Steps: 1, Precond: "bogus"})
-		if err == nil {
-			return fmt.Errorf("bogus preconditioner accepted")
+		if err == nil || err.Error() != `rd: unknown preconditioner "bogus"` {
+			return fmt.Errorf("bogus preconditioner gave %v", err)
 		}
 		return nil
 	})
