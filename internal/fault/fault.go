@@ -310,14 +310,9 @@ type Backoff struct {
 	attempt     int
 }
 
-// NewBackoff returns a seeded backoff schedule.
+// NewBackoff returns a seeded backoff schedule from baseS > 0 up to
+// capS ≥ baseS, taken as given.
 func NewBackoff(baseS, capS float64, seed uint64) *Backoff {
-	if baseS <= 0 {
-		baseS = 15
-	}
-	if capS < baseS {
-		capS = baseS * 16
-	}
 	return &Backoff{BaseS: baseS, CapS: capS, rng: stats.NewRNG(seed)}
 }
 
