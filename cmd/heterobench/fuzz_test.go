@@ -20,7 +20,7 @@ func FuzzParseArgs(f *testing.F) {
 	f.Add("capabilities")
 	f.Add("faults\n-ranks\n8\n-rpn\n2\n-storm\n3\n-cascades\n1\n-policy\nmigrate\n-regrow")
 	f.Add("journal-diff\n-replay\na.jsonl\n-storm\n2\nb.jsonl\n-policy\nshrink-continue")
-	f.Add("journal-diff\n-sweep\n-seed2\n7\n-platforms\npuma,ec2")
+	f.Add("journal-diff\n-sweep\n-seed2\n7\n-platforms\npuma,ec2") // refused: no -seed2 flag
 	f.Add("rd-weak\n-h")
 	f.Fuzz(func(t *testing.T, s string) {
 		var stderr strings.Builder
@@ -47,8 +47,8 @@ func inBounds(c *config) error {
 	switch {
 	case o.PerRankN < 1 || o.Steps < 1 || o.MaxRanks < 1 || o.SkipSteps < 0 || o.SkipSteps == 0 && o.Steps > 1:
 		return fmt.Errorf("grid %+v", o)
-	case o.Seed < 1 || c.seed2 < 1:
-		return fmt.Errorf("seeds %d and %d", o.Seed, c.seed2)
+	case o.Seed < 1:
+		return fmt.Errorf("seed %d", o.Seed)
 	case c.window < 0 || c.nodes < 0 || c.global < 0:
 		return fmt.Errorf("-window %d -nodes %d -global %d", c.window, c.nodes, c.global)
 	case fo.PerRankN != o.PerRankN || fo.Steps != o.Steps || fo.SkipSteps != o.SkipSteps || fo.Seed != o.Seed:

@@ -165,25 +165,23 @@ func TestJournalDiffReplayKeepsTheStorm(t *testing.T) {
 	}
 }
 
-// TestJournalDiffSweep smoke-tests the grid report: every point of a small
-// platform × ranks sweep is generated at two seeds and diffed; fault-free
-// journals are seed-independent, so the grid must read "same" everywhere.
+// TestJournalDiffSweep runs the grid report over a small platform × ranks
+// sweep: every point is generated twice at the same seed and diffed, and
+// fault-free journals are deterministic, so every cell must read "same".
 func TestJournalDiffSweep(t *testing.T) {
 	code, out := diff(t, "-sweep", "-n", "2", "-steps", "2", "-max", "8",
 		"-platforms", "puma,ec2")
 	if code != 0 {
 		t.Fatalf("sweep exited %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "journal-diff sweep") {
-		t.Fatalf("missing sweep header:\n%s", out)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 4 || lines[0] != "journal-diff sweep: first divergence per platform × ranks" {
+		t.Fatalf("want a header, a ranks row and two platform rows, got:\n%s", out)
 	}
-	for _, plat := range []string{"puma", "ec2"} {
-		if !strings.Contains(out, plat) {
-			t.Errorf("sweep grid missing platform %q:\n%s", plat, out)
+	for i, plat := range []string{"puma", "ec2"} {
+		if f := strings.Fields(lines[2+i]); len(f) != 3 || f[0] != plat || f[1] != "same" || f[2] != "same" {
+			t.Errorf("row %q, want %s with every cell same:\n%s", lines[2+i], plat, out)
 		}
-	}
-	if !strings.Contains(out, "same") {
-		t.Errorf("fault-free sweep should be seed-independent (all same):\n%s", out)
 	}
 }
 

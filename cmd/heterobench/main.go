@@ -64,7 +64,6 @@ type config struct {
 	cmd                   string
 	opts                  bench.Options
 	fo                    bench.FaultOptions
-	seed2                 uint64
 	nodes, global, window int
 	what, csv, trace      string
 	journal, metrics      string
@@ -120,8 +119,7 @@ func parseArgs(args []string, stderr io.Writer) *config {
 	fs.StringVar(&c.metrics, "metrics", "", "write the run's metric registry (JSON) to this file")
 	fs.IntVar(&c.window, "window", 3, "journal-diff: surrounding lines shown around the divergence")
 	fs.BoolVar(&c.replay, "replay", false, "journal-diff: re-run the recorded scenario (every faults flag) from the nearest checkpoint before the divergence and dump state")
-	fs.BoolVar(&c.sweep, "sweep", false, "journal-diff: first-divergence report across the platform × rank grid, -seed vs -seed2 (no journal files)")
-	seed2 := fs.Int64("seed2", 0, "journal-diff -sweep: second seed (default: -seed + 1)")
+	fs.BoolVar(&c.sweep, "sweep", false, "journal-diff: first-divergence report across the platform × rank grid, two runs at -seed (no journal files)")
 	// fs.Parse stops at the first positional argument: set it aside and
 	// parse on, so a flag after a file name counts like one before it.
 	for rest := args[1:]; len(rest) > 0; {
@@ -136,23 +134,19 @@ func parseArgs(args []string, stderr io.Writer) *config {
 		}
 	}
 	o.Platforms = strings.Split(*platforms, ",")
-	if err := c.validate(*seed, *seed2); err != nil {
+	if err := c.validate(*seed); err != nil {
 		fmt.Fprintf(stderr, "heterobench: %v\n", err)
 		return nil
 	}
 	o.Seed = uint64(*seed)
 	fo.PerRankN, fo.Steps, fo.SkipSteps, fo.Seed = o.PerRankN, o.Steps, o.SkipSteps, o.Seed
-	c.seed2 = uint64(*seed2)
-	if c.seed2 == 0 {
-		c.seed2 = o.Seed + 1
-	}
 	return c
 }
 
 // validate checks the final flag values once: the sizes and seeds every
 // command shares, the platform names, what the command itself needs, and
 // that only journal-diff was given positional arguments.
-func (c *config) validate(seed, seed2 int64) error {
+func (c *config) validate(seed int64) error {
 	// The option defaults read a zero seed as 2012, so -seed 0 would run as
 	// another seed than the one asked for.
 	switch {
@@ -160,8 +154,6 @@ func (c *config) validate(seed, seed2 int64) error {
 		return fmt.Errorf("-seed %d is negative; the availability and spot-market models need a seed >= 1", seed)
 	case seed == 0:
 		return fmt.Errorf("-seed 0 is below 1 (0 would run as the default 2012); the availability and spot-market models need a seed >= 1")
-	case seed2 < 0:
-		return fmt.Errorf("-seed2 %d is negative", seed2)
 	}
 	// A negative size has no meaning, and neither has 0 for -n, -steps and
 	// -max: a mesh, a run and a series need at least one element, step and
@@ -392,15 +384,14 @@ func runJournalDiff(stdout, stderr io.Writer, c *config) int {
 	return 1
 }
 
-// runJournalDiffSweep diffs -seed against -seed2 journals at every
-// (platform, ranks) point of the weak-scaling grid and prints the
-// first-divergence summary table. The sweep itself always exits 0 (it is
-// a report, not an assertion); points that fail to run show as ERR cells.
+// runJournalDiffSweep diffs two runs at -seed at every (platform, ranks)
+// point of the weak-scaling grid and prints the first-divergence summary
+// table: fault-free journals do not depend on the seed, so any cell but
+// "same" is nondeterminism. The sweep itself always exits 0 (it is a
+// report, not an assertion); points that fail to run show as ERR cells.
 func runJournalDiffSweep(stdout io.Writer, c *config) int {
-	o2 := c.opts
-	o2.Seed = c.seed2
-	nameA := fmt.Sprintf("seed %d", c.opts.Seed)
-	nameB := fmt.Sprintf("seed %d", c.seed2)
+	nameA := fmt.Sprintf("seed %d run 1", c.opts.Seed)
+	nameB := fmt.Sprintf("seed %d run 2", c.opts.Seed)
 	var results []triage.SweepResult
 	for _, p := range c.opts.Platforms {
 		for _, ranks := range bench.WeakSeries {
@@ -413,7 +404,7 @@ func runJournalDiffSweep(stdout io.Writer, c *config) int {
 				results = append(results, triage.SweepResult{Point: pt, Err: err})
 				continue
 			}
-			jb, err := bench.PointJournal(c.fo.App, p, ranks, o2)
+			jb, err := bench.PointJournal(c.fo.App, p, ranks, c.opts)
 			if err != nil {
 				results = append(results, triage.SweepResult{Point: pt, Err: err})
 				continue
@@ -484,7 +475,7 @@ commands:
                           faults flags, all of which reach the replay (not -policy compare,
                           whose journal holds three runs)
                           -sweep: first-divergence grid across -platforms × ranks,
-                          -seed vs -seed2 (generates its own journals)
+                          two runs at -seed (generates its own journals)
   all                     run everything
 
 flags: -n 10 -steps 3 -skip 1 -max 1000 -platforms puma,ellipse,lagrange,ec2 -seed 2012
@@ -544,7 +535,7 @@ func runProvision(stdout io.Writer) error {
 }
 
 func runStrong(stdout io.Writer, app string, globalN int, opts bench.Options) error {
-	var series []*bench.StrongSeries
+	var series []*bench.Series
 	for _, p := range opts.Platforms {
 		s, err := bench.RunStrong(app, p, globalN, opts)
 		if err != nil {
@@ -596,15 +587,7 @@ func runTrace(stdout, stderr io.Writer, app string, opts bench.Options, ranks in
 		if err != nil {
 			return err
 		}
-		var a core.App
-		switch app {
-		case "rd":
-			a, err = core.WeakRD(ranks, opts.PerRankN, opts.Steps)
-		case "ns":
-			a, err = core.WeakNS(ranks, opts.PerRankN, opts.Steps)
-		default:
-			return fmt.Errorf("unknown app %q", app)
-		}
+		a, err := core.Weak(app, ranks, opts.PerRankN, opts.Steps)
 		if err != nil {
 			return err
 		}

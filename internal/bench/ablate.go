@@ -8,7 +8,6 @@ import (
 	"heterohpc/internal/mesh"
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/partition"
-	"heterohpc/internal/rd"
 )
 
 // Ablation experiments for the design choices called out in DESIGN.md:
@@ -24,23 +23,18 @@ func FormatPrecondAblation(platformName string, ranks int, o Options) (string, e
 	if err != nil {
 		return "", err
 	}
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return "", err
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Preconditioner ablation: RD, %d ranks on %s, %d³ elements/rank\n",
 		ranks, platformName, o.PerRankN)
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s %12s %8s\n",
 		"precond", "assembly", "precond", "solve", "max total", "iters")
 	for _, pc := range []string{"none", "jacobi", "sgs", "ilu0"} {
-		app := core.RDApp{Cfg: rd.Config{
-			Mesh:    mesh.NewUnitCube(o.PerRankN * p),
-			Grid:    [3]int{p, p, p},
-			Steps:   o.Steps,
-			Precond: pc,
-			MaxIter: 4000,
-		}}
+		a, err := core.Weak("rd", ranks, o.PerRankN, o.Steps)
+		if err != nil {
+			return "", err
+		}
+		app := a.(core.RDApp)
+		app.Cfg.Precond, app.Cfg.MaxIter = pc, 4000
 		rep, err := tg.Run(core.JobSpec{Ranks: ranks, App: app, SkipSteps: o.SkipSteps, Obs: o.Obs})
 		if err != nil {
 			return "", fmt.Errorf("bench: %s ablation: %w", pc, err)

@@ -75,51 +75,66 @@ type Point struct {
 	Err error
 }
 
-// Series is one platform's weak-scaling curve.
+// Series is one platform's scaling curve.
 type Series struct {
 	App      string
 	Platform string
-	Points   []Point
+	// GlobalN is the fixed global mesh edge of a strong-scaling series; 0
+	// marks weak scaling, whose mesh grows with the ranks.
+	GlobalN int
+	Points  []Point
 }
 
-// newApp builds the weak-scaling application for the given name.
-func newApp(app string, ranks int, o Options) (core.App, float64, error) {
-	switch app {
-	case "rd":
-		a, err := core.WeakRD(ranks, o.PerRankN, o.Steps)
-		return a, core.MemPerRankGB(o.PerRankN, 1), err
-	case "ns":
-		a, err := core.WeakNS(ranks, o.PerRankN, o.Steps)
-		return a, core.MemPerRankGB(o.PerRankN, 4), err
-	default:
-		return nil, 0, fmt.Errorf("bench: unknown application %q (want rd or ns)", app)
+// weakJob is the weak-scaling job of app on ranks processes, with the
+// working set per rank the platform admits it by.
+func weakJob(app string, ranks int, o Options) (core.JobSpec, error) {
+	a, err := core.Weak(app, ranks, o.PerRankN, o.Steps)
+	if err != nil {
+		return core.JobSpec{}, err
 	}
+	return core.JobSpec{Ranks: ranks, App: a, SkipSteps: o.SkipSteps,
+		MemPerRankGB: core.MemPerRankGB(o.PerRankN, solvers[app].fields), Obs: o.Obs}, nil
 }
 
 // RunWeak executes the weak-scaling experiment (Figure 4 for app "rd",
 // Figure 5 for "ns") on one platform.
 func RunWeak(app, platformName string, o Options) (*Series, error) {
+	return runSeries(app, platformName, 0, o)
+}
+
+// runSeries runs app on one target of platformName at each size of
+// WeakSeries up to o.MaxRanks, in order: the weak-scaling job when globalN
+// is 0, else the globalN³ problem, which claims no working set. A size no
+// app can be built for (a mesh too coarse to split) ends the series, and is
+// the error when it is the first. A job the platform refuses is the
+// series' last Point: larger ones fail too, so the series stops there as
+// the paper's runs did.
+func runSeries(app, platformName string, globalN int, o Options) (*Series, error) {
 	o = o.withDefaults()
 	tg, err := core.NewTarget(platformName, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	s := &Series{App: app, Platform: platformName}
+	s := &Series{App: app, Platform: platformName, GlobalN: globalN}
 	for _, ranks := range WeakSeries {
 		if ranks > o.MaxRanks {
 			break
 		}
-		a, mem, err := newApp(app, ranks, o)
-		if err != nil {
-			return nil, err
+		spec := core.JobSpec{Ranks: ranks, SkipSteps: o.SkipSteps, Obs: o.Obs}
+		if globalN == 0 {
+			spec, err = weakJob(app, ranks, o)
+		} else {
+			spec.App, err = core.Cube(app, ranks, globalN, o.Steps)
 		}
-		rep, err := tg.Run(core.JobSpec{
-			Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: o.Obs,
-		})
+		if err != nil {
+			if len(s.Points) == 0 {
+				return nil, err
+			}
+			break
+		}
+		rep, err := tg.Run(spec)
 		s.Points = append(s.Points, Point{Ranks: ranks, Report: rep, Err: err})
 		if err != nil {
-			// The platform hit its limit; later (larger) points fail too, so
-			// stop the series here like the paper's runs did.
 			break
 		}
 	}

@@ -51,7 +51,7 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 		// supply.
 		market := spot.NewMarket(o.Seed+uint64(ranks), tg.Platform.CostPerNodeHour)
 		market.Observe(o.Obs)
-		app, mem, err := newApp("rd", ranks, o)
+		full, err := weakJob("rd", ranks, o)
 		if err != nil {
 			return nil, err
 		}
@@ -59,9 +59,7 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 		row := PlacementRow{Ranks: ranks, Instances: nodes}
 
 		// Full: single placement group, on-demand.
-		fullRep, err := tg.Run(core.JobSpec{
-			Ranks: ranks, App: app, SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: o.Obs,
-		})
+		fullRep, err := tg.Run(full)
 		if err != nil {
 			row.Err = err
 			res.Rows = append(res.Rows, row)
@@ -76,14 +74,12 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		appMix, _, err := newApp("rd", ranks, o)
+		mix, err := weakJob("rd", ranks, o)
 		if err != nil {
 			return nil, err
 		}
-		mixRep, err := tg.Run(core.JobSpec{
-			Ranks: ranks, App: appMix, SkipSteps: o.SkipSteps, MemPerRankGB: mem,
-			GroupOfNode: asm.GroupOfNode(), Obs: o.Obs,
-		})
+		mix.GroupOfNode = asm.GroupOfNode()
+		mixRep, err := tg.Run(mix)
 		if err != nil {
 			row.Err = err
 			res.Rows = append(res.Rows, row)

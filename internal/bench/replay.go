@@ -292,13 +292,12 @@ func PointJournal(app, platform string, ranks int, o Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, mem, err := newApp(app, ranks, o)
+	o.Obs = run
+	spec, err := weakJob(app, ranks, o)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := tg.Run(core.JobSpec{
-		Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: run,
-	}); err != nil {
+	if _, err := tg.Run(spec); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer

@@ -66,88 +66,54 @@ func (a NSApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) 
 	return res.StepTimes, metrics, nil
 }
 
-// WeakRD builds the weak-scaling RD application for ranks = p³ processes,
-// each loaded with perRankN³ elements — the paper's loading ("we started
-// from a single process loaded with the input mesh of size 20³ elements and
-// incremented the number of processes as well as the input mesh size as
-// cubic powers").
-func WeakRD(ranks, perRankN, steps int) (App, error) {
+// Cube builds application name ("rd" or "ns") on a fixed globalN³ mesh
+// split over ranks = p³ processes: the unit cube for RD, the Ethier–Steinman
+// domain [−1,1]³ for NS. At a fixed globalN it is the strong-scaling job,
+// the time-to-completion view of the paper's introduction ("parameterized
+// along two dimensions: problem size and number of processing elements");
+// Weak sizes globalN with the ranks.
+func Cube(name string, ranks, globalN, steps int) (App, error) {
+	box := mesh.UnitBox
+	switch name {
+	case "rd":
+	case "ns":
+		box = mesh.SymmetricBox
+	default:
+		return nil, fmt.Errorf("core: unknown application %q (want rd or ns)", name)
+	}
 	p, err := mesh.CubeGrid(ranks)
 	if err != nil {
-		return nil, fmt.Errorf("core: weak scaling needs cubic rank counts: %w", err)
-	}
-	n := perRankN * p
-	m, err := mesh.NewBox(mesh.UnitBox, n, n, n)
-	if err != nil {
-		return nil, err
-	}
-	return RDApp{Cfg: rd.Config{
-		Mesh:  m,
-		Grid:  [3]int{p, p, p},
-		Steps: steps,
-	}}, nil
-}
-
-// WeakNS builds the weak-scaling Navier–Stokes application (Ethier–Steinman
-// domain [−1,1]³) with the same loading rule.
-func WeakNS(ranks, perRankN, steps int) (App, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, fmt.Errorf("core: weak scaling needs cubic rank counts: %w", err)
-	}
-	n := perRankN * p
-	m, err := mesh.NewBox(mesh.SymmetricBox, n, n, n)
-	if err != nil {
-		return nil, err
-	}
-	return NSApp{Cfg: nse.Config{
-		Mesh:  m,
-		Grid:  [3]int{p, p, p},
-		Steps: steps,
-	}}, nil
-}
-
-// StrongRD builds a strong-scaling RD application: a fixed globalN³ mesh
-// split over ranks = p³ processes. Unlike the paper's weak-scaling series,
-// the per-rank load shrinks as ranks grow — the classic time-to-completion
-// view mentioned in the paper's introduction ("parameterized along two
-// dimensions: problem size and number of processing elements").
-func StrongRD(ranks, globalN, steps int) (App, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, fmt.Errorf("core: strong scaling needs cubic rank counts: %w", err)
+		return nil, fmt.Errorf("core: scaling needs cubic rank counts: %w", err)
 	}
 	if globalN < p {
 		return nil, fmt.Errorf("core: %d³ mesh cannot be split %d ways per dimension", globalN, p)
 	}
-	m := mesh.NewUnitCube(globalN)
-	return RDApp{Cfg: rd.Config{
-		Mesh:  m,
-		Grid:  [3]int{p, p, p},
-		Steps: steps,
-	}}, nil
-}
-
-// StrongNS builds the strong-scaling Navier–Stokes application on a fixed
-// globalN³ Ethier–Steinman mesh.
-func StrongNS(ranks, globalN, steps int) (App, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, fmt.Errorf("core: strong scaling needs cubic rank counts: %w", err)
-	}
-	if globalN < p {
-		return nil, fmt.Errorf("core: %d³ mesh cannot be split %d ways per dimension", globalN, p)
-	}
-	m, err := mesh.NewBox(mesh.SymmetricBox, globalN, globalN, globalN)
+	m, err := mesh.NewBox(box, globalN, globalN, globalN)
 	if err != nil {
 		return nil, err
 	}
-	return NSApp{Cfg: nse.Config{
-		Mesh:  m,
-		Grid:  [3]int{p, p, p},
-		Steps: steps,
-	}}, nil
+	grid := [3]int{p, p, p}
+	if name == "ns" {
+		return NSApp{Cfg: nse.Config{Mesh: m, Grid: grid, Steps: steps}}, nil
+	}
+	return RDApp{Cfg: rd.Config{Mesh: m, Grid: grid, Steps: steps}}, nil
 }
+
+// Weak builds the weak-scaling job of application name for ranks = p³
+// processes, each loaded with perRankN³ elements — the paper's loading ("we
+// started from a single process loaded with the input mesh of size 20³
+// elements and incremented the number of processes as well as the input
+// mesh size as cubic powers").
+func Weak(name string, ranks, perRankN, steps int) (App, error) {
+	p, _ := mesh.CubeGrid(ranks) // 0 on a non-cube, which Cube then refuses
+	return Cube(name, ranks, perRankN*p, steps)
+}
+
+// WeakRD builds the weak-scaling RD application.
+func WeakRD(ranks, perRankN, steps int) (App, error) { return Weak("rd", ranks, perRankN, steps) }
+
+// WeakNS builds the weak-scaling Navier–Stokes application.
+func WeakNS(ranks, perRankN, steps int) (App, error) { return Weak("ns", ranks, perRankN, steps) }
 
 // MemPerRankGB estimates the resident working set of one rank holding n³
 // elements of a scalar (RD) or 4-field (NS) problem — matrices dominate at
