@@ -65,13 +65,13 @@ func inBounds(c *config) error {
 	_, notCube := mesh.CubeGrid(fo.Ranks)
 	switch c.cmd {
 	case "capabilities", "provision", "rd-weak", "ns-weak", "placement", "help", "-h", "--help":
-	case "availability", "all", "bidding":
+	case "availability", "bidding":
 		if c.nodes < 1 {
 			return fmt.Errorf("%s with -nodes %d", c.cmd, c.nodes)
 		}
-	case "cost", "strong":
-		if !knownApp || c.cmd == "strong" && c.global < 1 {
-			return fmt.Errorf("%s with -app %q -global %d", c.cmd, fo.App, c.global)
+	case "strong":
+		if !knownApp || c.global < 1 {
+			return fmt.Errorf("strong with -app %q -global %d", fo.App, c.global)
 		}
 	case "trace":
 		if !knownApp || notCube != nil {

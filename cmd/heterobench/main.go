@@ -6,14 +6,15 @@
 //
 //	heterobench capabilities                 # Table I
 //	heterobench provision                    # §VI porting plans
-//	heterobench rd-weak   [flags]            # Figure 4 (+ raw series)
-//	heterobench ns-weak   [flags]            # Figure 5
+//	heterobench rd-weak   [flags]            # Figures 4 and 6 (+ raw series)
+//	heterobench ns-weak   [flags]            # Figures 5 and 7
 //	heterobench placement [flags]            # Table II
-//	heterobench cost -app rd|ns [flags]      # Figures 6 and 7
 //	heterobench availability [-nodes N]      # §VIII availability comparison
 //	heterobench faults [-platform P] [flags] # supervised run under injected faults
 //	heterobench journal-diff a.jsonl b.jsonl # triage: first diverging journal line (+ -replay <faults flags>)
-//	heterobench all [flags]                  # everything above
+//
+// Each file under results/ is the stdout of one command; results/README.md
+// lists them.
 //
 // Common flags: -n (elements per rank per dimension; the paper uses 20,
 // default 10 for tractable local runs), -steps, -max (largest process
@@ -58,8 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // config is one invocation, parsed and validated: execute runs it as it
 // stands. opts is the weak-scaling grid (-n -steps -skip -max -seed
 // -platforms); fo the fault scenario faults runs and journal-diff -replay
-// re-runs, whose App and Ranks the cost, strong, trace and ablate commands
-// read too.
+// re-runs, whose App and Ranks the strong, trace and ablate commands read
+// too.
 type config struct {
 	cmd                   string
 	opts                  bench.Options
@@ -95,11 +96,11 @@ func parseArgs(args []string, stderr io.Writer) *config {
 	fs.IntVar(&o.MaxRanks, "max", 1000, "largest process count of the series")
 	platforms := fs.String("platforms", "puma,ellipse,lagrange,ec2", "comma-separated platforms")
 	seed := fs.Int64("seed", 2012, "seed for queue-wait and spot-market models (must be >= 1)")
-	fs.StringVar(&fo.App, "app", "rd", "application for the cost/strong/trace/faults commands (rd or ns)")
+	fs.StringVar(&fo.App, "app", "rd", "application for the strong/trace/faults commands (rd or ns)")
 	fs.IntVar(&c.nodes, "nodes", 8, "node count for the availability command")
 	fs.IntVar(&c.global, "global", 30, "global mesh edge for the strong command")
 	fs.IntVar(&fo.Ranks, "ranks", 27, "rank count for the ablate, trace and faults commands")
-	fs.StringVar(&c.what, "what", "precond", "ablation: precond, packing, interconnect or partition")
+	fs.StringVar(&c.what, "what", "precond", "ablation: "+ablationNames())
 	fs.StringVar(&c.csv, "csv", "", "also write the raw series as CSV to this file (rd-weak, ns-weak, placement)")
 	fs.StringVar(&fo.Platform, "platform", "ec2", "single platform for the faults command")
 	fs.IntVar(&fo.Crashes, "crashes", 1, "node crashes injected by the faults command")
@@ -201,7 +202,7 @@ func (c *config) validateCommand() error {
 	_, notCube := mesh.CubeGrid(ranks)
 	switch c.cmd {
 	case "capabilities", "provision", "rd-weak", "ns-weak", "placement", "help", "-h", "--help":
-	case "cost", "strong", "trace":
+	case "strong", "trace":
 		switch {
 		case app != "rd" && app != "ns":
 			return fmt.Errorf("unknown app %q (want rd or ns)", app)
@@ -214,8 +215,8 @@ func (c *config) validateCommand() error {
 		}
 	case "ablate":
 		switch {
-		case c.what != "precond" && c.what != "packing" && c.what != "interconnect" && c.what != "partition":
-			return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", c.what)
+		case ablation(c.what) == nil:
+			return fmt.Errorf("unknown ablation %q (want %s)", c.what, ablationNames())
 		case ranks < 1:
 			return fmt.Errorf("-ranks %d: the ablate command needs at least one rank", ranks)
 		case c.what != "partition" && notCube != nil:
@@ -225,7 +226,7 @@ func (c *config) validateCommand() error {
 		if c.nodes < 1 {
 			return fmt.Errorf("-nodes %d: the bid sweep needs at least one node", c.nodes)
 		}
-	case "availability", "all":
+	case "availability":
 		if c.nodes < 1 {
 			return fmt.Errorf("-nodes %d: the availability comparison needs at least one node", c.nodes)
 		}
@@ -280,39 +281,36 @@ func (c *config) execute(stdout, stderr io.Writer) int {
 	}
 	opts, app, ranks := c.opts, c.fo.App, c.fo.Ranks
 	opts.Obs, c.fo.Obs = obsRun, obsRun
+	// The table commands return their text, empty on error.
+	var out string
 	var err error
 	switch c.cmd {
 	case "capabilities":
-		fmt.Fprint(stdout, bench.FormatCapabilities())
+		out = bench.FormatCapabilities()
 	case "provision":
-		err = runProvision(stdout)
+		out, err = bench.FormatProvisioning()
 	case "rd-weak":
 		err = runWeak(stdout, stderr, "rd", opts, c.csv)
 	case "ns-weak":
 		err = runWeak(stdout, stderr, "ns", opts, c.csv)
 	case "placement":
 		err = runPlacement(stdout, stderr, opts, c.csv)
-	case "cost":
-		err = runCost(stdout, app, opts)
 	case "availability":
-		err = runAvailability(stdout, opts, c.nodes)
+		out, err = bench.FormatAvailability(opts, c.nodes)
 	case "strong":
 		err = runStrong(stdout, app, c.global, opts)
 	case "bidding":
-		var out string
 		out, err = bench.FormatBidSweep(opts, c.nodes, 50)
-		fmt.Fprint(stdout, out)
 	case "ablate":
-		err = runAblate(stdout, c.what, opts, ranks)
+		out, err = ablation(c.what)(opts, ranks)
 	case "trace":
 		err = runTrace(stdout, stderr, app, opts, ranks, c.csv)
 	case "faults":
 		err = runFaults(stdout, stderr, c.fo, c.trace)
-	case "all":
-		err = runAll(stdout, stderr, opts, c.nodes)
 	default: // help, -h, --help
 		usage(stderr)
 	}
+	fmt.Fprint(stdout, out)
 	// Observability is written best-effort even when the command failed:
 	// the journal is most valuable exactly then (journal-diff triage of a
 	// failing run). The command's own error stays the exit status; a write
@@ -450,18 +448,17 @@ func writeObs(stderr io.Writer, run *obs.Run, journalPath, metricsPath string) e
 }
 
 func usage(stderr io.Writer) {
-	fmt.Fprintln(stderr, `heterobench — regenerate the paper's evaluation
+	fmt.Fprintf(stderr, `heterobench — regenerate the paper's evaluation
 
 commands:
   capabilities            Table I: platform capability matrix
   provision               §VI: per-platform porting plans and effort
-  rd-weak                 Figure 4: RD weak scaling across platforms
-  ns-weak                 Figure 5: Navier-Stokes weak scaling
+  rd-weak                 Figures 4/6: RD weak scaling and per-iteration cost
+  ns-weak                 Figures 5/7: Navier-Stokes weak scaling and per-iteration cost
   placement               Table II: EC2 placement groups and spot mix
-  cost -app rd|ns         Figures 6/7: per-iteration cost
   availability [-nodes N] §VIII: queue-wait comparison
   strong [-global N]      extension: strong scaling on a fixed global mesh
-  ablate -what X          ablations: precond, packing, interconnect, partition
+  ablate -what X          ablations: %s
   bidding [-nodes N]      extension: spot bid level vs. fleet cost
   trace -ranks N          write a Chrome/Perfetto trace of one job's virtual timeline
   faults [-platform P]    robustness: supervised run under injected crashes/preemptions
@@ -476,12 +473,12 @@ commands:
                           whose journal holds three runs)
                           -sweep: first-divergence grid across -platforms × ranks,
                           two runs at -seed (generates its own journals)
-  all                     run everything
 
 flags: -n 10 -steps 3 -skip 1 -max 1000 -platforms puma,ellipse,lagrange,ec2 -seed 2012
        -journal run.jsonl -metrics metrics.json (deterministic run observability)
        flags may stand before or after journal-diff's file names; no other command
-       takes a positional argument, and every value is checked before any model runs`)
+       takes a positional argument, and every value is checked before any model runs
+`, ablationNames())
 }
 
 func runWeak(stdout, stderr io.Writer, app string, opts bench.Options, csvPath string) error {
@@ -516,24 +513,6 @@ func runPlacement(stdout, stderr io.Writer, opts bench.Options, csvPath string) 
 	return nil
 }
 
-func runCost(stdout io.Writer, app string, opts bench.Options) error {
-	series, err := bench.RunWeakAll(app, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, bench.FormatCost(series))
-	return nil
-}
-
-func runProvision(stdout io.Writer) error {
-	out, err := bench.FormatProvisioning()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, out)
-	return nil
-}
-
 func runStrong(stdout io.Writer, app string, globalN int, opts bench.Options) error {
 	var series []*bench.Series
 	for _, p := range opts.Platforms {
@@ -547,35 +526,38 @@ func runStrong(stdout io.Writer, app string, globalN int, opts bench.Options) er
 	return nil
 }
 
-func runAblate(stdout io.Writer, what string, opts bench.Options, ranks int) error {
-	var out string
-	var err error
-	switch what {
-	case "precond":
-		out, err = bench.FormatPrecondAblation("ec2", ranks, opts)
-	case "packing":
-		out, err = bench.FormatPackingAblation("ec2", ranks, opts)
-	case "interconnect":
-		out, err = bench.FormatInterconnectAblation("puma", ranks, opts)
-	case "partition":
-		out, err = bench.FormatPartitionAblation(12, ranks)
-	default:
-		return fmt.Errorf("unknown ablation %q (want precond, packing, interconnect or partition)", what)
+// ablations lists the ablate command's -what names, in help order, each
+// with the run that prints its table.
+var ablations = []struct {
+	name string
+	run  func(opts bench.Options, ranks int) (string, error)
+}{
+	{"precond", func(o bench.Options, ranks int) (string, error) { return bench.FormatPrecondAblation("ec2", ranks, o) }},
+	{"packing", func(o bench.Options, ranks int) (string, error) { return bench.FormatPackingAblation("ec2", ranks, o) }},
+	{"interconnect", func(o bench.Options, ranks int) (string, error) {
+		return bench.FormatInterconnectAblation("puma", ranks, o)
+	}},
+	{"partition", func(_ bench.Options, ranks int) (string, error) { return bench.FormatPartitionAblation(12, ranks) }},
+}
+
+// ablation returns the run of the named ablation, or nil for an unknown name.
+func ablation(name string) func(bench.Options, int) (string, error) {
+	for _, a := range ablations {
+		if a.name == name {
+			return a.run
+		}
 	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, out)
 	return nil
 }
 
-func runAvailability(stdout io.Writer, opts bench.Options, nodes int) error {
-	out, err := bench.FormatAvailability(opts, nodes)
-	if err != nil {
-		return err
+// ablationNames lists the ablation names for help and error text: "a, b or c".
+func ablationNames() string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
 	}
-	fmt.Fprint(stdout, out)
-	return nil
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
 // runTrace executes one job per configured platform and writes Chrome-trace
@@ -661,27 +643,4 @@ func runFaults(stdout, stderr io.Writer, fo bench.FaultOptions, tracePath string
 	}
 	fmt.Fprintf(stderr, "wrote %s (decision markers overlay the rank timelines)\n", tracePath)
 	return nil
-}
-
-func runAll(stdout, stderr io.Writer, opts bench.Options, nodes int) error {
-	fmt.Fprintln(stdout, "==== Table I: capabilities ====")
-	fmt.Fprint(stdout, bench.FormatCapabilities())
-	fmt.Fprintln(stdout, "\n==== §VI: provisioning ====")
-	if err := runProvision(stdout); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "\n==== Figure 4: RD weak scaling (+ Figure 6 costs) ====")
-	if err := runWeak(stdout, stderr, "rd", opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "\n==== Figure 5: NS weak scaling (+ Figure 7 costs) ====")
-	if err := runWeak(stdout, stderr, "ns", opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "\n==== Table II: placement groups ====")
-	if err := runPlacement(stdout, stderr, opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "\n==== §VIII: availability ====")
-	return runAvailability(stdout, opts, nodes)
 }

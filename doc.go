@@ -31,5 +31,5 @@
 //
 // The cmd/heterobench CLI regenerates the paper's tables; the examples/
 // directory holds runnable scenario walkthroughs. This package itself holds
-// only the paper-level integration tests and benchmarks.
+// only the paper-level integration tests and the examples' output digests.
 package heterohpc

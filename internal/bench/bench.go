@@ -171,7 +171,7 @@ func FormatWeak(series []*Series) string {
 	for _, s := range series {
 		for _, pt := range s.Points {
 			if pt.Err != nil {
-				fmt.Fprintf(&b, "%-10s %6d  -- %s\n", s.Platform, pt.Ranks, shortErr(pt.Err))
+				fmt.Fprintf(&b, "%-10s %6d  -- %s\n", s.Platform, pt.Ranks, pt.Err)
 				continue
 			}
 			it := pt.Report.Iter
@@ -247,8 +247,4 @@ func cellUSD(v float64) string {
 		return fmt.Sprintf(" %12s", "--")
 	}
 	return fmt.Sprintf(" %12.5f", v)
-}
-
-func shortErr(err error) string {
-	return err.Error()
 }
