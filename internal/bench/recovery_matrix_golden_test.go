@@ -25,8 +25,6 @@ var recoveryMatrixGolden = map[string][2]string{
 	"rd-storm-wave3-cascade1-dry-market/migrate":         {"1f90cd90de63bb8b6d6039f50d96b9b5831748cf5d02895f8cc1c405f44179fd", "be05a809d382b59b5c43d8eb4f8d0909c0a6f5cc69b97fdbcdaf3056721909d2"},
 	"rd-storm-wave3-cascade1/restart":                    {"89463eb09ec05c46c5f04fe4b28ca24d6d0102ed56ccdf2ef8da647efde43415", "886c0e99d61ea6c62046e9f97a75b85368032aade7b96b2f1ae596140be5a4ca"},
 	"rd-storm-wave3-cascade1/migrate":                    {"970a177005deee86dbaccb769b53fe02302cf8a170fa5b2f5d7574ffa5bf72ea", "f78b6bffad08530c867819da4c9bdf5eba7a73c2075451d8625152ffd53b9441"},
-	"rd-no-spares-degrade/restart":                       {"f9d381430881c1b20e8fa09807efbed5eb2d3bf104096d56374045b33b069191", "a7c2f32b8b006b85330cefcd45af35c7dc7cb47106857b13d8ea1349ac0b85f4"},
-	"rd-dry-market-degrade/restart":                      {"e4014a101ffb565baa4db0f42a090adf9d6540792a148f16a8a54fbeea08ae9f", "b8d4d56138865b69631c9ad22b2f3907d2169b581ca5ad8bed65a1ce96c2f643"},
 	"rd-two-nodes-shrink-to-one/shrink-continue":         {"cc878da41ff3e7887085bbfdf4da909e92a0477c3a02b695bc845e2fe1242339", "a055b9ab4c5396b8c2b5a7d6e068051d7bbd6d7e7f32aa27dc53fb029ca6b5ba"},
 	"rd-27-crash-preempt-straggler/restart":              {"a32bbac38b8d5555f3d49f88c4c1984c39d670baaef047081ceff49f6d4c1ff3", "a08d86aab6080c658f7e1c31d3ce8077e6a15a20572d37547f7237c266ddc313"},
 	"rd-27-crash-preempt-straggler/shrink-continue":      {"d5cf22bab079dc9bb6129ada80d1b4848159fa80d32d1b89c35d56b32c23d64e", "2bff889457623f5f4f3cc2dc849324ea61835b26deea7e22a79a2bc06de3cc2c"},
@@ -45,7 +43,6 @@ var recoveryMatrixGolden = map[string][2]string{
 	"rd-crash-before-first-checkpoint/migrate": {"7245ec61ab2dfaf02bc56fd913da3e3b01f6e58eef058e73498b04f51cb1110f", "e5e5614f8920a2ed8d2be260442b43e0aec1c304370d47174377789f813edb9b"},
 	"rd-capped-market-retries-regrow/migrate":  {"fa1935066b5451d73ecca926af98f517f851362d975629713c40246133b29296", "278e7ad0795afc21361db7e1667b01f497e4d84f4ffee78fb9914ea909834fa9"},
 	"rd-regrow/migrate":                        {"632cecde0df8633ce45c24b1607214bfd76d304c8faca6c7f06afd3d55050616", "a6382cabe66e831e4513fe0509eebc144381d2bd28c4803f05c5f4cc04d4cca0"},
-	"rd-dry-market-degrade/migrate":            {"9ac43ac0f55074084a99b8fbe0bcec863e93c5f04a7e657029284cb3d604db23", "5e27a9dd82d3d7c5a989c8954acfb48fe6dfdd0dc9adfdc116e257f197bf2489"},
 	"rd-two-nodes-shrink-to-one/migrate":       {"cf6df3de8e73e5ed6c142fa82d68dd350f5d7765f9027aa1150a5fa1cd39dae2", "33226a4bff101745f5a97ccc44d96e10ab8b7cdb72a51f8bf7194e9ce53a708f"},
 	"rd-two-nodes-then-none/migrate":           {"efce84e8fcef4b858165bd74c072eea637221e18bd9c2e649e48107e3305f154", "a8e81d270dcbccefb2f5561e4954b5d603df544eb5a2d478e44e3a1983b82f01"},
 	"rd-27-crash-preempt-straggler/migrate":    {"d7a00dd49b1fc111fd2e289e594d83696b640ccc6b208d2bf29066e60a20cdce", "55f67e3c5c8805ec37fd1758d8e41137f74b3496dddc3892cd9bbd8dfab84c29"},
@@ -61,4 +58,13 @@ var recoveryMatrixGolden = map[string][2]string{
 	"rd-64-storm-wave3/restart":         {"c7a2cdc8ac275dd7c1e0f106d5da4a5491e1394c0b31e56808d6eae0f137e004", "9771b8afa2da9692edb068747494f90220d8dddc484baf69d240a31e0df0a010"},
 	"rd-64-storm-wave3/migrate":         {"a7ec01c94065159b31315e6773fc09d09beac289577dca7211a3029e308a3690", "fb69be86cb4043bfc7f7984693f01b7e8367c3891346a5dfa7a76f4b2e18e2ff"},
 	"rd-64-storm-wave3/shrink-continue": {"6a10f52fde9968692f20a6ce86291458a9a30fd6010e44b0c72cc87fca65cf72", "352219be8e5a6494b227416fa2569082d34cdfad6f4ce1bdc1f3e74f0f091eb8"},
+
+	// The three rows whose scenarios set the spare-pool size and the spot bid
+	// fraction, re-expressed with both at their defaults (two cold spares, a
+	// bid of 0.25 of on-demand) and captured on the tree that still had the
+	// two options, after every row held one value over -count=40 plain and
+	// -race -count=10.
+	"rd-no-spares-degrade/restart":  {"9a61955f890d0899b94c3443637d09274d53a1d0be80c5cb5a69a661257b0264", "0ab343fb4f031889a91333b48545c17ccbceac22a6ec4c10fa75b883e6817022"},
+	"rd-dry-market-degrade/restart": {"23873fd7d79b78b9a08488a5ea0537d92e8f5ea7ee6ef21b984c7cd9372e46d4", "e04f0cbae84371b51f1001d9e4bd769eaebe77fd220b5ddcbbb98797e9e31286"},
+	"rd-dry-market-degrade/migrate": {"cad1cd37ecebe6cc1556529c8f7cab5021065ecfe6f325c29726610faa2b20db", "056c714ccd02b77164f8fbb8f02ff63ad71d06ca85c60fdaf54072686ce91940"},
 }

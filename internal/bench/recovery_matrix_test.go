@@ -101,12 +101,21 @@ var recoveryMatrix = []matrixScenario{
 				{Kind: fault.KindPreempt, Node: 2, At: 0.9 * c, NoticeAt: 0.7 * c},
 			}
 		}},
+	// Three crashes on a marketless platform: the two cold spares replace
+	// the first two nodes and the third loss degrades the job to 8 ranks.
 	{name: "rd-no-spares-degrade", policies: []string{PolicyRestart},
 		o: FaultOptions{App: "rd", Platform: "puma", Ranks: 27, PerRankN: 3, Steps: 3,
-			Seed: 5, Crashes: 1, SpareNodes: -1}},
-	{name: "rd-dry-market-degrade", policies: []string{PolicyRestart, PolicyMigrate},
-		o: with(small("rd", "ec2", 31), func(o *FaultOptions) {
-			o.Crashes, o.Preemptions, o.OnDemandSupply, o.SpotBidFraction = 1, 1, -1, 0.01
+			Seed: 5, Crashes: 3}},
+	// An empty on-demand pool: restart finds spot and on-demand supply
+	// exhausted and degrades; migrate, allowed no provisioning retry, falls
+	// back when the storm's replacements cannot be bought.
+	{name: "rd-dry-market-degrade", policies: []string{PolicyRestart},
+		o: with(small("rd", "ec2", 12), func(o *FaultOptions) {
+			o.Crashes, o.Preemptions, o.OnDemandSupply = 1, 1, -1
+		})},
+	{name: "rd-dry-market-degrade", policies: []string{PolicyMigrate},
+		o: with(small("rd", "ec2", 12), func(o *FaultOptions) {
+			o.Steps, o.StormWave, o.StormCascades, o.OnDemandSupply, o.ProvisionRetries = 3, 3, 1, -1, -1
 		})},
 	{name: "rd-two-nodes-shrink-to-one", policies: []string{PolicyShrink, PolicyMigrate},
 		o: with(small("rd", "puma", 77), func(o *FaultOptions) { o.RanksPerNode = 4 }),

@@ -83,14 +83,15 @@ func TestSupervisedDeterministicForEqualSeeds(t *testing.T) {
 	}
 }
 
-// With no spares and no market, losing a node degrades the job onto the
-// survivors at the next smaller cube instead of failing.
+// With the spares used up and no market, losing a node degrades the job
+// onto the survivors at the next smaller cube instead of failing.
 func TestSupervisedDegradesWithoutReplacement(t *testing.T) {
-	// puma packs 4 ranks per node -> 27 ranks on 7 nodes; losing one leaves
-	// room for 24, so the supervisor must re-partition onto 8 ranks.
+	// puma packs 4 ranks per node -> 27 ranks on 7 nodes. The two cold
+	// spares replace the first two lost nodes; the third loss leaves room
+	// for 24, so the supervisor must re-partition onto 8 ranks.
 	o := FaultOptions{
 		App: "rd", Platform: "puma", Ranks: 27, PerRankN: 5, Steps: 3,
-		Seed: 5, Crashes: 1, SpareNodes: -1, // negative: pool exhausted
+		Seed: 5, Crashes: 3,
 	}
 	rep, err := RunSupervised(o)
 	if err != nil {
