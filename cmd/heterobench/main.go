@@ -101,7 +101,8 @@ func parseArgs(args []string, stderr io.Writer) *config {
 	fs.IntVar(&c.global, "global", 30, "global mesh edge for the strong command")
 	fs.IntVar(&fo.Ranks, "ranks", 27, "rank count for the ablate, trace and faults commands")
 	fs.StringVar(&c.what, "what", "precond", "ablation: "+ablationNames())
-	fs.StringVar(&c.csv, "csv", "", "also write the raw series as CSV to this file (rd-weak, ns-weak, placement)")
+	fs.StringVar(&c.csv, "csv", "", "also write the raw series as CSV to this file (rd-weak, ns-weak, placement); "+
+		"trace: write the Chrome trace to this file instead of <platform>_<app>_trace.json when -platforms names one platform")
 	fs.StringVar(&fo.Platform, "platform", "ec2", "single platform for the faults command")
 	fs.IntVar(&fo.Crashes, "crashes", 1, "node crashes injected by the faults command")
 	fs.IntVar(&fo.Preemptions, "preempts", 1, "spot preemptions injected by the faults command")

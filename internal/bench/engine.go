@@ -90,10 +90,14 @@ type recoveryPoint struct {
 
 // The supervisor's retry backoff starts at backoffBaseS and is capped at
 // backoffCapS; a run gets extraAttempts attempts beyond one per fatal event
-// of its plan.
+// of its plan. A platform without a market replaces dead nodes from a pool
+// of coldSpares nodes and degrades to fewer ranks once it is used up; on a
+// spot platform a replacement bids spotBidFraction of the on-demand price.
 const (
 	backoffBaseS, backoffCapS = 15, 240
 	extraAttempts             = 3
+	coldSpares                = 2
+	spotBidFraction           = 0.25
 )
 
 func newEngine(s *superSetup) *engine {
@@ -107,7 +111,7 @@ func newEngine(s *superSetup) *engine {
 		},
 		gobs:   o.Obs.Global(),
 		market: s.newReplacementMarket(),
-		spares: o.SpareNodes,
+		spares: coldSpares,
 		bo:     fault.NewBackoff(backoffBaseS, backoffCapS, o.Seed+1),
 		pbo:    fault.NewBackoff(backoffBaseS, backoffCapS, o.Seed+3),
 		fatals: s.plan.Failures(), degrades: s.plan.Degradations(),
@@ -367,7 +371,7 @@ func (e *engine) degrade(atS float64, toRanks int, why string) error {
 // From node memory it is the last rung of the ladder — nothing survived to
 // continue on — so the current shape relaunches cold.
 func (e *engine) restart(pt *recoveryPoint, attempt int) error {
-	o, p, g := e.s.o, e.s.tg.Platform, e.gen
+	p, g := e.s.tg.Platform, e.gen
 	e.wasteSince(pt, -1, 0)
 	e.world = nil
 	if !e.stable {
@@ -395,7 +399,7 @@ func (e *engine) restart(pt *recoveryPoint, attempt int) error {
 	var err error
 	switch {
 	case e.market != nil:
-		bid := o.SpotBidFraction * p.CostPerNodeHour
+		bid := spotBidFraction * p.CostPerNodeHour
 		repl, aerr := e.market.AcquireMix(1, bid, 1, 3)
 		if aerr == nil {
 			e.recordReplacement(provAt, repl.Nodes[0], bid)

@@ -37,7 +37,8 @@ type solver struct {
 	mesh    func(n int) (*mesh.Mesh, error)
 	// run executes the solver on one rank, resuming from resume when non-nil
 	// and handing every completed step's state to save. The snapshot's
-	// fields alias the solver's checkpoint buffers.
+	// fields are the time loop's own vectors: save serialises before it
+	// returns.
 	run func(r *mp.Rank, m *mesh.Mesh, grid [3]int, steps int, resume *checkpoint.Snapshot,
 		save func(checkpoint.Snapshot) error) ([]vclock.PhaseTimes, map[string]float64, error)
 }
@@ -126,10 +127,6 @@ type generation struct {
 	mirrorS     []float64
 	mirrorBytes int64
 	agreedDead  []bool
-	// finalIDs and finalFields are each rank's owned ids and state fields
-	// after the last step (what the bit-identity tests compare).
-	finalIDs    [][]int
-	finalFields [][][]float64
 }
 
 // weakGeneration builds the first generation of a weak-scaling job: the
@@ -158,12 +155,10 @@ func weakGeneration(app string, ranks, perRankN, steps int, store *snapshotStore
 func (g *generation) next(grid [3]int, ranks int, store *snapshotStore) *generation {
 	return &generation{
 		sol: g.sol, m: g.m, steps: g.steps, grid: grid, ranks: ranks, store: store,
-		owned:       make([][]int, ranks),
-		agreeS:      make([]float64, ranks),
-		redistS:     make([]float64, ranks),
-		mirrorS:     make([]float64, ranks),
-		finalIDs:    make([][]int, ranks),
-		finalFields: make([][][]float64, ranks),
+		owned:   make([][]int, ranks),
+		agreeS:  make([]float64, ranks),
+		redistS: make([]float64, ranks),
+		mirrorS: make([]float64, ranks),
 	}
 }
 
@@ -221,34 +216,38 @@ func (g *generation) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, e
 
 	mirror := g.store != nil && g.store.inMemory() && r.Topology().NNodes() >= 2
 	save := func(s checkpoint.Snapshot) error {
-		if g.store != nil {
-			s.Owned, s.Rank, s.Width = owned, rank, size
-			var buf bytes.Buffer
-			if err := checkpoint.Write(&buf, g.sol.app, s); err != nil {
-				return err
-			}
-			g.store.put(rank, s.StepsDone, r.Wtime(), buf.Bytes())
-			if mirror {
-				t0 := r.Wtime()
-				for _, mr := range checkpoint.Mirror(r, tagMirror, buf.Bytes()) {
-					g.store.putBuddy(mr.Origin, s.StepsDone, r.Wtime(), mr.Blob)
-				}
-				g.mu.Lock()
-				g.mirrorS[rank] += r.Wtime() - t0
-				g.mirrorBytes += int64(buf.Len())
-				g.mu.Unlock()
-			}
+		if g.store == nil {
+			return nil
 		}
-		if s.StepsDone == g.steps {
-			// No Checkpoint call follows the last step, so the solver's
-			// buffers the fields alias stay as they are: keep them uncopied.
+		s.Owned, s.Rank, s.Width = owned, rank, size
+		var buf bytes.Buffer
+		if err := checkpoint.Write(&buf, g.sol.app, s); err != nil {
+			return err
+		}
+		g.store.put(rank, s.StepsDone, r.Wtime(), buf.Bytes())
+		if mirror {
+			t0 := r.Wtime()
+			for _, mr := range checkpoint.Mirror(r, tagMirror, buf.Bytes()) {
+				g.store.putBuddy(mr.Origin, s.StepsDone, r.Wtime(), mr.Blob)
+			}
 			g.mu.Lock()
-			g.finalIDs[rank], g.finalFields[rank] = owned, s.Fields
+			g.mirrorS[rank] += r.Wtime() - t0
+			g.mirrorBytes += int64(buf.Len())
 			g.mu.Unlock()
 		}
 		return nil
 	}
 	return g.sol.run(r, g.m, g.grid, g.steps, resume, save)
+}
+
+// final returns rank's newest checkpoint in the generation's store: once the
+// generation has completed, its state after the last step.
+func (g *generation) final(rank int) (checkpoint.Snapshot, error) {
+	b := g.store.latest(rank)
+	if b == nil {
+		return checkpoint.Snapshot{}, fmt.Errorf("bench: rank %d has no checkpoint", rank)
+	}
+	return checkpoint.Read(bytes.NewReader(b), g.sol.app)
 }
 
 // maxOf returns the per-rank maximum of a recorded vector.

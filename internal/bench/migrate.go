@@ -342,7 +342,7 @@ func (e *engine) provision(pt *recoveryPoint, need int, at float64) (acquired in
 		}
 		return take, readyAt, nil
 	}
-	bid := o.SpotBidFraction * e.s.tg.Platform.CostPerNodeHour
+	bid := spotBidFraction * e.s.tg.Platform.CostPerNodeHour
 	for attempt := 1; ; attempt++ {
 		repl, aerr := e.market.AcquireMix(need-acquired, bid, 1, 3)
 		if aerr != nil && !errors.Is(aerr, spot.ErrExhausted) {

@@ -116,6 +116,44 @@ func solveTailAfterStep(t *testing.T, evs []string, step int) []string {
 	return tail
 }
 
+// sameFinalState fails t unless every rank of got ends in the state the same
+// rank of want ends in: the last step, its PDE time, the owned ids and every
+// field value, bit for bit. Each generation's final state is its store's
+// newest copy.
+func sameFinalState(t *testing.T, got, want *generation) {
+	t.Helper()
+	if got.ranks != want.ranks {
+		t.Fatalf("%d vs %d ranks", got.ranks, want.ranks)
+	}
+	for rank := 0; rank < got.ranks; rank++ {
+		a, err := got.final(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := want.final(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.StepsDone != got.steps || b.StepsDone != got.steps || math.Float64bits(a.Time) != math.Float64bits(b.Time) {
+			t.Fatalf("rank %d: final checkpoints after steps %d and %d (t=%v, %v), want both after step %d",
+				rank, a.StepsDone, b.StepsDone, a.Time, b.Time, got.steps)
+		}
+		if !slices.Equal(a.Owned, b.Owned) {
+			t.Fatalf("rank %d: ownership differs", rank)
+		}
+		x, y := slices.Concat(a.Fields...), slices.Concat(b.Fields...)
+		if len(x) == 0 || len(x) != len(y) {
+			t.Fatalf("rank %d: %d vs %d final values", rank, len(x), len(y))
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("rank %d dof %d: got %x, want %x — not bit-identical",
+					rank, i, math.Float64bits(x[i]), math.Float64bits(y[i]))
+			}
+		}
+	}
+}
+
 // TestMigrateContinuesBitIdentical is the core acceptance test for the
 // proactive policy: a warm-noticed preemption migrates — drain, buddy
 // evacuation, replacement, Grow — and the full-width continuation produces
@@ -161,7 +199,7 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 
 	// Fault-free comparator at the same width, from scratch, on a fresh
 	// target, with its own journal.
-	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
+	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, newSnapshotStore(o.Ranks, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,23 +221,7 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 	// Solution bytes: the grown world restored the original decomposition,
 	// so rank r owns the same block in both runs and every dof must agree
 	// bit for bit.
-	for rank := 0; rank < o.Ranks; rank++ {
-		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("rank %d dof %d: migrated %x, fault-free %x — not bit-identical",
-					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
-			}
-		}
-		for i := range st.finalIDs[rank] {
-			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
-				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
-			}
-		}
-	}
+	sameFinalState(t, st, comp)
 
 	// Journal tail: per rank, the solve events after the restore step in
 	// the fault-free run must reappear verbatim (minus virtual timestamps)

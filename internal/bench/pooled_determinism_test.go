@@ -124,9 +124,9 @@ func crashedCheckpointHash() (string, error) {
 }
 
 // checkpointHashApp wraps the RD app with a per-rank checkpoint callback
-// that hashes the serialised checkpoint bytes immediately — honouring the
-// State retention contract: the snapshot is only valid until the next
-// Checkpoint invocation, so nothing is retained across calls.
+// that hashes the serialised checkpoint bytes immediately: the State's
+// vectors are the time loop's own, so it serialises before returning and
+// keeps nothing across calls.
 type checkpointHashApp struct {
 	cfg  rd.Config
 	mu   *sync.Mutex

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"heterohpc/internal/checkpoint"
 	"heterohpc/internal/core"
 	"heterohpc/internal/obs"
 )
@@ -227,11 +226,7 @@ func ReplayFromCheckpoint(o FaultOptions, divStep int) (*ReplayDump, error) {
 				rs.ClockS += pt.Total()
 			}
 		}
-		blob := rstore.latest(rank)
-		if blob == nil {
-			continue
-		}
-		st, rerr := checkpoint.Read(bytes.NewReader(blob), o.App)
+		st, rerr := app.final(rank)
 		if rerr != nil {
 			return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
 		}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -81,10 +80,10 @@ func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 	}
 
 	// Comparator: a clean run at the degraded rank count resuming from the
-	// same redistributed snapshot — no agreement round, no mirroring, a
-	// fresh target. Redistribution is a pure permutation, so the recovered
-	// run must match it bit for bit.
-	comp := st.next(st.grid, st.ranks, nil)
+	// same redistributed snapshot — no agreement round, no mirroring (its
+	// store is stable storage), a fresh target. Redistribution is a pure
+	// permutation, so the recovered run must match it bit for bit.
+	comp := st.next(st.grid, st.ranks, newSnapshotStore(st.ranks, nil, nil))
 	comp.held = st.held
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
@@ -97,23 +96,7 @@ func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 		t.Fatalf("comparator run failed: %v / %v", err, af)
 	}
 
-	for rank := 0; rank < st.ranks; rank++ {
-		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("rank %d dof %d: recovered %x, comparator %x — not bit-identical",
-					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
-			}
-		}
-		for i := range st.finalIDs[rank] {
-			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
-				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
-			}
-		}
-	}
+	sameFinalState(t, st, comp)
 	for k, v := range rep.Final.Metrics {
 		if math.Float64bits(v) != math.Float64bits(result.Metrics[k]) {
 			t.Fatalf("metric %s: recovered %v, comparator %v", k, v, result.Metrics[k])

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,7 +70,7 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	}
 
 	// Fault-free comparator at the same width, from scratch.
-	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
+	comp, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, newSnapshotStore(o.Ranks, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,23 +86,7 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 		t.Fatalf("fault-free comparator failed: %v / %v / %v", err, af, result)
 	}
 
-	for rank := 0; rank < o.Ranks; rank++ {
-		a, b := slices.Concat(st.finalFields[rank]...), slices.Concat(comp.finalFields[rank]...)
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("rank %d: %d vs %d final values", rank, len(a), len(b))
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("rank %d dof %d: storm-recovered %x, fault-free %x — not bit-identical",
-					rank, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
-			}
-		}
-		for i := range st.finalIDs[rank] {
-			if st.finalIDs[rank][i] != comp.finalIDs[rank][i] {
-				t.Fatalf("rank %d: ownership differs at slot %d", rank, i)
-			}
-		}
-	}
+	sameFinalState(t, st, comp)
 
 	// Post-restore journal tail: the solver's path after the restore step
 	// must reappear verbatim (minus virtual timestamps).

@@ -63,15 +63,6 @@ type FaultOptions struct {
 	Plan *fault.Plan
 	// Crashes, Preemptions and Degradations size the generated plan.
 	Crashes, Preemptions, Degradations int
-	// SpareNodes is the cold-spare pool for replacing dead nodes on
-	// platforms without a market. When exhausted, the supervisor degrades
-	// to fewer ranks instead. The zero value means the default of 2; pass
-	// any negative value (conventionally -1) to request an empty pool, so
-	// the first unreplaceable loss degrades immediately.
-	SpareNodes int
-	// SpotBidFraction is the replacement bid as a fraction of the
-	// on-demand price on spot platforms (default 0.25).
-	SpotBidFraction float64
 	// StormWave, when positive, replaces the independent generated plan
 	// with a correlated fault storm (fault.NewStorm): a reclamation wave of
 	// StormWave simultaneous-notice preemptions, StormCascades follow-up
@@ -176,12 +167,6 @@ func (o FaultOptions) withDefaults() FaultOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 2012
-	}
-	if o.SpareNodes == 0 {
-		o.SpareNodes = 2
-	}
-	if o.SpotBidFraction == 0 {
-		o.SpotBidFraction = 0.25
 	}
 	if o.ProvisionRetries == 0 {
 		o.ProvisionRetries = 4

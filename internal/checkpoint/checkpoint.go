@@ -35,12 +35,12 @@ const (
 // What the fields mean is the layout's business (RD: u^{n-1}, u^{n-2}; NS:
 // the two velocity history levels per component, then pressure).
 //
-// Fields alias whatever vectors they were built from — the solver's
-// checkpoint buffers on the way out, the container's datasets on the way
+// Fields alias whatever vectors they were built from — the solver time
+// loop's own vectors on the way out, the container's datasets on the way
 // in — and are never copied by this package, so wrapping a solver state in
-// a Snapshot costs a slice header per field. A Snapshot built from a
-// solver's Checkpoint callback therefore inherits that callback's retention
-// contract: serialise it before returning, do not keep it.
+// a Snapshot costs a slice header per field. A Snapshot built in a solver's
+// Checkpoint callback therefore holds the loop's own vectors: serialise it
+// before returning, do not keep it.
 type Snapshot struct {
 	// StepsDone counts completed time steps; Time is the PDE time reached.
 	StepsDone int

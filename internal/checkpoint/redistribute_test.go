@@ -224,6 +224,75 @@ func solverRun(r *mp.Rank, app string, m *mesh.Mesh, grid [3]int, steps int, res
 	return slices.Concat(res.Velocity[0], res.Velocity[1], res.Velocity[2], res.Pressure), nil
 }
 
+// TestCheckpointDeliversEachStep holds both solvers' Checkpoint callbacks to
+// what they hand over. Call k carries the state after step k: its step
+// count, its PDE time, as current values what a k-step run ends with, and
+// as history what call k−1 carried as current. The last call's current
+// values are therefore the run's result (rd's Solution; nse's Velocity and
+// Pressure). The callback serialises before returning, as the solvers ask.
+func TestCheckpointDeliversEachStep(t *testing.T) {
+	const steps = 3
+	for _, tc := range []struct {
+		app    string
+		box    mesh.Box
+		t0, dt float64
+		// cur and hist index the snapshot fields holding the current values
+		// (in the order solverRun returns them) and the history ones.
+		cur, hist []int
+	}{
+		{app: AppRD, box: mesh.UnitBox, t0: 1, dt: 0.05, cur: []int{0}, hist: []int{1}},
+		{app: AppNS, box: mesh.SymmetricBox, t0: 0, dt: 0.002, cur: []int{0, 2, 4, 6}, hist: []int{1, 3, 5}},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			m, err := mesh.NewBox(tc.box, 4, 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := mesh.NewLocalFromBlock(m, 1, 1, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := l.VertGlobal[:l.NumOwned]
+			var calls []Snapshot
+			result := make([][]float64, steps+1) // result[k]: what a k-step run ends with
+			for k := 1; k <= steps; k++ {
+				save := func(Snapshot) {}
+				if k == steps {
+					save = func(s Snapshot) { calls = append(calls, s) }
+				}
+				runRanks(t, 1, func(r *mp.Rank) (err error) {
+					result[k], err = solverRun(r, tc.app, m, [3]int{1, 1, 1}, k, nil, owned, save)
+					return err
+				})
+			}
+			if len(calls) != steps {
+				t.Fatalf("%d Checkpoint calls in a %d-step run", len(calls), steps)
+			}
+			same := func(a, b []float64) bool {
+				return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+			}
+			for k := 1; k <= steps; k++ {
+				s := calls[k-1]
+				if want := tc.t0 + float64(k+1)*tc.dt; s.StepsDone != k || s.Time != want {
+					t.Fatalf("call %d: step %d at t=%v, want step %d at t=%v", k, s.StepsDone, s.Time, k, want)
+				}
+				var cur []float64
+				for _, f := range tc.cur {
+					cur = append(cur, s.Fields[f]...)
+				}
+				if !same(cur, result[k]) {
+					t.Fatalf("call %d: current values are not what a %d-step run ends with", k, k)
+				}
+				for i, f := range tc.hist {
+					if k > 1 && !same(s.Fields[f], calls[k-2].Fields[tc.cur[i]]) {
+						t.Fatalf("call %d: history field %d is not call %d's current values", k, f, k-1)
+					}
+				}
+			}
+		})
+	}
+}
+
 // A run resumed from a redistributed snapshot is bit-identical to the
 // uninterrupted run: the fragments of a step-1 checkpoint are handed to the
 // WRONG holders (every rank holds its neighbour's), Redistribute routes them

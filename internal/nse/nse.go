@@ -35,11 +35,9 @@ type Config struct {
 	// Navier–Stokes runs participate in checkpoint-restart). The callback
 	// runs outside the measured phases.
 	//
-	// Retention contract: the State's U1/U2/P slices are owned by the time
-	// loop and recycled — a snapshot is valid only until the NEXT
-	// Checkpoint invocation (double-buffered, so exactly one previous
-	// generation stays intact). A supervisor must serialise or copy what
-	// it needs before returning; it must not retain the slices.
+	// The State's U1/U2/P are the loop's own velocity and pressure vectors,
+	// valid only until the callback returns: serialise before returning,
+	// and neither write nor keep the slices.
 	Checkpoint func(State) error
 	// Resume, if non-nil, restarts the time loop from a saved state instead
 	// of the exact-solution initialisation. The state must come from a run
@@ -48,9 +46,9 @@ type Config struct {
 }
 
 // State is a restartable snapshot of the projection time loop. When
-// delivered through Config.Checkpoint the slices are loop-owned reusable
-// buffers — see the retention contract there. A State passed to
-// Config.Resume is only read during startup and never retained.
+// delivered through Config.Checkpoint the vectors are the loop's own;
+// serialise before returning (see there). A State passed to Config.Resume
+// is only read during startup and never retained.
 type State struct {
 	// StepsDone counts completed BDF2 steps.
 	StepsDone int
@@ -230,8 +228,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 
 	// History from the exact solution at t0 and t0+Δt, or from a
 	// checkpointed state.
-	uPrev2 := make([][]float64, 3)
-	uPrev1 := make([][]float64, 3)
+	var uPrev1, uPrev2 [3][]float64
 	p := make([]float64, n)
 	startStep := 0
 	if cfg.Resume != nil {
@@ -263,7 +260,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		s.Interpolate(func(x, y, z float64) float64 { return ExactPressure(x, y, z, cfg.T0+cfg.Dt) }, p)
 	}
 
-	uStar := make([][]float64, 3)
+	var uStar [3][]float64
 	for d := 0; d < 3; d++ {
 		uStar[d] = make([]float64, n)
 	}
@@ -304,10 +301,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		VelIters:  make([]int, 0, cfg.Steps-startStep),
 		PresIters: make([]int, 0, cfg.Steps-startStep),
 	}
-	// Checkpoint snapshots alternate between two reusable buffer sets; see
-	// the State retention contract on Config.Checkpoint.
-	var ckptBuf [2]State
-	ckptGen := 0
 	tPrev := cfg.T0 + cfg.Dt
 	if cfg.Resume != nil {
 		tPrev = cfg.Resume.Time
@@ -424,23 +417,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		rec.StepHalo(step + 1)
 
 		if cfg.Checkpoint != nil {
-			st := &ckptBuf[ckptGen]
-			ckptGen = 1 - ckptGen
-			st.StepsDone = step + 1
-			st.Time = t
-			if st.P == nil {
-				st.P = make([]float64, n)
-				for d := 0; d < 3; d++ {
-					st.U1[d] = make([]float64, n)
-					st.U2[d] = make([]float64, n)
-				}
-			}
-			copy(st.P, p[:n])
-			for d := 0; d < 3; d++ {
-				copy(st.U1[d], uPrev1[d][:n])
-				copy(st.U2[d], uPrev2[d][:n])
-			}
-			if err := cfg.Checkpoint(*st); err != nil {
+			if err := cfg.Checkpoint(State{StepsDone: step + 1, Time: t, U1: uPrev1, U2: uPrev2, P: p}); err != nil {
 				return nil, fmt.Errorf("nse: checkpoint after step %d: %w", step, err)
 			}
 			rec.Checkpoint("ckpt-write", step+1, 56*int64(n))

@@ -55,11 +55,9 @@ type Config struct {
 	// service the paper names as further EC2 conditioning, §VI-D). The
 	// callback runs outside the measured phases.
 	//
-	// Retention contract: the State's U1/U2 slices are owned by the time
-	// loop and recycled — a snapshot is valid only until the NEXT
-	// Checkpoint invocation (double-buffered, so exactly one previous
-	// generation stays intact). A supervisor must serialise or copy what
-	// it needs before returning; it must not retain the slices.
+	// The State's U1/U2 are the loop's own history vectors, valid only
+	// until the callback returns: serialise before returning, and neither
+	// write nor keep the slices.
 	Checkpoint func(State) error
 	// Resume, if non-nil, restarts the time loop from a saved state instead
 	// of the exact-solution initialisation. The state must come from a run
@@ -68,9 +66,9 @@ type Config struct {
 }
 
 // State is a restartable snapshot of the BDF2 time loop. When delivered
-// through Config.Checkpoint the slices are loop-owned reusable buffers —
-// see the retention contract there. A State passed to Config.Resume is
-// only read during startup and never retained.
+// through Config.Checkpoint the vectors are the loop's own; serialise
+// before returning (see there). A State passed to Config.Resume is only
+// read during startup and never retained.
 type State struct {
 	// StepsDone counts completed BDF2 steps.
 	StepsDone int
@@ -256,14 +254,6 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		SolveIters: make([]int, 0, cfg.Steps-startStep),
 	}
 
-	// Checkpoint snapshots alternate between two reusable buffer pairs, so
-	// the State handed to the previous Checkpoint call stays intact while
-	// the next one is filled (one generation of slack for callbacks that
-	// hold the last snapshot for buddy exchange). See the State retention
-	// contract on Config.Checkpoint.
-	var ckptBuf [2]State
-	ckptGen := 0
-
 	// --- time loop (paper steps ii–iii per iteration) ---
 	for step := startStep; step < cfg.Steps; step++ {
 		t := cfg.T0 + float64(step+2)*cfg.Dt
@@ -318,17 +308,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		rec.StepHalo(step + 1)
 
 		if cfg.Checkpoint != nil {
-			st := &ckptBuf[ckptGen]
-			ckptGen = 1 - ckptGen
-			st.StepsDone = step + 1
-			st.Time = t
-			if st.U1 == nil {
-				st.U1 = make([]float64, n)
-				st.U2 = make([]float64, n)
-			}
-			copy(st.U1, uPrev1[:n])
-			copy(st.U2, uPrev2[:n])
-			if err := cfg.Checkpoint(*st); err != nil {
+			if err := cfg.Checkpoint(State{StepsDone: step + 1, Time: t, U1: uPrev1, U2: uPrev2}); err != nil {
 				return nil, fmt.Errorf("rd: checkpoint after step %d: %w", step, err)
 			}
 			rec.Checkpoint("ckpt-write", step+1, 16*int64(n))

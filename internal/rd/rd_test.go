@@ -235,58 +235,6 @@ func TestCheckpointCallbackErrorPropagates(t *testing.T) {
 	})
 }
 
-func TestCheckpointStateRetention(t *testing.T) {
-	// The Checkpoint retention contract: the delivered slices are loop-owned
-	// and double-buffered, so the PREVIOUS snapshot stays intact while the
-	// current one is filled, and a snapshot older than that may be recycled.
-	// A callback that copies what it needs before returning always sees
-	// consistent per-step states.
-	m := mesh.NewUnitCube(4)
-	runRanks(t, 1, func(r *mp.Rank) error {
-		type snap struct {
-			steps  int
-			u1     []float64
-			prevU1 float64 // first entry of the previous snapshot, re-read now
-		}
-		var captured []snap
-		var prev State
-		res, err := Run(r, Config{
-			Mesh: m, Grid: [3]int{1, 1, 1}, Steps: 4,
-			Checkpoint: func(st State) error {
-				c := snap{steps: st.StepsDone, u1: append([]float64(nil), st.U1...)}
-				if prev.U1 != nil {
-					c.prevU1 = prev.U1[0]
-				}
-				captured = append(captured, c)
-				prev = st
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if len(captured) != 4 {
-			return fmt.Errorf("got %d checkpoints", len(captured))
-		}
-		for k, c := range captured {
-			if c.steps != k+1 {
-				return fmt.Errorf("checkpoint %d reports %d steps", k, c.steps)
-			}
-			// One generation of slack: while snapshot k was delivered, the
-			// k−1 buffers must still have held step k−1's values.
-			if k > 0 && c.prevU1 != captured[k-1].u1[0] {
-				return fmt.Errorf("checkpoint %d clobbered the previous snapshot", k)
-			}
-		}
-		for i := range res.Solution {
-			if res.Solution[i] != captured[3].u1[i] {
-				return fmt.Errorf("final checkpoint disagrees with solution at %d", i)
-			}
-		}
-		return nil
-	})
-}
-
 // TestConstantOperatorsSharedPerClass runs rd on 4³ blocks. The mass matrix,
 // the one operator Run freezes, must come out as exactly 27 value arrays
 // across the 64 ranks, one per position class, and each rank's must still
