@@ -253,14 +253,16 @@ func (e *engine) migrate(pt *recoveryPoint) error {
 	store := e.gen.store
 
 	// Re-mirror the doomed ranks' line shards off the doomed set as priced
-	// traffic, so the copies are off-node before the first reclaim.
+	// traffic, so the copies are off-node before the first reclaim. A copy
+	// keeps its checkpoint's time, not its arrival: a fallback shrink rolls
+	// back to when the restored state was saved.
 	evacAt, evacN := pt.stopAt, 0
 	e.evacuation(pt, func(dr, dst int, sn snap) {
 		evacAt += pt.af.World.PriceBytes(dr, dst, len(sn.blob))
 		if dst == store.buddy[dr] {
-			store.putBuddy(dr, pt.line, evacAt, sn.blob)
+			store.putBuddy(dr, pt.line, sn.atS, sn.blob)
 		} else {
-			store.putRefugee(dr, dst, pt.line, evacAt, sn.blob)
+			store.putRefugee(dr, dst, pt.line, sn.atS, sn.blob)
 		}
 		evacN++
 		mg.CopyBytes += int64(len(sn.blob))

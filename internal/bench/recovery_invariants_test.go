@@ -81,7 +81,8 @@ var verbRank = map[string]int{"migrate": 2, "shrink": 1, "restart": 0}
 // TestRecoveryInvariantsOverSeededPlans sweeps seeded fault plans over all
 // three policies — 0–2 crashes and 0–2 preemptions drawn from the seed on a
 // small four-node job, then waves of three reclaimed nodes on a 64-rank,
-// eight-node one, where deaths land inside the survivors' set-up — and
+// eight-node one, where deaths land inside the survivors' set-up, and one on
+// a sold-out market — and
 // asserts what the acceptance tests state one case at a time. Every
 // assertion is on a schedule-independent quantity, and the whole journal is
 // one: each plan runs twice and must write the same bytes.
@@ -96,6 +97,12 @@ func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
 		plans = append(plans, FaultOptions{App: "rd", Platform: "ec2", Ranks: 64, RanksPerNode: 8,
 			PerRankN: 3, Steps: 4, Seed: seed, StormWave: 3})
 	}
+	// A wave on a sold-out market with no provisioning retry: migrate
+	// evacuates, buys nothing and falls back to a shrink from the
+	// evacuated line.
+	plans = append(plans, with(small("rd", "ec2", 12), func(o *FaultOptions) {
+		o.Steps, o.StormWave, o.StormCascades, o.OnDemandSupply, o.ProvisionRetries = 3, 3, 1, -1, -1
+	}))
 	for _, o := range plans {
 		seed := o.Seed
 		for _, policy := range allPolicies {
@@ -153,7 +160,13 @@ func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
 				fail("%d shrinks for nodes %v under %d fatal event(s)", st.Shrinks, st.DeadNodes, fatals)
 			}
 
-			// The ledger.
+			// The ledger: nothing is wasted below zero, overall or at any
+			// restore.
+			for _, d := range rep.Decisions {
+				if _, after, ok := strings.Cut(d.Detail, "(rollback "); ok && strings.HasPrefix(after, "-") {
+					fail("negative rollback at %v", d)
+				}
+			}
 			if rep.WastedVirtualS < 0 || rep.BackoffS < 0 || rep.BackoffS > rep.WastedVirtualS || rep.RecoveryCostUSD < 0 {
 				fail("ledger: wasted %v, backoff %v, cost %v", rep.WastedVirtualS, rep.BackoffS, rep.RecoveryCostUSD)
 			}
