@@ -375,10 +375,13 @@ func TestMigrateRecoveryDeterministic(t *testing.T) {
 		App: "rd", Platform: "ec2", Ranks: 8, RanksPerNode: 2,
 		PerRankN: 3, Steps: 4, Seed: 77, Preemptions: 1, Policy: PolicyMigrate,
 	}
+	// Each run computes its own clean baseline.
+	resetCleanBaselines()
 	a, err := RunSupervised(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resetCleanBaselines()
 	b, err := RunSupervised(o)
 	if err != nil {
 		t.Fatal(err)

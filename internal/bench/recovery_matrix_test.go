@@ -144,17 +144,16 @@ func matrixRun(t *testing.T, sc matrixScenario, policy string, cleanS map[string
 	o := sc.o
 	o.Policy = policy
 	if sc.plan != nil {
-		// The clean horizon is a function of the job shape only; probe it
-		// once per scenario with a plan that never fires.
+		// The clean horizon is a function of the job shape only; read it
+		// once per scenario off the clean baseline, which the policies'
+		// runs then reuse.
 		c, ok := cleanS[sc.name]
 		if !ok {
-			probe := sc.o
-			probe.Plan = &fault.Plan{Seed: o.Seed, Events: []fault.Event{{Kind: fault.KindCrash, Node: 0, At: 1e9}}}
-			rep, err := RunSupervised(probe)
+			_, clean, err := cleanJobOf(sc.o.withDefaults()).baseline()
 			if err != nil {
-				t.Fatalf("clean-horizon probe: %v", err)
+				t.Fatalf("clean baseline: %v", err)
 			}
-			c = rep.CleanVirtualS
+			c = clean.virtualS
 			cleanS[sc.name] = c
 		}
 		o.Plan = &fault.Plan{Seed: o.Seed, Events: sc.plan(c)}

@@ -1,12 +1,115 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"heterohpc/internal/core"
 	"heterohpc/internal/fault"
 )
+
+// resetCleanBaselines empties the clean-baseline memo, so the next
+// supervised run computes its baseline on its own target.
+func resetCleanBaselines() {
+	lastClean.Lock()
+	lastClean.base = nil
+	lastClean.Unlock()
+}
+
+// freshClean computes o's clean baseline the way the supervisor did before
+// it kept one: on a target of its own.
+func freshClean(t *testing.T, o FaultOptions) *core.Report {
+	t.Helper()
+	o = o.withDefaults()
+	tg, err := core.NewTarget(o.Platform, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, mem, err := weakGeneration(o.App, o.Ranks, o.PerRankN, o.Steps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tg.Run(core.JobSpec{
+		Ranks: o.Ranks, RanksPerNode: o.RanksPerNode, App: app,
+		SkipSteps: o.SkipSteps, MemPerRankGB: mem,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCleanBaselineReuseHidesNothing holds the memo to what it replaces,
+// for one RD and one NS shape: the second of two equal runs reuses the
+// first's baseline, which prints (%+v) exactly as one computed on a fresh
+// target, and reports and journals the same bytes as the first, which
+// computed the baseline on its supervised target, let its first attempt
+// adopt the clean job's shapes and reset the target's scheduler stream.
+func TestCleanBaselineReuseHidesNothing(t *testing.T) {
+	for _, o := range []FaultOptions{
+		with(small("rd", "ec2", 11), func(o *FaultOptions) { o.Crashes, o.Preemptions = 1, 1 }),
+		with(small("ns", "puma", 77), func(o *FaultOptions) { o.PerRankN, o.Steps, o.Crashes = 2, 3, 1 }),
+	} {
+		t.Run(o.App, func(t *testing.T) {
+			resetCleanBaselines()
+			var reps [2]*RecoveryReport
+			var journals [2][]byte
+			for i := range reps { // a miss, then a hit
+				var err error
+				if reps[i], journals[i], err = runJournaled(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reps[0].Clean != reps[1].Clean {
+				t.Fatal("the second run computed its own baseline")
+			}
+			if got, want := FormatRecovery(reps[1]), FormatRecovery(reps[0]); got != want {
+				t.Errorf("a reused baseline changed the report:\n--- miss:\n%s\n--- hit:\n%s", want, got)
+			}
+			if got, want := fmt.Sprintf("%+v", *reps[1].Final), fmt.Sprintf("%+v", *reps[0].Final); got != want {
+				t.Errorf("a reused baseline changed the final report (its queue wait is the target's first draw):\n%s\n%s", got, want)
+			}
+			if sha(journals[1]) != sha(journals[0]) {
+				t.Errorf("a reused baseline changed the journal: %s, was %s", sha(journals[1]), sha(journals[0]))
+			}
+			if got, want := fmt.Sprintf("%+v", *reps[1].Clean), fmt.Sprintf("%+v", *freshClean(t, o)); got != want {
+				t.Errorf("reused baseline differs from a fresh target's:\n%s\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestCleanBaselineConcurrentCallsAgree runs equal supervised jobs at once
+// on an empty memo: however the calls interleave (computing or reusing the
+// baseline), every report is the same.
+func TestCleanBaselineConcurrentCallsAgree(t *testing.T) {
+	resetCleanBaselines()
+	o := with(small("rd", "ec2", 11), func(o *FaultOptions) { o.Crashes = 1 })
+	const calls = 3
+	var texts, cleans [calls]string
+	var wg sync.WaitGroup
+	for i := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := RunSupervised(o)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			texts[i], cleans[i] = FormatRecovery(rep), fmt.Sprintf("%+v\n%+v", *rep.Clean, *rep.Final)
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < calls; i++ {
+		if texts[i] != texts[0] || cleans[i] != cleans[0] {
+			t.Errorf("call %d differs from call 0:\n%s\n%s", i, texts[i], texts[0])
+		}
+	}
+}
 
 // The headline guarantee of the supervisor: a run killed by injected
 // crashes restores from checkpoints and converges to the same solution as
@@ -57,13 +160,19 @@ func TestSupervisedDeterministicForEqualSeeds(t *testing.T) {
 		App: "rd", Platform: "ec2", Ranks: 8, PerRankN: 6, Steps: 4,
 		Seed: 11, Crashes: 1, Preemptions: 1,
 	}
+	// Each run computes its own clean baseline.
+	resetCleanBaselines()
 	r1, err := RunSupervised(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resetCleanBaselines()
 	r2, err := RunSupervised(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c1, c2 := fmt.Sprintf("%+v", *r1.Clean), fmt.Sprintf("%+v", *r2.Clean); c1 != c2 {
+		t.Fatalf("clean baselines differ:\n%s\n%s", c1, c2)
 	}
 	if r1.Attempts != r2.Attempts || r1.WastedVirtualS != r2.WastedVirtualS ||
 		r1.RecoveryCostUSD != r2.RecoveryCostUSD || r1.FinalRanks != r2.FinalRanks {
