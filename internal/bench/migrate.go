@@ -282,9 +282,13 @@ func (e *engine) migrate(pt *recoveryPoint) error {
 	}
 	deficitNodes := (deficitRanks + e.s.cpn - 1) / e.s.cpn
 	need := len(pt.doomed) + pt.replans + deficitNodes
-	acquired, readyAt, err := e.provision(pt, need, evacAt)
+	acquired, readyAt, err := e.provision(pt, need, o.ProvisionRetries, evacAt)
 	if err != nil {
 		return err
+	}
+	if e.market != nil && acquired < need {
+		e.rec.Record(readyAt, "provision", "market exhausted after %d acquisition attempt(s): %d of %d instance(s)",
+			max(o.ProvisionRetries, 0)+1, acquired, need)
 	}
 
 	// Cascade-burned acquisitions come off the top; the remainder replaces
@@ -325,21 +329,22 @@ func (e *engine) migrate(pt *recoveryPoint) error {
 	return nil
 }
 
-// provision acquires need replacement instances for a migration, starting at
-// virtual time at, and returns how many it got and when the last one was
-// ready. On a market an exhausted acquisition is retried with seeded
-// exponential backoff up to ProvisionRetries times; marketless platforms
-// draw on the cold-spare pool.
-func (e *engine) provision(pt *recoveryPoint, need int, at float64) (acquired int, readyAt float64, err error) {
-	o, readyAt := e.s.o, at
+// provision is the engine's one source of replacement nodes: it acquires
+// need instances for a recovery point, starting at virtual time at, logs
+// each at the point's reaction time, and returns how many it got and when
+// the last one was ready. On a market an exhausted acquisition is retried
+// with seeded exponential backoff up to retries times; marketless platforms
+// draw on the cold-spare pool. A shortfall is the caller's to log.
+func (e *engine) provision(pt *recoveryPoint, need, retries int, at float64) (acquired int, readyAt float64, err error) {
+	react, readyAt := pt.reactAt(), at
 	if e.market == nil {
 		take := min(need, e.spares)
 		for i := 0; i < take; i++ {
 			e.spares--
 			if i < len(pt.origSlots) {
-				e.rec.Record(pt.stopAt, "provision", "cold spare replaces node %d (%d spare(s) left)", pt.origSlots[i], e.spares)
+				e.rec.Record(react, "provision", "cold spare replaces node %d (%d spare(s) left)", pt.origSlots[i], e.spares)
 			} else {
-				e.rec.Record(pt.stopAt, "provision", "cold spare grows the degraded world (%d spare(s) left)", e.spares)
+				e.rec.Record(react, "provision", "cold spare grows the degraded world (%d spare(s) left)", e.spares)
 			}
 		}
 		return take, readyAt, nil
@@ -351,14 +356,9 @@ func (e *engine) provision(pt *recoveryPoint, need int, at float64) (acquired in
 			return 0, 0, aerr
 		}
 		for _, nd := range repl.Nodes {
-			e.recordReplacement(pt.stopAt, nd, bid)
+			e.recordReplacement(react, nd, bid)
 		}
-		if acquired += len(repl.Nodes); acquired >= need {
-			return acquired, readyAt, nil
-		}
-		if attempt > max(o.ProvisionRetries, 0) {
-			e.rec.Record(readyAt, "provision", "market exhausted after %d acquisition attempt(s): %d of %d instance(s)",
-				attempt, acquired, need)
+		if acquired += len(repl.Nodes); acquired >= need || attempt > retries {
 			return acquired, readyAt, nil
 		}
 		d := e.pbo.Next()

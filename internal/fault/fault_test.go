@@ -1,14 +1,9 @@
 package fault
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
-
-	"heterohpc/internal/mp"
-	"heterohpc/internal/sched"
 )
 
 func TestPlanDeterministicForEqualSeeds(t *testing.T) {
@@ -82,27 +77,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := New(Spec{Nodes: 2, Horizon: 1, DegradeFactor: 0.5}); err == nil {
 		t.Fatal("sub-unity degrade factor accepted")
-	}
-}
-
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		err  error
-		want Class
-	}{
-		{nil, ClassNone},
-		{fmt.Errorf("wrapped: %w", mp.ErrRankDead), ClassNodeLoss},
-		{&mp.RankError{Rank: 3, Err: mp.ErrRankDead}, ClassNodeLoss},
-		{fmt.Errorf("core: %w", sched.ErrLaunchLimit), ClassCapacity},
-		{sched.ErrIBVolumeCap, ClassCapacity},
-		{sched.ErrTooLarge, ClassCapacity},
-		{sched.ErrInsufficientMemory, ClassResource},
-		{errors.New("rd: step 3: CG stalled"), ClassApp},
-	}
-	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
-		}
 	}
 }
 
