@@ -20,7 +20,7 @@ var recoveryMatrixGolden = map[string][2]string{
 	"rd-preempt-window-too-short/shrink-continue":        {"3a73e42545c6e08cb101d33e100a754124722e3ed5c4a9e989bc5d92576243fb", "d057521441371d7f6f6fdb75dbc39d069439712901dde1de94255e0070557dea"},
 	"rd-crash-before-first-checkpoint/restart":           {"01daba81a94f728cc5829945b566b309c531c0a3648f807a82420e7af5de92ca", "06be057d9adddc7270bd307a731cb2306ff5851f804e58777d118211bcde439f"},
 	"rd-crash-before-first-checkpoint/shrink-continue":   {"c4b3e1704ebaede6ae13c6f287f7bee5b02679446e7b109036f96ce414ee2ae1", "693f9d8bea770925a9a00a7386b474b50924f110c7cc91ac18f4575b4f891217"},
-	"rd-storm-wave3-cascade1-dry-market/restart":         {"c6814e29575a0cb71ac9e80074e61cde79102a155e50b9a3a28f70a6df70ab0f", "95b4b1bf8485bc90c247da16600f3e48dd3c8ee6c2109aee84d7bc6e494e7388"},
+	"rd-storm-wave3-cascade1-dry-market/restart":         {"d88af76e39807d3b23959bcaf4e1e49846630e1dc1ba236c15f1edb5db143e36", "b26dbe461dc631ed18f68fd4336a1942d07cfeb2d8aee730a8ccb6dece9eb888"},
 	"rd-storm-wave3-cascade1-dry-market/shrink-continue": {"99ea518c561aea90ef27dc62d62325db956b356ac7675ade3e83a2154bb03495", "57c557d9a24c156225f849e17cd39afb5cf3ce0124b60269ce2d5baaddac289e"},
 	"rd-storm-wave3-cascade1-dry-market/migrate":         {"1f90cd90de63bb8b6d6039f50d96b9b5831748cf5d02895f8cc1c405f44179fd", "be05a809d382b59b5c43d8eb4f8d0909c0a6f5cc69b97fdbcdaf3056721909d2"},
 	"rd-storm-wave3-cascade1/restart":                    {"89463eb09ec05c46c5f04fe4b28ca24d6d0102ed56ccdf2ef8da647efde43415", "886c0e99d61ea6c62046e9f97a75b85368032aade7b96b2f1ae596140be5a4ca"},
@@ -76,7 +76,13 @@ var recoveryMatrixGolden = map[string][2]string{
 	// checkpoint's time, so the rollback and the waste read 0.117 s and the
 	// recovery cost $0.00008. Those three lines (and the journal's restore
 	// line) are the only change.
+	//
+	// The two restart rows again, after a degrade began renumbering the
+	// plan's slots onto the smaller launch: the events still aimed at slots
+	// it released now log "drop" instead of a notice (storm row) or a silent
+	// arm past the topology. Those decision lines and their journal events
+	// are the only change.
 	"rd-no-spares-degrade/restart":  {"9a61955f890d0899b94c3443637d09274d53a1d0be80c5cb5a69a661257b0264", "0ab343fb4f031889a91333b48545c17ccbceac22a6ec4c10fa75b883e6817022"},
-	"rd-dry-market-degrade/restart": {"9359be8aacbf8a2b3ce5edebeb0f67e70fd2e9b1b7f87d4d60c2fb684e67e6a7", "c5deaaaacefdb2bd7627c0057f0bd1e810d89a48ec67ffdaaa07750a4d3c77bd"},
+	"rd-dry-market-degrade/restart": {"d8968df789ebeebae36644c7431097543d8d232a50ba58c0f256a0db65033848", "fce5f742d2ca93f92fe9237cc4e61b11c092c4883b67c26a83618e869c77943b"},
 	"rd-dry-market-degrade/migrate": {"423140e9e0a121e0018cabaae745ecd74508c57a0d99d6b35377d01a96b03ba0", "b309e0645f48fefb6fdbb16ca0aa73656f06cd89cd96063e760f048fed5fe937"},
 }

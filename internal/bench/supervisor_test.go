@@ -3,12 +3,14 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"heterohpc/internal/core"
 	"heterohpc/internal/fault"
+	"heterohpc/internal/trace"
 )
 
 // resetCleanBaselines empties the clean-baseline memo, so the next
@@ -192,29 +194,80 @@ func TestSupervisedDeterministicForEqualSeeds(t *testing.T) {
 	}
 }
 
-// With the spares used up and no market, losing a node degrades the job
-// onto the survivors at the next smaller cube instead of failing.
+// With the spares used up and no market, or on a sold-out market, losing a
+// node degrades the job onto the survivors at the next smaller cube instead
+// of failing. The smaller launch has fewer nodes than the plan was drawn
+// for: each later event aimed at a slot it released is dropped, and none is
+// announced as if its node still ran.
 func TestSupervisedDegradesWithoutReplacement(t *testing.T) {
-	// puma packs 4 ranks per node -> 27 ranks on 7 nodes. The two cold
-	// spares replace the first two lost nodes; the third loss leaves room
-	// for 24, so the supervisor must re-partition onto 8 ranks.
-	o := FaultOptions{
-		App: "rd", Platform: "puma", Ranks: 27, PerRankN: 5, Steps: 3,
-		Seed: 5, Crashes: 3,
+	cases := []struct {
+		name string
+		o    FaultOptions
+		// plan, when set, places the events at fractions of the clean
+		// horizon.
+		plan  func(c float64) []fault.Event
+		ranks int
+		// dropped are the plan slots of the events after the degrade, in
+		// plan order.
+		dropped []int
+	}{
+		// puma packs 4 ranks per node -> 27 ranks on 7 nodes. The two cold
+		// spares replace the first two lost nodes; the third loss leaves
+		// room for 24, so the supervisor must re-partition onto 8 ranks.
+		{name: "no-spares", ranks: 8,
+			o: FaultOptions{App: "rd", Platform: "puma", Ranks: 27, PerRankN: 5, Steps: 3, Seed: 5, Crashes: 3}},
+		// Four nodes of two ranks and no on-demand supply: losing node 1
+		// leaves room for 6 ranks, so the job relaunches on 1 rank on slot
+		// 0's node and releases slots 1, 2 and 3.
+		{name: "sold-out-market", ranks: 1, dropped: []int{3, 2},
+			o: with(small("rd", "ec2", 12), func(o *FaultOptions) { o.OnDemandSupply = -1 }),
+			plan: func(c float64) []fault.Event {
+				return []fault.Event{
+					{Kind: fault.KindCrash, Node: 1, At: 0.3 * c},
+					{Kind: fault.KindPreempt, Node: 3, At: 0.8 * c, NoticeAt: 0.5 * c},
+					{Kind: fault.KindCrash, Node: 2, At: 0.9 * c},
+				}
+			}},
 	}
-	rep, err := RunSupervised(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded || rep.FinalRanks >= 27 {
-		t.Fatalf("expected graceful degradation, got %d ranks (degraded=%v)",
-			rep.FinalRanks, rep.Degraded)
-	}
-	if rep.FinalRanks != 8 {
-		t.Errorf("degraded to %d ranks, want the next cube 8", rep.FinalRanks)
-	}
-	if rep.Final.Metrics["max_err"] > 1e-4 {
-		t.Errorf("degraded solution wrong: max_err %v", rep.Final.Metrics["max_err"])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := c.o
+			if c.plan != nil {
+				_, clean, err := cleanJobOf(o.withDefaults()).baseline()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.Plan = &fault.Plan{Seed: o.Seed, Events: c.plan(clean.virtualS)}
+			}
+			rep, err := RunSupervised(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Degraded || rep.FinalRanks != c.ranks {
+				t.Fatalf("degraded to %d ranks (degraded=%v), want the cube %d", rep.FinalRanks, rep.Degraded, c.ranks)
+			}
+			if rep.Final.Metrics["max_err"] > 1e-4 {
+				t.Errorf("degraded solution wrong: max_err %v", rep.Final.Metrics["max_err"])
+			}
+			at := slices.IndexFunc(rep.Decisions, func(d trace.Decision) bool { return d.Kind == "degrade" })
+			var dropped []int
+			for _, d := range rep.Decisions[at:] {
+				switch d.Kind {
+				case "notice":
+					t.Errorf("notice for a released slot after the degrade: %v", d)
+				case "drop":
+					var kind string
+					var node int
+					if _, err := fmt.Sscanf(d.Detail, "scheduled %s targets node %d", &kind, &node); err != nil {
+						t.Fatalf("drop %q: %v", d.Detail, err)
+					}
+					dropped = append(dropped, node)
+				}
+			}
+			if !slices.Equal(dropped, c.dropped) {
+				t.Errorf("dropped slots %v after the degrade, want %v:\n%s", dropped, c.dropped, trace.FormatDecisions(rep.Decisions))
+			}
+		})
 	}
 }
 

@@ -439,11 +439,11 @@ func TestAttemptReportsInjectedFault(t *testing.T) {
 	if _, err := tg.Run(spec); !errors.Is(err, mp.ErrRankDead) {
 		t.Errorf("Run error = %v, want ErrRankDead", err)
 	}
-	// Events beyond the topology are ignored; the job completes.
-	ok := JobSpec{Ranks: 8, App: app,
+	// An event aimed at a node the world lacks is refused before launch.
+	beyond := JobSpec{Ranks: 8, App: app,
 		Faults: []fault.Event{{Kind: fault.KindCrash, Node: 99, At: 1e-4}}}
-	if _, err := tg.Run(ok); err != nil {
-		t.Errorf("out-of-topology fault killed the run: %v", err)
+	if rep, af, err := tg.Attempt(beyond); err == nil || rep != nil || af != nil {
+		t.Errorf("out-of-topology fault: Attempt = %v, %v, %v; want an error", rep, af, err)
 	}
 }
 
