@@ -82,8 +82,8 @@ var verbRank = map[string]int{"migrate": 2, "shrink": 1, "restart": 0}
 // three policies — 0–2 crashes and 0–2 preemptions drawn from the seed on a
 // small four-node job, then waves of three reclaimed nodes on a 64-rank,
 // eight-node one, where deaths land inside the survivors' set-up, and one on
-// a sold-out market — and
-// asserts what the acceptance tests state one case at a time. Every
+// a sold-out market, then one crash that leaves some ranks a step ahead —
+// and asserts what the acceptance tests state one case at a time. Every
 // assertion is on a schedule-independent quantity, and the whole journal is
 // one: each plan runs twice and must write the same bytes.
 func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
@@ -103,6 +103,17 @@ func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
 	plans = append(plans, with(small("rd", "ec2", 12), func(o *FaultOptions) {
 		o.Steps, o.StormWave, o.StormCascades, o.OnDemandSupply, o.ProvisionRetries = 3, 3, 1, -1, -1
 	}))
+	// One crash of node 1 at 0.608 of the clean horizon, after the other
+	// nodes saved step 2 and before node 1 did (the window is 0.605–0.611):
+	// restart discards the step-2 blobs of the ranks that raced ahead and
+	// resumes every rank from step 1.
+	raced := small("rd", "ec2", 1)
+	_, clean, err := cleanJobOf(raced.withDefaults()).baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raced.Plan = &fault.Plan{Seed: raced.Seed, Events: []fault.Event{{Kind: fault.KindCrash, Node: 1, At: 0.608 * clean.virtualS}}}
+	plans = append(plans, raced)
 	for _, o := range plans {
 		seed := o.Seed
 		for _, policy := range allPolicies {
@@ -151,6 +162,11 @@ func TestRecoveryInvariantsOverSeededPlans(t *testing.T) {
 				case "complete":
 					completes++
 				}
+			}
+			if o.Plan == raced.Plan && policy == PolicyRestart && !slices.ContainsFunc(rep.Decisions, func(d trace.Decision) bool {
+				return d.Kind == "restore" && strings.Contains(d.Detail, "raced ahead")
+			}) {
+				fail("no restore discarded the blobs of ranks that raced ahead: %v", rep.Decisions)
 			}
 			if completes != 1 || rep.Decisions[len(rep.Decisions)-1].Kind != "complete" {
 				fail("decision log does not end in exactly one complete: %v", rep.Decisions)
