@@ -114,7 +114,7 @@ func parseArgs(args []string, stderr io.Writer) *config {
 	fs.IntVar(&fo.StormCascades, "cascades", 0, "faults command: storm cascades — preemptions re-hitting wave slots mid-recovery (needs -storm)")
 	fs.IntVar(&fo.StormBursts, "bursts", 0, "faults command: storm straggler bursts — correlated degradation windows (needs -storm)")
 	fs.IntVar(&fo.OnDemandSupply, "odsupply", 0, "faults command: cap the replacement market's on-demand pool (0 = unlimited, negative = none; makes exhaustion reachable)")
-	fs.IntVar(&fo.ProvisionRetries, "retries", 0, "faults command: autoscaler backoff retries after an exhausted acquisition (0 = default 4, negative = none)")
+	fs.IntVar(&fo.ProvisionRetries, "retries", 0, "faults command: migrate's backoff retries after an exhausted acquisition (0 = default 4, negative = none); restart never retries and degrades at once")
 	fs.BoolVar(&fo.Regrow, "regrow", false, "faults command: let the migrate autoscaler re-provision width lost to earlier degradations")
 	fs.StringVar(&c.trace, "trace", "", "faults command: also write the recovered timeline with decision markers as a Chrome trace to this file")
 	fs.StringVar(&c.journal, "journal", "", "write the run's deterministic event journal (JSONL) to this file")

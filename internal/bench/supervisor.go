@@ -80,6 +80,7 @@ type FaultOptions struct {
 	// ProvisionRetries bounds the autoscaler's backoff retries after an
 	// exhausted acquisition under PolicyMigrate (default 4; negative: no
 	// retries — a single exhausted attempt falls back to shrink).
+	// PolicyRestart never retries: it degrades at once.
 	ProvisionRetries int
 	// Regrow lets the migrate-policy autoscaler re-provision width a
 	// previous degradation lost: a later recovery point also acquires the
