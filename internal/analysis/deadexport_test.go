@@ -23,7 +23,6 @@ var testOnlyExports = map[string]string{
 	"sparse.CSR.Clone":          "copies an application block for the sweep oracles (sweep_oracle_test.go: TestSweepsMatchPredicateReference)",
 	"sparse.CSR.Dense":          "expands a block for the dense solver oracle (krylov_test.go: TestSolversMatchDenseOracle)",
 	"sparse.NewRowMap":          "lays out the distributed Laplacian (dist_zeroalloc_test.go: TestDistributedCGSolvesLaplacian)",
-	"sparse.DistMatrix.Rank":    "names the rank a frozen operator lives on (rd_test.go, nse_test.go: TestConstantOperatorsSharedPerClass)",
 	"mp.World.Clocks":           "reads every rank's clock after a halo run (link_oracle_test.go: TestImporterLinksMatchMailbox)",
 	"vclock.Clock.Counters":     "reads a rank's message counts (sparse link_oracle_test.go: TestImporterLinksMatchMailbox)",
 	"stats.RNG.Perm":            "shuffles the ragged test matrices' columns (mulvec_oracle_test.go: TestMulVecMatchesRowReference)",

@@ -194,3 +194,92 @@ func TestDistributedCGSolvesLaplacian(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClassILU0SetupZeroAlloc holds NewPrecond's ILU(0) to no allocation per
+// Setup once warm, on the building and on the adopting rank: ranks 1 and 2
+// of the 1-D Laplacian are class-mates, so one of them factors and the
+// other adopts at every round; an allreduce separates the rounds, as a
+// solve does. The count is read as in TestDistributedCGSteadyStateZeroAlloc.
+func TestClassILU0SetupZeroAlloc(t *testing.T) {
+	const (
+		nranks  = 4
+		perRank = 48
+		n       = nranks * perRank
+		rounds  = 10
+		windows = 5
+	)
+	w := newTestWorld(t, nranks)
+	var avg float64 // written by rank 0 before Run returns
+	shared := make([]bool, nranks)
+	err := w.Run(func(r *mp.Rank) error {
+		base := r.ID() * perRank
+		var coo sparse.COO
+		owned := make([]int, perRank)
+		for i := range owned {
+			g := base + i
+			owned[i] = g
+			coo.Add(g, g, 2)
+			if g > 0 {
+				coo.Add(g, g-1, -1)
+			}
+			if g < n-1 {
+				coo.Add(g, g+1, -1)
+			}
+		}
+		dm, err := sparse.NewDistMatrix(r, sparse.NewRowMap(owned), &coo, func(g int) int { return g / perRank }, 300)
+		if err != nil {
+			return err
+		}
+		pc, err := NewPrecond("ilu0", dm)
+		if err != nil {
+			return err
+		}
+		p := pc.(*ILU0)
+		round := func() error {
+			err := p.Setup()
+			r.AllreduceScalar(mp.OpSum, 0)
+			return err
+		}
+		for k := 0; k < 2; k++ {
+			if err := round(); err != nil {
+				return err
+			}
+		}
+		shared[r.ID()] = &p.lu[0] == &p.cell.buf.lu[0]
+		var before, after runtime.MemStats
+		quietest := uint64(math.MaxUint64)
+		if r.ID() == 0 {
+			runtime.GC()
+		}
+		for win := 0; win < windows; win++ {
+			r.Barrier()
+			if r.ID() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			r.Barrier()
+			for k := 0; k < rounds; k++ {
+				if err := round(); err != nil {
+					return err
+				}
+			}
+			r.Barrier()
+			if r.ID() == 0 {
+				runtime.ReadMemStats(&after)
+				quietest = min(quietest, after.Mallocs-before.Mallocs)
+			}
+		}
+		if r.ID() == 0 {
+			avg = float64(quietest) / rounds
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shared[1] || !shared[2] {
+		t.Fatalf("ranks 1 and 2 read their class cell's factor: %v, %v", shared[1], shared[2])
+	}
+	if avg >= 1 {
+		t.Fatalf("class ILU(0) Setup: %.2f allocs/round across the world in the quietest of %d windows, want 0", avg, windows)
+	}
+}

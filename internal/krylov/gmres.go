@@ -85,8 +85,8 @@ func gmres(sys System, M Preconditioner, b, x []float64, opt Options) (Result, e
 			}
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < k; i++ {
-				t := cs[i]*H[i][k] + sn[i]*H[i+1][k]
-				H[i+1][k] = -sn[i]*H[i][k] + cs[i]*H[i+1][k]
+				t := float64(cs[i]*H[i][k]) + float64(sn[i]*H[i+1][k])
+				H[i+1][k] = float64(-sn[i]*H[i][k]) + float64(cs[i]*H[i+1][k])
 				H[i][k] = t
 			}
 			// New rotation to annihilate H[k+1][k].
@@ -114,7 +114,7 @@ func gmres(sys System, M Preconditioner, b, x []float64, opt Options) (Result, e
 		for i := k - 1; i >= 0; i-- {
 			sum := g[i]
 			for j := i + 1; j < k; j++ {
-				sum -= H[i][j] * y[j]
+				sum -= float64(H[i][j] * y[j])
 			}
 			y[i] = sum / H[i][i]
 		}

@@ -181,7 +181,7 @@ func cg(sys System, M Preconditioner, b, x []float64, opt Options) (Result, erro
 		beta := rzNew / rz
 		rz = rzNew
 		for i := 0; i < n; i++ {
-			p[i] = z[i] + beta*p[i]
+			p[i] = z[i] + float64(beta*p[i])
 		}
 		sys.ChargeCompute(2*float64(n), 24*float64(n))
 	}
@@ -233,7 +233,7 @@ func bicgstab(sys System, M Preconditioner, b, x []float64, opt Options) (Result
 		} else {
 			beta := (rhoNew / rho) * (alpha / omega)
 			for i := 0; i < n; i++ {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
+				p[i] = r[i] + float64(beta*(p[i]-float64(omega*v[i])))
 			}
 			sys.ChargeCompute(4*float64(n), 32*float64(n))
 		}
@@ -246,7 +246,7 @@ func bicgstab(sys System, M Preconditioner, b, x []float64, opt Options) (Result
 		}
 		alpha = rho / den
 		for i := 0; i < n; i++ {
-			s[i] = r[i] - alpha*v[i]
+			s[i] = r[i] - float64(alpha*v[i])
 		}
 		sys.ChargeCompute(2*float64(n), 24*float64(n))
 		res.Iterations = k + 1
@@ -267,8 +267,8 @@ func bicgstab(sys System, M Preconditioner, b, x []float64, opt Options) (Result
 			return res, fmt.Errorf("%w: ω = 0 at iteration %d", ErrBreakdown, k)
 		}
 		for i := 0; i < n; i++ {
-			x[i] += alpha*phat[i] + omega*shat[i]
-			r[i] = s[i] - omega*t[i]
+			x[i] += float64(alpha*phat[i]) + float64(omega*shat[i])
+			r[i] = s[i] - float64(omega*t[i])
 		}
 		sys.ChargeCompute(6*float64(n), 48*float64(n))
 		rel := norm2(sys, r) / bnorm

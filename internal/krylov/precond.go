@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"heterohpc/internal/sparse"
 )
@@ -18,16 +19,17 @@ func (Identity) Setup() error { return nil }
 func (Identity) Apply(r, z []float64) { copy(z, r) }
 
 // NewPrecond builds the preconditioner named name — "ilu0", "jacobi", "sgs"
-// or "none" — over the first n rows/columns of a (the owned square block);
-// the caller adds its context to the error an unknown name returns.
-func NewPrecond(name string, a *sparse.CSR, n int, ch sparse.Charger) (Preconditioner, error) {
+// or "none" — over dm's owned square block, charging dm's rank; an "ilu0"
+// shares its factor with the rank's class-mates (see ILU0). The caller adds
+// its context to the error an unknown name returns.
+func NewPrecond(name string, dm *sparse.DistMatrix) (Preconditioner, error) {
 	switch name {
 	case "ilu0":
-		return NewILU0(a, n, ch), nil
+		return classILU0(dm), nil
 	case "jacobi":
-		return NewJacobi(a, n, ch), nil
+		return NewJacobi(dm.Local(), dm.NOwned(), dm.Rank()), nil
 	case "sgs":
-		return NewSGS(a, n, ch), nil
+		return NewSGS(dm.Local(), dm.NOwned(), dm.Rank()), nil
 	case "none":
 		return Identity{}, nil
 	}
@@ -149,7 +151,7 @@ func (s *SGS) Apply(r, z []float64) {
 		col, val := a.Col[lo:d], a.Val[lo:d]
 		sum := r[i]
 		for k, c := range col {
-			sum -= val[k] * z[c]
+			sum -= float64(val[k] * z[c])
 		}
 		z[i] = sum * s.dinv[i]
 	}
@@ -159,9 +161,9 @@ func (s *SGS) Apply(r, z []float64) {
 		col, val := a.Col[d:e], a.Val[d:e]
 		var sum float64
 		for k, c := range col {
-			sum += val[k] * z[c]
+			sum += float64(val[k] * z[c])
 		}
-		z[i] -= sum * s.dinv[i]
+		z[i] -= float64(sum * s.dinv[i])
 	}
 	nnz := float64(a.NNZ())
 	s.ch.ChargeCompute(4*nnz, 2*20*nnz)
@@ -170,48 +172,200 @@ func (s *SGS) Apply(r, z []float64) {
 // ILU0 is a zero-fill incomplete LU factorisation of the local owned block,
 // the workhorse preconditioner of the paper's solves (Ifpack ILU). Across
 // ranks it acts as block-Jacobi/additive-Schwarz with zero overlap.
+//
+// One that NewPrecond builds over a DistMatrix shares its factor with the
+// rank's class-mates: the ranks of one position class of a block
+// decomposition hold the operator bit for bit alike, so at each round of
+// Setups the first of them to arrive factors into the cell of the operator
+// (its tag) on that shape, and the others read that factor once they have
+// found their values equal to the builder's in every bit; one whose values
+// differ factors into a buffer of its own. The builder's values and the
+// cell are read by its class-mates until the next round, so the caller
+// rule, like mp.Rank.Intern's "do all communication first", is: the ranks
+// set up an operator equally often, and between any rank's last Apply or
+// Setup of one round and any class-mate's next write of the operator's
+// values or next Setup, the world completes a collective. CG and BiCGStab
+// keep it: each solve starts with an allreduce (‖b‖) and each Apply is
+// followed by one (a dot). GMRES's closing update, which no dot follows
+// when the solve runs out of iterations, does not.
 type ILU0 struct {
 	a  *sparse.CSR
 	n  int
 	ch sparse.Charger
-	// lu holds the factor values aligned with a's pattern (block columns
-	// only); diag, end are a's blockSplit, so diag[i] is the slot of U[i,i].
+	// lu is the factor Apply reads, aligned with a's pattern (block columns
+	// only): own's, or the class cell's. diag, end are a's blockSplit, so
+	// diag[i] is the slot of U[i,i].
 	lu        []float64
 	diag, end []int32
-	// iw maps a block column to its slot in the row Setup is eliminating,
-	// -1 where the row has none; it is all -1 between rows.
+	// own is the private factor: made at construction by NewILU0, and on
+	// the first Setup that cannot adopt the cell's by NewPrecond's.
+	own *iluBuf
+	// cell is the class cell of NewPrecond's ILU0, nil for NewILU0's; at
+	// names the round of its last Setup.
+	cell *iluCell
+	at   round
+}
+
+// iluBuf is the storage of one factorisation: the factor, and iw, which
+// maps a block column to its slot in the row being eliminated, -1 where
+// the row has none (all -1 between rows).
+type iluBuf struct {
+	lu []float64
 	iw []int32
 }
 
+func newILUBuf(nnz, n int) *iluBuf {
+	iw := make([]int32, n)
+	for j := range iw {
+		iw[j] = -1
+	}
+	return &iluBuf{lu: make([]float64, nnz), iw: iw}
+}
+
+// round names the Setup a class's ranks make together: the intern table's
+// job and the ILU0's own count of its Setups.
+type round struct {
+	job   uint64
+	setup int
+}
+
+// iluCell is the factor of one operator on one interned shape, filed in the
+// world's intern table. col is the shape's column array, by which the cell
+// is found and which it keeps alive; diag and end are its blockSplit. The
+// fields under mu describe the round last begun: while building, its
+// builder is factoring into buf; afterwards val is the builder's values —
+// nil when the factorisation failed — and flops what it counted.
+type iluCell struct {
+	col       []int
+	tag       int
+	diag, end []int32
+	buf       *iluBuf
+
+	mu       sync.Mutex
+	done     sync.Cond
+	at       round
+	building bool
+	val      []float64
+	flops    float64
+}
+
 // NewILU0 builds an ILU(0) preconditioner over the first n rows/columns
-// of a.
+// of a, with a factor of its own.
 func NewILU0(a *sparse.CSR, n int, ch sparse.Charger) *ILU0 {
 	if ch == nil {
 		ch = sparse.NopCharger{}
 	}
 	diag, end := blockSplit(a, n)
-	iw := make([]int32, n)
-	for j := range iw {
-		iw[j] = -1
-	}
-	return &ILU0{a: a, n: n, ch: ch, lu: make([]float64, a.NNZ()), diag: diag, end: end, iw: iw}
+	return &ILU0{a: a, n: n, ch: ch, diag: diag, end: end, own: newILUBuf(a.NNZ(), n)}
 }
 
-// Setup implements Preconditioner: IKJ-ordered ILU(0) on the block pattern.
-// Row i's block slots are scattered into iw, so the update of row i against
-// pivot row k walks row k's upper part once and finds each entry's partner
-// in row i by its column. Columns are sorted within a row, so the updates
-// come in column order.
+// classILU0 is NewPrecond's "ilu0"; a test wraps it to watch every factor
+// the applications' solves read.
+var classILU0 = func(dm *sparse.DistMatrix) Preconditioner { return newClassILU0(dm) }
+
+// newClassILU0 builds an ILU(0) over dm's owned block that shares its
+// factor through the class cell of dm's shape and tag, filing the cell when
+// it is the first to look.
+func newClassILU0(dm *sparse.DistMatrix) *ILU0 {
+	a, n, r := dm.Local(), dm.NOwned(), dm.Rank()
+	if a.NNZ() == 0 {
+		return NewILU0(a, n, r)
+	}
+	tag := dm.Tag()
+	// The key only narrows the search; a cell is the one for dm when it was
+	// made over the same column array, and so the same shape.
+	v, _ := r.Intern(uint64(tag)<<40^uint64(a.NNZ()),
+		func(v any) bool {
+			c, ok := v.(*iluCell)
+			return ok && c.tag == tag && &c.col[0] == &a.Col[0]
+		},
+		func() (any, error) {
+			diag, end := blockSplit(a, n)
+			c := &iluCell{col: a.Col, tag: tag, diag: diag, end: end, buf: newILUBuf(a.NNZ(), n)}
+			c.done.L = &c.mu
+			return c, nil
+		})
+	c := v.(*iluCell)
+	return &ILU0{a: a, n: n, ch: r, diag: c.diag, end: c.end, cell: c, at: round{job: r.Job()}}
+}
+
+// Setup implements Preconditioner: the ILU(0) factor of the current values,
+// charged as the factorisation's flops and traffic, also when adopted.
 func (p *ILU0) Setup() error {
-	a := p.a
-	copy(p.lu, a.Val)
+	if p.cell == nil {
+		return p.setupOwn()
+	}
+	c := p.cell
+	p.at.setup++
+	c.mu.Lock()
+	if c.at != p.at {
+		c.at, c.building = p.at, true
+		c.mu.Unlock()
+		return p.build(c)
+	}
+	for c.building {
+		c.done.Wait()
+	}
+	val, flops := c.val, c.flops
+	c.mu.Unlock()
+	if val == nil || !sparse.SameBits(val, p.a.Val) {
+		return p.setupOwn()
+	}
+	p.lu = c.buf.lu
+	p.charge(flops)
+	return nil
+}
+
+// build factors p's values into the cell for its class-mates, and publishes
+// them with the flops, or nil when the factorisation failed; it wakes the
+// waiters whatever happens.
+func (p *ILU0) build(c *iluCell) error {
+	var val []float64
+	var flops float64
+	defer func() {
+		c.mu.Lock()
+		c.val, c.flops, c.building = val, flops, false
+		c.mu.Unlock()
+		c.done.Broadcast()
+	}()
+	flops, err := p.factor(c.buf)
+	if err == nil {
+		val = p.a.Val
+	}
+	return err
+}
+
+// setupOwn factors into the ILU0's own buffer.
+func (p *ILU0) setupOwn() error {
+	if p.own == nil {
+		p.own = newILUBuf(p.a.NNZ(), p.n)
+	}
+	_, err := p.factor(p.own)
+	return err
+}
+
+// charge charges a factorisation that counted flops.
+func (p *ILU0) charge(flops float64) {
+	nnz := float64(p.a.NNZ())
+	p.ch.ChargeCompute(flops+nnz, 24*nnz)
+}
+
+// factor is IKJ-ordered ILU(0) on the block pattern into b, which Apply
+// then reads; it charges the factorisation and returns the update flops
+// when it succeeds. Row i's block slots are scattered into b.iw, so the update
+// of row i against pivot row k walks row k's upper part once and finds each
+// entry's partner in row i by its column. Columns are sorted within a row,
+// so the updates come in column order.
+func (p *ILU0) factor(b *iluBuf) (float64, error) {
+	a, lu, iw := p.a, b.lu, b.iw
+	p.lu = lu
+	copy(lu, a.Val)
 	for i, d := range p.diag {
 		if d < 0 {
-			return fmt.Errorf("krylov: missing diagonal at row %d", i)
+			return 0, fmt.Errorf("krylov: missing diagonal at row %d", i)
 		}
 	}
 	var flops float64
-	iw := p.iw
 	for i := 0; i < p.n; i++ {
 		lo, di, rowEnd := a.RowPtr[i], int(p.diag[i]), int(p.end[i])
 		for t := lo; t < rowEnd; t++ {
@@ -221,11 +375,11 @@ func (p *ILU0) Setup() error {
 			// Row k < i is finished, so its pivot has been checked. Its
 			// upper columns exceed k, so their partners lie after sl.
 			k := a.Col[sl]
-			lik := p.lu[sl] / p.lu[p.diag[k]]
-			p.lu[sl] = lik
+			lik := lu[sl] / lu[p.diag[k]]
+			lu[sl] = lik
 			for u, kEnd := int(p.diag[k])+1, int(p.end[k]); u < kEnd; u++ {
 				if t := iw[a.Col[u]]; t >= 0 {
-					p.lu[t] -= lik * p.lu[u]
+					lu[t] -= float64(lik * lu[u])
 					flops += 2
 				}
 			}
@@ -235,12 +389,12 @@ func (p *ILU0) Setup() error {
 		}
 		// Apply divides by every row's pivot, also by one that no later
 		// row eliminates against.
-		if p.lu[di] == 0 {
-			return fmt.Errorf("krylov: zero pivot at row %d", i)
+		if lu[di] == 0 {
+			return 0, fmt.Errorf("krylov: zero pivot at row %d", i)
 		}
 	}
-	p.ch.ChargeCompute(flops+float64(a.NNZ()), 24*float64(a.NNZ()))
-	return nil
+	p.charge(flops)
+	return flops, nil
 }
 
 // Apply implements Preconditioner: z = U⁻¹·L⁻¹·r on the owned block.
@@ -252,7 +406,7 @@ func (p *ILU0) Apply(r, z []float64) {
 		col, val := a.Col[lo:d], p.lu[lo:d]
 		sum := r[i]
 		for k, c := range col {
-			sum -= val[k] * z[c]
+			sum -= float64(val[k] * z[c])
 		}
 		z[i] = sum
 	}
@@ -262,7 +416,7 @@ func (p *ILU0) Apply(r, z []float64) {
 		col, val := a.Col[d+1:e], p.lu[d+1:e]
 		sum := z[i]
 		for k, c := range col {
-			sum -= val[k] * z[c]
+			sum -= float64(val[k] * z[c])
 		}
 		z[i] = sum / p.lu[d]
 	}

@@ -2,12 +2,15 @@ package mp
 
 import "sync"
 
-// InternTable is a single-flight table of immutable host-side values that
-// several ranks would otherwise each build for themselves: the symbolic
-// matrix structure of a position class in a block decomposition, and the
-// value array of a constant operator that class-mates assemble bit for bit
-// alike (sparse.DistMatrix.Freeze). Both kinds share one table and may share
-// a chain, so an accept tells them apart by type.
+// InternTable is a single-flight table of host-side values that several
+// ranks would otherwise each build for themselves. It holds three kinds:
+// the symbolic matrix structure of a position class in a block
+// decomposition, the value array of a constant operator that class-mates
+// assemble bit for bit alike (sparse.DistMatrix.Freeze), both immutable,
+// and the ILU(0) factor cell of an operator on a structure, which its
+// class-mates refill at each Setup under the cell's own rule
+// (krylov.ILU0). All kinds share one table and may share a chain, so an
+// accept tells them apart by type.
 // It belongs to the simulator, not to the simulated job: no clock, message
 // or journal event is involved. Every world points at one: NewWorld makes a
 // fresh one, a world that Reform forms shares its parent's, and a
@@ -19,7 +22,7 @@ import "sync"
 // Values are chained under a fingerprint in arrival order. An entry is
 // pending until its builder has finished — done is closed either way, val
 // stays nil when the build failed — and never changes afterwards but for
-// job, under mu.
+// job, under mu (a factor cell's contents change; the entry does not).
 type InternTable struct {
 	mu     sync.Mutex
 	chains map[uint64][]*interned
@@ -59,6 +62,16 @@ func (t *InternTable) Prune() {
 		}
 	}
 	t.job++
+}
+
+// Job numbers the job now running on the world's intern table: Prune ends
+// one job and starts the next. A filed value that changes within a job (an
+// ILU(0) factor cell) tells its jobs apart by it.
+func (r *Rank) Job() uint64 {
+	t := r.world.interns
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.job
 }
 
 // Intern returns the first value filed under key that accept takes, and

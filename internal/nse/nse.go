@@ -157,7 +157,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	}
 	presBC := presDM.NewDirichlet(s.IsBoundary)
 	freeze(presDM)
-	presPC, err := krylov.NewPrecond(cfg.Precond, presDM.Local(), presDM.NOwned(), r)
+	presPC, err := krylov.NewPrecond(cfg.Precond, presDM)
 	if err != nil {
 		return nil, fmt.Errorf("nse: %w", err)
 	}
@@ -221,7 +221,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	velPC, err := krylov.NewPrecond(cfg.Precond, velDM.Local(), velDM.NOwned(), r)
+	velPC, err := krylov.NewPrecond(cfg.Precond, velDM)
 	if err != nil {
 		return nil, fmt.Errorf("nse: %w", err)
 	}

@@ -212,7 +212,7 @@ func Run(r *mp.Rank, cfg Config) (*Result, error) {
 		x, y, z := s.M.VertexCoord(v)
 		return Exact(x, y, z, bcTime)
 	}
-	precond, err := krylov.NewPrecond(cfg.Precond, sysDM.Local(), sysDM.NOwned(), r)
+	precond, err := krylov.NewPrecond(cfg.Precond, sysDM)
 	if err != nil {
 		return nil, fmt.Errorf("rd: %w", err)
 	}

@@ -75,7 +75,7 @@ func TestFreezeHandsDroppedValuesToNextBuild(t *testing.T) {
 		}
 		fill(s, next, stiffOp(1, s))
 		r.Barrier()
-		if !sameBits(mass.Local().Val, assembled) {
+		if !sparse.SameBits(mass.Local().Val, assembled) {
 			return fmt.Errorf("the frozen values changed")
 		}
 		adopted[r.ID()] = adopts

@@ -33,6 +33,8 @@ type DistMatrix struct {
 	r      *mp.Rank
 	rowMap *RowMap
 	st     structure
+	// tag is the first of the matrix's message tags (see Tag).
+	tag int
 	// A holds the owned rows over local column indices: the structure's
 	// pattern, this matrix's values.
 	A   *CSR
@@ -158,7 +160,7 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, a assembly, owner func(int) int, 
 	} else {
 		val = make([]float64, len(st.col))
 	}
-	dm := &DistMatrix{r: r, rowMap: rowMap, st: st, sc: sc}
+	dm := &DistMatrix{r: r, rowMap: rowMap, st: st, tag: tag, sc: sc}
 	dm.A = &CSR{NRows: nOwned, NCols: nCols, RowPtr: st.rowPtr, Col: st.col, Val: val}
 	ne := len(st.exportPeers)
 	links := make([]*mp.Link, ne+len(st.importPeers))
@@ -574,7 +576,7 @@ func (dm *DistMatrix) freeze(key uint64) {
 	v, _ := dm.r.Intern(key,
 		func(v any) bool {
 			w, ok := v.(frozenVals)
-			return ok && sameBits(w, own)
+			return ok && SameBits(w, own)
 		},
 		func() (any, error) { return frozenVals(own), nil })
 	w := v.(frozenVals)
@@ -593,9 +595,9 @@ func valuesKey(val []float64) uint64 {
 	return h
 }
 
-// sameBits reports whether a and b hold the same bits, so +0 and −0 differ
+// SameBits reports whether a and b hold the same bits, so +0 and −0 differ
 // and a NaN equals only its own bit pattern.
-func sameBits(a, b []float64) bool {
+func SameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -773,6 +775,12 @@ func (dm *DistMatrix) Apply(x, y []float64) {
 func (dm *DistMatrix) AllSum(v float64) float64 {
 	return dm.r.AllreduceScalar(mp.OpSum, v)
 }
+
+// Tag returns the first of the message tags the matrix was built with,
+// which names the operator: krylov.NewPrecond shares an ILU(0) factor
+// between class-mates' matrices of one shape and tag, so two operators a
+// rank preconditions at once must not share a tag.
+func (dm *DistMatrix) Tag() int { return dm.tag }
 
 // Rank returns the communicator rank this matrix lives on.
 func (dm *DistMatrix) Rank() *mp.Rank { return dm.r }

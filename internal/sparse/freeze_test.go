@@ -30,11 +30,6 @@ func runSlabs(t *testing.T, body func(r *mp.Rank, s *fem.Space) error) {
 	})
 }
 
-// sameBits reports whether a and b hold the same bits.
-func sameBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
 // TestFrozenMatrixRejectsWrites freezes a mass matrix that has had its
 // boundary rows eliminated, on every rank, so ranks 1 and 2 share one value
 // array. Every path that writes values must then panic with its name before
@@ -86,13 +81,13 @@ func TestFrozenMatrixRejectsWrites(t *testing.T) {
 			if _, _, m, _ := r.Clock().Counters(); m != msgs || r.Wtime() != now {
 				return fmt.Errorf("%s: the refused write sent or charged", tc.name)
 			}
-			if !sameBits(dm.Local().Val, want) {
+			if !sparse.SameBits(dm.Local().Val, want) {
 				return fmt.Errorf("%s: the refused write changed the values", tc.name)
 			}
 		}
 		s.Refill(writable, mass)
 		r.Barrier()
-		if !sameBits(dm.Local().Val, want) || !sameBits(writable.Local().Val, built) {
+		if !sparse.SameBits(dm.Local().Val, want) || !sparse.SameBits(writable.Local().Val, built) {
 			return fmt.Errorf("values changed while the other ranks tried their writes")
 		}
 		held[r.ID()] = dm.Local().Val
@@ -141,7 +136,7 @@ func TestUnequalValuesStayPrivate(t *testing.T) {
 			} else {
 				dm.FreezeUnder(collide)
 			}
-			if !sameBits(dm.Local().Val, assembled) {
+			if !sparse.SameBits(dm.Local().Val, assembled) {
 				return fmt.Errorf("matrix %d: adopted values it did not assemble", i)
 			}
 			held[id][i] = dm.Local().Val
