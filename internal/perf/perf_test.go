@@ -59,34 +59,41 @@ const nsIterationBytesCeiling = 2_772_000
 // On top of the re-sent pair streams, a rank whose frozen mass matrix adopts
 // a class-mate's values builds the system matrix into the array it dropped,
 // where it used to drop it and allocate another of the same length: 12.90
-// MB/op went to 11.22 MB/op, and the ceiling is that plus 10%.
-const rdJobP64BytesCeiling = 12_340_000
+// MB/op went to 11.22 MB/op (11.05 MB/op by the time the next step landed).
+// One ILU(0) factor per position class and operator instead of one per rank
+// brought it to 10.47 MB/op, and the ceiling is that plus 10%.
+const rdJobP64BytesCeiling = 11_520_000
 
 // rdJobP64ObservedBytesCeiling bounds what BenchmarkRDJobP64Observed moves
 // through the heap. When each rank kept every message's residency interval
 // for the mailbox high-water, and the journal write copied every event into
 // one slice to sort it, the observed job moved 13.97 MB/op against the
 // unobserved 11.22; folding the high-water in O(high-water) memory per rank
-// and merging the recorders' streams in place brought it to 11.56 MB/op,
-// and the ceiling is that plus 10%.
-const rdJobP64ObservedBytesCeiling = 12_720_000
+// and merging the recorders' streams in place brought it to 11.56 MB/op
+// (11.39 MB/op by the time the next step landed); one ILU(0) factor per
+// position class and operator brought it to 10.82 MB/op, and the ceiling is
+// that plus 10%.
+const rdJobP64ObservedBytesCeiling = 11_900_000
 
 // rdSweepBytesCeiling bounds what BenchmarkRDSweepOneTarget moves through
 // the heap: three RD jobs on one target. When each job built its shapes
 // afresh the sweep moved 18.58 MB/op; sharing the target's intern table
 // between its jobs, so the P = 27 job builds only the shapes P = 8 lacked
-// and the P = 64 job builds none, brought it to 16.30 MB/op, and the
-// ceiling is that plus 10%.
-const rdSweepBytesCeiling = 17_930_000
+// and the P = 64 job builds none, brought it to 16.30 MB/op (16.06 MB/op
+// by the time the next step landed); one ILU(0) factor per position class
+// and operator brought it to 14.89 MB/op, and the ceiling is that plus 10%.
+const rdSweepBytesCeiling = 16_380_000
 
 // rdLiveHeapPerRankCeiling bounds the live heap per rank of an RD job at P
 // = 64 (6³ elements each) run after a P = 27 job on its target
 // (TestRDLiveHeapPerRankCeiling). With a table per world it read 331.9 kB
 // per rank. A target's table holds the P = 27 job's entries until the P =
 // 64 job ends: its shapes, which P = 64 adopts, and its frozen mass values,
-// which P = 64 cannot (the mesh width differs), so it reads 354.2 kB per
-// rank, and the ceiling is that plus 10%.
-const rdLiveHeapPerRankCeiling = 389_600
+// which P = 64 cannot (the mesh width differs), so it read 354.2 kB per
+// rank (350.7 kB by the time the next step landed). One ILU(0) factor per
+// position class and operator, 27 at P = 64, brought it to 319.0 kB, and
+// the ceiling is that plus 10%.
+const rdLiveHeapPerRankCeiling = 350_900
 
 // measure runs one benchmark body for a fixed n iterations under
 // testing.Benchmark (as `-benchtime Nx` would), skipping when the
