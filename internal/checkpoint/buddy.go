@@ -15,35 +15,74 @@ import "heterohpc/internal/mp"
 // copies. When nodes hold unequal rank counts the slot wraps within the
 // buddy node, so a holder may protect several origins. Returns -1 on
 // single-node topologies, where no off-node partner exists.
+//
+// It takes O(P): one scan of the topology for rank's slot and the buddy
+// node's size, and one up to the chosen rank. It allocates nothing.
 func BuddyOf(topo mp.Topology, rank int) int {
 	nnodes := topo.NNodes()
 	if nnodes < 2 {
 		return -1
 	}
 	node := topo.NodeOf[rank]
-	slot := 0
-	for r := 0; r < rank; r++ {
-		if topo.NodeOf[r] == node {
+	buddyNode := (node + 1) % nnodes
+	slot, size := 0, 0
+	for r, n := range topo.NodeOf {
+		if n == node && r < rank {
 			slot++
 		}
-	}
-	buddyNode := (node + 1) % nnodes
-	var onBuddy []int
-	for r := 0; r < topo.NRanks(); r++ {
-		if topo.NodeOf[r] == buddyNode {
-			onBuddy = append(onBuddy, r)
+		if n == buddyNode {
+			size++
 		}
 	}
-	return onBuddy[slot%len(onBuddy)]
+	// The buddy is the buddy node's rank in slot slot mod size.
+	k := slot % size
+	for r, n := range topo.NodeOf {
+		if n == buddyNode {
+			if k == 0 {
+				return r
+			}
+			k--
+		}
+	}
+	panic("checkpoint: the buddy node holds fewer ranks than counted")
 }
 
 // Protects returns, in ascending order, the origin ranks whose buddy
-// copies the holder rank stores under the BuddyOf mapping.
+// copies the holder rank stores under the BuddyOf mapping: the ranks of the
+// previous node whose slot, wrapped to the holder node's size, is the
+// holder's. It takes O(P), one scan to count and one to collect, and
+// allocates only its result, nil when there is none.
 func Protects(topo mp.Topology, holder int) []int {
-	var out []int
-	for r := 0; r < topo.NRanks(); r++ {
-		if BuddyOf(topo, r) == holder {
-			out = append(out, r)
+	nnodes := topo.NNodes()
+	if nnodes < 2 {
+		return nil
+	}
+	node := topo.NodeOf[holder]
+	from := (node - 1 + nnodes) % nnodes
+	slot, size, origins := 0, 0, 0
+	for r, n := range topo.NodeOf {
+		if n == node {
+			if r < holder {
+				slot++
+			}
+			size++
+		}
+		if n == from {
+			origins++
+		}
+	}
+	// Origin slots slot, slot+size, slot+2·size, ... below origins.
+	if slot >= origins {
+		return nil
+	}
+	out := make([]int, 0, (origins-slot+size-1)/size)
+	k := 0
+	for r, n := range topo.NodeOf {
+		if n == from {
+			if k%size == slot {
+				out = append(out, r)
+			}
+			k++
 		}
 	}
 	return out
@@ -70,9 +109,13 @@ func Mirror(r *mp.Rank, tag int, blob []byte) []Mirrored {
 	if b := BuddyOf(topo, r.ID()); b >= 0 {
 		mp.Send(r, b, tag, blob)
 	}
-	var out []Mirrored
-	for _, origin := range Protects(topo, r.ID()) {
-		out = append(out, Mirrored{Origin: origin, Blob: mp.Recv[byte](r, origin, tag)})
+	origins := Protects(topo, r.ID())
+	if origins == nil {
+		return nil
+	}
+	out := make([]Mirrored, len(origins))
+	for i, origin := range origins {
+		out[i] = Mirrored{Origin: origin, Blob: mp.Recv[byte](r, origin, tag)}
 	}
 	return out
 }

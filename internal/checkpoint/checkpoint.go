@@ -91,21 +91,20 @@ func Write(w io.Writer, app string, s Snapshot) error {
 	if len(s.Fields) != len(l.fields) {
 		return fmt.Errorf("checkpoint: %d state vectors for the %d-field %s layout", len(s.Fields), len(l.fields), app)
 	}
+	// The container refers to the snapshot's own vectors and ids, and every
+	// dataset to one shape: nothing is copied before the encoder reads it.
 	n := len(s.Owned)
+	dims := []int{n}
 	f := h5lite.New()
 	for i, name := range l.fields {
 		if len(s.Fields[i]) != n {
 			return fmt.Errorf("checkpoint: inconsistent state vectors: %s has %d values for %d owned ids", name, len(s.Fields[i]), n)
 		}
-		if err := f.CreateF64(name, []int{n}, s.Fields[i]); err != nil {
+		if err := f.CreateF64(name, dims, s.Fields[i]); err != nil {
 			return err
 		}
 	}
-	ids := make([]int64, n)
-	for i, g := range s.Owned {
-		ids[i] = int64(g)
-	}
-	if err := f.CreateI64(l.owned, []int{n}, ids); err != nil {
+	if err := f.CreateInt(l.owned, dims, s.Owned); err != nil {
 		return err
 	}
 	for _, kv := range [][2]string{
@@ -121,7 +120,8 @@ func Write(w io.Writer, app string, s Snapshot) error {
 		}
 	}
 	// A memory writer (the snapshot stores and mirrors write to a
-	// bytes.Buffer) is sized once, exactly, instead of regrowing as it fills.
+	// bytes.Buffer) is sized once, exactly, instead of regrowing as it
+	// fills, and WriteTo then encodes into that room in place.
 	if g, ok := w.(interface{ Grow(n int) }); ok {
 		g.Grow(f.EncodedLen())
 	}

@@ -122,17 +122,16 @@ func Redistribute(r *mp.Rank, m *mesh.Mesh, grid [3]int, app string, held []Snap
 	}
 	out := Snapshot{StepsDone: step, Time: tm, Rank: r.ID(), Width: p,
 		Owned: append([]int(nil), loc.VertGlobal[:loc.NumOwned]...), Fields: make([][]float64, nf)}
-	idx := make(map[int]int, len(out.Owned))
-	for i, gid := range out.Owned {
-		idx[gid] = i
-	}
+	// The block's own index of its owned ids gives a vertex's position in
+	// out.Owned, which copies them in order.
+	idx := loc.OwnedIndex()
 	for f := range out.Fields {
 		out.Fields[f] = make([]float64, len(out.Owned))
 	}
 	filled := make([]bool, len(out.Owned))
 	for b, ids := range recvIDs {
 		for i, gid := range ids {
-			li, ok := idx[gid]
+			li, ok := idx.Lookup(gid)
 			if !ok {
 				return Snapshot{}, fmt.Errorf("checkpoint: received vertex %d not owned by rank %d", gid, r.ID())
 			}

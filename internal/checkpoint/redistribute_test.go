@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -74,7 +75,10 @@ func TestRedistribute(t *testing.T) {
 		// step overrides a holder's restore line (by new rank).
 		step map[int]int
 		// trim halves the fragment the given new rank holds.
-		trim    int
+		trim int
+		// foreign appends to new rank 0's first fragment a vertex id one past
+		// the mesh's last, which no rank owns.
+		foreign bool
 		wantErr string
 	}{
 		// Survivor 0 holds its own fragment plus buddy copies of dead origins
@@ -88,6 +92,8 @@ func TestRedistribute(t *testing.T) {
 			wantErr: "no rank holds any state"},
 		{name: "double-delivery", gridNew: [3]int{2, 1, 1}, heldBy: [][]int{{0, 2, 3}, {1, 2}}, trim: -1,
 			wantErr: "delivered twice"},
+		{name: "foreign-vertex", gridNew: [3]int{2, 1, 1}, heldBy: [][]int{{0, 2, 3}, {1}}, trim: -1, foreign: true,
+			wantErr: fmt.Sprintf("received vertex %d not owned by rank", m.NumVerts())},
 		{name: "incomplete-coverage", gridNew: [3]int{2, 1, 1}, heldBy: [][]int{{0, 2, 3}, {1}}, trim: 1,
 			wantErr: "never delivered"},
 		{name: "restore-line-disagreement", gridNew: [3]int{2, 1, 1}, heldBy: [][]int{{0, 2, 3}, {1}}, trim: -1,
@@ -116,6 +122,13 @@ func TestRedistribute(t *testing.T) {
 						h.Owned = h.Owned[:n]
 						for f := range h.Fields {
 							h.Fields[f] = h.Fields[f][:n]
+						}
+					}
+					if c.foreign && r.ID() == 0 {
+						h := &held[0]
+						h.Owned = append(h.Owned, m.NumVerts())
+						for f := range h.Fields {
+							h.Fields[f] = append(h.Fields[f], 0)
 						}
 					}
 					s, err := Redistribute(r, m, c.gridNew, app, held, 9100)

@@ -35,13 +35,17 @@ const (
 	dtypeI64 = 1
 )
 
-// Dataset is one named n-dimensional array with attributes. Exactly one of
-// F64/I64 is non-nil, with length equal to the product of Dims.
+// Dataset is one named n-dimensional array with attributes. A dataset with
+// elements holds them in exactly one of F64/I64 (or, made by CreateInt, in
+// ints, which WriteTo writes as int64), with length equal to the product of
+// Dims; an empty one holds none and is written as float64. Attrs is nil
+// until the first SetAttr.
 type Dataset struct {
 	Name  string
 	Dims  []int
 	F64   []float64
 	I64   []int64
+	ints  []int
 	Attrs map[string]string
 }
 
@@ -54,7 +58,10 @@ func (d *Dataset) Len() int {
 	return n
 }
 
-// File is an in-memory h5lite container.
+// File is an in-memory h5lite container. It refers to the slices its
+// datasets are created from (data and dims) instead of copying them, so a
+// caller that writes a container must leave them alone until WriteTo
+// returns.
 type File struct {
 	ds    map[string]*Dataset
 	order []string
@@ -72,55 +79,58 @@ func validName(name string) error {
 	return nil
 }
 
-func (f *File) create(name string, dims []int) (*Dataset, error) {
+// create adds a dataset of shape dims for n elements of data, once name,
+// dims and n have been checked. The dataset refers to dims.
+func (f *File) create(name string, dims []int, n int) (*Dataset, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
 	if _, dup := f.ds[name]; dup {
 		return nil, fmt.Errorf("h5lite: dataset %q exists", name)
 	}
-	n := 1
 	for _, d := range dims {
 		if d < 0 {
 			return nil, fmt.Errorf("h5lite: negative dimension in %v", dims)
 		}
-		n *= d
 	}
-	d := &Dataset{Name: name, Dims: append([]int(nil), dims...), Attrs: map[string]string{}}
+	d := &Dataset{Name: name, Dims: dims}
+	if n != d.Len() {
+		return nil, fmt.Errorf("h5lite: %q has %d elements for shape %v", name, n, dims)
+	}
 	f.ds[name] = d
 	f.order = append(f.order, name)
 	return d, nil
 }
 
 // CreateF64 adds a float64 dataset; len(data) must equal the product of
-// dims. The data is copied.
+// dims. The dataset refers to data and dims: see File.
 func (f *File) CreateF64(name string, dims []int, data []float64) error {
-	d, err := f.create(name, dims)
-	if err != nil {
-		return err
+	d, err := f.create(name, dims, len(data))
+	if err == nil && len(data) > 0 {
+		d.F64 = data
 	}
-	if len(data) != d.Len() {
-		delete(f.ds, name)
-		f.order = f.order[:len(f.order)-1]
-		return fmt.Errorf("h5lite: %q has %d elements for shape %v", name, len(data), dims)
-	}
-	d.F64 = append([]float64(nil), data...)
-	return nil
+	return err
 }
 
-// CreateI64 adds an int64 dataset.
+// CreateI64 adds an int64 dataset, referring to data and dims.
 func (f *File) CreateI64(name string, dims []int, data []int64) error {
-	d, err := f.create(name, dims)
-	if err != nil {
-		return err
+	d, err := f.create(name, dims, len(data))
+	if err == nil && len(data) > 0 {
+		d.I64 = data
 	}
-	if len(data) != d.Len() {
-		delete(f.ds, name)
-		f.order = f.order[:len(f.order)-1]
-		return fmt.Errorf("h5lite: %q has %d elements for shape %v", name, len(data), dims)
+	return err
+}
+
+// CreateInt adds an int64 dataset whose elements are data's ints, referring
+// to data and dims: a caller holding ids as []int writes them without
+// converting them first. Get shows the dataset's shape and attributes but
+// not its elements; ReadFrom reads them back as I64.
+func (f *File) CreateInt(name string, dims []int, data []int) error {
+	d, err := f.create(name, dims, len(data))
+	if err == nil && len(data) > 0 {
+		d.ints = data
 	}
-	d.I64 = append([]int64(nil), data...)
-	return nil
+	return err
 }
 
 // SetAttr attaches a string attribute to an existing dataset.
@@ -128,6 +138,9 @@ func (f *File) SetAttr(name, key, value string) error {
 	d, ok := f.ds[name]
 	if !ok {
 		return fmt.Errorf("h5lite: no dataset %q", name)
+	}
+	if d.Attrs == nil {
+		d.Attrs = map[string]string{}
 	}
 	d.Attrs[key] = value
 	return nil
@@ -145,7 +158,7 @@ func (f *File) EncodedLen() int {
 	n := len(Magic) + 4
 	for _, name := range f.order {
 		d := f.ds[name]
-		n += 4 + len(name) + 1 + 4 + 8*len(d.Dims) + 4 + 8*(len(d.F64)+len(d.I64))
+		n += 4 + len(name) + 1 + 4 + 8*len(d.Dims) + 4 + 8*(len(d.F64)+len(d.I64)+len(d.ints))
 		for k, v := range d.Attrs {
 			n += 4 + len(k) + 4 + len(v)
 		}
@@ -153,19 +166,20 @@ func (f *File) EncodedLen() int {
 	return n
 }
 
-// chunkBytes is how much WriteTo gathers before each Write and how much
-// ReadFrom asks for at once inside a dataset's data.
+// chunkBytes is how much WriteTo gathers before each Write to a writer
+// without room of its own, and how much ReadFrom asks for at once inside a
+// dataset's data.
 const chunkBytes = 4096
 
-// encoder gathers little-endian fields in a fixed chunk and hands it to w
-// whenever it is full: no reflection and no Write per element. The first
-// writer error sticks; n counts the bytes w accepted.
+// encoder gathers little-endian fields in buf and hands them to w whenever
+// buf is full: no reflection and no Write per element. The first writer
+// error sticks; n counts the bytes w accepted.
 type encoder struct {
 	w    io.Writer
 	n    int64
 	err  error
 	fill int
-	buf  [chunkBytes]byte
+	buf  []byte
 }
 
 func (e *encoder) flush() {
@@ -208,8 +222,22 @@ func (e *encoder) raw(s string) {
 }
 
 // WriteTo serialises the container. Datasets are written in creation order.
+//
+// A writer that offers spare capacity through AvailableBuffer, as
+// bytes.Buffer does, and has room for the whole container (see EncodedLen)
+// is encoded into in place and handed the bytes by one Write, which appends
+// them where they already lie. Any other writer gets them a chunkBytes chunk
+// at a time.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
-	e := &encoder{w: w}
+	e := encoder{w: w}
+	if a, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		if b, n := a.AvailableBuffer(), f.EncodedLen(); cap(b) >= n {
+			e.buf = b[:n]
+		}
+	}
+	if e.buf == nil {
+		e.buf = make([]byte, chunkBytes)
+	}
 	e.raw(Magic)
 	e.u32(uint32(len(f.order)))
 	for _, name := range f.order {
@@ -219,7 +247,7 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 		d := f.ds[name]
 		e.str(name)
 		var dtype byte = dtypeF64
-		if d.I64 != nil {
+		if d.I64 != nil || d.ints != nil {
 			dtype = dtypeI64
 		}
 		e.u8(dtype)
@@ -227,8 +255,10 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 		for _, dim := range d.Dims {
 			e.u64(uint64(dim))
 		}
-		// Attributes, sorted for deterministic output.
-		keys := make([]string, 0, len(d.Attrs))
+		// Attributes, sorted for deterministic output; a few fit in keyBuf
+		// without an allocation.
+		var keyBuf [8]string
+		keys := keyBuf[:0]
 		for k := range d.Attrs {
 			keys = append(keys, k)
 		}
@@ -245,6 +275,9 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 			}
 		case dtypeI64:
 			for _, v := range d.I64 {
+				e.u64(uint64(v))
+			}
+			for _, v := range d.ints {
 				e.u64(uint64(v))
 			}
 		}

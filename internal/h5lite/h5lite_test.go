@@ -347,3 +347,53 @@ func TestReadFromRejectsTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteToInPlaceMatchesReference: a bytes.Buffer with room for the whole
+// container is encoded into in place, behind what it already holds, with
+// the reference encoder's bytes and count, and never regrows; one byte short
+// of room, WriteTo falls back to chunks, the buffer regrows, and the bytes
+// are the same. A CreateInt dataset is
+// written as the CreateI64 dataset of the same values.
+func TestWriteToInPlaceMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		f := oracleContainer(t, seed)
+		var want bytes.Buffer
+		if _, err := refWriteTo(f, &want); err != nil {
+			t.Fatal(err)
+		}
+		for _, room := range []int{f.EncodedLen(), f.EncodedLen() - 1} {
+			got := bytes.NewBuffer(append(make([]byte, 0, 3+room), "abc"...))
+			before := &got.AvailableBuffer()[:1][0]
+			n, err := f.WriteTo(got)
+			if err != nil || n != int64(want.Len()) || !bytes.Equal(got.Bytes()[3:], want.Bytes()) {
+				t.Fatalf("seed %d, room %d: wrote %d bytes (%v), reference %d; equal = %v",
+					seed, room, n, err, want.Len(), bytes.Equal(got.Bytes()[3:], want.Bytes()))
+			}
+			if kept := &got.Bytes()[3] == before; kept != (room == f.EncodedLen()) {
+				t.Fatalf("seed %d, room %d: the container lies in the buffer's first room = %v", seed, room, kept)
+			}
+		}
+	}
+	ids := []int{7, -1, 1 << 40}
+	f, g := New(), New()
+	if err := f.CreateInt("ids", []int{1, 3}, ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateI64("ids", []int{1, 3}, []int64{7, -1, 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	var fb, gb bytes.Buffer
+	if _, err := f.WriteTo(&fb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refWriteTo(g, &gb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fb.Bytes(), gb.Bytes()) || f.EncodedLen() != gb.Len() {
+		t.Fatalf("CreateInt container: %d bytes (EncodedLen %d), CreateI64 reference %d; equal = %v",
+			fb.Len(), f.EncodedLen(), gb.Len(), bytes.Equal(fb.Bytes(), gb.Bytes()))
+	}
+	if err := f.CreateInt("bad", []int{2}, ids); err == nil {
+		t.Fatal("CreateInt accepted 3 ids for shape [2]")
+	}
+}
