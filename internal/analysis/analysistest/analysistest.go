@@ -40,12 +40,11 @@ import (
 	"heterohpc/internal/analysis/maporder"
 	"heterohpc/internal/analysis/obskind"
 	"heterohpc/internal/analysis/vcharge"
-	"heterohpc/internal/analysis/worldconsume"
 )
 
 // Heterolint is the repository's suite of invariant checkers, the one
 // TestHeterolint lints the module with.
-var Heterolint = []*analysis.Analyzer{maporder.Analyzer, vcharge.Analyzer, worldconsume.Analyzer, obskind.Analyzer}
+var Heterolint = []*analysis.Analyzer{maporder.Analyzer, vcharge.Analyzer, obskind.Analyzer}
 
 // Program is the loaded packages of one source tree.
 type Program struct {

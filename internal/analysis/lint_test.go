@@ -50,8 +50,8 @@ func lint(t *testing.T, prog *analysistest.Program) []string {
 	return out
 }
 
-// TestHeterolint runs maporder, vcharge, worldconsume and obskind over every
-// package of the module and fails on each finding. See EXPERIMENTS.md
+// TestHeterolint runs maporder, vcharge and obskind over every package of
+// the module and fails on each finding. See EXPERIMENTS.md
 // § Static analysis for what each enforces and when a //heterolint:allow
 // suppression is acceptable.
 func TestHeterolint(t *testing.T) {

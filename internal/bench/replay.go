@@ -244,7 +244,7 @@ func ReplayFromCheckpoint(o FaultOptions, divStep int) (*ReplayDump, error) {
 // stateNorms returns the ℓ2 and max-abs norms of v.
 func stateNorms(v []float64) (l2, maxAbs float64) {
 	for _, x := range v {
-		l2 += x * x
+		l2 += float64(x * x)
 		if a := math.Abs(x); a > maxAbs {
 			maxAbs = a
 		}

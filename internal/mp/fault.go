@@ -75,6 +75,9 @@ type degradeWindow struct {
 // crashes is allowed; the first one reached poisons the world (arm events
 // one at a time for a fully deterministic failure order).
 func (w *World) ScheduleNodeCrash(node int, at float64) error {
+	if err := w.live(); err != nil {
+		return err
+	}
 	if node < 0 || node >= w.topo.NNodes() {
 		return fmt.Errorf("mp: crash on node %d of %d", node, w.topo.NNodes())
 	}
@@ -97,6 +100,9 @@ func (w *World) ScheduleNodeCrash(node int, at float64) error {
 // slower while their virtual clocks are in [from, until) — a transient
 // link degradation or straggler node. Must be called before Run.
 func (w *World) ScheduleDegrade(node int, from, until, factor float64) error {
+	if err := w.live(); err != nil {
+		return err
+	}
 	if node < 0 || node >= w.topo.NNodes() {
 		return fmt.Errorf("mp: degrade on node %d of %d", node, w.topo.NNodes())
 	}
@@ -109,6 +115,11 @@ func (w *World) ScheduleDegrade(node int, from, until, factor float64) error {
 
 // Failure returns the injected failure that poisoned the world, if any.
 func (w *World) Failure() (Failure, bool) {
+	must(w.live())
+	return w.recorded()
+}
+
+func (w *World) recorded() (Failure, bool) {
 	w.failMu.Lock()
 	defer w.failMu.Unlock()
 	return w.failure, w.down
@@ -117,6 +128,11 @@ func (w *World) Failure() (Failure, bool) {
 // MaxVirtualTime returns the largest per-rank virtual time — after an
 // aborted run, the fleet time burned before the failure stopped it.
 func (w *World) MaxVirtualTime() float64 {
+	must(w.live())
+	return w.maxVirtualTime()
+}
+
+func (w *World) maxVirtualTime() float64 {
 	var max float64
 	for _, c := range w.clocks {
 		if t := c.Now(); t > max {

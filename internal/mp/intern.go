@@ -39,7 +39,10 @@ type interned struct {
 
 // UseInterns points the world at t, which its ranks' Intern calls then
 // share with every other world handed t. It must be called before Run.
-func (w *World) UseInterns(t *InternTable) { w.interns = t }
+func (w *World) UseInterns(t *InternTable) {
+	must(w.live())
+	w.interns = t
+}
 
 // Prune ends a job: it drops every entry the job did not file or adopt,
 // and every failed build, so the table holds at most one job's entries. It

@@ -31,6 +31,7 @@
 package mp
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -356,8 +357,8 @@ type World struct {
 	obsRun *obs.Run
 	recs   []*obs.Recorder
 
-	// consumed marks a world Reform has re-formed; it must not Run again
-	// (Reform revoked its mailboxes).
+	// consumed marks a world Reform has re-formed; every exported method
+	// refuses it (see live).
 	consumed bool
 
 	// allreduce is the shared state of Allreduce and AllreduceScalar, set up
@@ -409,14 +410,44 @@ func NewWorld(topo Topology, fabric *netmodel.Fabric, rater vclock.ComputeRater)
 	return w, nil
 }
 
+var errConsumed = errors.New("mp: world was consumed by Reform; use the re-formed world")
+
+// live is the first call of every exported World method: errConsumed once
+// Reform has consumed the world, returned by a method with an error result
+// (Run and Reform in their own words) and panicked by the rest. The
+// package's own callers read the fields or an unexported twin instead, so
+// no Rank path pays for the check.
+func (w *World) live() error {
+	if w.consumed {
+		return errConsumed
+	}
+	return nil
+}
+
+// must panics with a non-nil err.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // Size returns the number of ranks.
-func (w *World) Size() int { return w.topo.NRanks() }
+func (w *World) Size() int {
+	must(w.live())
+	return w.topo.NRanks()
+}
 
 // Topology returns the world's rank/node/group layout.
-func (w *World) Topology() Topology { return w.topo }
+func (w *World) Topology() Topology {
+	must(w.live())
+	return w.topo
+}
 
 // Clocks returns the per-rank virtual clocks (valid after Run for reports).
-func (w *World) Clocks() []*vclock.Clock { return w.clocks }
+func (w *World) Clocks() []*vclock.Clock {
+	must(w.live())
+	return w.clocks
+}
 
 // Observe attaches an observability sink to the world: every rank gets an
 // event recorder bound to its virtual clock, phase transitions are mirrored
@@ -424,6 +455,7 @@ func (w *World) Clocks() []*vclock.Clock { return w.clocks }
 // called before Run; a nil run leaves the world unobserved (the default,
 // which costs nothing on the message hot paths).
 func (w *World) Observe(run *obs.Run) {
+	must(w.live())
 	if run == nil {
 		return
 	}
@@ -443,12 +475,13 @@ func (w *World) Observe(run *obs.Run) {
 // virtual time. Call once after Run has returned; a no-op when the world is
 // unobserved.
 func (w *World) FlushObs() {
+	must(w.live())
 	if w.obsRun == nil {
 		return
 	}
 	gets, puts := w.gets.Load(), w.puts.Load()
 	if gets+puts > 0 {
-		w.obsRun.Global().PoolStats(w.MaxVirtualTime(), gets, puts)
+		w.obsRun.Global().PoolStats(w.maxVirtualTime(), gets, puts)
 	}
 }
 
@@ -467,10 +500,10 @@ func (e *RankError) Unwrap() error { return e.Err }
 // (by rank order) if any rank fails or panics. Run may be called once per
 // World.
 func (w *World) Run(body func(r *Rank) error) error {
-	if w.consumed {
+	if w.live() != nil {
 		return fmt.Errorf("mp: world was consumed by Reform; run the re-formed world instead")
 	}
-	p := w.Size()
+	p := w.topo.NRanks()
 	errs := make([]error, p)
 	w.allreduce.slots = make([]allreduceSlot, p)
 	for i := range w.allreduce.slots {
@@ -496,7 +529,7 @@ func (w *World) Run(body func(r *Rank) error) error {
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, dead := rec.(killedPanic); dead {
-						if f, down := w.Failure(); down {
+						if f, down := w.recorded(); down {
 							errs[rk.id] = fmt.Errorf("node %d failed at virtual t=%.3fs: %w",
 								f.Node, f.At, ErrRankDead)
 						} else {
@@ -543,7 +576,7 @@ type Rank struct {
 func (r *Rank) ID() int { return r.id }
 
 // Size returns the number of ranks in the world.
-func (r *Rank) Size() int { return r.world.Size() }
+func (r *Rank) Size() int { return r.world.topo.NRanks() }
 
 // Clock returns the rank's virtual clock.
 func (r *Rank) Clock() *vclock.Clock { return r.clk }
@@ -582,6 +615,11 @@ const msgHeaderBytes = 64
 // supervisor uses it to cost a notice-window evacuation before committing to
 // it.
 func (w *World) PriceBytes(src, dst, payloadBytes int) float64 {
+	must(w.live())
+	return w.priceBytes(src, dst, payloadBytes)
+}
+
+func (w *World) priceBytes(src, dst, payloadBytes int) float64 {
 	return w.fabric.P2P(
 		payloadBytes+msgHeaderBytes,
 		w.topo.SameNode(src, dst),
@@ -593,7 +631,7 @@ func (w *World) PriceBytes(src, dst, payloadBytes int) float64 {
 // chargeSend advances the sender clock for a payload of n bytes to dst and
 // returns the virtual arrival time at dst.
 func (r *Rank) chargeSend(dst, payloadBytes int) float64 {
-	t := r.world.PriceBytes(r.id, dst, payloadBytes) * r.commFactor()
+	t := float64(r.world.priceBytes(r.id, dst, payloadBytes) * r.commFactor())
 	start := r.clk.Now()
 	r.clk.ChargeComm(t, payloadBytes)
 	r.rec.CountMsg(payloadBytes)

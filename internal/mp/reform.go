@@ -51,12 +51,13 @@ type Reformed struct {
 // with ErrRankDead: the failed node's ranks are dropped, surviving ranks
 // and nodes are renumbered order-preserving, pending mailbox traffic to or
 // from the dead is revoked, and ranksPerNewNode[i] ranks are appended on a
-// new node in placement group groupOfNewNode[i]. The old world is consumed
-// (it cannot Run again); the re-formed world is fresh — it has no fault
-// schedule, no observer, and may Run exactly once, with each survivor's
-// clock continuing at the virtual time the rank had reached when it
-// unwound and each new rank's starting at joinAt, the virtual time its
-// node came online. It shares the old world's intern table.
+// new node in placement group groupOfNewNode[i]. The old world is consumed:
+// every exported method refuses it from then on, with an error where the
+// method returns one and a panic elsewhere. The re-formed world is fresh —
+// it has no fault schedule, no observer, and may Run exactly once, with
+// each survivor's clock continuing at the virtual time the rank had reached
+// when it unwound and each new rank's starting at joinAt, the virtual time
+// its node came online. It shares the old world's intern table.
 //
 // Besides the recorded failure node it also drops alsoDoomed — nodes the
 // supervisor knows are about to be reclaimed (a preemption wave) even
@@ -65,12 +66,12 @@ type Reformed struct {
 // one revoke, one new world, one continuation, instead of a step per
 // casualty. Arguments are checked before the world is consumed.
 func (w *World) Reform(alsoDoomed, ranksPerNewNode, groupOfNewNode []int, joinAt float64) (*Reformed, error) {
-	f, down := w.Failure()
+	if w.live() != nil {
+		return nil, fmt.Errorf("mp: world already re-formed")
+	}
+	f, down := w.recorded()
 	if !down {
 		return nil, fmt.Errorf("mp: Reform on a world that recorded no failure")
-	}
-	if w.consumed {
-		return nil, fmt.Errorf("mp: world already re-formed")
 	}
 	if len(groupOfNewNode) != len(ranksPerNewNode) {
 		return nil, fmt.Errorf("mp: Reform got %d rank counts but %d groups",
@@ -85,7 +86,7 @@ func (w *World) Reform(alsoDoomed, ranksPerNewNode, groupOfNewNode []int, joinAt
 		return nil, fmt.Errorf("mp: new nodes join at invalid virtual time %v", joinAt)
 	}
 
-	p := w.Size()
+	p := w.topo.NRanks()
 	nnodes := w.topo.NNodes()
 	doomed := make([]bool, nnodes)
 	doomed[f.Node] = true

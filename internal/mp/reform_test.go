@@ -3,7 +3,9 @@ package mp
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,11 +44,17 @@ func reformAll(t *testing.T, w *World, alsoDoomed ...int) *Reformed {
 
 func TestReformDropsDeadNodeAndRenumbers(t *testing.T) {
 	w := crashWorld(t, 8, 2, 1, 0.005) // kills ranks 2,3
+	// Reform consumes w: read its failure and clocks first.
+	f, _ := w.Failure()
+	oldNow := make([]float64, w.Size())
+	for r, c := range w.Clocks() {
+		oldNow[r] = c.Now()
+	}
 	rf := reformAll(t, w)
 	if got := rf.World.Size(); got != 6 {
 		t.Fatalf("survivor world has %d ranks, want 6", got)
 	}
-	if f, _ := w.Failure(); f.Node != 1 {
+	if f.Node != 1 {
 		t.Fatalf("recorded failure on node %d, want 1", f.Node)
 	}
 	if want := []int{2, 3}; !slices.Equal(rf.DeadRanks, want) {
@@ -64,10 +72,10 @@ func TestReformDropsDeadNodeAndRenumbers(t *testing.T) {
 	}
 	// Survivor clocks carry the pre-loss virtual times.
 	for newR, oldR := range rf.NewToOld {
-		if got, want := rf.World.Clocks()[newR].Now(), w.Clocks()[oldR].Now(); got != want {
+		if got, want := rf.World.Clocks()[newR].Now(), oldNow[oldR]; got != want {
 			t.Fatalf("new rank %d clock %v, want carried %v", newR, got, want)
 		}
-		if w.Clocks()[oldR].Now() <= 0 {
+		if oldNow[oldR] <= 0 {
 			t.Fatalf("old rank %d clock never advanced", oldR)
 		}
 	}
@@ -128,7 +136,7 @@ func TestReformDropsTwoNodesAndJoinsTwo(t *testing.T) {
 	if want := []int{0, 0, 1, 1, 2, 2, 3, 3}; !slices.Equal(topo.NodeOf, want) {
 		t.Fatalf("NodeOf %v, want %v", topo.NodeOf, want)
 	}
-	wantGroups := []int{w.Topology().GroupOfNode[0], w.Topology().GroupOfNode[2], 1, 0}
+	wantGroups := []int{w.topo.GroupOfNode[0], w.topo.GroupOfNode[2], 1, 0}
 	if !slices.Equal(topo.GroupOfNode, wantGroups) {
 		t.Fatalf("GroupOfNode %v, want %v", topo.GroupOfNode, wantGroups)
 	}
@@ -142,7 +150,7 @@ func TestReformDropsTwoNodesAndJoinsTwo(t *testing.T) {
 	for newR, oldR := range rf.NewToOld {
 		want := joinAt
 		if oldR >= 0 {
-			want = w.Clocks()[oldR].Now()
+			want = w.clocks[oldR].Now()
 		}
 		if got := rf.World.Clocks()[newR].Now(); got != want {
 			t.Fatalf("new rank %d (old %d) clock %v, want %v", newR, oldR, got, want)
@@ -232,7 +240,7 @@ func TestReformDropsCorrelatedSet(t *testing.T) {
 	if got := rf.World.Size(); got != 4 {
 		t.Fatalf("survivor world has %d ranks, want 4", got)
 	}
-	if f, _ := w.Failure(); f.Node != 1 {
+	if f, _ := w.recorded(); f.Node != 1 {
 		t.Fatalf("recorded failure on node %d, want 1", f.Node)
 	}
 	if want := []int{2, 3, 6, 7}; !slices.Equal(rf.DeadRanks, want) {
@@ -247,7 +255,7 @@ func TestReformDropsCorrelatedSet(t *testing.T) {
 	}
 	// Survivor clocks carry, exactly as when only the failure node goes.
 	for newR, oldR := range rf.NewToOld {
-		if got, want := rf.World.Clocks()[newR].Now(), w.Clocks()[oldR].Now(); got != want {
+		if got, want := rf.World.Clocks()[newR].Now(), w.clocks[oldR].Now(); got != want {
 			t.Fatalf("new rank %d clock %v, want carried %v", newR, got, want)
 		}
 	}
@@ -284,4 +292,53 @@ func TestReformValidation(t *testing.T) {
 		t.Fatalf("duplicate doomed node changed the outcome: %d ranks, OldToNewNode %v, want 6 and %v",
 			rf.World.Size(), rf.OldToNewNode, want)
 	}
+}
+
+// TestReformConsumedWorldRefusesEveryMethod calls each exported method of a
+// world Reform consumed: one with an error result must return an "mp:"
+// error, any other must panic with one. The methods come from reflection,
+// so a method added without the check has no row here and fails the test.
+func TestReformConsumedWorldRefusesEveryMethod(t *testing.T) {
+	w := crashWorld(t, 8, 2, 1, 0.005)
+	reformAll(t, w)
+	// Each call's arguments are ones a live world accepts.
+	calls := map[string]func() error{
+		"Run":               func() error { return w.Run(func(*Rank) error { return nil }) },
+		"Reform":            func() error { _, err := w.Reform(nil, nil, nil, 0); return err },
+		"ScheduleNodeCrash": func() error { return w.ScheduleNodeCrash(0, 1) },
+		"ScheduleDegrade":   func() error { return w.ScheduleDegrade(0, 0, 1, 2) },
+		"Failure":           func() error { w.Failure(); return nil },
+		"MaxVirtualTime":    func() error { w.MaxVirtualTime(); return nil },
+		"UseInterns":        func() error { w.UseInterns(new(InternTable)); return nil },
+		"Size":              func() error { w.Size(); return nil },
+		"Topology":          func() error { w.Topology(); return nil },
+		"Clocks":            func() error { w.Clocks(); return nil },
+		"Observe":           func() error { w.Observe(nil); return nil },
+		"FlushObs":          func() error { w.FlushObs(); return nil },
+		"PriceBytes":        func() error { w.PriceBytes(0, 1, 8); return nil },
+	}
+	errType := reflect.TypeFor[error]()
+	typ := reflect.TypeOf(w)
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		call, ok := calls[m.Name]
+		if !ok {
+			t.Errorf("World.%s has no row: give it one that calls it on the consumed world", m.Name)
+			continue
+		}
+		returned, panicked := refusal(call)
+		if n := m.Type.NumOut(); n > 0 && m.Type.Out(n-1) == errType {
+			if returned == nil || !strings.HasPrefix(returned.Error(), "mp: ") || panicked != nil {
+				t.Errorf("World.%s on a consumed world returned %v and panicked %v, want an mp: error", m.Name, returned, panicked)
+			}
+		} else if err, _ := panicked.(error); err == nil || !strings.HasPrefix(err.Error(), "mp: ") {
+			t.Errorf("World.%s on a consumed world panicked %v, want an mp: error", m.Name, panicked)
+		}
+	}
+}
+
+// refusal runs call and gives what it returned or panicked with.
+func refusal(call func() error) (returned error, panicked any) {
+	defer func() { panicked = recover() }()
+	return call(), nil
 }
