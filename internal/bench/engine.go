@@ -161,8 +161,8 @@ func (e *engine) run() (*RecoveryReport, *generation, error) {
 		var result *core.Report
 		if e.world == nil {
 			result, pt.af, err = e.s.tg.Attempt(core.JobSpec{
-				Ranks: e.gen.ranks, RanksPerNode: o.RanksPerNode, App: e.gen,
-				SkipSteps: o.SkipSteps, MemPerRankGB: e.s.mem, Faults: events, Obs: o.Obs,
+				Ranks: e.gen.ranks, RanksPerNode: o.RanksPerNode, App: e.gen, SkipSteps: o.SkipSteps,
+				MemPerRankGB: e.s.mem * (float64(o.Ranks) / float64(e.gen.ranks)), Faults: events, Obs: o.Obs,
 			})
 		} else {
 			result, pt.af, err = e.s.tg.ResumeAttempt(e.world, e.gen, o.SkipSteps, events)
@@ -254,7 +254,7 @@ func (e *engine) fold() {
 func (e *engine) complete(result *core.Report, attempt int) {
 	rep, g := e.rep, e.gen
 	rep.Final = result
-	rep.FinalRanks = g.ranks
+	rep.FinalRanks, rep.Degraded = g.ranks, g.ranks < rep.Ranks
 	rep.FinalVirtualS = virtualDuration(result)
 	rep.RecoveryCostUSD += e.premiumPerHour * rep.FinalVirtualS / 3600
 	e.sh.Survivors, e.sh.Grid = g.ranks, g.grid
@@ -346,36 +346,38 @@ func (e *engine) recordReplacement(at float64, nd spot.Node, bid float64) {
 	}
 }
 
-// degrade re-partitions the job onto the largest cube at most toRanks: a new
-// (smaller) weak-scaling problem launched from scratch. Its launch has fewer
-// nodes than the plan was drawn for, so the plan's slots are renumbered
-// onto them: the surviving slots take the new nodes in plan order, and the
-// lost slot and those beyond the new node count are released (-1), so arm
-// drops the events still aimed at them.
-func (e *engine) degrade(pt *recoveryPoint, toRanks int, why string) error {
-	o, ranks := e.s.o, e.gen.ranks
-	to := degradedShape(ranks, toRanks)
-	if to < 1 {
-		return fmt.Errorf("bench: cannot degrade below 1 rank (%s)", why)
-	}
-	e.rec.Record(pt.stopAt, "degrade", "re-partitioning onto %d of %d ranks (%s); checkpoints at the old size are discarded",
-		to, ranks, why)
-	e.rep.Degraded = true
+// degrade moves the job onto one node fewer when restart can buy no
+// replacement: the submitted mesh, re-partitioned onto the smaller launch,
+// resumed from a restore line on stable storage — the generation's own
+// once it has one, else the line its fragments came from. The launch has
+// fewer nodes than the plan was drawn for, so the plan's slots are
+// renumbered onto them: the surviving slots take the new nodes in plan
+// order and the lost slot is released (-1), so arm drops the events still
+// aimed at it.
+func (e *engine) degrade(pt *recoveryPoint, wasted float64, why string) error {
+	g, cpn := e.gen, e.s.cpn
+	to := ((g.ranks+cpn-1)/cpn - 1) * cpn
+	e.rec.Record(pt.stopAt, "degrade", "re-partitioning onto %d of %d ranks (%s)", to, g.ranks, why)
 	e.nodeMap[pt.origSlots[0]] = -1
-	next, nodes := 0, (to+e.s.cpn-1)/e.s.cpn
+	next := 0
 	for on, cn := range e.nodeMap {
-		e.nodeMap[on] = -1
-		if cn >= 0 && next < nodes {
+		if cn >= 0 {
 			e.nodeMap[on] = next
 			next++
 		}
 	}
-	store, err := e.launchStore(to)
-	if err != nil {
-		return err
+	src := g.store
+	line, _ := src.line(e.s.o.Steps - 1)
+	if line < 0 && g.from != nil {
+		src = g.from
+		line, _ = src.line(e.s.o.Steps - 1)
 	}
-	e.gen, _, err = weakGeneration(o.App, to, o.PerRankN, o.Steps, store)
-	e.world = nil
+	topo, err := mp.BlockTopology(to, cpn)
+	if err != nil {
+		return fmt.Errorf("bench: cannot degrade onto %d ranks: %w", to, err)
+	}
+	// On stable storage heldAt reads only the new width off toOld.
+	e.gen, err = e.repartition(pt.stopAt, topo, nil, src, make([]int, to), pt.doomed, line, wasted)
 	return err
 }
 
@@ -383,13 +385,13 @@ func (e *engine) degrade(pt *recoveryPoint, toRanks int, why string) error {
 // for, and the job relaunches. From stable storage that means buying one
 // replacement through provision (spot first, on-demand fallback — the
 // paper's "mix" — or a cold spare where there is no market), degrading to
-// fewer ranks at once when none can be had, backing off unless a notice
+// one node fewer at once when none can be had, backing off unless a notice
 // staged the replacement, and resuming every rank from the restore line.
 // From node memory it is the last rung of the ladder — nothing survived to
 // continue on — so the current shape relaunches cold.
 func (e *engine) restart(pt *recoveryPoint, attempt int) error {
 	g := e.gen
-	e.wasteSince(pt, -1, 0)
+	wasted := e.wasteSince(pt, -1, 0)
 	e.world = nil
 	if !e.stable {
 		e.rec.Record(pt.stopAt, "restart", "cold restart at %d ranks (grid %dx%dx%d)",
@@ -406,23 +408,16 @@ func (e *engine) restart(pt *recoveryPoint, attempt int) error {
 	}
 
 	// Replace the lost node, or — when nothing can be bought — degrade to
-	// the shape one node smaller. Restart does not retry an exhausted
-	// market: it degrades at once.
+	// one node fewer. Restart does not retry an exhausted market: it
+	// degrades at once.
 	got, _, err := e.provision(pt, 1, 0, pt.reactAt())
 	if err != nil {
 		return err
 	}
-	degraded := got == 0
-	if degraded {
-		why := "no replacement capacity"
-		if e.market != nil {
-			e.rec.Record(pt.reactAt(), "provision", "spot and on-demand supply exhausted; no replacement for node %d", pt.origSlots[0])
-			why = "market exhausted"
-		}
-		oneNodeLess := ((g.ranks+e.s.cpn-1)/e.s.cpn - 1) * e.s.cpn
-		if err := e.degrade(pt, oneNodeLess, why); err != nil {
-			return err
-		}
+	degraded, why := got == 0, "no replacement capacity"
+	if degraded && e.market != nil {
+		e.rec.Record(pt.reactAt(), "provision", "spot and on-demand supply exhausted; no replacement for node %d", pt.origSlots[0])
+		why = "market exhausted"
 	}
 
 	switch {
@@ -442,20 +437,31 @@ func (e *engine) restart(pt *recoveryPoint, attempt int) error {
 		e.rep.BackoffS += d
 		e.rec.Record(pt.stopAt+d, "backoff", "retrying after %.1fs (attempt %d)", d, attempt)
 	}
+	if degraded {
+		return e.degrade(pt, wasted, why)
+	}
 
 	// The cross-rank restore line: ranks killed one step apart all fall back
-	// to the latest step every rank saved (a degraded job has none).
-	store := e.gen.store
+	// to the latest step every rank saved. A degraded generation that saved
+	// no line of its own redistributes its fragments again.
+	store := g.store
 	hi := store.newest()
 	lo, _ := store.line(math.MaxInt)
 	store.rollback(lo)
+	if lo >= 0 {
+		g.held, g.from = nil, nil
+	}
 	switch {
 	case lo >= 0 && hi > lo:
 		e.rec.Record(0, "restore", "attempt %d resumes all %d ranks from the checkpoint after step %d (step-%d blobs from ranks that raced ahead are discarded)",
-			attempt+1, e.gen.ranks, lo, hi)
+			attempt+1, g.ranks, lo, hi)
 	case lo >= 0:
 		e.rec.Record(0, "restore", "attempt %d resumes all %d ranks from the checkpoint after step %d",
-			attempt+1, e.gen.ranks, lo)
+			attempt+1, g.ranks, lo)
+	case g.held != nil:
+		line, _ := g.from.line(e.s.o.Steps - 1)
+		e.rec.Record(0, "restore", "attempt %d redistributes the checkpoint after step %d onto all %d ranks again (they saved no later step)",
+			attempt+1, line, g.ranks)
 	}
 	return nil
 }
@@ -472,11 +478,9 @@ type growth struct {
 // reform is the one re-formation step behind both elastic verbs: the doomed
 // nodes take their memory with them, the restore line is fixed, one
 // mp.World.Reform drops them from the world (and, for a migration, adds the
-// acquired nodes), the rolled-back span goes on the waste ledger, the
-// global mesh is re-partitioned onto the new rank count, and the next
-// generation is set up to open with the agreement round and redistribute
-// from whatever fragments its ranks hold, checkpointing into a fresh store
-// on the new topology.
+// acquired nodes), the rolled-back span goes on the waste ledger, and
+// repartition sets up the next generation, which opens with the agreement
+// round.
 //
 // A shrink (grow nil) restores the line that SURVIVED the loss; a migration
 // restores the line it evacuated, taken at the notice while the doomed nodes
@@ -504,7 +508,7 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 	e.sh.Shrinks++
 	e.sh.RevokedMsgs += rf.Revoked
 	e.sh.DeadNodes = append(e.sh.DeadNodes, pt.origSlots...)
-	world, toOld := rf.World, rf.NewToOld
+	world := rf.World
 	// rf.Revoked counts only the messages pending to or from a dead rank.
 	if grow == nil {
 		e.rec.Record(at, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
@@ -521,33 +525,9 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 	// way back to the start.
 	wasted := e.wasteSince(pt, line, lineAtS)
 
-	ranks := world.Size()
-	grid, err := partition.BalancedGrid(ranks, g.m.Nx, g.m.Ny, g.m.Nz)
+	next, err := e.repartition(at, world.Topology(), grow, store, rf.NewToOld, pt.doomed, line, wasted)
 	if err != nil {
-		return fmt.Errorf("bench: cannot repartition onto %d ranks: %w", ranks, err)
-	}
-	if grow == nil {
-		e.rec.Record(at, "repartition", "global mesh %dx%dx%d re-partitioned onto grid %dx%dx%d",
-			g.m.Nx, g.m.Ny, g.m.Nz, grid[0], grid[1], grid[2])
-		if part, perr := partition.Block(g.m, grid[0], grid[1], grid[2]); perr == nil {
-			if q, qerr := partition.Evaluate(partition.DualGraph{M: g.m}, part, ranks); qerr == nil {
-				e.sh.PartitionImbalance = q.Imbalance
-			}
-		}
-	}
-
-	next := g.next(grid, ranks, e.newStore(world.Topology()))
-	warm, cold := "survivors resume from the mirrored checkpoint", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)"
-	if grow != nil {
-		warm, cold = "continuation resumes from the evacuated checkpoint", "no checkpoint preceded the notice; the full-width world restarts the stepping from scratch (cold migration)"
-	}
-	if e.sh.RestoreStep = max(line, 0); line >= 1 {
-		e.rec.Record(at, "restore", "%s after step %d (rollback %.3fs)", warm, line, wasted)
-		if next.held, err = store.heldAt(o.App, toOld, pt.doomed, line); err != nil {
-			return err
-		}
-	} else {
-		e.rec.Record(at, "restore", "%s", cold)
+		return err
 	}
 	// The continuation opens with the agreement collective over the
 	// pre-loss rank space.
@@ -573,6 +553,47 @@ func (e *engine) reform(pt *recoveryPoint, grow *growth) error {
 	// continuation's traffic lands in the same journal.
 	world.Observe(o.Obs)
 	e.world, e.gen = world, next
-	e.rep.Degraded = ranks < o.Ranks
 	return nil
+}
+
+// repartition ends every move onto another rank count — a shrink, a
+// migration, a degrade — with the next generation: the submitted mesh on a
+// balanced grid of topo's ranks, a fresh store on topo, and a
+// redistribution of src's copies at the restore line (see heldAt), or with
+// no line a start from scratch. A rank count BalancedGrid refuses is the
+// run's error.
+func (e *engine) repartition(at float64, topo mp.Topology, grow *growth, src *snapshotStore, toOld, dead []int, line int, wasted float64) (*generation, error) {
+	g, ranks := e.gen, topo.NRanks()
+	grid, err := partition.BalancedGrid(ranks, g.m.Nx, g.m.Ny, g.m.Nz)
+	if err != nil {
+		return nil, fmt.Errorf("bench: cannot repartition onto %d ranks: %w", ranks, err)
+	}
+	if grow == nil {
+		e.rec.Record(at, "repartition", "global mesh %dx%dx%d re-partitioned onto grid %dx%dx%d",
+			g.m.Nx, g.m.Ny, g.m.Nz, grid[0], grid[1], grid[2])
+		if part, perr := partition.Block(g.m, grid[0], grid[1], grid[2]); perr == nil {
+			if q, qerr := partition.Evaluate(partition.DualGraph{M: g.m}, part, ranks); qerr == nil {
+				e.sh.PartitionImbalance = q.Imbalance
+			}
+		}
+	}
+
+	next := g.next(grid, ranks, e.newStore(topo))
+	warm, cold := "survivors resume from the mirrored checkpoint", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)"
+	switch {
+	case e.stable:
+		warm, cold = "the degraded job resumes from the stable checkpoint", "no common stable step; the degraded job restarts the stepping from scratch"
+	case grow != nil:
+		warm, cold = "continuation resumes from the evacuated checkpoint", "no checkpoint preceded the notice; the full-width world restarts the stepping from scratch (cold migration)"
+	}
+	if e.sh.RestoreStep = max(line, 0); line >= 1 {
+		e.rec.Record(at, "restore", "%s after step %d (rollback %.3fs)", warm, line, wasted)
+		if next.held, err = src.heldAt(g.sol.app, toOld, dead, line); err != nil {
+			return nil, err
+		}
+		next.from = src
+	} else {
+		e.rec.Record(at, "restore", "%s", cold)
+	}
+	return next, nil
 }

@@ -111,8 +111,11 @@ type generation struct {
 	store *snapshotStore
 	// held are per-rank fragment lists for the redistribution (nil: resume
 	// from the store or from scratch — first generation, restart, or a cold
-	// re-formation).
+	// re-formation), and from the store they were assembled from: a
+	// degraded generation that saved no line of its own restores from it
+	// again.
 	held [][]checkpoint.Snapshot
+	from *snapshotStore
 	// suspect is the local suspicion bitmap every rank feeds AgreeDead (nil:
 	// no agreement round).
 	suspect []bool

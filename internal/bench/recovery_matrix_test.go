@@ -158,24 +158,32 @@ func matrixRun(t *testing.T, sc matrixScenario, policy string, cleanS map[string
 		}
 		o.Plan = &fault.Plan{Seed: o.Seed, Events: sc.plan(c)}
 	}
-	rep, journal, err := runJournaled(o)
+	rep, _, journal, err := runJournaled(o)
 	if err != nil {
 		t.Fatalf("RunSupervised: %v", err)
 	}
 	return FormatRecovery(rep), journal
 }
 
-// runJournaled runs o supervised under a fresh observer and returns the
-// report and the journal bytes.
-func runJournaled(o FaultOptions) (*RecoveryReport, []byte, error) {
+// runJournaled runs o supervised, as RunSupervised does, under a fresh
+// observer and returns the report, the final generation and the journal
+// bytes.
+func runJournaled(o FaultOptions) (*RecoveryReport, *generation, []byte, error) {
+	if err := ValidateFaults(o); err != nil {
+		return nil, nil, nil, err
+	}
 	o.Obs = obs.NewRun()
-	rep, err := RunSupervised(o)
+	s, err := newSuperSetup(o.withDefaults())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	rep, gen, err := supervise(s)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	var j bytes.Buffer
 	err = o.Obs.WriteJournal(&j)
-	return rep, j.Bytes(), err
+	return rep, gen, j.Bytes(), err
 }
 
 func sha(b []byte) string {

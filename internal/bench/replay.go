@@ -52,7 +52,7 @@ type ReplayDump struct {
 // anchorStore is the replay tap's collector: every checkpoint written at the
 // submitted width with step ≤ anchor, whichever generation of whichever
 // policy wrote it (a degraded or re-formed world at another width does not
-// anchor, exactly as a restart after degradation never did).
+// anchor).
 type anchorStore struct {
 	mu     sync.Mutex
 	width  int

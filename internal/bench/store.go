@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"heterohpc/internal/checkpoint"
@@ -210,43 +211,50 @@ func (s *snapshotStore) newest() int {
 	return hi
 }
 
-// heldAt assembles the per-rank held-fragment lists a re-formed world
-// redistributes from. toOld maps each rank of the next world to its rank in
-// this store's numbering (-1 for ranks that joined at a Grow and hold
-// nothing). Each old rank contributes its own surviving copy at the restore
-// line, the buddy copies it holds for origins that lived on the dead nodes,
-// and any refugee copies an evacuation re-homed onto it.
+// heldAt assembles the per-rank held-fragment lists a world on another
+// rank count redistributes from. toOld maps each rank of the next world to
+// its rank in this store's numbering (-1 for ranks that joined at a Grow
+// and hold nothing). In node memory each old rank contributes its own
+// surviving copy at the restore line, the buddy copies it holds for
+// origins that lived on the dead nodes, and any refugee copies an
+// evacuation re-homed onto it. On stable storage nothing was lost and
+// nothing resides on a node, so toOld gives only the new width n: rank r
+// takes the copies of origins r, r+n, r+2n, ….
 func (s *snapshotStore) heldAt(app string, toOld, deadNodes []int, line int) ([][]checkpoint.Snapshot, error) {
-	dead := make([]bool, s.topo.NNodes())
-	for _, n := range deadNodes {
-		dead[n] = true
-	}
 	held := make([][]checkpoint.Snapshot, len(toOld))
 	for newR, oldR := range toOld {
 		if oldR < 0 {
 			continue
 		}
 		var snaps []snap
-		if sn, ok := s.copyAt(oldR, line); ok {
-			snaps = append(snaps, sn)
-		}
-		for _, origin := range checkpoint.Protects(*s.topo, oldR) {
-			if !dead[s.topo.NodeOf[origin]] {
-				continue // origin alive: it contributes its own copy
+		if s.topo == nil {
+			for origin := newR; origin < len(s.own); origin += len(toOld) {
+				if sn, ok := s.copyAt(origin, line); ok {
+					snaps = append(snaps, sn)
+				}
 			}
-			if sn, ok := s.copyAt(origin, line); ok {
+		} else {
+			if sn, ok := s.copyAt(oldR, line); ok {
 				snaps = append(snaps, sn)
 			}
-		}
-		for origin, sn := range s.ref {
-			if sn.step == line && s.refTo[origin] == oldR {
-				snaps = append(snaps, sn)
+			for _, origin := range checkpoint.Protects(*s.topo, oldR) {
+				if !slices.Contains(deadNodes, s.topo.NodeOf[origin]) {
+					continue // origin alive: it contributes its own copy
+				}
+				if sn, ok := s.copyAt(origin, line); ok {
+					snaps = append(snaps, sn)
+				}
+			}
+			for origin, sn := range s.ref {
+				if sn.step == line && s.refTo[origin] == oldR {
+					snaps = append(snaps, sn)
+				}
 			}
 		}
 		for _, sn := range snaps {
 			st, err := checkpoint.Read(bytes.NewReader(sn.blob), app)
 			if err != nil {
-				return nil, fmt.Errorf("bench: corrupt mirrored checkpoint held by rank %d: %w", oldR, err)
+				return nil, fmt.Errorf("bench: corrupt checkpoint held by rank %d: %w", oldR, err)
 			}
 			held[newR] = append(held[newR], st)
 		}

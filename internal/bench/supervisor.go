@@ -270,27 +270,6 @@ func virtualDuration(rep *core.Report) float64 {
 	return max
 }
 
-// largestCubeAtMost returns the largest k³ ≤ n, or 0 when none exists.
-func largestCubeAtMost(n int) int {
-	best := 0
-	for k := 1; k*k*k <= n; k++ {
-		best = k * k * k
-	}
-	return best
-}
-
-// degradedShape chooses the rank count a degradation lands on: the largest
-// cube at most want, falling back to the largest cube strictly below cur
-// when want yields nothing smaller than the current size. Returns 0 when
-// no valid degraded shape exists (cur already 1).
-func degradedShape(cur, want int) int {
-	to := largestCubeAtMost(want)
-	if to < 1 || to >= cur {
-		to = largestCubeAtMost(cur - 1)
-	}
-	return to
-}
-
 // superSetup is the preamble every policy shares: the clean
 // baseline, the supervised target, the effective placement, and the fault
 // plan drawn over the baseline's virtual horizon.

@@ -358,8 +358,10 @@ type World struct {
 	recs   []*obs.Recorder
 
 	// consumed marks a world Reform has re-formed; every exported method
-	// refuses it (see live).
-	consumed bool
+	// refuses it (see live). ran marks a world Run has started: its ranks
+	// exit dead, so a second Run would wait on them forever, and Run
+	// refuses it.
+	consumed, ran bool
 
 	// allreduce is the shared state of Allreduce and AllreduceScalar, set up
 	// by Run.
@@ -497,12 +499,16 @@ func (e *RankError) Error() string { return fmt.Sprintf("rank %d: %v", e.Rank, e
 func (e *RankError) Unwrap() error { return e.Err }
 
 // Run executes body on every rank concurrently and returns the first error
-// (by rank order) if any rank fails or panics. Run may be called once per
-// World.
+// (by rank order) if any rank fails or panics. A world runs once: a second
+// Run, like a Run of a world Reform consumed, returns an mp: error.
 func (w *World) Run(body func(r *Rank) error) error {
 	if w.live() != nil {
 		return fmt.Errorf("mp: world was consumed by Reform; run the re-formed world instead")
 	}
+	if w.ran {
+		return fmt.Errorf("mp: world has already run; a world runs once")
+	}
+	w.ran = true
 	p := w.topo.NRanks()
 	errs := make([]error, p)
 	w.allreduce.slots = make([]allreduceSlot, p)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"heterohpc/internal/netmodel"
 	"heterohpc/internal/vclock"
@@ -97,6 +98,25 @@ func sendRecvCase[T payload](data []T, bytes int, gets int64) func(*testing.T) {
 		if got := w.gets.Load(); got != gets {
 			t.Fatalf("%d payload draws counted, want %d", got, gets)
 		}
+	}
+}
+
+// TestRunRefusesASecondRun: every rank of a finished world has exited dead,
+// so a second Run would park each rank on peers that can never send
+// again; Run refuses it with an mp: error instead.
+func TestRunRefusesASecondRun(t *testing.T) {
+	w := testWorld(t, 4, 2)
+	body := func(r *Rank) error {
+		r.AllreduceScalar(OpSum, 1)
+		Send(r, (r.ID()+1)%r.Size(), 7, []float64{1})
+		Recv[float64](r, (r.ID()+r.Size()-1)%r.Size(), 7)
+		return nil
+	}
+	if err := runWithDeadline(t, w, 30*time.Second, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := runWithDeadline(t, w, 10*time.Second, body); err == nil || !strings.HasPrefix(err.Error(), "mp: ") {
+		t.Fatalf("second Run returned %v, want an mp: error", err)
 	}
 }
 

@@ -408,8 +408,8 @@ func (m *CSR) MulVec(x, y []float64, ch Charger) {
 		var s0, s1 float64
 		k := 0
 		for ; k < len(c0) && k < len(c1); k++ {
-			s0 += v0[k] * x[c0[k]]
-			s1 += v1[k] * x[c1[k]]
+			s0 += float64(v0[k] * x[c0[k]])
+			s1 += float64(v1[k] * x[c1[k]])
 		}
 		y[r] = dotFrom(s0, c0[k:], v0[k:], x)
 		y[r+1] = dotFrom(s1, c1[k:], v1[k:], x)
@@ -420,14 +420,14 @@ func (m *CSR) MulVec(x, y []float64, ch Charger) {
 	}
 	nnz := float64(m.NNZ())
 	// 12 bytes/nnz (8B value + 4B index) + x gathers + y stores.
-	ch.ChargeCompute(2*nnz, 20*nnz+8*float64(m.NRows))
+	ch.ChargeCompute(2*nnz, float64(20*nnz)+float64(8*float64(m.NRows)))
 }
 
 // dotFrom returns sum + Σ val[k]·x[col[k]], accumulated first to last.
 func dotFrom(sum float64, col []int, val, x []float64) float64 {
 	val = val[:len(col)]
 	for k, c := range col {
-		sum += val[k] * x[c]
+		sum += float64(val[k] * x[c])
 	}
 	return sum
 }

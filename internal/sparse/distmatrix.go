@@ -945,7 +945,7 @@ func (d *Dirichlet) EliminateRHS(g func(global int) float64, rhs []float64) {
 		gval[i] = g(c)
 	}
 	for k, lr := range d.elimRow {
-		rhs[lr] -= d.elimVal[k] * gval[d.elimAt[k]]
+		rhs[lr] -= float64(d.elimVal[k] * gval[d.elimAt[k]])
 	}
 	for i, lr := range d.bcRows {
 		rhs[lr] = gval[i]

@@ -6,7 +6,7 @@ package sparse
 // Axpy computes y[i] += a·x[i] over the first n entries.
 func Axpy(n int, a float64, x, y []float64, ch Charger) {
 	for i := 0; i < n; i++ {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 	ch.ChargeCompute(2*float64(n), 24*float64(n))
 }
@@ -29,7 +29,7 @@ func CopyN(n int, dst, src []float64, ch Charger) {
 func DotLocal(n int, x, y []float64, ch Charger) float64 {
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += x[i] * y[i]
+		sum += float64(x[i] * y[i])
 	}
 	ch.ChargeCompute(2*float64(n), 16*float64(n))
 	return sum
